@@ -1,15 +1,23 @@
-//! Criterion benchmark harness for the sbox-leakage workspace.
+//! Benchmark harness for the sbox-leakage workspace (package
+//! `sca-bench`).
 //!
-//! The benches measure the cost of every pipeline stage: the
+//! The Criterion benches measure the cost of every pipeline stage: the
 //! Walsh–Hadamard transform, netlist generation/synthesis, event-driven
-//! simulation per scheme, trace acquisition, aging evaluation and CPA.
-//! Run with `cargo bench --workspace`.
+//! simulation per scheme, trace acquisition, aging evaluation, CPA, and
+//! campaign worker scaling. Run with `cargo bench -p sca-bench`.
 //!
-//! [`legacy`] freezes the pre-`CaptureSession` capture path (heap
-//! queue, per-call allocation, full-buffer waveform indexing) so the
-//! optimization can be measured against the code it replaced; the
-//! `capture_bench` binary runs that comparison and writes
-//! `BENCH_capture.json`.
+//! Three binaries each time one comparison, assert that both sides
+//! agree bit for bit before timing, and write a `BENCH_*.json` ledger:
+//!
+//! * `capture_bench` → `BENCH_capture.json`: capture throughput of the
+//!   frozen [`legacy`] engine (heap queue, per-call allocation,
+//!   full-buffer waveform indexing) against the reused
+//!   `CaptureSession` and the bit-sliced batch backend;
+//! * `attack_bench` → `BENCH_attack.json`: batch against streamed
+//!   distinguisher scoring over the same in-memory traces;
+//! * `repair_bench` → `BENCH_repair.json`: from-scratch against
+//!   cone-scoped incremental re-analysis of the repair loop's
+//!   candidates, with a pinned speedup floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

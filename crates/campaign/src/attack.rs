@@ -9,8 +9,10 @@
 //! [`Campaign::acquire_cpa`]) and folds every trace *once* into a
 //! [`JointState`]: the per-guess co-moment state of every requested
 //! distinguisher **plus** a 16-class spectral accumulator over the
-//! plaintext nibbles, all accumulated in the same pass through
-//! [`fold_schedule_into`](crate::fold_schedule_into). Nothing is
+//! plaintext nibbles, all accumulated in the same pass through the
+//! executor ([`fold_schedule_into`](crate::fold_schedule_into)), with
+//! the same checkpointing, fault handling and degradation warnings as
+//! every other campaign cell. Nothing is
 //! materialized; peak memory is O(guesses × samples), independent of
 //! the trace budget.
 //!
@@ -38,9 +40,9 @@ use leakage_core::online::{Merge, SpectrumAccumulator, SumMode, TreeReducer, FOL
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
-use crate::executor::{fold_schedule_into, FoldState, ResumeState};
+use crate::executor::FoldState;
 use crate::store::{StoreError, StoreKind, StoreReader};
-use crate::{config_digest, Campaign, CampaignError, CampaignKey, StageTimer};
+use crate::{config_digest, Campaign, CampaignKey, StageTimer};
 
 /// Joint streaming state of one attack trial: every requested
 /// distinguisher's per-guess co-moment accumulator plus the spectral
@@ -316,36 +318,18 @@ impl Campaign {
 
                 timer.stage("acquire");
                 let schedule = cpa_schedule(&circuit, &trial_protocol, plan.key, plan.traces);
-                let policy = self.exec_policy();
-                let (completed, mut writer, mut warnings) = self.open_checkpoint(&cell);
-                let resume = ResumeState {
-                    completed,
-                    checkpoint: writer.as_mut(),
-                    sync_every: self.config.checkpoint_every,
-                };
-                let (state, mut exec) = fold_schedule_into(
+                let seed = cpa_seed(&trial_protocol);
+                let (state, exec) = self.execute(
+                    &cell,
                     &sim,
                     &schedule,
-                    &self.config.protocol.sampling,
-                    cpa_seed(&trial_protocol),
-                    &policy,
-                    resume,
+                    seed,
                     &make,
                     Some(&mut observer),
+                    None,
                 );
-                warnings.append(&mut exec.warnings);
-                exec.warnings = warnings;
-                if !exec.quarantined.is_empty() {
-                    exec.warnings.push(
-                        CampaignError::Incomplete {
-                            quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
-                            scheduled: schedule.len(),
-                        }
-                        .to_string(),
-                    );
-                }
                 timer.stage("analyze");
-                self.push_exec_report(&cell, &exec, timer, true);
+                self.push_exec_report(&cell, &exec, timer, true, 0);
                 state
             };
 

@@ -1,6 +1,13 @@
-//! The sharded acquisition executor: a `std::thread` worker pool that
-//! captures a stimulus schedule in parallel, isolating and recovering
-//! from per-trace failures.
+//! The acquisition executor: one claim → capture → fold pipeline that
+//! captures a stimulus schedule on a `std::thread` worker pool,
+//! isolating and recovering from per-trace failures.
+//!
+//! Workers claim index ranges, capture them on the event-driven or the
+//! bit-sliced engine, and fold each trace into a chunk-local
+//! [`FoldState`]; the caller's thread checkpoints new traces and merges
+//! the chunk states in a schedule-shaped tree. [`fold_schedule_into`]
+//! returns the merged state. [`capture_schedule_with`] is the same run
+//! with an empty fold that keeps every trace in its schedule slot.
 //!
 //! Determinism: trace `i`'s value depends only on the (pre-computed)
 //! schedule entry `i` and its per-trace seed `trace_seed(base_seed, i)`
@@ -21,8 +28,9 @@
 //! as they arrive and previously checkpointed indices are skipped, so a
 //! killed run resumes instead of restarting.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -32,7 +40,7 @@ use acquisition::{capture_stimulus_session, trace_seed, Backend, Stimulus};
 use gatesim::{
     BitslicedSession, CaptureSession, CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES,
 };
-use leakage_core::online::{Merge, SpectrumAccumulator, SumMode, TreeReducer, FOLD_CHUNK};
+use leakage_core::online::{Merge, SpectrumAccumulator, TreeReducer, FOLD_CHUNK};
 
 use crate::fault::{FaultPlan, InjectedFault};
 use crate::store::CheckpointWriter;
@@ -328,18 +336,18 @@ pub struct ExecutorReport {
     pub stats: CaptureStats,
     /// Indices that failed at least once but succeeded on a retry.
     pub retried: usize,
-    /// Indices that failed every allowed attempt; their slots in the
-    /// returned trace vector are empty.
+    /// Indices that failed every allowed attempt. They fold zero times,
+    /// and their slots in [`capture_schedule_with`]'s traces are empty.
     pub quarantined: Vec<CaptureFailure>,
     /// Traces served from the resume state instead of simulated.
     pub resumed: usize,
     /// Largest number of newly captured traces resident in memory at
-    /// once. Always 0 for the batch path (which by design retains every
-    /// trace); for the streaming fold it is bounded by
-    /// `O(workers × CHUNK)`, independent of schedule length.
+    /// once. For [`fold_schedule_into`] it is bounded by
+    /// `O(workers × CHUNK)`, independent of schedule length. Always 0
+    /// for [`capture_schedule_with`], which keeps every trace by design.
     pub peak_resident: usize,
-    /// Merge depth of the final streaming accumulator (0 for the batch
-    /// path and single-chunk streaming runs).
+    /// Merge depth of the final fold state: 0 for single-chunk runs and
+    /// for [`capture_schedule_with`], whose fold is empty.
     pub merge_depth: usize,
     /// Set when a [`RunBudget`] limit stopped the run before the
     /// schedule completed; the results cover a prefix of the work and
@@ -494,50 +502,17 @@ fn needs_scalar_path(
         || policy.faults.capture_delay(index, 0).is_some()
 }
 
-/// One worker's progress on one chunk of indices.
-struct ChunkResult {
-    worker: usize,
-    captured: Vec<(usize, Vec<f64>)>,
-    failures: Vec<CaptureFailure>,
-    stats: CaptureStats,
-    busy: Duration,
-    retried: usize,
-    lanes: LaneUse,
-}
-
-/// Capture `schedule` with `workers` threads, seeding trace `i`'s
-/// measurement noise from `trace_seed(base_seed, i)`.
-///
-/// The compatibility entry point: default retry policy, no fault
-/// injection, no resume. See [`capture_schedule_with`].
-pub fn capture_schedule(
-    sim: &Simulator<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    workers: usize,
-) -> (Vec<Vec<f64>>, ExecutorReport) {
-    capture_schedule_with(
-        sim,
-        schedule,
-        sampling,
-        base_seed,
-        &ExecPolicy {
-            workers,
-            ..ExecPolicy::default()
-        },
-        ResumeState::fresh(),
-    )
-}
-
 /// Capture `schedule` under an explicit [`ExecPolicy`] and
-/// [`ResumeState`].
+/// [`ResumeState`], keeping every trace.
 ///
 /// Returns the traces in schedule order plus the run report. Quarantined
 /// indices (listed in [`ExecutorReport::quarantined`]) keep an empty
-/// `Vec` in their slot. With one worker everything runs inline on the
-/// caller's thread (no pool overhead), which also serves as the
-/// reference for the determinism guarantee.
+/// `Vec` in their slot, as do indices a budget interruption never
+/// claimed. This is a [`fold_schedule_into`] run with an empty fold:
+/// every newly captured trace moves into its slot as its chunk arrives,
+/// and resumed traces move into theirs at the end. With one worker
+/// everything runs inline on the caller's thread (no pool overhead),
+/// which also serves as the reference for the determinism guarantee.
 pub fn capture_schedule_with(
     sim: &Simulator<'_>,
     schedule: &[Stimulus],
@@ -546,182 +521,23 @@ pub fn capture_schedule_with(
     policy: &ExecPolicy,
     resume: ResumeState<'_>,
 ) -> (Vec<Vec<f64>>, ExecutorReport) {
-    let workers = resolve_workers(policy.workers).min(schedule.len()).max(1);
-    let started = Instant::now();
-    let mut warnings = Vec::new();
-    let backend = resolve_backend(sim, policy, &mut warnings);
-
-    let mut traces: Vec<Vec<f64>> = vec![Vec::new(); schedule.len()];
-    let mut filled = vec![false; schedule.len()];
-    let mut resumed = 0usize;
-    for (index, samples) in resume.completed {
-        if index < schedule.len() && !filled[index] {
-            traces[index] = samples;
-            filled[index] = true;
-            resumed += 1;
-        }
-    }
-    let skip: HashSet<usize> = filled
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &f)| f.then_some(i))
-        .collect();
-
-    let mut sink = CheckpointSink {
-        writer: resume.checkpoint,
-        sync_every: resume.sync_every,
-        since_sync: 0,
-        warning: None,
-    };
-
-    let mut loads: Vec<WorkerLoad> = (0..workers)
-        .map(|_| WorkerLoad {
-            traces: 0,
-            busy: Duration::ZERO,
-        })
-        .collect();
-    let mut stats = CaptureStats::default();
-    let mut retried = 0usize;
-    let mut quarantined: Vec<CaptureFailure> = Vec::new();
-    let mut lane_use = LaneUse::default();
-    let gate = BudgetGate::new(&policy.budget);
-
-    if workers == 1 {
-        // One engine for the whole run: scratch buffers are reused
-        // across every capture, including retries.
-        let mut engine = WorkerEngine::new(sim, backend);
-        for chunk_start in (0..schedule.len()).step_by(engine.claim()) {
-            if gate.should_stop() {
-                break;
-            }
-            let chunk_end = (chunk_start + engine.claim()).min(schedule.len());
-            let result = capture_claim(
-                &mut engine,
-                schedule,
-                sampling,
-                base_seed,
-                policy,
-                0,
-                chunk_start..chunk_end,
-                &skip,
-            );
-            gate.note_captured(result.captured.len());
-            absorb(
-                result,
-                &mut traces,
-                &mut loads,
-                &mut stats,
-                &mut retried,
-                &mut quarantined,
-                &mut lane_use,
-                &mut sink,
-                schedule,
-            );
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<ChunkResult>();
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let skip = &skip;
-                let gate = &gate;
-                scope.spawn(move || {
-                    // One persistent engine per worker thread, reused
-                    // for its entire shard (retries included). Sessions
-                    // only borrow the simulator, so this is free of
-                    // synchronization.
-                    let mut engine = WorkerEngine::new(sim, backend);
-                    loop {
-                        if gate.should_stop() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(engine.claim(), Ordering::Relaxed);
-                        if start >= schedule.len() {
-                            break;
-                        }
-                        let end = (start + engine.claim()).min(schedule.len());
-                        let result = capture_claim(
-                            &mut engine,
-                            schedule,
-                            sampling,
-                            base_seed,
-                            policy,
-                            worker,
-                            start..end,
-                            skip,
-                        );
-                        gate.note_captured(result.captured.len());
-                        // The receiver outlives the workers; a send can
-                        // only fail if the parent panicked, in which
-                        // case the scope unwinds anyway.
-                        if tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Collect on the caller's thread while workers run, so
-            // checkpoint frames land on disk as progress is made, not
-            // after the fact.
-            for result in rx {
-                absorb(
-                    result,
-                    &mut traces,
-                    &mut loads,
-                    &mut stats,
-                    &mut retried,
-                    &mut quarantined,
-                    &mut lane_use,
-                    &mut sink,
-                    schedule,
-                );
-            }
-        });
-    }
-
-    sink.finish(&mut warnings);
-    quarantined.sort_by_key(|f| f.index);
-
-    let captured_total: usize = loads.iter().map(|l| l.traces).sum();
-    let interrupted = gate.cause().map(|cause| Interruption {
-        cause,
-        remaining: schedule.len() - resumed - captured_total - quarantined.len(),
-    });
-
-    let report = ExecutorReport {
-        workers,
-        loads,
-        wall: started.elapsed(),
-        stats,
-        retried,
-        quarantined,
-        resumed,
-        peak_resident: 0,
-        merge_depth: 0,
-        interrupted,
-        backend,
-        lane_utilization: lane_use.utilization(),
-        warnings,
-    };
+    let mut traces = vec![Vec::new(); schedule.len()];
+    let (NoFold, report) = run(
+        sim,
+        schedule,
+        sampling,
+        base_seed,
+        policy,
+        resume,
+        &|| NoFold,
+        None,
+        Some(traces.as_mut_slice()),
+    );
     (traces, report)
 }
 
-/// Shape and summation mode of the streaming analysis fold.
-#[derive(Debug, Clone)]
-pub struct StreamPolicy {
-    /// Number of classes (stimulus labels index into this range).
-    pub num_classes: usize,
-    /// Accumulator summation mode. [`SumMode::Exact`] makes the folded
-    /// spectrum bit-identical to the batch path; [`SumMode::Welford`]
-    /// is cheaper and bit-stable across worker counts only.
-    pub mode: SumMode,
-}
-
-/// Any per-run analysis state the streaming executor can accumulate:
-/// fold one labelled trace at a time, merge shard states pairwise.
+/// Any per-run analysis state the executor can accumulate: fold one
+/// labelled trace at a time, merge shard states pairwise.
 ///
 /// The spectral pipeline's [`SpectrumAccumulator`] is one
 /// implementation; the attack engine folds per-key-guess co-moment
@@ -750,21 +566,35 @@ impl FoldState for SpectrumAccumulator {
     }
 }
 
+/// The fold state of a run that keeps its raw traces instead: there is
+/// nothing to fold, the traces themselves are the result.
+pub(crate) struct NoFold;
+
+impl Merge for NoFold {
+    fn merge(self, _later: Self) -> Self {
+        self
+    }
+}
+
+impl FoldState for NoFold {
+    fn fold(&mut self, _label: u16, _trace: &[f64]) {}
+}
+
 /// A callback observing each chunk-local fold state in schedule order
 /// (ascending chunk sequence), before it enters the reduction tree.
 /// Used to track prefix trajectories — e.g. the attack engine's key
 /// rank as a function of traces seen — without a second pass.
 pub type ChunkObserver<'o, S> = &'o mut dyn FnMut(u64, &S);
 
-/// One worker's progress on one chunk of the streaming fold.
-struct StreamChunk<S> {
+/// One worker's progress on one merge-tree leaf of the schedule.
+struct Chunk<S> {
     worker: usize,
     /// Position of this chunk in the schedule's chunk sequence — the
     /// leaf index of the deterministic merge tree.
     seq: u64,
     acc: S,
-    /// Newly captured traces, retained only while a checkpoint sink
-    /// needs to persist them; empty otherwise.
+    /// Newly captured traces, retained only while a checkpoint sink or
+    /// the caller's trace slots need them; empty otherwise.
     raw: Vec<(usize, Vec<f64>)>,
     captured: usize,
     failures: Vec<CaptureFailure>,
@@ -774,8 +604,9 @@ struct StreamChunk<S> {
     lanes: LaneUse,
 }
 
-/// Shared read-only context of one streaming fold run.
-struct StreamCtx<'a, S> {
+/// Shared context of one run: read-only inputs plus the atomics every
+/// worker updates.
+struct Ctx<'a, S> {
     schedule: &'a [Stimulus],
     sampling: &'a SamplingConfig,
     base_seed: u64,
@@ -785,15 +616,16 @@ struct StreamCtx<'a, S> {
     /// Traces completed by a previous run, folded in place of
     /// re-simulation at their schedule position.
     resumed: HashMap<usize, Vec<f64>>,
-    /// Whether workers must retain raw traces for the checkpoint sink.
+    /// Whether workers must retain raw traces for the collector.
     keep_raw: bool,
+    gate: BudgetGate,
     /// Newly captured traces currently resident (shared counter) and
     /// its high-water mark.
     resident: AtomicUsize,
     peak: AtomicUsize,
 }
 
-impl<S> StreamCtx<'_, S> {
+impl<S> Ctx<'_, S> {
     fn note_resident(&self) {
         let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak.fetch_max(now, Ordering::Relaxed);
@@ -806,46 +638,12 @@ impl<S> StreamCtx<'_, S> {
     }
 }
 
-/// Capture `schedule` like [`capture_schedule_with`], but fold every
-/// trace into a [`SpectrumAccumulator`] instead of retaining it:
-/// memory is `O(classes × samples)` plus `O(workers × CHUNK)` traces in
-/// flight, independent of schedule length.
-///
-/// Each worker folds the chunks it claims into chunk-local accumulators;
-/// the caller's thread merges them with a [`TreeReducer`] keyed by chunk
-/// position, so the tree shape — and the folded result — depends only on
-/// the schedule, never on the worker count or chunk completion order.
-/// Quarantined indices fold zero times, a retried index folds exactly
-/// once, and resumed traces fold at their schedule position without
-/// being re-simulated; newly captured traces still stream to the
-/// [`ResumeState`] checkpoint exactly as in the batch path.
-///
-/// The returned report's [`peak_resident`](ExecutorReport::peak_resident)
-/// and [`merge_depth`](ExecutorReport::merge_depth) fields are live in
-/// this mode. Note that resumed traces are held in memory for the
-/// duration of the run (they arrive as a batch from the checkpoint
-/// reader) and are not counted by `peak_resident`, which tracks newly
-/// captured traces only.
-pub fn fold_schedule_with(
-    sim: &Simulator<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    policy: &ExecPolicy,
-    resume: ResumeState<'_>,
-    stream: &StreamPolicy,
-) -> (SpectrumAccumulator, ExecutorReport) {
-    let make = || SpectrumAccumulator::new(stream.num_classes, sampling.samples, stream.mode);
-    fold_schedule_into(
-        sim, schedule, sampling, base_seed, policy, resume, &make, None,
-    )
-}
-
 /// Capture `schedule` and fold every trace into a caller-supplied
-/// [`FoldState`] — the generic engine behind [`fold_schedule_with`],
-/// usable by any streaming consumer (spectral accumulators, the attack
-/// engine's co-moment state, or composites folding several analyses in
-/// one pass over the traces).
+/// [`FoldState`] instead of retaining it: memory is the fold state plus
+/// `O(workers × CHUNK)` traces in flight, independent of schedule
+/// length. Any streaming consumer plugs in here — spectral
+/// accumulators, the attack engine's co-moment state, or composites
+/// folding several analyses in one pass over the traces.
 ///
 /// `make` constructs an empty chunk-local state; the caller's thread
 /// merges chunk states with a [`TreeReducer`] keyed by chunk position,
@@ -854,13 +652,18 @@ pub fn fold_schedule_with(
 /// Quarantined indices fold zero times, a retried index folds exactly
 /// once, and resumed traces fold at their schedule position without
 /// being re-simulated (checkpointed refold-on-resume); newly captured
-/// traces still stream to the [`ResumeState`] checkpoint exactly as in
-/// the batch path.
+/// traces stream to the [`ResumeState`] checkpoint as they arrive.
 ///
 /// `observer` (if any) sees every chunk-local state in ascending chunk
 /// order *before* it is merged into the tree, enabling single-pass
 /// prefix trajectories; buffering for in-order delivery is bounded by
 /// the number of in-flight chunks (≤ workers + channel capacity).
+///
+/// The report's [`peak_resident`](ExecutorReport::peak_resident) and
+/// [`merge_depth`](ExecutorReport::merge_depth) are live in this mode.
+/// Resumed traces are held in memory for the duration of the run (they
+/// arrive as a batch from the checkpoint reader) and are not counted by
+/// `peak_resident`, which tracks newly captured traces only.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_schedule_into<S, F>(
     sim: &Simulator<'_>,
@@ -876,152 +679,142 @@ where
     S: FoldState,
     F: Fn() -> S + Sync,
 {
+    run(
+        sim, schedule, sampling, base_seed, policy, resume, make, observer, None,
+    )
+}
+
+/// The one claim → capture → fold pipeline behind both entry points.
+/// `slots`, when given, receives every trace — newly captured or
+/// resumed — at its schedule index, and the run reports no resident
+/// bound (it keeps everything by design).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<S: FoldState>(
+    sim: &Simulator<'_>,
+    schedule: &[Stimulus],
+    sampling: &SamplingConfig,
+    base_seed: u64,
+    policy: &ExecPolicy,
+    resume: ResumeState<'_>,
+    make: &(dyn Fn() -> S + Sync),
+    observer: Option<ChunkObserver<'_, S>>,
+    slots: Option<&mut [Vec<f64>]>,
+) -> (S, ExecutorReport) {
     let workers = resolve_workers(policy.workers).min(schedule.len()).max(1);
     let started = Instant::now();
     let mut warnings = Vec::new();
     let backend = resolve_backend(sim, policy, &mut warnings);
 
-    let mut resumed_map: HashMap<usize, Vec<f64>> = HashMap::new();
+    let mut resumed: HashMap<usize, Vec<f64>> = HashMap::new();
     for (index, samples) in resume.completed {
         if index < schedule.len() {
-            resumed_map.entry(index).or_insert(samples);
+            resumed.entry(index).or_insert(samples);
         }
     }
-    let resumed = resumed_map.len();
-    let keep_raw = resume.checkpoint.is_some();
-    let mut sink = CheckpointSink {
-        writer: resume.checkpoint,
-        sync_every: resume.sync_every,
-        since_sync: 0,
-        warning: None,
-    };
-
-    let ctx = StreamCtx {
+    let ctx = Ctx {
         schedule,
         sampling,
         base_seed,
         policy,
         make,
-        resumed: resumed_map,
-        keep_raw,
+        resumed,
+        keep_raw: resume.checkpoint.is_some() || slots.is_some(),
+        gate: BudgetGate::new(&policy.budget),
         resident: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
     };
-
-    let mut loads: Vec<WorkerLoad> = (0..workers)
-        .map(|_| WorkerLoad {
-            traces: 0,
-            busy: Duration::ZERO,
-        })
-        .collect();
-    let mut stats = CaptureStats::default();
-    let mut retried = 0usize;
-    let mut quarantined: Vec<CaptureFailure> = Vec::new();
-    let mut lane_use = LaneUse::default();
-    let mut tap = OrderedTap {
-        reducer: TreeReducer::new(),
-        observer,
-        next: 0,
-        held: BTreeMap::new(),
+    let mut collector = Collector {
+        loads: vec![
+            WorkerLoad {
+                traces: 0,
+                busy: Duration::ZERO,
+            };
+            workers
+        ],
+        stats: CaptureStats::default(),
+        retried: 0,
+        quarantined: Vec::new(),
+        lanes: LaneUse::default(),
+        sink: CheckpointSink {
+            writer: resume.checkpoint,
+            sync_every: resume.sync_every,
+            since_sync: 0,
+            warning: None,
+        },
+        tap: OrderedTap {
+            reducer: TreeReducer::new(),
+            observer,
+            next: 0,
+            held: BTreeMap::new(),
+        },
+        slots,
     };
-    let gate = BudgetGate::new(&policy.budget);
 
+    let cursor = AtomicUsize::new(0);
     if workers == 1 {
-        let mut engine = WorkerEngine::new(sim, backend);
-        for claim_start in (0..schedule.len()).step_by(engine.claim()) {
-            if gate.should_stop() {
-                break;
-            }
-            let claim_end = (claim_start + engine.claim()).min(schedule.len());
-            fold_claim(
-                &mut engine,
-                &ctx,
-                0,
-                claim_start..claim_end,
-                &mut |result: StreamChunk<S>| {
-                    gate.note_captured(result.captured);
-                    absorb_stream(
-                        result,
-                        &ctx,
-                        &mut loads,
-                        &mut stats,
-                        &mut retried,
-                        &mut quarantined,
-                        &mut lane_use,
-                        &mut sink,
-                        &mut tap,
-                    );
-                    true
-                },
-            );
-        }
+        work(sim, backend, &ctx, &cursor, 0, &mut |chunk| {
+            collector.absorb(chunk, &ctx);
+            true
+        });
     } else {
-        let cursor = AtomicUsize::new(0);
         // A *bounded* channel: workers block once `workers` chunks are
-        // queued, so the number of raw traces in flight — and therefore
-        // peak memory — cannot grow with schedule length even if the
-        // collector falls behind. (On the bit-sliced backend a worker
-        // additionally holds one lane batch of raw traces while it
-        // slices the batch into chunks — see `fold_claim_bitsliced`.)
-        let (tx, rx) = mpsc::sync_channel::<StreamChunk<S>>(workers);
+        // queued, so the number of raw traces in flight cannot grow with
+        // schedule length even if the collector falls behind. (On the
+        // bit-sliced backend a worker additionally holds one lane batch
+        // of raw traces while it slices the batch into chunks — see
+        // `fold_claim`.)
+        let (tx, rx) = mpsc::sync_channel::<Chunk<S>>(workers);
         std::thread::scope(|scope| {
             for worker in 0..workers {
                 let tx = tx.clone();
-                let cursor = &cursor;
-                let ctx = &ctx;
-                let gate = &gate;
+                let (ctx, cursor) = (&ctx, &cursor);
                 scope.spawn(move || {
-                    let mut engine = WorkerEngine::new(sim, backend);
-                    loop {
-                        if gate.should_stop() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(engine.claim(), Ordering::Relaxed);
-                        if start >= ctx.schedule.len() {
-                            break;
-                        }
-                        let end = (start + engine.claim()).min(ctx.schedule.len());
-                        let delivered = fold_claim(
-                            &mut engine,
-                            ctx,
-                            worker,
-                            start..end,
-                            &mut |result: StreamChunk<S>| {
-                                gate.note_captured(result.captured);
-                                tx.send(result).is_ok()
-                            },
-                        );
-                        if !delivered {
-                            break;
-                        }
-                    }
+                    // The receiver outlives the workers; a send can only
+                    // fail if the parent panicked, in which case the
+                    // scope unwinds anyway.
+                    work(sim, backend, ctx, cursor, worker, &mut |chunk| {
+                        tx.send(chunk).is_ok()
+                    });
                 });
             }
             drop(tx);
-            for result in rx {
-                absorb_stream(
-                    result,
-                    &ctx,
-                    &mut loads,
-                    &mut stats,
-                    &mut retried,
-                    &mut quarantined,
-                    &mut lane_use,
-                    &mut sink,
-                    &mut tap,
-                );
+            // Collect on the caller's thread while workers run, so
+            // checkpoint frames land on disk as progress is made, not
+            // after the fact.
+            for chunk in rx {
+                collector.absorb(chunk, &ctx);
             }
         });
     }
 
+    let Collector {
+        loads,
+        stats,
+        retried,
+        mut quarantined,
+        lanes,
+        sink,
+        tap,
+        slots,
+    } = collector;
     sink.finish(&mut warnings);
     quarantined.sort_by_key(|f| f.index);
 
-    let captured_total: usize = loads.iter().map(|l| l.traces).sum();
-    let interrupted = gate.cause().map(|cause| Interruption {
+    let resumed = ctx.resumed.len();
+    let captured: usize = loads.iter().map(|l| l.traces).sum();
+    let interrupted = ctx.gate.cause().map(|cause| Interruption {
         cause,
-        remaining: schedule.len() - resumed - captured_total - quarantined.len(),
+        remaining: schedule.len() - resumed - captured - quarantined.len(),
     });
+    let peak_resident = match slots {
+        Some(slots) => {
+            for (index, trace) in ctx.resumed {
+                slots[index] = trace;
+            }
+            0
+        }
+        None => ctx.peak.load(Ordering::Relaxed),
+    };
 
     let acc = tap.finish().unwrap_or_else(make);
     let report = ExecutorReport {
@@ -1032,14 +825,50 @@ where
         retried,
         quarantined,
         resumed,
-        peak_resident: ctx.peak.load(Ordering::Relaxed),
-        merge_depth: FoldState::merge_depth(&acc),
+        peak_resident,
+        merge_depth: acc.merge_depth(),
         interrupted,
         backend,
-        lane_utilization: lane_use.utilization(),
+        lane_utilization: lanes.utilization(),
         warnings,
     };
     (acc, report)
+}
+
+/// The caller's side of a run: totals merged from every chunk, the
+/// checkpoint, the merge tree, and (on the batch path) the trace slots.
+struct Collector<'a, 'o, S> {
+    loads: Vec<WorkerLoad>,
+    stats: CaptureStats,
+    retried: usize,
+    quarantined: Vec<CaptureFailure>,
+    lanes: LaneUse,
+    sink: CheckpointSink<'a>,
+    tap: OrderedTap<'o, S>,
+    slots: Option<&'a mut [Vec<f64>]>,
+}
+
+impl<S: FoldState> Collector<'_, '_, S> {
+    /// Fold one chunk's outcome into the run totals, the checkpoint, the
+    /// trace slots, and the merge tree.
+    fn absorb(&mut self, chunk: Chunk<S>, ctx: &Ctx<'_, S>) {
+        let load = &mut self.loads[chunk.worker];
+        load.traces += chunk.captured;
+        load.busy += chunk.busy;
+        self.stats.merge(&chunk.stats);
+        self.retried += chunk.retried;
+        self.quarantined.extend(chunk.failures);
+        self.lanes.merge(chunk.lanes);
+        let raw_len = chunk.raw.len();
+        for (index, trace) in chunk.raw {
+            self.sink.push(index, ctx.schedule[index].label, &trace);
+            if let Some(slots) = self.slots.as_deref_mut() {
+                slots[index] = trace;
+            }
+        }
+        ctx.release_resident(raw_len);
+        self.tap.push(chunk.seq, chunk.acc);
+    }
 }
 
 /// Delivers chunk states to the observer in schedule order, then feeds
@@ -1078,147 +907,71 @@ impl<S: FoldState> OrderedTap<'_, S> {
     }
 }
 
-/// Fold one streamed chunk's outcome into the run accumulators, the
-/// checkpoint, and the merge tree.
-#[allow(clippy::too_many_arguments)]
-fn absorb_stream<S: FoldState>(
-    result: StreamChunk<S>,
-    ctx: &StreamCtx<'_, S>,
-    loads: &mut [WorkerLoad],
-    stats: &mut CaptureStats,
-    retried: &mut usize,
-    quarantined: &mut Vec<CaptureFailure>,
-    lane_use: &mut LaneUse,
-    sink: &mut CheckpointSink<'_>,
-    tap: &mut OrderedTap<'_, S>,
-) {
-    loads[result.worker].traces += result.captured;
-    loads[result.worker].busy += result.busy;
-    stats.merge(&result.stats);
-    *retried += result.retried;
-    quarantined.extend(result.failures);
-    lane_use.merge(result.lanes);
-    let raw_len = result.raw.len();
-    for (index, trace) in result.raw {
-        sink.push(index, ctx.schedule[index].label, &trace);
-    }
-    ctx.release_resident(raw_len);
-    tap.push(result.seq, result.acc);
-}
-
-/// Fold every index in `range` (resumed, captured, or quarantined) into
-/// one chunk-local accumulator, in index order.
-fn fold_chunk<S: FoldState>(
-    session: &mut CaptureSession<'_>,
-    ctx: &StreamCtx<'_, S>,
+/// One worker's claim loop: take the next range from the shared cursor
+/// until the schedule or the budget runs out, handing every chunk to
+/// `emit` (which returns `false` once the collector is gone).
+fn work<S: FoldState>(
+    sim: &Simulator<'_>,
+    backend: Backend,
+    ctx: &Ctx<'_, S>,
+    cursor: &AtomicUsize,
     worker: usize,
-    range: std::ops::Range<usize>,
-) -> StreamChunk<S> {
-    let seq = (range.start / CHUNK) as u64;
-    let mut acc = (ctx.make)();
-    let mut raw = Vec::new();
-    let mut captured = 0usize;
-    let mut failures = Vec::new();
-    let mut stats = CaptureStats::default();
-    let mut retried = 0usize;
-    let t0 = Instant::now();
-    for index in range {
-        let stimulus = &ctx.schedule[index];
-        if let Some(trace) = ctx.resumed.get(&index) {
-            acc.fold(stimulus.label, trace);
-            continue;
+    emit: &mut dyn FnMut(Chunk<S>) -> bool,
+) {
+    // One persistent engine per worker, reused for its entire shard
+    // (retries included). Sessions only borrow the simulator, so this is
+    // free of synchronization.
+    let mut engine = WorkerEngine::new(sim, backend);
+    while !ctx.gate.should_stop() {
+        let start = cursor.fetch_add(engine.claim(), Ordering::Relaxed);
+        if start >= ctx.schedule.len() {
+            break;
         }
-        match capture_index(
-            session,
-            stimulus,
-            ctx.sampling,
-            ctx.base_seed,
-            index,
-            ctx.policy,
-        ) {
-            Ok((trace, s, attempts)) => {
-                stats.merge(&s);
-                if attempts > 1 {
-                    retried += 1;
-                }
-                captured += 1;
-                ctx.note_resident();
-                acc.fold(stimulus.label, &trace);
-                if ctx.keep_raw {
-                    raw.push((index, trace));
-                } else {
-                    drop(trace);
-                    ctx.release_resident(1);
-                }
-            }
-            Err(failure) => failures.push(failure),
+        let end = (start + engine.claim()).min(ctx.schedule.len());
+        if !fold_claim(&mut engine, ctx, worker, start..end, emit) {
+            break;
         }
-    }
-    StreamChunk {
-        worker,
-        seq,
-        acc,
-        raw,
-        captured,
-        failures,
-        stats,
-        busy: t0.elapsed(),
-        retried,
-        lanes: LaneUse::default(),
     }
 }
 
-/// Fold every index in `range` on the worker's engine, emitting one
-/// [`StreamChunk`] per merge-tree leaf the range covers. On the event
-/// engine the range *is* one leaf; on the bit-sliced engine one lane
-/// batch covers up to `LANES / CHUNK` leaves, emitted in ascending
-/// sequence so the reduction tree is identical either way. Returns
-/// `false` if `emit` refused a chunk (collector gone — stop claiming).
+/// Capture and fold every index in `range` on the worker's engine,
+/// emitting one [`Chunk`] per merge-tree leaf the range covers, in
+/// ascending sequence, so the reduction tree is the same on either
+/// backend. Returns `false` if `emit` refused a chunk.
+///
+/// On the event engine the range *is* one leaf and every index runs on
+/// the scalar session. On the bit-sliced engine one levelized sweep
+/// first captures every batchable lane of the claim (up to
+/// `LANES / CHUNK` leaves); resumed traces and scalar-routed indices
+/// (validation failures and fault-injected captures, which keep the
+/// event session's retry/quarantine semantics so reports are
+/// backend-independent) fold exactly where the event engine would fold
+/// them.
 fn fold_claim<S: FoldState>(
     engine: &mut WorkerEngine<'_>,
-    ctx: &StreamCtx<'_, S>,
+    ctx: &Ctx<'_, S>,
     worker: usize,
-    range: std::ops::Range<usize>,
-    emit: &mut dyn FnMut(StreamChunk<S>) -> bool,
+    range: Range<usize>,
+    emit: &mut dyn FnMut(Chunk<S>) -> bool,
 ) -> bool {
-    match &mut engine.batch {
-        None => emit(fold_chunk(&mut engine.scalar, ctx, worker, range)),
-        Some(batch) => fold_claim_bitsliced(batch, &mut engine.scalar, ctx, worker, range, emit),
-    }
-}
-
-/// The bit-sliced fold path: one levelized sweep captures every
-/// batchable lane in the claim, then the claim is walked in index order
-/// and sliced into per-[`FOLD_CHUNK`] leaves, folding resumed traces,
-/// batch-captured traces, and scalar-routed indices (validation
-/// failures and fault-injected captures, which run on the event session
-/// to keep retry/quarantine semantics backend-independent) exactly
-/// where the event engine would.
-fn fold_claim_bitsliced<S: FoldState>(
-    batch: &mut BitslicedSession<'_>,
-    scalar: &mut CaptureSession<'_>,
-    ctx: &StreamCtx<'_, S>,
-    worker: usize,
-    range: std::ops::Range<usize>,
-    emit: &mut dyn FnMut(StreamChunk<S>) -> bool,
-) -> bool {
-    let expected = scalar.simulator().netlist().num_inputs();
     let mut t_mark = Instant::now();
-
-    let batchable: Vec<usize> = range
-        .clone()
-        .filter(|&i| {
-            !ctx.resumed.contains_key(&i)
-                && !needs_scalar_path(&ctx.schedule[i], expected, i, ctx.policy)
-        })
-        .collect();
+    let expected = engine.scalar.simulator().netlist().num_inputs();
+    let batchable: Vec<usize> = match engine.batch {
+        Some(_) => range
+            .clone()
+            .filter(|&i| {
+                !ctx.resumed.contains_key(&i)
+                    && !needs_scalar_path(&ctx.schedule[i], expected, i, ctx.policy)
+            })
+            .collect(),
+        None => Vec::new(),
+    };
     let mut lanes = LaneUse::default();
     // `None` means the sweep panicked (never expected): every batchable
     // index then degrades to per-index scalar capture below, under the
     // standard retry loop.
-    let mut batch_out: Option<(Vec<Vec<f64>>, Vec<CaptureStats>)> = if batchable.is_empty() {
-        Some((Vec::new(), Vec::new()))
-    } else {
+    let mut swept: Option<(Vec<Vec<f64>>, Vec<CaptureStats>)> = Some((Vec::new(), Vec::new()));
+    if let (Some(batch), false) = (&mut engine.batch, batchable.is_empty()) {
         let lane_stimuli: Vec<LaneStimulus<'_>> = batchable
             .iter()
             .map(|&i| LaneStimulus {
@@ -1227,7 +980,7 @@ fn fold_claim_bitsliced<S: FoldState>(
                 noise_seed: trace_seed(ctx.base_seed, i as u64),
             })
             .collect();
-        let swept = panic::catch_unwind(AssertUnwindSafe(|| {
+        swept = panic::catch_unwind(AssertUnwindSafe(|| {
             let (traces, stats) = batch.capture_batch(&lane_stimuli, ctx.sampling);
             (traces.to_vec(), stats.to_vec())
         }))
@@ -1238,300 +991,69 @@ fn fold_claim_bitsliced<S: FoldState>(
                 lanes: batchable.len(),
             };
         }
-        swept
-    };
+    }
 
     let mut next_batch = 0usize;
-    let mut chunk_start = range.start;
-    while chunk_start < range.end {
+    for chunk_start in range.clone().step_by(CHUNK) {
         let chunk_end = (chunk_start + CHUNK).min(range.end);
-        let seq = (chunk_start / CHUNK) as u64;
-        let mut acc = (ctx.make)();
-        let mut raw = Vec::new();
-        let mut captured = 0usize;
-        let mut failures = Vec::new();
-        let mut stats = CaptureStats::default();
-        let mut retried = 0usize;
+        let mut chunk = Chunk {
+            worker,
+            seq: (chunk_start / CHUNK) as u64,
+            acc: (ctx.make)(),
+            raw: Vec::new(),
+            captured: 0,
+            failures: Vec::new(),
+            stats: CaptureStats::default(),
+            busy: Duration::ZERO,
+            retried: 0,
+            lanes: std::mem::take(&mut lanes),
+        };
         for index in chunk_start..chunk_end {
             let stimulus = &ctx.schedule[index];
             if let Some(trace) = ctx.resumed.get(&index) {
-                acc.fold(stimulus.label, trace);
+                chunk.acc.fold(stimulus.label, trace);
                 continue;
             }
-            let outcome = if batchable.get(next_batch) == Some(&index) {
-                let k = next_batch;
-                next_batch += 1;
-                match &mut batch_out {
-                    Some((traces, batch_stats)) => {
-                        Ok((std::mem::take(&mut traces[k]), batch_stats[k], 1))
-                    }
-                    None => capture_index(
-                        scalar,
-                        stimulus,
-                        ctx.sampling,
-                        ctx.base_seed,
-                        index,
-                        ctx.policy,
-                    ),
+            let outcome = match &mut swept {
+                Some((traces, stats)) if batchable.get(next_batch) == Some(&index) => {
+                    let k = next_batch;
+                    next_batch += 1;
+                    Ok((std::mem::take(&mut traces[k]), stats[k], 1))
                 }
-            } else {
-                capture_index(
-                    scalar,
+                _ => capture_index(
+                    &mut engine.scalar,
                     stimulus,
                     ctx.sampling,
                     ctx.base_seed,
                     index,
                     ctx.policy,
-                )
+                ),
             };
             match outcome {
-                Ok((trace, s, attempts)) => {
-                    stats.merge(&s);
-                    if attempts > 1 {
-                        retried += 1;
-                    }
-                    captured += 1;
+                Ok((trace, stats, attempts)) => {
+                    chunk.stats.merge(&stats);
+                    chunk.retried += usize::from(attempts > 1);
+                    chunk.captured += 1;
                     ctx.note_resident();
-                    acc.fold(stimulus.label, &trace);
+                    chunk.acc.fold(stimulus.label, &trace);
                     if ctx.keep_raw {
-                        raw.push((index, trace));
+                        chunk.raw.push((index, trace));
                     } else {
                         drop(trace);
                         ctx.release_resident(1);
                     }
                 }
-                Err(failure) => failures.push(failure),
+                Err(failure) => chunk.failures.push(failure),
             }
         }
-        let busy = t_mark.elapsed();
+        chunk.busy = t_mark.elapsed();
         t_mark = Instant::now();
-        let delivered = emit(StreamChunk {
-            worker,
-            seq,
-            acc,
-            raw,
-            captured,
-            failures,
-            stats,
-            busy,
-            retried,
-            lanes: std::mem::take(&mut lanes),
-        });
-        if !delivered {
+        ctx.gate.note_captured(chunk.captured);
+        if !emit(chunk) {
             return false;
         }
-        chunk_start = chunk_end;
     }
     true
-}
-
-/// Fold one chunk's outcome into the run accumulators and the
-/// checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn absorb(
-    result: ChunkResult,
-    traces: &mut [Vec<f64>],
-    loads: &mut [WorkerLoad],
-    stats: &mut CaptureStats,
-    retried: &mut usize,
-    quarantined: &mut Vec<CaptureFailure>,
-    lane_use: &mut LaneUse,
-    sink: &mut CheckpointSink<'_>,
-    schedule: &[Stimulus],
-) {
-    loads[result.worker].traces += result.captured.len();
-    loads[result.worker].busy += result.busy;
-    stats.merge(&result.stats);
-    *retried += result.retried;
-    quarantined.extend(result.failures);
-    lane_use.merge(result.lanes);
-    for (index, trace) in result.captured {
-        sink.push(index, schedule[index].label, &trace);
-        traces[index] = trace;
-    }
-}
-
-/// Capture every non-skipped index in `range` on the worker's engine —
-/// [`capture_chunk`] on the event session, [`capture_chunk_bitsliced`]
-/// when a batch session is armed.
-#[allow(clippy::too_many_arguments)]
-fn capture_claim(
-    engine: &mut WorkerEngine<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    policy: &ExecPolicy,
-    worker: usize,
-    range: std::ops::Range<usize>,
-    skip: &HashSet<usize>,
-) -> ChunkResult {
-    match &mut engine.batch {
-        None => capture_chunk(
-            &mut engine.scalar,
-            schedule,
-            sampling,
-            base_seed,
-            policy,
-            worker,
-            range,
-            skip,
-        ),
-        Some(batch) => capture_chunk_bitsliced(
-            batch,
-            &mut engine.scalar,
-            schedule,
-            sampling,
-            base_seed,
-            policy,
-            worker,
-            range,
-            skip,
-        ),
-    }
-}
-
-/// The bit-sliced batch path: one levelized sweep captures every
-/// batchable lane; validation failures and fault-injected indices are
-/// routed to the scalar event session (so quarantine/retry semantics —
-/// and the traces a recovered index yields — are backend-independent),
-/// and a panicking sweep degrades to per-index scalar capture.
-#[allow(clippy::too_many_arguments)]
-fn capture_chunk_bitsliced(
-    batch: &mut BitslicedSession<'_>,
-    scalar: &mut CaptureSession<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    policy: &ExecPolicy,
-    worker: usize,
-    range: std::ops::Range<usize>,
-    skip: &HashSet<usize>,
-) -> ChunkResult {
-    let t0 = Instant::now();
-    let expected = scalar.simulator().netlist().num_inputs();
-    let mut captured = Vec::with_capacity(range.len());
-    let mut failures = Vec::new();
-    let mut stats = CaptureStats::default();
-    let mut retried = 0usize;
-    let mut lanes = LaneUse::default();
-    let mut scalar_routed: Vec<usize> = Vec::new();
-    let mut batchable: Vec<usize> = Vec::new();
-    for index in range {
-        if skip.contains(&index) {
-            continue;
-        }
-        if needs_scalar_path(&schedule[index], expected, index, policy) {
-            scalar_routed.push(index);
-        } else {
-            batchable.push(index);
-        }
-    }
-    if !batchable.is_empty() {
-        let lane_stimuli: Vec<LaneStimulus<'_>> = batchable
-            .iter()
-            .map(|&i| LaneStimulus {
-                initial: &schedule[i].initial,
-                final_inputs: &schedule[i].final_inputs,
-                noise_seed: trace_seed(base_seed, i as u64),
-            })
-            .collect();
-        let swept = panic::catch_unwind(AssertUnwindSafe(|| {
-            let (traces, batch_stats) = batch.capture_batch(&lane_stimuli, sampling);
-            (traces.to_vec(), batch_stats.to_vec())
-        }))
-        .ok();
-        match swept {
-            Some((traces, batch_stats)) => {
-                lanes = LaneUse {
-                    batches: 1,
-                    lanes: batchable.len(),
-                };
-                for ((index, trace), s) in batchable.drain(..).zip(traces).zip(batch_stats) {
-                    stats.merge(&s);
-                    captured.push((index, trace));
-                }
-            }
-            // A panicking sweep (never expected) degrades to per-index
-            // scalar capture under the standard retry loop.
-            None => scalar_routed.append(&mut batchable),
-        }
-    }
-    for index in scalar_routed {
-        match capture_index(scalar, &schedule[index], sampling, base_seed, index, policy) {
-            Ok((trace, s, attempts)) => {
-                stats.merge(&s);
-                if attempts > 1 {
-                    retried += 1;
-                }
-                captured.push((index, trace));
-            }
-            Err(failure) => failures.push(failure),
-        }
-    }
-    // Checkpoint frames land in index order within a claim, exactly as
-    // the event path emits them.
-    captured.sort_by_key(|&(i, _)| i);
-    ChunkResult {
-        worker,
-        captured,
-        failures,
-        stats,
-        busy: t0.elapsed(),
-        retried,
-        lanes,
-    }
-}
-
-/// Capture every non-skipped index in `range` on the worker's session,
-/// retrying failures per `policy` and quarantining indices that keep
-/// failing.
-#[allow(clippy::too_many_arguments)]
-fn capture_chunk(
-    session: &mut CaptureSession<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    policy: &ExecPolicy,
-    worker: usize,
-    range: std::ops::Range<usize>,
-    skip: &HashSet<usize>,
-) -> ChunkResult {
-    let mut captured = Vec::with_capacity(range.len());
-    let mut failures = Vec::new();
-    let mut stats = CaptureStats::default();
-    let mut retried = 0usize;
-    let t0 = Instant::now();
-    for index in range {
-        if skip.contains(&index) {
-            continue;
-        }
-        match capture_index(
-            session,
-            &schedule[index],
-            sampling,
-            base_seed,
-            index,
-            policy,
-        ) {
-            Ok((trace, s, attempts)) => {
-                stats.merge(&s);
-                if attempts > 1 {
-                    retried += 1;
-                }
-                captured.push((index, trace));
-            }
-            Err(failure) => failures.push(failure),
-        }
-    }
-    ChunkResult {
-        worker,
-        captured,
-        failures,
-        stats,
-        busy: t0.elapsed(),
-        retried,
-        lanes: LaneUse::default(),
-    }
 }
 
 /// Capture one index with panic isolation and bounded, seed-stable
@@ -1661,6 +1183,7 @@ mod tests {
     use super::*;
     use crate::store::resume_checkpoint;
     use acquisition::{classified_schedule, ProtocolConfig};
+    use leakage_core::online::SumMode;
     use sbox_circuits::{SboxCircuit, Scheme};
 
     fn small_config() -> ProtocolConfig {
@@ -1670,17 +1193,58 @@ mod tests {
         }
     }
 
+    /// A clean batch capture of `schedule` on `workers` threads.
+    fn capture(
+        sim: &Simulator<'_>,
+        schedule: &[Stimulus],
+        config: &ProtocolConfig,
+        workers: usize,
+    ) -> (Vec<Vec<f64>>, ExecutorReport) {
+        let policy = ExecPolicy {
+            workers,
+            ..ExecPolicy::default()
+        };
+        capture_schedule_with(
+            sim,
+            schedule,
+            &config.sampling,
+            config.seed,
+            &policy,
+            ResumeState::fresh(),
+        )
+    }
+
+    /// A 16-class spectral fold of `schedule` under `policy`.
+    fn fold(
+        sim: &Simulator<'_>,
+        schedule: &[Stimulus],
+        config: &ProtocolConfig,
+        policy: &ExecPolicy,
+        mode: SumMode,
+    ) -> (SpectrumAccumulator, ExecutorReport) {
+        let make = || SpectrumAccumulator::new(16, config.sampling.samples, mode);
+        fold_schedule_into(
+            sim,
+            schedule,
+            &config.sampling,
+            config.seed,
+            policy,
+            ResumeState::fresh(),
+            &make,
+            None,
+        )
+    }
+
     #[test]
     fn any_worker_count_is_bit_identical() {
         let circuit = SboxCircuit::build(Scheme::Rsm);
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, r1) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, r1) = capture(&sim, &schedule, &config, 1);
         assert_eq!(r1.workers, 1);
         for workers in [2, 3, 8] {
-            let (traces, report) =
-                capture_schedule(&sim, &schedule, &config.sampling, config.seed, workers);
+            let (traces, report) = capture(&sim, &schedule, &config, workers);
             assert_eq!(traces, reference, "{workers} workers");
             assert_eq!(
                 report.loads.iter().map(|l| l.traces).sum::<usize>(),
@@ -1701,7 +1265,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (_, report) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 2);
+        let (_, report) = capture(&sim, &schedule, &config, 2);
         let u = report.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u}");
         assert!(report.traces_per_sec() > 0.0);
@@ -1714,8 +1278,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, event) =
-            capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, event) = capture(&sim, &schedule, &config, 1);
         assert_eq!(event.backend, Backend::Event);
         assert_eq!(event.lane_utilization, None);
         for workers in [1usize, 2, 8] {
@@ -1750,21 +1313,16 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let stream = StreamPolicy {
-            num_classes: 16,
-            mode: SumMode::Exact,
-        };
-        let (reference, ref_report) = fold_schedule_with(
+        let stream = SumMode::Exact;
+        let (reference, ref_report) = fold(
             &sim,
             &schedule,
-            &config.sampling,
-            config.seed,
+            &config,
             &ExecPolicy {
                 workers: 1,
                 ..ExecPolicy::default()
             },
-            ResumeState::fresh(),
-            &stream,
+            stream,
         );
         for workers in [1usize, 3, 8] {
             let policy = ExecPolicy {
@@ -1772,15 +1330,7 @@ mod tests {
                 backend: Backend::Bitsliced,
                 ..ExecPolicy::default()
             };
-            let (acc, report) = fold_schedule_with(
-                &sim,
-                &schedule,
-                &config.sampling,
-                config.seed,
-                &policy,
-                ResumeState::fresh(),
-                &stream,
-            );
+            let (acc, report) = fold(&sim, &schedule, &config, &policy, stream);
             assert_eq!(
                 &acc, &reference,
                 "{workers} workers: folded state must be bitwise"
@@ -1811,7 +1361,7 @@ mod tests {
             "support check must reject"
         );
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
 
         // An explicit bitsliced request degrades loudly…
         let policy = ExecPolicy {
@@ -1864,7 +1414,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
         for workers in [1usize, 4] {
             let policy = ExecPolicy {
                 workers,
@@ -1911,7 +1461,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
         for workers in [1usize, 4] {
             let policy = ExecPolicy {
                 workers,
@@ -1939,7 +1489,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
         let policy = ExecPolicy {
             workers: 3,
             max_retries: 1,
@@ -1979,30 +1529,25 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (traces, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (traces, _) = capture(&sim, &schedule, &config, 1);
         let mut set = leakage_core::ClassifiedTraces::new(16, config.sampling.samples);
         for (s, t) in schedule.iter().zip(traces) {
             set.push(usize::from(s.label), t);
         }
         let batch = leakage_core::LeakageSpectrum::from_class_means(&set.class_means());
 
-        let stream = StreamPolicy {
-            num_classes: 16,
-            mode: SumMode::Exact,
-        };
+        let stream = SumMode::Exact;
         let mut previous: Option<SpectrumAccumulator> = None;
         for workers in [1usize, 2, 8] {
-            let (acc, report) = fold_schedule_with(
+            let (acc, report) = fold(
                 &sim,
                 &schedule,
-                &config.sampling,
-                config.seed,
+                &config,
                 &ExecPolicy {
                     workers,
                     ..ExecPolicy::default()
                 },
-                ResumeState::fresh(),
-                &stream,
+                stream,
             );
             assert_eq!(acc.spectrum(), batch, "{workers} workers vs batch");
             assert_eq!(acc.len(), schedule.len() as u64);
@@ -2024,20 +1569,15 @@ mod tests {
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
         let workers = 4usize;
-        let (acc, report) = fold_schedule_with(
+        let (acc, report) = fold(
             &sim,
             &schedule,
-            &config.sampling,
-            config.seed,
+            &config,
             &ExecPolicy {
                 workers,
                 ..ExecPolicy::default()
             },
-            ResumeState::fresh(),
-            &StreamPolicy {
-                num_classes: 16,
-                mode: SumMode::Welford,
-            },
+            SumMode::Welford,
         );
         assert_eq!(acc.len(), 256);
         // Without a checkpoint sink no raw trace outlives its fold: at
@@ -2063,20 +1603,9 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let stream = StreamPolicy {
-            num_classes: 16,
-            mode: SumMode::Exact,
-        };
+        let stream = SumMode::Exact;
         // Reference: clean streaming fold minus the sticky indices.
-        let (clean, _) = fold_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &ExecPolicy::default(),
-            ResumeState::fresh(),
-            &stream,
-        );
+        let (clean, _) = fold(&sim, &schedule, &config, &ExecPolicy::default(), stream);
         for workers in [1usize, 3] {
             let policy = ExecPolicy {
                 workers,
@@ -2086,15 +1615,7 @@ mod tests {
                     .with_sticky_panics([5, 40]),
                 ..ExecPolicy::default()
             };
-            let (acc, report) = fold_schedule_with(
-                &sim,
-                &schedule,
-                &config.sampling,
-                config.seed,
-                &policy,
-                ResumeState::fresh(),
-                &stream,
-            );
+            let (acc, report) = fold(&sim, &schedule, &config, &policy, stream);
             assert_eq!(report.retried, 2, "{workers} workers");
             assert_eq!(
                 report
@@ -2117,8 +1638,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, clean) =
-            capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, clean) = capture(&sim, &schedule, &config, 1);
 
         let path = std::env::temp_dir().join(format!(
             "executor-resume-{}-{:?}.sckp",
@@ -2181,7 +1701,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
 
         let path = std::env::temp_dir().join(format!(
             "executor-budget-{}-{:?}.sckp",
@@ -2305,18 +1825,7 @@ mod tests {
             Some(StopCause::Deadline)
         );
 
-        let (acc, report) = fold_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-            &StreamPolicy {
-                num_classes: 16,
-                mode: SumMode::Exact,
-            },
-        );
+        let (acc, report) = fold(&sim, &schedule, &config, &policy, SumMode::Exact);
         assert_eq!(
             report.interrupted.map(|i| i.cause),
             Some(StopCause::Deadline)
@@ -2330,7 +1839,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (reference, _) = capture_schedule(&sim, &schedule, &config.sampling, config.seed, 1);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
         // Index 3's first attempt stalls for 400 ms against a 50 ms
         // watchdog; the retry runs at full speed and must reproduce the
         // clean trace exactly.
@@ -2377,5 +1886,110 @@ mod tests {
             "{}",
             report.quarantined[0].message
         );
+    }
+
+    #[test]
+    fn batch_capture_and_streaming_fold_checkpoint_identically() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = small_config();
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        let meta = crate::store::StoreMeta {
+            kind: crate::store::StoreKind::Classified,
+            name: "OPT".into(),
+            seed: config.seed,
+            age_months: 0.0,
+            config_digest: 1,
+            class_or_key: 16,
+            traces: schedule.len() as u32,
+            samples: config.sampling.samples as u32,
+        };
+        let clean = ExecPolicy {
+            workers: 1,
+            ..ExecPolicy::default()
+        };
+        let (reference, _) = capture_schedule_with(
+            &sim,
+            &schedule,
+            &config.sampling,
+            config.seed,
+            &clean,
+            ResumeState::fresh(),
+        );
+        let make = || SpectrumAccumulator::new(16, config.sampling.samples, SumMode::Exact);
+
+        // One run on either entry point, checkpointing into a fresh file
+        // and resuming the first five indices: the checkpoint bytes plus
+        // the report's accounting.
+        let run = |policy: &ExecPolicy, batch: bool| {
+            let path = std::env::temp_dir().join(format!(
+                "executor-equiv-{}-{:?}-{batch}.sckp",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let (_, mut writer) = resume_checkpoint(&path, &meta).expect("ckpt");
+            let resume = ResumeState {
+                completed: reference.iter().take(5).cloned().enumerate().collect(),
+                checkpoint: Some(&mut writer),
+                sync_every: 8,
+            };
+            let report = if batch {
+                let (traces, report) = capture_schedule_with(
+                    &sim,
+                    &schedule,
+                    &config.sampling,
+                    config.seed,
+                    policy,
+                    resume,
+                );
+                assert_eq!(traces, reference);
+                report
+            } else {
+                fold_schedule_into(
+                    &sim,
+                    &schedule,
+                    &config.sampling,
+                    config.seed,
+                    policy,
+                    resume,
+                    &make,
+                    None,
+                )
+                .1
+            };
+            drop(writer);
+            let bytes = std::fs::read(&path).expect("reread");
+            let _ = std::fs::remove_file(&path);
+            (bytes, report)
+        };
+
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            for faults in [
+                FaultPlan::none(),
+                FaultPlan::none().with_transient_panics([9, 31, 63]),
+            ] {
+                let policy = ExecPolicy {
+                    faults,
+                    backend,
+                    ..clean.clone()
+                };
+                let (batch_bytes, batch) = run(&policy, true);
+                let (fold_bytes, fold) = run(&policy, false);
+                assert!(batch_bytes == fold_bytes, "{backend}: checkpoint bytes");
+                assert_eq!(batch.stats, fold.stats, "{backend}");
+                assert_eq!(batch.retried, fold.retried, "{backend}");
+                assert_eq!(batch.resumed, 5, "{backend}");
+                assert_eq!(batch.resumed, fold.resumed, "{backend}");
+                let failed = |r: &ExecutorReport| {
+                    r.quarantined
+                        .iter()
+                        .map(|f| (f.index, f.attempts))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(failed(&batch), failed(&fold), "{backend}");
+                assert_eq!(batch.lane_utilization, fold.lane_utilization, "{backend}");
+            }
+        }
     }
 }

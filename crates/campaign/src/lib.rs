@@ -3,10 +3,13 @@
 //!
 //! A [`Campaign`] composes four pieces:
 //!
-//! * the **sharded executor** ([`capture_schedule`]) — a `std::thread`
-//!   worker pool over the two-stage protocol split in `acquisition`
-//!   (schedule first, capture per trace), bit-identical for any worker
-//!   count including 1;
+//! * the **executor** ([`fold_schedule_into`]) — one claim → capture →
+//!   fold pipeline on a `std::thread` worker pool over the two-stage
+//!   protocol split in `acquisition` (schedule first, capture per
+//!   trace), bit-identical for any worker count including 1. Streamed
+//!   spectra and attacks fold into online accumulators; batch
+//!   acquisitions run the same pipeline with an empty fold and keep the
+//!   raw traces ([`capture_schedule_with`]);
 //! * the **trace store** ([`StoreWriter`]/[`StoreReader`]) — the
 //!   versioned, checksummed `SCTR` binary format under
 //!   `results/traces/`;
@@ -60,9 +63,9 @@ pub use cache::{config_digest, CacheMode, CampaignKey, TraceCache};
 pub use digest::{fnv1a, Digest};
 pub use error::CampaignError;
 pub use executor::{
-    capture_schedule, capture_schedule_with, fold_schedule_into, fold_schedule_with,
-    resolve_workers, CancelToken, CaptureFailure, ChunkObserver, ExecPolicy, ExecutorReport,
-    FoldState, Interruption, ResumeState, RunBudget, StopCause, StreamPolicy, WorkerLoad,
+    capture_schedule_with, fold_schedule_into, resolve_workers, CancelToken, CaptureFailure,
+    ChunkObserver, ExecPolicy, ExecutorReport, FoldState, Interruption, ResumeState, RunBudget,
+    StopCause, WorkerLoad,
 };
 pub use fault::{FaultPlan, InjectedFault};
 pub use iofault::{FallibleWriter, WriteFaults};
@@ -87,7 +90,8 @@ pub use leakage_core::online::{SpectrumAccumulator, SpectrumStream, SumMode};
 pub use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
 use aging::AgingConditions;
-use gatesim::{CaptureStats, Derating, SamplingConfig, Simulator};
+use executor::NoFold;
+use gatesim::{CaptureStats, Derating, Simulator};
 use leakage_core::{ClassifiedTraces, LeakageSpectrum};
 use sbox_circuits::{SboxCircuit, Scheme};
 
@@ -315,7 +319,17 @@ impl Campaign {
 
         timer.stage("acquire");
         let schedule = classified_schedule(circuit, &self.config.protocol);
-        let (raw, mut exec) = self.execute(&key, &sim, &schedule, self.config.protocol.seed);
+        let mut raw = vec![Vec::new(); schedule.len()];
+        let seed = self.config.protocol.seed;
+        let (NoFold, mut exec) = self.execute(
+            &key,
+            &sim,
+            &schedule,
+            seed,
+            &|| NoFold,
+            None,
+            Some(&mut raw),
+        );
 
         // Quarantined indices — and, after a budget interruption, the
         // never-claimed tail — have empty slots; the surviving traces
@@ -328,38 +342,14 @@ impl Campaign {
             }
         }
 
-        if let Some(interruption) = exec.interrupted {
-            // A budget-stopped run is a valid prefix, not a failure: the
-            // checkpoint already holds every captured trace, so the next
-            // run resumes instead of restarting. It must never be cached
-            // as a complete set.
-            exec.warnings.push(
-                CampaignError::Interrupted {
-                    cause: interruption.cause.to_string(),
-                    remaining: interruption.remaining,
-                    scheduled: schedule.len(),
-                }
-                .to_string(),
-            );
-        } else if exec.quarantined.is_empty() {
+        if complete(&exec) {
             let warning = self.persist(&key, schedule.iter().map(|s| s.label), &traces, &mut timer);
             exec.warnings.extend(warning);
-        } else {
-            // An incomplete set must never be cached as complete; the
-            // checkpoint keeps the survivors so the next run only
-            // re-simulates the missing indices.
-            exec.warnings.push(
-                CampaignError::Incomplete {
-                    quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
-                    scheduled: schedule.len(),
-                }
-                .to_string(),
-            );
         }
 
         timer.stage("analyze");
         let spectrum = LeakageSpectrum::from_class_means(&traces.class_means());
-        self.report(&key, &exec, timer);
+        self.push_exec_report(&key, &exec, timer, false, 0);
         CampaignOutcome {
             scheme,
             age_months: months,
@@ -453,33 +443,19 @@ impl Campaign {
 
         timer.stage("acquire");
         let schedule = classified_schedule(circuit, &self.config.protocol);
-        let (acc, mut exec) =
-            self.execute_streaming(&key, &sim, &schedule, self.config.protocol.seed);
-
-        if let Some(interruption) = exec.interrupted {
-            exec.warnings.push(
-                CampaignError::Interrupted {
-                    cause: interruption.cause.to_string(),
-                    remaining: interruption.remaining,
-                    scheduled: schedule.len(),
-                }
-                .to_string(),
-            );
-        } else if !exec.quarantined.is_empty() {
-            exec.warnings.push(
-                CampaignError::Incomplete {
-                    quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
-                    scheduled: schedule.len(),
-                }
-                .to_string(),
-            );
-        }
+        let (samples, mode) = (
+            self.config.protocol.sampling.samples,
+            self.config.stream_mode,
+        );
+        let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, mode);
+        let seed = self.config.protocol.seed;
+        let (acc, exec) = self.execute(&key, &sim, &schedule, seed, &make, None, None);
 
         timer.stage("analyze");
         let spectrum = acc.spectrum();
         let class_counts = acc.class_counts();
         let traces_analyzed = acc.len() as usize;
-        self.report_streamed(&key, &exec, timer);
+        self.push_exec_report(&key, &exec, timer, true, 0);
         SpectrumOutcome {
             scheme,
             age_months: months,
@@ -542,44 +518,34 @@ impl Campaign {
 
         timer.stage("acquire");
         let schedule = cpa_schedule(&circuit, &self.config.protocol, key, traces);
-        let (raw, mut exec) =
-            self.execute(&cache_key, &sim, &schedule, cpa_seed(&self.config.protocol));
+        let mut raw = vec![Vec::new(); schedule.len()];
+        let seed = cpa_seed(&self.config.protocol);
+        let (NoFold, mut exec) = self.execute(
+            &cache_key,
+            &sim,
+            &schedule,
+            seed,
+            &|| NoFold,
+            None,
+            Some(&mut raw),
+        );
 
-        if let Some(interruption) = exec.interrupted {
-            exec.warnings.push(
-                CampaignError::Interrupted {
-                    cause: interruption.cause.to_string(),
-                    remaining: interruption.remaining,
-                    scheduled: schedule.len(),
-                }
-                .to_string(),
-            );
-        } else if exec.quarantined.is_empty() {
-            if self.cache.writes_enabled() {
-                timer.stage("store");
-                let records = schedule
-                    .iter()
-                    .map(|s| s.label)
-                    .zip(raw.iter().map(Vec::as_slice));
-                if let Err(e) = self.write_store(&cache_key, records) {
-                    exec.warnings.push(format!(
-                        "persisting CPA set failed ({e}); continuing uncached"
-                    ));
-                } else {
-                    let _ = std::fs::remove_file(self.cache.checkpoint_path(&cache_key));
-                }
+        if complete(&exec) && self.cache.writes_enabled() {
+            timer.stage("store");
+            let records = schedule
+                .iter()
+                .map(|s| s.label)
+                .zip(raw.iter().map(Vec::as_slice));
+            if let Err(e) = self.write_store(&cache_key, records) {
+                exec.warnings.push(format!(
+                    "persisting CPA set failed ({e}); continuing uncached"
+                ));
+            } else {
+                let _ = std::fs::remove_file(self.cache.checkpoint_path(&cache_key));
             }
-        } else {
-            exec.warnings.push(
-                CampaignError::Incomplete {
-                    quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
-                    scheduled: schedule.len(),
-                }
-                .to_string(),
-            );
         }
 
-        self.report(&cache_key, &exec, timer);
+        self.push_exec_report(&cache_key, &exec, timer, false, 0);
         CpaAcquisition {
             key,
             plaintexts: schedule.iter().map(|s| s.label as u8).collect(),
@@ -656,63 +622,41 @@ impl Campaign {
         self.cache.lookup(key)
     }
 
-    /// Run the executor for one campaign cell, resuming from (and
-    /// streaming progress to) the cell's `SCKP` checkpoint when
-    /// checkpointing is enabled. Checkpoint problems never fail the
-    /// acquisition — they degrade to warnings in the report.
-    fn execute(
+    /// Run the executor for one campaign cell, folding every trace into
+    /// `make`'s state (and, given `slots`, keeping each one at its
+    /// schedule index). The run resumes from, and streams progress to,
+    /// the cell's `SCKP` checkpoint when checkpointing is enabled.
+    /// Checkpoint problems never fail the acquisition — they degrade to
+    /// warnings in the report — and a run that stopped short of its
+    /// schedule records why.
+    #[allow(clippy::too_many_arguments)]
+    fn execute<S: FoldState>(
         &mut self,
         key: &CampaignKey,
         sim: &Simulator<'_>,
         schedule: &[Stimulus],
         base_seed: u64,
-    ) -> (Vec<Vec<f64>>, ExecutorReport) {
+        make: &(dyn Fn() -> S + Sync),
+        observer: Option<ChunkObserver<'_, S>>,
+        slots: Option<&mut [Vec<f64>]>,
+    ) -> (S, ExecutorReport) {
         let policy = self.exec_policy();
         let (completed, mut writer, mut warnings) = self.open_checkpoint(key);
-        let sampling: &SamplingConfig = &self.config.protocol.sampling;
         let resume = ResumeState {
             completed,
             checkpoint: writer.as_mut(),
             sync_every: self.config.checkpoint_every,
         };
-        let (raw, mut exec) =
-            capture_schedule_with(sim, schedule, sampling, base_seed, &policy, resume);
+        let sampling = &self.config.protocol.sampling;
+        let (state, mut exec) = executor::run(
+            sim, schedule, sampling, base_seed, &policy, resume, make, observer, slots,
+        );
         drop(writer);
         self.maybe_tear_checkpoint(key);
         warnings.append(&mut exec.warnings);
+        warnings.extend(shortfall_warning(&exec, schedule.len()));
         exec.warnings = warnings;
-        (raw, exec)
-    }
-
-    /// The streaming counterpart of [`Campaign::execute`]: identical
-    /// checkpoint resume/flush wiring, but each worker folds its shard
-    /// into an accumulator instead of returning raw traces.
-    fn execute_streaming(
-        &mut self,
-        key: &CampaignKey,
-        sim: &Simulator<'_>,
-        schedule: &[Stimulus],
-        base_seed: u64,
-    ) -> (SpectrumAccumulator, ExecutorReport) {
-        let policy = self.exec_policy();
-        let stream = StreamPolicy {
-            num_classes: NUM_CLASSES,
-            mode: self.config.stream_mode,
-        };
-        let (completed, mut writer, mut warnings) = self.open_checkpoint(key);
-        let sampling: &SamplingConfig = &self.config.protocol.sampling;
-        let resume = ResumeState {
-            completed,
-            checkpoint: writer.as_mut(),
-            sync_every: self.config.checkpoint_every,
-        };
-        let (acc, mut exec) =
-            fold_schedule_with(sim, schedule, sampling, base_seed, &policy, resume, &stream);
-        drop(writer);
-        self.maybe_tear_checkpoint(key);
-        warnings.append(&mut exec.warnings);
-        exec.warnings = warnings;
-        (acc, exec)
+        (state, exec)
     }
 
     fn exec_policy(&self) -> ExecPolicy {
@@ -931,20 +875,13 @@ impl Campaign {
         });
     }
 
-    fn report(&mut self, key: &CampaignKey, exec: &ExecutorReport, timer: StageTimer) {
-        self.push_exec_report(key, exec, timer, false);
-    }
-
-    fn report_streamed(&mut self, key: &CampaignKey, exec: &ExecutorReport, timer: StageTimer) {
-        self.push_exec_report(key, exec, timer, true);
-    }
-
     fn push_exec_report(
         &mut self,
         key: &CampaignKey,
         exec: &ExecutorReport,
         timer: StageTimer,
         streamed: bool,
+        healed: usize,
     ) {
         self.log.push(RunReport {
             implementation: key.implementation.clone(),
@@ -961,13 +898,41 @@ impl Campaign {
             streamed,
             peak_resident: exec.peak_resident,
             merge_depth: exec.merge_depth,
-            healed: 0,
+            healed,
             backend: Some(exec.backend),
             lane_utilization: exec.lane_utilization,
             partial: exec.interrupted.map(|i| i.cause.to_string()),
             warnings: exec.warnings.clone(),
         });
     }
+}
+
+/// Whether a run captured its whole schedule: only then may its traces
+/// be cached as a complete set.
+fn complete(exec: &ExecutorReport) -> bool {
+    exec.interrupted.is_none() && exec.quarantined.is_empty()
+}
+
+/// The typed warning for a run that stopped short of its schedule. A
+/// budget interruption is a valid prefix, not a failure: the checkpoint
+/// already holds every captured trace, so the next run resumes instead
+/// of restarting. Quarantined indices leave a set that must never be
+/// cached as complete; the checkpoint keeps the survivors so the next
+/// run only re-simulates the missing indices.
+fn shortfall_warning(exec: &ExecutorReport, scheduled: usize) -> Option<String> {
+    let error = match exec.interrupted {
+        Some(interruption) => CampaignError::Interrupted {
+            cause: interruption.cause.to_string(),
+            remaining: interruption.remaining,
+            scheduled,
+        },
+        None if !exec.quarantined.is_empty() => CampaignError::Incomplete {
+            quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
+            scheduled,
+        },
+        None => return None,
+    };
+    Some(error.to_string())
 }
 
 #[cfg(test)]

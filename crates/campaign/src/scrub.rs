@@ -35,7 +35,7 @@ use sbox_circuits::{SboxCircuit, Scheme};
 
 use crate::cache::{config_digest, CampaignKey};
 use crate::executor::{capture_schedule_with, ExecPolicy, ResumeState, RunBudget};
-use crate::report::{RunReport, StageTimer};
+use crate::report::StageTimer;
 use crate::store::{salvage_store, StoreKind, StoreReader, StoreSalvage, StoreWriter};
 use crate::Campaign;
 
@@ -324,7 +324,7 @@ impl Campaign {
 
         let corrupt = salvage.corrupt.len();
         let torn = salvage.torn as usize;
-        self.log_heal(meta, &exec, timer, corrupt + torn);
+        self.push_exec_report(&key, &exec, timer, false, corrupt + torn);
         Ok(RecordFate::Healed { corrupt, torn })
     }
 
@@ -336,35 +336,5 @@ impl Campaign {
             };
         }
         RecordFate::Quarantined { reason }
-    }
-
-    fn log_heal(
-        &mut self,
-        meta: &crate::store::StoreMeta,
-        exec: &crate::executor::ExecutorReport,
-        timer: StageTimer,
-        healed: usize,
-    ) {
-        self.log.push(RunReport {
-            implementation: meta.name.clone(),
-            age_months: meta.age_months,
-            traces: meta.traces as usize,
-            workers: exec.workers,
-            cache_hit: false,
-            stats: exec.stats,
-            worker_utilization: exec.utilization(),
-            stages: timer.finish(),
-            retried: exec.retried,
-            quarantined: exec.quarantined.len(),
-            resumed: exec.resumed,
-            streamed: false,
-            peak_resident: exec.peak_resident,
-            merge_depth: exec.merge_depth,
-            healed,
-            backend: Some(exec.backend),
-            lane_utilization: exec.lane_utilization,
-            partial: None,
-            warnings: exec.warnings.clone(),
-        });
     }
 }

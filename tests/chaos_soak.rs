@@ -2,7 +2,9 @@
 //! schedules — capture panics, torn stores, full disks (`enospc@N`),
 //! flaky writes (`eio%R`), torn checkpoints, hung captures under a
 //! watchdog, expiring budgets, and cancellation — each run end to end
-//! through the public campaign API.
+//! through the public campaign API on each of its three capture entry
+//! points: the batch `acquire`, the streamed `acquire_spectrum`, and the
+//! `attack` fold.
 //!
 //! The invariant under every schedule is the same: the run must end in
 //! one of three states — a bit-identical result, a cleanly reported
@@ -17,7 +19,7 @@ use std::time::Duration;
 
 use sbox_leakage::acquisition::ProtocolConfig;
 use sbox_leakage::campaign::{
-    CacheMode, Campaign, CampaignConfig, CancelToken, FaultPlan, RunBudget,
+    AttackPlan, CacheMode, Campaign, CampaignConfig, CancelToken, FaultPlan, RunBudget, RunReport,
 };
 use sbox_leakage::circuits::Scheme;
 
@@ -113,84 +115,178 @@ fn config_in(dir: &Path, faults: FaultPlan) -> CampaignConfig {
     }
 }
 
+/// One public entry point under soak.
+#[derive(Debug, Clone, Copy)]
+enum Leg {
+    /// `acquire`: the batch path, which persists an `SCTR` store.
+    Batch,
+    /// `acquire_spectrum` with `streaming: true`: the bounded-memory
+    /// fold, which only checkpoints.
+    Streamed,
+    /// `attack`: one trial of a small CPA budget, folded per guess.
+    Attack,
+}
+
+/// What one leg's run produced, reduced to comparable bits.
+struct Ran {
+    /// The result's f64 bit patterns: traces, spectral coefficients, or
+    /// per-guess scores.
+    bits: Vec<u64>,
+    /// Traces captured or folded into the result.
+    analyzed: usize,
+    /// Schedule indices an interruption left uncaptured (0 when the
+    /// entry point does not expose them).
+    remaining: usize,
+    /// The leg's run-log row.
+    report: RunReport,
+}
+
+const ATTACK_TRACES: usize = 32;
+
+impl Leg {
+    fn run(self, config: CampaignConfig) -> Ran {
+        let streaming = matches!(self, Leg::Streamed);
+        let mut campaign = Campaign::new(CampaignConfig {
+            streaming,
+            ..config
+        });
+        let (bits, analyzed, remaining) = match self {
+            Leg::Batch => {
+                let outcome = campaign.acquire(Scheme::Opt);
+                let bits = outcome
+                    .traces
+                    .iter()
+                    .flat_map(|(_, t)| t.iter().map(|v| v.to_bits()))
+                    .collect();
+                let remaining = outcome.partial.map_or(0, |i| i.remaining);
+                (bits, outcome.traces.len(), remaining)
+            }
+            Leg::Streamed => {
+                let outcome = campaign.acquire_spectrum(Scheme::Opt);
+                let s = &outcome.spectrum;
+                let bits = (0..s.num_sources())
+                    .flat_map(|u| (0..s.samples()).map(move |t| s.coefficient(u, t).to_bits()))
+                    .collect();
+                let remaining = outcome.partial.map_or(0, |i| i.remaining);
+                (bits, outcome.traces_analyzed, remaining)
+            }
+            Leg::Attack => {
+                let plan = AttackPlan {
+                    traces: ATTACK_TRACES,
+                    trials: 1,
+                    ..AttackPlan::default()
+                };
+                let outcome = campaign.attack(Scheme::Opt, &plan);
+                let report = &outcome.reports[0];
+                let bits = report.final_scores[0]
+                    .scores
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                // One trial: the rank grid ends at the traces it folded.
+                let analyzed = report.success_rate.last().map_or(0, |&(n, _)| n);
+                (bits, analyzed, 0)
+            }
+        };
+        let report = campaign.log().reports()[0].clone();
+        Ran {
+            bits,
+            analyzed,
+            remaining,
+            report,
+        }
+    }
+
+    fn scheduled(self) -> usize {
+        match self {
+            Leg::Batch | Leg::Streamed => {
+                small_protocol().traces_per_class * sbox_leakage::acquisition::NUM_CLASSES
+            }
+            Leg::Attack => ATTACK_TRACES,
+        }
+    }
+}
+
 #[test]
 fn every_fault_schedule_ends_clean_typed_or_resumable() {
-    // The clean reference every schedule must converge to.
-    let ref_dir =
-        std::env::temp_dir().join(format!("sbox-leakage-chaos-ref-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let mut clean = Campaign::new(CampaignConfig {
-        cache: CacheMode::Off,
-        ..config_in(&ref_dir, FaultPlan::none())
-    });
-    let reference = clean.acquire(Scheme::Opt);
-    let _ = std::fs::remove_dir_all(&ref_dir);
-
-    for schedule in schedules() {
-        let dir: PathBuf = std::env::temp_dir().join(format!(
-            "sbox-leakage-chaos-{}-{}",
-            schedule.name,
+    for leg in [Leg::Batch, Leg::Streamed, Leg::Attack] {
+        // The clean reference every schedule must converge to.
+        let ref_dir = std::env::temp_dir().join(format!(
+            "sbox-leakage-chaos-ref-{leg:?}-{}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&ref_dir);
+        let reference = leg.run(CampaignConfig {
+            cache: CacheMode::Off,
+            ..config_in(&ref_dir, FaultPlan::none())
+        });
+        let _ = std::fs::remove_dir_all(&ref_dir);
+        assert_eq!(reference.analyzed, leg.scheduled(), "{leg:?}: clean run");
 
-        // The faulted run. Nothing in the campaign may panic, no matter
-        // what the schedule throws at it.
-        let name = schedule.name;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut campaign = Campaign::new(CampaignConfig {
-                budget: schedule.budget.clone(),
-                capture_timeout: schedule.capture_timeout,
-                ..config_in(&dir, schedule.faults.clone())
-            });
-            let outcome = campaign.acquire(Scheme::Opt);
-            let report = &campaign.log().reports()[0];
-            (outcome, report.quarantined, report.warnings.clone())
-        }));
-        let (outcome, quarantined, warnings) =
-            outcome.unwrap_or_else(|_| panic!("schedule {name:?}: campaign panicked"));
-
-        // Terminal-state invariant: bit-identical, typed degradation,
-        // or a resumable interruption — never a silently wrong result.
-        if let Some(interruption) = &outcome.partial {
-            assert!(
-                warnings.iter().any(|w| w.contains("interrupted")),
-                "schedule {name:?}: interruption must be reported: {warnings:?}"
-            );
-            assert!(
-                outcome.traces.len() + interruption.remaining + quarantined
-                    <= reference.traces.len(),
-                "schedule {name:?}: partial accounting out of range"
-            );
-        } else if quarantined > 0 {
-            assert!(
-                warnings.iter().any(|w| w.contains("quarantined")),
-                "schedule {name:?}: degradation must be reported: {warnings:?}"
-            );
-            assert!(
-                outcome.traces.len() < reference.traces.len(),
-                "schedule {name:?}: quarantine must shrink the set, not corrupt it"
-            );
-        } else {
-            assert_eq!(
-                outcome.traces, reference.traces,
-                "schedule {name:?}: an uninterrupted run must be bit-identical"
-            );
+        for schedule in schedules() {
+            soak(leg, &schedule, &reference);
         }
+    }
+}
 
-        // Convergence invariant: lift the faults and the same directory
-        // — whatever stores, checkpoints, or torn prefixes the chaos
-        // left behind — must finish to the bit-identical reference.
-        let mut recovery = Campaign::new(config_in(&dir, FaultPlan::none()));
-        let recovered = recovery.acquire(Scheme::Opt);
-        assert_eq!(
-            recovered.traces, reference.traces,
-            "schedule {name:?}: recovery run must converge bit-identically"
+fn soak(leg: Leg, schedule: &ChaosSchedule, reference: &Ran) {
+    let name = schedule.name;
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "sbox-leakage-chaos-{leg:?}-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The faulted run. Nothing in the campaign may panic, no matter what
+    // the schedule throws at it.
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        leg.run(CampaignConfig {
+            budget: schedule.budget.clone(),
+            capture_timeout: schedule.capture_timeout,
+            ..config_in(&dir, schedule.faults.clone())
+        })
+    }))
+    .unwrap_or_else(|_| panic!("{leg:?} under {name:?}: campaign panicked"));
+    let (report, warnings) = (&ran.report, &ran.report.warnings);
+
+    // Terminal-state invariant: bit-identical, typed degradation, or a
+    // resumable interruption — never a silently wrong result.
+    if report.partial.is_some() {
+        assert!(
+            warnings.iter().any(|w| w.contains("interrupted")),
+            "{leg:?} under {name:?}: interruption must be reported: {warnings:?}"
         );
         assert!(
-            recovered.partial.is_none(),
-            "schedule {name:?}: recovery run must complete"
+            ran.analyzed + ran.remaining + report.quarantined <= reference.analyzed,
+            "{leg:?} under {name:?}: partial accounting out of range"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+    } else if report.quarantined > 0 {
+        assert!(
+            warnings.iter().any(|w| w.contains("quarantined")),
+            "{leg:?} under {name:?}: degradation must be reported: {warnings:?}"
+        );
+        assert!(
+            ran.analyzed < reference.analyzed,
+            "{leg:?} under {name:?}: quarantine must shrink the set, not corrupt it"
+        );
+    } else {
+        assert!(
+            ran.bits == reference.bits,
+            "{leg:?} under {name:?}: an uninterrupted run must be bit-identical"
+        );
     }
+
+    // Convergence invariant: lift the faults and the same directory —
+    // whatever stores, checkpoints, or torn prefixes the chaos left
+    // behind — must finish to the bit-identical reference.
+    let recovered = leg.run(config_in(&dir, FaultPlan::none()));
+    assert!(
+        recovered.bits == reference.bits,
+        "{leg:?} under {name:?}: recovery run must converge bit-identically"
+    );
+    assert!(
+        recovered.report.partial.is_none(),
+        "{leg:?} under {name:?}: recovery run must complete"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

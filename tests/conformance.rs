@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use sbox_leakage::acquisition::{self, classified_schedule, ProtocolConfig, NUM_CLASSES};
 use sbox_leakage::analysis::{LeakageSpectrum, SumMode};
 use sbox_leakage::campaign::{
-    fold_schedule_with, ExecPolicy, FaultPlan, ResumeState, StreamPolicy,
+    fold_schedule_into, ExecPolicy, FaultPlan, ResumeState, SpectrumAccumulator,
 };
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 use sbox_leakage::gatesim::Simulator;
@@ -194,18 +194,17 @@ fn merged_shard_accumulators_match_golden_vectors() {
                 faults: FaultPlan::none(),
                 ..ExecPolicy::default()
             };
-            let stream = StreamPolicy {
-                num_classes: NUM_CLASSES,
-                mode: SumMode::Exact,
-            };
-            let (acc, report) = fold_schedule_with(
+            let make =
+                || SpectrumAccumulator::new(NUM_CLASSES, protocol.sampling.samples, SumMode::Exact);
+            let (acc, report) = fold_schedule_into(
                 &sim,
                 &schedule,
                 &protocol.sampling,
                 protocol.seed,
                 &policy,
                 ResumeState::default(),
-                &stream,
+                &make,
+                None,
             );
             assert!(report.quarantined.is_empty());
             let text = render(scheme, &protocol, &acc.class_means());

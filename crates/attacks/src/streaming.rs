@@ -364,6 +364,50 @@ mod tests {
         assert!(acc.merge_depth() >= 1);
     }
 
+    /// Every tree-reduced state reports `1 + max(depth of operands)` per
+    /// merge, so leaf counts that are not a power of two (where the
+    /// reducer's final merges pair a deeper earlier subtree with a
+    /// shallower later one) give the same depth for all of them.
+    #[test]
+    fn merge_depth_agrees_across_reduced_states() {
+        use leakage_core::online::SpectrumAccumulator;
+
+        for mode in [SumMode::Exact, SumMode::Welford] {
+            for (leaves, depth) in [(1usize, 0usize), (2, 1), (3, 2), (4, 2), (5, 3)] {
+                let (p, t) = synthetic(0x5, leaves * FOLD_CHUNK, 0.5, 41);
+                let mut comoments = TreeReducer::new();
+                let mut attacks = TreeReducer::new();
+                let mut spectra = TreeReducer::new();
+                for (i, (pc, tc)) in p.chunks(FOLD_CHUNK).zip(t.chunks(FOLD_CHUNK)).enumerate() {
+                    let mut co = CoMomentAccumulator::new(1, 2, mode);
+                    let mut attack = AttackAccumulator::new(Distinguisher::Mlpa, 2, mode);
+                    let mut spectrum = SpectrumAccumulator::new(16, 2, mode);
+                    for (&pt, tr) in pc.iter().zip(tc) {
+                        co.fold(&[f64::from(pt)], tr);
+                        attack.fold(pt, tr);
+                        spectrum.fold(usize::from(pt), tr);
+                    }
+                    comoments.push(i as u64, co);
+                    attacks.push(i as u64, attack);
+                    spectra.push(i as u64, spectrum);
+                }
+                let label = format!("{leaves} leaves, {mode:?}");
+                let spectrum = spectra.finish().unwrap().merge_depth();
+                assert_eq!(spectrum, depth, "spectrum, {label}");
+                assert_eq!(
+                    comoments.finish().unwrap().merge_depth(),
+                    depth,
+                    "co-moments, {label}"
+                );
+                assert_eq!(
+                    attacks.finish().unwrap().merge_depth(),
+                    depth,
+                    "attack, {label}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn empty_stream_finishes_empty() {
         let acc = AttackStream::new(ALL[0], 4, SumMode::Exact).finish();

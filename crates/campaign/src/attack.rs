@@ -84,13 +84,7 @@ impl JointState {
 
     /// Merge a later shard into this one in place.
     fn merge_from(&mut self, later: &JointState) {
-        // SpectrumAccumulator only merges by value; the clone is one
-        // chunk's class statistics, not trace data.
-        let taken = std::mem::replace(
-            &mut self.spectrum,
-            SpectrumAccumulator::new(1, 1, SumMode::Welford),
-        );
-        self.spectrum = taken.merge(later.spectrum.clone());
+        self.spectrum.merge_from(&later.spectrum);
         assert_eq!(self.attacks.len(), later.attacks.len(), "plan mismatch");
         for (a, b) in self.attacks.iter_mut().zip(&later.attacks) {
             a.merge_from(b);

@@ -18,8 +18,9 @@
 //! merge grouping — streaming attack results are bit-identical to the
 //! batch reference. `Welford` keeps running means, centered second
 //! moments, and centered co-moments (Chan's parallel merge), which is
-//! ~2× cheaper per fold and bit-stable across worker counts only via
-//! the fixed [`TreeReducer`](crate::online::TreeReducer) shape.
+//! cheaper per fold (plain floats instead of expansions) and bit-stable
+//! across worker counts only via the fixed
+//! [`TreeReducer`](crate::online::TreeReducer) shape.
 //!
 //! Memory is `O(channels × samples)` regardless of trace count.
 //!
@@ -243,9 +244,9 @@ impl CoMomentAccumulator {
                 },
             ) => {
                 if other.count == 0 {
-                    return;
-                }
-                if self.count == 0 {
+                    // Nothing to add, but the merge still counts toward
+                    // the tree depth.
+                } else if self.count == 0 {
                     mean_x.copy_from_slice(omean_x);
                     m2_x.copy_from_slice(om2_x);
                     mean_h.copy_from_slice(omean_h);
@@ -312,7 +313,7 @@ impl CoMomentAccumulator {
             _ => panic!("cannot merge accumulators with different summation modes"),
         }
         self.count = n;
-        self.depth = self.depth.max(other.depth + 1);
+        self.depth = self.depth.max(other.depth) + 1;
     }
 
     /// Pearson correlation between channel `c` and sample `t`; 0.0 when
@@ -413,7 +414,9 @@ impl CoMomentAccumulator {
         }
     }
 
-    /// Number of `f64` values currently held (memory accounting).
+    /// Number of `f64` values currently held (memory accounting); in
+    /// exact mode, the live partials of every sum, not their reserved
+    /// inline capacity.
     pub fn resident_floats(&self) -> usize {
         match &self.moments {
             CoMoments::Welford {
@@ -612,6 +615,18 @@ mod tests {
             acc.fold(&h, &x);
         }
         assert_eq!(acc.resident_floats(), base, "Welford state is fixed-size");
+    }
+
+    #[test]
+    fn merging_an_empty_shard_still_counts_toward_depth() {
+        for mode in [SumMode::Exact, SumMode::Welford] {
+            let mut a = CoMomentAccumulator::new(1, 2, mode);
+            a.fold(&[1.0], &[0.5, 2.0]);
+            let merged = a.clone().merge(CoMomentAccumulator::new(1, 2, mode));
+            assert_eq!(merged.merge_depth(), 1, "{mode:?}");
+            assert_eq!(merged.count(), 1);
+            assert_eq!(merged.channel_mean(0), a.channel_mean(0));
+        }
     }
 
     #[test]

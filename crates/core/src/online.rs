@@ -43,10 +43,13 @@
 //!    [`class_means`](crate::ClassifiedTraces::class_means) uses the same
 //!    helper), not merely to other streaming runs.
 //!
-//! [`SumMode::Welford`] drops the exact sums for a ~2× cheaper fold;
-//! its means agree with the batch path only to rounding error (observed
-//! ≤ 1e-12 relative on protocol-sized sets; the documented tolerance is
-//! 1e-9). See DESIGN.md §"Streaming spectral analysis".
+//! [`SumMode::Welford`] drops the exact sums for a cheaper fold
+//! (`BENCH_capture.json` measures the exact streaming fold at about
+//! 0.6× raw single-threaded capture throughput, the Welford fold at
+//! about 0.9×); its means agree with the batch path only to rounding
+//! error (observed ≤ 1e-12 relative on protocol-sized sets; the
+//! documented tolerance is 1e-9). See DESIGN.md §"Streaming spectral
+//! analysis".
 //!
 //! # Example
 //!
@@ -328,7 +331,9 @@ impl ClassAccumulator {
         }
     }
 
-    /// Number of `f64` values currently held (memory accounting).
+    /// Number of `f64` values currently held (memory accounting); in
+    /// exact mode, the live partials of every sum, not their reserved
+    /// inline capacity.
     pub fn resident_floats(&self) -> usize {
         match &self.moments {
             Moments::Welford { mean, m2 } => mean.len() + m2.len(),
@@ -426,14 +431,14 @@ impl SpectrumAccumulator {
         self.classes[class].fold_batch(traces);
     }
 
-    /// Merge two shard accumulators; `self` is the earlier shard (merge
-    /// order matters for bit-identity in Welford mode — see
-    /// [`TreeReducer`]).
+    /// Merge another shard into this one in place; `self` is the
+    /// earlier shard (merge order matters for bit-identity in Welford
+    /// mode — see [`TreeReducer`]).
     ///
     /// # Panics
     ///
     /// Panics if shapes or modes differ.
-    pub fn merge(mut self, other: SpectrumAccumulator) -> SpectrumAccumulator {
+    pub fn merge_from(&mut self, other: &SpectrumAccumulator) {
         assert_eq!(
             self.classes.len(),
             other.classes.len(),
@@ -444,6 +449,16 @@ impl SpectrumAccumulator {
             a.merge(b);
         }
         self.depth = self.depth.max(other.depth) + 1;
+    }
+
+    /// Merge two shard accumulators by value; see
+    /// [`merge_from`](Self::merge_from).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes or modes differ.
+    pub fn merge(mut self, other: SpectrumAccumulator) -> SpectrumAccumulator {
+        self.merge_from(&other);
         self
     }
 

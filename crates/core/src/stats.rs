@@ -113,6 +113,15 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     pearson(&midranks(xs), &midranks(ys))
 }
 
+/// Partials an [`ExactSum`] keeps inline before it spills to the heap.
+///
+/// Chosen on the pipeline benchmark: with three, thousands of
+/// power-trace sums per run spill (about a hundred thousand on the
+/// attack workload); with four, at most a few hundred per spectral run
+/// and a few thousand per attack run, out of millions of sums. See DESIGN.md
+/// §"Accumulator math".
+const INLINE_PARTIALS: usize = 4;
+
 /// Exact floating-point summation (Shewchuk expansion, fsum-style
 /// rounding).
 ///
@@ -124,6 +133,15 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
 /// [`absorb`](ExactSum::absorb)ed together. That order-invariance is the
 /// contract the streaming accumulators in [`crate::online`] build their
 /// bit-identity guarantee on.
+///
+/// The partials live in a small inline array; a sum spills them to a
+/// heap `Vec` only when it needs more (inputs spread over hundreds of
+/// binary orders of magnitude, up to ~40 partials for finite `f64`).
+/// Creating, cloning and folding a typical sum therefore never
+/// allocates. Both representations run the same algorithm on the same
+/// partial sequence, so which one a sum uses never changes a bit of its
+/// [`value`](ExactSum::value), and equality compares the live partials
+/// only.
 ///
 /// Inputs must be finite; NaN or infinite inputs poison the sum (the
 /// partials stop being an expansion) and intermediate overflow is not
@@ -146,10 +164,70 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
 /// assert_eq!(forward.value(), 2.0); // naive summation yields 1.0
 /// assert_eq!(forward.value().to_bits(), backward.value().to_bits());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone)]
 pub struct ExactSum {
     /// Non-overlapping partials in increasing magnitude order.
-    partials: Vec<f64>,
+    store: Partials,
+}
+
+/// Storage of an [`ExactSum`]'s partials.
+#[derive(Clone)]
+enum Partials {
+    /// The first `len` entries of `buf` are live.
+    Inline {
+        len: u8,
+        buf: [f64; INLINE_PARTIALS],
+    },
+    /// Outgrew the inline array; never moves back.
+    Spilled(Vec<f64>),
+}
+
+impl Default for ExactSum {
+    fn default() -> Self {
+        Self {
+            store: Partials::Inline {
+                len: 0,
+                buf: [0.0; INLINE_PARTIALS],
+            },
+        }
+    }
+}
+
+impl PartialEq for ExactSum {
+    fn eq(&self, other: &Self) -> bool {
+        self.partials() == other.partials()
+    }
+}
+
+impl std::fmt::Debug for ExactSum {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExactSum")
+            .field("partials", &self.partials())
+            .finish()
+    }
+}
+
+/// One Shewchuk step: adds `x` into the expansion `partials`, compacting
+/// the non-zero round-off terms to the front. Returns how many were kept
+/// and the new top partial, which belongs right after them.
+#[inline]
+fn grow_expansion(partials: &mut [f64], mut x: f64) -> (usize, f64) {
+    let mut kept = 0;
+    for j in 0..partials.len() {
+        let mut y = partials[j];
+        if x.abs() < y.abs() {
+            std::mem::swap(&mut x, &mut y);
+        }
+        // Two-sum: hi + lo == x + y exactly, |lo| <= ulp(hi)/2.
+        let hi = x + y;
+        let lo = y - (hi - x);
+        if lo != 0.0 {
+            partials[kept] = lo;
+            kept += 1;
+        }
+        x = hi;
+    }
+    (kept, x)
 }
 
 impl ExactSum {
@@ -158,33 +236,42 @@ impl ExactSum {
         Self::default()
     }
 
+    /// The live partials, in increasing magnitude order.
+    fn partials(&self) -> &[f64] {
+        match &self.store {
+            Partials::Inline { len, buf } => &buf[..usize::from(*len)],
+            Partials::Spilled(v) => v,
+        }
+    }
+
     /// Add one value to the sum, exactly.
     pub fn add(&mut self, x: f64) {
-        let mut x = x;
-        let mut kept = 0;
-        for j in 0..self.partials.len() {
-            let mut y = self.partials[j];
-            if x.abs() < y.abs() {
-                std::mem::swap(&mut x, &mut y);
+        match &mut self.store {
+            Partials::Inline { len, buf } => {
+                let (kept, top) = grow_expansion(&mut buf[..usize::from(*len)], x);
+                if kept < INLINE_PARTIALS {
+                    buf[kept] = top;
+                    *len = kept as u8 + 1;
+                } else {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_PARTIALS);
+                    spilled.extend_from_slice(&buf[..kept]);
+                    spilled.push(top);
+                    self.store = Partials::Spilled(spilled);
+                }
             }
-            // Two-sum: hi + lo == x + y exactly, |lo| <= ulp(hi)/2.
-            let hi = x + y;
-            let lo = y - (hi - x);
-            if lo != 0.0 {
-                self.partials[kept] = lo;
-                kept += 1;
+            Partials::Spilled(v) => {
+                let (kept, top) = grow_expansion(v, x);
+                v.truncate(kept);
+                v.push(top);
             }
-            x = hi;
         }
-        self.partials.truncate(kept);
-        self.partials.push(x);
     }
 
     /// Fold another exact sum into this one; the combined sum is still
     /// exact, so `a.absorb(&b)` equals adding every input of `b` to `a`
     /// in any order.
     pub fn absorb(&mut self, other: &ExactSum) {
-        for &p in &other.partials {
+        for &p in other.partials() {
             self.add(p);
         }
     }
@@ -192,20 +279,21 @@ impl ExactSum {
     /// The exact sum, correctly rounded to the nearest `f64` (ties to
     /// even).
     pub fn value(&self) -> f64 {
+        let partials = self.partials();
         // Round the expansion high-to-low, tracking the first non-zero
         // remainder so half-ulp ties break to even on the *exact* value
         // rather than on the top partial alone (CPython's fsum rounding).
-        let mut n = self.partials.len();
+        let mut n = partials.len();
         if n == 0 {
             return 0.0;
         }
         n -= 1;
-        let mut hi = self.partials[n];
+        let mut hi = partials[n];
         let mut lo = 0.0;
         while n > 0 {
             let x = hi;
             n -= 1;
-            let y = self.partials[n];
+            let y = partials[n];
             hi = x + y;
             let yr = hi - x;
             lo = y - yr;
@@ -213,10 +301,7 @@ impl ExactSum {
                 break;
             }
         }
-        if n > 0
-            && ((lo < 0.0 && self.partials[n - 1] < 0.0)
-                || (lo > 0.0 && self.partials[n - 1] > 0.0))
-        {
+        if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0)) {
             let y = lo * 2.0;
             let x = hi + y;
             if y == x - hi {
@@ -226,17 +311,18 @@ impl ExactSum {
         hi
     }
 
-    /// Number of partials currently held (memory accounting; at most
-    /// ~40 for finite `f64` inputs, typically 2–4).
+    /// Number of live partials (memory accounting; at most ~40 for
+    /// finite `f64` inputs, typically a handful). Counts the partials
+    /// the sum holds, not the inline capacity reserved for them.
     pub fn partials_len(&self) -> usize {
-        self.partials.len()
+        self.partials().len()
     }
 }
 
 /// Neumaier compensated running sum: one float of error compensation,
 /// sequential order.
 ///
-/// Cheaper than [`ExactSum`] (two floats of state, no allocation) but the
+/// Cheaper than [`ExactSum`] (two floats of state, no expansion) but the
 /// result depends on input order; use it where the iteration order is
 /// fixed and only robustness against cancellation is needed (e.g. the
 /// single-pass moment sums in [`crate::metrics`]).
@@ -432,6 +518,258 @@ mod tests {
         }
         assert_eq!(s.value(), naive);
         assert!(s.partials_len() <= 4);
+    }
+
+    /// The heap-backed `ExactSum` the inline representation replaced,
+    /// kept verbatim as the differential oracle: the two must hold the
+    /// same partial sequence after every operation and round it to the
+    /// same bits.
+    #[derive(Debug, Clone, Default)]
+    struct OracleSum {
+        partials: Vec<f64>,
+    }
+
+    impl OracleSum {
+        fn add(&mut self, x: f64) {
+            let mut x = x;
+            let mut kept = 0;
+            for j in 0..self.partials.len() {
+                let mut y = self.partials[j];
+                if x.abs() < y.abs() {
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let hi = x + y;
+                let lo = y - (hi - x);
+                if lo != 0.0 {
+                    self.partials[kept] = lo;
+                    kept += 1;
+                }
+                x = hi;
+            }
+            self.partials.truncate(kept);
+            self.partials.push(x);
+        }
+
+        fn absorb(&mut self, other: &OracleSum) {
+            for &p in &other.partials {
+                self.add(p);
+            }
+        }
+
+        fn value(&self) -> f64 {
+            let mut n = self.partials.len();
+            if n == 0 {
+                return 0.0;
+            }
+            n -= 1;
+            let mut hi = self.partials[n];
+            let mut lo = 0.0;
+            while n > 0 {
+                let x = hi;
+                n -= 1;
+                let y = self.partials[n];
+                hi = x + y;
+                let yr = hi - x;
+                lo = y - yr;
+                if lo != 0.0 {
+                    break;
+                }
+            }
+            if n > 0
+                && ((lo < 0.0 && self.partials[n - 1] < 0.0)
+                    || (lo > 0.0 && self.partials[n - 1] > 0.0))
+            {
+                let y = lo * 2.0;
+                let x = hi + y;
+                if y == x - hi {
+                    hi = x;
+                }
+            }
+            hi
+        }
+    }
+
+    fn is_spilled(s: &ExactSum) -> bool {
+        matches!(s.store, Partials::Spilled(_))
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_matches_oracle(s: &ExactSum, o: &OracleSum, what: &dyn std::fmt::Display) {
+        assert_eq!(bits(s.partials()), bits(&o.partials), "{what}: partials");
+        assert_eq!(s.value().to_bits(), o.value().to_bits(), "{what}: value");
+        assert_eq!(s.partials_len(), o.partials.len(), "{what}: length");
+    }
+
+    /// One adversarial input: wide exponent spreads that force spills,
+    /// exact negations of earlier inputs (catastrophic cancellation),
+    /// signed zeros, and ordinary trace-sized values.
+    fn adversarial(r: &mut u64, history: &[f64]) -> f64 {
+        let pick = xorshift(r);
+        let frac = 1.0 + (xorshift(r) >> 11) as f64 / (1u64 << 53) as f64;
+        let sign = if pick & 0x100 == 0 { 1.0 } else { -1.0 };
+        match pick % 8 {
+            0 => sign * frac * 1e300,
+            1 => sign * frac * 1e-300,
+            2 => sign * frac * 10f64.powi((xorshift(r) % 601) as i32 - 300),
+            3 if !history.is_empty() => -history[(xorshift(r) as usize) % history.len()],
+            4 => sign * 0.0,
+            5 => sign,
+            _ => sign * frac * 1e-3,
+        }
+    }
+
+    #[test]
+    fn exact_sum_matches_vec_oracle_on_adversarial_sequences() {
+        const POOL: usize = 4;
+        let mut spilled_into_inline = 0;
+        let mut inline_into_spilled = 0;
+        let mut max_partials = 0;
+        for seed in 1..=64u64 {
+            let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut sums = vec![ExactSum::new(); POOL];
+            let mut oracles = vec![OracleSum::default(); POOL];
+            let mut history = Vec::new();
+            for step in 0..300 {
+                let i = (xorshift(&mut r) as usize) % POOL;
+                let x = adversarial(&mut r, &history);
+                history.push(x);
+                if xorshift(&mut r) & 3 != 0 {
+                    sums[i].add(x);
+                    oracles[i].add(x);
+                } else {
+                    // A short fragment absorbed in either direction. Pool
+                    // sums never absorb each other, so magnitudes grow
+                    // linearly and stay finite.
+                    let mut frag = ExactSum::new();
+                    let mut frag_oracle = OracleSum::default();
+                    for _ in 0..=xorshift(&mut r) % 8 {
+                        let y = adversarial(&mut r, &history);
+                        frag.add(y);
+                        frag_oracle.add(y);
+                    }
+                    let into_pool = xorshift(&mut r) & 1 == 0;
+                    let (dst, src) = if into_pool {
+                        (&sums[i], &frag)
+                    } else {
+                        (&frag, &sums[i])
+                    };
+                    match (is_spilled(dst), is_spilled(src)) {
+                        (false, true) => spilled_into_inline += 1,
+                        (true, false) => inline_into_spilled += 1,
+                        _ => {}
+                    }
+                    if into_pool {
+                        sums[i].absorb(&frag);
+                        oracles[i].absorb(&frag_oracle);
+                    } else {
+                        frag.absorb(&sums[i]);
+                        frag_oracle.absorb(&oracles[i]);
+                        assert_matches_oracle(
+                            &frag,
+                            &frag_oracle,
+                            &format_args!("seed {seed} step {step} fragment"),
+                        );
+                    }
+                }
+                max_partials = max_partials.max(sums[i].partials_len());
+                assert_matches_oracle(
+                    &sums[i],
+                    &oracles[i],
+                    &format_args!("seed {seed} step {step}"),
+                );
+            }
+        }
+        assert!(max_partials > INLINE_PARTIALS, "spill path never taken");
+        assert!(
+            spilled_into_inline > 0,
+            "no spilled sum absorbed into an inline one"
+        );
+        assert!(
+            inline_into_spilled > 0,
+            "no inline sum absorbed into a spilled one"
+        );
+    }
+
+    #[test]
+    fn exact_sum_cancels_back_through_a_spill() {
+        let wide = [1e300, 1e150, 1.0, 1e-150, 1e-300];
+        let mut s = ExactSum::new();
+        let mut o = OracleSum::default();
+        for &x in &wide {
+            s.add(x);
+            o.add(x);
+        }
+        assert!(
+            is_spilled(&s),
+            "five disjoint magnitudes exceed the inline array"
+        );
+        assert_eq!(s.partials_len(), wide.len());
+        for &x in wide.iter().rev() {
+            s.add(-x);
+            o.add(-x);
+            assert_matches_oracle(&s, &o, &"cancellation");
+        }
+        assert_eq!(s.value(), 0.0);
+        assert!(is_spilled(&s), "a spilled sum never moves back inline");
+    }
+
+    #[test]
+    fn exact_sum_signed_zeros_round_like_the_oracle() {
+        for xs in [
+            &[][..],
+            &[-0.0],
+            &[0.0],
+            &[-0.0, -0.0],
+            &[-0.0, 0.0],
+            &[1.0, -1.0],
+            &[-1.0, 1.0, -0.0],
+        ] {
+            let mut s = ExactSum::new();
+            let mut o = OracleSum::default();
+            for &x in xs {
+                s.add(x);
+                o.add(x);
+            }
+            assert_matches_oracle(&s, &o, &format_args!("{xs:?}"));
+        }
+        let mut neg = ExactSum::new();
+        neg.add(-0.0);
+        assert_eq!(neg.value().to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn exact_sum_clone_and_eq_ignore_the_representation() {
+        let mut spilled = ExactSum::new();
+        for &x in &[1e300, 1e150, 1.0, 1e-150, 1e-300] {
+            spilled.add(x);
+        }
+        let copy = spilled.clone();
+        assert!(is_spilled(&copy));
+        assert_eq!(copy, spilled);
+        assert_eq!(format!("{copy:?}"), format!("{spilled:?}"));
+
+        // The same live partials compare equal whichever array holds
+        // them; stale slots past the inline length do not count.
+        let mut small = ExactSum::new();
+        small.add(3.0);
+        small.add(1e-20);
+        let as_spilled = ExactSum {
+            store: Partials::Spilled(small.partials().to_vec()),
+        };
+        assert_eq!(small, as_spilled);
+        assert_eq!(as_spilled, small);
+        let mut buf = [7.0; INLINE_PARTIALS];
+        buf[..2].copy_from_slice(small.partials());
+        let stale = ExactSum {
+            store: Partials::Inline { len: 2, buf },
+        };
+        assert_eq!(stale, small);
+        assert_ne!(small, spilled);
+        assert_ne!(ExactSum::new(), small);
+        assert_eq!(ExactSum::new(), ExactSum::default());
     }
 
     #[test]

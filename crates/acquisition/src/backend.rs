@@ -8,18 +8,12 @@
 //! (sub-resolution effective delays, where commit order — and therefore
 //! inertial-absorption order — is not reproducible from levelized
 //! evaluation) are rejected statically by
-//! [`Simulator::bitsliced_session`], and callers fall back to the
-//! event-driven path.
+//! [`Simulator::bitsliced_session`]; [`Backend::resolve`] turns that
+//! check into the one engine choice every caller shares.
 //!
 //! [`Simulator::bitsliced_session`]: gatesim::Simulator::bitsliced_session
 
-use gatesim::{BitslicedSession, CaptureStats, Derating, LaneStimulus, SamplingConfig, Simulator};
-use leakage_core::ClassifiedTraces;
-use sbox_circuits::SboxCircuit;
-
-use crate::protocol::{
-    classified_schedule, trace_seed, CaptureError, ProtocolConfig, Stimulus, NUM_CLASSES,
-};
+use gatesim::{BitsliceUnsupported, BitslicedSession, Simulator};
 
 /// Which gate-level capture engine executes scheduled stimuli.
 ///
@@ -33,8 +27,9 @@ pub enum Backend {
     #[default]
     Event,
     /// The bit-sliced levelized engine: up to [`gatesim::LANES`] traces
-    /// per pass. Requests the fast path; falls back to `Event` (with a
-    /// recorded warning) on netlists the static support check rejects.
+    /// per pass. Requests the fast path; [`Backend::resolve`] rejects
+    /// netlists the static support check fails (the campaign executor
+    /// then falls back to `Event` with a recorded warning).
     Bitsliced,
     /// Probe bit-sliced support per netlist and use it where available,
     /// silently taking the event-driven path otherwise.
@@ -73,91 +68,34 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Capture a contiguous run of scheduled stimuli on a bit-sliced
-/// session, one lane per stimulus.
-///
-/// Trace `i` of the result is bit-for-bit what the event-driven
-/// [`capture_stimulus_session`] produces for the same stimulus with
-/// noise seed `trace_seed(base_seed, first_index + i)` — the executor's
-/// per-index seed derivation, so a sharded campaign can mix backends
-/// (and worker counts) freely without changing a single sample.
-///
-/// Validates every stimulus against the session's circuit first and
-/// returns the first width mismatch as a typed error, like
-/// [`try_capture_stimulus_session`] does on the scalar path.
-///
-/// # Panics
-///
-/// Panics if `stimuli` is empty or longer than [`gatesim::LANES`]
-/// (the session's lane budget).
-///
-/// [`capture_stimulus_session`]: crate::capture_stimulus_session
-/// [`try_capture_stimulus_session`]: crate::try_capture_stimulus_session
-pub fn capture_schedule_batch<'a>(
-    session: &'a mut BitslicedSession<'_>,
-    stimuli: &[Stimulus],
-    first_index: u64,
-    base_seed: u64,
-    sampling: &SamplingConfig,
-) -> Result<(&'a [Vec<f64>], &'a [CaptureStats]), CaptureError> {
-    let expected = session.simulator().netlist().num_inputs();
-    for s in stimuli {
-        s.validate(expected)?;
-    }
-    let lanes: Vec<LaneStimulus<'_>> = stimuli
-        .iter()
-        .enumerate()
-        .map(|(i, s)| LaneStimulus {
-            initial: &s.initial,
-            final_inputs: &s.final_inputs,
-            noise_seed: trace_seed(base_seed, first_index + i as u64),
-        })
-        .collect();
-    Ok(session.capture_batch(&lanes, sampling))
-}
-
-/// [`acquire_with_derating`](crate::acquire_with_derating) on the
-/// bit-sliced backend: the whole classified schedule captured in
-/// [`gatesim::LANES`]-sized batches.
-///
-/// Bit-identical to the event-driven acquisition on every netlist the
-/// backend supports; returns the static support check's rejection
-/// otherwise so callers can route to the event-driven path.
-pub fn acquire_bitsliced_with_derating(
-    circuit: &SboxCircuit,
-    config: &ProtocolConfig,
-    derating: &Derating,
-) -> Result<ClassifiedTraces, gatesim::BitsliceUnsupported> {
-    let sim = Simulator::with_derating(circuit.netlist(), &config.sim, derating);
-    let mut session = sim.bitsliced_session()?;
-    let schedule = classified_schedule(circuit, config);
-    let mut set = ClassifiedTraces::new(NUM_CLASSES, config.sampling.samples);
-    for (start, batch) in (0..).zip(schedule.chunks(gatesim::LANES)) {
-        let first = (start * gatesim::LANES) as u64;
-        let (traces, _) =
-            capture_schedule_batch(&mut session, batch, first, config.seed, &config.sampling)
-                .expect("classified_schedule stimuli always fit their circuit");
-        for (s, trace) in batch.iter().zip(traces) {
-            set.push(usize::from(s.label), trace.clone());
+impl Backend {
+    /// Resolve this request against `sim`'s netlist — the one place the
+    /// engine choice is made, shared by the sequential acquisition loop
+    /// and the campaign executor.
+    ///
+    /// Returns the bit-sliced session to capture on, or `None` for the
+    /// event engine: [`Backend::Event`] always takes the event engine,
+    /// [`Backend::Auto`] takes the bit-sliced one where the static
+    /// support check passes and silently falls back otherwise, and
+    /// [`Backend::Bitsliced`] returns the check's rejection as `Err`.
+    pub fn resolve<'s>(
+        self,
+        sim: &'s Simulator<'_>,
+    ) -> Result<Option<BitslicedSession<'s>>, BitsliceUnsupported> {
+        match self {
+            Backend::Event => Ok(None),
+            Backend::Auto => Ok(sim.bitsliced_session().ok()),
+            Backend::Bitsliced => sim.bitsliced_session().map(Some),
         }
     }
-    Ok(set)
-}
-
-/// [`acquire_bitsliced_with_derating`] from a fresh (unaged) device.
-pub fn acquire_bitsliced(
-    circuit: &SboxCircuit,
-    config: &ProtocolConfig,
-) -> Result<ClassifiedTraces, gatesim::BitsliceUnsupported> {
-    let derating = Derating::fresh(circuit.netlist());
-    acquire_bitsliced_with_derating(circuit, config, &derating)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::acquire_with_derating;
-    use sbox_circuits::Scheme;
+    use crate::{acquire_with_derating, LeakageStudy, ProtocolConfig};
+    use gatesim::Derating;
+    use sbox_circuits::{SboxCircuit, Scheme};
 
     fn small_config() -> ProtocolConfig {
         ProtocolConfig {
@@ -177,35 +115,49 @@ mod tests {
         assert_eq!(Backend::default(), Backend::Event);
     }
 
+    /// Every scheme, fresh and at 24 months: the merged acquisition loop
+    /// returns the same bits on every backend. `Backend::Bitsliced`
+    /// never falls back, so its `Ok` proves the bit-sliced engine ran.
     #[test]
-    fn bitsliced_acquisition_is_bit_identical_to_event_driven() {
-        for scheme in [Scheme::Lut, Scheme::Isw] {
+    fn every_backend_acquires_identical_bits_on_every_scheme_fresh_and_aged() {
+        let config = small_config();
+        let study = LeakageStudy::new(config.clone());
+        for scheme in Scheme::ALL {
             let circuit = SboxCircuit::build(scheme);
-            let config = small_config();
-            let derating = Derating::fresh(circuit.netlist());
-            let event = acquire_with_derating(&circuit, &config, &derating);
-            let bitsliced = acquire_bitsliced_with_derating(&circuit, &config, &derating)
-                .expect("scheme netlists are bitslice-supported");
-            assert_eq!(event, bitsliced, "{scheme}: backends diverge");
+            let device = study.aged_device(&circuit);
+            for months in [0.0, 24.0] {
+                let derating = device.derating_at_months(months);
+                let sim = Simulator::with_derating(circuit.netlist(), &config.sim, &derating);
+                assert!(sim.bitsliced_session().is_ok(), "{scheme} at {months}");
+                let acquire =
+                    |backend| acquire_with_derating(&circuit, &config, &derating, backend);
+                let event = acquire(Backend::Event).expect("the event engine runs everything");
+                for backend in [Backend::Bitsliced, Backend::Auto] {
+                    let got = acquire(backend).expect("scheme netlists are bitslice-supported");
+                    assert_eq!(
+                        got, event,
+                        "{scheme} at {months} months: {backend} diverges"
+                    );
+                }
+            }
         }
     }
 
+    /// On a sub-resolution derating an explicit bit-sliced request is
+    /// refused, and `Auto` falls back to the event engine's exact bits.
     #[test]
-    fn batch_capture_validates_stimulus_widths() {
+    fn unsupported_netlists_reject_bitsliced_and_auto_falls_back_to_event() {
         let circuit = SboxCircuit::build(Scheme::Opt);
         let config = small_config();
-        let sim = Simulator::new(circuit.netlist(), &config.sim);
-        let mut session = sim.bitsliced_session().expect("supported");
-        let mut schedule = classified_schedule(&circuit, &config);
-        schedule[1].final_inputs.push(false);
-        let err = capture_schedule_batch(
-            &mut session,
-            &schedule[..4],
-            0,
-            config.seed,
-            &config.sampling,
-        )
-        .expect_err("wrong width must fail before any capture");
-        assert!(err.to_string().contains("final vector"));
+        let gates = circuit.netlist().gates().len();
+        let derating = Derating::from_factors(vec![1e-12; gates], vec![1.0; gates]);
+        let sim = Simulator::with_derating(circuit.netlist(), &config.sim, &derating);
+        assert!(Backend::Bitsliced.resolve(&sim).is_err());
+        assert!(matches!(Backend::Auto.resolve(&sim), Ok(None)));
+        let acquire = |backend| acquire_with_derating(&circuit, &config, &derating, backend);
+        let err = acquire(Backend::Bitsliced).expect_err("sub-resolution delays are unsupported");
+        assert!(err.to_string().contains("event-driven"));
+        let event = acquire(Backend::Event).expect("the event engine runs everything");
+        assert_eq!(acquire(Backend::Auto), Ok(event));
     }
 }

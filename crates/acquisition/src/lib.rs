@@ -32,13 +32,9 @@ mod backend;
 mod protocol;
 mod study;
 
-pub use backend::{
-    acquire_bitsliced, acquire_bitsliced_with_derating, capture_schedule_batch, Backend,
-};
+pub use backend::Backend;
 pub use protocol::{
-    acquire, acquire_cpa, acquire_streaming, acquire_streaming_with_derating,
-    acquire_with_derating, capture_stimulus, capture_stimulus_session, classified_schedule,
-    cpa_schedule, cpa_seed, trace_seed, try_capture_stimulus, try_capture_stimulus_session,
-    CaptureError, CpaAcquisition, ProtocolConfig, Stimulus, NUM_CLASSES,
+    acquire, acquire_cpa, acquire_with_derating, classified_schedule, cpa_schedule, cpa_seed,
+    trace_seed, CaptureError, CpaAcquisition, ProtocolConfig, Stimulus, NUM_CLASSES,
 };
 pub use study::{AgedOutcome, LeakageStudy, StudyOutcome};

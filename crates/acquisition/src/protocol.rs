@@ -5,22 +5,25 @@
 //! 1. **Scheduling** ([`classified_schedule`], [`cpa_schedule`]) — all
 //!    mask/plaintext randomness is drawn here, sequentially, from the
 //!    protocol seed, producing a list of [`Stimulus`] records;
-//! 2. **Capture** ([`capture_stimulus`]) — simulating one stimulus, with
-//!    measurement noise (if configured) seeded per trace via
-//!    [`trace_seed`], so trace `i` is the same no matter which worker or
-//!    in which order it is captured.
+//! 2. **Capture** — simulating each stimulus, with measurement noise
+//!    (if configured) seeded per trace via [`trace_seed`], so trace `i`
+//!    is the same no matter which engine or worker captures it, or in
+//!    which order.
 //!
-//! The sequential [`acquire`] / [`acquire_cpa`] entry points and the
-//! parallel executor in the `sca-campaign` crate both compose these same
-//! stages, which is what makes their outputs bit-identical.
+//! The sequential [`acquire_with_derating`] / [`acquire`] /
+//! [`acquire_cpa`] entry points share one capture loop over these
+//! stages, and the parallel executor in the `sca-campaign` crate
+//! composes the same stages, which is what makes their outputs
+//! bit-identical.
 
-use gatesim::{CaptureSession, CaptureStats, Derating, SamplingConfig, SimConfig, Simulator};
-use leakage_core::online::{SpectrumAccumulator, SpectrumStream, SumMode};
+use gatesim::{BitsliceUnsupported, Derating, LaneStimulus, SamplingConfig, SimConfig, Simulator};
 use leakage_core::ClassifiedTraces;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sbox_circuits::SboxCircuit;
+
+use crate::Backend;
 
 /// Acquisition parameters. The default reproduces the paper: 64 traces per
 /// class (1024 total), 100 samples over 2 ns, Vdd 1.2 V / 85 °C.
@@ -149,142 +152,83 @@ pub fn classified_schedule(circuit: &SboxCircuit, config: &ProtocolConfig) -> Ve
         .collect()
 }
 
-/// Capture one scheduled stimulus, seeding measurement noise from
-/// `seed` (obtain it via [`trace_seed`]). Returns the power trace and
-/// the simulator's event counters.
-pub fn capture_stimulus(
+/// The one sequential capture loop: capture `schedule` in order on the
+/// engine `backend` resolves to for `sim`, seeding trace `i`'s noise
+/// with `trace_seed(base_seed, i)` — the executor's per-index seed, so
+/// both engines and the sharded campaign agree bit for bit — and hand
+/// each trace to `sink`.
+fn capture_schedule(
     sim: &Simulator<'_>,
-    stimulus: &Stimulus,
+    schedule: &[Stimulus],
     sampling: &SamplingConfig,
-    seed: u64,
-) -> (Vec<f64>, CaptureStats) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    sim.capture_with_rng_stats(
-        &stimulus.initial,
-        &stimulus.final_inputs,
-        sampling,
-        &mut rng,
-    )
+    base_seed: u64,
+    backend: Backend,
+    mut sink: impl FnMut(&Stimulus, &[f64]),
+) -> Result<(), BitsliceUnsupported> {
+    if let Some(mut batch) = backend.resolve(sim)? {
+        for (n, chunk) in schedule.chunks(gatesim::LANES).enumerate() {
+            let first = n * gatesim::LANES;
+            let lanes: Vec<LaneStimulus<'_>> = (first..)
+                .zip(chunk)
+                .map(|(i, s)| LaneStimulus {
+                    initial: &s.initial,
+                    final_inputs: &s.final_inputs,
+                    noise_seed: trace_seed(base_seed, i as u64),
+                })
+                .collect();
+            let (traces, _) = batch.capture_batch(&lanes, sampling);
+            for (s, trace) in chunk.iter().zip(traces) {
+                sink(s, trace);
+            }
+        }
+    } else {
+        let mut session = sim.session();
+        let mut trace = Vec::new();
+        for (i, s) in schedule.iter().enumerate() {
+            let mut noise = SmallRng::seed_from_u64(trace_seed(base_seed, i as u64));
+            session.capture_into(
+                &s.initial,
+                &s.final_inputs,
+                sampling,
+                &mut noise,
+                &mut trace,
+            );
+            sink(s, &trace);
+        }
+    }
+    Ok(())
 }
 
-/// [`capture_stimulus`] on a reusable [`CaptureSession`] — the hot path
-/// for capture loops. Bit-identical to the one-shot variant (the
-/// simulator's own capture runs on a temporary session), but the only
-/// per-trace allocation left is the returned trace itself.
-pub fn capture_stimulus_session(
-    session: &mut CaptureSession<'_>,
-    stimulus: &Stimulus,
-    sampling: &SamplingConfig,
-    seed: u64,
-) -> (Vec<f64>, CaptureStats) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    session.capture_with_rng_stats(
-        &stimulus.initial,
-        &stimulus.final_inputs,
-        sampling,
-        &mut rng,
-    )
-}
-
-/// [`capture_stimulus`], but validating the stimulus against the
-/// simulator's circuit first and returning a typed [`CaptureError`]
-/// instead of panicking on a malformed schedule entry.
-pub fn try_capture_stimulus(
-    sim: &Simulator<'_>,
-    stimulus: &Stimulus,
-    sampling: &SamplingConfig,
-    seed: u64,
-) -> Result<(Vec<f64>, CaptureStats), CaptureError> {
-    stimulus.validate(sim.netlist().num_inputs())?;
-    Ok(capture_stimulus(sim, stimulus, sampling, seed))
-}
-
-/// [`capture_stimulus_session`] with the same up-front validation as
-/// [`try_capture_stimulus`].
-pub fn try_capture_stimulus_session(
-    session: &mut CaptureSession<'_>,
-    stimulus: &Stimulus,
-    sampling: &SamplingConfig,
-    seed: u64,
-) -> Result<(Vec<f64>, CaptureStats), CaptureError> {
-    stimulus.validate(session.simulator().netlist().num_inputs())?;
-    Ok(capture_stimulus_session(session, stimulus, sampling, seed))
-}
-
-/// Acquire a class-balanced trace set from a fresh (unaged) device.
+/// Acquire a class-balanced trace set from a fresh (unaged) device on
+/// the event engine — the reference the campaign tests compare against.
 pub fn acquire(circuit: &SboxCircuit, config: &ProtocolConfig) -> ClassifiedTraces {
     let derating = Derating::fresh(circuit.netlist());
-    acquire_with_derating(circuit, config, &derating)
+    acquire_with_derating(circuit, config, &derating, Backend::Event)
+        .expect("the event engine runs every netlist")
 }
 
-/// Acquire from a device with per-gate aging derating applied.
+/// Acquire a class-balanced trace set from a device with per-gate aging
+/// derating applied, on the engine `backend` resolves to (see
+/// [`Backend::resolve`]; only an explicit [`Backend::Bitsliced`] request
+/// on an unsupported netlist fails). Every engine returns the same bits.
 pub fn acquire_with_derating(
     circuit: &SboxCircuit,
     config: &ProtocolConfig,
     derating: &Derating,
-) -> ClassifiedTraces {
+    backend: Backend,
+) -> Result<ClassifiedTraces, BitsliceUnsupported> {
     let sim = Simulator::with_derating(circuit.netlist(), &config.sim, derating);
-    let mut session = sim.session();
+    let schedule = classified_schedule(circuit, config);
     let mut set = ClassifiedTraces::new(NUM_CLASSES, config.sampling.samples);
-    for (i, stimulus) in classified_schedule(circuit, config).iter().enumerate() {
-        let (trace, _) = capture_stimulus_session(
-            &mut session,
-            stimulus,
-            &config.sampling,
-            trace_seed(config.seed, i as u64),
-        );
-        set.push(usize::from(stimulus.label), trace);
-    }
-    set
-}
-
-/// Acquire the leakage protocol's trace set as a streaming fold: each
-/// trace is captured into a reused sample buffer and immediately folded
-/// into a [`SpectrumAccumulator`], so no trace is ever retained — peak
-/// memory is `O(classes × samples)` instead of `O(traces)`.
-///
-/// In [`SumMode::Exact`] the result's spectrum is bit-identical to
-/// `LeakageSpectrum::from_class_means(&acquire(..).class_means())`; in
-/// [`SumMode::Welford`] it agrees to rounding error (see the
-/// `leakage_core::online` docs for the tolerance policy). Either way the
-/// fold goes through the deterministic [`FOLD_CHUNK`]-sized merge tree,
-/// so the result also matches the sharded campaign executor bit-for-bit
-/// at any worker count.
-///
-/// [`FOLD_CHUNK`]: leakage_core::online::FOLD_CHUNK
-pub fn acquire_streaming(
-    circuit: &SboxCircuit,
-    config: &ProtocolConfig,
-    mode: SumMode,
-) -> SpectrumAccumulator {
-    let derating = Derating::fresh(circuit.netlist());
-    acquire_streaming_with_derating(circuit, config, &derating, mode)
-}
-
-/// [`acquire_streaming`] from a device with per-gate aging derating
-/// applied.
-pub fn acquire_streaming_with_derating(
-    circuit: &SboxCircuit,
-    config: &ProtocolConfig,
-    derating: &Derating,
-    mode: SumMode,
-) -> SpectrumAccumulator {
-    let sim = Simulator::with_derating(circuit.netlist(), &config.sim, derating);
-    let mut session = sim.session();
-    let mut stream = SpectrumStream::new(NUM_CLASSES, config.sampling.samples, mode);
-    let mut buf = Vec::new();
-    for (i, stimulus) in classified_schedule(circuit, config).iter().enumerate() {
-        let mut rng = SmallRng::seed_from_u64(trace_seed(config.seed, i as u64));
-        session.capture_into(
-            &stimulus.initial,
-            &stimulus.final_inputs,
-            &config.sampling,
-            &mut rng,
-            &mut buf,
-        );
-        stream.fold(usize::from(stimulus.label), &buf);
-    }
-    stream.finish()
+    capture_schedule(
+        &sim,
+        &schedule,
+        &config.sampling,
+        config.seed,
+        backend,
+        |s, trace| set.push(usize::from(s.label), trace.to_vec()),
+    )?;
+    Ok(set)
 }
 
 /// The balanced, shuffled stimulus schedule: `(class, initial, final)`
@@ -403,20 +347,21 @@ pub fn acquire_cpa(
     traces: usize,
 ) -> CpaAcquisition {
     let sim = Simulator::new(circuit.netlist(), &config.sim);
-    let mut session = sim.session();
     let schedule = cpa_schedule(circuit, config, key, traces);
     let mut plaintexts = Vec::with_capacity(traces);
     let mut out = Vec::with_capacity(traces);
-    for (i, stimulus) in schedule.iter().enumerate() {
-        let (trace, _) = capture_stimulus_session(
-            &mut session,
-            stimulus,
-            &config.sampling,
-            trace_seed(cpa_seed(config), i as u64),
-        );
-        plaintexts.push(stimulus.label as u8);
-        out.push(trace);
-    }
+    capture_schedule(
+        &sim,
+        &schedule,
+        &config.sampling,
+        cpa_seed(config),
+        Backend::Event,
+        |s, trace| {
+            plaintexts.push(s.label as u8);
+            out.push(trace.to_vec());
+        },
+    )
+    .expect("the event engine runs every netlist");
     CpaAcquisition {
         key,
         plaintexts,
@@ -539,15 +484,23 @@ mod tests {
         let circuit = SboxCircuit::build(Scheme::Isw);
         let config = small_config();
         let sequential = acquire(&circuit, &config);
-        let sim = gatesim::Simulator::new(circuit.netlist(), &config.sim);
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let mut session = sim.session();
         let schedule = classified_schedule(&circuit, &config);
         let mut traces: Vec<(usize, Vec<f64>)> = schedule
             .iter()
             .enumerate()
             .rev() // deliberately reversed capture order
             .map(|(i, s)| {
-                let (t, _) =
-                    capture_stimulus(&sim, s, &config.sampling, trace_seed(config.seed, i as u64));
+                let mut noise = SmallRng::seed_from_u64(trace_seed(config.seed, i as u64));
+                let mut t = Vec::new();
+                session.capture_into(
+                    &s.initial,
+                    &s.final_inputs,
+                    &config.sampling,
+                    &mut noise,
+                    &mut t,
+                );
                 (i, t)
             })
             .collect();
@@ -562,11 +515,8 @@ mod tests {
     #[test]
     fn malformed_stimuli_fail_validation_with_a_typed_error() {
         let circuit = SboxCircuit::build(Scheme::Opt);
-        let config = small_config();
-        let sim = gatesim::Simulator::new(circuit.netlist(), &config.sim);
-        let good = classified_schedule(&circuit, &config).remove(0);
+        let good = classified_schedule(&circuit, &small_config()).remove(0);
         assert!(good.validate(circuit.netlist().num_inputs()).is_ok());
-        assert!(try_capture_stimulus(&sim, &good, &config.sampling, 1).is_ok());
 
         let mut bad = good.clone();
         bad.final_inputs.push(false);
@@ -574,31 +524,11 @@ mod tests {
             .validate(circuit.netlist().num_inputs())
             .expect_err("wrong width must fail");
         assert!(err.to_string().contains("final vector"));
-        assert_eq!(
-            try_capture_stimulus(&sim, &bad, &config.sampling, 1),
-            Err(err)
-        );
-    }
-
-    #[test]
-    fn streaming_acquisition_matches_batch() {
-        let circuit = SboxCircuit::build(Scheme::Glut);
-        let config = small_config();
-        let batch = acquire(&circuit, &config);
-        let batch_spectrum = leakage_core::LeakageSpectrum::from_class_means(&batch.class_means());
-        let exact = acquire_streaming(&circuit, &config, SumMode::Exact);
-        assert_eq!(exact.len() as usize, batch.len());
-        assert_eq!(exact.class_counts(), batch.class_counts());
-        assert_eq!(
-            exact.spectrum(),
-            batch_spectrum,
-            "exact mode must be bitwise"
-        );
-        let welford = acquire_streaming(&circuit, &config, SumMode::Welford);
-        let tlp = batch_spectrum.total_leakage_power();
-        assert!(
-            (welford.spectrum().total_leakage_power() - tlp).abs() <= 1e-9 * tlp.abs().max(1.0)
-        );
+        let mut short = good;
+        short.initial.pop();
+        assert!(short
+            .validate(circuit.netlist().num_inputs())
+            .is_err_and(|e| e.to_string().contains("initial vector")));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
 
 use crate::protocol::{acquire, acquire_with_derating, ProtocolConfig};
+use crate::Backend;
 
 /// The result of one fresh-device study.
 #[derive(Debug, Clone)]
@@ -86,7 +87,9 @@ impl LeakageStudy {
             .iter()
             .map(|&months| {
                 let derating = device.derating_at_months(months);
-                let traces = acquire_with_derating(&circuit, &self.config, &derating);
+                let traces =
+                    acquire_with_derating(&circuit, &self.config, &derating, Backend::Event)
+                        .expect("the event engine runs every netlist");
                 let spectrum = LeakageSpectrum::from_class_means(&traces.class_means());
                 AgedOutcome {
                     months,

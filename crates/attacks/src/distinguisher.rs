@@ -27,7 +27,7 @@
 //!   combination ignores.
 //!
 //! All three extract their statistics from the same
-//! [`CoMomentAccumulator`](leakage_core::comoment::CoMomentAccumulator)
+//! [`CoMomentAccumulator`]
 //! cells, so they share one streaming fold and inherit its merge
 //! invariance.
 

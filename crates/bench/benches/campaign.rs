@@ -114,22 +114,33 @@ fn bench_fault_recovery(c: &mut Criterion) {
 }
 
 /// The executor's inner loop in isolation: one shard's worth of
-/// scheduled stimuli captured via the one-shot allocating
-/// `capture_stimulus` versus the reused per-worker `CaptureSession`
-/// (what the executor actually holds for its whole shard). Same
-/// schedule, same seeds, bit-identical traces — the gap is pure
-/// allocation and queue overhead.
+/// scheduled stimuli captured on a fresh `CaptureSession` per trace
+/// versus the reused per-worker session (what the executor actually
+/// holds for its whole shard), each keeping a fresh owned trace `Vec`
+/// as the executor does. Same schedule, same seeds, bit-identical
+/// traces — the gap is pure session setup and queue overhead.
 fn bench_shard_capture_paths(c: &mut Criterion) {
-    use acquisition::{
-        capture_stimulus, capture_stimulus_session, classified_schedule, trace_seed,
-    };
-    use gatesim::Simulator;
+    use acquisition::{classified_schedule, trace_seed, Stimulus};
+    use gatesim::{CaptureSession, CaptureStats, Simulator};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     let protocol = small_protocol();
     let circuit = sbox_circuits::SboxCircuit::build(Scheme::Isw);
     let sim = Simulator::new(circuit.netlist(), &protocol.sim);
     let schedule = classified_schedule(&circuit, &protocol);
     let traces = schedule.len() as u64;
+    let capture = |session: &mut CaptureSession<'_>, i: usize, s: &Stimulus| -> CaptureStats {
+        let mut noise = SmallRng::seed_from_u64(trace_seed(protocol.seed, i as u64));
+        let mut trace = Vec::new();
+        session.capture_into(
+            &s.initial,
+            &s.final_inputs,
+            &protocol.sampling,
+            &mut noise,
+            &mut trace,
+        )
+    };
 
     let mut group = c.benchmark_group("campaign/shard_capture");
     group.sample_size(10);
@@ -139,15 +150,7 @@ fn bench_shard_capture_paths(c: &mut Criterion) {
             schedule
                 .iter()
                 .enumerate()
-                .map(|(i, s)| {
-                    capture_stimulus(
-                        &sim,
-                        s,
-                        &protocol.sampling,
-                        trace_seed(protocol.seed, i as u64),
-                    )
-                    .1
-                })
+                .map(|(i, s)| capture(&mut sim.session(), i, s))
                 .fold(0usize, |acc, stats| acc + stats.events)
         })
     });
@@ -157,15 +160,7 @@ fn bench_shard_capture_paths(c: &mut Criterion) {
             schedule
                 .iter()
                 .enumerate()
-                .map(|(i, s)| {
-                    capture_stimulus_session(
-                        &mut session,
-                        s,
-                        &protocol.sampling,
-                        trace_seed(protocol.seed, i as u64),
-                    )
-                    .1
-                })
+                .map(|(i, s)| capture(&mut session, i, s))
                 .fold(0usize, |acc, stats| acc + stats.events)
         })
     });

@@ -1,7 +1,7 @@
 //! Event-driven simulation throughput per scheme, plus power-model
 //! ablations (pulse shape, process-variation σ) and the capture-path
-//! shootout: frozen pre-rework engine vs. allocating `Simulator` calls
-//! vs. a reused `CaptureSession`.
+//! shootout: frozen pre-rework engine vs. a fresh `CaptureSession` per
+//! capture vs. a reused one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gatesim::{sample_waveform, PulseShape, SamplingConfig, SimConfig, Simulator};
@@ -18,8 +18,9 @@ fn bench_transitions(c: &mut Criterion) {
         let mut rng = SmallRng::seed_from_u64(1);
         let initial = circuit.encoding().encode(0, &mut rng);
         let final_inputs = circuit.encoding().encode(9, &mut rng);
+        let mut session = sim.session();
         group.bench_with_input(BenchmarkId::from_parameter(scheme.label()), &(), |b, ()| {
-            b.iter(|| sim.transition(&initial, &final_inputs))
+            b.iter(|| session.transition(&initial, &final_inputs))
         });
     }
     group.finish();
@@ -32,12 +33,19 @@ fn bench_capture_and_ablation(c: &mut Criterion) {
     let initial = circuit.encoding().encode(0, &mut rng);
     let final_inputs = circuit.encoding().encode(5, &mut rng);
     let sampling = SamplingConfig::default();
+    // One-shot capture: a fresh session and trace per call.
     c.bench_function("simulator/capture_isw", |b| {
-        b.iter(|| sim.capture(&initial, &final_inputs, &sampling))
+        b.iter(|| {
+            let mut noise = SmallRng::seed_from_u64(11);
+            let mut trace = Vec::new();
+            sim.session()
+                .capture_into(&initial, &final_inputs, &sampling, &mut noise, &mut trace);
+            trace
+        })
     });
 
     // Ablation: waveform rendering cost by pulse shape.
-    let record = sim.transition(&initial, &final_inputs);
+    let record = sim.session().transition(&initial, &final_inputs);
     let mut group = c.benchmark_group("simulator/pulse_shape");
     for shape in [PulseShape::Triangular, PulseShape::Rectangular] {
         group.bench_with_input(
@@ -74,13 +82,13 @@ fn bench_capture_and_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison on the ISW netlist: the frozen pre-rework
-/// path (`legacy`, heap queue + per-call allocation), the still-public
-/// allocating entry point (`alloc_per_capture`, which now runs on a
-/// temporary session), a session reused across iterations
-/// (`session_reuse`), and the fully allocation-free `capture_into` leg.
-/// All four produce bit-identical traces — see
-/// `sca_bench::legacy::tests`.
+/// The capture-path comparison on the ISW netlist: the frozen
+/// pre-rework path (`legacy`, heap queue + per-call allocation), a
+/// fresh session and trace `Vec` per capture (`alloc_per_capture`), a
+/// session reused across iterations with a fresh trace `Vec` each
+/// (`session_reuse`), and the fully allocation-free leg reusing both
+/// (`session_capture_into`). All four produce bit-identical traces —
+/// see `sca_bench::legacy::tests`.
 fn bench_capture_paths(c: &mut Criterion) {
     let circuit = SboxCircuit::build(Scheme::Isw);
     let sim = Simulator::new(circuit.netlist(), &SimConfig::default());
@@ -99,14 +107,25 @@ fn bench_capture_paths(c: &mut Criterion) {
     group.bench_function("alloc_per_capture", |b| {
         b.iter(|| {
             let mut noise = SmallRng::seed_from_u64(11);
-            sim.capture_with_rng_stats(&initial, &final_inputs, &sampling, &mut noise)
+            let mut trace = Vec::new();
+            let stats = sim.session().capture_into(
+                &initial,
+                &final_inputs,
+                &sampling,
+                &mut noise,
+                &mut trace,
+            );
+            (trace, stats)
         })
     });
     let mut session = sim.session();
     group.bench_function("session_reuse", |b| {
         b.iter(|| {
             let mut noise = SmallRng::seed_from_u64(11);
-            session.capture_with_rng_stats(&initial, &final_inputs, &sampling, &mut noise)
+            let mut trace = Vec::new();
+            let stats =
+                session.capture_into(&initial, &final_inputs, &sampling, &mut noise, &mut trace);
+            (trace, stats)
         })
     });
     let mut buf = Vec::new();

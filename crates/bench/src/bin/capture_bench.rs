@@ -6,10 +6,12 @@
 //!
 //! * `legacy` — the frozen pre-rework engine (`BinaryHeap` queue,
 //!   per-call scratch allocation, full-buffer waveform indexing);
-//! * `alloc_per_capture` — today's allocating entry point
-//!   (`Simulator::capture_with_rng_stats`, a temporary session per call);
+//! * `alloc_per_capture` — a fresh [`gatesim::CaptureSession`] and a
+//!   fresh trace `Vec` per capture (`sim.session()` + `capture_into`),
+//!   so every call pays the session's scratch setup;
 //! * `session_reuse` — one [`gatesim::CaptureSession`] reused across the
-//!   whole schedule, as the campaign executor holds per worker;
+//!   whole schedule, as the campaign executor holds per worker, with a
+//!   fresh owned trace `Vec` per capture (the executor's pattern);
 //! * `session_capture_into` — the same session rendering into one
 //!   reused sample buffer (no per-trace allocation at all);
 //! * `streaming_fold_exact` / `streaming_fold_welford` — the
@@ -151,11 +153,15 @@ fn main() {
         let mut r = SmallRng::seed_from_u64(*seed);
         let reference =
             legacy_capture_with_rng_stats(&sim, &s.initial, &s.final_inputs, &sampling, &mut r).0;
-        let mut session = sim.session();
         let mut r = SmallRng::seed_from_u64(*seed);
-        let via_session = session
-            .capture_with_rng_stats(&s.initial, &s.final_inputs, &sampling, &mut r)
-            .0;
+        let mut via_session = Vec::new();
+        sim.session().capture_into(
+            &s.initial,
+            &s.final_inputs,
+            &sampling,
+            &mut r,
+            &mut via_session,
+        );
         assert_eq!(reference, via_session, "legacy and session paths diverge");
     }
 
@@ -292,17 +298,28 @@ fn main() {
                 name: "alloc_per_capture",
                 capture: Box::new(|s, seed| {
                     let mut rng = SmallRng::seed_from_u64(seed);
-                    sim.capture_with_rng_stats(&s.initial, &s.final_inputs, &sampling, &mut rng)
-                        .1
+                    let mut trace = Vec::new();
+                    sim.session().capture_into(
+                        &s.initial,
+                        &s.final_inputs,
+                        &sampling,
+                        &mut rng,
+                        &mut trace,
+                    )
                 }),
             },
             Runner {
                 name: "session_reuse",
                 capture: Box::new(move |s, seed| {
                     let mut rng = SmallRng::seed_from_u64(seed);
-                    session_a
-                        .capture_with_rng_stats(&s.initial, &s.final_inputs, &sampling, &mut rng)
-                        .1
+                    let mut trace = Vec::new();
+                    session_a.capture_into(
+                        &s.initial,
+                        &s.final_inputs,
+                        &sampling,
+                        &mut rng,
+                        &mut trace,
+                    )
                 }),
             },
             Runner {

@@ -14,15 +14,14 @@
 //! 1. the **baseline leg** of the capture benchmarks and of
 //!    `capture_bench` (which writes `BENCH_capture.json`);
 //! 2. a **bit-identity oracle**: `legacy_capture_with_rng_stats` must
-//!    match `Simulator::capture_with_rng_stats` exactly, proving the
+//!    match `CaptureSession::capture_into` exactly, proving the
 //!    bucket-queue engine changed the cost, not the physics.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use gatesim::{CaptureStats, PulseShape, SamplingConfig, Simulator, SwitchEvent, TransitionRecord};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use sbox_netlist::GateId;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +47,7 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// The original `Simulator::transition`: heap-queued events, all scratch
+/// The original event-driven transition: heap-queued events, all scratch
 /// allocated per call.
 pub fn legacy_transition(
     sim: &Simulator<'_>,
@@ -254,8 +253,8 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
-/// The original `Simulator::capture_with_rng_stats`: transition, render,
-/// add noise — one fresh allocation per stage.
+/// The original allocating capture: transition, render, add noise —
+/// one fresh allocation per stage.
 pub fn legacy_capture_with_rng_stats<R: Rng>(
     sim: &Simulator<'_>,
     initial: &[bool],
@@ -279,33 +278,17 @@ pub fn legacy_capture_with_rng_stats<R: Rng>(
     (samples, CaptureStats::from(&record))
 }
 
-/// The original `Simulator::capture`, including its stimulus-derived
-/// noise seeding.
-pub fn legacy_capture(
-    sim: &Simulator<'_>,
-    initial: &[bool],
-    final_inputs: &[bool],
-    sampling: &SamplingConfig,
-) -> Vec<f64> {
-    let mut noise_seed = sim.config().seed ^ 0x9e37_79b9_7f4a_7c15;
-    for (i, &b) in initial.iter().chain(final_inputs).enumerate() {
-        if b {
-            noise_seed = noise_seed.rotate_left(7).wrapping_add(0x100 + i as u64);
-        }
-    }
-    let mut rng = SmallRng::seed_from_u64(noise_seed);
-    legacy_capture_with_rng_stats(sim, initial, final_inputs, sampling, &mut rng).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gatesim::SimConfig;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use sbox_circuits::{SboxCircuit, Scheme};
 
     /// The oracle: on the real ISW netlist, with process variation and
     /// noise on, the frozen pre-rework path and the session engine agree
-    /// bit for bit — traces, stats, and the stimulus-seeded noise path.
+    /// bit for bit — traces and stats.
     #[test]
     fn legacy_and_session_engines_are_bit_identical_on_isw() {
         let circuit = SboxCircuit::build(Scheme::Isw);
@@ -327,15 +310,11 @@ mod tests {
             let mut r_new = SmallRng::seed_from_u64(step);
             let (t_old, s_old) =
                 legacy_capture_with_rng_stats(&sim, &initial, &final_inputs, &sampling, &mut r_old);
-            let (t_new, s_new) =
-                session.capture_with_rng_stats(&initial, &final_inputs, &sampling, &mut r_new);
+            let mut t_new = Vec::new();
+            let s_new =
+                session.capture_into(&initial, &final_inputs, &sampling, &mut r_new, &mut t_new);
             assert_eq!(t_old, t_new, "trace mismatch at step {step}");
             assert_eq!(s_old, s_new, "stats mismatch at step {step}");
-            assert_eq!(
-                legacy_capture(&sim, &initial, &final_inputs, &sampling),
-                sim.capture(&initial, &final_inputs, &sampling),
-                "stimulus-seeded noise path diverged at step {step}"
-            );
         }
     }
 
@@ -348,7 +327,7 @@ mod tests {
             let initial = circuit.encoding().encode(0, &mut rng);
             let final_inputs = circuit.encoding().encode(9, &mut rng);
             let old = legacy_transition(&sim, &initial, &final_inputs);
-            let new = sim.transition(&initial, &final_inputs);
+            let new = sim.session().transition(&initial, &final_inputs);
             assert_eq!(old.events, new.events, "{scheme:?}");
             assert_eq!(old.settled, new.settled, "{scheme:?}");
         }

@@ -36,11 +36,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use acquisition::{capture_stimulus_session, trace_seed, Backend, Stimulus};
+use acquisition::{trace_seed, Backend, Stimulus};
 use gatesim::{
     BitslicedSession, CaptureSession, CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES,
 };
 use leakage_core::online::{Merge, SpectrumAccumulator, TreeReducer, FOLD_CHUNK};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use crate::fault::{FaultPlan, InjectedFault};
 use crate::store::CheckpointWriter;
@@ -424,31 +426,24 @@ impl LaneUse {
 }
 
 /// Resolve the policy's requested backend against the simulator's
-/// netlist: the bit-sliced engine only runs where its static support
-/// check passes. An explicit [`Backend::Bitsliced`] request on an
-/// unsupported netlist degrades to the event engine *with a recorded
-/// warning*; [`Backend::Auto`] degrades silently.
+/// netlist with [`Backend::resolve`]. Where that refuses an explicit
+/// [`Backend::Bitsliced`] request, the run degrades to the event engine
+/// *with a recorded warning*.
 fn resolve_backend(
     sim: &Simulator<'_>,
     policy: &ExecPolicy,
     warnings: &mut Vec<String>,
 ) -> Backend {
-    match policy.backend {
-        Backend::Event => Backend::Event,
-        Backend::Auto => match sim.bitsliced_session() {
-            Ok(_) => Backend::Bitsliced,
-            Err(_) => Backend::Event,
-        },
-        Backend::Bitsliced => match sim.bitsliced_session() {
-            Ok(_) => Backend::Bitsliced,
-            Err(e) => {
-                warnings.push(format!(
-                    "bitsliced backend unavailable for this netlist, using the \
-                     event-driven engine: {e}"
-                ));
-                Backend::Event
-            }
-        },
+    match policy.backend.resolve(sim) {
+        Ok(Some(_)) => Backend::Bitsliced,
+        Ok(None) => Backend::Event,
+        Err(e) => {
+            warnings.push(format!(
+                "bitsliced backend unavailable for this netlist, using the \
+                 event-driven engine: {e}"
+            ));
+            Backend::Event
+        }
     }
 }
 
@@ -465,12 +460,9 @@ impl<'s> WorkerEngine<'s> {
     fn new(sim: &'s Simulator<'_>, backend: Backend) -> Self {
         Self {
             scalar: sim.session(),
-            // The support check is a pure function of the netlist and
-            // was just probed by `resolve_backend`.
-            batch: (backend == Backend::Bitsliced).then(|| {
-                sim.bitsliced_session()
-                    .expect("support probed at run start")
-            }),
+            // `backend` is already resolved (never `Auto`), and the
+            // support check is a pure function of the netlist.
+            batch: backend.resolve(sim).expect("support probed at run start"),
         }
     }
 
@@ -1083,14 +1075,23 @@ fn capture_index(
         // noise stream, so recovery is bit-identical. The session resets
         // its scratch on entry, so a panicked attempt cannot leak state
         // into the retry.
-        let seed = trace_seed(base_seed, index as u64);
+        let mut noise = SmallRng::seed_from_u64(trace_seed(base_seed, index as u64));
         let attempt_started = Instant::now();
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             policy.faults.maybe_inject_capture(index, attempt);
             if let Some(delay) = policy.faults.capture_delay(index, attempt) {
                 std::thread::sleep(delay);
             }
-            capture_stimulus_session(session, stimulus, sampling, seed)
+            // One owned trace per kept capture: it moves into its chunk.
+            let mut trace = Vec::new();
+            let stats = session.capture_into(
+                &stimulus.initial,
+                &stimulus.final_inputs,
+                sampling,
+                &mut noise,
+                &mut trace,
+            );
+            (trace, stats)
         }));
         match outcome {
             Ok((trace, stats)) => {
@@ -1519,6 +1520,56 @@ mod tests {
                 assert!(trace.is_empty(), "quarantined slot must stay empty");
             } else {
                 assert_eq!(*trace, reference[i], "surviving trace {i}");
+            }
+        }
+    }
+
+    /// A malformed schedule entry fails typed validation and is
+    /// quarantined after one attempt — never retried as a panic — on
+    /// either engine, while every other trace matches a clean run.
+    #[test]
+    fn malformed_stimuli_quarantine_after_one_attempt_on_both_backends() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = small_config();
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        assert!(sim.bitsliced_session().is_ok(), "the batch engine must run");
+        let mut schedule = classified_schedule(&circuit, &config);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
+        schedule[17].final_inputs.push(false);
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            for workers in [1usize, 3] {
+                let policy = ExecPolicy {
+                    workers,
+                    backend,
+                    ..ExecPolicy::default()
+                };
+                let (traces, report) = capture_schedule_with(
+                    &sim,
+                    &schedule,
+                    &config.sampling,
+                    config.seed,
+                    &policy,
+                    ResumeState::fresh(),
+                );
+                let context = format!("{backend}, {workers} workers");
+                assert_eq!(report.backend, backend, "{context}");
+                assert_eq!(report.retried, 0, "{context}");
+                assert_eq!(report.quarantined.len(), 1, "{context}");
+                let failure = &report.quarantined[0];
+                assert_eq!((failure.index, failure.attempts), (17, 1), "{context}");
+                assert!(failure.message.contains("final vector"), "{context}");
+                for (i, trace) in traces.iter().enumerate() {
+                    if i == 17 {
+                        assert!(trace.is_empty(), "{context}");
+                    } else {
+                        assert_eq!(*trace, reference[i], "trace {i} ({context})");
+                    }
+                }
+                if backend == Backend::Bitsliced {
+                    // The malformed index was carved out of the lanes.
+                    let util = report.lane_utilization.expect("batch ran");
+                    assert!((util - 63.0 / LANES as f64).abs() < 1e-12, "util {util}");
+                }
             }
         }
     }

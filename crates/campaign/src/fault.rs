@@ -13,26 +13,8 @@
 //! rate-based injection derives a per-index coin flip from the plan's
 //! seed with the same SplitMix64 finalizer the acquisition protocol uses
 //! for per-trace noise seeds. Two runs with the same plan inject the
-//! same faults at the same indices regardless of worker count.
-//!
-//! # `SCA_FAULTS` grammar
-//!
-//! Comma-separated tokens (whitespace around tokens is ignored):
-//!
-//! | token | meaning |
-//! |---|---|
-//! | `seed=N` | seed for rate-based injection (default 0) |
-//! | `panic@IDX` | capture of trace `IDX` panics on its **first** attempt (a retry succeeds) |
-//! | `panic@IDX!` | capture of trace `IDX` panics on **every** attempt (the index is quarantined) |
-//! | `panic%RATE` | each trace's first capture attempt panics with probability `RATE` (seeded, transient) |
-//! | `store` | every trace-store write fails with an injected I/O error |
-//! | `torn@N` | every written store file is truncated to `N` bytes (a torn write) |
-//! | `enospc@N` | store/checkpoint/report writes fail once `N` bytes have been written (a full disk) |
-//! | `eio%RATE` | each write operation fails with probability `RATE` (seeded, an injected `EIO`) |
-//! | `torn-checkpoint` | the run's checkpoint file loses its last few bytes after the run (a torn tail) |
-//! | `slow@IDX:MS` | capture of trace `IDX` stalls `MS` ms on its **first** attempt (watchdog fodder) |
-//!
-//! `SCA_FAULTS=""` and `SCA_FAULTS=off` mean "no faults".
+//! same faults at the same indices regardless of worker count. The
+//! `SCA_FAULTS` grammar is documented on [`FaultPlan`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -71,8 +53,26 @@ impl fmt::Display for InjectedFault {
 /// fault-injection coin flips (both go through [`trace_seed`]).
 const FAULT_SALT: u64 = 0xFA17_FA17_FA17_FA17;
 
-/// A deterministic schedule of injected faults. See the
-/// [module docs](self) for the `SCA_FAULTS` grammar.
+/// A deterministic schedule of injected faults.
+///
+/// # `SCA_FAULTS` grammar
+///
+/// Comma-separated tokens (whitespace around tokens is ignored):
+///
+/// | token | meaning |
+/// |---|---|
+/// | `seed=N` | seed for rate-based injection (default 0) |
+/// | `panic@IDX` | capture of trace `IDX` panics on its **first** attempt (a retry succeeds) |
+/// | `panic@IDX!` | capture of trace `IDX` panics on **every** attempt (the index is quarantined) |
+/// | `panic%RATE` | each trace's first capture attempt panics with probability `RATE` (seeded, transient) |
+/// | `store` | every trace-store write fails with an injected I/O error |
+/// | `torn@N` | every written store file is truncated to `N` bytes (a torn write) |
+/// | `enospc@N` | store/checkpoint/report writes fail once `N` bytes have been written (a full disk) |
+/// | `eio%RATE` | each write operation fails with probability `RATE` (seeded, an injected `EIO`) |
+/// | `torn-checkpoint` | the run's checkpoint file loses its last few bytes after the run (a torn tail) |
+/// | `slow@IDX:MS` | capture of trace `IDX` stalls `MS` ms on its **first** attempt (watchdog fodder) |
+///
+/// `SCA_FAULTS=""` and `SCA_FAULTS=off` mean "no faults".
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,

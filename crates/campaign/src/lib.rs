@@ -331,15 +331,11 @@ impl Campaign {
             Some(&mut raw),
         );
 
-        // Quarantined indices — and, after a budget interruption, the
-        // never-claimed tail — have empty slots; the surviving traces
-        // still form a usable (if slightly unbalanced) classified set.
-        let dropped: HashSet<usize> = exec.quarantined.iter().map(|f| f.index).collect();
+        // The survivors still form a usable (if slightly unbalanced)
+        // classified set.
         let mut traces = ClassifiedTraces::new(NUM_CLASSES, self.config.protocol.sampling.samples);
-        for (index, (stimulus, trace)) in schedule.iter().zip(raw).enumerate() {
-            if !dropped.contains(&index) && !trace.is_empty() {
-                traces.push(usize::from(stimulus.label), trace);
-            }
+        for (stimulus, trace) in survivors(&schedule, raw, &exec) {
+            traces.push(usize::from(stimulus.label), trace);
         }
 
         if complete(&exec) {
@@ -546,10 +542,13 @@ impl Campaign {
         }
 
         self.push_exec_report(&cache_key, &exec, timer, false, 0);
+        let (plaintexts, traces) = survivors(&schedule, raw, &exec)
+            .map(|(s, trace)| (s.label as u8, trace))
+            .unzip();
         CpaAcquisition {
             key,
-            plaintexts: schedule.iter().map(|s| s.label as u8).collect(),
-            traces: raw,
+            plaintexts,
+            traces,
         }
     }
 
@@ -909,6 +908,24 @@ impl Campaign {
 
 /// Whether a run captured its whole schedule: only then may its traces
 /// be cached as a complete set.
+/// The captured traces of a run, paired with their stimuli in schedule
+/// order. Quarantined indices — and, after a budget interruption, the
+/// never-claimed tail — have empty slots, and are dropped together with
+/// their stimuli.
+fn survivors<'s>(
+    schedule: &'s [Stimulus],
+    raw: Vec<Vec<f64>>,
+    exec: &ExecutorReport,
+) -> impl Iterator<Item = (&'s Stimulus, Vec<f64>)> {
+    let dropped: HashSet<usize> = exec.quarantined.iter().map(|f| f.index).collect();
+    schedule
+        .iter()
+        .zip(raw)
+        .enumerate()
+        .filter(move |(index, (_, trace))| !dropped.contains(index) && !trace.is_empty())
+        .map(|(_, pair)| pair)
+}
+
 fn complete(exec: &ExecutorReport) -> bool {
     exec.interrupted.is_none() && exec.quarantined.is_empty()
 }

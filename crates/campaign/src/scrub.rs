@@ -148,8 +148,10 @@ impl fmt::Display for ScrubReport {
 
 impl Campaign {
     /// Scrub every `SCTR` store under the campaign's store directory:
-    /// verify, salvage, re-capture, or quarantine (see the
-    /// [module docs](self)). Healed files are recorded in the run log
+    /// verify it, salvage and seed-stably re-capture damaged records
+    /// into a bit-identical healed store, or quarantine it as
+    /// `*.sctr.quarantined` when its header cannot be trusted. Healed
+    /// files are recorded in the run log
     /// (one row per heal, with the `healed` record count), so scrubs
     /// show up in the summary table and `campaign_runs.jsonl`.
     pub fn scrub(&mut self) -> ScrubReport {

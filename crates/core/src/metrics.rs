@@ -1,6 +1,6 @@
 //! Classical side-channel evaluation metrics that complement the
 //! Walsh–Hadamard decomposition: SNR, NICV, and the confusion coefficient
-//! of Fei et al. (the paper's citation [18]) that makes the S-box "the
+//! of Fei et al. (the paper's citation \[18\]) that makes the S-box "the
 //! most leaking function in symmetric cryptography".
 
 use crate::stats::CompensatedSum;

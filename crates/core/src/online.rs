@@ -36,7 +36,7 @@
 //!    either summation mode.
 //! 2. **Exact summation mode.** In [`SumMode::Exact`] each class
 //!    additionally carries exact per-sample sums
-//!    ([`ExactSum`](crate::stats::ExactSum)); means are the correctly
+//!    ([`ExactSum`]); means are the correctly
 //!    rounded quotient of the true sum, which is invariant under *any*
 //!    regrouping — so exact-mode streaming results are bit-identical to
 //!    the batch path (whose

@@ -37,9 +37,12 @@ fn main() {
     );
 
     // One session for both the trace and the event record: the second
-    // run reuses every scratch buffer the first one warmed up.
+    // run reuses every scratch buffer the first one warmed up. The
+    // default configuration adds no measurement noise, so `rng` is not
+    // drawn from.
     let mut session = sim.session();
-    let trace = session.capture(&initial, &final_inputs, &sampling);
+    let mut trace = Vec::new();
+    session.capture_into(&initial, &final_inputs, &sampling, &mut rng, &mut trace);
     let record = session.transition(&initial, &final_inputs);
     println!(
         "\nresulting trace: {} switching events, {:.1} fJ, settled after {:.0} ps",

@@ -24,9 +24,10 @@
 //! Any typed import failure exits 2; any conformance mismatch exits 1;
 //! panics are a bug.
 
-use acquisition::{acquire, acquire_bitsliced};
+use acquisition::{acquire, acquire_with_derating, Backend};
 use campaign::Campaign;
 use experiments::{campaign_config, finish_campaign};
+use gatesim::Derating;
 use leakage_core::ClassifiedTraces;
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_frontend::{
@@ -306,10 +307,11 @@ fn selftest(tpc: usize) -> i32 {
         }
 
         // Bit-sliced captures must agree with the event backend too.
-        match (
-            acquire_bitsliced(&native, &config),
-            acquire_bitsliced(&circuit, &config),
-        ) {
+        let bitsliced = |c: &SboxCircuit| {
+            let fresh = Derating::fresh(c.netlist());
+            acquire_with_derating(c, &config, &fresh, Backend::Bitsliced)
+        };
+        match (bitsliced(&native), bitsliced(&circuit)) {
             (Ok(n), Ok(i)) => {
                 if let Some(diff) = trace_diff(&n, &i) {
                     eprintln!("selftest: {label}: bitsliced capture drift: {diff}");

@@ -3,7 +3,7 @@
 //! EDIF is net-centric — each `(net … (joined …))` lists every pin it
 //! touches — so import first collects instances, then walks the nets and
 //! turns the joined pin references back into per-cell connections for
-//! the shared [`crate::link`] IR. Only the structural subset is
+//! the shared `link` IR. Only the structural subset is
 //! supported: ports with scalar directions, leaf instances, and joined
 //! nets. Arrays, bus members, and hierarchical views are typed
 //! [`FrontendError::UnsupportedConstruct`] diagnostics, never panics.

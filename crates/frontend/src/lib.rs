@@ -11,7 +11,7 @@
 //!    — workspace mnemonics, Yosys internal gates, NANGATE-style liberty
 //!    names — onto the gate library, expanding AOI/OAI/MUX/constant
 //!    cells into library gates,
-//! 3. the linker ([`link`]) emits a validated netlist in source order,
+//! 3. the linker (`link`) emits a validated netlist in source order,
 //!    turning every malformed or unsupported construct into a typed
 //!    [`FrontendError`] rather than a panic.
 //!

@@ -53,7 +53,7 @@
 //! delays are positive by construction, but an extreme derating factor
 //! can push a delay below the f64 resolution of ps-scale timestamps
 //! (`t + delay == t`), collapsing a gate's commit onto its trigger and
-//! voiding the ordering argument. [`BitslicedSession::try_new`] rejects
+//! voiding the ordering argument. [`Simulator::bitsliced_session`] rejects
 //! such netlists with a typed [`BitsliceUnsupported`] error — so
 //! callers (the `auto` backend) route them to the event-driven path
 //! instead of risking silent divergence.
@@ -428,7 +428,7 @@ impl<'a> BitslicedSession<'a> {
     /// static support condition (every derated delay ≥ 1 µps and
     /// finite, so coalesced pop order provably matches the scalar
     /// engine in every lane).
-    pub fn try_new(sim: &'a Simulator<'a>) -> Result<Self, BitsliceUnsupported> {
+    fn try_new(sim: &'a Simulator<'a>) -> Result<Self, BitsliceUnsupported> {
         let netlist = sim.netlist();
         let n_gates = netlist.gates().len();
         for g in 0..n_gates {
@@ -528,11 +528,6 @@ impl<'a> BitslicedSession<'a> {
             traces: (0..LANES).map(|_| Vec::new()).collect(),
             stats: vec![CaptureStats::default(); LANES],
         })
-    }
-
-    /// The simulator this session runs on.
-    pub fn simulator(&self) -> &'a Simulator<'a> {
-        self.sim
     }
 
     /// Capture up to [`LANES`] stimuli in one bit-sliced pass.
@@ -1158,7 +1153,7 @@ mod tests {
         assert_eq!(err.gate, 2);
         assert!(err.to_string().contains("event-driven"));
         // The event-driven engine still handles it.
-        let _ = sim.capture(&[false; 4], &[true; 4], &SamplingConfig::default());
+        let _ = sim.session().transition(&[false; 4], &[true; 4]);
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! The event-driven simulation engine.
+//! The event-driven simulation engine: the per-die [`Simulator`] model
+//! and the records its captures produce.
 //!
-//! The event loop itself lives in [`crate::session::CaptureSession`];
-//! every entry point here runs on a (temporary) session, so the
-//! allocating and session-reuse paths share one implementation and are
-//! bit-identical by construction.
+//! The event loop itself lives in [`CaptureSession`]; a `Simulator`
+//! only samples the die's derated per-gate delays and energies and
+//! hands out sessions (and bit-sliced sessions) that run on them.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sbox_netlist::{GateId, Netlist};
 
 use crate::power::gaussian;
 use crate::session::CaptureSession;
-use crate::{Derating, SamplingConfig, SimConfig};
+use crate::{Derating, SimConfig};
 
 /// One output transition (or absorbed glitch pulse) of one gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,12 +100,7 @@ impl CaptureStats {
 
 impl From<&TransitionRecord> for CaptureStats {
     fn from(record: &TransitionRecord) -> Self {
-        Self {
-            events: record.events.len(),
-            full_transitions: record.full_transitions(),
-            absorbed_glitches: record.absorbed_glitches(),
-            settle_time_ps: record.settle_time_ps(),
-        }
+        Self::from_events(&record.events)
     }
 }
 
@@ -189,92 +184,12 @@ impl<'a> Simulator<'a> {
     pub fn session(&self) -> CaptureSession<'_> {
         CaptureSession::new(self)
     }
-
-    /// Simulate the circuit settling into `initial`, then switching its
-    /// primary inputs to `final_inputs` at t = 0, recording every supply
-    /// event until quiescence.
-    ///
-    /// The timing/charge model: each gate output change propagates after
-    /// the gate's derated delay; a node re-toggling before its output
-    /// fully settles (a window of ~3 gate delays) never completes the
-    /// swing and draws proportionally less charge, and pulses narrower
-    /// than a gate's own delay are absorbed by the inertial-delay rule
-    /// (costing [`SimConfig::absorbed_energy_fraction`] of a full
-    /// swing). One-shot convenience over [`Simulator::session`]; reuse a
-    /// session in loops to skip the per-call scratch allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input slice length differs from the netlist's
-    /// primary input count.
-    pub fn transition(&self, initial: &[bool], final_inputs: &[bool]) -> TransitionRecord {
-        self.session().transition(initial, final_inputs)
-    }
-
-    /// Run [`Simulator::transition`] and render the power trace (mW per
-    /// sample). Measurement noise, if configured, is derived
-    /// deterministically from the stimulus so repeated captures of the same
-    /// pair differ only via the mask randomness the caller injects.
-    pub fn capture(
-        &self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-    ) -> Vec<f64> {
-        let seed = stimulus_noise_seed(self.config.seed, initial, final_inputs);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        self.capture_with_rng(initial, final_inputs, sampling, &mut rng)
-    }
-
-    /// Like [`Simulator::capture`] but drawing measurement noise from the
-    /// supplied generator (pass `&mut` of any [`rand::Rng`]).
-    pub fn capture_with_rng<R: Rng>(
-        &self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        self.capture_with_rng_stats(initial, final_inputs, sampling, rng)
-            .0
-    }
-
-    /// Like [`Simulator::capture_with_rng`] but also returning the event
-    /// counters of the underlying transition, so callers (the campaign
-    /// engine's run reports) can account for simulator work without
-    /// re-simulating.
-    pub fn capture_with_rng_stats<R: Rng>(
-        &self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-        rng: &mut R,
-    ) -> (Vec<f64>, CaptureStats) {
-        self.session()
-            .capture_with_rng_stats(initial, final_inputs, sampling, rng)
-    }
-}
-
-/// The deterministic per-stimulus noise seed of [`Simulator::capture`]:
-/// a function of the config seed and the set input bits only, so
-/// repeated captures of the same pair see the same noise.
-pub(crate) fn stimulus_noise_seed(
-    config_seed: u64,
-    initial: &[bool],
-    final_inputs: &[bool],
-) -> u64 {
-    let mut noise_seed = config_seed ^ 0x9e37_79b9_7f4a_7c15;
-    for (i, &b) in initial.iter().chain(final_inputs).enumerate() {
-        if b {
-            noise_seed = noise_seed.rotate_left(7).wrapping_add(0x100 + i as u64);
-        }
-    }
-    noise_seed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SamplingConfig;
     use sbox_netlist::{CellType, NetlistBuilder};
 
     fn quiet_config() -> SimConfig {
@@ -302,7 +217,7 @@ mod tests {
             for fin in 0u64..8 {
                 let iv: Vec<bool> = (0..3).map(|i| (init >> i) & 1 == 1).collect();
                 let fv: Vec<bool> = (0..3).map(|i| (fin >> i) & 1 == 1).collect();
-                let rec = sim.transition(&iv, &fv);
+                let rec = sim.session().transition(&iv, &fv);
                 let expect = nl.evaluate_nets(&fv);
                 assert_eq!(rec.settled, expect, "init={init} fin={fin}");
             }
@@ -317,7 +232,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().expect("valid");
         let sim = Simulator::new(&nl, &quiet_config());
-        let rec = sim.transition(&[true], &[true]);
+        let rec = sim.session().transition(&[true], &[true]);
         assert!(rec.events.is_empty());
         assert_eq!(rec.total_energy_fj(), 0.0);
     }
@@ -333,7 +248,7 @@ mod tests {
         b.output("y", n);
         let nl = b.finish().expect("valid");
         let sim = Simulator::new(&nl, &quiet_config());
-        let rec = sim.transition(&[false], &[true]);
+        let rec = sim.session().transition(&[false], &[true]);
         assert_eq!(rec.events.len(), 4);
         let expect = 4.0 * CellType::Inv.delay_ps();
         assert!((rec.settle_time_ps() - expect).abs() < 1e-9);
@@ -351,7 +266,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().expect("valid");
         let sim = Simulator::new(&nl, &quiet_config());
-        let rec = sim.transition(&[false], &[true]);
+        let rec = sim.session().transition(&[false], &[true]);
         // y is logically constant 0, but the race must cost energy: either
         // an absorbed pulse or a full up-down excursion.
         assert!(
@@ -376,7 +291,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().expect("valid");
         let sim = Simulator::with_derating(&nl, &cfg, &Derating::fresh(&nl));
-        let rec = sim.transition(&[false], &[true]);
+        let rec = sim.session().transition(&[false], &[true]);
         assert!(!rec.settled[y.index()], "y is logically constant 0");
         assert_eq!(rec.absorbed_glitches(), 1, "{:?}", rec.events);
         let absorbed: f64 = rec
@@ -394,7 +309,7 @@ mod tests {
                 ..quiet_config()
             },
         );
-        let rec_free = free.transition(&[false], &[true]);
+        let rec_free = free.session().transition(&[false], &[true]);
         assert_eq!(rec_free.absorbed_glitches(), 0);
     }
 
@@ -414,10 +329,13 @@ mod tests {
             window_ps: 2000.0,
             samples: 1000,
         };
-        let trace = sim.capture(&[false], &[true], &sampling);
+        let mut session = sim.session();
+        let mut trace = Vec::new();
+        let mut rng = SmallRng::seed_from_u64(0);
+        session.capture_into(&[false], &[true], &sampling, &mut rng, &mut trace);
         assert_eq!(trace.len(), 1000);
         // Integrated power ≈ total energy: Σ p·dt (mW·ps = fJ).
-        let rec = sim.transition(&[false], &[true]);
+        let rec = session.transition(&[false], &[true]);
         let integral: f64 = trace.iter().sum::<f64>() * sampling.period_ps();
         let energy = rec.total_energy_fj();
         assert!(
@@ -436,11 +354,19 @@ mod tests {
         let mut cfg = quiet_config();
         cfg.noise_mw = 0.01;
         let sim = Simulator::new(&nl, &cfg);
-        let t1 = sim.capture(&[false], &[true], &SamplingConfig::default());
-        let t2 = sim.capture(&[false], &[true], &SamplingConfig::default());
-        assert_eq!(t1, t2, "same stimulus → same deterministic noise");
-        let t3 = sim.capture(&[true], &[false], &SamplingConfig::default());
-        assert_ne!(t1, t3);
+        let mut session = sim.session();
+        let capture = |session: &mut CaptureSession<'_>, seed: u64| {
+            let mut trace = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let sampling = SamplingConfig::default();
+            session.capture_into(&[false], &[true], &sampling, &mut rng, &mut trace);
+            trace
+        };
+        let t1 = capture(&mut session, 1);
+        let t2 = capture(&mut session, 1);
+        assert_eq!(t1, t2, "same noise seed → same samples");
+        let t3 = capture(&mut session, 2);
+        assert_ne!(t1, t3, "noise must reach the samples");
     }
 
     #[test]
@@ -454,8 +380,8 @@ mod tests {
         let fresh = Simulator::new(&nl, &cfg);
         let aged =
             Simulator::with_derating(&nl, &cfg, &Derating::from_factors(vec![1.2], vec![0.9]));
-        let rf = fresh.transition(&[false], &[true]);
-        let ra = aged.transition(&[false], &[true]);
+        let rf = fresh.session().transition(&[false], &[true]);
+        let ra = aged.session().transition(&[false], &[true]);
         assert!(ra.settle_time_ps() > rf.settle_time_ps());
         assert!(ra.total_energy_fj() < rf.total_energy_fj());
     }

@@ -25,6 +25,8 @@
 //! ```
 //! use sbox_netlist::NetlistBuilder;
 //! use gatesim::{SamplingConfig, SimConfig, Simulator};
+//! use rand::rngs::SmallRng;
+//! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), sbox_netlist::NetlistError> {
 //! let mut b = NetlistBuilder::new("chain");
@@ -35,10 +37,14 @@
 //! let netlist = b.finish()?;
 //!
 //! let sim = Simulator::new(&netlist, &SimConfig::default());
-//! let record = sim.transition(&[false], &[true]);
+//! let mut session = sim.session();
+//! let record = session.transition(&[false], &[true]);
 //! assert_eq!(record.events.len(), 2); // both inverters switch
 //!
-//! let trace = sim.capture(&[false], &[true], &SamplingConfig::default());
+//! // Measurement noise (off by default) is drawn from the caller's RNG.
+//! let mut noise = SmallRng::seed_from_u64(1);
+//! let mut trace = Vec::new();
+//! session.capture_into(&[false], &[true], &SamplingConfig::default(), &mut noise, &mut trace);
 //! assert_eq!(trace.len(), 100);
 //! assert!(trace.iter().sum::<f64>() > 0.0);
 //! # Ok(())

@@ -13,12 +13,12 @@
 //!
 //! # Determinism
 //!
-//! The session path is bit-identical to [`Simulator::transition`] — in
-//! fact [`Simulator::transition`] *is* a session (a temporary one), so
-//! there is exactly one event-loop implementation to trust. Within the
-//! engine, events are popped in `(time_ps, seq)` order (`seq` is the
-//! per-transition push counter, so ties resolve in schedule order). The
-//! bucket queue preserves that order exactly:
+//! The session is the only event-loop implementation: every event
+//! record and every trace the event-driven engine produces comes from
+//! `CaptureSession::run`. Within the engine, events are popped in
+//! `(time_ps, seq)` order (`seq` is the per-transition push counter, so
+//! ties resolve in schedule order). The bucket queue preserves that
+//! order exactly:
 //!
 //! * the bucket index `⌊t / w⌋` is monotone in `t`, so no later-popping
 //!   bucket can hold an earlier event;
@@ -31,11 +31,10 @@
 //!   chosen as the minimum derated gate delay, is purely a density
 //!   knob.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use sbox_netlist::GateId;
 
-use crate::engine::{stimulus_noise_seed, CaptureStats, SwitchEvent, TransitionRecord};
+use crate::engine::{CaptureStats, SwitchEvent, TransitionRecord};
 use crate::power::{gaussian, sample_waveform_into, PulseShape};
 use crate::{SamplingConfig, Simulator};
 
@@ -179,11 +178,12 @@ impl EventQueue {
 
 /// A reusable simulation arena bound to one [`Simulator`].
 ///
-/// Create with [`Simulator::session`]; every capture method matches its
-/// `Simulator` counterpart bit for bit (the simulator's own methods run
-/// on a temporary session). Reuse a session across traces to skip all
-/// per-capture allocation — the campaign executor keeps one per worker
-/// thread for its whole shard.
+/// Create with [`Simulator::session`]. [`simulate`](Self::simulate) and
+/// [`transition`](Self::transition) record one input transition's
+/// events; [`capture_into`](Self::capture_into) renders its power
+/// trace. Reuse a session across traces to skip all per-capture scratch
+/// allocation — the campaign executor keeps one per worker thread for
+/// its whole shard.
 ///
 /// A session holds no mutable reference to the simulator, so any number
 /// of sessions (one per thread) can share one `Simulator`.
@@ -230,7 +230,6 @@ pub struct CaptureSession<'a> {
     events: Vec<SwitchEvent>,
     queue: EventQueue,
     seq: u32,
-    samples: Vec<f64>,
 }
 
 impl<'a> CaptureSession<'a> {
@@ -320,7 +319,6 @@ impl<'a> CaptureSession<'a> {
             events: Vec::new(),
             queue: EventQueue::new(width),
             seq: 0,
-            samples: Vec::new(),
         }
     }
 
@@ -329,9 +327,21 @@ impl<'a> CaptureSession<'a> {
         self.sim
     }
 
-    /// Run one input transition; the event log and settled net values
-    /// stay borrowable from the session (no allocation) until the next
-    /// run. Events are in non-decreasing time order.
+    /// Simulate the circuit settling into `initial`, then switching its
+    /// primary inputs to `final_inputs` at t = 0, recording every supply
+    /// event until quiescence. The event log and settled net values stay
+    /// borrowable from the session (no allocation) until the next run.
+    /// Events are in non-decreasing time order.
+    ///
+    /// The timing/charge model: each gate output change propagates after
+    /// the gate's derated delay; a node re-toggling before its output
+    /// fully settles (a window of ~3 gate delays) never completes the
+    /// swing and draws proportionally less charge, and pulses narrower
+    /// than a gate's own delay are absorbed by the inertial-delay rule
+    /// (costing [`SimConfig::absorbed_energy_fraction`] of a full
+    /// swing).
+    ///
+    /// [`SimConfig::absorbed_energy_fraction`]: crate::SimConfig::absorbed_energy_fraction
     ///
     /// # Panics
     ///
@@ -346,7 +356,7 @@ impl<'a> CaptureSession<'a> {
         (&self.events, &self.values)
     }
 
-    /// Like [`Simulator::transition`], materializing an owned record.
+    /// [`simulate`](Self::simulate), materializing an owned record.
     pub fn transition(&mut self, initial: &[bool], final_inputs: &[bool]) -> TransitionRecord {
         self.run(initial, final_inputs);
         TransitionRecord {
@@ -355,64 +365,19 @@ impl<'a> CaptureSession<'a> {
         }
     }
 
-    /// Like [`Simulator::capture`]: simulate and render the power trace,
-    /// with noise (if configured) seeded deterministically from the
-    /// stimulus.
-    pub fn capture(
-        &mut self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-    ) -> Vec<f64> {
-        let seed = stimulus_noise_seed(self.sim.config().seed, initial, final_inputs);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        self.capture_with_rng(initial, final_inputs, sampling, &mut rng)
-    }
-
-    /// Like [`Simulator::capture_with_rng`].
-    pub fn capture_with_rng<R: Rng>(
-        &mut self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        self.capture_with_rng_stats(initial, final_inputs, sampling, rng)
-            .0
-    }
-
-    /// Like [`Simulator::capture_with_rng_stats`]: the returned trace is
-    /// the only per-capture allocation on this path.
-    pub fn capture_with_rng_stats<R: Rng>(
-        &mut self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-        rng: &mut R,
-    ) -> (Vec<f64>, CaptureStats) {
-        let mut out = Vec::new();
-        let stats = self.capture_into(initial, final_inputs, sampling, rng, &mut out);
-        (out, stats)
-    }
-
-    /// Fully allocation-free capture: render into the session's own
-    /// sample buffer and borrow it. For callers that copy samples out
-    /// (or reduce them in place) rather than keeping the trace.
-    pub fn capture_trace<R: Rng>(
-        &mut self,
-        initial: &[bool],
-        final_inputs: &[bool],
-        sampling: &SamplingConfig,
-        rng: &mut R,
-    ) -> (&[f64], CaptureStats) {
-        let mut out = std::mem::take(&mut self.samples);
-        let stats = self.capture_into(initial, final_inputs, sampling, rng, &mut out);
-        self.samples = out;
-        (&self.samples, stats)
-    }
-
-    /// Capture into a caller-owned buffer (cleared and resized to the
-    /// sample count), reusing its allocation across traces.
+    /// The engine's one trace capture: [`simulate`](Self::simulate) the
+    /// transition, render its power trace (mW per sample) into `out`
+    /// (cleared and resized to the sample count, so its allocation is
+    /// reused across traces), and add measurement noise drawn from
+    /// `rng` when [`SimConfig::noise_mw`] is positive. Returns the
+    /// transition's event counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either input slice length differs from the netlist's
+    /// primary input count.
+    ///
+    /// [`SimConfig::noise_mw`]: crate::SimConfig::noise_mw
     pub fn capture_into<R: Rng>(
         &mut self,
         initial: &[bool],
@@ -440,7 +405,7 @@ impl<'a> CaptureSession<'a> {
         CaptureStats::from_events(&self.events)
     }
 
-    /// The event loop (see `Simulator::transition` for the physics).
+    /// The event loop (see [`simulate`](Self::simulate) for the physics).
     /// Scratch is reset on *entry*, not exit, so a capture that panicked
     /// mid-run (the executor's fault-injection path) leaves the session
     /// ready for its retry.
@@ -522,7 +487,7 @@ impl<'a> CaptureSession<'a> {
             self.values[out_net] = v;
             // A node re-toggling before its output fully settles never
             // completes the swing: scale the drawn charge by the fraction
-            // of the swing achieved (see Simulator::transition docs).
+            // of the swing achieved (see the `simulate` docs).
             let swing_ps = 3.0 * self.delay_ps[g];
             let elapsed = t - self.last_switch[g];
             let swing_fraction = (elapsed / swing_ps).min(1.0);
@@ -618,6 +583,8 @@ impl<'a> CaptureSession<'a> {
 mod tests {
     use super::*;
     use crate::SimConfig;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use sbox_netlist::NetlistBuilder;
 
     /// A fanout-heavy netlist where several inputs race: two XOR layers
@@ -691,10 +658,24 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.seq), Some(99));
     }
 
-    /// Satellite: the seeded gate order (`touched` after
-    /// `sort_unstable` + `dedup`) is deterministic — repeated runs of
-    /// the same stimulus through one session produce identical event
-    /// sequences, equal to a fresh simulator's.
+    /// One capture into a fresh buffer, noise seeded from `seed`.
+    fn capture(
+        session: &mut CaptureSession<'_>,
+        initial: &[bool],
+        final_inputs: &[bool],
+        seed: u64,
+    ) -> (Vec<f64>, CaptureStats) {
+        let mut trace = Vec::new();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let sampling = SamplingConfig::default();
+        let stats = session.capture_into(initial, final_inputs, &sampling, &mut rng, &mut trace);
+        (trace, stats)
+    }
+
+    /// The seeded gate order (`touched` after `sort_unstable` +
+    /// `dedup`) is deterministic — repeated runs of the same stimulus
+    /// through one session produce identical event sequences, equal to
+    /// a fresh session's.
     #[test]
     fn seeded_gate_order_is_deterministic() {
         let nl = racy_netlist();
@@ -703,60 +684,44 @@ mod tests {
         let a = session.transition(&[false; 4], &[true; 4]);
         let b = session.transition(&[false; 4], &[true; 4]);
         assert_eq!(a.events, b.events, "same stimulus, same session");
-        let fresh = sim.transition(&[false; 4], &[true; 4]);
-        assert_eq!(a.events, fresh.events, "session vs fresh simulator");
+        let fresh = sim.session().transition(&[false; 4], &[true; 4]);
+        assert_eq!(a.events, fresh.events, "reused vs fresh session");
         assert_eq!(a.settled, fresh.settled);
-        // sort_unstable + dedup yields a strictly increasing seed list —
-        // observable as the t≈delay first wave being sorted by gate id
-        // within equal times.
         assert!(!a.events.is_empty());
     }
 
     #[test]
-    fn interleaved_session_captures_match_fresh_simulator_bit_for_bit() {
+    fn interleaved_session_captures_match_a_fresh_session_bit_for_bit() {
         let nl = racy_netlist();
         let sim = Simulator::new(&nl, &noisy_config());
-        let sampling = SamplingConfig::default();
         let mut session = sim.session();
         // Interleave many different stimuli through ONE session and
-        // compare each against the allocating path, including noise and
-        // stats.
+        // compare each against a never-used session, including noise
+        // and stats.
         for step in 0u64..32 {
             let iv: Vec<bool> = (0..4).map(|i| (step >> i) & 1 == 1).collect();
             let fv: Vec<bool> = (0..4).map(|i| ((step * 7 + 3) >> i) & 1 == 1).collect();
-            let mut rng_a = SmallRng::seed_from_u64(step);
-            let mut rng_b = SmallRng::seed_from_u64(step);
-            let (trace_s, stats_s) =
-                session.capture_with_rng_stats(&iv, &fv, &sampling, &mut rng_a);
-            let (trace_f, stats_f) = sim.capture_with_rng_stats(&iv, &fv, &sampling, &mut rng_b);
-            assert_eq!(trace_s, trace_f, "step {step}");
-            assert_eq!(stats_s, stats_f, "step {step}");
-            assert_eq!(
-                session.capture(&iv, &fv, &sampling),
-                sim.capture(&iv, &fv, &sampling)
-            );
+            let reused = capture(&mut session, &iv, &fv, step);
+            let fresh = capture(&mut sim.session(), &iv, &fv, step);
+            assert_eq!(reused, fresh, "step {step}");
         }
     }
 
     #[test]
-    fn capture_trace_and_capture_into_match_the_owning_path() {
+    fn capture_into_reuses_a_dirty_buffer_and_counts_the_event_record() {
         let nl = racy_netlist();
         let sim = Simulator::new(&nl, &noisy_config());
         let sampling = SamplingConfig::default();
         let mut session = sim.session();
         let iv = [false, true, false, true];
         let fv = [true, true, false, false];
-        let mut r1 = SmallRng::seed_from_u64(5);
-        let mut r2 = SmallRng::seed_from_u64(5);
-        let mut r3 = SmallRng::seed_from_u64(5);
-        let (owned, stats) = session.capture_with_rng_stats(&iv, &fv, &sampling, &mut r1);
-        let mut buf = Vec::new();
-        let stats_into = session.capture_into(&iv, &fv, &sampling, &mut r2, &mut buf);
-        assert_eq!(buf, owned);
-        assert_eq!(stats_into, stats);
-        let (borrowed, stats_ref) = session.capture_trace(&iv, &fv, &sampling, &mut r3);
-        assert_eq!(borrowed, owned.as_slice());
-        assert_eq!(stats_ref, stats);
+        let (clean, stats) = capture(&mut session, &iv, &fv, 5);
+        let mut dirty = vec![f64::NAN; 3 * sampling.samples];
+        let mut rng = SmallRng::seed_from_u64(5);
+        let stats_dirty = session.capture_into(&iv, &fv, &sampling, &mut rng, &mut dirty);
+        assert_eq!(dirty, clean);
+        assert_eq!(stats_dirty, stats);
+        assert_eq!(stats, CaptureStats::from(&session.transition(&iv, &fv)));
     }
 
     /// A session left dirty by a panicking capture must recover: the
@@ -766,18 +731,17 @@ mod tests {
     fn session_recovers_after_a_mid_capture_panic() {
         let nl = racy_netlist();
         let sim = Simulator::new(&nl, &noisy_config());
-        let sampling = SamplingConfig::default();
         let mut session = sim.session();
-        let reference = session.capture(&[false; 4], &[true; 4], &sampling);
+        let reference = capture(&mut session, &[false; 4], &[true; 4], 9);
         // Leave the session with stale state from a previous capture,
         // panic out of the next one (width assert), and reuse it: the
         // entry-reset contract makes the retry clean. (Mid-drain queue
         // abandonment is covered by the queue unit tests above.)
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.capture(&[false; 4], &[true; 3], &sampling)
+            capture(&mut session, &[false; 4], &[true; 3], 9)
         }));
         assert!(poisoned.is_err(), "short input vector must panic");
-        let retried = session.capture(&[false; 4], &[true; 4], &sampling);
+        let retried = capture(&mut session, &[false; 4], &[true; 4], 9);
         assert_eq!(retried, reference);
     }
 }

@@ -115,7 +115,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let rec = sim.transition(&[false], &[true]);
+        let rec = sim.session().transition(&[false], &[true]);
         let vcd = to_vcd(&nl, &[false], &rec, 1);
         assert!(vcd.contains("$timescale 1ps $end"));
         assert!(vcd.contains("$var wire 1"));

@@ -107,7 +107,7 @@ pub fn library_prelude() -> String {
 /// # Errors
 ///
 /// Returns [`ParseVerilogError`] on any syntax or semantic problem, and
-/// [`NetlistError`] (wrapped) if the reconstructed netlist is invalid.
+/// [`NetlistError`](crate::NetlistError) (wrapped) if the reconstructed netlist is invalid.
 ///
 /// # Example
 ///

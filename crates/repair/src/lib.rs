@@ -25,7 +25,7 @@
 //!    [`sca_verify::Baseline::reanalyze`], the incremental cone-scoped
 //!    engine, so a search over dozens of candidates costs a fraction of as
 //!    many from-scratch analyses.
-//! 3. **Dynamic confirmation** ([`confirm`]): the accepted repair is
+//! 3. **Dynamic confirmation** ([`confirm`](mod@confirm)): the accepted repair is
 //!    replayed through the bit-sliced gate-level power simulator and the
 //!    class-conditional NICV of base and repaired netlists are compared —
 //!    the static verdict is cross-checked against the paper's own dynamic

@@ -11,7 +11,7 @@
 //!    share of a secret bit or as fresh randomness (via
 //!    [`sbox_circuits::InputEncoding::input_roles`]) and propagate the
 //!    labels through each gate's glitch-extended input cone.
-//! 2. **Glitch-extended probing** ([`analyze`], on top of
+//! 2. **Glitch-extended probing** ([`analyze`](mod@analyze), on top of
 //!    [`sbox_circuits::exhaustive`]): exhaustively enumerate the mask
 //!    space and test, per gate, whether the *joint* distribution of its
 //!    fan-in values depends on the unmasked class — the leakage a probe

@@ -1,7 +1,7 @@
 //! Share-domain taint: which shares and which fresh randomness reach
 //! each net.
 //!
-//! Primary inputs are labelled with their [`InputRole`](sbox_circuits::InputRole)
+//! Primary inputs are labelled with their [`InputRole`]
 //! (share *s* of secret bit *b*, or fresh randomness); the labels
 //! propagate through the gate graph as *cone taint* — net `n` is tainted
 //! by every label in its glitch-extended input cone. Because the

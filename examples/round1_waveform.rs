@@ -10,6 +10,8 @@ use std::fs;
 
 use gatesim::{vcd, SamplingConfig, SimConfig, Simulator};
 use present_cipher::Present80;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use sbox_circuits::round1::{build_round_one, RoundSboxStyle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = Simulator::new(&netlist, &SimConfig::default());
     let initial = stimulus(k1); // S-box inputs all zero, the protocol's class 0
     let final_inputs = stimulus(0x0123_4567_89AB_CDEF);
-    let record = sim.transition(&initial, &final_inputs);
+    let mut session = sim.session();
+    let record = session.transition(&initial, &final_inputs);
     println!(
         "transition: {} events, {:.1} pJ, settled after {:.0} ps",
         record.events.len(),
@@ -37,7 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record.settle_time_ps()
     );
 
-    let trace = sim.capture(&initial, &final_inputs, &SamplingConfig::default());
+    // The default configuration adds no noise; the generator is unused.
+    let mut noise = SmallRng::seed_from_u64(0);
+    let mut trace = Vec::new();
+    let sampling = SamplingConfig::default();
+    session.capture_into(&initial, &final_inputs, &sampling, &mut noise, &mut trace);
     let peak = trace.iter().cloned().fold(0.0, f64::max);
     println!("peak supply power {peak:.1} mW across the 2 ns window");
 

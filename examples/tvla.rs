@@ -2,8 +2,8 @@
 //! the conventional leakage assessment the paper's spectral method
 //! refines.
 //!
-//! Traces never accumulate in memory: each capture is borrowed from the
-//! reusable session buffer and folded straight into an online moment
+//! Traces never accumulate in memory: each capture is rendered into one
+//! reused buffer and folded straight into an online moment
 //! accumulator per group, so the t-statistics come from
 //! [`welch_t_from_moments`] at a constant memory footprint.
 //!
@@ -26,8 +26,10 @@ fn main() {
     for scheme in Scheme::ALL {
         let circuit = SboxCircuit::build(scheme);
         let sim = Simulator::new(circuit.netlist(), &SimConfig::default());
-        // One reused capture session per scheme: no per-trace allocation.
+        // One reused capture session and trace buffer per scheme: no
+        // per-trace allocation.
         let mut session = sim.session();
+        let mut trace = Vec::new();
         let fixed_class = 0x3u8;
         let mut fixed = ClassAccumulator::new(sampling.samples, SumMode::Exact);
         let mut random = ClassAccumulator::new(sampling.samples, SumMode::Exact);
@@ -39,8 +41,8 @@ fn main() {
                 ((i / 2 % 16) as u8, &mut random)
             };
             let fin = circuit.encoding().encode(class, &mut rng);
-            let (trace, _) = session.capture_trace(&initial, &fin, &sampling, &mut rng);
-            group.fold(trace);
+            session.capture_into(&initial, &fin, &sampling, &mut rng, &mut trace);
+            group.fold(&trace);
         }
         let t = max_abs_t(&welch_t_from_moments(&fixed, &random));
         let verdict = if t > TVLA_THRESHOLD { "LEAKS" } else { "pass" };

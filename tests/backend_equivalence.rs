@@ -6,11 +6,12 @@
 
 use std::path::{Path, PathBuf};
 
-use sbox_leakage::acquisition::ProtocolConfig;
+use sbox_leakage::acquisition::{self, ProtocolConfig};
 use sbox_leakage::campaign::{
     Backend, CacheMode, Campaign, CampaignConfig, FaultPlan, RunBudget, SumMode,
 };
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
+use sbox_leakage::gatesim::{Derating, Simulator};
 
 /// A unique scratch directory per test, cleaned up at entry so stale
 /// state from an interrupted run cannot leak into assertions.
@@ -90,6 +91,12 @@ fn streaming_spectra_are_backend_invariant() {
         });
         let streamed = campaign.acquire_spectrum(Scheme::Glut);
         assert!(streamed.streamed);
+        let report = campaign.log().reports().last().expect("one run logged");
+        assert_eq!(
+            report.backend,
+            Some(backend),
+            "the requested engine must run"
+        );
         assert_eq!(
             streamed.spectrum, batch.spectrum,
             "{backend}: streamed spectrum must match the batch path bitwise"
@@ -211,29 +218,32 @@ fn budget_interrupted_bitsliced_runs_resume_bit_identically() {
 }
 
 /// Sub-resolution gate delays make commit order unreproducible from
-/// levelized evaluation: the support check must reject such a netlist
-/// so acquisition falls back to the event engine (the campaign-level
-/// fallback is covered in the executor's unit tests).
+/// levelized evaluation: the support check must reject such a netlist,
+/// an explicit bit-sliced acquisition must fail, and `Auto` must fall
+/// back to the event engine's exact bits (the campaign-level fallback
+/// is covered in the executor's unit tests).
 #[test]
 fn sub_resolution_netlists_are_rejected_by_the_bitsliced_engine() {
     let circuit = SboxCircuit::build(Scheme::Opt);
     let config = small_protocol();
     let gates = circuit.netlist().gates().len();
-    let derating =
-        sbox_leakage::gatesim::Derating::from_factors(vec![1e-12; gates], vec![1.0; gates]);
+    let acquire = |derating: &Derating, backend| {
+        acquisition::acquire_with_derating(&circuit, &config, derating, backend)
+    };
+    let derating = Derating::from_factors(vec![1e-12; gates], vec![1.0; gates]);
     assert!(
-        sbox_leakage::acquisition::acquire_bitsliced_with_derating(&circuit, &config, &derating)
-            .is_err(),
+        acquire(&derating, Backend::Bitsliced).is_err(),
         "sub-resolution delays must fail the static support check"
     );
+    let event = acquire(&derating, Backend::Event).expect("the event engine runs everything");
+    assert_eq!(acquire(&derating, Backend::Auto), Ok(event));
     // A sane derating on the same netlist is supported and agrees with
     // the event-driven acquisition bit for bit.
-    let fresh = sbox_leakage::gatesim::Derating::fresh(circuit.netlist());
-    let batch =
-        sbox_leakage::acquisition::acquire_bitsliced_with_derating(&circuit, &config, &fresh)
-            .expect("fresh derating is supported");
-    let event = sbox_leakage::acquisition::acquire_with_derating(&circuit, &config, &fresh);
-    assert_eq!(batch, event);
+    let fresh = Derating::fresh(circuit.netlist());
+    let sim = Simulator::with_derating(circuit.netlist(), &config.sim, &fresh);
+    assert!(sim.bitsliced_session().is_ok(), "the batch engine must run");
+    let batch = acquire(&fresh, Backend::Bitsliced).expect("fresh derating is supported");
+    assert_eq!(Ok(batch), acquire(&fresh, Backend::Event));
 }
 
 /// The single `.sctr` store file a campaign wrote under `dir`.

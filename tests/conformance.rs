@@ -11,7 +11,8 @@
 //!
 //! Three independent pipelines must reproduce every fixture exactly:
 //! the batch analysis (`acquire` + `from_class_means`), the streaming
-//! fold (`acquire_streaming` in exact mode), and the campaign's sharded
+//! fold (`acquire`'s traces folded one at a time, in acquisition order,
+//! through an exact-mode `SpectrumStream`), and the campaign's sharded
 //! executor fold at 1, 2, and 8 workers (whose shard accumulators merge
 //! in a deterministic tree).
 //!
@@ -28,7 +29,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sbox_leakage::acquisition::{self, classified_schedule, ProtocolConfig, NUM_CLASSES};
-use sbox_leakage::analysis::{LeakageSpectrum, SumMode};
+use sbox_leakage::analysis::{LeakageSpectrum, SpectrumStream, SumMode};
 use sbox_leakage::campaign::{
     fold_schedule_into, ExecPolicy, FaultPlan, ResumeState, SpectrumAccumulator,
 };
@@ -164,14 +165,22 @@ fn batch_analysis_matches_golden_vectors() {
     }
 }
 
-/// The one-trace-at-a-time streaming fold (exact mode) reproduces every
-/// fixture bit-for-bit — no tolerance.
+/// The one-trace-at-a-time streaming fold (exact mode), fed `acquire`'s
+/// traces in acquisition order, reproduces every fixture bit-for-bit —
+/// no tolerance.
 #[test]
 fn streaming_fold_matches_golden_vectors() {
+    let protocol = protocol();
     for scheme in Scheme::ALL {
         let circuit = SboxCircuit::build(scheme);
-        let acc = acquisition::acquire_streaming(&circuit, &protocol(), SumMode::Exact);
-        let text = render(scheme, &protocol(), &acc.class_means());
+        let traces = acquisition::acquire(&circuit, &protocol);
+        let mut stream =
+            SpectrumStream::new(NUM_CLASSES, protocol.sampling.samples, SumMode::Exact);
+        for (class, trace) in traces.iter() {
+            stream.fold(class, trace);
+        }
+        let acc = stream.finish();
+        let text = render(scheme, &protocol, &acc.class_means());
         assert_same(&text, &expected_text(scheme), "streaming fold", scheme);
     }
 }

@@ -43,10 +43,11 @@ fn simulator_settles_to_functional_values_for_every_scheme() {
     let mut rng = SmallRng::seed_from_u64(7);
     for circuit in SboxCircuit::build_all() {
         let sim = Simulator::new(circuit.netlist(), &SimConfig::default());
+        let mut session = sim.session();
         for t in [0u8, 5, 10, 15] {
             let initial = circuit.encoding().encode(0, &mut rng);
             let final_inputs = circuit.encoding().encode(t, &mut rng);
-            let record = sim.transition(&initial, &final_inputs);
+            let record = session.transition(&initial, &final_inputs);
             let expect = circuit.netlist().evaluate_nets(&final_inputs);
             assert_eq!(record.settled, expect, "{}", circuit.scheme());
         }
@@ -105,8 +106,8 @@ fn aging_slows_and_weakens_the_sbox() {
     let mut rng = SmallRng::seed_from_u64(3);
     let a = circuit.encoding().encode(0, &mut rng);
     let b = circuit.encoding().encode(9, &mut rng);
-    let rec_fresh = sim_fresh.transition(&a, &b);
-    let rec_old = sim_old.transition(&a, &b);
+    let rec_fresh = sim_fresh.session().transition(&a, &b);
+    let rec_old = sim_old.session().transition(&a, &b);
     assert!(rec_old.settle_time_ps() > rec_fresh.settle_time_ps());
     assert!(rec_old.total_energy_fj() < rec_fresh.total_energy_fj());
 }

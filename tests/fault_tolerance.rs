@@ -534,3 +534,41 @@ fn scrub_heals_cpa_stores_so_attack_inputs_are_bit_identical() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A CPA acquisition with a quarantined index returns only the
+/// surviving traces, each paired with its own plaintext — no empty slot
+/// that would make the attack evaluation panic on ragged traces.
+#[test]
+fn quarantined_cpa_traces_are_dropped_with_their_plaintexts() {
+    use sbox_leakage::attacks::{success_rate_curve, LeakageModel};
+
+    let dir = scratch("cpa-quarantine");
+    let faults = FaultPlan::none().with_sticky_panics([3]);
+    let mut campaign = campaign_in(&dir, CacheMode::Off, faults);
+    let data = campaign.acquire_cpa(Scheme::Lut, 0x7, 32);
+    let report = campaign.log().reports().last().expect("one run logged");
+    assert_eq!(report.quarantined, 1);
+    assert_eq!(data.traces.len(), 31, "the quarantined trace is dropped");
+    assert_eq!(data.plaintexts.len(), data.traces.len());
+    let samples = small_protocol().sampling.samples;
+    assert!(data.traces.iter().all(|t| t.len() == samples));
+
+    let mut clean = campaign_in(&dir, CacheMode::Off, FaultPlan::none());
+    let reference = clean.acquire_cpa(Scheme::Lut, 0x7, 32);
+    let survivors: Vec<usize> = (0..32).filter(|&i| i != 3).collect();
+    for (k, &i) in survivors.iter().enumerate() {
+        assert_eq!(data.plaintexts[k], reference.plaintexts[i], "plaintext {i}");
+        assert_eq!(data.traces[k], reference.traces[i], "trace {i}");
+    }
+
+    let curve = success_rate_curve(
+        &data.plaintexts,
+        &data.traces,
+        0x7,
+        LeakageModel::HammingWeight,
+        &[8, 31],
+        1,
+    );
+    assert_eq!(curve.len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}

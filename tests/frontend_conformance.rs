@@ -33,13 +33,14 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use sbox_leakage::acquisition::{self, ProtocolConfig};
+use sbox_leakage::acquisition::{self, Backend, ProtocolConfig};
 use sbox_leakage::campaign::{CacheMode, Campaign, CampaignConfig};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 use sbox_leakage::frontend::{
     self, import_auto, import_str, netlist_digest, sidecar_json, sidecar_toml, structural_diff,
     to_edif, to_yosys_json, EncodingSidecar, FrontendError, SourceFormat,
 };
+use sbox_leakage::gatesim::Derating;
 use sbox_leakage::verify;
 
 /// The fixed fixture protocol: 2 traces per class, 10 samples, the
@@ -178,10 +179,11 @@ fn reimported_captures_are_bit_identical_bitsliced_backend() {
     for scheme in Scheme::ALL {
         let native = SboxCircuit::build(scheme);
         let imported = reimport(scheme, SourceFormat::YosysJson);
-        match (
-            acquisition::acquire_bitsliced(&native, &protocol),
-            acquisition::acquire_bitsliced(&imported, &protocol),
-        ) {
+        let bitsliced = |circuit: &SboxCircuit| {
+            let fresh = Derating::fresh(circuit.netlist());
+            acquisition::acquire_with_derating(circuit, &protocol, &fresh, Backend::Bitsliced)
+        };
+        match (bitsliced(&native), bitsliced(&imported)) {
             (Ok(a), Ok(b)) => assert_traces_bit_identical(&a, &b, scheme, "bitsliced"),
             (Err(a), Err(b)) => assert_eq!(
                 a.to_string(),

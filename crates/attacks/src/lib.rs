@@ -12,9 +12,9 @@
 //!   standard [`LeakageModel`]s, difference-of-means DPA, and the
 //!   Roche–Tavernier MLPA multi-linear combination;
 //! * [`streaming`] — constant-memory per-guess co-moment state
-//!   ([`AttackAccumulator`]) with the campaign's deterministic merge
-//!   tree ([`AttackStream`]), bit-identical at any worker count and
-//!   (in exact mode) to the batch reference;
+//!   ([`AttackAccumulator`]), a fold state of the campaign's
+//!   deterministic chunk grid (`leakage_core::online`), bit-identical at
+//!   any worker count and (in exact mode) to the batch reference;
 //! * [`evaluate`] — success rate, guessing entropy, and
 //!   measurements-to-disclosure from incremental prefix evaluation;
 //! * [`second_order`] / [`template`] — centered-product second-order
@@ -53,7 +53,7 @@ pub use distinguisher::Distinguisher;
 pub use evaluate::{
     guessing_entropy, measurements_to_disclosure, success_rate_curve, PrefixEvaluator,
 };
-pub use streaming::{attack_batch, AttackAccumulator, AttackStream};
+pub use streaming::{attack_batch, AttackAccumulator};
 
 use present_cipher::sbox;
 

@@ -3,13 +3,12 @@
 //!
 //! [`AttackAccumulator`] folds `(plaintext, trace)` pairs one at a time
 //! into per-guess, per-sample co-moment state
-//! ([`CoMomentAccumulator`]); [`AttackStream`] wraps it in the campaign
-//! executor's deterministic chunk tree ([`FOLD_CHUNK`] /
-//! [`TreeReducer`]), so a sequential fold of a schedule produces
-//! bit-for-bit the state the sharded executor produces at any worker
-//! count. In [`SumMode::Exact`] the extracted scores are additionally
-//! invariant under *any* regrouping — bit-identical to the batch
-//! reference [`attack_batch`].
+//! ([`CoMomentAccumulator`]). It is a [`FoldState`], so the chunk grid
+//! of `leakage_core::online` ([`ChunkFold`](leakage_core::online::ChunkFold)
+//! sequentially, the campaign executor sharded) folds a schedule to the
+//! same bits at any worker count. In [`SumMode::Exact`] the extracted
+//! scores are additionally invariant under *any* regrouping —
+//! bit-identical to the batch reference [`attack_batch`].
 //!
 //! The hypothesis values depend only on the 4-bit plaintext and guess,
 //! so each accumulator precomputes the full `16 × channels` hypothesis
@@ -19,7 +18,7 @@
 use crate::distinguisher::{Distinguisher, NUM_GUESSES};
 use crate::CpaResult;
 use leakage_core::comoment::CoMomentAccumulator;
-use leakage_core::online::{Merge, SumMode, TreeReducer, FOLD_CHUNK};
+use leakage_core::online::{FoldState, Merge, SumMode};
 
 /// Streaming per-guess attack state for one distinguisher.
 #[derive(Debug, Clone)]
@@ -145,97 +144,13 @@ impl Merge for AttackAccumulator {
     }
 }
 
-/// Sequential fold of an attack trace stream through the deterministic
-/// chunk tree — the attack-engine counterpart of
-/// [`SpectrumStream`](leakage_core::online::SpectrumStream). Folding a
-/// schedule in order yields bit-for-bit the accumulator the sharded
-/// campaign executor produces for the same schedule at any worker
-/// count.
-#[derive(Debug)]
-pub struct AttackStream {
-    reducer: TreeReducer<AttackAccumulator>,
-    leaf: AttackAccumulator,
-    in_leaf: usize,
-    chunk: usize,
-    seq: u64,
-    folded: u64,
-}
-
-impl AttackStream {
-    /// Stream with the campaign's chunk size ([`FOLD_CHUNK`]).
-    pub fn new(distinguisher: Distinguisher, samples: usize, mode: SumMode) -> Self {
-        Self::with_chunk(distinguisher, samples, mode, FOLD_CHUNK)
+impl FoldState for AttackAccumulator {
+    fn fold(&mut self, label: u16, trace: &[f64]) {
+        AttackAccumulator::fold(self, label as u8, trace);
     }
 
-    /// Stream with a custom chunk size (tests exercise odd sizes;
-    /// production code should use [`new`](Self::new) so chunk
-    /// boundaries match the campaign executor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn with_chunk(
-        distinguisher: Distinguisher,
-        samples: usize,
-        mode: SumMode,
-        chunk: usize,
-    ) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        Self {
-            reducer: TreeReducer::new(),
-            leaf: AttackAccumulator::new(distinguisher, samples, mode),
-            in_leaf: 0,
-            chunk,
-            seq: 0,
-            folded: 0,
-        }
-    }
-
-    /// Fold one trace under its plaintext nibble.
-    pub fn fold(&mut self, plaintext: u8, trace: &[f64]) {
-        self.leaf.fold(plaintext, trace);
-        self.folded += 1;
-        self.in_leaf += 1;
-        if self.in_leaf == self.chunk {
-            let template = AttackAccumulator::new(
-                self.leaf.distinguisher(),
-                self.leaf.samples(),
-                self.leaf.mode(),
-            );
-            let full = std::mem::replace(&mut self.leaf, template);
-            self.reducer.push(self.seq, full);
-            self.seq += 1;
-            self.in_leaf = 0;
-        }
-    }
-
-    /// Traces folded so far.
-    pub fn folded(&self) -> u64 {
-        self.folded
-    }
-
-    /// Number of `f64` values currently held (partial leaf plus the
-    /// reducer's buffered subtrees).
-    pub fn resident_floats(&self) -> usize {
-        self.leaf.resident_floats()
-            + self
-                .reducer
-                .resident_with(AttackAccumulator::resident_floats)
-    }
-
-    /// Close the stream: the trailing partial chunk (if any) becomes
-    /// the final leaf, and the reduction completes. Returns an empty
-    /// accumulator if nothing was folded.
-    pub fn finish(mut self) -> AttackAccumulator {
-        let template = AttackAccumulator::new(
-            self.leaf.distinguisher(),
-            self.leaf.samples(),
-            self.leaf.mode(),
-        );
-        if self.in_leaf > 0 {
-            self.reducer.push(self.seq, self.leaf);
-        }
-        self.reducer.finish().unwrap_or(template)
+    fn merge_depth(&self) -> usize {
+        AttackAccumulator::merge_depth(self)
     }
 }
 
@@ -267,6 +182,7 @@ pub fn attack_batch(
 mod tests {
     use super::*;
     use crate::LeakageModel;
+    use leakage_core::online::{ChunkFold, TreeReducer, FOLD_CHUNK};
     use present_cipher::sbox;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -293,6 +209,15 @@ mod tests {
         Distinguisher::Mlpa,
     ];
 
+    /// The pairs folded in order through the chunk grid.
+    fn chunk_fold(d: Distinguisher, mode: SumMode, p: &[u8], t: &[Vec<f64>]) -> AttackAccumulator {
+        let mut fold = ChunkFold::new(AttackAccumulator::new(d, 2, mode));
+        for (&pt, tr) in p.iter().zip(t) {
+            fold.fold(u16::from(pt), tr);
+        }
+        fold.finish()
+    }
+
     #[test]
     fn every_distinguisher_recovers_the_key() {
         let (p, t) = synthetic(0xA, 256, 1.0, 3);
@@ -304,15 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_stream_matches_batch_bitwise() {
+    fn exact_chunk_fold_matches_batch_bitwise() {
         let (p, t) = synthetic(0x6, 3 * FOLD_CHUNK + 5, 2.0, 17);
         for d in ALL {
             let batch = attack_batch(&p, &t, d).scores();
-            let mut stream = AttackStream::new(d, 2, SumMode::Exact);
-            for (&pt, tr) in p.iter().zip(&t) {
-                stream.fold(pt, tr);
-            }
-            let streamed = stream.finish().scores();
+            let streamed = chunk_fold(d, SumMode::Exact, &p, &t).scores();
             for g in 0..16 {
                 assert_eq!(
                     batch.scores[g].to_bits(),
@@ -326,12 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_reproduces_reducer_tree_in_welford_mode() {
+    fn chunk_fold_reproduces_reducer_tree_in_welford_mode() {
         let (p, t) = synthetic(0x2, 4 * FOLD_CHUNK + 7, 1.5, 23);
-        let mut stream = AttackStream::new(ALL[0], 2, SumMode::Welford);
-        for (&pt, tr) in p.iter().zip(&t) {
-            stream.fold(pt, tr);
-        }
         let mut reducer: TreeReducer<AttackAccumulator> = TreeReducer::new();
         for (i, chunk) in p
             .chunks(FOLD_CHUNK)
@@ -345,21 +262,46 @@ mod tests {
             }
             reducer.push(i as u64, leaf);
         }
-        let a = stream.finish().scores();
+        let a = chunk_fold(ALL[0], SumMode::Welford, &p, &t).scores();
         let b = reducer.finish().unwrap().scores();
         for g in 0..16 {
             assert_eq!(a.scores[g].to_bits(), b.scores[g].to_bits());
         }
     }
 
+    /// In exact mode the scores do not depend on the merge-tree shape:
+    /// hand-cut leaves of any size reduce to the batch bits.
+    #[test]
+    fn exact_scores_are_invariant_under_leaf_size() {
+        let (p, t) = synthetic(0x9, 5 * FOLD_CHUNK + 3, 1.0, 37);
+        for d in ALL {
+            let batch = attack_batch(&p, &t, d).scores();
+            for leaf_size in [1usize, 3, 7, 64, 1024] {
+                let mut reducer = TreeReducer::new();
+                for (i, (pc, tc)) in p.chunks(leaf_size).zip(t.chunks(leaf_size)).enumerate() {
+                    let mut leaf = AttackAccumulator::new(d, 2, SumMode::Exact);
+                    for (&pt, tr) in pc.iter().zip(tc) {
+                        leaf.fold(pt, tr);
+                    }
+                    reducer.push(i as u64, leaf);
+                }
+                let scores = reducer.finish().unwrap().scores();
+                for g in 0..16 {
+                    assert_eq!(
+                        batch.scores[g].to_bits(),
+                        scores.scores[g].to_bits(),
+                        "{} leaf size {leaf_size} guess {g}",
+                        d.label()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn merge_depth_and_counts_track() {
         let (p, t) = synthetic(0x0, 2 * FOLD_CHUNK, 0.5, 29);
-        let mut stream = AttackStream::new(Distinguisher::Mlpa, 2, SumMode::Exact);
-        for (&pt, tr) in p.iter().zip(&t) {
-            stream.fold(pt, tr);
-        }
-        let acc = stream.finish();
+        let acc = chunk_fold(Distinguisher::Mlpa, SumMode::Exact, &p, &t);
         assert_eq!(acc.count(), 2 * FOLD_CHUNK as u64);
         assert!(acc.merge_depth() >= 1);
     }
@@ -409,8 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_finishes_empty() {
-        let acc = AttackStream::new(ALL[0], 4, SumMode::Exact).finish();
+    fn empty_chunk_fold_finishes_empty() {
+        let acc = ChunkFold::new(AttackAccumulator::new(ALL[0], 4, SumMode::Exact)).finish();
         assert!(acc.is_empty());
         assert_eq!(acc.scores().scores, [0.0; 16]);
     }
@@ -418,16 +360,19 @@ mod tests {
     #[test]
     fn welford_resident_floats_do_not_grow_with_traces() {
         let (p, t) = synthetic(0x4, 64, 0.5, 31);
-        let mut stream = AttackStream::new(ALL[0], 2, SumMode::Welford);
+        let mut fold = ChunkFold::new(AttackAccumulator::new(ALL[0], 2, SumMode::Welford));
+        let resident = |fold: &ChunkFold<'_, AttackAccumulator>| {
+            fold.resident_with(AttackAccumulator::resident_floats)
+        };
         for (&pt, tr) in p.iter().cycle().zip(t.iter().cycle()).take(FOLD_CHUNK * 8) {
-            stream.fold(pt, tr);
+            fold.fold(u16::from(pt), tr);
         }
-        let at_8 = stream.resident_floats();
+        let at_8 = resident(&fold);
         for (&pt, tr) in p.iter().cycle().zip(t.iter().cycle()).take(FOLD_CHUNK * 56) {
-            stream.fold(pt, tr);
+            fold.fold(u16::from(pt), tr);
         }
         // 8x the chunks may add at most 3 counter levels.
         let leaf = AttackAccumulator::new(ALL[0], 2, SumMode::Welford).resident_floats();
-        assert!(stream.resident_floats() <= at_8 + 3 * leaf);
+        assert!(resident(&fold) <= at_8 + 3 * leaf);
     }
 }

@@ -1,11 +1,11 @@
 //! CPA attack throughput and the PRESENT cipher reference speed.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use leakage_core::SumMode;
+use leakage_core::{ChunkFold, SumMode};
 use present_cipher::Present80;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sca_attacks::{cpa_attack, AttackStream, Distinguisher, LeakageModel};
+use sca_attacks::{cpa_attack, AttackAccumulator, Distinguisher, LeakageModel};
 
 fn bench_cpa(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(4);
@@ -30,9 +30,9 @@ fn bench_cpa(c: &mut Criterion) {
     ] {
         c.bench_function(&format!("stream/{}_512traces_100samples", d.label()), |b| {
             b.iter(|| {
-                let mut stream = AttackStream::new(d, 100, SumMode::Exact);
+                let mut stream = ChunkFold::new(AttackAccumulator::new(d, 100, SumMode::Exact));
                 for (&p, t) in plaintexts.iter().zip(&traces) {
-                    stream.fold(p, t);
+                    stream.fold(u16::from(p), t);
                 }
                 stream.finish().scores()
             })

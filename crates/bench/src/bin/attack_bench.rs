@@ -7,8 +7,9 @@
 //!
 //! * `batch_<d>` — [`sca_attacks::attack_batch`], the two-pass exact
 //!   reference that holds the whole trace matrix;
-//! * `stream_<d>` — [`sca_attacks::AttackStream`], the campaign's
-//!   bounded-memory chunk-tree fold, one trace at a time.
+//! * `stream_<d>` — [`leakage_core::ChunkFold`] over an
+//!   [`sca_attacks::AttackAccumulator`], the campaign's bounded-memory
+//!   chunk-tree fold, one trace at a time.
 //!
 //! The streamed scores are asserted bitwise-equal to the batch scores
 //! once per leg before timing, so the ratio is cost, not approximation.
@@ -22,9 +23,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use acquisition::{acquire_cpa, ProtocolConfig};
-use leakage_core::SumMode;
+use leakage_core::{ChunkFold, SumMode};
 use sbox_circuits::{SboxCircuit, Scheme};
-use sca_attacks::{attack_batch, AttackStream, Distinguisher, LeakageModel};
+use sca_attacks::{attack_batch, AttackAccumulator, Distinguisher, LeakageModel};
 
 struct Leg {
     name: String,
@@ -77,9 +78,9 @@ fn main() {
     // scores bit-for-bit before anything is timed.
     for d in distinguishers {
         let batch = attack_batch(&data.plaintexts, &data.traces, d).scores();
-        let mut stream = AttackStream::new(d, samples, SumMode::Exact);
+        let mut stream = ChunkFold::new(AttackAccumulator::new(d, samples, SumMode::Exact));
         for (&p, t) in data.plaintexts.iter().zip(&data.traces) {
-            stream.fold(p, t);
+            stream.fold(u16::from(p), t);
         }
         let streamed = stream.finish().scores();
         for g in 0..16 {
@@ -119,9 +120,9 @@ fn main() {
             std::hint::black_box(r.scores());
 
             let start = Instant::now();
-            let mut stream = AttackStream::new(*d, samples, SumMode::Exact);
+            let mut stream = ChunkFold::new(AttackAccumulator::new(*d, samples, SumMode::Exact));
             for (&p, t) in data.plaintexts.iter().zip(&data.traces) {
-                stream.fold(p, t);
+                stream.fold(u16::from(p), t);
             }
             legs[2 * i + 1].seconds += start.elapsed().as_secs_f64();
             std::hint::black_box(stream.finish().scores());

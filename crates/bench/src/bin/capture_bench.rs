@@ -15,8 +15,9 @@
 //! * `session_capture_into` — the same session rendering into one
 //!   reused sample buffer (no per-trace allocation at all);
 //! * `streaming_fold_exact` / `streaming_fold_welford` — the
-//!   `session_capture_into` path with each trace folded straight into a
-//!   [`leakage_core::SpectrumStream`] online accumulator (the campaign's
+//!   `session_capture_into` path with each trace folded straight into
+//!   the chunk grid ([`leakage_core::ChunkFold`] over a
+//!   [`leakage_core::SpectrumAccumulator`], the campaign's
 //!   bounded-memory analysis mode), so the delta over
 //!   `session_capture_into` is the pure cost of the fold;
 //! * `bitsliced_batch` — the levelized [`gatesim::BitslicedSession`]
@@ -40,7 +41,7 @@ use std::time::Instant;
 
 use acquisition::{classified_schedule, trace_seed, ProtocolConfig, Stimulus, NUM_CLASSES};
 use gatesim::{CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES};
-use leakage_core::{ClassifiedTraces, LeakageSpectrum, SpectrumStream, SumMode};
+use leakage_core::{ChunkFold, ClassifiedTraces, LeakageSpectrum, SpectrumAccumulator, SumMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
@@ -190,7 +191,9 @@ fn main() {
     let streaming_runner = |mode: SumMode, name: &'static str| {
         let mut session = sim.session();
         let mut buf = Vec::new();
-        let mut stream = SpectrumStream::new(NUM_CLASSES, sampling.samples, mode);
+        let empty = SpectrumAccumulator::new(NUM_CLASSES, sampling.samples, mode);
+        let mut fold = ChunkFold::new(empty.clone());
+        let mut folded = 0u64;
         Runner {
             name,
             capture: Box::new(move |s: &Stimulus, seed: u64| {
@@ -202,12 +205,11 @@ fn main() {
                     &mut rng,
                     &mut buf,
                 );
-                stream.fold(usize::from(s.label), &buf);
-                if stream.folded() == schedule_len {
-                    let done = std::mem::replace(
-                        &mut stream,
-                        SpectrumStream::new(NUM_CLASSES, sampling.samples, mode),
-                    );
+                fold.fold(s.label, &buf);
+                folded += 1;
+                if folded == schedule_len {
+                    folded = 0;
+                    let done = std::mem::replace(&mut fold, ChunkFold::new(empty.clone()));
                     let tlp = done.finish().spectrum().total_leakage_power();
                     match mode {
                         SumMode::Exact => assert_eq!(

@@ -36,12 +36,11 @@ use std::collections::BTreeMap;
 
 use acquisition::{cpa_schedule, cpa_seed, trace_seed, ProtocolConfig, NUM_CLASSES};
 use gatesim::Simulator;
-use leakage_core::online::{Merge, SpectrumAccumulator, SumMode, TreeReducer, FOLD_CHUNK};
+use leakage_core::online::{ChunkFold, FoldState, Merge, SpectrumAccumulator, SumMode};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
-use crate::executor::FoldState;
-use crate::store::{StoreError, StoreKind, StoreReader};
+use crate::store::StoreKind;
 use crate::{config_digest, Campaign, CampaignKey, StageTimer};
 
 /// Joint streaming state of one attack trial: every requested
@@ -269,16 +268,19 @@ impl Campaign {
             let cell = self.attack_key(scheme, months, &trial_protocol, plan);
             let make = || JointState::new(&plan.distinguishers, samples, plan.mode);
 
-            // The executor's in-order chunk tap keeps a running merge
+            // The chunk grid's in-order observer keeps a running merge
             // whose rank is snapshotted at every chunk boundary — the
             // whole trajectory from the one streaming pass.
-            let mut running: Vec<AttackAccumulator> = plan
-                .distinguishers
-                .iter()
-                .map(|&d| AttackAccumulator::new(d, samples, plan.mode))
-                .collect();
+            let mut running: Vec<AttackAccumulator> = Vec::new();
             let mut trajectory: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            let mut observer = |_seq: u64, chunk: &JointState| {
+            let mut observer = |seq: u64, chunk: &JointState| {
+                // Chunk 0 starts a pass (a store read that failed
+                // part-way may already have shown chunks of another).
+                if seq == 0 {
+                    let new = |&d| AttackAccumulator::new(d, samples, plan.mode);
+                    running = plan.distinguishers.iter().map(new).collect();
+                    trajectory.clear();
+                }
                 for (run, part) in running.iter_mut().zip(chunk.attacks()) {
                     run.merge_from(part);
                 }
@@ -294,8 +296,12 @@ impl Campaign {
 
             let state = 'trial: {
                 if let Some(reader) = self.lookup(&cell, &mut timer) {
-                    match fold_store_joint(reader, &make, &mut observer) {
-                        Ok(state) => {
+                    // The stored records walk the executor's chunk grid,
+                    // so a hit reproduces the miss's trajectory and bits.
+                    let mut fold = ChunkFold::observed(make(), Some(&mut observer));
+                    match reader.for_each_record(|label, samples| fold.fold(label, samples)) {
+                        Ok(_) => {
+                            let state = fold.finish();
                             timer.stage("analyze");
                             let folded = state.count() as usize;
                             let depth = FoldState::merge_depth(&state);
@@ -434,40 +440,6 @@ impl Campaign {
     }
 }
 
-/// Fold a cached `SCTR` cell through the same chunk grid the executor
-/// uses, one record resident at a time, reporting each chunk to the
-/// observer in order — so a cache hit reproduces the miss path's
-/// trajectory and (in exact mode) its bits.
-fn fold_store_joint<F>(
-    reader: StoreReader,
-    make: &F,
-    observer: &mut dyn FnMut(u64, &JointState),
-) -> Result<JointState, StoreError>
-where
-    F: Fn() -> JointState,
-{
-    let mut reducer: TreeReducer<JointState> = TreeReducer::new();
-    let mut leaf = make();
-    let mut in_leaf = 0usize;
-    let mut seq = 0u64;
-    reader.for_each_record(|label, samples| {
-        leaf.fold(label, samples);
-        in_leaf += 1;
-        if in_leaf == FOLD_CHUNK {
-            let full = std::mem::replace(&mut leaf, make());
-            observer(seq, &full);
-            reducer.push(seq, full);
-            seq += 1;
-            in_leaf = 0;
-        }
-    })?;
-    if in_leaf > 0 {
-        observer(seq, &leaf);
-        reducer.push(seq, leaf);
-    }
-    Ok(reducer.finish().unwrap_or_else(make))
-}
-
 /// Majority vote with deterministic ties (lowest guess wins).
 fn majority_guess<I: Iterator<Item = u8>>(guesses: I) -> u8 {
     let mut counts = [0usize; 16];
@@ -564,6 +536,114 @@ mod tests {
         }
         let hit_report = c.log().reports().last().unwrap();
         assert_eq!(hit_report.stats.events, 0, "hit must not simulate");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn curve_bits(curve: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        curve.iter().map(|&(n, v)| (n, v.to_bits())).collect()
+    }
+
+    /// Every field of every distinguisher report, bitwise.
+    fn assert_same_reports(want: &AttackOutcome, got: &AttackOutcome, what: &str) {
+        assert_eq!(want.reports.len(), got.reports.len(), "{what}");
+        for (a, b) in want.reports.iter().zip(&got.reports) {
+            let what = format!("{what}, {}", a.distinguisher.label());
+            assert_eq!(a.distinguisher, b.distinguisher, "{what}");
+            assert_eq!(
+                curve_bits(&a.success_rate),
+                curve_bits(&b.success_rate),
+                "{what}: success rate"
+            );
+            assert_eq!(
+                curve_bits(&a.guessing_entropy),
+                curve_bits(&b.guessing_entropy),
+                "{what}: guessing entropy"
+            );
+            assert_eq!(a.mtd, b.mtd, "{what}: MTD");
+            assert_eq!(a.recovered, b.recovered, "{what}: recovered key");
+            assert_eq!(a.trials_recovered, b.trials_recovered, "{what}");
+            assert_eq!(a.final_scores.len(), b.final_scores.len(), "{what}");
+            for (ra, rb) in a.final_scores.iter().zip(&b.final_scores) {
+                assert_eq!(ra.peak_samples, rb.peak_samples, "{what}: peaks");
+                for g in 0..16 {
+                    assert_eq!(
+                        ra.scores[g].to_bits(),
+                        rb.scores[g].to_bits(),
+                        "{what}: guess {g}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            want.mean_total_leakage_power.to_bits(),
+            got.mean_total_leakage_power.to_bits(),
+            "{what}: leakage power"
+        );
+    }
+
+    /// A trial served from the store folds through the executor's chunk
+    /// grid, so its report — curves, MTD, vote and final score bits — and
+    /// its merge depth equal the miss path's, in either summation mode.
+    #[test]
+    fn store_served_trial_reproduces_the_miss_exactly() {
+        for mode in [SumMode::Exact, SumMode::Welford] {
+            for workers in [1usize, 3] {
+                let what = format!("{mode:?}, {workers} workers");
+                let dir = tmp_dir(&format!("hit-{mode:?}-{workers}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                // 72 traces: four full leaves and a partial fifth.
+                let plan = AttackPlan {
+                    trials: 1,
+                    traces: 72,
+                    mode,
+                    ..small_plan()
+                };
+                let mut miss = campaign(&dir, CacheMode::Off, workers);
+                let want = miss.attack(Scheme::Lut, &plan);
+                let mut hit = campaign(&dir, CacheMode::ReadWrite, workers);
+                hit.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
+                let got = hit.attack(Scheme::Lut, &plan);
+                assert_eq!((want.cache_hits, got.cache_hits), (0, 1), "{what}");
+                assert_same_reports(&want, &got, &what);
+                let miss_report = miss.log().reports().last().unwrap();
+                let hit_report = hit.log().reports().last().unwrap();
+                assert!(hit_report.cache_hit, "{what}");
+                assert_eq!(miss_report.merge_depth, 3, "{what}");
+                assert_eq!(hit_report.merge_depth, miss_report.merge_depth, "{what}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    /// A store that fails its checksum part-way through has already
+    /// shown some chunks to the rank observer; the re-acquisition must
+    /// start the trajectory afresh instead of counting them twice.
+    #[test]
+    fn a_store_failing_mid_read_does_not_skew_the_trajectory() {
+        let dir = tmp_dir("mid-read");
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = AttackPlan {
+            trials: 1,
+            traces: 72,
+            ..small_plan()
+        };
+        let want = campaign(&dir, CacheMode::Off, 2).attack(Scheme::Lut, &plan);
+        let mut c = campaign(&dir, CacheMode::ReadWrite, 2);
+        c.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
+        // Flip a sample byte of record 52, after three full leaves.
+        let path = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "sctr"))
+            .expect("the CPA store");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let record = 2 + 8 * c.config().protocol.sampling.samples + 8;
+        let at = bytes.len() - 8 - 20 * record + 10;
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+        let got = c.attack(Scheme::Lut, &plan);
+        assert_eq!(got.cache_hits, 0, "the damaged store cannot serve");
+        assert_same_reports(&want, &got, "re-acquired after a failed read");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,8 +4,10 @@
 //!
 //! Workers claim index ranges, capture them on the event-driven or the
 //! bit-sliced engine, and fold each trace into a chunk-local
-//! [`FoldState`]; the caller's thread checkpoints new traces and merges
-//! the chunk states in a schedule-shaped tree. [`fold_schedule_into`]
+//! [`FoldState`] leaf of the [`FOLD_CHUNK`] grid that
+//! `leakage_core::online` owns; the caller's thread checkpoints new
+//! traces and pushes each leaf into that grid's [`TreeReducer`], whose
+//! tree shape depends only on the schedule. [`fold_schedule_into`]
 //! returns the merged state. [`capture_schedule_with`] is the same run
 //! with an empty fold that keeps every trace in its schedule slot.
 //!
@@ -28,7 +30,7 @@
 //! as they arrive and previously checkpointed indices are skipped, so a
 //! killed run resumes instead of restarting.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -40,22 +42,12 @@ use acquisition::{trace_seed, Backend, Stimulus};
 use gatesim::{
     BitslicedSession, CaptureSession, CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES,
 };
-use leakage_core::online::{Merge, SpectrumAccumulator, TreeReducer, FOLD_CHUNK};
+use leakage_core::online::{ChunkObserver, FoldState, Merge, TreeReducer, FOLD_CHUNK};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::fault::{FaultPlan, InjectedFault};
 use crate::store::CheckpointWriter;
-
-/// Indices are claimed in chunks of this size — small enough to balance
-/// the ~10× per-scheme cost spread at 1024 traces, large enough that the
-/// atomic cursor never contends.
-///
-/// Pinned to [`FOLD_CHUNK`] so the streaming fold's merge-tree leaves
-/// coincide with the executor's work units: a sequential
-/// `SpectrumStream` over the same schedule reproduces the sharded fold
-/// bit-for-bit.
-const CHUNK: usize = FOLD_CHUNK;
 
 /// What one worker did, for the utilization report.
 #[derive(Debug, Clone)]
@@ -345,7 +337,7 @@ pub struct ExecutorReport {
     pub resumed: usize,
     /// Largest number of newly captured traces resident in memory at
     /// once. For [`fold_schedule_into`] it is bounded by
-    /// `O(workers × CHUNK)`, independent of schedule length. Always 0
+    /// `O(workers × FOLD_CHUNK)`, independent of schedule length. Always 0
     /// for [`capture_schedule_with`], which keeps every trace by design.
     pub peak_resident: usize,
     /// Merge depth of the final fold state: 0 for single-chunk runs and
@@ -467,12 +459,14 @@ impl<'s> WorkerEngine<'s> {
     }
 
     /// Indices claimed per cursor advance: a full lane batch on the
-    /// bit-sliced engine, one merge-tree leaf on the event engine.
+    /// bit-sliced engine, one merge-tree leaf on the event engine (small
+    /// enough to balance the ~10× per-scheme cost spread, large enough
+    /// that the atomic cursor never contends).
     fn claim(&self) -> usize {
         if self.batch.is_some() {
             LANES
         } else {
-            CHUNK
+            FOLD_CHUNK
         }
     }
 }
@@ -528,36 +522,6 @@ pub fn capture_schedule_with(
     (traces, report)
 }
 
-/// Any per-run analysis state the executor can accumulate: fold one
-/// labelled trace at a time, merge shard states pairwise.
-///
-/// The spectral pipeline's [`SpectrumAccumulator`] is one
-/// implementation; the attack engine folds per-key-guess co-moment
-/// state through the same machinery, and composite states fold both in
-/// a single pass over the traces. Implementations inherit the
-/// executor's full determinism contract: the same schedule folds to the
-/// same bits at any worker count (exactly, under an exact-summation
-/// state; via the fixed merge tree otherwise).
-pub trait FoldState: Merge + Send {
-    /// Fold one captured trace under its stimulus label.
-    fn fold(&mut self, label: u16, trace: &[f64]);
-
-    /// Depth of the merge tree this state roots (for reporting).
-    fn merge_depth(&self) -> usize {
-        0
-    }
-}
-
-impl FoldState for SpectrumAccumulator {
-    fn fold(&mut self, label: u16, trace: &[f64]) {
-        SpectrumAccumulator::fold(self, usize::from(label), trace);
-    }
-
-    fn merge_depth(&self) -> usize {
-        SpectrumAccumulator::merge_depth(self)
-    }
-}
-
 /// The fold state of a run that keeps its raw traces instead: there is
 /// nothing to fold, the traces themselves are the result.
 pub(crate) struct NoFold;
@@ -571,12 +535,6 @@ impl Merge for NoFold {
 impl FoldState for NoFold {
     fn fold(&mut self, _label: u16, _trace: &[f64]) {}
 }
-
-/// A callback observing each chunk-local fold state in schedule order
-/// (ascending chunk sequence), before it enters the reduction tree.
-/// Used to track prefix trajectories — e.g. the attack engine's key
-/// rank as a function of traces seen — without a second pass.
-pub type ChunkObserver<'o, S> = &'o mut dyn FnMut(u64, &S);
 
 /// One worker's progress on one merge-tree leaf of the schedule.
 struct Chunk<S> {
@@ -632,7 +590,7 @@ impl<S> Ctx<'_, S> {
 
 /// Capture `schedule` and fold every trace into a caller-supplied
 /// [`FoldState`] instead of retaining it: memory is the fold state plus
-/// `O(workers × CHUNK)` traces in flight, independent of schedule
+/// `O(workers × FOLD_CHUNK)` traces in flight, independent of schedule
 /// length. Any streaming consumer plugs in here — spectral
 /// accumulators, the attack engine's co-moment state, or composites
 /// folding several analyses in one pass over the traces.
@@ -646,10 +604,11 @@ impl<S> Ctx<'_, S> {
 /// being re-simulated (checkpointed refold-on-resume); newly captured
 /// traces stream to the [`ResumeState`] checkpoint as they arrive.
 ///
-/// `observer` (if any) sees every chunk-local state in ascending chunk
-/// order *before* it is merged into the tree, enabling single-pass
-/// prefix trajectories; buffering for in-order delivery is bounded by
-/// the number of in-flight chunks (≤ workers + channel capacity).
+/// `observer` (if any) is the merge tree's ([`TreeReducer::observed`]):
+/// it sees every chunk-local state in ascending chunk order *before* it
+/// is merged, enabling single-pass prefix trajectories; buffering for
+/// in-order delivery is bounded by the number of in-flight chunks
+/// (≤ workers + channel capacity).
 ///
 /// The report's [`peak_resident`](ExecutorReport::peak_resident) and
 /// [`merge_depth`](ExecutorReport::merge_depth) are live in this mode.
@@ -733,12 +692,7 @@ pub(crate) fn run<S: FoldState>(
             since_sync: 0,
             warning: None,
         },
-        tap: OrderedTap {
-            reducer: TreeReducer::new(),
-            observer,
-            next: 0,
-            held: BTreeMap::new(),
-        },
+        reducer: TreeReducer::observed(observer),
         slots,
     };
 
@@ -786,7 +740,7 @@ pub(crate) fn run<S: FoldState>(
         mut quarantined,
         lanes,
         sink,
-        tap,
+        reducer,
         slots,
     } = collector;
     sink.finish(&mut warnings);
@@ -808,7 +762,7 @@ pub(crate) fn run<S: FoldState>(
         None => ctx.peak.load(Ordering::Relaxed),
     };
 
-    let acc = tap.finish().unwrap_or_else(make);
+    let acc = reducer.finish().unwrap_or_else(make);
     let report = ExecutorReport {
         workers,
         loads,
@@ -836,7 +790,8 @@ struct Collector<'a, 'o, S> {
     quarantined: Vec<CaptureFailure>,
     lanes: LaneUse,
     sink: CheckpointSink<'a>,
-    tap: OrderedTap<'o, S>,
+    /// The merge tree; its observer (if any) sees each chunk in order.
+    reducer: TreeReducer<'o, S>,
     slots: Option<&'a mut [Vec<f64>]>,
 }
 
@@ -859,43 +814,7 @@ impl<S: FoldState> Collector<'_, '_, S> {
             }
         }
         ctx.release_resident(raw_len);
-        self.tap.push(chunk.seq, chunk.acc);
-    }
-}
-
-/// Delivers chunk states to the observer in schedule order, then feeds
-/// them to the reduction tree. Without an observer this is a
-/// pass-through (the [`TreeReducer`] does its own in-order buffering).
-struct OrderedTap<'o, S> {
-    reducer: TreeReducer<S>,
-    observer: Option<ChunkObserver<'o, S>>,
-    next: u64,
-    held: BTreeMap<u64, S>,
-}
-
-impl<S: FoldState> OrderedTap<'_, S> {
-    fn push(&mut self, seq: u64, acc: S) {
-        match &mut self.observer {
-            None => self.reducer.push(seq, acc),
-            Some(obs) => {
-                let prev = self.held.insert(seq, acc);
-                assert!(prev.is_none(), "chunk {seq} pushed twice");
-                while let Some(acc) = self.held.remove(&self.next) {
-                    obs(self.next, &acc);
-                    self.reducer.push(self.next, acc);
-                    self.next += 1;
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Option<S> {
-        assert!(
-            self.held.is_empty(),
-            "gap in chunk sequence: chunk {} never pushed",
-            self.next
-        );
-        self.reducer.finish()
+        self.reducer.push(chunk.seq, chunk.acc);
     }
 }
 
@@ -934,7 +853,7 @@ fn work<S: FoldState>(
 /// On the event engine the range *is* one leaf and every index runs on
 /// the scalar session. On the bit-sliced engine one levelized sweep
 /// first captures every batchable lane of the claim (up to
-/// `LANES / CHUNK` leaves); resumed traces and scalar-routed indices
+/// `LANES / FOLD_CHUNK` leaves); resumed traces and scalar-routed indices
 /// (validation failures and fault-injected captures, which keep the
 /// event session's retry/quarantine semantics so reports are
 /// backend-independent) fold exactly where the event engine would fold
@@ -986,11 +905,11 @@ fn fold_claim<S: FoldState>(
     }
 
     let mut next_batch = 0usize;
-    for chunk_start in range.clone().step_by(CHUNK) {
-        let chunk_end = (chunk_start + CHUNK).min(range.end);
+    for chunk_start in range.clone().step_by(FOLD_CHUNK) {
+        let chunk_end = (chunk_start + FOLD_CHUNK).min(range.end);
         let mut chunk = Chunk {
             worker,
-            seq: (chunk_start / CHUNK) as u64,
+            seq: (chunk_start / FOLD_CHUNK) as u64,
             acc: (ctx.make)(),
             raw: Vec::new(),
             captured: 0,
@@ -1184,7 +1103,7 @@ mod tests {
     use super::*;
     use crate::store::resume_checkpoint;
     use acquisition::{classified_schedule, ProtocolConfig};
-    use leakage_core::online::SumMode;
+    use leakage_core::online::{SpectrumAccumulator, SumMode};
     use sbox_circuits::{SboxCircuit, Scheme};
 
     fn small_config() -> ProtocolConfig {

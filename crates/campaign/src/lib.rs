@@ -64,8 +64,7 @@ pub use digest::{fnv1a, Digest};
 pub use error::CampaignError;
 pub use executor::{
     capture_schedule_with, fold_schedule_into, resolve_workers, CancelToken, CaptureFailure,
-    ChunkObserver, ExecPolicy, ExecutorReport, FoldState, Interruption, ResumeState, RunBudget,
-    StopCause, WorkerLoad,
+    ExecPolicy, ExecutorReport, Interruption, ResumeState, RunBudget, StopCause, WorkerLoad,
 };
 pub use fault::{FaultPlan, InjectedFault};
 pub use iofault::{FallibleWriter, WriteFaults};
@@ -86,7 +85,7 @@ use acquisition::{
     classified_schedule, cpa_schedule, cpa_seed, CpaAcquisition, LeakageStudy, ProtocolConfig,
     Stimulus, NUM_CLASSES,
 };
-pub use leakage_core::online::{SpectrumAccumulator, SpectrumStream, SumMode};
+pub use leakage_core::online::{ChunkFold, ChunkObserver, FoldState, SpectrumAccumulator, SumMode};
 pub use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
 use aging::AgingConditions;
@@ -422,10 +421,17 @@ impl Campaign {
 
         let mut timer = StageTimer::new();
         let key = self.classified_key(implementation, months);
+        let (samples, mode) = (
+            self.config.protocol.sampling.samples,
+            self.config.stream_mode,
+        );
+        let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, mode);
 
         if let Some(reader) = self.lookup(&key, &mut timer) {
-            match Self::fold_store(reader, self.config.stream_mode) {
-                Ok(acc) => return self.spectrum_hit(&key, scheme, months, acc, timer),
+            // One record resident at a time, on the executor's chunk grid.
+            let mut fold = ChunkFold::new(make());
+            match reader.for_each_record(|label, samples| fold.fold(label, samples)) {
+                Ok(_) => return self.spectrum_hit(&key, scheme, months, fold.finish(), timer),
                 Err(e) => eprintln!(
                     "campaign cache: {} failed mid-read ({e}); re-acquiring",
                     self.cache.path_for(&key).display()
@@ -439,11 +445,6 @@ impl Campaign {
 
         timer.stage("acquire");
         let schedule = classified_schedule(circuit, &self.config.protocol);
-        let (samples, mode) = (
-            self.config.protocol.sampling.samples,
-            self.config.stream_mode,
-        );
-        let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, mode);
         let seed = self.config.protocol.seed;
         let (acc, exec) = self.execute(&key, &sim, &schedule, seed, &make, None, None);
 
@@ -723,16 +724,6 @@ impl Campaign {
             }
         }
         (completed, writer, warnings)
-    }
-
-    /// Fold every record of a cached store into an accumulator, one
-    /// record resident at a time.
-    fn fold_store(reader: StoreReader, mode: SumMode) -> Result<SpectrumAccumulator, StoreError> {
-        let meta = reader.meta();
-        let mut stream =
-            SpectrumStream::new(usize::from(meta.class_or_key), meta.samples as usize, mode);
-        reader.for_each_record(|label, samples| stream.fold(usize::from(label), samples))?;
-        Ok(stream.finish())
     }
 
     /// Write the finished classified set to the store and retire its
@@ -1083,6 +1074,50 @@ mod tests {
         let report = campaign.log().reports().last().unwrap();
         assert_eq!(report.stats.events, 0, "hit must not simulate");
         assert_eq!(report.peak_resident, 1, "fold keeps one record resident");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// In Welford mode only the merge-tree shape makes a fold
+    /// reproducible, so a streamed hit that folds the store equals its
+    /// miss bit for bit only if both walk the same chunk grid.
+    #[test]
+    fn welford_streamed_hit_equals_its_miss_bitwise() {
+        let dir = tmp_dir("stream-hit-welford");
+        let _ = std::fs::remove_dir_all(&dir);
+        let streamed = |cache, workers| {
+            let mut campaign = small_campaign(&dir, cache);
+            // 80 traces: five leaves, a merge tree of depth 3.
+            campaign.config.protocol.traces_per_class = 5;
+            campaign.config.streaming = true;
+            campaign.config.stream_mode = SumMode::Welford;
+            campaign.config.workers = workers;
+            campaign
+        };
+        // The batch acquisition writes the store the streamed hits read.
+        let mut writer = streamed(CacheMode::ReadWrite, 2);
+        writer.config.streaming = false;
+        writer.acquire(Scheme::Isw);
+        for workers in [1, 3] {
+            let mut miss = streamed(CacheMode::Off, workers);
+            let want = miss.acquire_spectrum(Scheme::Isw);
+            let mut hit = streamed(CacheMode::ReadWrite, workers);
+            let got = hit.acquire_spectrum(Scheme::Isw);
+            assert!(!want.cache_hit && got.cache_hit, "workers = {workers}");
+            assert_eq!(got.class_counts, want.class_counts);
+            let spectrum = &want.spectrum;
+            for u in 0..spectrum.num_sources() {
+                for t in 0..spectrum.samples() {
+                    assert_eq!(
+                        got.spectrum.coefficient(u, t).to_bits(),
+                        spectrum.coefficient(u, t).to_bits(),
+                        "workers = {workers}, u = {u}, t = {t}"
+                    );
+                }
+            }
+            let depth = |c: &Campaign| c.log().reports().last().unwrap().merge_depth;
+            assert_eq!(depth(&miss), 3, "workers = {workers}");
+            assert_eq!(depth(&hit), depth(&miss), "workers = {workers}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

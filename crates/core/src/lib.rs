@@ -55,6 +55,6 @@ pub mod wht;
 
 pub use classes::ClassifiedTraces;
 pub use comoment::CoMomentAccumulator;
-pub use online::{ClassAccumulator, Merge, SpectrumAccumulator, SpectrumStream, SumMode};
+pub use online::{ChunkFold, ClassAccumulator, FoldState, Merge, SpectrumAccumulator, SumMode};
 pub use spectrum::LeakageSpectrum;
 pub use wht::{psi, spectrum_of, walsh_hadamard};

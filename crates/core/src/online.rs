@@ -15,10 +15,12 @@
 //! * [`SpectrumAccumulator`] — one accumulator per class plus
 //!   [`merge`](SpectrumAccumulator::merge), so shard-local accumulators
 //!   combine into the whole-campaign result;
-//! * [`SpectrumStream`] — folds a linear trace stream through the
-//!   deterministic chunk tree (below), producing bit-for-bit the same
-//!   accumulator the sharded campaign executor produces at any worker
-//!   count.
+//! * the **chunk grid** — [`FOLD_CHUNK`]-trace leaves reduced by a
+//!   [`TreeReducer`], generic over any [`FoldState`]. This module is its
+//!   one owner: the campaign executor pushes its workers' leaves into a
+//!   (possibly observed) [`TreeReducer`], and [`ChunkFold`] walks the
+//!   same grid sequentially for cached stores, tests and benches, so
+//!   both produce the same bits at any worker count.
 //!
 //! # Determinism contract
 //!
@@ -45,8 +47,8 @@
 //!
 //! [`SumMode::Welford`] drops the exact sums for a cheaper fold
 //! (`BENCH_capture.json` measures the exact streaming fold at about
-//! 0.6× raw single-threaded capture throughput, the Welford fold at
-//! about 0.9×); its means agree with the batch path only to rounding
+//! 0.58× raw single-threaded capture throughput, the Welford fold at
+//! about 0.94×); its means agree with the batch path only to rounding
 //! error (observed ≤ 1e-12 relative on protocol-sized sets; the
 //! documented tolerance is 1e-9). See DESIGN.md §"Streaming spectral
 //! analysis".
@@ -54,31 +56,32 @@
 //! # Example
 //!
 //! ```
-//! use leakage_core::online::{SpectrumStream, SumMode};
+//! use leakage_core::online::{ChunkFold, SpectrumAccumulator, SumMode};
 //! use leakage_core::{ClassifiedTraces, LeakageSpectrum};
 //!
 //! let mut set = ClassifiedTraces::new(4, 2);
-//! let mut stream = SpectrumStream::new(4, 2, SumMode::Exact);
-//! for class in 0..4usize {
-//!     set.push(class, vec![1.0, class as f64]);
-//!     stream.fold(class, &[1.0, class as f64]);
+//! let mut fold = ChunkFold::new(SpectrumAccumulator::new(4, 2, SumMode::Exact));
+//! for class in 0..4u16 {
+//!     set.push(usize::from(class), vec![1.0, f64::from(class)]);
+//!     fold.fold(class, &[1.0, f64::from(class)]);
 //! }
 //! let batch = LeakageSpectrum::from_class_means(&set.class_means());
-//! let streamed = stream.finish().spectrum();
+//! let streamed = fold.finish().spectrum();
 //! assert_eq!(batch, streamed); // bit-identical in exact mode
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::stats::ExactSum;
 use crate::LeakageSpectrum;
 
 /// Chunk size (in schedule indices) of the deterministic merge tree.
 ///
-/// The campaign executor claims work in chunks of exactly this many
-/// schedule indices and folds each chunk into one accumulator leaf, so
-/// any sequential fold that uses the same chunking (e.g.
-/// [`SpectrumStream`]) reproduces the campaign's merge tree bit-for-bit.
+/// The campaign executor folds every run of this many consecutive
+/// schedule indices into one accumulator leaf, so any sequential fold
+/// over the same grid ([`ChunkFold`]) reproduces the campaign's merge
+/// tree bit-for-bit.
 pub const FOLD_CHUNK: usize = 16;
 
 /// How accumulators sum samples.
@@ -188,53 +191,6 @@ impl ClassAccumulator {
                 }
             }
         }
-    }
-
-    /// Fold a batch of traces in one pass, bit-identical to folding
-    /// each trace in order with [`fold`](Self::fold).
-    ///
-    /// The loops are interchanged relative to the sequential fold:
-    /// the sample index is the outer loop, so each per-sample state
-    /// (an [`ExactSum`] pair in exact mode, a mean/M2 pair in Welford
-    /// mode) stays hot across the whole batch instead of being
-    /// streamed through cache once per trace. Each per-sample state
-    /// still receives exactly the sequence of updates the sequential
-    /// fold would apply — trace order within a sample, with Welford's
-    /// divisor recomputed per trace — so the result is bitwise
-    /// identical, not merely close.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any trace length differs from `samples`.
-    pub fn fold_batch(&mut self, traces: &[&[f64]]) {
-        for trace in traces {
-            assert_eq!(trace.len(), self.samples, "trace length mismatch");
-        }
-        let before = self.count;
-        match &mut self.moments {
-            Moments::Welford { mean, m2 } => {
-                for (j, (m, s)) in mean.iter_mut().zip(m2.iter_mut()).enumerate() {
-                    for (k, trace) in traces.iter().enumerate() {
-                        // Same divisor sequence as the sequential fold.
-                        let n = (before + k as u64 + 1) as f64;
-                        let x = trace[j];
-                        let delta = x - *m;
-                        *m += delta / n;
-                        *s += delta * (x - *m);
-                    }
-                }
-            }
-            Moments::Exact { sum, sumsq } => {
-                for (j, (s, q)) in sum.iter_mut().zip(sumsq.iter_mut()).enumerate() {
-                    for trace in traces {
-                        let x = trace[j];
-                        s.add(x);
-                        q.add(x * x);
-                    }
-                }
-            }
-        }
-        self.count = before + traces.len() as u64;
     }
 
     /// Merge another accumulator into this one (Chan's parallel update
@@ -418,19 +374,6 @@ impl SpectrumAccumulator {
         self.classes[class].fold(trace);
     }
 
-    /// Fold a batch of traces of one class in a single cache-friendly
-    /// pass — bit-identical to folding each trace in order (see
-    /// [`ClassAccumulator::fold_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class is out of range or any trace has the wrong
-    /// length.
-    pub fn fold_batch(&mut self, class: usize, traces: &[&[f64]]) {
-        assert!(class < self.classes.len(), "class {class} out of range");
-        self.classes[class].fold_batch(traces);
-    }
-
     /// Merge another shard into this one in place; `self` is the
     /// earlier shard (merge order matters for bit-identity in Welford
     /// mode — see [`TreeReducer`]).
@@ -521,6 +464,42 @@ impl Merge for ClassAccumulator {
     }
 }
 
+/// Any per-run analysis state the chunk grid can accumulate: fold one
+/// labelled trace at a time, merge leaf states pairwise.
+///
+/// The spectral pipeline's [`SpectrumAccumulator`] is one
+/// implementation; the attack engine folds per-key-guess co-moment
+/// state through the same grid, and composite states fold both in a
+/// single pass over the traces. Every implementation inherits the
+/// grid's determinism contract: the same schedule folds to the same
+/// bits at any worker count (exactly, under an exact-summation state;
+/// via the fixed merge tree otherwise).
+pub trait FoldState: Merge + Send {
+    /// Fold one captured trace under its stimulus label.
+    fn fold(&mut self, label: u16, trace: &[f64]);
+
+    /// Depth of the merge tree this state roots (for reporting).
+    fn merge_depth(&self) -> usize {
+        0
+    }
+}
+
+impl FoldState for SpectrumAccumulator {
+    fn fold(&mut self, label: u16, trace: &[f64]) {
+        SpectrumAccumulator::fold(self, usize::from(label), trace);
+    }
+
+    fn merge_depth(&self) -> usize {
+        SpectrumAccumulator::merge_depth(self)
+    }
+}
+
+/// A callback that sees every leaf of a [`TreeReducer`] in sequence
+/// order, just before the leaf enters the tree. Used to track prefix
+/// trajectories — e.g. the attack engine's key rank as a function of
+/// traces seen — without a second pass.
+pub type ChunkObserver<'o, T> = &'o mut dyn FnMut(u64, &T);
+
 /// Deterministic pairwise reduction of a sequence of shard accumulators.
 ///
 /// Accumulators are pushed with their position in the chunk sequence
@@ -536,12 +515,12 @@ impl Merge for ClassAccumulator {
 /// [`SpectrumAccumulator`]s, the attack engine reduces its co-moment
 /// state, and joint (spectral + attack) folds reduce a composite — all
 /// through the same tree, so every streamed consumer inherits the same
-/// worker-count invariance.
+/// worker-count invariance. An optional [`ChunkObserver`]
+/// ([`observed`](Self::observed)) sees each leaf as it is consumed.
 ///
 /// Memory: `O(log n)` buffered subtrees plus at most
 /// (in-flight workers) buffered out-of-order leaves.
-#[derive(Debug)]
-pub struct TreeReducer<T = SpectrumAccumulator> {
+pub struct TreeReducer<'o, T = SpectrumAccumulator> {
     /// `levels[k]` holds a pending subtree of 2^k leaves, all earlier
     /// in sequence order than anything at levels < k.
     levels: Vec<Option<T>>,
@@ -549,22 +528,45 @@ pub struct TreeReducer<T = SpectrumAccumulator> {
     next: u64,
     /// Out-of-order leaves waiting for their turn.
     pending: BTreeMap<u64, T>,
+    /// Sees each leaf as the counter consumes it, in sequence order.
+    observer: Option<ChunkObserver<'o, T>>,
 }
 
-impl<T> Default for TreeReducer<T> {
+impl<T> Default for TreeReducer<'_, T> {
     fn default() -> Self {
         Self {
             levels: Vec::new(),
             next: 0,
             pending: BTreeMap::new(),
+            observer: None,
         }
     }
 }
 
-impl<T: Merge> TreeReducer<T> {
+impl<T: fmt::Debug> fmt::Debug for TreeReducer<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TreeReducer")
+            .field("levels", &self.levels)
+            .field("next", &self.next)
+            .field("pending", &self.pending)
+            .field("observed", &self.observer.is_some())
+            .finish()
+    }
+}
+
+impl<'o, T: Merge> TreeReducer<'o, T> {
     /// Empty reducer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty reducer whose `observer` (if any) sees every leaf in
+    /// sequence order, just before the leaf enters the tree.
+    pub fn observed(observer: Option<ChunkObserver<'o, T>>) -> Self {
+        Self {
+            observer,
+            ..Self::default()
+        }
     }
 
     /// Push the shard accumulator for chunk `seq` (0-based position in
@@ -579,6 +581,9 @@ impl<T: Merge> TreeReducer<T> {
         let prev = self.pending.insert(seq, acc);
         assert!(prev.is_none(), "chunk {seq} pushed twice");
         while let Some(acc) = self.pending.remove(&self.next) {
+            if let Some(observe) = self.observer.as_mut() {
+                observe(self.next, &acc);
+            }
             self.next += 1;
             self.carry(acc);
         }
@@ -645,132 +650,67 @@ impl<T: Merge> TreeReducer<T> {
     }
 }
 
-impl TreeReducer<SpectrumAccumulator> {
-    /// Number of `f64` values currently held across all buffered
-    /// subtrees and out-of-order leaves.
-    pub fn resident_floats(&self) -> usize {
-        self.resident_with(SpectrumAccumulator::resident_floats)
-    }
-}
-
-/// Sequential fold of a trace stream through the deterministic chunk
-/// tree: every [`FOLD_CHUNK`] consecutive folds become one leaf of a
-/// [`TreeReducer`]. Folding a schedule in order through this type yields
-/// bit-for-bit the accumulator the sharded campaign executor produces
-/// for the same schedule at any worker count.
-///
-/// Internally each leaf's traces are buffered and folded in one
-/// batched, loop-interchanged pass per class
-/// ([`ClassAccumulator::fold_batch`]) when the chunk boundary is
-/// reached. A class's traces reach its accumulator in arrival order and
-/// no other class touches that state, so the leaf — and everything
-/// reduced from it — is bitwise identical to the trace-at-a-time fold.
-/// The buffer holds at most one chunk of raw traces, so residency stays
-/// bounded; [`resident_floats`](Self::resident_floats) accounts for it.
+/// Sequential fold of a labelled trace stream through the chunk grid:
+/// every [`FOLD_CHUNK`] consecutive traces fold into one leaf, and the
+/// leaves reduce through a [`TreeReducer`] (optionally observed). A
+/// schedule folded in order through this type yields bit-for-bit the
+/// state the sharded campaign executor produces for it at any worker
+/// count — it is how cached stores, tests and benches walk the grid.
 #[derive(Debug)]
-pub struct SpectrumStream {
-    reducer: TreeReducer,
-    /// The current leaf's traces, in arrival order, waiting to be
-    /// batch-folded at the chunk boundary. Never exceeds `chunk` items.
-    buffer: Vec<(usize, Vec<f64>)>,
-    chunk: usize,
-    seq: u64,
-    folded: u64,
-    num_classes: usize,
-    samples: usize,
-    mode: SumMode,
+pub struct ChunkFold<'o, S> {
+    reducer: TreeReducer<'o, S>,
+    /// Empty state every new leaf starts from.
+    empty: S,
+    leaf: S,
+    in_leaf: usize,
 }
 
-impl SpectrumStream {
-    /// Stream with the campaign's chunk size ([`FOLD_CHUNK`]).
-    pub fn new(num_classes: usize, samples: usize, mode: SumMode) -> Self {
-        Self::with_chunk(num_classes, samples, mode, FOLD_CHUNK)
+impl<'o, S: FoldState + Clone> ChunkFold<'o, S> {
+    /// A fold whose leaves start from `empty`.
+    pub fn new(empty: S) -> Self {
+        Self::observed(empty, None)
     }
 
-    /// Stream with a custom chunk size (property tests exercise odd
-    /// sizes; production code should use [`new`](Self::new) so chunk
-    /// boundaries match the campaign executor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn with_chunk(num_classes: usize, samples: usize, mode: SumMode, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
+    /// A fold whose `observer` (if any) sees every leaf in order; see
+    /// [`TreeReducer::observed`].
+    pub fn observed(empty: S, observer: Option<ChunkObserver<'o, S>>) -> Self {
         Self {
-            reducer: TreeReducer::new(),
-            buffer: Vec::with_capacity(chunk),
-            chunk,
-            seq: 0,
-            folded: 0,
-            num_classes,
-            samples,
-            mode,
+            reducer: TreeReducer::observed(observer),
+            leaf: empty.clone(),
+            empty,
+            in_leaf: 0,
         }
     }
 
-    /// Fold one trace under its class label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class is out of range or the trace has the wrong
-    /// length (eagerly, even though the fold itself is deferred to the
-    /// chunk boundary).
-    pub fn fold(&mut self, class: usize, trace: &[f64]) {
-        assert!(class < self.num_classes, "class {class} out of range");
-        assert_eq!(trace.len(), self.samples, "trace length mismatch");
-        self.buffer.push((class, trace.to_vec()));
-        self.folded += 1;
-        if self.buffer.len() == self.chunk {
-            self.flush_leaf();
+    /// Fold one trace under its label.
+    pub fn fold(&mut self, label: u16, trace: &[f64]) {
+        self.leaf.fold(label, trace);
+        self.in_leaf += 1;
+        if self.in_leaf == FOLD_CHUNK {
+            self.push_leaf();
         }
     }
 
-    /// Batch-fold the buffered traces into a fresh leaf accumulator and
-    /// push it into the reduction tree.
-    fn flush_leaf(&mut self) {
-        let mut leaf = SpectrumAccumulator::new(self.num_classes, self.samples, self.mode);
-        let mut scratch: Vec<&[f64]> = Vec::with_capacity(self.buffer.len());
-        for class in 0..self.num_classes {
-            scratch.clear();
-            scratch.extend(
-                self.buffer
-                    .iter()
-                    .filter(|(c, _)| *c == class)
-                    .map(|(_, t)| t.as_slice()),
-            );
-            if !scratch.is_empty() {
-                leaf.fold_batch(class, &scratch);
-            }
+    fn push_leaf(&mut self) {
+        let leaf = std::mem::replace(&mut self.leaf, self.empty.clone());
+        self.reducer.push(self.reducer.consumed(), leaf);
+        self.in_leaf = 0;
+    }
+
+    /// Memory accounting over the partial leaf and the reducer's
+    /// buffered subtrees, with a caller-supplied per-state size.
+    pub fn resident_with<F: Fn(&S) -> usize>(&self, size: F) -> usize {
+        size(&self.leaf) + self.reducer.resident_with(size)
+    }
+
+    /// Close the fold: the trailing partial chunk (if any) becomes the
+    /// final leaf, and the reduction completes. Returns the empty state
+    /// if nothing was folded.
+    pub fn finish(mut self) -> S {
+        if self.in_leaf > 0 {
+            self.push_leaf();
         }
-        drop(scratch);
-        self.buffer.clear();
-        self.reducer.push(self.seq, leaf);
-        self.seq += 1;
-    }
-
-    /// Traces folded so far.
-    pub fn folded(&self) -> u64 {
-        self.folded
-    }
-
-    /// Number of `f64` values currently held (the partial leaf's
-    /// buffered traces plus the reducer's buffered subtrees) —
-    /// `O(chunk × samples + classes × samples × log chunks)`,
-    /// independent of trace count.
-    pub fn resident_floats(&self) -> usize {
-        self.buffer.iter().map(|(_, t)| t.len()).sum::<usize>() + self.reducer.resident_floats()
-    }
-
-    /// Close the stream: the trailing partial chunk (if any) becomes the
-    /// final leaf, and the reduction completes. Returns an empty
-    /// accumulator if nothing was folded.
-    pub fn finish(mut self) -> SpectrumAccumulator {
-        if !self.buffer.is_empty() {
-            self.flush_leaf();
-        }
-        self.reducer
-            .finish()
-            .unwrap_or_else(|| SpectrumAccumulator::new(self.num_classes, self.samples, self.mode))
+        self.reducer.finish().unwrap_or(self.empty)
     }
 }
 
@@ -807,6 +747,20 @@ mod tests {
             .collect()
     }
 
+    /// The traces folded in order through the chunk grid.
+    fn chunk_fold(
+        traces: &[(usize, Vec<f64>)],
+        classes: usize,
+        samples: usize,
+        mode: SumMode,
+    ) -> SpectrumAccumulator {
+        let mut fold = ChunkFold::new(SpectrumAccumulator::new(classes, samples, mode));
+        for (c, t) in traces {
+            fold.fold(*c as u16, t);
+        }
+        fold.finish()
+    }
+
     fn batch_spectrum(
         traces: &[(usize, Vec<f64>)],
         classes: usize,
@@ -823,11 +777,7 @@ mod tests {
     fn exact_stream_matches_batch_bitwise() {
         let traces = synth(0x5EED, 4, 6, 101);
         let batch = batch_spectrum(&traces, 4, 6);
-        let mut stream = SpectrumStream::new(4, 6, SumMode::Exact);
-        for (c, t) in &traces {
-            stream.fold(*c, t);
-        }
-        let acc = stream.finish();
+        let acc = chunk_fold(&traces, 4, 6, SumMode::Exact);
         assert_eq!(acc.len(), 101);
         assert_eq!(acc.spectrum(), batch);
     }
@@ -836,11 +786,7 @@ mod tests {
     fn welford_stream_matches_batch_within_tolerance() {
         let traces = synth(0xF00D, 4, 6, 101);
         let batch = batch_spectrum(&traces, 4, 6);
-        let mut stream = SpectrumStream::new(4, 6, SumMode::Welford);
-        for (c, t) in &traces {
-            stream.fold(*c, t);
-        }
-        let got = stream.finish().spectrum();
+        let got = chunk_fold(&traces, 4, 6, SumMode::Welford).spectrum();
         let scale = batch.total_leakage_power().abs().max(1.0);
         assert!((got.total_leakage_power() - batch.total_leakage_power()).abs() < 1e-9 * scale);
     }
@@ -919,15 +865,12 @@ mod tests {
     }
 
     #[test]
-    fn stream_reproduces_reducer_tree() {
-        // SpectrumStream must build the same tree as hand-chunked
-        // leaves pushed into a TreeReducer.
+    fn chunk_fold_reproduces_reducer_tree() {
+        // ChunkFold must build the same tree as hand-chunked leaves
+        // pushed into a TreeReducer.
         let traces = synth(0xBEEF, 4, 4, 5 * FOLD_CHUNK + 9);
         for mode in [SumMode::Welford, SumMode::Exact] {
-            let mut stream = SpectrumStream::new(4, 4, mode);
-            for (c, t) in &traces {
-                stream.fold(*c, t);
-            }
+            let folded = chunk_fold(&traces, 4, 4, mode);
             let mut reducer = TreeReducer::new();
             for (i, chunk) in traces.chunks(FOLD_CHUNK).enumerate() {
                 let mut leaf = SpectrumAccumulator::new(4, 4, mode);
@@ -936,64 +879,27 @@ mod tests {
                 }
                 reducer.push(i as u64, leaf);
             }
-            assert_eq!(stream.finish(), reducer.finish().unwrap());
+            assert_eq!(folded, reducer.finish().unwrap());
         }
-    }
-
-    #[test]
-    fn fold_batch_is_bit_identical_to_sequential_folds() {
-        // The loop-interchanged batch fold must leave the accumulator
-        // in exactly the state the trace-at-a-time fold produces —
-        // including the ExactSum partials (exact mode) and the rounding
-        // of every Welford divisor — even when the batch continues from
-        // a non-empty accumulator.
-        let traces = synth(0xABBA, 3, 7, 53);
-        let slices: Vec<&[f64]> = traces.iter().map(|(_, t)| t.as_slice()).collect();
-        for mode in [SumMode::Welford, SumMode::Exact] {
-            for split in [0usize, 1, 16, 52, 53] {
-                let mut sequential = ClassAccumulator::new(7, mode);
-                for s in &slices {
-                    sequential.fold(s);
-                }
-                let mut batched = ClassAccumulator::new(7, mode);
-                for s in &slices[..split] {
-                    batched.fold(s);
-                }
-                batched.fold_batch(&slices[split..]);
-                assert_eq!(batched, sequential, "{mode:?} split at {split}");
-            }
-        }
-        // Per-class dispatch through the spectrum accumulator.
-        let mut sequential = SpectrumAccumulator::new(3, 7, SumMode::Exact);
-        for (c, t) in &traces {
-            sequential.fold(*c, t);
-        }
-        let mut batched = SpectrumAccumulator::new(3, 7, SumMode::Exact);
-        for class in 0..3usize {
-            let of_class: Vec<&[f64]> = traces
-                .iter()
-                .filter(|(c, _)| *c == class)
-                .map(|(_, t)| t.as_slice())
-                .collect();
-            batched.fold_batch(class, &of_class);
-        }
-        assert_eq!(batched, sequential);
     }
 
     #[test]
     fn resident_floats_grow_logarithmically() {
         let samples = 4;
         let classes = 4;
-        let mut stream = SpectrumStream::new(classes, samples, SumMode::Welford);
+        let mut fold = ChunkFold::new(SpectrumAccumulator::new(classes, samples, SumMode::Welford));
+        let resident = |fold: &ChunkFold<'_, SpectrumAccumulator>| {
+            fold.resident_with(SpectrumAccumulator::resident_floats)
+        };
         let trace: Vec<f64> = (0..samples).map(|i| i as f64 * 0.25).collect();
         let mut small = 0;
         for i in 0..20_000usize {
-            stream.fold(i % classes, &trace);
+            fold.fold((i % classes) as u16, &trace);
             if i + 1 == 1_250 {
-                small = stream.resident_floats();
+                small = resident(&fold);
             }
         }
-        let large = stream.resident_floats();
+        let large = resident(&fold);
         // 16x the traces may add at most 4 counter levels: the resident
         // set is O(classes × samples × log chunks), not O(traces).
         assert!(small > 0);
@@ -1005,10 +911,44 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_finishes_to_empty_accumulator() {
-        let acc = SpectrumStream::new(4, 3, SumMode::Exact).finish();
+    fn empty_chunk_fold_finishes_to_empty_accumulator() {
+        let acc = ChunkFold::new(SpectrumAccumulator::new(4, 3, SumMode::Exact)).finish();
         assert!(acc.is_empty());
         assert_eq!(acc.class_means(), vec![vec![0.0; 3]; 4]);
+    }
+
+    #[test]
+    fn observer_sees_every_leaf_once_in_sequence_order() {
+        let traces = synth(0x0B5E, 4, 3, 4 * FOLD_CHUNK + 5);
+        let leaves: Vec<SpectrumAccumulator> = traces
+            .chunks(FOLD_CHUNK)
+            .map(|chunk| chunk_fold(chunk, 4, 3, SumMode::Welford))
+            .collect();
+        // Out-of-order arrival still reaches the observer in order.
+        let mut seen = Vec::new();
+        let mut observe = |seq: u64, leaf: &SpectrumAccumulator| seen.push((seq, leaf.len()));
+        let mut reducer = TreeReducer::observed(Some(&mut observe));
+        for i in [2usize, 0, 4, 3, 1] {
+            reducer.push(i as u64, leaves[i].clone());
+        }
+        assert!(format!("{reducer:?}").contains("observed: true"));
+        let reduced = reducer.finish().unwrap();
+        let want: Vec<(u64, u64)> = leaves
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (i as u64, l.len()))
+            .collect();
+        assert_eq!(seen, want);
+        // ChunkFold cuts the same leaves and shows them the same way.
+        let mut seen = Vec::new();
+        let mut observe = |seq: u64, leaf: &SpectrumAccumulator| seen.push((seq, leaf.len()));
+        let empty = SpectrumAccumulator::new(4, 3, SumMode::Welford);
+        let mut fold = ChunkFold::observed(empty, Some(&mut observe));
+        for (c, t) in &traces {
+            fold.fold(*c as u16, t);
+        }
+        assert_eq!(fold.finish(), reduced);
+        assert_eq!(seen, want);
     }
 
     #[test]

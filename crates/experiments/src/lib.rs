@@ -36,8 +36,9 @@
 //! A malformed value never fails silently: by default it warns on
 //! stderr, naming the bad value and the default used instead; with
 //! `SCA_STRICT=1` (used in CI) a malformed `SCA_WORKERS`, `SCA_RETRIES`,
-//! `SCA_CHECKPOINT`, `SCA_FAULTS`, `SCA_BACKEND`, or budget knob is a
-//! hard configuration error and the binary exits with status 2.
+//! `SCA_CHECKPOINT`, `SCA_FAULTS`, `SCA_CACHE`, `SCA_STREAM`,
+//! `SCA_BACKEND`, or budget knob is a hard configuration error and the
+//! binary exits with status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,45 +80,69 @@ where
     }
 }
 
-/// The cache mode named by `SCA_CACHE`, warning on values that are not
-/// `off` / `refresh` / `on` instead of silently defaulting.
-fn cache_mode_from_env() -> CacheMode {
-    match std::env::var("SCA_CACHE") {
-        Ok(v) => match v.as_str() {
-            "off" => CacheMode::Off,
-            "refresh" => CacheMode::WriteOnly,
-            "" | "on" => CacheMode::ReadWrite,
-            other => {
-                eprintln!(
-                    "warning: SCA_CACHE={other:?} is not one of off/refresh/on; \
-                     using default read-write"
-                );
-                CacheMode::ReadWrite
-            }
-        },
-        Err(_) => CacheMode::ReadWrite,
+/// The value of knob `name`, `None` when unset. The `*_from_value`
+/// parsers take it as an argument so their garbage paths are testable
+/// without mutating the (thread-shared) process environment.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// A set knob whose value is not one of `expected`: a typed
+/// [`CampaignError::Config`] when strict, otherwise a stderr warning
+/// naming the value and `default`, which is used instead.
+fn rejected<T>(
+    name: &str,
+    value: String,
+    strict: bool,
+    expected: &str,
+    (default, label): (T, &str),
+) -> Result<T, CampaignError> {
+    if strict {
+        return Err(CampaignError::Config {
+            name: name.to_string(),
+            value,
+        });
+    }
+    eprintln!("warning: {name}={value:?} is not one of {expected}; using default {label}");
+    Ok(default)
+}
+
+/// The cache mode named by `SCA_CACHE`: `off`, `refresh` (re-simulate
+/// but still persist), or `on` / empty / unset for read-write.
+fn cache_mode_from_value(value: Option<String>, strict: bool) -> Result<CacheMode, CampaignError> {
+    match value.as_deref().unwrap_or("") {
+        "off" => Ok(CacheMode::Off),
+        "refresh" => Ok(CacheMode::WriteOnly),
+        "" | "on" => Ok(CacheMode::ReadWrite),
+        _ => rejected(
+            "SCA_CACHE",
+            value.unwrap_or_default(),
+            strict,
+            "off/refresh/on",
+            (CacheMode::ReadWrite, "read-write"),
+        ),
     }
 }
 
 /// The streaming policy named by `SCA_STREAM`: `(streaming, mode)`.
 /// `off`/`0` (default) keeps the batch path; `on`/`1`/`exact` stream
 /// with the bit-identical exact fold; `welford` streams with the
-/// cheaper online fold. Anything else warns and defaults to off.
-fn stream_from_env() -> (bool, SumMode) {
-    match std::env::var("SCA_STREAM") {
-        Ok(v) => match v.as_str() {
-            "" | "0" | "off" => (false, SumMode::Exact),
-            "1" | "on" | "exact" => (true, SumMode::Exact),
-            "welford" => (true, SumMode::Welford),
-            other => {
-                eprintln!(
-                    "warning: SCA_STREAM={other:?} is not one of off/on/exact/welford; \
-                     using default off"
-                );
-                (false, SumMode::Exact)
-            }
-        },
-        Err(_) => (false, SumMode::Exact),
+/// cheaper online fold.
+fn stream_from_value(
+    value: Option<String>,
+    strict: bool,
+) -> Result<(bool, SumMode), CampaignError> {
+    match value.as_deref().unwrap_or("") {
+        "" | "0" | "off" => Ok((false, SumMode::Exact)),
+        "1" | "on" | "exact" => Ok((true, SumMode::Exact)),
+        "welford" => Ok((true, SumMode::Welford)),
+        _ => rejected(
+            "SCA_STREAM",
+            value.unwrap_or_default(),
+            strict,
+            "off/on/exact/welford",
+            ((false, SumMode::Exact), "off"),
+        ),
     }
 }
 
@@ -125,35 +150,15 @@ fn stream_from_env() -> (bool, SumMode) {
 /// event-driven reference engine, `bitsliced` the levelized batch
 /// engine (bit-identical traces; unsupported netlists degrade to
 /// event-driven with a recorded warning), `auto` picks bit-sliced when
-/// supported and falls back silently. Empty/unset is the default;
-/// anything else warns (or, strict, is a typed configuration error).
-fn backend_from_env(strict: bool) -> Result<Backend, CampaignError> {
-    backend_from_value(std::env::var("SCA_BACKEND").ok(), strict)
-}
-
-/// Parsing core of [`backend_from_env`], split out so the garbage path
-/// is testable without mutating the (thread-shared) environment.
+/// supported and falls back silently. Empty/unset is the default.
 fn backend_from_value(value: Option<String>, strict: bool) -> Result<Backend, CampaignError> {
-    let Some(v) = value else {
+    let Some(v) = value.filter(|v| !v.is_empty()) else {
         return Ok(Backend::Event);
     };
-    if v.is_empty() {
-        return Ok(Backend::Event);
-    }
-    match v.parse() {
-        Ok(backend) => Ok(backend),
-        Err(()) if strict => Err(CampaignError::Config {
-            name: "SCA_BACKEND".to_string(),
-            value: v,
-        }),
-        Err(()) => {
-            eprintln!(
-                "warning: SCA_BACKEND={v:?} is not one of event/bitsliced/auto; \
-                 using default event"
-            );
-            Ok(Backend::Event)
-        }
-    }
+    v.parse().or_else(|()| {
+        let default = (Backend::Event, "event");
+        rejected("SCA_BACKEND", v, strict, "event/bitsliced/auto", default)
+    })
 }
 
 /// Whether `SCA_STRICT=1` (or `on`/`true`) is set: malformed
@@ -218,11 +223,12 @@ fn capture_timeout_from_env(strict: bool) -> Result<Option<Duration>, CampaignEr
 }
 
 /// Strict counterpart of [`campaign_config`]: any malformed
-/// `SCA_WORKERS`, `SCA_RETRIES`, `SCA_CHECKPOINT`, `SCA_FAULTS`, or
-/// budget knob is returned as a [`CampaignError::Config`] instead of a
-/// stderr warning plus default.
+/// `SCA_WORKERS`, `SCA_RETRIES`, `SCA_CHECKPOINT`, `SCA_FAULTS`,
+/// `SCA_CACHE`, `SCA_STREAM`, `SCA_BACKEND`, or budget knob is returned
+/// as a [`CampaignError::Config`] instead of a stderr warning plus
+/// default.
 pub fn try_campaign_config(protocol: ProtocolConfig) -> Result<CampaignConfig, CampaignError> {
-    let (streaming, stream_mode) = stream_from_env();
+    let (streaming, stream_mode) = stream_from_value(env_value("SCA_STREAM"), true)?;
     let faults = FaultPlan::try_from_env().map_err(|(value, reason)| {
         eprintln!("error: SCA_FAULTS={value:?}: {reason}");
         CampaignError::Config {
@@ -233,7 +239,7 @@ pub fn try_campaign_config(protocol: ProtocolConfig) -> Result<CampaignConfig, C
     Ok(CampaignConfig {
         protocol,
         workers: try_env_parsed("SCA_WORKERS", 0usize)?,
-        cache: cache_mode_from_env(),
+        cache: cache_mode_from_value(env_value("SCA_CACHE"), true)?,
         max_retries: try_env_parsed("SCA_RETRIES", 2u32)?,
         checkpoint_every: try_env_parsed("SCA_CHECKPOINT", 64usize)?,
         streaming,
@@ -241,7 +247,7 @@ pub fn try_campaign_config(protocol: ProtocolConfig) -> Result<CampaignConfig, C
         faults,
         budget: budget_from_env(true)?,
         capture_timeout: capture_timeout_from_env(true)?,
-        backend: backend_from_env(true)?,
+        backend: backend_from_value(env_value("SCA_BACKEND"), true)?,
         ..CampaignConfig::default()
     })
 }
@@ -268,21 +274,22 @@ pub fn campaign_config(protocol: ProtocolConfig) -> CampaignConfig {
             }
         }
     }
-    let (streaming, stream_mode) = stream_from_env();
-    let budget = budget_from_env(false).expect("lenient budget parsing cannot fail");
-    let capture_timeout =
-        capture_timeout_from_env(false).expect("lenient watchdog parsing cannot fail");
+    const LENIENT: &str = "lenient knob parsing cannot fail";
+    let (streaming, stream_mode) =
+        stream_from_value(env_value("SCA_STREAM"), false).expect(LENIENT);
+    let budget = budget_from_env(false).expect(LENIENT);
+    let capture_timeout = capture_timeout_from_env(false).expect(LENIENT);
     CampaignConfig {
         protocol,
         workers: env_parsed("SCA_WORKERS", 0usize),
-        cache: cache_mode_from_env(),
+        cache: cache_mode_from_value(env_value("SCA_CACHE"), false).expect(LENIENT),
         max_retries: env_parsed("SCA_RETRIES", 2u32),
         checkpoint_every: env_parsed("SCA_CHECKPOINT", 64usize),
         streaming,
         stream_mode,
         budget,
         capture_timeout,
-        backend: backend_from_env(false).expect("lenient backend parsing cannot fail"),
+        backend: backend_from_value(env_value("SCA_BACKEND"), false).expect(LENIENT),
         ..CampaignConfig::default()
     }
 }
@@ -436,15 +443,37 @@ mod tests {
     }
 
     #[test]
-    fn stream_env_selects_mode_and_defaults_off() {
-        assert_eq!(stream_from_env(), (false, SumMode::Exact));
-        std::env::set_var("SCA_STREAM", "exact");
-        assert_eq!(stream_from_env(), (true, SumMode::Exact));
-        std::env::set_var("SCA_STREAM", "welford");
-        assert_eq!(stream_from_env(), (true, SumMode::Welford));
-        std::env::set_var("SCA_STREAM", "banana");
-        assert_eq!(stream_from_env(), (false, SumMode::Exact));
-        std::env::remove_var("SCA_STREAM");
+    fn cache_and_stream_knobs_parse_and_reject_garbage_when_strict() {
+        // Values go in directly: a garbage SCA_CACHE or SCA_STREAM in the
+        // shared process environment would race the strict
+        // try_campaign_config calls of other tests.
+        let v = |s: Option<&str>| s.map(String::from);
+        for strict in [false, true] {
+            let cache = |s| cache_mode_from_value(v(s), strict).expect("valid");
+            assert_eq!(cache(None), CacheMode::ReadWrite);
+            assert_eq!(cache(Some("")), CacheMode::ReadWrite);
+            assert_eq!(cache(Some("on")), CacheMode::ReadWrite);
+            assert_eq!(cache(Some("off")), CacheMode::Off);
+            assert_eq!(cache(Some("refresh")), CacheMode::WriteOnly);
+            let stream = |s| stream_from_value(v(s), strict).expect("valid");
+            assert_eq!(stream(None), (false, SumMode::Exact));
+            assert_eq!(stream(Some("")), (false, SumMode::Exact));
+            assert_eq!(stream(Some("off")), (false, SumMode::Exact));
+            assert_eq!(stream(Some("exact")), (true, SumMode::Exact));
+            assert_eq!(stream(Some("1")), (true, SumMode::Exact));
+            assert_eq!(stream(Some("welford")), (true, SumMode::Welford));
+        }
+        // Lenient: warn and default; strict: typed error naming the knob.
+        let bad_cache = cache_mode_from_value(v(Some("refrsh")), false);
+        assert_eq!(bad_cache.expect("lenient"), CacheMode::ReadWrite);
+        let bad_stream = stream_from_value(v(Some("banana")), false);
+        assert_eq!(bad_stream.expect("lenient"), (false, SumMode::Exact));
+        let err = cache_mode_from_value(v(Some("refrsh")), true).expect_err("strict");
+        assert!(matches!(err, CampaignError::Config { ref name, ref value }
+            if name == "SCA_CACHE" && value == "refrsh"));
+        let err = stream_from_value(v(Some("banana")), true).expect_err("strict");
+        assert!(matches!(err, CampaignError::Config { ref name, ref value }
+            if name == "SCA_STREAM" && value == "banana"));
     }
 
     #[test]

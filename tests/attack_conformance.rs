@@ -9,8 +9,8 @@
 //! comparison failure is a *bitwise* regression — no tolerance.
 //!
 //! Three independent pipelines must reproduce every fixture exactly:
-//! the batch fold ([`attack_batch`]), the sequential chunk-tree stream
-//! ([`AttackStream`]), and the campaign's sharded streaming attack at
+//! the batch fold ([`attack_batch`]), the sequential chunk-tree fold
+//! ([`ChunkFold`]), and the campaign's sharded streaming attack at
 //! 1, 2, and 8 workers (the acceptance bar for the attack engine's
 //! merge invariance).
 //!
@@ -27,8 +27,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sbox_leakage::acquisition::{acquire_cpa, ProtocolConfig};
-use sbox_leakage::analysis::SumMode;
-use sbox_leakage::attacks::{attack_batch, AttackStream, CpaResult, Distinguisher, LeakageModel};
+use sbox_leakage::analysis::{ChunkFold, SumMode};
+use sbox_leakage::attacks::{
+    attack_batch, AttackAccumulator, CpaResult, Distinguisher, LeakageModel,
+};
 use sbox_leakage::campaign::{AttackPlan, CacheMode, Campaign, CampaignConfig};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 
@@ -168,11 +170,12 @@ fn attack_stream_matches_golden_vectors() {
         let results: Vec<(Distinguisher, CpaResult)> = distinguishers()
             .into_iter()
             .map(|d| {
-                let mut stream = AttackStream::new(d, protocol().sampling.samples, SumMode::Exact);
+                let samples = protocol().sampling.samples;
+                let mut fold = ChunkFold::new(AttackAccumulator::new(d, samples, SumMode::Exact));
                 for (&p, t) in data.plaintexts.iter().zip(&data.traces) {
-                    stream.fold(p, t);
+                    fold.fold(u16::from(p), t);
                 }
-                (d, stream.finish().scores())
+                (d, fold.finish().scores())
             })
             .collect();
         let text = render(scheme, &results);

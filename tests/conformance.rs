@@ -12,7 +12,7 @@
 //! Three independent pipelines must reproduce every fixture exactly:
 //! the batch analysis (`acquire` + `from_class_means`), the streaming
 //! fold (`acquire`'s traces folded one at a time, in acquisition order,
-//! through an exact-mode `SpectrumStream`), and the campaign's sharded
+//! through the exact-mode chunk grid, `ChunkFold`), and the campaign's sharded
 //! executor fold at 1, 2, and 8 workers (whose shard accumulators merge
 //! in a deterministic tree).
 //!
@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sbox_leakage::acquisition::{self, classified_schedule, ProtocolConfig, NUM_CLASSES};
-use sbox_leakage::analysis::{LeakageSpectrum, SpectrumStream, SumMode};
+use sbox_leakage::analysis::{ChunkFold, LeakageSpectrum, SumMode};
 use sbox_leakage::campaign::{
     fold_schedule_into, ExecPolicy, FaultPlan, ResumeState, SpectrumAccumulator,
 };
@@ -174,12 +174,13 @@ fn streaming_fold_matches_golden_vectors() {
     for scheme in Scheme::ALL {
         let circuit = SboxCircuit::build(scheme);
         let traces = acquisition::acquire(&circuit, &protocol);
-        let mut stream =
-            SpectrumStream::new(NUM_CLASSES, protocol.sampling.samples, SumMode::Exact);
+        let empty =
+            SpectrumAccumulator::new(NUM_CLASSES, protocol.sampling.samples, SumMode::Exact);
+        let mut fold = ChunkFold::new(empty);
         for (class, trace) in traces.iter() {
-            stream.fold(class, trace);
+            fold.fold(class as u16, trace);
         }
-        let acc = stream.finish();
+        let acc = fold.finish();
         let text = render(scheme, &protocol, &acc.class_means());
         assert_same(&text, &expected_text(scheme), "streaming fold", scheme);
     }

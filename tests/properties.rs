@@ -7,9 +7,10 @@
 //! workspace's own `rand`. Failures print the iteration seed so a case
 //! can be replayed by hand.
 
+use leakage_core::online::TreeReducer;
 use leakage_core::{
-    spectrum_of, ClassAccumulator, ClassifiedTraces, LeakageSpectrum, SpectrumAccumulator,
-    SpectrumStream, SumMode,
+    spectrum_of, ChunkFold, ClassAccumulator, ClassifiedTraces, LeakageSpectrum,
+    SpectrumAccumulator, SumMode,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -223,11 +224,11 @@ fn streaming_equals_batch_on_random_sets() {
         }
         let batch_spectrum = LeakageSpectrum::from_class_means(&batch.class_means());
 
-        let mut stream = SpectrumStream::new(16, samples, SumMode::Exact);
+        let mut fold = ChunkFold::new(SpectrumAccumulator::new(16, samples, SumMode::Exact));
         for (class, t) in &set {
-            stream.fold(*class, t);
+            fold.fold(*class as u16, t);
         }
-        let exact = stream.finish();
+        let exact = fold.finish();
         assert_eq!(exact.class_means(), batch.class_means(), "case {case}");
         assert_eq!(exact.spectrum(), batch_spectrum, "case {case}");
 
@@ -292,11 +293,12 @@ fn exact_fold_is_invariant_under_tree_shape() {
         let set = random_labelled_traces(&mut rng, 16, samples, n);
         let reference = accumulate(&set, 16, samples, SumMode::Exact);
         for chunk in [1usize, 3, 16, 64, 1024] {
-            let mut stream = SpectrumStream::with_chunk(16, samples, SumMode::Exact, chunk);
-            for (class, t) in &set {
-                stream.fold(*class, t);
+            // Hand-cut leaves of `chunk` traces, reduced by the grid's tree.
+            let mut reducer = TreeReducer::new();
+            for (seq, leaf) in set.chunks(chunk).enumerate() {
+                reducer.push(seq as u64, accumulate(leaf, 16, samples, SumMode::Exact));
             }
-            let acc = stream.finish();
+            let acc = reducer.finish().expect("at least one leaf");
             assert_eq!(
                 acc.class_means(),
                 reference.class_means(),

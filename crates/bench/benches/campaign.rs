@@ -49,7 +49,7 @@ fn bench_workers(c: &mut Criterion) {
             |b, &workers| {
                 b.iter(|| {
                     let mut campaign = campaign_in(&dir, workers, CacheMode::Off);
-                    campaign.acquire(Scheme::Isw)
+                    campaign.acquire_aged(Scheme::Isw, 0.0)
                 })
             },
         );
@@ -63,7 +63,7 @@ fn bench_workers(c: &mut Criterion) {
 fn bench_warm_cache(c: &mut Criterion) {
     let traces = small_protocol().traces_per_class as u64 * 16;
     let dir = scratch("warm");
-    campaign_in(&dir, 1, CacheMode::ReadWrite).acquire(Scheme::Isw);
+    campaign_in(&dir, 1, CacheMode::ReadWrite).acquire_aged(Scheme::Isw, 0.0);
 
     let mut group = c.benchmark_group("campaign/acquire_warm");
     group.sample_size(10);
@@ -71,7 +71,7 @@ fn bench_warm_cache(c: &mut Criterion) {
     group.bench_function("store_hit", |b| {
         b.iter(|| {
             let mut campaign = campaign_in(&dir, 1, CacheMode::ReadWrite);
-            let outcome = campaign.acquire(Scheme::Isw);
+            let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
             assert!(outcome.cache_hit);
             outcome
         })
@@ -105,7 +105,7 @@ fn bench_fault_recovery(c: &mut Criterion) {
                     faults: faults.clone(),
                     ..CampaignConfig::default()
                 });
-                campaign.acquire(Scheme::Isw)
+                campaign.acquire_aged(Scheme::Isw, 0.0)
             })
         });
         let _ = std::fs::remove_dir_all(&dir);

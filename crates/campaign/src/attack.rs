@@ -34,14 +34,13 @@
 
 use std::collections::BTreeMap;
 
-use acquisition::{cpa_schedule, cpa_seed, trace_seed, ProtocolConfig, NUM_CLASSES};
-use gatesim::Simulator;
-use leakage_core::online::{ChunkFold, FoldState, Merge, SpectrumAccumulator, SumMode};
-use sbox_circuits::{SboxCircuit, Scheme};
+use acquisition::{trace_seed, NUM_CLASSES};
+use leakage_core::online::{FoldState, Merge, SpectrumAccumulator, SumMode};
+use sbox_circuits::Scheme;
 use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
-use crate::store::StoreKind;
-use crate::{config_digest, Campaign, CampaignKey, StageTimer};
+use crate::cell::Device;
+use crate::{Campaign, Subject};
 
 /// Joint streaming state of one attack trial: every requested
 /// distinguisher's per-guess co-moment accumulator plus the spectral
@@ -73,27 +72,15 @@ impl JointState {
     pub fn spectrum(&self) -> &SpectrumAccumulator {
         &self.spectrum
     }
+}
 
-    /// Traces folded so far.
-    pub fn count(&self) -> u64 {
-        self.attacks
-            .first()
-            .map_or_else(|| self.spectrum.len(), |a| a.count())
-    }
-
-    /// Merge a later shard into this one in place.
-    fn merge_from(&mut self, later: &JointState) {
+impl Merge for JointState {
+    fn merge(mut self, later: Self) -> Self {
         self.spectrum.merge_from(&later.spectrum);
         assert_eq!(self.attacks.len(), later.attacks.len(), "plan mismatch");
         for (a, b) in self.attacks.iter_mut().zip(&later.attacks) {
             a.merge_from(b);
         }
-    }
-}
-
-impl Merge for JointState {
-    fn merge(mut self, later: Self) -> Self {
-        self.merge_from(&later);
         self
     }
 }
@@ -229,32 +216,32 @@ struct NPoint {
 }
 
 impl Campaign {
-    /// Attack a fresh device (see [`Campaign::attack_aged`]).
-    pub fn attack(&mut self, scheme: Scheme, plan: &AttackPlan) -> AttackOutcome {
-        self.attack_aged(scheme, 0.0, plan)
-    }
-
-    /// Run `plan` against `scheme` at a device age, streaming every
-    /// trial through the sharded executor.
+    /// Run `plan` against `subject` at a device age in months (0.0 =
+    /// fresh), streaming every trial through the sharded executor.
     ///
     /// Each trial is one campaign cell: looked up in the trace store
     /// (a hit folds the stored records without simulating), resumed
     /// from its `SCKP` checkpoint when one exists, executed across the
     /// configured workers otherwise, and reported to the run log
-    /// either way. Aging uses the same workload-derived derating as
-    /// the spectral acquisitions, so attack difficulty and leakage
+    /// either way. The circuit is built and derated once, on the first
+    /// trial that misses. Aging uses the same workload-derived derating
+    /// as the spectral acquisitions, so attack difficulty and leakage
     /// metrics describe the same device.
     ///
     /// # Panics
     ///
     /// Panics if the plan is inconsistent (key ≥ 16, empty budget or
     /// distinguisher list, threshold outside `(0, 1]`).
-    pub fn attack_aged(&mut self, scheme: Scheme, months: f64, plan: &AttackPlan) -> AttackOutcome {
+    pub fn attack_aged<'a>(
+        &mut self,
+        subject: impl Into<Subject<'a>>,
+        months: f64,
+        plan: &AttackPlan,
+    ) -> AttackOutcome {
         plan.validate();
+        let subject = subject.into();
         let samples = self.config.protocol.sampling.samples;
-        let circuit = SboxCircuit::build(scheme);
-        let derating = self.derating(&circuit, months);
-        let sim = Simulator::with_derating(circuit.netlist(), &self.config.protocol.sim, &derating);
+        let mut device = Device::new(subject, months);
 
         let num_d = plan.distinguishers.len();
         let mut per_n: Vec<BTreeMap<usize, NPoint>> = vec![BTreeMap::new(); num_d];
@@ -263,9 +250,15 @@ impl Campaign {
         let mut tlp_sum = 0.0f64;
 
         for trial in 0..plan.trials {
-            let mut timer = StageTimer::new();
-            let trial_protocol = self.trial_protocol(trial);
-            let cell = self.attack_key(scheme, months, &trial_protocol, plan);
+            // Trial 0 keeps the protocol seed (its schedule — and so its
+            // store cell — matches `acquire_cpa`); later trials derive an
+            // independent schedule seed.
+            let base = self.config.protocol.seed;
+            let seed = match trial {
+                0 => base,
+                _ => trace_seed(base, 0xA77A_C000 | trial as u64),
+            };
+            let cell = self.key(&subject, months, seed, plan.traces, Some(plan.key));
             let make = || JointState::new(&plan.distinguishers, samples, plan.mode);
 
             // The chunk grid's in-order observer keeps a running merge
@@ -293,46 +286,16 @@ impl Campaign {
                     trajectory.insert(n, ranks);
                 }
             };
+            let (state, hit) = self.cell(
+                &cell,
+                &mut device,
+                &make,
+                Some(&mut observer),
+                false,
+                |capture| (capture.state, capture.cache_hit),
+            );
 
-            let state = 'trial: {
-                if let Some(reader) = self.lookup(&cell, &mut timer) {
-                    // The stored records walk the executor's chunk grid,
-                    // so a hit reproduces the miss's trajectory and bits.
-                    let mut fold = ChunkFold::observed(make(), Some(&mut observer));
-                    match reader.for_each_record(|label, samples| fold.fold(label, samples)) {
-                        Ok(_) => {
-                            let state = fold.finish();
-                            timer.stage("analyze");
-                            let folded = state.count() as usize;
-                            let depth = FoldState::merge_depth(&state);
-                            self.push_hit_report(&cell, folded, timer, true, 1, depth);
-                            cache_hits += 1;
-                            break 'trial state;
-                        }
-                        Err(e) => eprintln!(
-                            "campaign cache: {} failed mid-read ({e}); re-acquiring",
-                            self.cache.path_for(&cell).display()
-                        ),
-                    }
-                }
-
-                timer.stage("acquire");
-                let schedule = cpa_schedule(&circuit, &trial_protocol, plan.key, plan.traces);
-                let seed = cpa_seed(&trial_protocol);
-                let (state, exec) = self.execute(
-                    &cell,
-                    &sim,
-                    &schedule,
-                    seed,
-                    &make,
-                    Some(&mut observer),
-                    None,
-                );
-                timer.stage("analyze");
-                self.push_exec_report(&cell, &exec, timer, true, 0);
-                state
-            };
-
+            cache_hits += usize::from(hit);
             for (d, acc) in state.attacks().iter().enumerate() {
                 final_scores[d].push(acc.scores());
             }
@@ -354,19 +317,14 @@ impl Campaign {
             .map(|(d, &distinguisher)| {
                 // Curves only over budgets every trial reached, so the
                 // denominator is the full trial count throughout.
-                let complete: Vec<(usize, NPoint)> = per_n[d]
+                let (success_rate, guessing_entropy): (Vec<_>, Vec<_>) = per_n[d]
                     .iter()
                     .filter(|(_, p)| p.trials == plan.trials)
-                    .map(|(&n, &p)| (n, p))
-                    .collect();
-                let success_rate: Vec<(usize, f64)> = complete
-                    .iter()
-                    .map(|&(n, p)| (n, p.hits as f64 / p.trials as f64))
-                    .collect();
-                let guessing_entropy = complete
-                    .iter()
-                    .map(|&(n, p)| (n, p.rank_sum as f64 / p.trials as f64))
-                    .collect();
+                    .map(|(&n, p)| {
+                        let trials = p.trials as f64;
+                        ((n, p.hits as f64 / trials), (n, p.rank_sum as f64 / trials))
+                    })
+                    .unzip();
                 let mtd = sca_attacks::measurements_to_disclosure(&success_rate, plan.sr_threshold);
                 let scores = std::mem::take(&mut final_scores[d]);
                 let trials_recovered = scores.iter().filter(|s| s.key_rank(plan.key) == 0).count();
@@ -384,7 +342,7 @@ impl Campaign {
             .collect();
 
         AttackOutcome {
-            scheme,
+            scheme: subject.scheme(),
             age_months: months,
             key: plan.key,
             traces_per_trial: plan.traces,
@@ -392,50 +350,6 @@ impl Campaign {
             reports,
             cache_hits,
             mean_total_leakage_power: tlp_sum / plan.trials as f64,
-        }
-    }
-
-    /// The aging sweep of one attack: [`Campaign::attack_aged`] per
-    /// age, each cell independently cached and checkpointed.
-    pub fn attack_sweep(
-        &mut self,
-        scheme: Scheme,
-        ages_months: &[f64],
-        plan: &AttackPlan,
-    ) -> Vec<AttackOutcome> {
-        ages_months
-            .iter()
-            .map(|&months| self.attack_aged(scheme, months, plan))
-            .collect()
-    }
-
-    /// Trial 0 keeps the protocol verbatim (its schedule — and
-    /// therefore its store cell — matches [`Campaign::acquire_cpa`]);
-    /// later trials derive an independent schedule seed.
-    fn trial_protocol(&self, trial: usize) -> ProtocolConfig {
-        let mut protocol = self.config.protocol.clone();
-        if trial > 0 {
-            protocol.seed = trace_seed(protocol.seed, 0xA77A_C000 | trial as u64);
-        }
-        protocol
-    }
-
-    fn attack_key(
-        &self,
-        scheme: Scheme,
-        months: f64,
-        trial_protocol: &ProtocolConfig,
-        plan: &AttackPlan,
-    ) -> CampaignKey {
-        CampaignKey {
-            kind: StoreKind::Cpa,
-            implementation: scheme.label().to_string(),
-            seed: trial_protocol.seed,
-            traces: plan.traces as u32,
-            samples: self.config.protocol.sampling.samples as u32,
-            age_months: months,
-            class_or_key: u16::from(plan.key),
-            config_digest: config_digest(trial_protocol, &self.config.conditions),
         }
     }
 }
@@ -490,9 +404,10 @@ mod tests {
     fn streamed_attack_is_bit_identical_at_any_worker_count() {
         let dir = tmp_dir("workers");
         let plan = small_plan();
-        let reference = campaign(&dir, CacheMode::Off, 1).attack(Scheme::Lut, &plan);
+        let reference = campaign(&dir, CacheMode::Off, 1).attack_aged(Scheme::Lut, 0.0, &plan);
         for workers in [2, 8] {
-            let outcome = campaign(&dir, CacheMode::Off, workers).attack(Scheme::Lut, &plan);
+            let outcome =
+                campaign(&dir, CacheMode::Off, workers).attack_aged(Scheme::Lut, 0.0, &plan);
             for (a, b) in reference.reports.iter().zip(&outcome.reports) {
                 assert_eq!(a.success_rate, b.success_rate, "workers = {workers}");
                 for (ra, rb) in a.final_scores.iter().zip(&b.final_scores) {
@@ -521,7 +436,7 @@ mod tests {
             ..small_plan()
         };
         let batch = c.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
-        let outcome = c.attack(Scheme::Lut, &plan);
+        let outcome = c.attack_aged(Scheme::Lut, 0.0, &plan);
         assert_eq!(outcome.cache_hits, 1, "must fold the stored cell");
         let want =
             sca_attacks::attack_batch(&batch.plaintexts, &batch.traces, plan.distinguishers[0])
@@ -599,10 +514,10 @@ mod tests {
                     ..small_plan()
                 };
                 let mut miss = campaign(&dir, CacheMode::Off, workers);
-                let want = miss.attack(Scheme::Lut, &plan);
+                let want = miss.attack_aged(Scheme::Lut, 0.0, &plan);
                 let mut hit = campaign(&dir, CacheMode::ReadWrite, workers);
                 hit.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
-                let got = hit.attack(Scheme::Lut, &plan);
+                let got = hit.attack_aged(Scheme::Lut, 0.0, &plan);
                 assert_eq!((want.cache_hits, got.cache_hits), (0, 1), "{what}");
                 assert_same_reports(&want, &got, &what);
                 let miss_report = miss.log().reports().last().unwrap();
@@ -627,7 +542,7 @@ mod tests {
             traces: 72,
             ..small_plan()
         };
-        let want = campaign(&dir, CacheMode::Off, 2).attack(Scheme::Lut, &plan);
+        let want = campaign(&dir, CacheMode::Off, 2).attack_aged(Scheme::Lut, 0.0, &plan);
         let mut c = campaign(&dir, CacheMode::ReadWrite, 2);
         c.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
         // Flip a sample byte of record 52, after three full leaves.
@@ -641,7 +556,7 @@ mod tests {
         let at = bytes.len() - 8 - 20 * record + 10;
         bytes[at] ^= 0x40;
         std::fs::write(&path, bytes).unwrap();
-        let got = c.attack(Scheme::Lut, &plan);
+        let got = c.attack_aged(Scheme::Lut, 0.0, &plan);
         assert_eq!(got.cache_hits, 0, "the damaged store cannot serve");
         assert_same_reports(&want, &got, "re-acquired after a failed read");
         let _ = std::fs::remove_dir_all(&dir);
@@ -656,7 +571,7 @@ mod tests {
             trials: 2,
             ..small_plan()
         };
-        let outcome = campaign(&dir, CacheMode::Off, 2).attack(Scheme::Lut, &plan);
+        let outcome = campaign(&dir, CacheMode::Off, 2).attack_aged(Scheme::Lut, 0.0, &plan);
         // MLPA is the strongest distinguisher against the real LUT
         // netlist (the single-model CPAs stop a rank or two short).
         let report = outcome.report(Distinguisher::Mlpa).expect("in plan");
@@ -680,8 +595,7 @@ mod tests {
             traces: 32,
             ..small_plan()
         };
-        let sweep = c.attack_sweep(Scheme::Lut, &[0.0, 24.0], &plan);
-        assert_eq!(sweep.len(), 2);
+        let sweep = [0.0, 24.0].map(|months| c.attack_aged(Scheme::Lut, months, &plan));
         assert_eq!(sweep[0].age_months, 0.0);
         assert_eq!(sweep[1].age_months, 24.0);
         let fresh = sweep[0].mean_total_leakage_power;
@@ -704,6 +618,6 @@ mod tests {
             distinguishers: Vec::new(),
             ..AttackPlan::default()
         };
-        campaign(&dir, CacheMode::Off, 1).attack(Scheme::Lut, &plan);
+        campaign(&dir, CacheMode::Off, 1).attack_aged(Scheme::Lut, 0.0, &plan);
     }
 }

@@ -183,34 +183,23 @@ impl TraceCache {
     }
 
     /// Open the store for `key` if it exists and its header matches the
-    /// key exactly. Corrupt or mismatched stores degrade to `None` (the
-    /// caller re-acquires and overwrites).
-    pub fn lookup(&self, key: &CampaignKey) -> Option<StoreReader> {
-        if !self.reads_enabled() {
-            return None;
-        }
+    /// key exactly. `Err(None)` is a plain miss: reads are off, or there
+    /// is no store. `Err(Some(reason))` is a store that exists but cannot
+    /// serve — unreadable, or written for another key — and the reason
+    /// names its path. Either way the caller re-acquires and overwrites.
+    pub fn lookup(&self, key: &CampaignKey) -> Result<StoreReader, Option<String>> {
         let path = self.path_for(key);
-        if !path.exists() {
-            return None;
+        if !self.reads_enabled() || !path.exists() {
+            return Err(None);
         }
         match StoreReader::open(&path) {
-            Ok(reader) if *reader.meta() == key.expected_meta() => Some(reader),
-            Ok(reader) => {
-                eprintln!(
-                    "campaign cache: {} exists but its header does not match the key \
-                     (stored {:?}); re-acquiring",
-                    path.display(),
-                    reader.meta()
-                );
-                None
-            }
-            Err(e) => {
-                eprintln!(
-                    "campaign cache: {} unreadable ({e}); re-acquiring",
-                    path.display()
-                );
-                None
-            }
+            Ok(reader) if *reader.meta() == key.expected_meta() => Ok(reader),
+            Ok(reader) => Err(Some(format!(
+                "{} exists but its header does not match the key (stored {:?})",
+                path.display(),
+                reader.meta()
+            ))),
+            Err(e) => Err(Some(format!("{} unreadable ({e})", path.display()))),
         }
     }
 }
@@ -297,13 +286,13 @@ mod tests {
         let dir = tmp_dir("lookup");
         let cache = TraceCache::new(&dir, CacheMode::ReadWrite);
         let k = key();
-        assert!(cache.lookup(&k).is_none(), "empty cache must miss");
+        assert_eq!(cache.lookup(&k).err(), Some(None), "empty cache must miss");
 
         let mut w = StoreWriter::create(&cache.path_for(&k), k.expected_meta()).expect("create");
         w.record(0, &[1.0, 2.0, 3.0]).expect("r");
         w.record(1, &[4.0, 5.0, 6.0]).expect("r");
         w.finish().expect("finish");
-        assert!(cache.lookup(&k).is_some(), "must hit after write");
+        assert!(cache.lookup(&k).is_ok(), "must hit after write");
 
         // A key whose fields changed but which we force onto the same path
         // must be rejected by header verification.
@@ -312,10 +301,16 @@ mod tests {
             ..k.clone()
         };
         std::fs::rename(cache.path_for(&k), cache.path_for(&stale)).expect("rename");
-        assert!(cache.lookup(&stale).is_none(), "header mismatch must miss");
+        let reason = cache
+            .lookup(&stale)
+            .err()
+            .flatten()
+            .expect("a degraded miss");
+        let path = cache.path_for(&stale).display().to_string();
+        assert!(reason.contains(&path), "{reason} must name {path}");
 
         let off = TraceCache::new(&dir, CacheMode::Off);
-        assert!(off.lookup(&k).is_none());
+        assert_eq!(off.lookup(&k).err(), Some(None));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,0 +1,466 @@
+//! One campaign cell: the lookup → build → capture → report body that
+//! every acquisition verb runs.
+//!
+//! A cell is one cacheable trace set: a classified `(subject, age)` set,
+//! a CPA set, or one trial of an attack. [`Campaign::cell`] looks its
+//! key up in the trace store. A hit folds (and, for batch cells, keeps)
+//! the stored records on the executor's chunk grid and builds nothing.
+//! A miss builds and derates the subject's circuit once per [`Device`],
+//! derives the schedule from the key ([`key_schedule`], which the
+//! scrub's heal shares), executes it with checkpointing, persists a
+//! complete batch set, and names any store degradation that caused it in
+//! its run report.
+
+use std::borrow::Cow;
+
+use acquisition::{
+    classified_schedule, cpa_schedule, cpa_seed, LeakageStudy, ProtocolConfig, Stimulus,
+    NUM_CLASSES,
+};
+use aging::AgingConditions;
+use gatesim::{Derating, Simulator};
+use leakage_core::online::{ChunkFold, ChunkObserver, FoldState};
+use sbox_circuits::SboxCircuit;
+
+use crate::executor::{self, ExecPolicy, ExecutorReport, Interruption, ResumeState};
+use crate::store::{resume_checkpoint_with, CheckpointWriter, StoreError, StoreKind, StoreReader};
+use crate::{
+    config_digest, Campaign, CampaignError, CampaignKey, RunReport, StageTimer, StoreWriter,
+    Subject,
+};
+
+/// What one cell hands its verb to analyze.
+pub(crate) struct Capture<S> {
+    /// Every surviving trace, folded on the executor's chunk grid.
+    pub(crate) state: S,
+    /// `(label, samples)` of every surviving trace in schedule order;
+    /// kept by batch cells only.
+    pub(crate) records: Vec<(u16, Vec<f64>)>,
+    /// Whether the traces came from the store.
+    pub(crate) cache_hit: bool,
+    /// `Some` when the run budget expired before the schedule finished.
+    pub(crate) partial: Option<Interruption>,
+}
+
+/// The simulated device behind a subject at one age. It is built and
+/// derated on the first cache miss only, then shared by every later
+/// miss of the same verb call (all trials of an attack).
+pub(crate) struct Device<'a> {
+    subject: Subject<'a>,
+    months: f64,
+    built: Option<(Cow<'a, SboxCircuit>, Derating)>,
+}
+
+impl<'a> Device<'a> {
+    pub(crate) fn new(subject: Subject<'a>, months: f64) -> Self {
+        Self {
+            subject,
+            months,
+            built: None,
+        }
+    }
+
+    /// The circuit and its derating, built on first use under the
+    /// `build` and `age` stages. Aging profiles the device by its own
+    /// `protocol` workload, as `LeakageStudy::run_aged` does.
+    pub(crate) fn built(
+        &mut self,
+        timer: &mut StageTimer,
+        protocol: &ProtocolConfig,
+        conditions: &AgingConditions,
+    ) -> (&SboxCircuit, &Derating) {
+        let (subject, months) = (self.subject, self.months);
+        let (circuit, derating) = self.built.get_or_insert_with(|| {
+            timer.stage("build");
+            let circuit = match subject {
+                Subject::Scheme(scheme) => Cow::Owned(SboxCircuit::build(scheme)),
+                Subject::Imported { circuit, .. } => Cow::Borrowed(circuit),
+            };
+            timer.stage("age");
+            let derating = if months == 0.0 {
+                // Identical to derating_at_months(0.0), without profiling
+                // the stress workload.
+                Derating::fresh(circuit.netlist())
+            } else {
+                LeakageStudy::new(protocol.clone())
+                    .with_conditions(conditions.clone())
+                    .aged_device(&circuit)
+                    .derating_at_months(months)
+            };
+            (circuit, derating)
+        });
+        (circuit, derating)
+    }
+}
+
+/// The stimulus schedule and per-trace base seed of the traces `key`
+/// names: `protocol` with the key's seed and trace budget. Acquisition
+/// misses and the scrub's heal both derive their schedules here.
+pub(crate) fn key_schedule(
+    key: &CampaignKey,
+    protocol: &ProtocolConfig,
+    circuit: &SboxCircuit,
+) -> (Vec<Stimulus>, u64) {
+    let mut protocol = ProtocolConfig {
+        seed: key.seed,
+        ..protocol.clone()
+    };
+    let traces = key.traces as usize;
+    match key.kind {
+        StoreKind::Classified => {
+            protocol.traces_per_class = traces / usize::from(key.class_or_key);
+            (classified_schedule(circuit, &protocol), protocol.seed)
+        }
+        StoreKind::Cpa => (
+            cpa_schedule(circuit, &protocol, key.class_or_key as u8, traces),
+            cpa_seed(&protocol),
+        ),
+    }
+}
+
+impl Campaign {
+    /// The cache key of one cell of `subject` at `months`: `traces`
+    /// traces drawn from `seed`, of the CPA set under key nibble
+    /// `cpa_key` or, when that is `None`, of the classified set.
+    pub(crate) fn key(
+        &self,
+        subject: &Subject<'_>,
+        months: f64,
+        seed: u64,
+        traces: usize,
+        cpa_key: Option<u8>,
+    ) -> CampaignKey {
+        let (kind, class_or_key) = match cpa_key {
+            Some(key) => (StoreKind::Cpa, u16::from(key)),
+            None => (StoreKind::Classified, NUM_CLASSES as u16),
+        };
+        CampaignKey {
+            kind,
+            implementation: subject.label().to_string(),
+            seed,
+            traces: traces as u32,
+            samples: self.config.protocol.sampling.samples as u32,
+            age_months: months,
+            class_or_key,
+            config_digest: config_digest(&self.config.protocol, &self.config.conditions),
+        }
+    }
+
+    /// Run one cell and hand its traces to `analyze`, timed as the
+    /// `analyze` stage, before the cell's run report is logged.
+    ///
+    /// Every trace folds into `make`'s state on the executor's chunk grid
+    /// (`observer`, if any, sees each leaf in order); a `batch` cell also
+    /// keeps the raw records and persists a complete set to the store.
+    /// A miss resumes from, and streams progress to, the cell's `SCKP`
+    /// checkpoint when checkpointing is enabled. Checkpoint and store
+    /// problems never fail the acquisition — they degrade to warnings in
+    /// the report — and a run that stopped short of its schedule records
+    /// why.
+    pub(crate) fn cell<S: FoldState + Clone, R>(
+        &mut self,
+        key: &CampaignKey,
+        device: &mut Device<'_>,
+        make: &(dyn Fn() -> S + Sync),
+        mut observer: Option<ChunkObserver<'_, S>>,
+        batch: bool,
+        analyze: impl FnOnce(Capture<S>) -> R,
+    ) -> R {
+        let mut timer = StageTimer::new();
+        timer.stage("load");
+        // A reborrow, so the observer can go on to watch a miss.
+        let observe = observer.as_mut().map(|o| &mut **o as ChunkObserver<'_, S>);
+        let hit = self.cache.lookup(key).and_then(|reader| {
+            read_hit(reader, make(), observe, batch).map_err(|e| {
+                let path = self.cache.path_for(key);
+                Some(format!("{} failed mid-read ({e})", path.display()))
+            })
+        });
+        let (capture, exec) = match hit {
+            Ok(capture) => (capture, None),
+            Err(degraded) => {
+                let mut warnings = Vec::new();
+                if let Some(reason) = degraded {
+                    eprintln!("campaign cache: {reason}; re-acquiring");
+                    warnings.push(format!("{reason}; re-acquiring"));
+                }
+                let protocol = &self.config.protocol;
+                let (circuit, derating) =
+                    device.built(&mut timer, protocol, &self.config.conditions);
+                timer.stage("acquire");
+                let sim = Simulator::with_derating(circuit.netlist(), &protocol.sim, derating);
+                let (schedule, seed) = key_schedule(key, protocol, circuit);
+                let (completed, mut writer) = self.open_checkpoint(key, &mut warnings);
+                let resume = ResumeState {
+                    completed,
+                    checkpoint: writer.as_mut(),
+                    sync_every: self.config.checkpoint_every,
+                };
+                let mut raw = vec![Vec::new(); if batch { schedule.len() } else { 0 }];
+                let (state, mut exec) = executor::run(
+                    &sim,
+                    &schedule,
+                    &protocol.sampling,
+                    seed,
+                    &self.exec_policy(),
+                    resume,
+                    make,
+                    observer,
+                    batch.then_some(raw.as_mut_slice()),
+                );
+                drop(writer);
+                self.maybe_tear_checkpoint(key);
+                warnings.append(&mut exec.warnings);
+                warnings.extend(shortfall_warning(&exec, schedule.len()));
+
+                // Quarantined and never-claimed slots stay empty; the
+                // survivors still form a usable (if incomplete) set.
+                let records: Vec<(u16, Vec<f64>)> = schedule
+                    .iter()
+                    .zip(raw)
+                    .filter(|(_, trace)| !trace.is_empty())
+                    .map(|(stimulus, trace)| (stimulus.label, trace))
+                    .collect();
+                // Only a complete set may be cached.
+                if batch && exec.interrupted.is_none() && exec.quarantined.is_empty() {
+                    warnings.extend(self.persist(key, &records, &mut timer));
+                }
+                exec.warnings = warnings;
+                let partial = exec.interrupted;
+                let capture = Capture {
+                    state,
+                    records,
+                    cache_hit: false,
+                    partial,
+                };
+                (capture, Some(exec))
+            }
+        };
+
+        timer.stage("analyze");
+        let merge_depth = capture.state.merge_depth();
+        let result = analyze(capture);
+        self.push_report(key, timer, !batch, merge_depth, exec, 0);
+        result
+    }
+
+    pub(crate) fn exec_policy(&self) -> ExecPolicy {
+        ExecPolicy {
+            workers: self.config.workers,
+            max_retries: self.config.max_retries,
+            faults: self.config.faults.clone(),
+            budget: self.config.budget.clone(),
+            capture_timeout: self.config.capture_timeout,
+            backend: self.config.backend,
+        }
+    }
+
+    /// Open (or resume) the cell's `SCKP` checkpoint when checkpointing
+    /// is on: the already-completed `(index, samples)` records and the
+    /// live writer. A checkpoint problem becomes a warning instead.
+    fn open_checkpoint(
+        &self,
+        key: &CampaignKey,
+        warnings: &mut Vec<String>,
+    ) -> (Vec<(usize, Vec<f64>)>, Option<CheckpointWriter>) {
+        if !self.cache.writes_enabled() || self.config.checkpoint_every == 0 {
+            return (Vec::new(), None);
+        }
+        let path = self.cache.checkpoint_path(key);
+        if !self.cache.reads_enabled() {
+            // Refresh mode (`SCA_CACHE=refresh`) must re-simulate, so a
+            // stale checkpoint cannot be resumed from.
+            let _ = std::fs::remove_file(&path);
+        }
+        let _ = std::fs::create_dir_all(self.cache.dir());
+        let faults = self.config.faults.write_faults();
+        match resume_checkpoint_with(&path, &key.expected_meta(), faults) {
+            Ok((records, writer)) => {
+                let completed = records
+                    .into_iter()
+                    .map(|(index, _label, samples)| (index as usize, samples))
+                    .collect();
+                (completed, Some(writer))
+            }
+            Err(e) => {
+                warnings.push(format!(
+                    "checkpoint {} unavailable ({e}); running without checkpoints",
+                    path.display()
+                ));
+                (Vec::new(), None)
+            }
+        }
+    }
+
+    /// Apply the `torn-checkpoint` fault: after a run finishes writing
+    /// its checkpoint, tear the last few bytes off the file — the crash
+    /// exactly mid-flush that the salvage scan must absorb on resume.
+    fn maybe_tear_checkpoint(&self, key: &CampaignKey) {
+        if !self.config.faults.torn_checkpoint() {
+            return;
+        }
+        let path = self.cache.checkpoint_path(key);
+        if let Ok(meta) = std::fs::metadata(&path) {
+            let torn = meta.len().saturating_sub(5);
+            let _ = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(torn));
+        }
+    }
+
+    /// Write a complete batch set to the store and retire its checkpoint.
+    /// Returns a warning instead of an error: persistence failures
+    /// degrade (the traces are already in memory).
+    fn persist(
+        &self,
+        key: &CampaignKey,
+        records: &[(u16, Vec<f64>)],
+        timer: &mut StageTimer,
+    ) -> Option<String> {
+        if !self.cache.writes_enabled() {
+            return None;
+        }
+        timer.stage("store");
+        match self.write_store(key, records) {
+            Ok(()) => {
+                let _ = std::fs::remove_file(self.cache.checkpoint_path(key));
+                None
+            }
+            Err(e) => Some(format!(
+                "persisting trace set failed ({e}); continuing uncached"
+            )),
+        }
+    }
+
+    fn write_store(
+        &self,
+        key: &CampaignKey,
+        records: &[(u16, Vec<f64>)],
+    ) -> Result<(), StoreError> {
+        if let Some(e) = self.config.faults.store_write_error() {
+            return Err(e);
+        }
+        let path = self.cache.path_for(key);
+        let faults = self.config.faults.write_faults();
+        let mut writer = StoreWriter::create_with(&path, key.expected_meta(), faults)?;
+        for (label, samples) in records {
+            writer.record(*label, samples)?;
+        }
+        writer.finish()?;
+        if let Some(bytes) = self.config.faults.torn_store_bytes() {
+            // A torn write: the writer reported success but the file is
+            // short. The next lookup must degrade to a miss.
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(bytes))
+                .map_err(StoreError::Io)?;
+        }
+        Ok(())
+    }
+
+    /// Log one cell's run report. `exec` is `None` for a cache hit, which
+    /// simulated nothing: one worker, no capture engine, and (streamed)
+    /// one stored record resident at a time.
+    pub(crate) fn push_report(
+        &mut self,
+        key: &CampaignKey,
+        timer: StageTimer,
+        streamed: bool,
+        merge_depth: usize,
+        exec: Option<ExecutorReport>,
+        healed: usize,
+    ) {
+        let hit = RunReport {
+            implementation: key.implementation.clone(),
+            age_months: key.age_months,
+            traces: key.traces as usize,
+            workers: 1,
+            cache_hit: true,
+            worker_utilization: 1.0,
+            stages: timer.finish(),
+            streamed,
+            peak_resident: usize::from(streamed),
+            merge_depth,
+            healed,
+            ..RunReport::default()
+        };
+        self.log.push(match exec {
+            None => hit,
+            Some(exec) => RunReport {
+                workers: exec.workers,
+                cache_hit: false,
+                stats: exec.stats,
+                worker_utilization: exec.utilization(),
+                retried: exec.retried,
+                quarantined: exec.quarantined.len(),
+                resumed: exec.resumed,
+                peak_resident: exec.peak_resident,
+                backend: Some(exec.backend),
+                lane_utilization: exec.lane_utilization,
+                partial: exec.interrupted.map(|i| i.cause.to_string()),
+                warnings: exec.warnings,
+                ..hit
+            },
+        });
+    }
+}
+
+/// Fold every record of a store hit on the executor's chunk grid, so a
+/// hit reproduces its miss's state and observed leaves bit for bit, and
+/// keep the records for a batch cell. A label outside the 16 classes
+/// (or plaintext nibbles) is damage, like a failed checksum.
+fn read_hit<S: FoldState + Clone>(
+    reader: StoreReader,
+    empty: S,
+    observer: Option<ChunkObserver<'_, S>>,
+    batch: bool,
+) -> Result<Capture<S>, StoreError> {
+    let mut fold = ChunkFold::observed(empty, observer);
+    let mut records = Vec::new();
+    let mut bad_label = None;
+    reader.for_each_record(|label, samples| {
+        if usize::from(label) >= NUM_CLASSES {
+            bad_label.get_or_insert(label);
+            return;
+        }
+        fold.fold(label, samples);
+        if batch {
+            records.push((label, samples.to_vec()));
+        }
+    })?;
+    if let Some(label) = bad_label {
+        return Err(StoreError::Format(format!(
+            "record label {label} out of range (< {NUM_CLASSES})"
+        )));
+    }
+    Ok(Capture {
+        state: fold.finish(),
+        records,
+        cache_hit: true,
+        partial: None,
+    })
+}
+
+/// The typed warning for a run that stopped short of its schedule. A
+/// budget interruption is a valid prefix, not a failure: the checkpoint
+/// already holds every captured trace, so the next run resumes instead
+/// of restarting. Quarantined indices leave a set that must never be
+/// cached as complete; the checkpoint keeps the survivors so the next
+/// run only re-simulates the missing indices.
+fn shortfall_warning(exec: &ExecutorReport, scheduled: usize) -> Option<String> {
+    let error = match exec.interrupted {
+        Some(interruption) => CampaignError::Interrupted {
+            cause: interruption.cause.to_string(),
+            remaining: interruption.remaining,
+            scheduled,
+        },
+        None if !exec.quarantined.is_empty() => CampaignError::Incomplete {
+            quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
+            scheduled,
+        },
+        None => return None,
+    };
+    Some(error.to_string())
+}

@@ -524,6 +524,7 @@ pub fn capture_schedule_with(
 
 /// The fold state of a run that keeps its raw traces instead: there is
 /// nothing to fold, the traces themselves are the result.
+#[derive(Clone)]
 pub(crate) struct NoFold;
 
 impl Merge for NoFold {

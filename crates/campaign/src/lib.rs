@@ -39,7 +39,7 @@
 //! use sbox_circuits::Scheme;
 //!
 //! let mut campaign = Campaign::new(CampaignConfig::default());
-//! let isw = campaign.acquire(Scheme::Isw);
+//! let isw = campaign.acquire_aged(Scheme::Isw, 0.0);
 //! println!("TLP = {}", isw.spectrum.total_leakage_power());
 //! println!("{}", campaign.log().summary_table());
 //! ```
@@ -49,6 +49,7 @@
 
 mod attack;
 mod cache;
+mod cell;
 mod digest;
 mod error;
 mod executor;
@@ -72,25 +73,21 @@ pub use report::{RunLog, RunReport, Stage, StageTimer};
 pub use scrub::{RecordFate, ScrubOutcome, ScrubReport};
 pub use store::{
     resume_checkpoint, resume_checkpoint_with, salvage_store, write_atomic, write_atomic_with,
-    CheckpointRecords, CheckpointWriter, CpaRecords, StoreError, StoreKind, StoreMeta, StoreReader,
+    CheckpointRecords, CheckpointWriter, StoreError, StoreKind, StoreMeta, StoreReader,
     StoreSalvage, StoreWriter, CHECKPOINT_MAGIC, MAGIC, VERSION,
 };
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
 pub use acquisition::Backend;
-use acquisition::{
-    classified_schedule, cpa_schedule, cpa_seed, CpaAcquisition, LeakageStudy, ProtocolConfig,
-    Stimulus, NUM_CLASSES,
-};
+use acquisition::{CpaAcquisition, ProtocolConfig, NUM_CLASSES};
 pub use leakage_core::online::{ChunkFold, ChunkObserver, FoldState, SpectrumAccumulator, SumMode};
 pub use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
 use aging::AgingConditions;
+use cell::Device;
 use executor::NoFold;
-use gatesim::{CaptureStats, Derating, Simulator};
 use leakage_core::{ClassifiedTraces, LeakageSpectrum};
 use sbox_circuits::{SboxCircuit, Scheme};
 
@@ -123,9 +120,9 @@ pub struct CampaignConfig {
     /// config arms it from `SCA_FAULTS` so CI can exercise the
     /// degradation paths across the whole suite).
     pub faults: FaultPlan,
-    /// Run `acquire_spectrum*` calls as a bounded-memory streaming fold
-    /// (traces are folded into online accumulators instead of
-    /// materialized). Batch `acquire*` calls are unaffected.
+    /// Run [`Campaign::acquire_spectrum_aged`] as a bounded-memory
+    /// streaming fold (traces are folded into online accumulators
+    /// instead of materialized). The other verbs are unaffected.
     pub streaming: bool,
     /// Summation mode of the streaming fold. The default,
     /// [`SumMode::Exact`], makes streamed spectra bit-identical to the
@@ -203,15 +200,6 @@ pub struct CampaignOutcome {
     pub partial: Option<Interruption>,
 }
 
-/// What [`Campaign::open_checkpoint`] hands back to an executor run:
-/// already-completed `(index, samples)` records, the live checkpoint
-/// writer (if checkpointing), and any degradation warnings.
-type CheckpointState = (
-    Vec<(usize, Vec<f64>)>,
-    Option<CheckpointWriter>,
-    Vec<String>,
-);
-
 /// One spectral analysis produced without materializing the trace set:
 /// the Walsh–Hadamard spectrum plus the class statistics of the online
 /// accumulator that was folded (streamed from the simulator or from a
@@ -238,8 +226,49 @@ pub struct SpectrumOutcome {
     pub partial: Option<Interruption>,
 }
 
-/// The campaign engine. Owns the cache and the run log; each
-/// `acquire*` call is one observed, cacheable unit.
+/// What a campaign verb measures.
+#[derive(Debug, Clone, Copy)]
+pub enum Subject<'a> {
+    /// A native scheme, cached under its label and built only when a
+    /// cell misses the store.
+    Scheme(Scheme),
+    /// An explicit circuit cached under an explicit label. Label an
+    /// imported design by netlist content (e.g. `import-isw-<digest>`):
+    /// re-importing the same file then hits the trace store, while any
+    /// structural edit misses it. Outcomes report the circuit's bound
+    /// scheme.
+    Imported {
+        /// The circuit to measure.
+        circuit: &'a SboxCircuit,
+        /// The cache label of its cells.
+        label: &'a str,
+    },
+}
+
+impl From<Scheme> for Subject<'_> {
+    fn from(scheme: Scheme) -> Self {
+        Subject::Scheme(scheme)
+    }
+}
+
+impl<'a> Subject<'a> {
+    fn label(&self) -> &'a str {
+        match self {
+            Subject::Scheme(scheme) => scheme.label(),
+            Subject::Imported { label, .. } => label,
+        }
+    }
+
+    fn scheme(&self) -> Scheme {
+        match self {
+            Subject::Scheme(scheme) => *scheme,
+            Subject::Imported { circuit, .. } => circuit.scheme(),
+        }
+    }
+}
+
+/// The campaign engine. Owns the cache and the run log; each cell a
+/// verb acquires is one observed, cacheable unit.
 #[derive(Debug)]
 pub struct Campaign {
     config: CampaignConfig,
@@ -268,110 +297,42 @@ impl Campaign {
         &self.log
     }
 
-    /// Acquire the classified set for a fresh device.
-    pub fn acquire(&mut self, scheme: Scheme) -> CampaignOutcome {
-        self.acquire_aged(scheme, 0.0)
-    }
-
-    /// Acquire the classified set at a device age in months.
+    /// Acquire the classified set of `subject` at a device age in months
+    /// (0.0 = fresh).
     ///
     /// Age 0 uses identity derating and is bit-identical to the
     /// sequential `acquisition::acquire` path; ages > 0 match
     /// `LeakageStudy::run_aged` (the device is aged by its own protocol
     /// workload).
-    pub fn acquire_aged(&mut self, scheme: Scheme, months: f64) -> CampaignOutcome {
-        let circuit = SboxCircuit::build(scheme);
-        self.acquire_circuit_aged(&circuit, scheme.label(), months)
-    }
-
-    /// Acquire the classified set for an explicit circuit under an
-    /// explicit cache label.
-    ///
-    /// This is the substrate the scheme-keyed paths delegate to, and the
-    /// entry point for *imported* designs: the caller labels the cell by
-    /// netlist content (e.g. `import-isw-<digest>`), so re-importing the
-    /// same file hits the trace store while any structural edit misses
-    /// it. The outcome's `scheme` is the circuit's bound scheme.
-    pub fn acquire_circuit_aged(
+    pub fn acquire_aged<'a>(
         &mut self,
-        circuit: &SboxCircuit,
-        implementation: &str,
+        subject: impl Into<Subject<'a>>,
         months: f64,
     ) -> CampaignOutcome {
-        let scheme = circuit.scheme();
-        let mut timer = StageTimer::new();
-        let key = self.classified_key(implementation, months);
-
-        if let Some(reader) = self.lookup(&key, &mut timer) {
-            match reader.read_classified() {
-                Ok(traces) => return self.classified_hit(&key, scheme, months, traces, timer),
-                Err(e) => eprintln!(
-                    "campaign cache: {} failed mid-read ({e}); re-acquiring",
-                    self.cache.path_for(&key).display()
-                ),
+        let subject = subject.into();
+        let p = &self.config.protocol;
+        let (seed, traces, samples) =
+            (p.seed, p.traces_per_class * NUM_CLASSES, p.sampling.samples);
+        let key = self.key(&subject, months, seed, traces, None);
+        let mut device = Device::new(subject, months);
+        self.cell(&key, &mut device, &|| NoFold, None, true, |capture| {
+            let mut traces = ClassifiedTraces::new(NUM_CLASSES, samples);
+            for (label, trace) in capture.records {
+                traces.push(usize::from(label), trace);
             }
-        }
-
-        timer.stage("age");
-        let derating = self.derating(circuit, months);
-        let sim = Simulator::with_derating(circuit.netlist(), &self.config.protocol.sim, &derating);
-
-        timer.stage("acquire");
-        let schedule = classified_schedule(circuit, &self.config.protocol);
-        let mut raw = vec![Vec::new(); schedule.len()];
-        let seed = self.config.protocol.seed;
-        let (NoFold, mut exec) = self.execute(
-            &key,
-            &sim,
-            &schedule,
-            seed,
-            &|| NoFold,
-            None,
-            Some(&mut raw),
-        );
-
-        // The survivors still form a usable (if slightly unbalanced)
-        // classified set.
-        let mut traces = ClassifiedTraces::new(NUM_CLASSES, self.config.protocol.sampling.samples);
-        for (stimulus, trace) in survivors(&schedule, raw, &exec) {
-            traces.push(usize::from(stimulus.label), trace);
-        }
-
-        if complete(&exec) {
-            let warning = self.persist(&key, schedule.iter().map(|s| s.label), &traces, &mut timer);
-            exec.warnings.extend(warning);
-        }
-
-        timer.stage("analyze");
-        let spectrum = LeakageSpectrum::from_class_means(&traces.class_means());
-        self.push_exec_report(&key, &exec, timer, false, 0);
-        CampaignOutcome {
-            scheme,
-            age_months: months,
-            traces,
-            spectrum,
-            cache_hit: false,
-            partial: exec.interrupted,
-        }
+            CampaignOutcome {
+                scheme: subject.scheme(),
+                age_months: months,
+                spectrum: LeakageSpectrum::from_class_means(&traces.class_means()),
+                traces,
+                cache_hit: capture.cache_hit,
+                partial: capture.partial,
+            }
+        })
     }
 
-    /// Acquire one scheme over a sequence of device ages (the Fig. 7
-    /// sweep), each cell independently cached.
-    pub fn run_aged(&mut self, scheme: Scheme, ages_months: &[f64]) -> Vec<CampaignOutcome> {
-        ages_months
-            .iter()
-            .map(|&months| self.acquire_aged(scheme, months))
-            .collect()
-    }
-
-    /// The leakage spectrum for a fresh device, without retaining the
-    /// trace set (see [`Campaign::acquire_spectrum_aged`]).
-    pub fn acquire_spectrum(&mut self, scheme: Scheme) -> SpectrumOutcome {
-        self.acquire_spectrum_aged(scheme, 0.0)
-    }
-
-    /// The leakage spectrum at a device age, analyzed in bounded memory
-    /// when [`CampaignConfig::streaming`] is set.
+    /// The leakage spectrum of `subject` at a device age, analyzed in
+    /// bounded memory when [`CampaignConfig::streaming`] is set.
     ///
     /// In streaming mode each worker folds its shard of the schedule
     /// into a local [`SpectrumAccumulator`] and the shards merge in a
@@ -386,32 +347,19 @@ impl Campaign {
     ///
     /// With `streaming` off this simply delegates to the batch path and
     /// summarizes its outcome.
-    pub fn acquire_spectrum_aged(&mut self, scheme: Scheme, months: f64) -> SpectrumOutcome {
-        let circuit = SboxCircuit::build(scheme);
-        self.acquire_circuit_spectrum_aged(&circuit, scheme.label(), months)
-    }
-
-    /// The spectrum counterpart of [`Campaign::acquire_circuit_aged`]:
-    /// an explicit circuit under an explicit cache label, streamed in
-    /// bounded memory when the campaign is configured for it.
-    pub fn acquire_circuit_spectrum_aged(
+    pub fn acquire_spectrum_aged<'a>(
         &mut self,
-        circuit: &SboxCircuit,
-        implementation: &str,
+        subject: impl Into<Subject<'a>>,
         months: f64,
     ) -> SpectrumOutcome {
-        let scheme = circuit.scheme();
+        let subject = subject.into();
         if !self.config.streaming {
-            let outcome = self.acquire_circuit_aged(circuit, implementation, months);
-            let mut class_counts = vec![0usize; NUM_CLASSES];
-            for (class, _) in outcome.traces.iter() {
-                class_counts[class] += 1;
-            }
+            let outcome = self.acquire_aged(subject, months);
             return SpectrumOutcome {
-                scheme,
+                scheme: outcome.scheme,
                 age_months: months,
                 spectrum: outcome.spectrum,
-                class_counts,
+                class_counts: outcome.traces.class_counts(),
                 traces_analyzed: outcome.traces.len(),
                 cache_hit: outcome.cache_hit,
                 streamed: false,
@@ -419,138 +367,59 @@ impl Campaign {
             };
         }
 
-        let mut timer = StageTimer::new();
-        let key = self.classified_key(implementation, months);
-        let (samples, mode) = (
-            self.config.protocol.sampling.samples,
-            self.config.stream_mode,
-        );
+        let p = &self.config.protocol;
+        let (seed, traces, samples) =
+            (p.seed, p.traces_per_class * NUM_CLASSES, p.sampling.samples);
+        let key = self.key(&subject, months, seed, traces, None);
+        let mode = self.config.stream_mode;
         let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, mode);
-
-        if let Some(reader) = self.lookup(&key, &mut timer) {
-            // One record resident at a time, on the executor's chunk grid.
-            let mut fold = ChunkFold::new(make());
-            match reader.for_each_record(|label, samples| fold.fold(label, samples)) {
-                Ok(_) => return self.spectrum_hit(&key, scheme, months, fold.finish(), timer),
-                Err(e) => eprintln!(
-                    "campaign cache: {} failed mid-read ({e}); re-acquiring",
-                    self.cache.path_for(&key).display()
-                ),
+        let mut device = Device::new(subject, months);
+        self.cell(&key, &mut device, &make, None, false, |capture| {
+            let acc = capture.state;
+            SpectrumOutcome {
+                scheme: subject.scheme(),
+                age_months: months,
+                spectrum: acc.spectrum(),
+                class_counts: acc.class_counts(),
+                traces_analyzed: acc.len() as usize,
+                cache_hit: capture.cache_hit,
+                streamed: true,
+                partial: capture.partial,
             }
-        }
-
-        timer.stage("age");
-        let derating = self.derating(circuit, months);
-        let sim = Simulator::with_derating(circuit.netlist(), &self.config.protocol.sim, &derating);
-
-        timer.stage("acquire");
-        let schedule = classified_schedule(circuit, &self.config.protocol);
-        let seed = self.config.protocol.seed;
-        let (acc, exec) = self.execute(&key, &sim, &schedule, seed, &make, None, None);
-
-        timer.stage("analyze");
-        let spectrum = acc.spectrum();
-        let class_counts = acc.class_counts();
-        let traces_analyzed = acc.len() as usize;
-        self.push_exec_report(&key, &exec, timer, true, 0);
-        SpectrumOutcome {
-            scheme,
-            age_months: months,
-            spectrum,
-            class_counts,
-            traces_analyzed,
-            cache_hit: false,
-            streamed: true,
-            partial: exec.interrupted,
-        }
+        })
     }
 
-    /// The Fig. 7 age sweep as streamed spectra: one
-    /// [`Campaign::acquire_spectrum_aged`] per age, each cell
-    /// independently cached.
-    pub fn run_aged_spectra(
-        &mut self,
-        scheme: Scheme,
-        ages_months: &[f64],
-    ) -> Vec<SpectrumOutcome> {
-        ages_months
-            .iter()
-            .map(|&months| self.acquire_spectrum_aged(scheme, months))
-            .collect()
-    }
-
-    /// Acquire a CPA attack dataset (known key nibble, random
-    /// plaintexts), cached like any other campaign cell.
+    /// Acquire a CPA attack dataset of `subject` (known key nibble,
+    /// random plaintexts) on a fresh device, cached like any other
+    /// campaign cell.
     ///
     /// # Panics
     ///
     /// Panics if `key >= 16` or `traces == 0`.
-    pub fn acquire_cpa(&mut self, scheme: Scheme, key: u8, traces: usize) -> CpaAcquisition {
+    pub fn acquire_cpa<'a>(
+        &mut self,
+        subject: impl Into<Subject<'a>>,
+        key: u8,
+        traces: usize,
+    ) -> CpaAcquisition {
         assert!(key < 16);
         assert!(traces > 0);
-        let mut timer = StageTimer::new();
-        let cache_key = self.cpa_key(scheme, key, traces);
-
-        if let Some(reader) = self.lookup(&cache_key, &mut timer) {
-            match reader.read_cpa() {
-                Ok((key, plaintexts, traces)) => {
-                    let n = traces.len();
-                    self.report_hit(&cache_key, n, timer);
-                    return CpaAcquisition {
-                        key,
-                        plaintexts,
-                        traces,
-                    };
-                }
-                Err(e) => eprintln!(
-                    "campaign cache: {} failed mid-read ({e}); re-acquiring",
-                    self.cache.path_for(&cache_key).display()
-                ),
+        let subject = subject.into();
+        let seed = self.config.protocol.seed;
+        let cell = self.key(&subject, 0.0, seed, traces, Some(key));
+        let mut device = Device::new(subject, 0.0);
+        self.cell(&cell, &mut device, &|| NoFold, None, true, |capture| {
+            let (plaintexts, traces) = capture
+                .records
+                .into_iter()
+                .map(|(plaintext, trace)| (plaintext as u8, trace))
+                .unzip();
+            CpaAcquisition {
+                key,
+                plaintexts,
+                traces,
             }
-        }
-
-        timer.stage("build");
-        let circuit = SboxCircuit::build(scheme);
-        let sim = Simulator::new(circuit.netlist(), &self.config.protocol.sim);
-
-        timer.stage("acquire");
-        let schedule = cpa_schedule(&circuit, &self.config.protocol, key, traces);
-        let mut raw = vec![Vec::new(); schedule.len()];
-        let seed = cpa_seed(&self.config.protocol);
-        let (NoFold, mut exec) = self.execute(
-            &cache_key,
-            &sim,
-            &schedule,
-            seed,
-            &|| NoFold,
-            None,
-            Some(&mut raw),
-        );
-
-        if complete(&exec) && self.cache.writes_enabled() {
-            timer.stage("store");
-            let records = schedule
-                .iter()
-                .map(|s| s.label)
-                .zip(raw.iter().map(Vec::as_slice));
-            if let Err(e) = self.write_store(&cache_key, records) {
-                exec.warnings.push(format!(
-                    "persisting CPA set failed ({e}); continuing uncached"
-                ));
-            } else {
-                let _ = std::fs::remove_file(self.cache.checkpoint_path(&cache_key));
-            }
-        }
-
-        self.push_exec_report(&cache_key, &exec, timer, false, 0);
-        let (plaintexts, traces) = survivors(&schedule, raw, &exec)
-            .map(|(s, trace)| (s.label as u8, trace))
-            .unzip();
-        CpaAcquisition {
-            key,
-            plaintexts,
-            traces,
-        }
+        })
     }
 
     /// Print the summary table and append the run reports to the JSONL
@@ -560,387 +429,6 @@ impl Campaign {
         self.log
             .append_jsonl_with(&self.config.log_path, self.config.faults.write_faults())
     }
-
-    fn classified_key(&self, implementation: &str, months: f64) -> CampaignKey {
-        CampaignKey {
-            kind: StoreKind::Classified,
-            implementation: implementation.to_string(),
-            seed: self.config.protocol.seed,
-            traces: (self.config.protocol.traces_per_class * NUM_CLASSES) as u32,
-            samples: self.config.protocol.sampling.samples as u32,
-            age_months: months,
-            class_or_key: NUM_CLASSES as u16,
-            config_digest: config_digest(&self.config.protocol, &self.config.conditions),
-        }
-    }
-
-    fn cpa_key(&self, scheme: Scheme, key: u8, traces: usize) -> CampaignKey {
-        CampaignKey {
-            kind: StoreKind::Cpa,
-            implementation: scheme.label().to_string(),
-            seed: self.config.protocol.seed,
-            traces: traces as u32,
-            samples: self.config.protocol.sampling.samples as u32,
-            age_months: 0.0,
-            class_or_key: u16::from(key),
-            config_digest: config_digest(&self.config.protocol, &self.config.conditions),
-        }
-    }
-
-    fn derating(&self, circuit: &SboxCircuit, months: f64) -> Derating {
-        Self::derating_with(
-            &self.config.protocol,
-            &self.config.conditions,
-            circuit,
-            months,
-        )
-    }
-
-    /// The derating for `circuit` at `months` under an explicit protocol
-    /// and conditions — shared by acquisitions and the scrub's seed-stable
-    /// re-captures (which reconstruct the protocol from a store header).
-    pub(crate) fn derating_with(
-        protocol: &ProtocolConfig,
-        conditions: &AgingConditions,
-        circuit: &SboxCircuit,
-        months: f64,
-    ) -> Derating {
-        if months == 0.0 {
-            // Identical to derating_at_months(0.0), without profiling the
-            // stress workload.
-            Derating::fresh(circuit.netlist())
-        } else {
-            LeakageStudy::new(protocol.clone())
-                .with_conditions(conditions.clone())
-                .aged_device(circuit)
-                .derating_at_months(months)
-        }
-    }
-
-    fn lookup(&mut self, key: &CampaignKey, timer: &mut StageTimer) -> Option<StoreReader> {
-        timer.stage("load");
-        self.cache.lookup(key)
-    }
-
-    /// Run the executor for one campaign cell, folding every trace into
-    /// `make`'s state (and, given `slots`, keeping each one at its
-    /// schedule index). The run resumes from, and streams progress to,
-    /// the cell's `SCKP` checkpoint when checkpointing is enabled.
-    /// Checkpoint problems never fail the acquisition — they degrade to
-    /// warnings in the report — and a run that stopped short of its
-    /// schedule records why.
-    #[allow(clippy::too_many_arguments)]
-    fn execute<S: FoldState>(
-        &mut self,
-        key: &CampaignKey,
-        sim: &Simulator<'_>,
-        schedule: &[Stimulus],
-        base_seed: u64,
-        make: &(dyn Fn() -> S + Sync),
-        observer: Option<ChunkObserver<'_, S>>,
-        slots: Option<&mut [Vec<f64>]>,
-    ) -> (S, ExecutorReport) {
-        let policy = self.exec_policy();
-        let (completed, mut writer, mut warnings) = self.open_checkpoint(key);
-        let resume = ResumeState {
-            completed,
-            checkpoint: writer.as_mut(),
-            sync_every: self.config.checkpoint_every,
-        };
-        let sampling = &self.config.protocol.sampling;
-        let (state, mut exec) = executor::run(
-            sim, schedule, sampling, base_seed, &policy, resume, make, observer, slots,
-        );
-        drop(writer);
-        self.maybe_tear_checkpoint(key);
-        warnings.append(&mut exec.warnings);
-        warnings.extend(shortfall_warning(&exec, schedule.len()));
-        exec.warnings = warnings;
-        (state, exec)
-    }
-
-    fn exec_policy(&self) -> ExecPolicy {
-        ExecPolicy {
-            workers: self.config.workers,
-            max_retries: self.config.max_retries,
-            faults: self.config.faults.clone(),
-            budget: self.config.budget.clone(),
-            capture_timeout: self.config.capture_timeout,
-            backend: self.config.backend,
-        }
-    }
-
-    /// Apply the `torn-checkpoint` fault: after a run finishes writing
-    /// its checkpoint, tear the last few bytes off the file — the crash
-    /// exactly mid-flush that the salvage scan must absorb on resume.
-    fn maybe_tear_checkpoint(&self, key: &CampaignKey) {
-        if !self.config.faults.torn_checkpoint() {
-            return;
-        }
-        let path = self.cache.checkpoint_path(key);
-        if let Ok(meta) = std::fs::metadata(&path) {
-            let torn = meta.len().saturating_sub(5);
-            let _ = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .and_then(|f| f.set_len(torn));
-        }
-    }
-
-    /// Open (or resume) the cell's `SCKP` checkpoint. Returns the
-    /// already-completed records, the live writer, and any degradation
-    /// warnings; checkpoint problems never fail an acquisition.
-    fn open_checkpoint(&mut self, key: &CampaignKey) -> CheckpointState {
-        let checkpointing = self.cache.writes_enabled() && self.config.checkpoint_every > 0;
-        let path = self.cache.checkpoint_path(key);
-        let mut warnings = Vec::new();
-        let mut writer: Option<CheckpointWriter> = None;
-        let mut completed = Vec::new();
-        if checkpointing {
-            if !self.cache.reads_enabled() {
-                // Refresh mode (`SCA_CACHE=refresh`) must re-simulate, so
-                // a stale checkpoint cannot be resumed from.
-                let _ = std::fs::remove_file(&path);
-            }
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            match resume_checkpoint_with(
-                &path,
-                &key.expected_meta(),
-                self.config.faults.write_faults(),
-            ) {
-                Ok((records, w)) => {
-                    completed = records
-                        .into_iter()
-                        .map(|(index, _label, samples)| (index as usize, samples))
-                        .collect();
-                    writer = Some(w);
-                }
-                Err(e) => warnings.push(format!(
-                    "checkpoint {} unavailable ({e}); running without checkpoints",
-                    path.display()
-                )),
-            }
-        }
-        (completed, writer, warnings)
-    }
-
-    /// Write the finished classified set to the store and retire its
-    /// checkpoint. Returns a warning instead of an error: persistence
-    /// failures degrade (the traces are already in memory).
-    fn persist<I: Iterator<Item = u16>>(
-        &mut self,
-        key: &CampaignKey,
-        labels: I,
-        traces: &ClassifiedTraces,
-        timer: &mut StageTimer,
-    ) -> Option<String> {
-        if !self.cache.writes_enabled() {
-            return None;
-        }
-        timer.stage("store");
-        // `ClassifiedTraces` preserves acquisition order, so zipping the
-        // schedule's labels back over its records reconstructs them.
-        let records = labels.zip(traces.iter().map(|(_, t)| t));
-        match self.write_store(key, records) {
-            Ok(()) => {
-                let _ = std::fs::remove_file(self.cache.checkpoint_path(key));
-                None
-            }
-            Err(e) => Some(format!(
-                "persisting trace set failed ({e}); continuing uncached"
-            )),
-        }
-    }
-
-    fn write_store<'a, I>(&self, key: &CampaignKey, records: I) -> Result<(), StoreError>
-    where
-        I: Iterator<Item = (u16, &'a [f64])>,
-    {
-        if let Some(e) = self.config.faults.store_write_error() {
-            return Err(e);
-        }
-        let path = self.cache.path_for(key);
-        let mut writer = StoreWriter::create_with(
-            &path,
-            key.expected_meta(),
-            self.config.faults.write_faults(),
-        )?;
-        for (label, samples) in records {
-            writer.record(label, samples)?;
-        }
-        writer.finish()?;
-        if let Some(bytes) = self.config.faults.torn_store_bytes() {
-            // A torn write: the writer reported success but the file is
-            // short. The next lookup must degrade to a miss.
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .and_then(|f| f.set_len(bytes))
-                .map_err(StoreError::Io)?;
-        }
-        Ok(())
-    }
-
-    fn classified_hit(
-        &mut self,
-        key: &CampaignKey,
-        scheme: Scheme,
-        months: f64,
-        traces: ClassifiedTraces,
-        mut timer: StageTimer,
-    ) -> CampaignOutcome {
-        timer.stage("analyze");
-        let spectrum = LeakageSpectrum::from_class_means(&traces.class_means());
-        self.report_hit(key, traces.len(), timer);
-        CampaignOutcome {
-            scheme,
-            age_months: months,
-            traces,
-            spectrum,
-            cache_hit: true,
-            partial: None,
-        }
-    }
-
-    fn report_hit(&mut self, key: &CampaignKey, traces: usize, timer: StageTimer) {
-        self.push_hit_report(key, traces, timer, false, 0, 0);
-    }
-
-    fn spectrum_hit(
-        &mut self,
-        key: &CampaignKey,
-        scheme: Scheme,
-        months: f64,
-        acc: SpectrumAccumulator,
-        mut timer: StageTimer,
-    ) -> SpectrumOutcome {
-        timer.stage("analyze");
-        // A cache-hit fold keeps one record resident at a time.
-        self.push_hit_report(key, acc.len() as usize, timer, true, 1, acc.merge_depth());
-        SpectrumOutcome {
-            scheme,
-            age_months: months,
-            spectrum: acc.spectrum(),
-            class_counts: acc.class_counts(),
-            traces_analyzed: acc.len() as usize,
-            cache_hit: true,
-            streamed: true,
-            partial: None,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_hit_report(
-        &mut self,
-        key: &CampaignKey,
-        traces: usize,
-        timer: StageTimer,
-        streamed: bool,
-        peak_resident: usize,
-        merge_depth: usize,
-    ) {
-        self.log.push(RunReport {
-            implementation: key.implementation.clone(),
-            age_months: key.age_months,
-            traces,
-            workers: 1,
-            cache_hit: true,
-            stats: CaptureStats::default(),
-            worker_utilization: 1.0,
-            stages: timer.finish(),
-            retried: 0,
-            quarantined: 0,
-            resumed: 0,
-            streamed,
-            peak_resident,
-            merge_depth,
-            healed: 0,
-            // A cache hit simulates nothing, so no capture engine ran.
-            backend: None,
-            lane_utilization: None,
-            partial: None,
-            warnings: Vec::new(),
-        });
-    }
-
-    fn push_exec_report(
-        &mut self,
-        key: &CampaignKey,
-        exec: &ExecutorReport,
-        timer: StageTimer,
-        streamed: bool,
-        healed: usize,
-    ) {
-        self.log.push(RunReport {
-            implementation: key.implementation.clone(),
-            age_months: key.age_months,
-            traces: key.traces as usize,
-            workers: exec.workers,
-            cache_hit: false,
-            stats: exec.stats,
-            worker_utilization: exec.utilization(),
-            stages: timer.finish(),
-            retried: exec.retried,
-            quarantined: exec.quarantined.len(),
-            resumed: exec.resumed,
-            streamed,
-            peak_resident: exec.peak_resident,
-            merge_depth: exec.merge_depth,
-            healed,
-            backend: Some(exec.backend),
-            lane_utilization: exec.lane_utilization,
-            partial: exec.interrupted.map(|i| i.cause.to_string()),
-            warnings: exec.warnings.clone(),
-        });
-    }
-}
-
-/// Whether a run captured its whole schedule: only then may its traces
-/// be cached as a complete set.
-/// The captured traces of a run, paired with their stimuli in schedule
-/// order. Quarantined indices — and, after a budget interruption, the
-/// never-claimed tail — have empty slots, and are dropped together with
-/// their stimuli.
-fn survivors<'s>(
-    schedule: &'s [Stimulus],
-    raw: Vec<Vec<f64>>,
-    exec: &ExecutorReport,
-) -> impl Iterator<Item = (&'s Stimulus, Vec<f64>)> {
-    let dropped: HashSet<usize> = exec.quarantined.iter().map(|f| f.index).collect();
-    schedule
-        .iter()
-        .zip(raw)
-        .enumerate()
-        .filter(move |(index, (_, trace))| !dropped.contains(index) && !trace.is_empty())
-        .map(|(_, pair)| pair)
-}
-
-fn complete(exec: &ExecutorReport) -> bool {
-    exec.interrupted.is_none() && exec.quarantined.is_empty()
-}
-
-/// The typed warning for a run that stopped short of its schedule. A
-/// budget interruption is a valid prefix, not a failure: the checkpoint
-/// already holds every captured trace, so the next run resumes instead
-/// of restarting. Quarantined indices leave a set that must never be
-/// cached as complete; the checkpoint keeps the survivors so the next
-/// run only re-simulates the missing indices.
-fn shortfall_warning(exec: &ExecutorReport, scheduled: usize) -> Option<String> {
-    let error = match exec.interrupted {
-        Some(interruption) => CampaignError::Interrupted {
-            cause: interruption.cause.to_string(),
-            remaining: interruption.remaining,
-            scheduled,
-        },
-        None if !exec.quarantined.is_empty() => CampaignError::Incomplete {
-            quarantined: exec.quarantined.iter().map(|f| f.index).collect(),
-            scheduled,
-        },
-        None => return None,
-    };
-    Some(error.to_string())
 }
 
 #[cfg(test)]
@@ -972,7 +460,7 @@ mod tests {
     fn matches_sequential_acquisition_exactly() {
         let dir = tmp_dir("seq");
         let mut campaign = small_campaign(&dir, CacheMode::Off);
-        let outcome = campaign.acquire(Scheme::Opt);
+        let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
         let circuit = SboxCircuit::build(Scheme::Opt);
         let reference = acquisition::acquire(&circuit, &campaign.config().protocol);
         assert_eq!(outcome.traces, reference);
@@ -984,8 +472,8 @@ mod tests {
         let dir = tmp_dir("hit");
         let _ = std::fs::remove_dir_all(&dir);
         let mut campaign = small_campaign(&dir, CacheMode::ReadWrite);
-        let first = campaign.acquire(Scheme::Rsm);
-        let second = campaign.acquire(Scheme::Rsm);
+        let first = campaign.acquire_aged(Scheme::Rsm, 0.0);
+        let second = campaign.acquire_aged(Scheme::Rsm, 0.0);
         assert!(!first.cache_hit);
         assert!(second.cache_hit);
         assert_eq!(first.traces, second.traces);
@@ -1006,15 +494,14 @@ mod tests {
         let dir = tmp_dir("aged");
         let _ = std::fs::remove_dir_all(&dir);
         let mut campaign = small_campaign(&dir, CacheMode::ReadWrite);
-        let sweep = campaign.run_aged(Scheme::Opt, &[0.0, 24.0]);
-        assert_eq!(sweep.len(), 2);
+        let sweep = [0.0, 24.0].map(|months| campaign.acquire_aged(Scheme::Opt, months));
         assert!(sweep.iter().all(|o| !o.cache_hit));
         assert!(
             sweep[1].spectrum.total_leakage_power() < sweep[0].spectrum.total_leakage_power(),
             "aging must reduce leakage"
         );
         // A fresh acquire now hits the age-0 cell written by the sweep.
-        assert!(campaign.acquire(Scheme::Opt).cache_hit);
+        assert!(campaign.acquire_aged(Scheme::Opt, 0.0).cache_hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1038,12 +525,12 @@ mod tests {
     #[test]
     fn streamed_spectrum_is_bit_identical_to_batch() {
         let dir = tmp_dir("stream-exact");
-        let batch = small_campaign(&dir, CacheMode::Off).acquire(Scheme::Glut);
+        let batch = small_campaign(&dir, CacheMode::Off).acquire_aged(Scheme::Glut, 0.0);
         for workers in [1, 2, 8] {
             let mut campaign = small_campaign(&dir, CacheMode::Off);
             campaign.config.streaming = true;
             campaign.config.workers = workers;
-            let streamed = campaign.acquire_spectrum(Scheme::Glut);
+            let streamed = campaign.acquire_spectrum_aged(Scheme::Glut, 0.0);
             assert!(streamed.streamed);
             assert!(!streamed.cache_hit);
             assert_eq!(streamed.spectrum, batch.spectrum, "workers = {workers}");
@@ -1063,10 +550,10 @@ mod tests {
     fn streamed_cache_hit_folds_the_store_without_materializing() {
         let dir = tmp_dir("stream-hit");
         let _ = std::fs::remove_dir_all(&dir);
-        let batch = small_campaign(&dir, CacheMode::ReadWrite).acquire(Scheme::Ti);
+        let batch = small_campaign(&dir, CacheMode::ReadWrite).acquire_aged(Scheme::Ti, 0.0);
         let mut campaign = small_campaign(&dir, CacheMode::ReadWrite);
         campaign.config.streaming = true;
-        let hit = campaign.acquire_spectrum(Scheme::Ti);
+        let hit = campaign.acquire_spectrum_aged(Scheme::Ti, 0.0);
         assert!(hit.cache_hit);
         assert!(hit.streamed);
         assert_eq!(hit.spectrum, batch.spectrum);
@@ -1096,12 +583,12 @@ mod tests {
         // The batch acquisition writes the store the streamed hits read.
         let mut writer = streamed(CacheMode::ReadWrite, 2);
         writer.config.streaming = false;
-        writer.acquire(Scheme::Isw);
+        writer.acquire_aged(Scheme::Isw, 0.0);
         for workers in [1, 3] {
             let mut miss = streamed(CacheMode::Off, workers);
-            let want = miss.acquire_spectrum(Scheme::Isw);
+            let want = miss.acquire_spectrum_aged(Scheme::Isw, 0.0);
             let mut hit = streamed(CacheMode::ReadWrite, workers);
-            let got = hit.acquire_spectrum(Scheme::Isw);
+            let got = hit.acquire_spectrum_aged(Scheme::Isw, 0.0);
             assert!(!want.cache_hit && got.cache_hit, "workers = {workers}");
             assert_eq!(got.class_counts, want.class_counts);
             let spectrum = &want.spectrum;
@@ -1125,9 +612,9 @@ mod tests {
     fn spectrum_without_streaming_delegates_to_batch() {
         let dir = tmp_dir("stream-off");
         let mut campaign = small_campaign(&dir, CacheMode::Off);
-        let outcome = campaign.acquire_spectrum(Scheme::Lut);
+        let outcome = campaign.acquire_spectrum_aged(Scheme::Lut, 0.0);
         assert!(!outcome.streamed);
-        let batch = small_campaign(&dir, CacheMode::Off).acquire(Scheme::Lut);
+        let batch = small_campaign(&dir, CacheMode::Off).acquire_aged(Scheme::Lut, 0.0);
         assert_eq!(outcome.spectrum, batch.spectrum);
         assert_eq!(
             outcome.traces_analyzed,
@@ -1140,8 +627,8 @@ mod tests {
         let dir = tmp_dir("finish");
         let _ = std::fs::remove_dir_all(&dir);
         let mut campaign = small_campaign(&dir, CacheMode::ReadWrite);
-        campaign.acquire(Scheme::Lut);
-        campaign.acquire(Scheme::Lut);
+        campaign.acquire_aged(Scheme::Lut, 0.0);
+        campaign.acquire_aged(Scheme::Lut, 0.0);
         assert_eq!(campaign.finish().expect("finish"), 2);
         let text = std::fs::read_to_string(dir.join("runs.jsonl")).expect("read");
         assert_eq!(text.lines().count(), 2);

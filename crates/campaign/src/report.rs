@@ -69,7 +69,7 @@ impl StageTimer {
 
 /// The record of one campaign acquisition (one `(implementation, age)`
 /// cell), whether served from cache or simulated.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Implementation label, e.g. `"ISW"`.
     pub implementation: String,

@@ -29,15 +29,15 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use acquisition::{classified_schedule, cpa_schedule, cpa_seed, ProtocolConfig, Stimulus};
+use acquisition::{ProtocolConfig, NUM_CLASSES};
 use gatesim::Simulator;
-use sbox_circuits::{SboxCircuit, Scheme};
+use sbox_circuits::Scheme;
 
-use crate::cache::{config_digest, CampaignKey};
+use crate::cell::{key_schedule, Device};
 use crate::executor::{capture_schedule_with, ExecPolicy, ResumeState, RunBudget};
 use crate::report::StageTimer;
 use crate::store::{salvage_store, StoreKind, StoreReader, StoreSalvage, StoreWriter};
-use crate::Campaign;
+use crate::{Campaign, Subject};
 
 /// What the scrub did with one store file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,78 +197,59 @@ impl Campaign {
             .iter()
             .find(|s| s.label() == meta.name)
             .ok_or_else(|| format!("unknown implementation {:?}", meta.name))?;
-        if meta.samples as usize != self.config.protocol.sampling.samples {
+        // The key this campaign gives the header's cell. Only the seed and
+        // trace budget live in the header; everything else must match the
+        // current configuration, which the sample count and the config
+        // digest prove.
+        let traces = meta.traces as usize;
+        let subject = Subject::Scheme(scheme);
+        let cpa_key = (meta.kind == StoreKind::Cpa).then_some(meta.class_or_key as u8);
+        let key = self.key(&subject, meta.age_months, meta.seed, traces, cpa_key);
+        if key.samples != meta.samples {
             return Err(format!(
                 "sample count {} does not match the current configuration ({})",
-                meta.samples, self.config.protocol.sampling.samples
+                meta.samples, key.samples
             ));
         }
-
-        // Rebuild the protocol this store was captured under. Only the
-        // seed and trace budget live in the header; everything else must
-        // match the current configuration, which the config digest
-        // proves.
-        let mut protocol = ProtocolConfig {
-            seed: meta.seed,
-            ..self.config.protocol.clone()
-        };
-        let conditions = self.config.conditions.clone();
-        if config_digest(&protocol, &conditions) != meta.config_digest {
+        if key.config_digest != meta.config_digest {
             return Err(
                 "config digest mismatch: this store was captured under a different \
                  simulator/sampling/aging configuration"
                     .to_string(),
             );
         }
-
         // The file name is the content address; a header that does not
         // reproduce it belongs to a renamed or tampered file.
-        let key = CampaignKey {
-            kind: meta.kind,
-            implementation: meta.name.clone(),
-            seed: meta.seed,
-            traces: meta.traces,
-            samples: meta.samples,
-            age_months: meta.age_months,
-            class_or_key: meta.class_or_key,
-            config_digest: meta.config_digest,
-        };
         if path.file_name().and_then(|n| n.to_str()) != Some(key.file_name().as_str()) {
             return Err("file name does not match its header's content address".to_string());
         }
-
-        let circuit = SboxCircuit::build(scheme);
-        let (schedule, base_seed): (Vec<Stimulus>, u64) = match meta.kind {
+        let capturable = match meta.kind {
             StoreKind::Classified => {
-                let classes = usize::from(meta.class_or_key);
-                if classes == 0 || !(meta.traces as usize).is_multiple_of(classes) {
-                    return Err(format!(
-                        "trace count {} is not a multiple of {} classes",
-                        meta.traces, classes
-                    ));
-                }
-                protocol.traces_per_class = meta.traces as usize / classes;
-                (classified_schedule(&circuit, &protocol), protocol.seed)
+                usize::from(meta.class_or_key) == NUM_CLASSES && traces.is_multiple_of(NUM_CLASSES)
             }
-            StoreKind::Cpa => (
-                cpa_schedule(
-                    &circuit,
-                    &protocol,
-                    meta.class_or_key as u8,
-                    meta.traces as usize,
-                ),
-                cpa_seed(&protocol),
-            ),
+            StoreKind::Cpa => meta.class_or_key < 16 && traces > 0,
         };
+        if !capturable {
+            return Err(format!(
+                "{traces} traces with class/key field {} is no capture schedule",
+                meta.class_or_key
+            ));
+        }
 
-        let derating = Self::derating_with(&protocol, &conditions, &circuit, meta.age_months);
-        let sim = Simulator::with_derating(circuit.netlist(), &protocol.sim, &derating);
+        let protocol = ProtocolConfig {
+            seed: meta.seed,
+            ..self.config.protocol.clone()
+        };
+        let mut timer = StageTimer::new();
+        let mut device = Device::new(subject, meta.age_months);
+        let (circuit, derating) = device.built(&mut timer, &protocol, &self.config.conditions);
+        timer.stage("scrub");
+        let sim = Simulator::with_derating(circuit.netlist(), &protocol.sim, derating);
+        let (schedule, base_seed) = key_schedule(&key, &protocol, circuit);
 
         // Resume from the clean records: only the damaged indices are
         // re-simulated, with the same per-trace seeds as the original
         // acquisition, so the healed store is bit-identical.
-        let mut timer = StageTimer::new();
-        timer.stage("scrub");
         let completed: Vec<(usize, Vec<f64>)> = salvage
             .clean
             .iter()
@@ -326,7 +307,14 @@ impl Campaign {
 
         let corrupt = salvage.corrupt.len();
         let torn = salvage.torn as usize;
-        self.push_exec_report(&key, &exec, timer, false, corrupt + torn);
+        self.push_report(
+            &key,
+            timer,
+            false,
+            exec.merge_depth,
+            Some(exec),
+            corrupt + torn,
+        );
         Ok(RecordFate::Healed { corrupt, torn })
     }
 

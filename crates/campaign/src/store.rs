@@ -85,10 +85,6 @@ use leakage_core::ClassifiedTraces;
 use crate::digest::Digest;
 use crate::iofault::{FallibleWriter, WriteFaults};
 
-/// A CPA dataset as read back from a store: the known key nibble, the
-/// per-trace plaintext nibbles, and the traces themselves.
-pub type CpaRecords = (u8, Vec<u8>, Vec<Vec<f64>>);
-
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"SCTR";
 /// Checkpoint-file magic.
@@ -513,23 +509,6 @@ impl StoreReader {
             )));
         }
         Ok(set)
-    }
-
-    /// Read a CPA store back as `(key, plaintexts, traces)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store's kind is not [`StoreKind::Cpa`].
-    pub fn read_cpa(self) -> Result<CpaRecords, StoreError> {
-        assert_eq!(self.meta.kind, StoreKind::Cpa, "not a CPA store");
-        let key = self.meta.class_or_key as u8;
-        let mut plaintexts = Vec::with_capacity(self.meta.traces as usize);
-        let mut traces = Vec::with_capacity(self.meta.traces as usize);
-        self.for_each_record(|label, samples| {
-            plaintexts.push(label as u8);
-            traces.push(samples.to_vec());
-        })?;
-        Ok((key, plaintexts, traces))
     }
 }
 

@@ -76,8 +76,8 @@ fn main() {
 
     let mut mlpa_fresh_mtd: Vec<(Scheme, Option<usize>)> = Vec::new();
     for scheme in Scheme::ALL {
-        let outcomes = campaign.attack_sweep(scheme, &ages_months, &plan);
-        for outcome in &outcomes {
+        for &months in &ages_months {
+            let outcome = campaign.attack_aged(scheme, months, &plan);
             for report in &outcome.reports {
                 let (final_sr, final_ge) = report
                     .success_rate

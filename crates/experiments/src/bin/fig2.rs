@@ -6,7 +6,7 @@ use sbox_circuits::Scheme;
 
 fn main() {
     let mut campaign = campaign_from_args();
-    let outcome = campaign.acquire(Scheme::Isw);
+    let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
     let means = outcome.traces.class_means();
 
     let mut header = vec!["sample".to_string()];

@@ -8,7 +8,7 @@ fn main() {
     let mut campaign = campaign_from_args();
     let mut series = Vec::new();
     for scheme in Scheme::ALL {
-        let outcome = campaign.acquire(scheme);
+        let outcome = campaign.acquire_aged(scheme, 0.0);
         series.push((scheme, outcome.spectrum.leakage_power_series()));
         eprintln!("measured {scheme}");
     }

@@ -2,7 +2,7 @@
 //! aged devices, split into single-bit and multi-bit (glitch) components,
 //! with the single-bit/total ratios reported in §V-B.2.
 //!
-//! The sweep goes through `run_aged_spectra`, so `SCA_STREAM=exact`
+//! The sweep goes through `acquire_spectrum_aged`, so `SCA_STREAM=exact`
 //! reproduces the figure bit-for-bit in bounded memory (the 35-cell
 //! sweep never holds more than one in-flight trace per worker).
 
@@ -37,8 +37,8 @@ fn main() {
         ages.iter().map(|&a| (a, Vec::new(), Vec::new())).collect();
     let mut fresh_totals = Vec::new();
     for scheme in Scheme::ALL {
-        let outcomes = campaign.run_aged_spectra(scheme, &ages);
-        for (i, aged) in outcomes.iter().enumerate() {
+        for (i, &months) in ages.iter().enumerate() {
+            let aged = campaign.acquire_spectrum_aged(scheme, months);
             let sp = &aged.spectrum;
             let (total, single, multi) = (
                 sp.total_leakage_power(),

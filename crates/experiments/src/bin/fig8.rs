@@ -7,7 +7,10 @@ use sbox_circuits::Scheme;
 fn main() {
     let mut campaign = campaign_from_args();
     let ages = [0.0, 12.0, 24.0, 36.0, 48.0];
-    let outcomes = campaign.run_aged(Scheme::Isw, &ages);
+    let outcomes: Vec<_> = ages
+        .iter()
+        .map(|&months| campaign.acquire_aged(Scheme::Isw, months))
+        .collect();
 
     let mut csv = CsvSink::new(
         "fig8",

@@ -25,7 +25,7 @@
 //! panics are a bug.
 
 use acquisition::{acquire, acquire_with_derating, Backend};
-use campaign::Campaign;
+use campaign::{Campaign, Subject};
 use experiments::{campaign_config, finish_campaign};
 use gatesim::Derating;
 use leakage_core::ClassifiedTraces;
@@ -230,7 +230,11 @@ fn run_import(args: &Args) -> i32 {
     let label = import_label(&circuit);
     println!("campaign label: {label}");
     let mut campaign = Campaign::new(campaign_config(protocol(args.tpc)));
-    let outcome = campaign.acquire_circuit_aged(&circuit, &label, 0.0);
+    let subject = Subject::Imported {
+        circuit: &circuit,
+        label: &label,
+    };
+    let outcome = campaign.acquire_aged(subject, 0.0);
     println!(
         "captured {} traces (cache hit: {}); total leakage power {:.3e}",
         outcome.traces.len(),
@@ -343,8 +347,12 @@ fn selftest(tpc: usize) -> i32 {
         // acquisition of the same imported netlist must hit the cache
         // (when caching is enabled) and agree trace-for-trace.
         let cache_label = import_label(&circuit);
-        let first = campaign.acquire_circuit_aged(&circuit, &cache_label, 0.0);
-        let second = campaign.acquire_circuit_aged(&circuit, &cache_label, 0.0);
+        let subject = Subject::Imported {
+            circuit: &circuit,
+            label: &cache_label,
+        };
+        let first = campaign.acquire_aged(subject, 0.0);
+        let second = campaign.acquire_aged(subject, 0.0);
         if first.partial.is_none() && second.partial.is_none() {
             if let Some(diff) = trace_diff(&first.traces, &second.traces) {
                 eprintln!("selftest: {label}: campaign re-acquisition drift: {diff}");

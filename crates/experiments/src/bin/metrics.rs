@@ -22,7 +22,7 @@ fn main() {
         "scheme", "max SNR", "max NICV", "at T"
     );
     for scheme in Scheme::ALL {
-        let set = campaign.acquire(scheme).traces;
+        let set = campaign.acquire_aged(scheme, 0.0).traces;
         let s = snr(&set);
         let v = nicv(&set);
         let (t, &max_nicv) = v

@@ -75,7 +75,7 @@ fn selftest_in(dir: &Path) -> Result<(), String> {
     let mut campaign = Campaign::new(config);
 
     // Capture a small classified store and snapshot its exact bytes.
-    let outcome = campaign.acquire(Scheme::Lut);
+    let outcome = campaign.acquire_aged(Scheme::Lut, 0.0);
     if outcome.partial.is_some() {
         return Err("selftest acquisition was interrupted".into());
     }

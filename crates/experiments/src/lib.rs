@@ -64,22 +64,6 @@ pub fn protocol_from_args() -> ProtocolConfig {
     }
 }
 
-/// Parse an environment variable, warning on stderr (naming the bad
-/// value and the default used) when it is set but unusable. A typo must
-/// never silently fall back.
-fn env_parsed<T>(name: &str, default: T) -> T
-where
-    T: std::str::FromStr + std::fmt::Display + Copy,
-{
-    match std::env::var(name) {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("warning: {name}={v:?} is not a valid value; using default {default}");
-            default
-        }),
-        Err(_) => default,
-    }
-}
-
 /// The value of knob `name`, `None` when unset. The `*_from_value`
 /// parsers take it as an argument so their garbage paths are testable
 /// without mutating the (thread-shared) process environment.
@@ -87,9 +71,10 @@ fn env_value(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// A set knob whose value is not one of `expected`: a typed
+/// A set knob whose value is not `expected`: a typed
 /// [`CampaignError::Config`] when strict, otherwise a stderr warning
-/// naming the value and `default`, which is used instead.
+/// naming the value and `default`, which is used instead. A typo must
+/// never silently fall back.
 fn rejected<T>(
     name: &str,
     value: String,
@@ -103,7 +88,7 @@ fn rejected<T>(
             value,
         });
     }
-    eprintln!("warning: {name}={value:?} is not one of {expected}; using default {label}");
+    eprintln!("warning: {name}={value:?} is not {expected}; using default {label}");
     Ok(default)
 }
 
@@ -118,7 +103,7 @@ fn cache_mode_from_value(value: Option<String>, strict: bool) -> Result<CacheMod
             "SCA_CACHE",
             value.unwrap_or_default(),
             strict,
-            "off/refresh/on",
+            "one of off/refresh/on",
             (CacheMode::ReadWrite, "read-write"),
         ),
     }
@@ -140,7 +125,7 @@ fn stream_from_value(
             "SCA_STREAM",
             value.unwrap_or_default(),
             strict,
-            "off/on/exact/welford",
+            "one of off/on/exact/welford",
             ((false, SumMode::Exact), "off"),
         ),
     }
@@ -157,141 +142,95 @@ fn backend_from_value(value: Option<String>, strict: bool) -> Result<Backend, Ca
     };
     v.parse().or_else(|()| {
         let default = (Backend::Event, "event");
-        rejected("SCA_BACKEND", v, strict, "event/bitsliced/auto", default)
+        rejected(
+            "SCA_BACKEND",
+            v,
+            strict,
+            "one of event/bitsliced/auto",
+            default,
+        )
     })
 }
 
-/// Whether `SCA_STRICT=1` (or `on`/`true`) is set: malformed
-/// configuration becomes a hard [`CampaignError::Config`] instead of a
-/// warning plus default. CI runs strict so a typo'd knob fails the job.
-pub fn strict_env() -> bool {
-    matches!(
-        std::env::var("SCA_STRICT").as_deref(),
-        Ok("1") | Ok("on") | Ok("true")
-    )
-}
-
-/// Strict counterpart of [`env_parsed`]: a set-but-unusable value is a
-/// typed configuration error rather than a silent (or warned) default.
-fn try_env_parsed<T>(name: &str, default: T) -> Result<T, CampaignError>
+/// Knob `name` parsed as a `T`: `default` when unset, [`rejected`] when
+/// set but unparsable.
+fn knob<T>(name: &str, default: T, strict: bool) -> Result<T, CampaignError>
 where
-    T: std::str::FromStr,
+    T: std::str::FromStr + std::fmt::Display,
 {
-    match std::env::var(name) {
-        Ok(v) => v.parse().map_err(|_| CampaignError::Config {
-            name: name.to_string(),
-            value: v,
+    match env_value(name) {
+        None => Ok(default),
+        Some(value) => value.parse().or_else(|_| {
+            let label = default.to_string();
+            rejected(name, value, strict, "a valid value", (default, &label))
         }),
-        Err(_) => Ok(default),
     }
 }
 
-/// The run budget named by `SCA_DEADLINE_MS` / `SCA_MAX_TRACES` /
-/// `SCA_CANCEL` (0 or unset = unlimited), parsed with `parse` (strict
-/// error) or `lenient` (warn-and-default) semantics.
-fn budget_from_env(strict: bool) -> Result<RunBudget, CampaignError> {
-    let (deadline_ms, max_traces) = if strict {
-        (
-            try_env_parsed("SCA_DEADLINE_MS", 0u64)?,
-            try_env_parsed("SCA_MAX_TRACES", 0usize)?,
-        )
-    } else {
-        (
-            env_parsed("SCA_DEADLINE_MS", 0u64),
-            env_parsed("SCA_MAX_TRACES", 0usize),
-        )
+/// The campaign policy shared by every binary, parsing each `SCA_*`
+/// knob of the crate docs once; stores and the run log live under
+/// `results/`. A malformed knob is a [`CampaignError::Config`] when
+/// `strict`, and otherwise a stderr warning plus its default (so only
+/// strict parsing can fail).
+pub fn try_campaign_config(
+    protocol: ProtocolConfig,
+    strict: bool,
+) -> Result<CampaignConfig, CampaignError> {
+    let (streaming, stream_mode) = stream_from_value(env_value("SCA_STREAM"), strict)?;
+    let faults = match FaultPlan::try_from_env() {
+        Err((value, reason)) if strict => {
+            eprintln!("error: SCA_FAULTS={value:?}: {reason}");
+            return Err(CampaignError::Config {
+                name: "SCA_FAULTS".to_string(),
+                value,
+            });
+        }
+        // A malformed spec warns (once) and injects nothing.
+        parsed => parsed.unwrap_or_else(|_| FaultPlan::from_env().clone()),
     };
+    let workers = knob("SCA_WORKERS", 0usize, strict)?;
+    let cache = cache_mode_from_value(env_value("SCA_CACHE"), strict)?;
+    let max_retries = knob("SCA_RETRIES", 2u32, strict)?;
+    let checkpoint_every = knob("SCA_CHECKPOINT", 64usize, strict)?;
     let mut budget = RunBudget::unlimited();
+    let deadline_ms = knob("SCA_DEADLINE_MS", 0u64, strict)?;
     if deadline_ms > 0 {
         budget = budget.with_time_limit(Duration::from_millis(deadline_ms));
     }
+    let max_traces = knob("SCA_MAX_TRACES", 0usize, strict)?;
     if max_traces > 0 {
         budget = budget.with_max_new_traces(max_traces);
     }
-    Ok(budget)
-}
-
-/// The per-capture watchdog named by `SCA_CAPTURE_TIMEOUT_MS` (0 or
-/// unset = no watchdog).
-fn capture_timeout_from_env(strict: bool) -> Result<Option<Duration>, CampaignError> {
-    let ms = if strict {
-        try_env_parsed("SCA_CAPTURE_TIMEOUT_MS", 0u64)?
-    } else {
-        env_parsed("SCA_CAPTURE_TIMEOUT_MS", 0u64)
-    };
-    Ok((ms > 0).then(|| Duration::from_millis(ms)))
-}
-
-/// Strict counterpart of [`campaign_config`]: any malformed
-/// `SCA_WORKERS`, `SCA_RETRIES`, `SCA_CHECKPOINT`, `SCA_FAULTS`,
-/// `SCA_CACHE`, `SCA_STREAM`, `SCA_BACKEND`, or budget knob is returned
-/// as a [`CampaignError::Config`] instead of a stderr warning plus
-/// default.
-pub fn try_campaign_config(protocol: ProtocolConfig) -> Result<CampaignConfig, CampaignError> {
-    let (streaming, stream_mode) = stream_from_value(env_value("SCA_STREAM"), true)?;
-    let faults = FaultPlan::try_from_env().map_err(|(value, reason)| {
-        eprintln!("error: SCA_FAULTS={value:?}: {reason}");
-        CampaignError::Config {
-            name: "SCA_FAULTS".to_string(),
-            value,
-        }
-    })?;
+    let timeout_ms = knob("SCA_CAPTURE_TIMEOUT_MS", 0u64, strict)?;
     Ok(CampaignConfig {
         protocol,
-        workers: try_env_parsed("SCA_WORKERS", 0usize)?,
-        cache: cache_mode_from_value(env_value("SCA_CACHE"), true)?,
-        max_retries: try_env_parsed("SCA_RETRIES", 2u32)?,
-        checkpoint_every: try_env_parsed("SCA_CHECKPOINT", 64usize)?,
+        workers,
+        cache,
+        max_retries,
+        checkpoint_every,
         streaming,
         stream_mode,
         faults,
-        budget: budget_from_env(true)?,
-        capture_timeout: capture_timeout_from_env(true)?,
-        backend: backend_from_value(env_value("SCA_BACKEND"), true)?,
+        budget,
+        capture_timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
+        backend: backend_from_value(env_value("SCA_BACKEND"), strict)?,
         ..CampaignConfig::default()
     })
 }
 
-/// The campaign policy shared by every binary: workers from
-/// `SCA_WORKERS` (0 or unset = all cores), cache mode from `SCA_CACHE`
-/// (`off`, `refresh`, default read-write), capture retries from
-/// `SCA_RETRIES`, checkpoint cadence from `SCA_CHECKPOINT` (0 = no
-/// checkpoints), fault injection from `SCA_FAULTS`, the streaming
-/// analysis mode from `SCA_STREAM` (`off`, `exact`, `welford`), the
-/// capture engine from `SCA_BACKEND` (`event`, `bitsliced`, `auto`), run
-/// budgets from `SCA_DEADLINE_MS` / `SCA_MAX_TRACES` /
-/// `SCA_CAPTURE_TIMEOUT_MS`, stores and the run log under `results/`.
-///
-/// With `SCA_STRICT=1` a malformed knob exits the process with status 2
-/// (see [`try_campaign_config`]); otherwise it warns and defaults.
+/// [`try_campaign_config`], strict when `SCA_STRICT` is `1`, `on` or
+/// `true` (CI runs strict so a typo'd knob fails the job): a malformed
+/// knob then exits the process with status 2; otherwise it warns and
+/// defaults.
 pub fn campaign_config(protocol: ProtocolConfig) -> CampaignConfig {
-    if strict_env() {
-        match try_campaign_config(protocol) {
-            Ok(config) => return config,
-            Err(e) => {
-                eprintln!("error: {e} (SCA_STRICT=1 makes this fatal)");
-                std::process::exit(2);
-            }
-        }
-    }
-    const LENIENT: &str = "lenient knob parsing cannot fail";
-    let (streaming, stream_mode) =
-        stream_from_value(env_value("SCA_STREAM"), false).expect(LENIENT);
-    let budget = budget_from_env(false).expect(LENIENT);
-    let capture_timeout = capture_timeout_from_env(false).expect(LENIENT);
-    CampaignConfig {
-        protocol,
-        workers: env_parsed("SCA_WORKERS", 0usize),
-        cache: cache_mode_from_value(env_value("SCA_CACHE"), false).expect(LENIENT),
-        max_retries: env_parsed("SCA_RETRIES", 2u32),
-        checkpoint_every: env_parsed("SCA_CHECKPOINT", 64usize),
-        streaming,
-        stream_mode,
-        budget,
-        capture_timeout,
-        backend: backend_from_value(env_value("SCA_BACKEND"), false).expect(LENIENT),
-        ..CampaignConfig::default()
-    }
+    let strict = matches!(
+        std::env::var("SCA_STRICT").as_deref(),
+        Ok("1" | "on" | "true")
+    );
+    try_campaign_config(protocol, strict).unwrap_or_else(|e| {
+        eprintln!("error: {e} (SCA_STRICT=1 makes this fatal)");
+        std::process::exit(2);
+    })
 }
 
 /// A [`Campaign`] wired to the common CLI and environment.
@@ -484,7 +423,7 @@ mod tests {
         std::env::set_var("SCA_DEADLINE_MS", "1500");
         std::env::set_var("SCA_MAX_TRACES", "32");
         std::env::set_var("SCA_CAPTURE_TIMEOUT_MS", "250");
-        let c = try_campaign_config(ProtocolConfig::default()).expect("valid knobs");
+        let c = try_campaign_config(ProtocolConfig::default(), true).expect("valid knobs");
         assert_eq!(c.budget.time_limit, Some(Duration::from_millis(1500)));
         assert_eq!(c.budget.max_new_traces, Some(32));
         assert_eq!(c.capture_timeout, Some(Duration::from_millis(250)));
@@ -525,12 +464,12 @@ mod tests {
         // knob; unset falls back to the given default. Unique variable
         // names: the test process' environment is shared across threads.
         std::env::set_var("SCA_TEST_STRICT_BAD", "banana");
-        let err = try_env_parsed::<usize>("SCA_TEST_STRICT_BAD", 0).expect_err("typed error");
+        let err = knob::<usize>("SCA_TEST_STRICT_BAD", 0, true).expect_err("typed error");
         assert!(matches!(err, CampaignError::Config { ref name, ref value }
             if name == "SCA_TEST_STRICT_BAD" && value == "banana"));
         std::env::remove_var("SCA_TEST_STRICT_BAD");
         assert_eq!(
-            try_env_parsed::<usize>("SCA_TEST_STRICT_UNSET", 4).expect("unset is default"),
+            knob::<usize>("SCA_TEST_STRICT_UNSET", 4, true).expect("unset is default"),
             4
         );
     }
@@ -540,10 +479,11 @@ mod tests {
         // Unique variable names: the test process' environment is shared
         // across threads.
         std::env::set_var("SCA_TEST_ENV_GOOD", "7");
-        assert_eq!(env_parsed("SCA_TEST_ENV_GOOD", 0usize), 7);
+        let lenient = |name, default| knob::<u32>(name, default, false).expect("lenient");
+        assert_eq!(lenient("SCA_TEST_ENV_GOOD", 0), 7);
         std::env::set_var("SCA_TEST_ENV_BAD", "banana");
-        assert_eq!(env_parsed("SCA_TEST_ENV_BAD", 3usize), 3);
-        assert_eq!(env_parsed("SCA_TEST_ENV_UNSET", 5u32), 5);
+        assert_eq!(lenient("SCA_TEST_ENV_BAD", 3), 3);
+        assert_eq!(lenient("SCA_TEST_ENV_UNSET", 5), 5);
         std::env::remove_var("SCA_TEST_ENV_GOOD");
         std::env::remove_var("SCA_TEST_ENV_BAD");
     }

@@ -33,7 +33,8 @@ fn main() {
 
     println!("\nleakage over the device lifetime:");
     let mut campaign = Campaign::new(CampaignConfig::default());
-    let outcomes = campaign.run_aged(scheme, &[0.0, 12.0, 24.0, 36.0, 48.0]);
+    let outcomes =
+        [0.0, 12.0, 24.0, 36.0, 48.0].map(|months| campaign.acquire_aged(scheme, months));
     let fresh = outcomes[0].spectrum.total_leakage_power();
     for aged in &outcomes {
         let total = aged.spectrum.total_leakage_power();

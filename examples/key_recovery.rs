@@ -29,7 +29,7 @@ fn main() {
         mode: SumMode::Exact,
     };
     for scheme in [Scheme::Lut, Scheme::Isw] {
-        let outcome = campaign.attack(scheme, &plan);
+        let outcome = campaign.attack_aged(scheme, 0.0, &plan);
         println!("=== {scheme} (true key {key:X}) ===");
         for report in &outcome.reports {
             // Trial 0 shares its traces with the batch CPA acquisitions,

@@ -19,7 +19,7 @@ fn main() {
     for scheme in Scheme::ALL {
         let circuit = SboxCircuit::build(scheme);
         let stats = circuit.netlist().stats();
-        let outcome = campaign.acquire(scheme);
+        let outcome = campaign.acquire_aged(scheme, 0.0);
         let sp = &outcome.spectrum;
         println!(
             "{:9} {:>6} {:>9.1} {:>7} {:>12.4e} {:>12.4e} {:>9.3}",

@@ -35,7 +35,7 @@ fn main() {
     // 3. Acquire the paper's 1024-trace protocol (parallel, cached) and
     //    compute the leakage.
     let mut campaign = Campaign::new(CampaignConfig::default());
-    let outcome = campaign.acquire(Scheme::Isw);
+    let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
     let spectrum = &outcome.spectrum;
     println!(
         "total leakage power      : {:.4e}",

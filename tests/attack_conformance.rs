@@ -209,7 +209,7 @@ fn campaign_streamed_attack_matches_golden_vectors() {
                 sr_threshold: 0.8,
                 mode: SumMode::Exact,
             };
-            let outcome = campaign.attack(scheme, &plan);
+            let outcome = campaign.attack_aged(scheme, 0.0, &plan);
             let results: Vec<(Distinguisher, CpaResult)> = outcome
                 .reports
                 .iter()

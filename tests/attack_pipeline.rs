@@ -107,7 +107,7 @@ fn attack_engine_reproduces_the_paper_protection_ordering() {
         sr_threshold: 1.0,
         mode: SumMode::Exact,
     };
-    let lut = make().attack(Scheme::Lut, &plan);
+    let lut = make().attack_aged(Scheme::Lut, 0.0, &plan);
     let lut_mtd = lut.reports[0].mtd;
     assert!(
         lut_mtd.is_some(),
@@ -115,7 +115,7 @@ fn attack_engine_reproduces_the_paper_protection_ordering() {
         plan.traces
     );
     for scheme in [Scheme::Rsm, Scheme::Ti, Scheme::Isw] {
-        let outcome = make().attack(scheme, &plan);
+        let outcome = make().attack_aged(scheme, 0.0, &plan);
         assert_eq!(
             outcome.reports[0].mtd, None,
             "{scheme} should resist MLPA at a budget that breaks the LUT"

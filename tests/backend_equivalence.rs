@@ -76,7 +76,7 @@ fn every_scheme_fresh_and_aged_is_bit_identical_across_backends() {
 #[test]
 fn streaming_spectra_are_backend_invariant() {
     let dir = scratch("stream");
-    let batch = campaign_with(&dir, Backend::Event, CacheMode::Off).acquire(Scheme::Glut);
+    let batch = campaign_with(&dir, Backend::Event, CacheMode::Off).acquire_aged(Scheme::Glut, 0.0);
     for backend in [Backend::Event, Backend::Bitsliced] {
         let mut campaign = Campaign::new(CampaignConfig {
             protocol: small_protocol(),
@@ -89,7 +89,7 @@ fn streaming_spectra_are_backend_invariant() {
             backend,
             ..CampaignConfig::default()
         });
-        let streamed = campaign.acquire_spectrum(Scheme::Glut);
+        let streamed = campaign.acquire_spectrum_aged(Scheme::Glut, 0.0);
         assert!(streamed.streamed);
         let report = campaign.log().reports().last().expect("one run logged");
         assert_eq!(
@@ -114,8 +114,8 @@ fn streaming_spectra_are_backend_invariant() {
 fn bitsliced_captures_persist_heal_and_serve_byte_identically() {
     let event_dir = scratch("store-event");
     let bits_dir = scratch("store-bits");
-    let reference =
-        campaign_with(&event_dir, Backend::Event, CacheMode::ReadWrite).acquire(Scheme::Isw);
+    let reference = campaign_with(&event_dir, Backend::Event, CacheMode::ReadWrite)
+        .acquire_aged(Scheme::Isw, 0.0);
 
     // Transient capture faults under the bit-sliced backend reroute the
     // faulted indices through the scalar retry path; the surviving set
@@ -130,7 +130,7 @@ fn bitsliced_captures_persist_heal_and_serve_byte_identically() {
         backend: Backend::Bitsliced,
         ..CampaignConfig::default()
     });
-    let outcome = campaign.acquire(Scheme::Isw);
+    let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
     assert!(!outcome.cache_hit);
     assert_eq!(outcome.traces, reference.traces);
 
@@ -153,7 +153,7 @@ fn bitsliced_captures_persist_heal_and_serve_byte_identically() {
 
     // The healed store serves cache hits bit-identically.
     let mut warm = campaign_with(&bits_dir, Backend::Bitsliced, CacheMode::ReadWrite);
-    let again = warm.acquire(Scheme::Isw);
+    let again = warm.acquire_aged(Scheme::Isw, 0.0);
     assert!(again.cache_hit);
     assert_eq!(again.traces, reference.traces);
 
@@ -192,21 +192,21 @@ fn budget_interrupted_bitsliced_runs_resume_bit_identically() {
         ..CampaignConfig::default()
     };
     let reference = Campaign::new(config(&ref_dir, Backend::Event, RunBudget::unlimited()))
-        .acquire(Scheme::Rsm);
+        .acquire_aged(Scheme::Rsm, 0.0);
 
     let first = Campaign::new(config(
         &dir,
         Backend::Bitsliced,
         RunBudget::unlimited().with_max_new_traces(1024),
     ))
-    .acquire(Scheme::Rsm);
+    .acquire_aged(Scheme::Rsm, 0.0);
     assert!(
         first.partial.is_some(),
         "the trace budget must interrupt the 1536-trace schedule"
     );
 
     let mut resumed = Campaign::new(config(&dir, Backend::Bitsliced, RunBudget::unlimited()));
-    let complete = resumed.acquire(Scheme::Rsm);
+    let complete = resumed.acquire_aged(Scheme::Rsm, 0.0);
     assert!(complete.partial.is_none());
     assert_eq!(complete.traces, reference.traces);
     assert_eq!(complete.spectrum, reference.spectrum);

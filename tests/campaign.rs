@@ -10,7 +10,9 @@ use std::path::{Path, PathBuf};
 
 use sbox_leakage::acquisition;
 use sbox_leakage::analysis::LeakageSpectrum;
-use sbox_leakage::campaign::{CacheMode, Campaign, CampaignConfig, StoreWriter};
+use sbox_leakage::campaign::{
+    AttackPlan, CacheMode, Campaign, CampaignConfig, RunReport, StoreWriter,
+};
 use sbox_leakage::campaign::{StoreKind, StoreMeta, StoreReader};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 
@@ -53,7 +55,7 @@ fn isw_campaign_is_bit_identical_to_sequential_acquisition_for_any_worker_count(
     for workers in [1usize, 2, 8] {
         let dir = scratch(&format!("det{workers}"));
         let mut campaign = campaign_in(&dir, workers, CacheMode::Off);
-        let outcome = campaign.acquire(Scheme::Isw);
+        let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
         assert!(!outcome.cache_hit, "cache is off; this must simulate");
         assert_eq!(
             outcome.traces.class_means(),
@@ -129,12 +131,12 @@ fn warm_cache_serves_acquisition_with_zero_simulator_events() {
     let dir = scratch("warm");
 
     let mut cold = campaign_in(&dir, 2, CacheMode::ReadWrite);
-    let first = cold.acquire(Scheme::Glut);
+    let first = cold.acquire_aged(Scheme::Glut, 0.0);
     assert!(!first.cache_hit);
     assert!(cold.log().reports()[0].stats.events > 0);
 
     let mut warm = campaign_in(&dir, 2, CacheMode::ReadWrite);
-    let second = warm.acquire(Scheme::Glut);
+    let second = warm.acquire_aged(Scheme::Glut, 0.0);
     assert!(second.cache_hit, "second campaign must hit the store");
     assert_eq!(
         warm.log().reports()[0].stats.events,
@@ -146,5 +148,100 @@ fn warm_cache_serves_acquisition_with_zero_simulator_events() {
         first.spectrum.total_leakage_power(),
         second.spectrum.total_leakage_power()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small, fast campaign (32 traces of 10 samples) over `dir`.
+fn small_campaign_in(dir: &Path) -> Campaign {
+    let mut config = CampaignConfig {
+        workers: 2,
+        cache: CacheMode::ReadWrite,
+        store_dir: dir.join("traces"),
+        log_path: dir.join("runs.jsonl"),
+        ..CampaignConfig::default()
+    };
+    config.protocol.traces_per_class = 2;
+    config.protocol.sampling.samples = 10;
+    Campaign::new(config)
+}
+
+fn stage_names(report: &RunReport) -> Vec<&'static str> {
+    report.stages.iter().map(|s| s.name).collect()
+}
+
+/// A store that exists but cannot serve — its header or one of its
+/// records damaged — degrades to a miss, and that miss's run report
+/// names the store it could not use.
+#[test]
+fn a_damaged_store_is_named_in_the_miss_report() {
+    let dir = scratch("degraded");
+    let mut campaign = small_campaign_in(&dir);
+    campaign.acquire_aged(Scheme::Opt, 0.0);
+    let store = std::fs::read_dir(dir.join("traces"))
+        .expect("store dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "sctr"))
+        .expect("the classified store");
+    let pristine = std::fs::read(&store).expect("store bytes");
+    // Byte 10 lies in the header (lookup fails); the middle byte lies in
+    // a record (the read fails part-way).
+    for at in [10, pristine.len() / 2] {
+        let mut damaged = pristine.clone();
+        damaged[at] ^= 0x20;
+        std::fs::write(&store, &damaged).expect("corrupt");
+        let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
+        assert!(
+            !outcome.cache_hit,
+            "byte {at}: a damaged store cannot serve"
+        );
+        let report = campaign.log().reports().last().expect("miss logged");
+        let name = store.display().to_string();
+        assert!(
+            report.warnings.iter().any(|w| w.contains(&name)),
+            "byte {at}: warnings {:?} do not name {name}",
+            report.warnings
+        );
+        assert_eq!(std::fs::read(&store).expect("rewritten"), pristine);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A miss times building the netlist and derating it; a hit builds
+/// nothing and simulates nothing.
+#[test]
+fn misses_time_build_and_aging_and_hits_build_nothing() {
+    let dir = scratch("stages");
+    let mut campaign = small_campaign_in(&dir);
+    campaign.acquire_aged(Scheme::Opt, 24.0);
+    let miss = campaign
+        .log()
+        .reports()
+        .last()
+        .expect("miss logged")
+        .clone();
+    assert!(!miss.cache_hit);
+    assert!(stage_names(&miss).contains(&"build"), "{:?}", miss.stages);
+    assert!(stage_names(&miss).contains(&"age"), "{:?}", miss.stages);
+
+    assert!(campaign.acquire_aged(Scheme::Opt, 24.0).cache_hit);
+    let hit = campaign.log().reports().last().expect("hit logged");
+    assert!(!stage_names(hit).contains(&"build"), "{:?}", hit.stages);
+    assert!(!stage_names(hit).contains(&"age"), "{:?}", hit.stages);
+    assert_eq!(hit.stats.events, 0, "a hit must not simulate");
+
+    let plan = AttackPlan {
+        traces: 32,
+        trials: 1,
+        ..AttackPlan::default()
+    };
+    campaign.attack_aged(Scheme::Lut, 24.0, &plan);
+    let attack = campaign.log().reports().last().expect("trial logged");
+    assert!(!attack.cache_hit);
+    assert!(
+        stage_names(attack).contains(&"build"),
+        "{:?}",
+        attack.stages
+    );
+    assert!(stage_names(attack).contains(&"age"), "{:?}", attack.stages);
     let _ = std::fs::remove_dir_all(&dir);
 }

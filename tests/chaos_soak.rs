@@ -152,7 +152,7 @@ impl Leg {
         });
         let (bits, analyzed, remaining) = match self {
             Leg::Batch => {
-                let outcome = campaign.acquire(Scheme::Opt);
+                let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
                 let bits = outcome
                     .traces
                     .iter()
@@ -162,7 +162,7 @@ impl Leg {
                 (bits, outcome.traces.len(), remaining)
             }
             Leg::Streamed => {
-                let outcome = campaign.acquire_spectrum(Scheme::Opt);
+                let outcome = campaign.acquire_spectrum_aged(Scheme::Opt, 0.0);
                 let s = &outcome.spectrum;
                 let bits = (0..s.num_sources())
                     .flat_map(|u| (0..s.samples()).map(move |t| s.coefficient(u, t).to_bits()))
@@ -176,7 +176,7 @@ impl Leg {
                     trials: 1,
                     ..AttackPlan::default()
                 };
-                let outcome = campaign.attack(Scheme::Opt, &plan);
+                let outcome = campaign.attack_aged(Scheme::Opt, 0.0, &plan);
                 let report = &outcome.reports[0];
                 let bits = report.final_scores[0]
                     .scores

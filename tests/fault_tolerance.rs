@@ -63,7 +63,7 @@ fn store_file(dir: &Path) -> PathBuf {
 fn every_truncation_and_corruption_degrades_to_a_cache_miss() {
     let dir = scratch("torn");
     let mut campaign = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    let reference = campaign.acquire(Scheme::Opt);
+    let reference = campaign.acquire_aged(Scheme::Opt, 0.0);
     assert!(!reference.cache_hit);
 
     let path = store_file(&dir);
@@ -93,11 +93,14 @@ fn every_truncation_and_corruption_degrades_to_a_cache_miss() {
     // traces (then repairs the store for the run after it).
     std::fs::write(&path, &pristine[..pristine.len() / 2]).expect("tear");
     let mut recovering = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    let recovered = recovering.acquire(Scheme::Opt);
+    let recovered = recovering.acquire_aged(Scheme::Opt, 0.0);
     assert!(!recovered.cache_hit, "torn store must be a miss");
     assert_eq!(recovered.traces, reference.traces);
     let mut warm = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    assert!(warm.acquire(Scheme::Opt).cache_hit, "store repaired");
+    assert!(
+        warm.acquire_aged(Scheme::Opt, 0.0).cache_hit,
+        "store repaired"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -112,11 +115,11 @@ fn injected_torn_store_writes_degrade_to_re_acquisition() {
         CacheMode::ReadWrite,
         FaultPlan::none().with_torn_store(40),
     );
-    let first = torn.acquire(Scheme::Opt);
+    let first = torn.acquire_aged(Scheme::Opt, 0.0);
     assert!(!first.cache_hit);
 
     let mut after = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    let second = after.acquire(Scheme::Opt);
+    let second = after.acquire_aged(Scheme::Opt, 0.0);
     assert!(
         !second.cache_hit,
         "a torn store must not be served as a hit"
@@ -133,7 +136,7 @@ fn injected_torn_store_writes_degrade_to_re_acquisition() {
 fn injected_panics_are_retried_bit_identically_at_any_worker_count() {
     let dir = scratch("retry");
     let mut clean = campaign_in(&dir, CacheMode::Off, FaultPlan::none());
-    let reference = clean.acquire(Scheme::Rsm);
+    let reference = clean.acquire_aged(Scheme::Rsm, 0.0);
 
     for workers in [1usize, 8] {
         let faults = FaultPlan::none()
@@ -148,7 +151,7 @@ fn injected_panics_are_retried_bit_identically_at_any_worker_count() {
             faults,
             ..CampaignConfig::default()
         });
-        let outcome = campaign.acquire(Scheme::Rsm);
+        let outcome = campaign.acquire_aged(Scheme::Rsm, 0.0);
         assert_eq!(
             outcome.traces, reference.traces,
             "retried traces must be bit-identical at {workers} workers"
@@ -172,7 +175,7 @@ fn sticky_faults_quarantine_and_do_not_poison_the_cache() {
     let dir = scratch("quarantine");
     let faults = FaultPlan::none().with_sticky_panics([3, 11]);
     let mut campaign = campaign_in(&dir, CacheMode::ReadWrite, faults);
-    let outcome = campaign.acquire(Scheme::Opt);
+    let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
     assert!(!outcome.cache_hit);
     assert_eq!(outcome.traces.len(), 30, "32 scheduled, 2 quarantined");
 
@@ -214,7 +217,7 @@ fn a_killed_campaign_resumes_from_its_checkpoint() {
     // The clean reference (and its full-simulation event count).
     let ref_dir = scratch("resume-ref");
     let mut clean = campaign_in(&ref_dir, CacheMode::Off, FaultPlan::none());
-    let reference = clean.acquire(Scheme::Glut);
+    let reference = clean.acquire_aged(Scheme::Glut, 0.0);
     let full_events = clean.log().reports()[0].stats.events;
     assert!(full_events > 0);
 
@@ -224,12 +227,12 @@ fn a_killed_campaign_resumes_from_its_checkpoint() {
     let dir = scratch("resume");
     let faults = FaultPlan::none().with_sticky_panics([5, 20]);
     let mut killed = campaign_in(&dir, CacheMode::ReadWrite, faults);
-    killed.acquire(Scheme::Glut);
+    killed.acquire_aged(Scheme::Glut, 0.0);
     assert_eq!(killed.log().reports()[0].quarantined, 2);
 
     // The next run resumes: 30 traces from the checkpoint, 2 simulated.
     let mut resumed = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    let outcome = resumed.acquire(Scheme::Glut);
+    let outcome = resumed.acquire_aged(Scheme::Glut, 0.0);
     assert!(!outcome.cache_hit);
     assert_eq!(
         outcome.traces, reference.traces,
@@ -249,7 +252,7 @@ fn a_killed_campaign_resumes_from_its_checkpoint() {
     // The completed run wrote the store and retired the checkpoint: the
     // next campaign is a pure hit.
     let mut warm = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    assert!(warm.acquire(Scheme::Glut).cache_hit);
+    assert!(warm.acquire_aged(Scheme::Glut, 0.0).cache_hit);
     assert_eq!(warm.log().reports()[0].stats.events, 0);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
@@ -263,10 +266,10 @@ fn refresh_mode_ignores_existing_checkpoints() {
     let dir = scratch("refresh");
     let faults = FaultPlan::none().with_sticky_panics([1]);
     let mut killed = campaign_in(&dir, CacheMode::ReadWrite, faults);
-    killed.acquire(Scheme::Opt);
+    killed.acquire_aged(Scheme::Opt, 0.0);
 
     let mut refresh = campaign_in(&dir, CacheMode::WriteOnly, FaultPlan::none());
-    let outcome = refresh.acquire(Scheme::Opt);
+    let outcome = refresh.acquire_aged(Scheme::Opt, 0.0);
     assert!(!outcome.cache_hit);
     let report = &refresh.log().reports()[0];
     assert_eq!(report.resumed, 0, "refresh must not resume");
@@ -299,14 +302,14 @@ fn streaming_campaign_in(
 fn faulted_streaming_folds_are_bit_identical_to_a_clean_run() {
     let dir = scratch("stream-retry");
     let mut clean = campaign_in(&dir, CacheMode::Off, FaultPlan::none());
-    let reference = clean.acquire(Scheme::Rsm);
+    let reference = clean.acquire_aged(Scheme::Rsm, 0.0);
 
     for workers in [1usize, 8] {
         let faults = FaultPlan::none()
             .with_transient_panics([0, 7, 31])
             .with_panic_rate(11, 0.2);
         let mut campaign = streaming_campaign_in(&dir, CacheMode::Off, faults, workers);
-        let outcome = campaign.acquire_spectrum(Scheme::Rsm);
+        let outcome = campaign.acquire_spectrum_aged(Scheme::Rsm, 0.0);
         assert!(outcome.streamed);
         assert_eq!(
             outcome.spectrum, reference.spectrum,
@@ -334,11 +337,11 @@ fn quarantined_streaming_folds_survivors_exactly_once() {
     let dir = scratch("stream-quarantine");
     let faults = FaultPlan::none().with_sticky_panics([3, 11]);
     let mut batch = campaign_in(&dir, CacheMode::Off, faults.clone());
-    let degraded = batch.acquire(Scheme::Opt);
+    let degraded = batch.acquire_aged(Scheme::Opt, 0.0);
     assert_eq!(degraded.traces.len(), 30, "32 scheduled, 2 quarantined");
 
     let mut campaign = streaming_campaign_in(&dir, CacheMode::ReadWrite, faults, 2);
-    let outcome = campaign.acquire_spectrum(Scheme::Opt);
+    let outcome = campaign.acquire_spectrum_aged(Scheme::Opt, 0.0);
     assert_eq!(
         outcome.traces_analyzed, 30,
         "quarantined traces must not fold"
@@ -375,7 +378,7 @@ fn a_killed_streaming_run_resumes_to_an_identical_accumulator() {
     // Uninterrupted streaming reference (and its full event count).
     let ref_dir = scratch("stream-resume-ref");
     let mut fresh = streaming_campaign_in(&ref_dir, CacheMode::Off, FaultPlan::none(), 2);
-    let reference = fresh.acquire_spectrum(Scheme::Glut);
+    let reference = fresh.acquire_spectrum_aged(Scheme::Glut, 0.0);
     let full_events = fresh.log().reports()[0].stats.events;
     assert!(full_events > 0);
 
@@ -383,12 +386,12 @@ fn a_killed_streaming_run_resumes_to_an_identical_accumulator() {
     let dir = scratch("stream-resume");
     let faults = FaultPlan::none().with_sticky_panics([5, 20]);
     let mut killed = streaming_campaign_in(&dir, CacheMode::ReadWrite, faults, 2);
-    killed.acquire_spectrum(Scheme::Glut);
+    killed.acquire_spectrum_aged(Scheme::Glut, 0.0);
     assert_eq!(killed.log().reports()[0].quarantined, 2);
 
     // The resumed run re-folds 30 checkpointed frames and simulates 2.
     let mut resumed = streaming_campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none(), 2);
-    let outcome = resumed.acquire_spectrum(Scheme::Glut);
+    let outcome = resumed.acquire_spectrum_aged(Scheme::Glut, 0.0);
     assert!(!outcome.cache_hit, "no complete store exists to hit");
     assert_eq!(
         outcome.spectrum, reference.spectrum,
@@ -410,7 +413,7 @@ fn a_killed_streaming_run_resumes_to_an_identical_accumulator() {
     // retire it into): a third run folds every frame from it without
     // simulating at all.
     let mut warm = streaming_campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none(), 2);
-    let rewarmed = warm.acquire_spectrum(Scheme::Glut);
+    let rewarmed = warm.acquire_spectrum_aged(Scheme::Glut, 0.0);
     assert_eq!(rewarmed.spectrum, reference.spectrum);
     let report = &warm.log().reports()[0];
     assert_eq!(report.resumed, 32, "everything folds from the checkpoint");
@@ -439,7 +442,7 @@ fn splitmix(state: &mut u64) -> u64 {
 fn scrub_restores_randomly_corrupted_stores_bit_identically() {
     let dir = scratch("scrub-prop");
     let mut campaign = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    let reference = campaign.acquire(Scheme::Ti);
+    let reference = campaign.acquire_aged(Scheme::Ti, 0.0);
     let path = store_file(&dir);
     let pristine = std::fs::read(&path).expect("store bytes");
     let mut rng = 0x5C4B_0B5E_ED00_0007u64;
@@ -477,7 +480,7 @@ fn scrub_restores_randomly_corrupted_stores_bit_identically() {
                 );
                 let _ = std::fs::remove_file(path.with_extension("sctr.quarantined"));
                 let mut fresh = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-                let recovered = fresh.acquire(Scheme::Ti);
+                let recovered = fresh.acquire_aged(Scheme::Ti, 0.0);
                 assert!(!recovered.cache_hit, "round {round}");
                 assert_eq!(recovered.traces, reference.traces, "round {round}");
                 let rewritten = std::fs::read(&path).expect("rewritten bytes");
@@ -492,7 +495,7 @@ fn scrub_restores_randomly_corrupted_stores_bit_identically() {
     // Whatever mix of heals and quarantines the sweep produced, the
     // analysis downstream of the store sees the uncorrupted results.
     let mut warm = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
-    let outcome = warm.acquire(Scheme::Ti);
+    let outcome = warm.acquire_aged(Scheme::Ti, 0.0);
     assert!(outcome.cache_hit, "scrubbed store must serve hits again");
     assert_eq!(outcome.traces, reference.traces);
     assert_eq!(outcome.spectrum, reference.spectrum);
@@ -532,6 +535,36 @@ fn scrub_heals_cpa_stores_so_attack_inputs_are_bit_identical() {
         again, reference,
         "healed CPA store must reproduce identical attack inputs"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Healing an *aged* classified store re-derives its schedule from the
+/// header and re-derates the device at the stored age, so the healed
+/// file is byte-identical to the pristine 24-month capture.
+#[test]
+fn scrub_heals_an_aged_classified_store_bit_identically() {
+    let dir = scratch("scrub-aged");
+    let mut campaign = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
+    let reference = campaign.acquire_aged(Scheme::Opt, 24.0);
+    let path = store_file(&dir);
+    let pristine = std::fs::read(&path).expect("store bytes");
+    assert!(path.to_string_lossy().contains("-age024-"), "{path:?}");
+
+    // Flip one sample byte in the record region, past the header.
+    let mut damaged = pristine.clone();
+    let at = damaged.len() / 2;
+    damaged[at] ^= 0x10;
+    std::fs::write(&path, &damaged).expect("corrupt");
+
+    let report = campaign.scrub();
+    assert_eq!(report.healed(), 1, "{report}");
+    let healed = std::fs::read(&path).expect("healed bytes");
+    assert_eq!(healed, pristine, "healed aged store must be byte-identical");
+
+    let mut warm = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
+    let outcome = warm.acquire_aged(Scheme::Opt, 24.0);
+    assert!(outcome.cache_hit, "healed store must serve hits again");
+    assert_eq!(outcome.traces, reference.traces);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

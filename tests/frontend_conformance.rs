@@ -34,7 +34,11 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sbox_leakage::acquisition::{self, Backend, ProtocolConfig};
-use sbox_leakage::campaign::{CacheMode, Campaign, CampaignConfig};
+use sbox_leakage::analysis::LeakageSpectrum;
+use sbox_leakage::campaign::{
+    AttackPlan, CacheMode, Campaign, CampaignConfig, Distinguisher, DistinguisherReport,
+    LeakageModel, Subject,
+};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 use sbox_leakage::frontend::{
     self, import_auto, import_str, netlist_digest, sidecar_json, sidecar_toml, structural_diff,
@@ -248,8 +252,12 @@ fn campaign_keys_imported_designs_by_content_hash() {
         imported.scheme().label().to_lowercase(),
         netlist_digest(imported.netlist())
     );
-    let first = campaign.acquire_circuit_aged(&imported, &label, 0.0);
-    let second = campaign.acquire_circuit_aged(&imported, &label, 0.0);
+    let subject = Subject::Imported {
+        circuit: &imported,
+        label: &label,
+    };
+    let first = campaign.acquire_aged(subject, 0.0);
+    let second = campaign.acquire_aged(subject, 0.0);
     assert!(!first.cache_hit, "first acquisition must simulate");
     assert!(second.cache_hit, "unchanged import must hit the store");
     assert_eq!(first.traces, second.traces);
@@ -260,6 +268,96 @@ fn campaign_keys_imported_designs_by_content_hash() {
         &campaign.config().protocol,
     );
     assert_eq!(first.traces, native);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An imported ISW netlist runs the spectral and the attack pipeline
+/// under its content label: streamed and batch spectra and every attack
+/// score equal the native scheme's bit for bit, and a repeated cell is
+/// served from the store.
+#[test]
+fn imported_designs_run_spectra_and_attacks_like_the_native_scheme() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("frontend-spectra-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let make = |cache, streaming| {
+        Campaign::new(CampaignConfig {
+            protocol: protocol(),
+            workers: 2,
+            cache,
+            store_dir: dir.clone(),
+            log_path: dir.join("runs.jsonl"),
+            streaming,
+            ..CampaignConfig::default()
+        })
+    };
+    let imported = reimport(Scheme::Isw, SourceFormat::YosysJson);
+    let label = format!("import-isw-{:016x}", netlist_digest(imported.netlist()));
+    let subject = Subject::Imported {
+        circuit: &imported,
+        label: &label,
+    };
+    let native = make(CacheMode::Off, false).acquire_spectrum_aged(Scheme::Isw, 0.0);
+    let bits = |s: &LeakageSpectrum| -> Vec<u64> {
+        (0..s.num_sources())
+            .flat_map(|u| (0..s.samples()).map(move |t| (u, t)))
+            .map(|(u, t)| s.coefficient(u, t).to_bits())
+            .collect()
+    };
+
+    let mut streamed = make(CacheMode::Off, true);
+    let got = streamed.acquire_spectrum_aged(subject, 0.0);
+    assert!(got.streamed && !got.cache_hit);
+    assert_eq!(bits(&got.spectrum), bits(&native.spectrum), "streamed");
+    assert_eq!(got.class_counts, native.class_counts);
+
+    let mut batch = make(CacheMode::ReadWrite, false);
+    let first = batch.acquire_spectrum_aged(subject, 0.0);
+    let second = batch.acquire_spectrum_aged(subject, 0.0);
+    assert!(!first.cache_hit, "first call must simulate");
+    assert!(second.cache_hit, "unchanged import must hit the store");
+    assert_eq!(bits(&first.spectrum), bits(&native.spectrum), "batch");
+    assert_eq!(bits(&second.spectrum), bits(&native.spectrum), "hit");
+    let report = batch.log().reports().last().expect("hit logged");
+    assert_eq!(report.implementation, label);
+
+    // Attacks: a cold trial, then one served from the CPA store that
+    // `acquire_cpa` writes under the same label.
+    let plan = AttackPlan {
+        key: 0x5,
+        traces: 40,
+        trials: 1,
+        distinguishers: vec![
+            Distinguisher::Cpa(LeakageModel::OutputTransition),
+            Distinguisher::Mlpa,
+        ],
+        ..AttackPlan::default()
+    };
+    let want = make(CacheMode::Off, false).attack_aged(Scheme::Isw, 0.0, &plan);
+    let cold = batch.attack_aged(subject, 0.0, &plan);
+    batch.acquire_cpa(subject, plan.key, plan.traces);
+    let warm = batch.attack_aged(subject, 0.0, &plan);
+    assert_eq!((cold.cache_hits, warm.cache_hits), (0, 1));
+    assert_eq!(warm.scheme, Scheme::Isw);
+    for got in [&cold, &warm] {
+        for (a, b) in want.reports.iter().zip(&got.reports) {
+            let scores = |r: &DistinguisherReport| -> Vec<u64> {
+                r.final_scores
+                    .iter()
+                    .flat_map(|s| s.scores.iter().map(|x| x.to_bits()))
+                    .collect()
+            };
+            assert_eq!(scores(a), scores(b), "{}", a.distinguisher.label());
+            assert_eq!(a.success_rate, b.success_rate);
+        }
+        assert_eq!(
+            got.mean_total_leakage_power.to_bits(),
+            want.mean_total_leakage_power.to_bits()
+        );
+    }
+    let report = batch.log().reports().last().expect("hit logged");
+    assert!(report.cache_hit);
+    assert_eq!(report.implementation, label);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,10 @@
-//! Event-driven simulation throughput per scheme, plus power-model
-//! ablations (pulse shape, process-variation σ) and the capture-path
-//! shootout: frozen pre-rework engine vs. a fresh `CaptureSession` per
-//! capture vs. a reused one.
+//! Event-driven simulation throughput per scheme, a one-shot ISW
+//! capture, the process-variation σ sweep of simulator construction,
+//! and the capture-path shootout: frozen pre-rework engine vs. a fresh
+//! `CaptureSession` per capture vs. a reused one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gatesim::{sample_waveform, PulseShape, SamplingConfig, SimConfig, Simulator};
+use gatesim::{SamplingConfig, SimConfig, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
@@ -43,28 +43,6 @@ fn bench_capture_and_ablation(c: &mut Criterion) {
             trace
         })
     });
-
-    // Ablation: waveform rendering cost by pulse shape.
-    let record = sim.session().transition(&initial, &final_inputs);
-    let mut group = c.benchmark_group("simulator/pulse_shape");
-    for shape in [PulseShape::Triangular, PulseShape::Rectangular] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{shape:?}")),
-            &shape,
-            |b, &shape| {
-                b.iter(|| {
-                    sample_waveform(
-                        &record.events,
-                        &sampling,
-                        1.5,
-                        |g| sim.gate_delay_ps(g),
-                        shape,
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
 
     // Ablation: simulator construction under process-variation sweep.
     let mut group = c.benchmark_group("simulator/process_sigma");

@@ -7,8 +7,9 @@
 //! * `legacy` — the frozen pre-rework engine (`BinaryHeap` queue,
 //!   per-call scratch allocation, full-buffer waveform indexing);
 //! * `alloc_per_capture` — a fresh [`gatesim::CaptureSession`] and a
-//!   fresh trace `Vec` per capture (`sim.session()` + `capture_into`),
-//!   so every call pays the session's scratch setup;
+//!   fresh trace `Vec` per capture (`sim.session()` + `capture_into`).
+//!   Sessions borrow the netlist the `Simulator` compiled once, so
+//!   this leg measures per-call scratch allocation only;
 //! * `session_reuse` — one [`gatesim::CaptureSession`] reused across the
 //!   whole schedule, as the campaign executor holds per worker, with a
 //!   fresh owned trace `Vec` per capture (the executor's pattern);

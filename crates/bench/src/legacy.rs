@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use gatesim::{CaptureStats, PulseShape, SamplingConfig, Simulator, SwitchEvent, TransitionRecord};
+use gatesim::{CaptureStats, SamplingConfig, Simulator, SwitchEvent, TransitionRecord};
 use rand::Rng;
 use sbox_netlist::GateId;
 
@@ -199,7 +199,6 @@ pub fn legacy_sample_waveform(
     sampling: &SamplingConfig,
     pulse_width_factor: f64,
     gate_delay_ps: impl Fn(GateId) -> f64,
-    shape: PulseShape,
 ) -> Vec<f64> {
     let dt = sampling.period_ps();
     let mut samples = vec![0.0f64; sampling.samples];
@@ -219,7 +218,7 @@ pub fn legacy_sample_waveform(
             let bin_hi = bin_lo + dt;
             let xa = ((bin_lo - start) / width).clamp(0.0, 1.0);
             let xb = ((bin_hi - start) / width).clamp(0.0, 1.0);
-            let frac = pulse_cdf(shape, xb) - pulse_cdf(shape, xa);
+            let frac = pulse_cdf(xb) - pulse_cdf(xa);
             if frac > 0.0 {
                 *slot += e.energy_fj * frac / dt;
             }
@@ -228,16 +227,13 @@ pub fn legacy_sample_waveform(
     samples
 }
 
-fn pulse_cdf(shape: PulseShape, x: f64) -> f64 {
-    match shape {
-        PulseShape::Rectangular => x,
-        PulseShape::Triangular => {
-            if x < 0.5 {
-                2.0 * x * x
-            } else {
-                1.0 - 2.0 * (1.0 - x) * (1.0 - x)
-            }
-        }
+/// Charge fraction of a triangular pulse delivered before normalized
+/// time `x`.
+fn pulse_cdf(x: f64) -> f64 {
+    if x < 0.5 {
+        2.0 * x * x
+    } else {
+        1.0 - 2.0 * (1.0 - x) * (1.0 - x)
     }
 }
 
@@ -268,7 +264,6 @@ pub fn legacy_capture_with_rng_stats<R: Rng>(
         sampling,
         sim.config().pulse_width_factor,
         |g| sim.gate_delay_ps(g),
-        PulseShape::Triangular,
     );
     if sim.config().noise_mw > 0.0 {
         for s in &mut samples {

@@ -1,9 +1,9 @@
 //! The bit-sliced capture backend: [`LANES`] traces per levelized pass.
 //!
-//! A [`BitslicedSession`] levelizes the netlist once into a flat
-//! straight-line program (structure-of-arrays node storage, packed
+//! A [`BitslicedSession`] runs the simulator's compiled netlist — the
+//! same flat straight-line program the event-driven session runs, its
 //! 16-bit truth tables evaluated as bitwise multiplexer folds over
-//! `u64` lane words) and captures up to [`LANES`] stimuli per pass.
+//! `u64` lane words — and captures up to [`LANES`] stimuli per pass.
 //! Unlike the classic zero-delay levelized simulators, the backend does
 //! not approximate glitching: it replays the *event-driven* engine
 //! exactly, coalescing the independent per-lane event streams into one
@@ -64,7 +64,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::engine::CaptureStats;
-use crate::power::{gaussian, pulse_cdf, PulseShape};
+use crate::power::{bin_power, gaussian, pulse_bins};
+use crate::program::{EventQueue, Program, QueuedEvent};
 use crate::{SamplingConfig, Simulator};
 
 /// `u64` words per lane mask. 16 words (1024 lanes) is past the knee
@@ -128,26 +129,11 @@ pub struct LaneStimulus<'s> {
     pub noise_seed: u64,
 }
 
-/// A queue entry: one coalesced push group. The group's lane mask lives
-/// in the gate's pending list (looked up by `seq` on pop), keeping
-/// queue entries small and revocation free of queue surgery.
-#[derive(Debug, Clone, Copy)]
-struct QueuedGroup {
-    time_ps: f64,
-    seq: u32,
-    gate: u32,
-}
-
-impl QueuedGroup {
-    fn cmp_key(&self, other: &Self) -> std::cmp::Ordering {
-        self.time_ps
-            .total_cmp(&other.time_ps)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// A pending output change for a subset of lanes of one gate: pushed by
 /// one coalesced `schedule`, awaiting its commit pop (or revocation).
+/// Its queue entry is a plain `QueuedEvent`; the mask lives here
+/// (looked up by `seq` on pop), keeping queue entries small and
+/// revocation free of queue surgery.
 #[derive(Debug, Clone, Copy)]
 struct PendGroup {
     time_ps: f64,
@@ -197,94 +183,6 @@ impl EventLog {
     }
 }
 
-/// Same cap and ordering contract as the scalar session's bucket queue.
-const MAX_BUCKETS: usize = 1 << 16;
-
-/// The scalar session's indexed bucket queue over coalesced push
-/// groups. Pop order is `(time_ps, seq)` — see `session.rs` for the
-/// ordering argument, which only relies on pushed times exceeding all
-/// popped times (guaranteed by the `MIN_DELAY_PS` support check).
-#[derive(Debug, Default)]
-struct GroupQueue {
-    inv_width: f64,
-    buckets: Vec<Vec<QueuedGroup>>,
-    current: usize,
-    cursor: usize,
-    open: bool,
-    len: usize,
-}
-
-impl GroupQueue {
-    fn new(width_ps: f64) -> Self {
-        Self {
-            inv_width: 1.0 / width_ps.max(1e-3),
-            ..Self::default()
-        }
-    }
-
-    fn reset(&mut self) {
-        if self.len > 0 {
-            for bucket in &mut self.buckets {
-                bucket.clear();
-            }
-        }
-        self.current = 0;
-        self.cursor = 0;
-        self.open = false;
-        self.len = 0;
-    }
-
-    fn push(&mut self, ev: QueuedGroup) {
-        let mut idx = ((ev.time_ps * self.inv_width) as usize).min(MAX_BUCKETS - 1);
-        if idx <= self.current {
-            if self.open {
-                self.insert_into_open(ev);
-                return;
-            }
-            idx = self.current;
-        }
-        if idx >= self.buckets.len() {
-            self.buckets.resize_with(idx + 1, Vec::new);
-        }
-        self.buckets[idx].push(ev);
-        self.len += 1;
-    }
-
-    fn insert_into_open(&mut self, ev: QueuedGroup) {
-        let bucket = &mut self.buckets[self.current];
-        let mut at = self.cursor;
-        while at < bucket.len() && bucket[at].cmp_key(&ev).is_lt() {
-            at += 1;
-        }
-        bucket.insert(at, ev);
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<QueuedGroup> {
-        if self.len == 0 {
-            return None;
-        }
-        if !self.open {
-            while self.buckets[self.current].is_empty() {
-                self.current += 1;
-            }
-            self.buckets[self.current].sort_unstable_by(QueuedGroup::cmp_key);
-            self.cursor = 0;
-            self.open = true;
-        }
-        let ev = self.buckets[self.current][self.cursor];
-        self.cursor += 1;
-        self.len -= 1;
-        if self.cursor == self.buckets[self.current].len() {
-            self.buckets[self.current].clear();
-            self.current += 1;
-            self.cursor = 0;
-            self.open = false;
-        }
-        Some(ev)
-    }
-}
-
 /// A bit-sliced levelized capture arena bound to one [`Simulator`].
 ///
 /// Create with [`Simulator::bitsliced_session`]; call
@@ -297,29 +195,11 @@ impl GroupQueue {
 #[derive(Debug)]
 pub struct BitslicedSession<'a> {
     sim: &'a Simulator<'a>,
-    // --- the levelized straight-line program (built once) ---
-    /// CSR fan-in: gate `g` reads nets
-    /// `input_nets[input_offsets[g] .. input_offsets[g + 1]]` (≤ 4).
-    input_offsets: Vec<u32>,
-    input_nets: Vec<u32>,
-    /// Per-gate truth table expanded to broadcast lane words:
-    /// `tab_masks[tab_offsets[g] + p]` is all-ones iff output bit `p` of
-    /// the table is set. The multiplexer fold consumes a copy per word.
-    tab_offsets: Vec<u32>,
-    tab_masks: Vec<u64>,
-    output_nets: Vec<u32>,
-    /// CSR fan-out as loading *gate* indices per net, one entry per
-    /// connected pin in netlist load order — the scalar engine's exact
-    /// scheduling order (duplicates are idempotent re-evaluations).
-    load_offsets: Vec<u32>,
-    load_gates: Vec<u32>,
-    /// Topological order (raw gate indices): the levelized program.
-    topo: Vec<u32>,
-    delay_ps: Vec<f64>,
-    energy_fj: Vec<f64>,
-    absorbed_frac: f64,
-    pulse_width_factor: f64,
-    noise_mw: f64,
+    /// The simulator's compiled netlist and derated per-gate delays and
+    /// energies.
+    prog: &'a Program,
+    delay_ps: &'a [f64],
+    energy_fj: &'a [f64],
     // --- per-capture lane state ---
     /// Per-net lane values, one mask per net.
     values: Vec<Mask>,
@@ -335,7 +215,7 @@ pub struct BitslicedSession<'a> {
     /// as never having switched — `min(1.0)` saturates either way).
     recent: Vec<std::collections::VecDeque<(f64, Mask)>>,
     touched: Vec<u32>,
-    queue: GroupQueue,
+    queue: EventQueue,
     seq: u32,
     // --- per-capture log and rendering ---
     log: EventLog,
@@ -343,18 +223,8 @@ pub struct BitslicedSession<'a> {
     order: Vec<u32>,
     /// Scratch for the absorbed-entry side of the render merge.
     absorbed_order: Vec<u32>,
-    /// Contribution arena: `contrib_index[c]` is an `(offset, len)` span
-    /// of `(bin, Δpower)` pairs — one precomputed pulse rendering,
-    /// shared by every lane the referencing log entries list.
-    contrib_index: Vec<(u32, u32)>,
-    contrib_pairs: Vec<(u32, f64)>,
-    /// Per-pop charge-fraction cache: `(bin, frac)` for the pop's
-    /// `(time, width)`, shared by all its commit entries.
-    fracs: Vec<(u32, f64)>,
-    /// Current capture's sampling bin width (ps) and bin count, so the
-    /// event loop can render pulse contributions as it pops.
-    dt: f64,
-    samples: usize,
+    /// Pulse contributions, rendered by the event loop as it pops.
+    pulses: Pulses,
     /// Per-bin work lists for the accumulate pass: `(lane-span offset,
     /// lane-span len, Δpower)` in sorted log order, so each 8 KB
     /// accumulator row is filled while L1-resident instead of strided
@@ -372,153 +242,85 @@ pub struct BitslicedSession<'a> {
     stats: Vec<CaptureStats>,
 }
 
-/// Compute the pulse charge fractions per overlapped sample bin — the
-/// bin loop of `sample_waveform_into`, verbatim, with the event's
-/// energy factored out. Only bins with positive fraction are stored,
-/// matching the scalar renderer's `frac > 0.0` guard; a contribution
-/// later derived as `energy * frac / dt` is therefore the exact value,
-/// and the exact add, the scalar path performs for the same event.
-fn compute_fracs(fracs: &mut Vec<(u32, f64)>, t: f64, raw_width: f64, dt: f64, samples: usize) {
-    fracs.clear();
-    let width = raw_width.max(1e-3);
-    let start = t;
-    let end = start + width;
-    let first = (((start / dt).floor().max(0.0)) as usize).min(samples);
-    let last = ((end / dt).ceil() as usize).min(samples);
-    for k in first..last.max(first) {
-        let bin_lo = k as f64 * dt;
-        let bin_hi = bin_lo + dt;
-        let xa = ((bin_lo - start) / width).clamp(0.0, 1.0);
-        let xb = ((bin_hi - start) / width).clamp(0.0, 1.0);
-        let frac = pulse_cdf(PulseShape::Triangular, xb) - pulse_cdf(PulseShape::Triangular, xa);
-        if frac > 0.0 {
-            fracs.push((k as u32, frac));
-        }
-    }
+/// The contribution arena: `index[c]` is an `(offset, len)` span of
+/// `(bin, Δpower)` pairs — one precomputed pulse rendering, shared by
+/// every lane the referencing log entries list.
+#[derive(Debug, Default)]
+struct Pulses {
+    index: Vec<(u32, u32)>,
+    pairs: Vec<(u32, f64)>,
+    /// Charge-fraction cache: `(bin, frac)` of the last `shape`d pulse,
+    /// shared by every contribution rendered from it (all commit
+    /// entries of one pop).
+    fracs: Vec<(u32, f64)>,
+    /// The current capture's sampling.
+    sampling: SamplingConfig,
 }
 
-/// Materialize one event's contribution span from cached fractions.
-fn push_contrib(
-    index: &mut Vec<(u32, u32)>,
-    pairs: &mut Vec<(u32, f64)>,
-    fracs: &[(u32, f64)],
-    energy: f64,
-    dt: f64,
-) -> u32 {
-    let off = pairs.len() as u32;
-    for &(k, frac) in fracs {
-        pairs.push((k, energy * frac / dt));
+impl Pulses {
+    fn reset(&mut self, sampling: &SamplingConfig) {
+        self.index.clear();
+        self.pairs.clear();
+        self.sampling = *sampling;
     }
-    let idx = index.len() as u32;
-    index.push((off, pairs.len() as u32 - off));
-    idx
+
+    /// Cache the charge fractions of a pulse at `t` of `width` ps: the
+    /// scalar renderer's bin loop with the event's energy factored out.
+    fn shape(&mut self, t: f64, width: f64) {
+        let fracs = &mut self.fracs;
+        fracs.clear();
+        pulse_bins(t, width, &self.sampling, |k, frac| {
+            fracs.push((k as u32, frac))
+        });
+    }
+
+    /// Render the cached pulse at `energy` through the scalar path's
+    /// exact `bin_power`; returns the contribution's index.
+    fn render(&mut self, energy: f64) -> u32 {
+        let dt = self.sampling.period_ps();
+        let off = self.pairs.len() as u32;
+        for &(k, frac) in &self.fracs {
+            self.pairs.push((k, bin_power(energy, frac, dt)));
+        }
+        self.index.push((off, self.pairs.len() as u32 - off));
+        self.index.len() as u32 - 1
+    }
+
+    fn get(&self, c: u32) -> &[(u32, f64)] {
+        let (off, len) = self.index[c as usize];
+        &self.pairs[off as usize..(off + len) as usize]
+    }
 }
 
 impl<'a> Simulator<'a> {
-    /// Start a bit-sliced capture session, or report why this
-    /// netlist/derating combination must stay on the event-driven
-    /// backend (see [`BitsliceUnsupported`]).
+    /// Start a bit-sliced capture session on this simulator's compiled
+    /// netlist, or report why this netlist/derating combination must
+    /// stay on the event-driven backend: every derated delay must be
+    /// finite and ≥ 1 µps, so coalesced pop order provably matches the
+    /// scalar engine in every lane (see [`BitsliceUnsupported`]).
     pub fn bitsliced_session(&self) -> Result<BitslicedSession<'_>, BitsliceUnsupported> {
-        BitslicedSession::try_new(self)
-    }
-}
-
-impl<'a> BitslicedSession<'a> {
-    /// Build the levelized program for `sim`'s netlist, checking the
-    /// static support condition (every derated delay ≥ 1 µps and
-    /// finite, so coalesced pop order provably matches the scalar
-    /// engine in every lane).
-    fn try_new(sim: &'a Simulator<'a>) -> Result<Self, BitsliceUnsupported> {
-        let netlist = sim.netlist();
-        let n_gates = netlist.gates().len();
-        for g in 0..n_gates {
-            let d = sim.delay_ps[g];
-            if !(d.is_finite() && d >= MIN_DELAY_PS) {
-                return Err(BitsliceUnsupported {
-                    gate: g,
-                    delay_ps: d,
-                });
-            }
+        let bad = |&(_, d): &(usize, &f64)| !(d.is_finite() && *d >= MIN_DELAY_PS);
+        if let Some((gate, &delay_ps)) = self.delay_ps.iter().enumerate().find(bad) {
+            return Err(BitsliceUnsupported { gate, delay_ps });
         }
-        let mut input_offsets = Vec::with_capacity(n_gates + 1);
-        let mut input_nets: Vec<u32> = Vec::new();
-        let mut tab_offsets = Vec::with_capacity(n_gates + 1);
-        let mut tab_masks: Vec<u64> = Vec::new();
-        let mut output_nets = Vec::with_capacity(n_gates);
-        let mut per_net_gates: Vec<Vec<u32>> = vec![Vec::new(); netlist.nets().len()];
-        input_offsets.push(0u32);
-        tab_offsets.push(0u32);
-        for (g, gate) in netlist.gates().iter().enumerate() {
-            for net in gate.inputs() {
-                input_nets.push(net.index() as u32);
-                per_net_gates[net.index()].push(g as u32);
-            }
-            input_offsets.push(input_nets.len() as u32);
-            let k = gate.inputs().len();
-            let mut pins = [false; 4];
-            for pattern in 0..(1u16 << k) {
-                for (bit, slot) in pins.iter_mut().enumerate().take(k) {
-                    *slot = (pattern >> bit) & 1 == 1;
-                }
-                tab_masks.push(if gate.cell().evaluate(&pins[..k]) {
-                    !0u64
-                } else {
-                    0
-                });
-            }
-            tab_offsets.push(tab_masks.len() as u32);
-            output_nets.push(gate.output().index() as u32);
-        }
-        let mut load_offsets = Vec::with_capacity(netlist.nets().len() + 1);
-        let mut load_gates = Vec::new();
-        load_offsets.push(0u32);
-        for gates in &per_net_gates {
-            load_gates.extend_from_slice(gates);
-            load_offsets.push(load_gates.len() as u32);
-        }
-        let min_delay = (0..n_gates)
-            .map(|g| sim.delay_ps[g])
-            .fold(f64::INFINITY, f64::min);
-        let width = if min_delay.is_finite() {
-            min_delay
-        } else {
-            1.0
-        };
-        Ok(Self {
-            sim,
-            input_offsets,
-            input_nets,
-            tab_offsets,
-            tab_masks,
-            output_nets,
-            load_offsets,
-            load_gates,
-            topo: netlist
-                .topo_order()
-                .iter()
-                .map(|g| g.index() as u32)
-                .collect(),
-            delay_ps: (0..n_gates).map(|g| sim.delay_ps[g]).collect(),
-            energy_fj: (0..n_gates).map(|g| sim.energy_fj[g]).collect(),
-            absorbed_frac: sim.config().absorbed_energy_fraction,
-            pulse_width_factor: sim.config().pulse_width_factor,
-            noise_mw: sim.config().noise_mw,
-            values: vec![ZERO_MASK; netlist.nets().len()],
+        let (n_nets, n_gates) = (self.netlist.nets().len(), self.delay_ps.len());
+        Ok(BitslicedSession {
+            sim: self,
+            prog: &self.program,
+            delay_ps: &self.delay_ps,
+            energy_fj: &self.energy_fj,
+            values: vec![ZERO_MASK; n_nets],
             pend: vec![Vec::new(); n_gates],
             pend_mask: vec![ZERO_MASK; n_gates],
             pend_val: vec![ZERO_MASK; n_gates],
             recent: vec![std::collections::VecDeque::new(); n_gates],
             touched: Vec::new(),
-            queue: GroupQueue::new(width),
+            queue: EventQueue::new(self.program.bucket_width),
             seq: 0,
             log: EventLog::default(),
             order: Vec::new(),
             absorbed_order: Vec::new(),
-            contrib_index: Vec::new(),
-            contrib_pairs: Vec::new(),
-            fracs: Vec::new(),
-            dt: 1.0,
-            samples: 0,
+            pulses: Pulses::default(),
             bin_work: Vec::new(),
             acc: Vec::new(),
             counts_events: vec![0; LANES],
@@ -529,7 +331,9 @@ impl<'a> BitslicedSession<'a> {
             stats: vec![CaptureStats::default(); LANES],
         })
     }
+}
 
+impl BitslicedSession<'_> {
     /// Capture up to [`LANES`] stimuli in one bit-sliced pass.
     ///
     /// Returns one power trace and one [`CaptureStats`] per stimulus,
@@ -566,53 +370,51 @@ impl<'a> BitslicedSession<'a> {
                 lane.initial.len()
             );
         }
-        self.dt = sampling.period_ps();
-        self.samples = sampling.samples;
+        self.pulses.reset(sampling);
         self.run_batch(lanes);
         self.render(lanes, sampling);
         (&self.traces[..lanes.len()], &self.stats[..lanes.len()])
     }
 
-    /// Bit-sliced gate evaluation: a multiplexer fold of the expanded
-    /// truth table over the gate's input words, specialized for the
-    /// dominant 1- and 2-input cells.
+    /// Bit-sliced gate evaluation: a multiplexer fold of the shared
+    /// truth table, each output bit broadcast to a lane word, over the
+    /// gate's input words, specialized for the dominant 1- and 2-input
+    /// cells.
     #[inline]
     fn eval_gate(&self, g: usize) -> Mask {
-        let lo = self.input_offsets[g] as usize;
-        let hi = self.input_offsets[g + 1] as usize;
-        let k = hi - lo;
-        let t0 = self.tab_offsets[g] as usize;
+        let truth = self.prog.truth[g];
+        let t = |p: usize| 0u64.wrapping_sub(u64::from((truth >> p) & 1));
         let mut out = ZERO_MASK;
-        match k {
-            1 => {
-                let va = &self.values[self.input_nets[lo] as usize];
-                let t_lo = self.tab_masks[t0];
-                let t_hi = self.tab_masks[t0 + 1];
+        match *self.prog.inputs(g) {
+            [a] => {
+                let va = &self.values[a as usize];
+                let (t_lo, t_hi) = (t(0), t(1));
                 for w in 0..W {
                     out[w] = (!va[w] & t_lo) | (va[w] & t_hi);
                 }
             }
-            2 => {
-                let va = &self.values[self.input_nets[lo] as usize];
-                let vb = &self.values[self.input_nets[lo + 1] as usize];
-                let t00 = self.tab_masks[t0];
-                let t01 = self.tab_masks[t0 + 1];
-                let t10 = self.tab_masks[t0 + 2];
-                let t11 = self.tab_masks[t0 + 3];
+            [a, b] => {
+                let va = &self.values[a as usize];
+                let vb = &self.values[b as usize];
+                let (t00, t01, t10, t11) = (t(0), t(1), t(2), t(3));
                 for w in 0..W {
                     let m0 = (!vb[w] & t00) | (vb[w] & t10);
                     let m1 = (!vb[w] & t01) | (vb[w] & t11);
                     out[w] = (!va[w] & m0) | (va[w] & m1);
                 }
             }
-            _ => {
+            ref inputs => {
+                let k = inputs.len();
+                let mut table = [0u64; 16];
+                for (p, slot) in table[..1 << k].iter_mut().enumerate() {
+                    *slot = t(p);
+                }
                 for (w, slot) in out.iter_mut().enumerate() {
-                    let mut tab = [0u64; 16];
-                    tab[..1 << k].copy_from_slice(&self.tab_masks[t0..t0 + (1 << k)]);
+                    let mut tab = table;
                     let mut width = 1usize << k;
-                    for bit in (0..k).rev() {
+                    for &net in inputs.iter().rev() {
                         width >>= 1;
-                        let v = self.values[self.input_nets[lo + bit] as usize][w];
+                        let v = self.values[net as usize][w];
                         for p in 0..width {
                             tab[p] = (!v & tab[p]) | (v & tab[p + width]);
                         }
@@ -642,8 +444,6 @@ impl<'a> BitslicedSession<'a> {
         self.seq = 0;
         self.touched.clear();
         self.log.clear();
-        self.contrib_index.clear();
-        self.contrib_pairs.clear();
 
         // Settle on the initial inputs (pure levelized evaluation —
         // exactly the scalar engine's topo walk, all lanes at once).
@@ -654,10 +454,10 @@ impl<'a> BitslicedSession<'a> {
             }
             self.values[net.index()] = wbuf;
         }
-        for i in 0..self.topo.len() {
-            let g = self.topo[i] as usize;
-            let out = self.eval_gate(g);
-            self.values[self.output_nets[g] as usize] = out;
+        let prog = self.prog;
+        for &g in &prog.topo {
+            let out = self.eval_gate(g as usize);
+            self.values[prog.output_nets[g as usize] as usize] = out;
         }
 
         // Apply the final inputs at t = 0: all net values flip before
@@ -672,11 +472,8 @@ impl<'a> BitslicedSession<'a> {
             }
             if self.values[net.index()] != wbuf {
                 self.values[net.index()] = wbuf;
-                let lo = self.load_offsets[net.index()] as usize;
-                let hi = self.load_offsets[net.index() + 1] as usize;
-                for k in lo..hi {
-                    self.touched.push(self.load_gates[k]);
-                }
+                let loads = prog.loads(net.index());
+                self.touched.extend(loads.iter().map(|&edge| edge >> 3));
             }
         }
         self.touched.sort_unstable();
@@ -698,7 +495,7 @@ impl<'a> BitslicedSession<'a> {
             let m = group.mask;
             let t = ev.time_ps;
             let pm = &mut self.pend_mask[g];
-            let vals = &mut self.values[self.output_nets[g] as usize];
+            let vals = &mut self.values[prog.output_nets[g] as usize];
             for w in 0..W {
                 pm[w] &= !m[w];
                 debug_assert_eq!((vals[w] ^ self.pend_val[g][w]) & m[w], m[w]);
@@ -717,8 +514,8 @@ impl<'a> BitslicedSession<'a> {
             let energy = self.energy_fj[g];
             let delay = self.delay_ps[g];
             let swing_ps = 3.0 * delay;
-            let width = self.pulse_width_factor * delay;
-            compute_fracs(&mut self.fracs, t, width, self.dt, self.samples);
+            let width = self.sim.config().pulse_width_factor * delay;
+            self.pulses.shape(t, width);
             while self.recent[g]
                 .front()
                 .is_some_and(|&(tp, _)| t - tp >= swing_ps)
@@ -740,24 +537,12 @@ impl<'a> BitslicedSession<'a> {
                 if any != 0 {
                     let elapsed = t - tp;
                     let swing_fraction = (elapsed / swing_ps).min(1.0);
-                    let c = push_contrib(
-                        &mut self.contrib_index,
-                        &mut self.contrib_pairs,
-                        &self.fracs,
-                        energy * swing_fraction,
-                        self.dt,
-                    );
+                    let c = self.pulses.render(energy * swing_fraction);
                     self.log.push(t, c, false, &cand);
                 }
             }
             if !mask_is_zero(&remaining) {
-                let c = push_contrib(
-                    &mut self.contrib_index,
-                    &mut self.contrib_pairs,
-                    &self.fracs,
-                    energy,
-                    self.dt,
-                );
+                let c = self.pulses.render(energy);
                 self.log.push(t, c, false, &remaining);
             }
             self.recent[g].push_back((t, m));
@@ -766,12 +551,8 @@ impl<'a> BitslicedSession<'a> {
             // engine's per-pin edge order (duplicate entries for a gate
             // loading this net on several pins are idempotent: by then
             // its lanes are already heading to the re-evaluated value).
-            let out_net = self.output_nets[g] as usize;
-            let lo = self.load_offsets[out_net] as usize;
-            let hi = self.load_offsets[out_net + 1] as usize;
-            for k in lo..hi {
-                let g2 = self.load_gates[k] as usize;
-                self.schedule(g2, t);
+            for &edge in prog.loads(prog.output_nets[g] as usize) {
+                self.schedule((edge >> 3) as usize, t);
             }
         }
     }
@@ -783,7 +564,7 @@ impl<'a> BitslicedSession<'a> {
     /// value keep their earlier event, untouched.
     fn schedule(&mut self, g: usize, t_now: f64) {
         let new_v = self.eval_gate(g);
-        let cur = &self.values[self.output_nets[g] as usize];
+        let cur = &self.values[self.prog.output_nets[g] as usize];
         let pm = &self.pend_mask[g];
         let pv = &self.pend_val[g];
         let mut revoke = ZERO_MASK;
@@ -803,9 +584,10 @@ impl<'a> BitslicedSession<'a> {
             // *scheduled* times. Energy is lane-independent, and lanes
             // revoked from the same push group share a scheduled time,
             // so each overlapped group shares one rendered pulse.
-            let energy = self.energy_fj[g] * self.absorbed_frac;
-            let width = self.pulse_width_factor * self.delay_ps[g];
-            let emit = self.absorbed_frac > 0.0;
+            let config = self.sim.config();
+            let energy = self.energy_fj[g] * config.absorbed_energy_fraction;
+            let width = config.pulse_width_factor * self.delay_ps[g];
+            let emit = config.absorbed_energy_fraction > 0.0;
             let mut i = 0;
             while i < self.pend[g].len() {
                 let mut overlap = ZERO_MASK;
@@ -819,21 +601,10 @@ impl<'a> BitslicedSession<'a> {
                 }
                 if any != 0 {
                     if emit {
-                        compute_fracs(
-                            &mut self.fracs,
-                            self.pend[g][i].time_ps,
-                            width,
-                            self.dt,
-                            self.samples,
-                        );
-                        let c = push_contrib(
-                            &mut self.contrib_index,
-                            &mut self.contrib_pairs,
-                            &self.fracs,
-                            energy,
-                            self.dt,
-                        );
-                        self.log.push(self.pend[g][i].time_ps, c, true, &overlap);
+                        let tp = self.pend[g][i].time_ps;
+                        self.pulses.shape(tp, width);
+                        let c = self.pulses.render(energy);
+                        self.log.push(tp, c, true, &overlap);
                     }
                     if left == 0 {
                         self.pend[g].swap_remove(i);
@@ -864,7 +635,7 @@ impl<'a> BitslicedSession<'a> {
                 seq: self.seq,
                 mask: push,
             });
-            self.queue.push(QueuedGroup {
+            self.queue.push(QueuedEvent {
                 time_ps: t,
                 seq: self.seq,
                 gate: g as u32,
@@ -926,8 +697,7 @@ impl<'a> BitslicedSession<'a> {
             let i = idx as usize;
             let meta = self.log.meta[i];
             let (loff, llen) = self.log.lanes_span[i];
-            let (off, len) = self.contrib_index[(meta >> 1) as usize];
-            for &(bin, dp) in &self.contrib_pairs[off as usize..(off + len) as usize] {
+            for &(bin, dp) in self.pulses.get(meta >> 1) {
                 self.bin_work[bin as usize].push((loff, llen, dp));
             }
             let lanes_of = &self.log.lanes[loff as usize..(loff + llen) as usize];
@@ -1019,10 +789,11 @@ impl<'a> BitslicedSession<'a> {
         }
 
         for (l, lane) in lanes.iter().enumerate() {
-            if self.noise_mw > 0.0 {
+            let noise_mw = self.sim.config().noise_mw;
+            if noise_mw > 0.0 {
                 let mut rng = SmallRng::seed_from_u64(lane.noise_seed);
                 for s in self.traces[l].iter_mut() {
-                    *s += self.noise_mw * gaussian(&mut rng);
+                    *s += noise_mw * gaussian(&mut rng);
                 }
             }
             let events = self.counts_events[l] as usize;

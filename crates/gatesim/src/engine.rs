@@ -2,14 +2,16 @@
 //! and the records its captures produce.
 //!
 //! The event loop itself lives in [`CaptureSession`]; a `Simulator`
-//! only samples the die's derated per-gate delays and energies and
-//! hands out sessions (and bit-sliced sessions) that run on them.
+//! samples the die's derated per-gate delays and energies, compiles the
+//! netlist once, and hands out sessions (and bit-sliced sessions) that
+//! borrow all three.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_netlist::{GateId, Netlist};
 
 use crate::power::gaussian;
+use crate::program::Program;
 use crate::session::CaptureSession;
 use crate::{Derating, SimConfig};
 
@@ -108,7 +110,9 @@ impl From<&TransitionRecord> for CaptureStats {
 ///
 /// Construction samples the per-gate process variation from
 /// [`SimConfig::seed`]; the same `Simulator` therefore models one physical
-/// die measured many times. See the [crate docs](crate) for an example.
+/// die measured many times. Construction also compiles the netlist once
+/// for every session of either engine. See the [crate docs](crate) for
+/// an example.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     pub(crate) netlist: &'a Netlist,
@@ -118,6 +122,8 @@ pub struct Simulator<'a> {
     /// Derated per-gate full-transition energy in fJ (intrinsic + fanout
     /// load at Vdd).
     pub(crate) energy_fj: Vec<f64>,
+    /// The compiled netlist every session of this die runs.
+    pub(crate) program: Program,
 }
 
 impl<'a> Simulator<'a> {
@@ -151,6 +157,7 @@ impl<'a> Simulator<'a> {
         Self {
             netlist,
             config: config.clone(),
+            program: Program::compile(netlist, &delay_ps),
             delay_ps,
             energy_fj,
         }
@@ -179,8 +186,8 @@ impl<'a> Simulator<'a> {
 
     /// Start a reusable capture session (simulation arena): all scratch
     /// state the event loop needs is allocated once and cleared between
-    /// captures. Sessions borrow the simulator immutably, so one
-    /// simulator can back a session per worker thread.
+    /// captures. Sessions borrow the simulator's compiled netlist
+    /// immutably, so one simulator can back a session per worker thread.
     pub fn session(&self) -> CaptureSession<'_> {
         CaptureSession::new(self)
     }

@@ -60,6 +60,7 @@ mod derating;
 mod engine;
 mod power;
 mod profile;
+mod program;
 mod session;
 pub mod vcd;
 
@@ -67,6 +68,6 @@ pub use bitsliced::{BitsliceUnsupported, BitslicedSession, LaneStimulus, LANES};
 pub use config::{SamplingConfig, SimConfig};
 pub use derating::Derating;
 pub use engine::{CaptureStats, Simulator, SwitchEvent, TransitionRecord};
-pub use power::{sample_waveform, sample_waveform_into, PulseShape};
+pub use power::sample_waveform_into;
 pub use profile::ActivityProfile;
 pub use session::CaptureSession;

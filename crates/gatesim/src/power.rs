@@ -5,93 +5,77 @@ use sbox_netlist::GateId;
 
 use crate::{SamplingConfig, SwitchEvent};
 
-/// Shape of the current pulse a transition injects into the supply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PulseShape {
-    /// Isoceles triangle (default; resembles a CMOS charging current).
-    #[default]
-    Triangular,
-    /// Flat-top pulse of the same charge (ablation variant).
-    Rectangular,
-}
-
-/// Render `events` into a power trace in milliwatts.
+/// Render `events` into a power trace in milliwatts, into a
+/// caller-owned buffer (cleared and resized to `sampling.samples`) so
+/// capture loops reuse one allocation.
 ///
-/// Each event becomes a pulse starting at its `time_ps`, of width
-/// `pulse_width_factor ×` the switching gate's delay (queried through
-/// `gate_delay_ps`), carrying the event's full energy. Sample `k` is the
-/// *bin-averaged* power over `[k·dt, (k+1)·dt)` — a band-limited
-/// acquisition, so no pulse can fall between samples and the trace
-/// integrates exactly to the total switching energy (power is additive,
-/// the physical premise of the paper's Theorem 1).
-pub fn sample_waveform(
-    events: &[SwitchEvent],
-    sampling: &SamplingConfig,
-    pulse_width_factor: f64,
-    gate_delay_ps: impl Fn(GateId) -> f64,
-    shape: PulseShape,
-) -> Vec<f64> {
-    let mut samples = Vec::new();
-    sample_waveform_into(
-        &mut samples,
-        events,
-        sampling,
-        pulse_width_factor,
-        gate_delay_ps,
-        shape,
-    );
-    samples
-}
-
-/// [`sample_waveform`] into a caller-owned buffer (cleared and resized
-/// to `sampling.samples`), so capture loops reuse one allocation.
-///
-/// Each event touches only the `[first, last)` bins its pulse overlaps
-/// — a narrow pulse late in the window costs a handful of bins, not a
-/// scan of the whole buffer.
+/// Each event becomes a triangular current pulse starting at its
+/// `time_ps`, of width `pulse_width_factor ×` the switching gate's
+/// delay (queried through `gate_delay_ps`), carrying the event's full
+/// energy. Sample `k` is the *bin-averaged* power over `[k·dt, (k+1)·dt)`
+/// — a band-limited acquisition, so no pulse can fall between samples
+/// and the trace integrates exactly to the total switching energy
+/// (power is additive, the physical premise of the paper's Theorem 1).
+/// Each event touches only the bins its pulse overlaps.
 pub fn sample_waveform_into(
     out: &mut Vec<f64>,
     events: &[SwitchEvent],
     sampling: &SamplingConfig,
     pulse_width_factor: f64,
     gate_delay_ps: impl Fn(GateId) -> f64,
-    shape: PulseShape,
 ) {
     let dt = sampling.period_ps();
     out.clear();
     out.resize(sampling.samples, 0.0);
     for e in events {
-        let width = (pulse_width_factor * gate_delay_ps(e.gate)).max(1e-3);
-        let start = e.time_ps;
-        let end = start + width;
-        let first = (((start / dt).floor().max(0.0)) as usize).min(sampling.samples);
-        let last = ((end / dt).ceil() as usize).min(sampling.samples);
-        for (k, slot) in out[first..last.max(first)].iter_mut().enumerate() {
-            let k = k + first;
-            let bin_lo = k as f64 * dt;
-            let bin_hi = bin_lo + dt;
-            let xa = ((bin_lo - start) / width).clamp(0.0, 1.0);
-            let xb = ((bin_hi - start) / width).clamp(0.0, 1.0);
-            let frac = pulse_cdf(shape, xb) - pulse_cdf(shape, xa);
-            if frac > 0.0 {
-                *slot += e.energy_fj * frac / dt; // fJ / ps = mW
-            }
+        let width = pulse_width_factor * gate_delay_ps(e.gate);
+        pulse_bins(e.time_ps, width, sampling, |k, frac| {
+            out[k] += bin_power(e.energy_fj, frac, dt);
+        });
+    }
+}
+
+/// The one pulse-bin loop of both engines: calls `bin(k, frac)`, in
+/// ascending `k`, for every sample bin receiving a positive fraction
+/// `frac` of the charge of a triangular pulse starting at `start` ps
+/// with width `width` ps (floored at 1e-3 ps).
+pub(crate) fn pulse_bins(
+    start: f64,
+    width: f64,
+    sampling: &SamplingConfig,
+    mut bin: impl FnMut(usize, f64),
+) {
+    let dt = sampling.period_ps();
+    let width = width.max(1e-3);
+    let end = start + width;
+    let first = (((start / dt).floor().max(0.0)) as usize).min(sampling.samples);
+    let last = ((end / dt).ceil() as usize).min(sampling.samples);
+    for k in first..last.max(first) {
+        let bin_lo = k as f64 * dt;
+        let bin_hi = bin_lo + dt;
+        let xa = ((bin_lo - start) / width).clamp(0.0, 1.0);
+        let xb = ((bin_hi - start) / width).clamp(0.0, 1.0);
+        let frac = pulse_cdf(xb) - pulse_cdf(xa);
+        if frac > 0.0 {
+            bin(k, frac);
         }
     }
 }
 
-/// Fraction of a unit-energy pulse's charge delivered before normalized
-/// time `x ∈ [0, 1]`.
-pub(crate) fn pulse_cdf(shape: PulseShape, x: f64) -> f64 {
-    match shape {
-        PulseShape::Rectangular => x,
-        PulseShape::Triangular => {
-            if x < 0.5 {
-                2.0 * x * x
-            } else {
-                1.0 - 2.0 * (1.0 - x) * (1.0 - x)
-            }
-        }
+/// The power (mW) a pulse of `energy_fj` adds to a bin of width `dt`
+/// ps that receives `frac` of its charge: fJ / ps = mW.
+#[inline]
+pub(crate) fn bin_power(energy_fj: f64, frac: f64, dt: f64) -> f64 {
+    energy_fj * frac / dt
+}
+
+/// Fraction of a unit-energy triangular pulse's charge delivered before
+/// normalized time `x ∈ [0, 1]`.
+fn pulse_cdf(x: f64) -> f64 {
+    if x < 0.5 {
+        2.0 * x * x
+    } else {
+        1.0 - 2.0 * (1.0 - x) * (1.0 - x)
     }
 }
 
@@ -134,20 +118,27 @@ mod tests {
         nl.net(y).driver().expect("driven")
     }
 
+    /// Render into a fresh buffer, every gate `delay_ps` slow.
+    fn render(
+        events: &[SwitchEvent],
+        sampling: &SamplingConfig,
+        pwf: f64,
+        delay_ps: f64,
+    ) -> Vec<f64> {
+        let mut out = vec![f64::NAN; 7];
+        sample_waveform_into(&mut out, events, sampling, pwf, |_| delay_ps);
+        out
+    }
+
     #[test]
     fn pulse_integrates_to_its_energy() {
         let sampling = SamplingConfig {
             window_ps: 400.0,
             samples: 400, // 1 ps resolution for an accurate integral
         };
-        for shape in [PulseShape::Triangular, PulseShape::Rectangular] {
-            let samples = sample_waveform(&[event(50.0, 10.0)], &sampling, 4.0, |_| 10.0, shape);
-            let integral: f64 = samples.iter().sum::<f64>() * sampling.period_ps();
-            assert!(
-                (integral - 10.0).abs() < 0.8,
-                "{shape:?}: integral {integral}"
-            );
-        }
+        let samples = render(&[event(50.0, 10.0)], &sampling, 4.0, 10.0);
+        let integral: f64 = samples.iter().sum::<f64>() * sampling.period_ps();
+        assert!((integral - 10.0).abs() < 0.8, "integral {integral}");
     }
 
     #[test]
@@ -156,20 +147,8 @@ mod tests {
             window_ps: 100.0,
             samples: 100,
         };
-        let one = sample_waveform(
-            &[event(10.0, 5.0)],
-            &sampling,
-            2.0,
-            |_| 10.0,
-            PulseShape::Triangular,
-        );
-        let two = sample_waveform(
-            &[event(10.0, 5.0), event(10.0, 5.0)],
-            &sampling,
-            2.0,
-            |_| 10.0,
-            PulseShape::Triangular,
-        );
+        let one = render(&[event(10.0, 5.0)], &sampling, 2.0, 10.0);
+        let two = render(&[event(10.0, 5.0), event(10.0, 5.0)], &sampling, 2.0, 10.0);
         for (a, b) in one.iter().zip(&two) {
             assert!((2.0 * a - b).abs() < 1e-12);
         }
@@ -181,13 +160,8 @@ mod tests {
             window_ps: 100.0,
             samples: 100,
         };
-        let samples = sample_waveform(
-            &[event(500.0, 5.0)],
-            &sampling,
-            2.0,
-            |_| 10.0,
-            PulseShape::Triangular,
-        );
+        let samples = render(&[event(500.0, 5.0)], &sampling, 2.0, 10.0);
+        assert_eq!(samples.len(), 100);
         assert!(samples.iter().all(|&s| s == 0.0));
     }
 
@@ -199,7 +173,6 @@ mod tests {
         sampling: &SamplingConfig,
         pulse_width_factor: f64,
         gate_delay_ps: impl Fn(GateId) -> f64,
-        shape: PulseShape,
     ) -> Vec<f64> {
         let dt = sampling.period_ps();
         let mut samples = vec![0.0f64; sampling.samples];
@@ -219,7 +192,7 @@ mod tests {
                 let bin_hi = bin_lo + dt;
                 let xa = ((bin_lo - start) / width).clamp(0.0, 1.0);
                 let xb = ((bin_hi - start) / width).clamp(0.0, 1.0);
-                let frac = pulse_cdf(shape, xb) - pulse_cdf(shape, xa);
+                let frac = pulse_cdf(xb) - pulse_cdf(xa);
                 if frac > 0.0 {
                     *slot += e.energy_fj * frac / dt;
                 }
@@ -250,11 +223,9 @@ mod tests {
                 })
                 .collect();
             let delay = 1.0 + rng.gen::<f64>() * 20.0;
-            for shape in [PulseShape::Triangular, PulseShape::Rectangular] {
-                let new = sample_waveform(&events, &sampling, 1.5, |_| delay, shape);
-                let old = reference_sample_waveform(&events, &sampling, 1.5, |_| delay, shape);
-                assert_eq!(new, old, "case {case} {shape:?}");
-            }
+            let new = render(&events, &sampling, 1.5, delay);
+            let old = reference_sample_waveform(&events, &sampling, 1.5, |_| delay);
+            assert_eq!(new, old, "case {case}");
         }
     }
 
@@ -266,13 +237,7 @@ mod tests {
         };
         // A 2 ps pulse starting at 995 ps: only the last handful of bins
         // may be nonzero — the slice rewrite never visits bins [0, 995).
-        let samples = sample_waveform(
-            &[event(995.0, 4.0)],
-            &sampling,
-            2.0,
-            |_| 1.0,
-            PulseShape::Rectangular,
-        );
+        let samples = render(&[event(995.0, 4.0)], &sampling, 2.0, 1.0);
         assert!(samples[..995].iter().all(|&s| s == 0.0));
         assert!(samples[995..].iter().any(|&s| s > 0.0));
     }

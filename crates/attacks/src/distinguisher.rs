@@ -32,7 +32,7 @@
 //! invariance.
 
 use crate::LeakageModel;
-use leakage_core::comoment::CoMomentAccumulator;
+use leakage_core::comoment::{CellReader, CoMomentAccumulator};
 use present_cipher::sbox;
 
 /// Number of key guesses for the 4-bit S-box.
@@ -115,19 +115,31 @@ impl Distinguisher {
     /// Panics if the accumulator's channel count does not match
     /// [`channels`](Self::channels) or `guess >= 16`.
     pub fn score(&self, acc: &CoMomentAccumulator, guess: u8) -> (f64, usize) {
-        assert_eq!(acc.channels(), self.channels(), "channel layout mismatch");
+        self.score_cells(&acc.cells(), guess)
+    }
+
+    /// [`score`](Self::score) through a [`CellReader`], whose marginal
+    /// sums were rounded once for the state: scoring all 16 guesses
+    /// through one reader reads each marginal once per snapshot, not
+    /// once per `(channel, sample)` cell. Same bits as `score`.
+    ///
+    /// # Panics
+    ///
+    /// As [`score`](Self::score).
+    pub fn score_cells(&self, cells: &CellReader<'_>, guess: u8) -> (f64, usize) {
+        assert_eq!(cells.channels(), self.channels(), "channel layout mismatch");
         assert!(usize::from(guess) < NUM_GUESSES, "guess out of range");
         let components = self.components();
         let base = usize::from(guess) * components;
         let mut best = 0.0f64;
         let mut best_t = 0usize;
-        for t in 0..acc.samples() {
+        for t in 0..cells.samples() {
             let s = match self {
-                Distinguisher::Cpa(_) => acc.pearson(base, t).abs(),
-                Distinguisher::Dpa { .. } => acc.difference_of_means(base, t).abs(),
+                Distinguisher::Cpa(_) => cells.pearson(base, t).abs(),
+                Distinguisher::Dpa { .. } => cells.difference_of_means(base, t).abs(),
                 Distinguisher::Mlpa => (0..components)
                     .map(|m| {
-                        let rho = acc.pearson(base + m, t);
+                        let rho = cells.pearson(base + m, t);
                         rho * rho
                     })
                     .sum(),
@@ -190,5 +202,103 @@ mod tests {
         );
         assert_eq!(Distinguisher::Dpa { bit: 0 }.label(), "dpa-b0");
         assert_eq!(Distinguisher::Mlpa.label(), "mlpa");
+    }
+
+    /// The scoring loop before the marginals were hoisted: every cell
+    /// reads its own marginal sums.
+    fn per_cell_score(d: Distinguisher, acc: &CoMomentAccumulator, guess: u8) -> (f64, usize) {
+        let components = d.components();
+        let base = usize::from(guess) * components;
+        let mut best = 0.0f64;
+        let mut best_t = 0usize;
+        for t in 0..acc.samples() {
+            let s = match d {
+                Distinguisher::Cpa(_) => acc.pearson(base, t).abs(),
+                Distinguisher::Dpa { .. } => acc.difference_of_means(base, t).abs(),
+                Distinguisher::Mlpa => (0..components)
+                    .map(|m| {
+                        let rho = acc.pearson(base + m, t);
+                        rho * rho
+                    })
+                    .sum(),
+            };
+            if s > best {
+                best = s;
+                best_t = t;
+            }
+        }
+        (best, best_t)
+    }
+
+    #[test]
+    fn hoisted_marginals_score_like_per_cell_reads() {
+        use leakage_core::online::SumMode;
+        const SAMPLES: usize = 5;
+        // Channel 5 never selects: an all-zero channel in every layout.
+        const SILENT: usize = 5;
+        let distinguishers = [
+            Distinguisher::Cpa(LeakageModel::HammingWeight),
+            Distinguisher::Cpa(LeakageModel::OutputTransition),
+            Distinguisher::Dpa { bit: 1 },
+            Distinguisher::Mlpa,
+        ];
+        let mut r = 0x5C0E_u64;
+        let mut next = move || {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            r
+        };
+        for mode in [SumMode::Welford, SumMode::Exact] {
+            for d in distinguishers {
+                for n in [0usize, 1, 2, 40] {
+                    let mut acc = CoMomentAccumulator::new(d.channels(), SAMPLES, mode);
+                    for _ in 0..n {
+                        let p = (next() % 16) as u8;
+                        let mut h: Vec<f64> = (0..d.channels())
+                            .map(|ch| {
+                                let (g, c) = (ch / d.components(), ch % d.components());
+                                d.hypothesis(p, g as u8, c)
+                            })
+                            .collect();
+                        h[SILENT] = 0.0;
+                        // Sample 0 is constant, sample 1 mostly zero, the
+                        // rest signed noise with some leakage of guess 3.
+                        let leak = h[3 * d.components()];
+                        let trace: Vec<f64> = (0..SAMPLES)
+                            .map(|t| match t {
+                                0 => 0.75,
+                                1 if next() % 4 != 0 => 0.0,
+                                _ => leak * 0.25 + ((next() >> 11) as f64 / 2f64.powi(53) - 0.5),
+                            })
+                            .collect();
+                        acc.fold(&h, &trace);
+                    }
+                    let cells = acc.cells();
+                    for guess in 0..NUM_GUESSES as u8 {
+                        let want = per_cell_score(d, &acc, guess);
+                        for got in [d.score(&acc, guess), d.score_cells(&cells, guess)] {
+                            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{d:?} {mode:?} n={n}");
+                            assert_eq!(got.1, want.1, "{d:?} {mode:?} n={n}");
+                        }
+                    }
+                    for c in 0..d.channels() {
+                        for t in 0..SAMPLES {
+                            let what = format!("{d:?} {mode:?} n={n} cell ({c}, {t})");
+                            assert_eq!(
+                                cells.pearson(c, t).to_bits(),
+                                acc.pearson(c, t).to_bits(),
+                                "{what}"
+                            );
+                            assert_eq!(
+                                cells.difference_of_means(c, t).to_bits(),
+                                acc.difference_of_means(c, t).to_bits(),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -112,10 +112,11 @@ impl AttackAccumulator {
     /// Per-guess scores and peak samples extracted from the folded
     /// state.
     pub fn scores(&self) -> CpaResult {
+        let cells = self.inner.cells();
         let mut scores = [0.0f64; NUM_GUESSES];
         let mut peak_samples = [0usize; NUM_GUESSES];
         for g in 0..NUM_GUESSES {
-            let (s, t) = self.distinguisher.score(&self.inner, g as u8);
+            let (s, t) = self.distinguisher.score_cells(&cells, g as u8);
             scores[g] = s;
             peak_samples[g] = t;
         }

@@ -26,7 +26,14 @@
 //!   traces per machine word. The whole batch is simulated on the first
 //!   per-trace call of each pass and per-trace stats are served from it,
 //!   so the pass wall-clock (and therefore the throughput ratio against
-//!   `session_capture_into`) is directly comparable.
+//!   `session_capture_into`) is directly comparable;
+//! * `bitsliced_fold_exact` — the `bitsliced_batch` capture with every
+//!   lane's trace folded, in schedule order, into an exact
+//!   [`leakage_core::ChunkFold`], as the campaign's bit-sliced streaming
+//!   runs do. Its ratio to `bitsliced_batch` is the share of raw
+//!   bit-sliced capture throughput the exact fold keeps. Before timing,
+//!   its folded state is checked bit-equal to the event engine's exact
+//!   fold of the same schedule.
 //!
 //! All capture paths produce bit-identical traces (asserted here on the
 //! first pass and in `sca_bench::legacy`'s tests), so the ratios are
@@ -111,6 +118,18 @@ fn measure(schedule: &[(Stimulus, u64)], passes: usize, mut runners: Vec<Runner<
         .collect()
 }
 
+/// One bit-sliced batch's lane stimuli for a chunk of the schedule.
+fn lanes(chunk: &[(Stimulus, u64)]) -> Vec<LaneStimulus<'_>> {
+    chunk
+        .iter()
+        .map(|(s, seed)| LaneStimulus {
+            initial: &s.initial,
+            final_inputs: &s.final_inputs,
+            noise_seed: *seed,
+        })
+        .collect()
+}
+
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
@@ -167,18 +186,27 @@ fn main() {
         assert_eq!(reference, via_session, "legacy and session paths diverge");
     }
 
-    // Batch-analysis reference for the streaming legs' sanity check:
-    // the exact fold must reproduce this spectrum bitwise once per pass.
-    let batch_tlp = {
+    // References captured once on the event engine: the batch analysis,
+    // which the streaming legs' folded spectrum must reproduce bitwise
+    // once per pass, and the exact fold of the schedule, which the
+    // bit-sliced fold leg must reproduce bit for bit before it is timed.
+    let (batch_tlp, event_fold) = {
         let mut session = sim.session();
         let mut buf = Vec::new();
         let mut set = ClassifiedTraces::new(NUM_CLASSES, sampling.samples);
+        let mut fold = ChunkFold::new(SpectrumAccumulator::new(
+            NUM_CLASSES,
+            sampling.samples,
+            SumMode::Exact,
+        ));
         for (s, seed) in &schedule {
             let mut rng = SmallRng::seed_from_u64(*seed);
             session.capture_into(&s.initial, &s.final_inputs, &sampling, &mut rng, &mut buf);
             set.push(usize::from(s.label), buf.clone());
+            fold.fold(s.label, &buf);
         }
-        LeakageSpectrum::from_class_means(&set.class_means()).total_leakage_power()
+        let tlp = LeakageSpectrum::from_class_means(&set.class_means()).total_leakage_power();
+        (tlp, fold.finish())
     };
 
     let schedule_len = schedule.len() as u64;
@@ -261,17 +289,47 @@ fn main() {
                 if at == 0 {
                     stats.clear();
                     for chunk in schedule_ref.chunks(LANES) {
-                        let lanes: Vec<LaneStimulus> = chunk
-                            .iter()
-                            .map(|(s, seed)| LaneStimulus {
-                                initial: &s.initial,
-                                final_inputs: &s.final_inputs,
-                                noise_seed: *seed,
-                            })
-                            .collect();
-                        let (_, batch_stats) = session.capture_batch(&lanes, &sampling);
+                        let (_, batch_stats) = session.capture_batch(&lanes(chunk), &sampling);
                         stats.extend_from_slice(batch_stats);
                     }
+                }
+                let out = stats[at];
+                at = (at + 1) % schedule_ref.len();
+                out
+            }),
+        }
+    };
+    // Bit-sliced capture folded straight into the exact chunk grid: the
+    // whole pass runs on the first call, like `bitsliced_batch`.
+    let bitsliced_fold_runner = {
+        let mut session = sim
+            .bitsliced_session()
+            .expect("ISW netlist is bitslice-supported");
+        let schedule_ref: &[(Stimulus, u64)] = &schedule;
+        let empty = SpectrumAccumulator::new(NUM_CLASSES, sampling.samples, SumMode::Exact);
+        let mut fold_pass = move |stats: &mut Vec<CaptureStats>| {
+            stats.clear();
+            let mut fold = ChunkFold::new(empty.clone());
+            for chunk in schedule_ref.chunks(LANES) {
+                let (traces, batch_stats) = session.capture_batch(&lanes(chunk), &sampling);
+                for ((s, _), trace) in chunk.iter().zip(traces) {
+                    fold.fold(s.label, trace);
+                }
+                stats.extend_from_slice(batch_stats);
+            }
+            fold.finish()
+        };
+        let mut stats: Vec<CaptureStats> = Vec::new();
+        assert!(
+            fold_pass(&mut stats) == event_fold,
+            "bit-sliced exact fold diverged from the event engine's exact fold"
+        );
+        let mut at = 0usize;
+        Runner {
+            name: "bitsliced_fold_exact",
+            capture: Box::new(move |_s, _seed| {
+                if at == 0 {
+                    std::hint::black_box(fold_pass(&mut stats));
                 }
                 let out = stats[at];
                 at = (at + 1) % schedule_ref.len();
@@ -341,6 +399,7 @@ fn main() {
             streaming_runner(SumMode::Exact, "streaming_fold_exact"),
             streaming_runner(SumMode::Welford, "streaming_fold_welford"),
             bitsliced_runner,
+            bitsliced_fold_runner,
         ],
     );
     for leg in &legs {
@@ -363,6 +422,8 @@ fn main() {
     );
     let bitsliced_vs_session_into = legs[6].traces_per_sec() / legs[3].traces_per_sec();
     eprintln!("  bitsliced_batch speedup: {bitsliced_vs_session_into:.2}x vs session_capture_into");
+    let bitsliced_fold_vs_batch = legs[7].traces_per_sec() / legs[6].traces_per_sec();
+    eprintln!("  bitsliced_fold_exact throughput: {bitsliced_fold_vs_batch:.3}x bitsliced_batch");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -411,8 +472,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"speedup_bitsliced_vs_session_into\": {}",
+        "  \"speedup_bitsliced_vs_session_into\": {},",
         json_f64(bitsliced_vs_session_into)
+    );
+    let _ = writeln!(
+        json,
+        "  \"throughput_bitsliced_fold_exact_vs_batch\": {}",
+        json_f64(bitsliced_fold_vs_batch)
     );
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_capture.json");

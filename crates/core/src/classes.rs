@@ -1,6 +1,6 @@
 //! Class-labelled trace storage and mean estimation.
 
-use crate::stats::ExactSum;
+use crate::stats::ExactRow;
 
 /// Power traces grouped by the unmasked final value ("class") they were
 /// captured under, following the paper's protocol of 16 balanced classes.
@@ -85,7 +85,8 @@ impl ClassifiedTraces {
     /// Per-class mean traces computed from only the first `n` traces in
     /// acquisition order — the estimator the paper's Fig. 3 sweeps.
     ///
-    /// Sums are accumulated exactly ([`ExactSum`]) and rounded once, so
+    /// Sums are accumulated exactly (the fixed-point rows of
+    /// [`crate::stats`]) and rounded once, so
     /// each mean is the correctly rounded quotient of the true sum — the
     /// same value the streaming accumulators in [`crate::online`] produce
     /// in exact mode, regardless of fold order or sharding. That shared
@@ -97,21 +98,19 @@ impl ClassifiedTraces {
     /// Panics if `n > self.len()`.
     pub fn class_means_of_first(&self, n: usize) -> Vec<Vec<f64>> {
         assert!(n <= self.traces.len());
-        let mut sums = vec![vec![ExactSum::new(); self.samples]; self.num_classes];
+        let mut sums = vec![ExactRow::values(self.samples); self.num_classes];
         let mut counts = vec![0usize; self.num_classes];
         for (c, t) in &self.traces[..n] {
             counts[*c] += 1;
-            for (s, v) in sums[*c].iter_mut().zip(t) {
-                s.add(*v);
-            }
+            sums[*c].add(t);
         }
         sums.iter()
             .zip(&counts)
             .map(|(row, &count)| {
-                row.iter()
-                    .map(|s| {
+                (0..self.samples)
+                    .map(|i| {
                         if count > 0 {
-                            s.value() / count as f64
+                            row.value(i) / count as f64
                         } else {
                             0.0
                         }
@@ -127,14 +126,12 @@ impl ClassifiedTraces {
         if self.traces.is_empty() {
             return vec![0.0f64; self.samples];
         }
-        let mut sums = vec![ExactSum::new(); self.samples];
+        let mut sums = ExactRow::values(self.samples);
         for (_, t) in &self.traces {
-            for (m, v) in sums.iter_mut().zip(t) {
-                m.add(*v);
-            }
+            sums.add(t);
         }
         let n = self.traces.len() as f64;
-        sums.iter().map(|s| s.value() / n).collect()
+        (0..self.samples).map(|i| sums.value(i) / n).collect()
     }
 }
 

@@ -13,14 +13,19 @@
 //! * cross moments (`Σhx` per channel × sample).
 //!
 //! Both summation modes of the spectral pipeline are supported with the
-//! same contracts ([`SumMode`]): `Exact` carries Shewchuk exact sums, so
-//! every extracted statistic is invariant under *any* fold order or
-//! merge grouping — streaming attack results are bit-identical to the
-//! batch reference. `Welford` keeps running means, centered second
-//! moments, and centered co-moments (Chan's parallel merge), which is
-//! cheaper per fold (plain floats instead of expansions) and bit-stable
-//! across worker counts only via the fixed
+//! same contracts ([`SumMode`]): `Exact` carries exact sums — fixed-point
+//! `i128` rows with an [`ExactSum`](crate::stats::ExactSum) cold side —
+//! so every extracted statistic is invariant under *any* fold order or
+//! merge grouping, and streaming attack results are bit-identical to the
+//! batch reference. A fold is a shift and an integer add per sum, a
+//! merge an integer add. `Welford` keeps running means, centered second
+//! moments, and centered co-moments (Chan's parallel merge), which
+//! vectorizes and is bit-stable across worker counts only via the fixed
 //! [`TreeReducer`](crate::online::TreeReducer) shape.
+//!
+//! Scoring reads every `(channel, sample)` cell of a state; read them
+//! through [`CoMomentAccumulator::cells`], which rounds the marginal
+//! sums once for all cells.
 //!
 //! Memory is `O(channels × samples)` regardless of trace count.
 //!
@@ -40,10 +45,10 @@
 //! ```
 
 use crate::online::{Merge, SumMode};
-use crate::stats::ExactSum;
+use crate::stats::ExactRow;
 
-/// Per-mode moment state. Cross moments are stored row-major:
-/// `channel × samples + sample`.
+/// Per-mode moment state. Welford cross moments are stored row-major,
+/// `channel × samples + sample`; exact ones as one row per channel.
 #[derive(Debug, Clone)]
 enum CoMoments {
     Welford {
@@ -60,15 +65,15 @@ enum CoMoments {
     },
     Exact {
         /// Exact `Σx` per sample.
-        sum_x: Vec<ExactSum>,
+        sum_x: ExactRow,
         /// Exact `Σx²` per sample.
-        sumsq_x: Vec<ExactSum>,
+        sumsq_x: ExactRow,
         /// Exact `Σh` per channel.
-        sum_h: Vec<ExactSum>,
+        sum_h: ExactRow,
         /// Exact `Σh²` per channel.
-        sumsq_h: Vec<ExactSum>,
-        /// Exact `Σhx` per channel × sample.
-        sum_hx: Vec<ExactSum>,
+        sumsq_h: ExactRow,
+        /// Exact `Σhx` per sample, one row per channel.
+        sum_hx: Vec<ExactRow>,
     },
 }
 
@@ -105,11 +110,11 @@ impl CoMomentAccumulator {
                 c_hx: vec![0.0; channels * samples],
             },
             SumMode::Exact => CoMoments::Exact {
-                sum_x: vec![ExactSum::new(); samples],
-                sumsq_x: vec![ExactSum::new(); samples],
-                sum_h: vec![ExactSum::new(); channels],
-                sumsq_h: vec![ExactSum::new(); channels],
-                sum_hx: vec![ExactSum::new(); channels * samples],
+                sum_x: ExactRow::values(samples),
+                sumsq_x: ExactRow::squares(samples),
+                sum_h: ExactRow::values(channels),
+                sumsq_h: ExactRow::squares(channels),
+                sum_hx: vec![ExactRow::values(samples); channels],
             },
         };
         Self {
@@ -199,17 +204,12 @@ impl CoMomentAccumulator {
                 sumsq_h,
                 sum_hx,
             } => {
-                for ((s, q), &x) in sum_x.iter_mut().zip(sumsq_x.iter_mut()).zip(trace) {
-                    s.add(x);
-                    q.add(x * x);
-                }
-                for (c, &h) in hypotheses.iter().enumerate() {
-                    sum_h[c].add(h);
-                    sumsq_h[c].add(h * h);
-                    let row = &mut sum_hx[c * self.samples..(c + 1) * self.samples];
-                    for (r, &x) in row.iter_mut().zip(trace) {
-                        r.add(h * x);
-                    }
+                sum_x.add(trace);
+                sumsq_x.add_squares(trace);
+                sum_h.add(hypotheses);
+                sumsq_h.add_squares(hypotheses);
+                for (row, &h) in sum_hx.iter_mut().zip(hypotheses) {
+                    row.add_scaled(h, trace);
                 }
             }
         }
@@ -294,20 +294,12 @@ impl CoMomentAccumulator {
                     sum_hx: osum_hx,
                 },
             ) => {
-                for (s, o) in sum_x.iter_mut().zip(osum_x) {
-                    s.absorb(o);
-                }
-                for (q, o) in sumsq_x.iter_mut().zip(osumsq_x) {
-                    q.absorb(o);
-                }
-                for (s, o) in sum_h.iter_mut().zip(osum_h) {
-                    s.absorb(o);
-                }
-                for (q, o) in sumsq_h.iter_mut().zip(osumsq_h) {
-                    q.absorb(o);
-                }
-                for (s, o) in sum_hx.iter_mut().zip(osum_hx) {
-                    s.absorb(o);
+                sum_x.absorb(osum_x);
+                sumsq_x.absorb(osumsq_x);
+                sum_h.absorb(osum_h);
+                sumsq_h.absorb(osumsq_h);
+                for (row, other) in sum_hx.iter_mut().zip(osum_hx) {
+                    row.absorb(other);
                 }
             }
             _ => panic!("cannot merge accumulators with different summation modes"),
@@ -319,6 +311,9 @@ impl CoMomentAccumulator {
     /// Pearson correlation between channel `c` and sample `t`; 0.0 when
     /// either marginal is degenerate (constant, or fewer than two
     /// traces).
+    ///
+    /// Reads four marginal sums per call; to score many cells of one
+    /// state, read them once through [`cells`](Self::cells).
     ///
     /// # Panics
     ///
@@ -348,17 +343,12 @@ impl CoMomentAccumulator {
                 sum_hx,
             } => {
                 let n = self.count as f64;
-                let sx = sum_x[t].value();
-                let sh = sum_h[c].value();
-                let num = n * sum_hx[c * self.samples + t].value() - sh * sx;
-                let vh = (n * sumsq_h[c].value() - sh * sh).max(0.0);
-                let vx = (n * sumsq_x[t].value() - sx * sx).max(0.0);
-                let denom = (vh * vx).sqrt();
-                if denom == 0.0 {
-                    0.0
-                } else {
-                    num / denom
-                }
+                exact_pearson(
+                    n,
+                    sum_hx[c].value(t),
+                    marginal(n, sum_h.value(c), sumsq_h.value(c)),
+                    marginal(n, sum_x.value(t), sumsq_x.value(t)),
+                )
             }
         }
     }
@@ -381,24 +371,44 @@ impl CoMomentAccumulator {
             return 0.0;
         }
         let n = self.count as f64;
-        let (centered, n1) = match &self.moments {
-            CoMoments::Welford { mean_h, c_hx, .. } => (c_hx[c * self.samples + t], mean_h[c] * n),
+        match &self.moments {
+            CoMoments::Welford { mean_h, c_hx, .. } => {
+                split_means(c_hx[c * self.samples + t], mean_h[c] * n, n)
+            }
             CoMoments::Exact {
                 sum_x,
                 sum_h,
                 sum_hx,
                 ..
-            } => {
-                let sh = sum_h[c].value();
-                let centered = sum_hx[c * self.samples + t].value() - sh * sum_x[t].value() / n;
-                (centered, sh)
-            }
-        };
-        let n0 = n - n1;
-        if n1 <= 0.0 || n0 <= 0.0 {
-            return 0.0;
+            } => exact_difference_of_means(n, sum_hx[c].value(t), sum_h.value(c), sum_x.value(t)),
         }
-        centered * n / (n1 * n0)
+    }
+
+    /// A reader for many `(channel, sample)` cells of this state: the
+    /// marginal sums (`Σx`, `Σx²` per sample, `Σh`, `Σh²` per channel)
+    /// are rounded once here instead of once per cell. Its cells equal
+    /// [`pearson`](Self::pearson) and
+    /// [`difference_of_means`](Self::difference_of_means) bit for bit.
+    pub fn cells(&self) -> CellReader<'_> {
+        let n = self.count as f64;
+        let (x, h) = match &self.moments {
+            CoMoments::Welford { .. } => (Vec::new(), Vec::new()),
+            CoMoments::Exact {
+                sum_x,
+                sumsq_x,
+                sum_h,
+                sumsq_h,
+                ..
+            } => (
+                (0..self.samples)
+                    .map(|t| marginal(n, sum_x.value(t), sumsq_x.value(t)))
+                    .collect(),
+                (0..self.channels)
+                    .map(|c| marginal(n, sum_h.value(c), sumsq_h.value(c)))
+                    .collect(),
+            ),
+        };
+        CellReader { acc: self, x, h }
     }
 
     /// Mean hypothesis value of channel `c` (0.0 when empty) — for
@@ -410,13 +420,13 @@ impl CoMomentAccumulator {
         }
         match &self.moments {
             CoMoments::Welford { mean_h, .. } => mean_h[c],
-            CoMoments::Exact { sum_h, .. } => sum_h[c].value() / self.count as f64,
+            CoMoments::Exact { sum_h, .. } => sum_h.value(c) / self.count as f64,
         }
     }
 
-    /// Number of `f64` values currently held (memory accounting); in
-    /// exact mode, the live partials of every sum, not their reserved
-    /// inline capacity.
+    /// Number of `f64`-sized words currently held (memory accounting);
+    /// in exact mode, two per fixed-point sum plus whatever the rows
+    /// keep on their cold sides.
     pub fn resident_floats(&self) -> usize {
         match &self.moments {
             CoMoments::Welford {
@@ -432,14 +442,117 @@ impl CoMomentAccumulator {
                 sum_h,
                 sumsq_h,
                 sum_hx,
-            } => sum_x
-                .iter()
-                .chain(sumsq_x)
-                .chain(sum_h)
-                .chain(sumsq_h)
+            } => [sum_x, sumsq_x, sum_h, sumsq_h]
+                .into_iter()
                 .chain(sum_hx)
-                .map(|s| s.partials_len())
+                .map(ExactRow::resident_words)
                 .sum(),
+        }
+    }
+
+    /// Whether the exact rows of `Σx`, `Σh` and every `Σhx` never used
+    /// their cold sides.
+    #[cfg(test)]
+    pub(crate) fn value_rows_stay_hot(&self) -> bool {
+        match &self.moments {
+            CoMoments::Exact {
+                sum_x,
+                sum_h,
+                sum_hx,
+                ..
+            } => [sum_x, sum_h]
+                .into_iter()
+                .chain(sum_hx)
+                .all(|row| !row.has_cold()),
+            CoMoments::Welford { .. } => true,
+        }
+    }
+}
+
+/// One marginal's sum and variance term `n·Σv² − (Σv)²`, clamped at 0.
+fn marginal(n: f64, sum: f64, sumsq: f64) -> (f64, f64) {
+    (sum, (n * sumsq - sum * sum).max(0.0))
+}
+
+/// Exact-mode Pearson correlation from `Σhx` and the two marginals.
+fn exact_pearson(n: f64, sum_hx: f64, (sh, vh): (f64, f64), (sx, vx): (f64, f64)) -> f64 {
+    let num = n * sum_hx - sh * sx;
+    let denom = (vh * vx).sqrt();
+    if denom == 0.0 {
+        0.0
+    } else {
+        num / denom
+    }
+}
+
+/// Exact-mode difference of means from `Σhx`, `Σh` and `Σx`.
+fn exact_difference_of_means(n: f64, sum_hx: f64, sh: f64, sx: f64) -> f64 {
+    split_means(sum_hx - sh * sx / n, sh, n)
+}
+
+/// `μ₁ − μ₀` from the centered co-moment and the 1-partition's size
+/// `n1`; 0.0 when either partition is empty.
+fn split_means(centered: f64, n1: f64, n: f64) -> f64 {
+    let n0 = n - n1;
+    if n1 <= 0.0 || n0 <= 0.0 {
+        return 0.0;
+    }
+    centered * n / (n1 * n0)
+}
+
+/// Many cells of one [`CoMomentAccumulator`] state, with the marginal
+/// sums rounded once; see [`CoMomentAccumulator::cells`].
+#[derive(Debug)]
+pub struct CellReader<'a> {
+    acc: &'a CoMomentAccumulator,
+    /// Exact mode: `(Σx, n·Σx² − (Σx)²)` per sample; empty in Welford
+    /// mode, whose marginals need no rounding.
+    x: Vec<(f64, f64)>,
+    /// Exact mode: `(Σh, n·Σh² − (Σh)²)` per channel.
+    h: Vec<(f64, f64)>,
+}
+
+impl CellReader<'_> {
+    /// Hypothesis channels of the state.
+    pub fn channels(&self) -> usize {
+        self.acc.channels
+    }
+
+    /// Samples per trace of the state.
+    pub fn samples(&self) -> usize {
+        self.acc.samples
+    }
+
+    /// [`CoMomentAccumulator::pearson`] of cell `(c, t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` or `t` is out of range.
+    pub fn pearson(&self, c: usize, t: usize) -> f64 {
+        let acc = self.acc;
+        match &acc.moments {
+            CoMoments::Exact { sum_hx, .. } if acc.count >= 2 => {
+                exact_pearson(acc.count as f64, sum_hx[c].value(t), self.h[c], self.x[t])
+            }
+            _ => acc.pearson(c, t),
+        }
+    }
+
+    /// [`CoMomentAccumulator::difference_of_means`] of cell `(c, t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` or `t` is out of range.
+    pub fn difference_of_means(&self, c: usize, t: usize) -> f64 {
+        let acc = self.acc;
+        match &acc.moments {
+            CoMoments::Exact { sum_hx, .. } if acc.count > 0 => exact_difference_of_means(
+                acc.count as f64,
+                sum_hx[c].value(t),
+                self.h[c].0,
+                self.x[t].0,
+            ),
+            _ => acc.difference_of_means(c, t),
         }
     }
 }

@@ -52,6 +52,8 @@ pub mod stats;
 pub mod theorem1;
 pub mod ttest;
 pub mod wht;
+#[cfg(test)]
+mod window_guard;
 
 pub use classes::ClassifiedTraces;
 pub use comoment::CoMomentAccumulator;

@@ -37,21 +37,23 @@
 //!    schedule therefore folds to the same bits at any worker count, in
 //!    either summation mode.
 //! 2. **Exact summation mode.** In [`SumMode::Exact`] each class
-//!    additionally carries exact per-sample sums
-//!    ([`ExactSum`]); means are the correctly
+//!    carries exact per-sample sums of values and squares: fixed-point
+//!    `i128` rows with an [`ExactSum`](crate::stats::ExactSum) cold side
+//!    for what their window cannot hold. Means are the correctly
 //!    rounded quotient of the true sum, which is invariant under *any*
 //!    regrouping — so exact-mode streaming results are bit-identical to
 //!    the batch path (whose
-//!    [`class_means`](crate::ClassifiedTraces::class_means) uses the same
-//!    helper), not merely to other streaming runs.
+//!    [`class_means`](crate::ClassifiedTraces::class_means) sums the same
+//!    way), not merely to other streaming runs. A fold is a shift and an
+//!    integer add per sample, a merge an integer add per sum.
 //!
-//! [`SumMode::Welford`] drops the exact sums for a cheaper fold
-//! (`BENCH_capture.json` measures the exact streaming fold at about
-//! 0.58× raw single-threaded capture throughput, the Welford fold at
-//! about 0.94×); its means agree with the batch path only to rounding
-//! error (observed ≤ 1e-12 relative on protocol-sized sets; the
-//! documented tolerance is 1e-9). See DESIGN.md §"Streaming spectral
-//! analysis".
+//! [`SumMode::Welford`] keeps running means instead; its means agree
+//! with the batch path only to rounding error (observed ≤ 1e-12
+//! relative on protocol-sized sets; the documented tolerance is 1e-9).
+//! It is still slightly cheaper: `BENCH_capture.json` measures the
+//! exact streaming fold at about 0.85× raw single-threaded capture
+//! throughput and the Welford fold at about 0.93×. See
+//! DESIGN.md §"Streaming spectral analysis".
 //!
 //! # Example
 //!
@@ -73,7 +75,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::stats::ExactSum;
+use crate::stats::ExactRow;
 use crate::LeakageSpectrum;
 
 /// Chunk size (in schedule indices) of the deterministic merge tree.
@@ -108,9 +110,9 @@ enum Moments {
     },
     Exact {
         /// Exact sum of values per sample.
-        sum: Vec<ExactSum>,
+        sum: ExactRow,
         /// Exact sum of squared values per sample.
-        sumsq: Vec<ExactSum>,
+        sumsq: ExactRow,
     },
 }
 
@@ -138,8 +140,8 @@ impl ClassAccumulator {
                 m2: vec![0.0; samples],
             },
             SumMode::Exact => Moments::Exact {
-                sum: vec![ExactSum::new(); samples],
-                sumsq: vec![ExactSum::new(); samples],
+                sum: ExactRow::values(samples),
+                sumsq: ExactRow::squares(samples),
             },
         };
         Self {
@@ -185,10 +187,8 @@ impl ClassAccumulator {
                 }
             }
             Moments::Exact { sum, sumsq } => {
-                for ((s, q), &x) in sum.iter_mut().zip(sumsq.iter_mut()).zip(trace) {
-                    s.add(x);
-                    q.add(x * x);
-                }
+                sum.add(trace);
+                sumsq.add_squares(trace);
             }
         }
     }
@@ -234,12 +234,8 @@ impl ClassAccumulator {
                     sumsq: osumsq,
                 },
             ) => {
-                for (s, o) in sum.iter_mut().zip(osum) {
-                    s.absorb(o);
-                }
-                for (q, o) in sumsq.iter_mut().zip(osumsq) {
-                    q.absorb(o);
-                }
+                sum.absorb(osum);
+                sumsq.absorb(osumsq);
             }
             _ => panic!("cannot merge accumulators with different summation modes"),
         }
@@ -261,7 +257,7 @@ impl ClassAccumulator {
                     vec![0.0; self.samples]
                 } else {
                     let n = self.count as f64;
-                    sum.iter().map(|s| s.value() / n).collect()
+                    (0..sum.len()).map(|i| sum.value(i) / n).collect()
                 }
             }
         }
@@ -276,28 +272,22 @@ impl ClassAccumulator {
         let n = self.count as f64;
         match &self.moments {
             Moments::Welford { m2, .. } => m2.iter().map(|s| s / n).collect(),
-            Moments::Exact { sum, sumsq } => sum
-                .iter()
-                .zip(sumsq)
-                .map(|(s, q)| {
-                    let mean = s.value() / n;
-                    (q.value() / n - mean * mean).max(0.0)
+            Moments::Exact { sum, sumsq } => (0..sum.len())
+                .map(|i| {
+                    let mean = sum.value(i) / n;
+                    (sumsq.value(i) / n - mean * mean).max(0.0)
                 })
                 .collect(),
         }
     }
 
-    /// Number of `f64` values currently held (memory accounting); in
-    /// exact mode, the live partials of every sum, not their reserved
-    /// inline capacity.
+    /// Number of `f64`-sized words currently held (memory accounting);
+    /// in exact mode, two per fixed-point sum plus whatever the rows
+    /// keep on their cold sides.
     pub fn resident_floats(&self) -> usize {
         match &self.moments {
             Moments::Welford { mean, m2 } => mean.len() + m2.len(),
-            Moments::Exact { sum, sumsq } => sum
-                .iter()
-                .chain(sumsq)
-                .map(|s| s.partials_len())
-                .sum::<usize>(),
+            Moments::Exact { sum, sumsq } => sum.resident_words() + sumsq.resident_words(),
         }
     }
 }
@@ -435,6 +425,15 @@ impl SpectrumAccumulator {
     /// bounded-memory tests assert on.
     pub fn resident_floats(&self) -> usize {
         self.classes.iter().map(|c| c.resident_floats()).sum()
+    }
+
+    /// Whether no class's exact row of values ever used its cold side.
+    #[cfg(test)]
+    pub(crate) fn value_rows_stay_hot(&self) -> bool {
+        self.classes.iter().all(|c| match &c.moments {
+            Moments::Exact { sum, .. } => !sum.has_cold(),
+            Moments::Welford { .. } => true,
+        })
     }
 }
 

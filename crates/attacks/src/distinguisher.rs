@@ -232,7 +232,6 @@ mod tests {
 
     #[test]
     fn hoisted_marginals_score_like_per_cell_reads() {
-        use leakage_core::online::SumMode;
         const SAMPLES: usize = 5;
         // Channel 5 never selects: an all-zero channel in every layout.
         const SILENT: usize = 5;
@@ -249,53 +248,51 @@ mod tests {
             r ^= r << 17;
             r
         };
-        for mode in [SumMode::Welford, SumMode::Exact] {
-            for d in distinguishers {
-                for n in [0usize, 1, 2, 40] {
-                    let mut acc = CoMomentAccumulator::new(d.channels(), SAMPLES, mode);
-                    for _ in 0..n {
-                        let p = (next() % 16) as u8;
-                        let mut h: Vec<f64> = (0..d.channels())
-                            .map(|ch| {
-                                let (g, c) = (ch / d.components(), ch % d.components());
-                                d.hypothesis(p, g as u8, c)
-                            })
-                            .collect();
-                        h[SILENT] = 0.0;
-                        // Sample 0 is constant, sample 1 mostly zero, the
-                        // rest signed noise with some leakage of guess 3.
-                        let leak = h[3 * d.components()];
-                        let trace: Vec<f64> = (0..SAMPLES)
-                            .map(|t| match t {
-                                0 => 0.75,
-                                1 if next() % 4 != 0 => 0.0,
-                                _ => leak * 0.25 + ((next() >> 11) as f64 / 2f64.powi(53) - 0.5),
-                            })
-                            .collect();
-                        acc.fold(&h, &trace);
+        for d in distinguishers {
+            for n in [0usize, 1, 2, 40] {
+                let mut acc = CoMomentAccumulator::new(d.channels(), SAMPLES);
+                for _ in 0..n {
+                    let p = (next() % 16) as u8;
+                    let mut h: Vec<f64> = (0..d.channels())
+                        .map(|ch| {
+                            let (g, c) = (ch / d.components(), ch % d.components());
+                            d.hypothesis(p, g as u8, c)
+                        })
+                        .collect();
+                    h[SILENT] = 0.0;
+                    // Sample 0 is constant, sample 1 mostly zero, the
+                    // rest signed noise with some leakage of guess 3.
+                    let leak = h[3 * d.components()];
+                    let trace: Vec<f64> = (0..SAMPLES)
+                        .map(|t| match t {
+                            0 => 0.75,
+                            1 if next() % 4 != 0 => 0.0,
+                            _ => leak * 0.25 + ((next() >> 11) as f64 / 2f64.powi(53) - 0.5),
+                        })
+                        .collect();
+                    acc.fold(&h, &trace);
+                }
+                let cells = acc.cells();
+                for guess in 0..NUM_GUESSES as u8 {
+                    let want = per_cell_score(d, &acc, guess);
+                    for got in [d.score(&acc, guess), d.score_cells(&cells, guess)] {
+                        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{d:?} n={n}");
+                        assert_eq!(got.1, want.1, "{d:?} n={n}");
                     }
-                    let cells = acc.cells();
-                    for guess in 0..NUM_GUESSES as u8 {
-                        let want = per_cell_score(d, &acc, guess);
-                        for got in [d.score(&acc, guess), d.score_cells(&cells, guess)] {
-                            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{d:?} {mode:?} n={n}");
-                            assert_eq!(got.1, want.1, "{d:?} {mode:?} n={n}");
-                        }
-                    }
-                    for c in 0..d.channels() {
-                        for t in 0..SAMPLES {
-                            let what = format!("{d:?} {mode:?} n={n} cell ({c}, {t})");
-                            assert_eq!(
-                                cells.pearson(c, t).to_bits(),
-                                acc.pearson(c, t).to_bits(),
-                                "{what}"
-                            );
-                            assert_eq!(
-                                cells.difference_of_means(c, t).to_bits(),
-                                acc.difference_of_means(c, t).to_bits(),
-                                "{what}"
-                            );
-                        }
+                }
+                for c in 0..d.channels() {
+                    for t in 0..SAMPLES {
+                        let what = format!("{d:?} n={n} cell ({c}, {t})");
+                        assert_eq!(
+                            cells.pearson(c, t).to_bits(),
+                            acc.pearson(c, t).to_bits(),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            cells.difference_of_means(c, t).to_bits(),
+                            acc.difference_of_means(c, t).to_bits(),
+                            "{what}"
+                        );
                     }
                 }
             }

@@ -68,7 +68,7 @@ impl PrefixEvaluator {
         #[allow(clippy::needless_range_loop)]
         for trial in 0..trials {
             let start = (trial * n) / trials;
-            let mut acc = AttackAccumulator::new(distinguisher, samples, SumMode::Welford);
+            let mut acc = AttackAccumulator::new(distinguisher, samples, SumMode::Exact);
             let mut next = 0usize; // index into `sorted`
             for i in 0..max {
                 let idx = (start + i) % n;

@@ -13,8 +13,8 @@
 //!   Roche–Tavernier MLPA multi-linear combination;
 //! * [`streaming`] — constant-memory per-guess co-moment state
 //!   ([`AttackAccumulator`]), a fold state of the campaign's
-//!   deterministic chunk grid (`leakage_core::online`), bit-identical at
-//!   any worker count and (in exact mode) to the batch reference;
+//!   chunk grid (`leakage_core::online`); its exact sums make it
+//!   bit-identical at any worker count and to the batch reference;
 //! * [`evaluate`] — success rate, guessing entropy, and
 //!   measurements-to-disclosure from incremental prefix evaluation;
 //! * [`second_order`] / [`template`] — centered-product second-order

@@ -6,9 +6,9 @@
 //! ([`CoMomentAccumulator`]). It is a [`FoldState`], so the chunk grid
 //! of `leakage_core::online` ([`ChunkFold`](leakage_core::online::ChunkFold)
 //! sequentially, the campaign executor sharded) folds a schedule to the
-//! same bits at any worker count. In [`SumMode::Exact`] the extracted
-//! scores are additionally invariant under *any* regrouping —
-//! bit-identical to the batch reference [`attack_batch`].
+//! same bits at any worker count: its exact sums make the extracted
+//! scores invariant under *any* regrouping — bit-identical to the
+//! batch reference [`attack_batch`].
 //!
 //! The hypothesis values depend only on the 4-bit plaintext and guess,
 //! so each accumulator precomputes the full `16 × channels` hypothesis
@@ -31,12 +31,13 @@ pub struct AttackAccumulator {
 }
 
 impl AttackAccumulator {
-    /// Empty accumulator for `samples`-point traces.
+    /// Empty accumulator for `samples`-point traces. `_mode` is always
+    /// [`SumMode::Exact`].
     ///
     /// # Panics
     ///
     /// Panics if `samples` is zero.
-    pub fn new(distinguisher: Distinguisher, samples: usize, mode: SumMode) -> Self {
+    pub fn new(distinguisher: Distinguisher, samples: usize, _mode: SumMode) -> Self {
         let channels = distinguisher.channels();
         let components = distinguisher.components();
         let mut table = Vec::with_capacity(16 * channels);
@@ -50,18 +51,13 @@ impl AttackAccumulator {
         Self {
             distinguisher,
             table,
-            inner: CoMomentAccumulator::new(channels, samples, mode),
+            inner: CoMomentAccumulator::new(channels, samples),
         }
     }
 
     /// The distinguisher this accumulator scores.
     pub fn distinguisher(&self) -> Distinguisher {
         self.distinguisher
-    }
-
-    /// Summation mode.
-    pub fn mode(&self) -> SumMode {
-        self.inner.mode()
     }
 
     /// Samples per trace.
@@ -100,7 +96,7 @@ impl AttackAccumulator {
     ///
     /// # Panics
     ///
-    /// Panics if the distinguishers, shapes, or modes differ.
+    /// Panics if the distinguishers or shapes differ.
     pub fn merge_from(&mut self, other: &AttackAccumulator) {
         assert_eq!(
             self.distinguisher, other.distinguisher,
@@ -155,9 +151,9 @@ impl FoldState for AttackAccumulator {
     }
 }
 
-/// Batch reference: fold the whole dataset into one exact-mode
-/// accumulator (no chunk tree). In exact mode any streamed or sharded
-/// fold of the same data extracts bit-identical scores.
+/// Batch reference: fold the whole dataset into one accumulator (no
+/// chunk tree). Any streamed or sharded fold of the same data extracts
+/// bit-identical scores.
 ///
 /// # Panics
 ///
@@ -211,8 +207,8 @@ mod tests {
     ];
 
     /// The pairs folded in order through the chunk grid.
-    fn chunk_fold(d: Distinguisher, mode: SumMode, p: &[u8], t: &[Vec<f64>]) -> AttackAccumulator {
-        let mut fold = ChunkFold::new(AttackAccumulator::new(d, 2, mode));
+    fn chunk_fold(d: Distinguisher, p: &[u8], t: &[Vec<f64>]) -> AttackAccumulator {
+        let mut fold = ChunkFold::new(AttackAccumulator::new(d, 2, SumMode::Exact));
         for (&pt, tr) in p.iter().zip(t) {
             fold.fold(u16::from(pt), tr);
         }
@@ -234,7 +230,7 @@ mod tests {
         let (p, t) = synthetic(0x6, 3 * FOLD_CHUNK + 5, 2.0, 17);
         for d in ALL {
             let batch = attack_batch(&p, &t, d).scores();
-            let streamed = chunk_fold(d, SumMode::Exact, &p, &t).scores();
+            let streamed = chunk_fold(d, &p, &t).scores();
             for g in 0..16 {
                 assert_eq!(
                     batch.scores[g].to_bits(),
@@ -247,31 +243,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunk_fold_reproduces_reducer_tree_in_welford_mode() {
-        let (p, t) = synthetic(0x2, 4 * FOLD_CHUNK + 7, 1.5, 23);
-        let mut reducer: TreeReducer<AttackAccumulator> = TreeReducer::new();
-        for (i, chunk) in p
-            .chunks(FOLD_CHUNK)
-            .zip(t.chunks(FOLD_CHUNK))
-            .enumerate()
-            .map(|(i, (pc, tc))| (i, pc.iter().zip(tc)))
-        {
-            let mut leaf = AttackAccumulator::new(ALL[0], 2, SumMode::Welford);
-            for (&pt, tr) in chunk {
-                leaf.fold(pt, tr);
-            }
-            reducer.push(i as u64, leaf);
-        }
-        let a = chunk_fold(ALL[0], SumMode::Welford, &p, &t).scores();
-        let b = reducer.finish().unwrap().scores();
-        for g in 0..16 {
-            assert_eq!(a.scores[g].to_bits(), b.scores[g].to_bits());
-        }
-    }
-
-    /// In exact mode the scores do not depend on the merge-tree shape:
-    /// hand-cut leaves of any size reduce to the batch bits.
+    /// The scores do not depend on the merge-tree shape: hand-cut leaves
+    /// of any size reduce to the batch bits.
     #[test]
     fn exact_scores_are_invariant_under_leaf_size() {
         let (p, t) = synthetic(0x9, 5 * FOLD_CHUNK + 3, 1.0, 37);
@@ -302,7 +275,7 @@ mod tests {
     #[test]
     fn merge_depth_and_counts_track() {
         let (p, t) = synthetic(0x0, 2 * FOLD_CHUNK, 0.5, 29);
-        let acc = chunk_fold(Distinguisher::Mlpa, SumMode::Exact, &p, &t);
+        let acc = chunk_fold(Distinguisher::Mlpa, &p, &t);
         assert_eq!(acc.count(), 2 * FOLD_CHUNK as u64);
         assert!(acc.merge_depth() >= 1);
     }
@@ -315,39 +288,37 @@ mod tests {
     fn merge_depth_agrees_across_reduced_states() {
         use leakage_core::online::SpectrumAccumulator;
 
-        for mode in [SumMode::Exact, SumMode::Welford] {
-            for (leaves, depth) in [(1usize, 0usize), (2, 1), (3, 2), (4, 2), (5, 3)] {
-                let (p, t) = synthetic(0x5, leaves * FOLD_CHUNK, 0.5, 41);
-                let mut comoments = TreeReducer::new();
-                let mut attacks = TreeReducer::new();
-                let mut spectra = TreeReducer::new();
-                for (i, (pc, tc)) in p.chunks(FOLD_CHUNK).zip(t.chunks(FOLD_CHUNK)).enumerate() {
-                    let mut co = CoMomentAccumulator::new(1, 2, mode);
-                    let mut attack = AttackAccumulator::new(Distinguisher::Mlpa, 2, mode);
-                    let mut spectrum = SpectrumAccumulator::new(16, 2, mode);
-                    for (&pt, tr) in pc.iter().zip(tc) {
-                        co.fold(&[f64::from(pt)], tr);
-                        attack.fold(pt, tr);
-                        spectrum.fold(usize::from(pt), tr);
-                    }
-                    comoments.push(i as u64, co);
-                    attacks.push(i as u64, attack);
-                    spectra.push(i as u64, spectrum);
+        for (leaves, depth) in [(1usize, 0usize), (2, 1), (3, 2), (4, 2), (5, 3)] {
+            let (p, t) = synthetic(0x5, leaves * FOLD_CHUNK, 0.5, 41);
+            let mut comoments = TreeReducer::new();
+            let mut attacks = TreeReducer::new();
+            let mut spectra = TreeReducer::new();
+            for (i, (pc, tc)) in p.chunks(FOLD_CHUNK).zip(t.chunks(FOLD_CHUNK)).enumerate() {
+                let mut co = CoMomentAccumulator::new(1, 2);
+                let mut attack = AttackAccumulator::new(Distinguisher::Mlpa, 2, SumMode::Exact);
+                let mut spectrum = SpectrumAccumulator::new(16, 2, SumMode::Exact);
+                for (&pt, tr) in pc.iter().zip(tc) {
+                    co.fold(&[f64::from(pt)], tr);
+                    attack.fold(pt, tr);
+                    spectrum.fold(usize::from(pt), tr);
                 }
-                let label = format!("{leaves} leaves, {mode:?}");
-                let spectrum = spectra.finish().unwrap().merge_depth();
-                assert_eq!(spectrum, depth, "spectrum, {label}");
-                assert_eq!(
-                    comoments.finish().unwrap().merge_depth(),
-                    depth,
-                    "co-moments, {label}"
-                );
-                assert_eq!(
-                    attacks.finish().unwrap().merge_depth(),
-                    depth,
-                    "attack, {label}"
-                );
+                comoments.push(i as u64, co);
+                attacks.push(i as u64, attack);
+                spectra.push(i as u64, spectrum);
             }
+            let label = format!("{leaves} leaves");
+            let spectrum = spectra.finish().unwrap().merge_depth();
+            assert_eq!(spectrum, depth, "spectrum, {label}");
+            assert_eq!(
+                comoments.finish().unwrap().merge_depth(),
+                depth,
+                "co-moments, {label}"
+            );
+            assert_eq!(
+                attacks.finish().unwrap().merge_depth(),
+                depth,
+                "attack, {label}"
+            );
         }
     }
 
@@ -359,9 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn welford_resident_floats_do_not_grow_with_traces() {
+    fn resident_floats_do_not_grow_with_traces() {
         let (p, t) = synthetic(0x4, 64, 0.5, 31);
-        let mut fold = ChunkFold::new(AttackAccumulator::new(ALL[0], 2, SumMode::Welford));
+        let mut fold = ChunkFold::new(AttackAccumulator::new(ALL[0], 2, SumMode::Exact));
         let resident = |fold: &ChunkFold<'_, AttackAccumulator>| {
             fold.resident_with(AttackAccumulator::resident_floats)
         };
@@ -373,7 +344,7 @@ mod tests {
             fold.fold(u16::from(pt), tr);
         }
         // 8x the chunks may add at most 3 counter levels.
-        let leaf = AttackAccumulator::new(ALL[0], 2, SumMode::Welford).resident_floats();
+        let leaf = AttackAccumulator::new(ALL[0], 2, SumMode::Exact).resident_floats();
         assert!(resident(&fold) <= at_8 + 3 * leaf);
     }
 }

@@ -15,9 +15,8 @@
 //!   fresh owned trace `Vec` per capture (the executor's pattern);
 //! * `session_capture_into` — the same session rendering into one
 //!   reused sample buffer (no per-trace allocation at all);
-//! * `streaming_fold_exact` / `streaming_fold_welford` — the
-//!   `session_capture_into` path with each trace folded straight into
-//!   the chunk grid ([`leakage_core::ChunkFold`] over a
+//! * `streaming_fold_exact` — the `session_capture_into` path with
+//!   each trace folded straight into the chunk grid ([`leakage_core::ChunkFold`] over a
 //!   [`leakage_core::SpectrumAccumulator`], the campaign's
 //!   bounded-memory analysis mode), so the delta over
 //!   `session_capture_into` is the pure cost of the fold;
@@ -37,8 +36,9 @@
 //!
 //! All capture paths produce bit-identical traces (asserted here on the
 //! first pass and in `sca_bench::legacy`'s tests), so the ratios are
-//! pure engine cost; the streaming legs additionally assert, once per
-//! pass, that the folded spectrum matches the batch analysis. Usage:
+//! pure engine cost; the streaming leg additionally asserts, once per
+//! pass, that the folded spectrum matches the batch analysis bit for
+//! bit. Every ratio looks its legs up by name. Usage:
 //!
 //! ```text
 //! cargo run --release -p sca-bench --bin capture_bench [--quick] [--out PATH]
@@ -187,7 +187,7 @@ fn main() {
     }
 
     // References captured once on the event engine: the batch analysis,
-    // which the streaming legs' folded spectrum must reproduce bitwise
+    // which the streaming leg's folded spectrum must reproduce bitwise
     // once per pass, and the exact fold of the schedule, which the
     // bit-sliced fold leg must reproduce bit for bit before it is timed.
     let (batch_tlp, event_fold) = {
@@ -214,17 +214,17 @@ fn main() {
     let mut session_b = sim.session();
     let mut buf = Vec::new();
 
-    // One runner per summation mode: capture into a reused buffer, fold
-    // into the online accumulator, and check the finished spectrum
-    // against the batch analysis each time a full pass has been folded.
-    let streaming_runner = |mode: SumMode, name: &'static str| {
+    // Capture into a reused buffer, fold into the online accumulator,
+    // and check the finished spectrum against the batch analysis each
+    // time a full pass has been folded.
+    let streaming_runner = {
         let mut session = sim.session();
         let mut buf = Vec::new();
-        let empty = SpectrumAccumulator::new(NUM_CLASSES, sampling.samples, mode);
+        let empty = SpectrumAccumulator::new(NUM_CLASSES, sampling.samples, SumMode::Exact);
         let mut fold = ChunkFold::new(empty.clone());
         let mut folded = 0u64;
         Runner {
-            name,
+            name: "streaming_fold_exact",
             capture: Box::new(move |s: &Stimulus, seed: u64| {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let stats = session.capture_into(
@@ -240,16 +240,10 @@ fn main() {
                     folded = 0;
                     let done = std::mem::replace(&mut fold, ChunkFold::new(empty.clone()));
                     let tlp = done.finish().spectrum().total_leakage_power();
-                    match mode {
-                        SumMode::Exact => assert_eq!(
-                            tlp, batch_tlp,
-                            "exact streamed fold diverged from batch analysis"
-                        ),
-                        SumMode::Welford => assert!(
-                            ((tlp - batch_tlp) / batch_tlp).abs() <= 1e-9,
-                            "welford streamed fold drifted past tolerance: {tlp} vs {batch_tlp}"
-                        ),
-                    }
+                    assert_eq!(
+                        tlp, batch_tlp,
+                        "exact streamed fold diverged from batch analysis"
+                    );
                 }
                 stats
             }),
@@ -396,8 +390,7 @@ fn main() {
                     )
                 }),
             },
-            streaming_runner(SumMode::Exact, "streaming_fold_exact"),
-            streaming_runner(SumMode::Welford, "streaming_fold_welford"),
+            streaming_runner,
             bitsliced_runner,
             bitsliced_fold_runner,
         ],
@@ -411,18 +404,24 @@ fn main() {
             leg.seconds,
         );
     }
-    let vs_legacy = legs[2].traces_per_sec() / legs[0].traces_per_sec();
-    let vs_alloc = legs[2].traces_per_sec() / legs[1].traces_per_sec();
+    // Throughput of leg `a` over leg `b`.
+    let ratio = |a: &str, b: &str| {
+        let rate = |name: &str| {
+            legs.iter()
+                .find(|leg| leg.name == name)
+                .unwrap_or_else(|| panic!("no leg named {name}"))
+                .traces_per_sec()
+        };
+        rate(a) / rate(b)
+    };
+    let vs_legacy = ratio("session_reuse", "legacy");
+    let vs_alloc = ratio("session_reuse", "alloc_per_capture");
     eprintln!("  session_reuse speedup: {vs_legacy:.2}x vs legacy, {vs_alloc:.2}x vs alloc");
-    let stream_exact_vs_batch = legs[4].traces_per_sec() / legs[3].traces_per_sec();
-    let stream_welford_vs_batch = legs[5].traces_per_sec() / legs[3].traces_per_sec();
-    eprintln!(
-        "  streaming fold throughput vs session_capture_into: \
-         {stream_exact_vs_batch:.3}x exact, {stream_welford_vs_batch:.3}x welford"
-    );
-    let bitsliced_vs_session_into = legs[6].traces_per_sec() / legs[3].traces_per_sec();
+    let stream_exact_vs_batch = ratio("streaming_fold_exact", "session_capture_into");
+    eprintln!("  streaming fold throughput: {stream_exact_vs_batch:.3}x session_capture_into");
+    let bitsliced_vs_session_into = ratio("bitsliced_batch", "session_capture_into");
     eprintln!("  bitsliced_batch speedup: {bitsliced_vs_session_into:.2}x vs session_capture_into");
-    let bitsliced_fold_vs_batch = legs[7].traces_per_sec() / legs[6].traces_per_sec();
+    let bitsliced_fold_vs_batch = ratio("bitsliced_fold_exact", "bitsliced_batch");
     eprintln!("  bitsliced_fold_exact throughput: {bitsliced_fold_vs_batch:.3}x bitsliced_batch");
 
     let mut json = String::new();
@@ -464,11 +463,6 @@ fn main() {
         json,
         "  \"throughput_streaming_exact_vs_batch\": {},",
         json_f64(stream_exact_vs_batch)
-    );
-    let _ = writeln!(
-        json,
-        "  \"throughput_streaming_welford_vs_batch\": {},",
-        json_f64(stream_welford_vs_batch)
     );
     let _ = writeln!(
         json,

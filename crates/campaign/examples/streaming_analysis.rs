@@ -3,8 +3,8 @@
 //!
 //! Run with `cargo run --release -p sca-campaign --example
 //! streaming_analysis`. The streamed spectrum is bit-identical to the
-//! batch path (the default `SumMode::Exact` fold is order- and
-//! merge-invariant), but peak memory is O(classes × samples) instead of
+//! batch path (the fold's exact sums are order- and merge-invariant),
+//! but peak memory is O(classes × samples) instead of
 //! O(traces): the run report's `peak_resident` counts the traces that
 //! were ever simultaneously in flight — at most one per worker.
 
@@ -13,7 +13,7 @@ use sbox_circuits::Scheme;
 
 fn main() {
     let config = CampaignConfig {
-        streaming: true,       // default SumMode::Exact: bit-identical
+        streaming: true,       // exact fold: bit-identical to batch
         cache: CacheMode::Off, // demo: always simulate
         ..CampaignConfig::default()
     };

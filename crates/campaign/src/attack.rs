@@ -25,9 +25,10 @@
 //! rankings predict.
 //!
 //! Determinism carries through from the executor: trial schedules and
-//! per-trace seeds are derived (never sampled), chunk states merge in
-//! a schedule-shaped tree, and in [`SumMode::Exact`] the final scores
-//! are bit-identical to the batch reference at any worker count.
+//! per-trace seeds are derived (never sampled), and the folds' exact
+//! sums make the final scores bit-identical to the batch reference at
+//! any worker count; the schedule-shaped merge tree only orders the
+//! rank snapshots.
 //! Trials resume from their `SCKP` checkpoints (refold-on-resume) and
 //! serve from `SCTR` stores when a batch acquisition already captured
 //! the same cell.
@@ -53,12 +54,12 @@ pub struct JointState {
 
 impl JointState {
     /// Empty joint state for `samples`-point traces.
-    pub fn new(distinguishers: &[Distinguisher], samples: usize, mode: SumMode) -> Self {
+    pub fn new(distinguishers: &[Distinguisher], samples: usize) -> Self {
         Self {
-            spectrum: SpectrumAccumulator::new(NUM_CLASSES, samples, mode),
+            spectrum: SpectrumAccumulator::new(NUM_CLASSES, samples, SumMode::Exact),
             attacks: distinguishers
                 .iter()
-                .map(|&d| AttackAccumulator::new(d, samples, mode))
+                .map(|&d| AttackAccumulator::new(d, samples, SumMode::Exact))
                 .collect(),
         }
     }
@@ -118,8 +119,9 @@ pub struct AttackPlan {
     pub distinguishers: Vec<Distinguisher>,
     /// Success-rate level that counts as disclosure for the MTD figure.
     pub sr_threshold: f64,
-    /// Summation mode of the fold ([`SumMode::Exact`] is bit-identical
-    /// to the batch reference at any worker count).
+    /// Summation mode of the fold. [`SumMode::Exact`] is the only one:
+    /// scores are bit-identical to the batch reference at any worker
+    /// count.
     pub mode: SumMode,
 }
 
@@ -259,7 +261,7 @@ impl Campaign {
                 _ => trace_seed(base, 0xA77A_C000 | trial as u64),
             };
             let cell = self.key(&subject, months, seed, plan.traces, Some(plan.key));
-            let make = || JointState::new(&plan.distinguishers, samples, plan.mode);
+            let make = || JointState::new(&plan.distinguishers, samples);
 
             // The chunk grid's in-order observer keeps a running merge
             // whose rank is snapshotted at every chunk boundary — the
@@ -270,7 +272,7 @@ impl Campaign {
                 // Chunk 0 starts a pass (a store read that failed
                 // part-way may already have shown chunks of another).
                 if seq == 0 {
-                    let new = |&d| AttackAccumulator::new(d, samples, plan.mode);
+                    let new = |&d| AttackAccumulator::new(d, samples, SumMode::Exact);
                     running = plan.distinguishers.iter().map(new).collect();
                     trajectory.clear();
                 }
@@ -498,35 +500,32 @@ mod tests {
 
     /// A trial served from the store folds through the executor's chunk
     /// grid, so its report — curves, MTD, vote and final score bits — and
-    /// its merge depth equal the miss path's, in either summation mode.
+    /// its merge depth equal the miss path's.
     #[test]
     fn store_served_trial_reproduces_the_miss_exactly() {
-        for mode in [SumMode::Exact, SumMode::Welford] {
-            for workers in [1usize, 3] {
-                let what = format!("{mode:?}, {workers} workers");
-                let dir = tmp_dir(&format!("hit-{mode:?}-{workers}"));
-                let _ = std::fs::remove_dir_all(&dir);
-                // 72 traces: four full leaves and a partial fifth.
-                let plan = AttackPlan {
-                    trials: 1,
-                    traces: 72,
-                    mode,
-                    ..small_plan()
-                };
-                let mut miss = campaign(&dir, CacheMode::Off, workers);
-                let want = miss.attack_aged(Scheme::Lut, 0.0, &plan);
-                let mut hit = campaign(&dir, CacheMode::ReadWrite, workers);
-                hit.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
-                let got = hit.attack_aged(Scheme::Lut, 0.0, &plan);
-                assert_eq!((want.cache_hits, got.cache_hits), (0, 1), "{what}");
-                assert_same_reports(&want, &got, &what);
-                let miss_report = miss.log().reports().last().unwrap();
-                let hit_report = hit.log().reports().last().unwrap();
-                assert!(hit_report.cache_hit, "{what}");
-                assert_eq!(miss_report.merge_depth, 3, "{what}");
-                assert_eq!(hit_report.merge_depth, miss_report.merge_depth, "{what}");
-                let _ = std::fs::remove_dir_all(&dir);
-            }
+        for workers in [1usize, 3] {
+            let what = format!("{workers} workers");
+            let dir = tmp_dir(&format!("hit-{workers}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            // 72 traces: four full leaves and a partial fifth.
+            let plan = AttackPlan {
+                trials: 1,
+                traces: 72,
+                ..small_plan()
+            };
+            let mut miss = campaign(&dir, CacheMode::Off, workers);
+            let want = miss.attack_aged(Scheme::Lut, 0.0, &plan);
+            let mut hit = campaign(&dir, CacheMode::ReadWrite, workers);
+            hit.acquire_cpa(Scheme::Lut, plan.key, plan.traces);
+            let got = hit.attack_aged(Scheme::Lut, 0.0, &plan);
+            assert_eq!((want.cache_hits, got.cache_hits), (0, 1), "{what}");
+            assert_same_reports(&want, &got, &what);
+            let miss_report = miss.log().reports().last().unwrap();
+            let hit_report = hit.log().reports().last().unwrap();
+            assert!(hit_report.cache_hit, "{what}");
+            assert_eq!(miss_report.merge_depth, 3, "{what}");
+            assert_eq!(hit_report.merge_depth, miss_report.merge_depth, "{what}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

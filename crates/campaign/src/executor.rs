@@ -6,8 +6,8 @@
 //! bit-sliced engine, and fold each trace into a chunk-local
 //! [`FoldState`] leaf of the [`FOLD_CHUNK`] grid that
 //! `leakage_core::online` owns; the caller's thread checkpoints new
-//! traces and pushes each leaf into that grid's [`TreeReducer`], whose
-//! tree shape depends only on the schedule. [`fold_schedule_into`]
+//! traces and pushes each leaf into that grid's [`TreeReducer`], which
+//! hands leaves to an observer in schedule order. [`fold_schedule_into`]
 //! returns the merged state. [`capture_schedule_with`] is the same run
 //! with an empty fold that keeps every trace in its schedule slot.
 //!
@@ -597,9 +597,11 @@ impl<S> Ctx<'_, S> {
 /// folding several analyses in one pass over the traces.
 ///
 /// `make` constructs an empty chunk-local state; the caller's thread
-/// merges chunk states with a [`TreeReducer`] keyed by chunk position,
-/// so the tree shape — and the folded result — depends only on the
-/// schedule, never on the worker count or chunk completion order.
+/// merges chunk states with a [`TreeReducer`] keyed by chunk position.
+/// The folded result never depends on the worker count or chunk
+/// completion order because the fold states sum exactly, so any
+/// grouping of chunks gives the same bits; the tree only orders what
+/// `observer` sees and bounds how many states stay buffered.
 /// Quarantined indices fold zero times, a retried index folds exactly
 /// once, and resumed traces fold at their schedule position without
 /// being re-simulated (checkpointed refold-on-resume); newly captured
@@ -1141,9 +1143,8 @@ mod tests {
         schedule: &[Stimulus],
         config: &ProtocolConfig,
         policy: &ExecPolicy,
-        mode: SumMode,
     ) -> (SpectrumAccumulator, ExecutorReport) {
-        let make = || SpectrumAccumulator::new(16, config.sampling.samples, mode);
+        let make = || SpectrumAccumulator::new(16, config.sampling.samples, SumMode::Exact);
         fold_schedule_into(
             sim,
             schedule,
@@ -1234,7 +1235,6 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let stream = SumMode::Exact;
         let (reference, ref_report) = fold(
             &sim,
             &schedule,
@@ -1243,7 +1243,6 @@ mod tests {
                 workers: 1,
                 ..ExecPolicy::default()
             },
-            stream,
         );
         for workers in [1usize, 3, 8] {
             let policy = ExecPolicy {
@@ -1251,7 +1250,7 @@ mod tests {
                 backend: Backend::Bitsliced,
                 ..ExecPolicy::default()
             };
-            let (acc, report) = fold(&sim, &schedule, &config, &policy, stream);
+            let (acc, report) = fold(&sim, &schedule, &config, &policy);
             assert_eq!(
                 &acc, &reference,
                 "{workers} workers: folded state must be bitwise"
@@ -1507,7 +1506,6 @@ mod tests {
         }
         let batch = leakage_core::LeakageSpectrum::from_class_means(&set.class_means());
 
-        let stream = SumMode::Exact;
         let mut previous: Option<SpectrumAccumulator> = None;
         for workers in [1usize, 2, 8] {
             let (acc, report) = fold(
@@ -1518,7 +1516,6 @@ mod tests {
                     workers,
                     ..ExecPolicy::default()
                 },
-                stream,
             );
             assert_eq!(acc.spectrum(), batch, "{workers} workers vs batch");
             assert_eq!(acc.len(), schedule.len() as u64);
@@ -1548,7 +1545,6 @@ mod tests {
                 workers,
                 ..ExecPolicy::default()
             },
-            SumMode::Welford,
         );
         assert_eq!(acc.len(), 256);
         // Without a checkpoint sink no raw trace outlives its fold: at
@@ -1574,9 +1570,8 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let stream = SumMode::Exact;
         // Reference: clean streaming fold minus the sticky indices.
-        let (clean, _) = fold(&sim, &schedule, &config, &ExecPolicy::default(), stream);
+        let (clean, _) = fold(&sim, &schedule, &config, &ExecPolicy::default());
         for workers in [1usize, 3] {
             let policy = ExecPolicy {
                 workers,
@@ -1586,7 +1581,7 @@ mod tests {
                     .with_sticky_panics([5, 40]),
                 ..ExecPolicy::default()
             };
-            let (acc, report) = fold(&sim, &schedule, &config, &policy, stream);
+            let (acc, report) = fold(&sim, &schedule, &config, &policy);
             assert_eq!(report.retried, 2, "{workers} workers");
             assert_eq!(
                 report
@@ -1796,7 +1791,7 @@ mod tests {
             Some(StopCause::Deadline)
         );
 
-        let (acc, report) = fold(&sim, &schedule, &config, &policy, SumMode::Exact);
+        let (acc, report) = fold(&sim, &schedule, &config, &policy);
         assert_eq!(
             report.interrupted.map(|i| i.cause),
             Some(StopCause::Deadline)

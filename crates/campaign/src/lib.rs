@@ -122,12 +122,14 @@ pub struct CampaignConfig {
     pub faults: FaultPlan,
     /// Run [`Campaign::acquire_spectrum_aged`] as a bounded-memory
     /// streaming fold (traces are folded into online accumulators
-    /// instead of materialized). The other verbs are unaffected.
+    /// instead of materialized). The fold sums exactly, so the streamed
+    /// spectrum is bit-identical to the batch one at any worker count;
+    /// the chunk tree only bounds buffered memory. The other verbs are
+    /// unaffected.
     pub streaming: bool,
-    /// Summation mode of the streaming fold. The default,
-    /// [`SumMode::Exact`], makes streamed spectra bit-identical to the
-    /// batch path; [`SumMode::Welford`] trades that for a cheaper fold
-    /// while staying bit-stable across worker counts.
+    /// Summation mode of the streaming fold. [`SumMode::Exact`] is the
+    /// only one: its exact sums make streamed spectra bit-identical to
+    /// the batch path at any worker count.
     pub stream_mode: SumMode,
     /// Run budget (wall-clock deadline, new-trace cap, cancellation),
     /// unlimited by default. An expiring budget stops the run at a chunk
@@ -337,13 +339,13 @@ impl Campaign {
     /// In streaming mode each worker folds its shard of the schedule
     /// into a local [`SpectrumAccumulator`] and the shards merge in a
     /// deterministic tree, so peak memory is O(classes × samples) — not
-    /// O(traces) — and the result is identical for any worker count. In
-    /// the default [`SumMode::Exact`] the spectrum is bit-identical to
-    /// the batch [`Campaign::acquire_aged`] path. Cache hits fold the
-    /// stored records one at a time instead of materializing the set;
-    /// misses simulate but keep no raw traces, so nothing is written to
-    /// the `SCTR` store (the `SCKP` checkpoint, when enabled, remains
-    /// the durable per-trace artifact and seeds a later batch run).
+    /// O(traces) — and the exact sums make the spectrum bit-identical to
+    /// the batch [`Campaign::acquire_aged`] path at any worker count.
+    /// Cache hits fold the stored records one at a time instead of
+    /// materializing the set; misses simulate but keep no raw traces, so
+    /// nothing is written to the `SCTR` store (the `SCKP` checkpoint,
+    /// when enabled, remains the durable per-trace artifact and seeds a
+    /// later batch run).
     ///
     /// With `streaming` off this simply delegates to the batch path and
     /// summarizes its outcome.
@@ -371,8 +373,7 @@ impl Campaign {
         let (seed, traces, samples) =
             (p.seed, p.traces_per_class * NUM_CLASSES, p.sampling.samples);
         let key = self.key(&subject, months, seed, traces, None);
-        let mode = self.config.stream_mode;
-        let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, mode);
+        let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, SumMode::Exact);
         let mut device = Device::new(subject, months);
         self.cell(&key, &mut device, &make, None, false, |capture| {
             let acc = capture.state;
@@ -564,19 +565,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// In Welford mode only the merge-tree shape makes a fold
-    /// reproducible, so a streamed hit that folds the store equals its
-    /// miss bit for bit only if both walk the same chunk grid.
+    /// A streamed hit folds the store through the same chunk grid as
+    /// the miss, so both give the same spectrum bits, class counts and
+    /// merge depth at any worker count.
     #[test]
-    fn welford_streamed_hit_equals_its_miss_bitwise() {
-        let dir = tmp_dir("stream-hit-welford");
+    fn streamed_hit_equals_its_miss_bitwise() {
+        let dir = tmp_dir("stream-hit-miss");
         let _ = std::fs::remove_dir_all(&dir);
         let streamed = |cache, workers| {
             let mut campaign = small_campaign(&dir, cache);
             // 80 traces: five leaves, a merge tree of depth 3.
             campaign.config.protocol.traces_per_class = 5;
             campaign.config.streaming = true;
-            campaign.config.stream_mode = SumMode::Welford;
             campaign.config.workers = workers;
             campaign
         };

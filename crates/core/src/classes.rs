@@ -86,12 +86,12 @@ impl ClassifiedTraces {
     /// acquisition order — the estimator the paper's Fig. 3 sweeps.
     ///
     /// Sums are accumulated exactly (the fixed-point rows of
-    /// [`crate::stats`]) and rounded once, so
-    /// each mean is the correctly rounded quotient of the true sum — the
-    /// same value the streaming accumulators in [`crate::online`] produce
-    /// in exact mode, regardless of fold order or sharding. That shared
-    /// rounding is what lets the conformance suite compare batch and
-    /// streaming spectra bit-for-bit.
+    /// [`crate::stats`]) and rounded once, so each mean is the correctly
+    /// rounded quotient of the true sum — the same value the streaming
+    /// accumulators in [`crate::online`] produce, regardless of fold
+    /// order or sharding. That shared rounding is what lets the
+    /// conformance suite compare batch and streaming spectra
+    /// bit-for-bit.
     ///
     /// # Panics
     ///

@@ -10,8 +10,8 @@
 //!
 //! Three layers:
 //!
-//! * [`ClassAccumulator`] — count, running mean, and per-sample second
-//!   moment for a single class (Welford's update, Chan's parallel merge);
+//! * [`ClassAccumulator`] — count and exact per-sample sums of values
+//!   and squares for a single class;
 //! * [`SpectrumAccumulator`] — one accumulator per class plus
 //!   [`merge`](SpectrumAccumulator::merge), so shard-local accumulators
 //!   combine into the whole-campaign result;
@@ -19,40 +19,24 @@
 //!   [`TreeReducer`], generic over any [`FoldState`]. This module is its
 //!   one owner: the campaign executor pushes its workers' leaves into a
 //!   (possibly observed) [`TreeReducer`], and [`ChunkFold`] walks the
-//!   same grid sequentially for cached stores, tests and benches, so
-//!   both produce the same bits at any worker count.
+//!   same grid sequentially for cached stores, tests and benches.
 //!
 //! # Determinism contract
 //!
-//! Floating-point addition is not associative, so "merge shard results"
-//! naively yields different bits at different worker counts. Two
-//! mechanisms restore the campaign's bit-identity contract:
+//! Each class carries exact per-sample sums of values and squares:
+//! fixed-point `i128` rows with an [`ExactSum`](crate::stats::ExactSum)
+//! cold side for what their window cannot hold. Means are the correctly
+//! rounded quotient of the true sum, which is invariant under *any*
+//! regrouping of the fold — so streamed results are bit-identical at
+//! any worker count and to the batch path (whose
+//! [`class_means`](crate::ClassifiedTraces::class_means) sums the same
+//! way), whatever shape the merges take. A fold is a shift and an
+//! integer add per sample, a merge an integer add per sum.
 //!
-//! 1. **Fixed merge tree.** Traces are grouped into chunks of
-//!    [`FOLD_CHUNK`] consecutive *schedule indices* (the same unit the
-//!    campaign executor hands to workers). Chunk accumulators are
-//!    combined by [`TreeReducer`] in a binary-counter pairwise tree whose
-//!    shape depends only on the number of chunks — never on which worker
-//!    produced a chunk or in which order chunks finished. The same
-//!    schedule therefore folds to the same bits at any worker count, in
-//!    either summation mode.
-//! 2. **Exact summation mode.** In [`SumMode::Exact`] each class
-//!    carries exact per-sample sums of values and squares: fixed-point
-//!    `i128` rows with an [`ExactSum`](crate::stats::ExactSum) cold side
-//!    for what their window cannot hold. Means are the correctly
-//!    rounded quotient of the true sum, which is invariant under *any*
-//!    regrouping — so exact-mode streaming results are bit-identical to
-//!    the batch path (whose
-//!    [`class_means`](crate::ClassifiedTraces::class_means) sums the same
-//!    way), not merely to other streaming runs. A fold is a shift and an
-//!    integer add per sample, a merge an integer add per sum.
-//!
-//! [`SumMode::Welford`] keeps running means instead; its means agree
-//! with the batch path only to rounding error (observed ≤ 1e-12
-//! relative on protocol-sized sets; the documented tolerance is 1e-9).
-//! It is still slightly cheaper: `BENCH_capture.json` measures the
-//! exact streaming fold at about 0.85× raw single-threaded capture
-//! throughput and the Welford fold at about 0.93×. See
+//! The chunk grid is therefore not what makes results reproducible. It
+//! orders what observers see — a [`TreeReducer`] hands its leaves to a
+//! [`ChunkObserver`] in schedule order, whichever worker finished first
+//! — and bounds buffered memory to `O(log chunks)` subtrees. See
 //! DESIGN.md §"Streaming spectral analysis".
 //!
 //! # Example
@@ -69,7 +53,7 @@
 //! }
 //! let batch = LeakageSpectrum::from_class_means(&set.class_means());
 //! let streamed = fold.finish().spectrum();
-//! assert_eq!(batch, streamed); // bit-identical in exact mode
+//! assert_eq!(batch, streamed); // bit-identical
 //! ```
 
 use std::collections::BTreeMap;
@@ -78,52 +62,36 @@ use std::fmt;
 use crate::stats::ExactRow;
 use crate::LeakageSpectrum;
 
-/// Chunk size (in schedule indices) of the deterministic merge tree.
+/// Chunk size (in schedule indices) of the merge tree.
 ///
 /// The campaign executor folds every run of this many consecutive
-/// schedule indices into one accumulator leaf, so any sequential fold
-/// over the same grid ([`ChunkFold`]) reproduces the campaign's merge
-/// tree bit-for-bit.
+/// schedule indices into one accumulator leaf, and [`ChunkFold`] cuts
+/// the same leaves, so an observer sees the same leaf sequence from
+/// either.
 pub const FOLD_CHUNK: usize = 16;
 
-/// How accumulators sum samples.
+/// How accumulators sum samples. Exact summation is the only mode; the
+/// type remains so existing callers that name it keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SumMode {
-    /// Running mean/M2 only (Welford + Chan merge). Cheapest; agrees
-    /// with the batch path to rounding error, and is bit-stable across
-    /// worker counts only via the fixed merge tree.
-    Welford,
-    /// Additionally keep exact per-sample sums, making means (and the
-    /// spectra derived from them) invariant under any fold order or
-    /// merge shape — bit-identical to the batch path.
+    /// Exact per-sample sums, making means (and the spectra derived from
+    /// them) invariant under any fold order or merge shape —
+    /// bit-identical to the batch path.
     Exact,
 }
 
-/// Per-sample moment state, by mode.
-#[derive(Debug, Clone, PartialEq)]
-enum Moments {
-    Welford {
-        /// Running mean per sample.
-        mean: Vec<f64>,
-        /// Sum of squared deviations from the running mean, per sample.
-        m2: Vec<f64>,
-    },
-    Exact {
-        /// Exact sum of values per sample.
-        sum: ExactRow,
-        /// Exact sum of squared values per sample.
-        sumsq: ExactRow,
-    },
-}
-
-/// Count, mean, and second moment for one class of traces.
+/// Count and exact per-sample sums of values and squares for one class
+/// of traces.
 ///
 /// Folding is `O(samples)` per trace; state is `O(samples)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassAccumulator {
     samples: usize,
     count: u64,
-    moments: Moments,
+    /// Exact sum of values per sample.
+    sum: ExactRow,
+    /// Exact sum of squared values per sample.
+    sumsq: ExactRow,
 }
 
 impl ClassAccumulator {
@@ -132,30 +100,13 @@ impl ClassAccumulator {
     /// # Panics
     ///
     /// Panics if `samples` is zero.
-    pub fn new(samples: usize, mode: SumMode) -> Self {
+    pub fn new(samples: usize) -> Self {
         assert!(samples > 0, "samples must be positive");
-        let moments = match mode {
-            SumMode::Welford => Moments::Welford {
-                mean: vec![0.0; samples],
-                m2: vec![0.0; samples],
-            },
-            SumMode::Exact => Moments::Exact {
-                sum: ExactRow::values(samples),
-                sumsq: ExactRow::squares(samples),
-            },
-        };
         Self {
             samples,
             count: 0,
-            moments,
-        }
-    }
-
-    /// Summation mode.
-    pub fn mode(&self) -> SumMode {
-        match self.moments {
-            Moments::Welford { .. } => SumMode::Welford,
-            Moments::Exact { .. } => SumMode::Exact,
+            sum: ExactRow::values(samples),
+            sumsq: ExactRow::squares(samples),
         }
     }
 
@@ -177,90 +128,29 @@ impl ClassAccumulator {
     pub fn fold(&mut self, trace: &[f64]) {
         assert_eq!(trace.len(), self.samples, "trace length mismatch");
         self.count += 1;
-        match &mut self.moments {
-            Moments::Welford { mean, m2 } => {
-                let n = self.count as f64;
-                for ((m, s), &x) in mean.iter_mut().zip(m2.iter_mut()).zip(trace) {
-                    let delta = x - *m;
-                    *m += delta / n;
-                    *s += delta * (x - *m);
-                }
-            }
-            Moments::Exact { sum, sumsq } => {
-                sum.add(trace);
-                sumsq.add_squares(trace);
-            }
-        }
+        self.sum.add(trace);
+        self.sumsq.add_squares(trace);
     }
 
-    /// Merge another accumulator into this one (Chan's parallel update
-    /// in Welford mode; exact absorption in exact mode).
+    /// Merge another accumulator into this one by exact absorption.
     ///
     /// # Panics
     ///
-    /// Panics if samples or modes differ.
+    /// Panics if the sample counts differ.
     pub fn merge(&mut self, other: &ClassAccumulator) {
         assert_eq!(self.samples, other.samples, "sample count mismatch");
-        let n = self.count + other.count;
-        match (&mut self.moments, &other.moments) {
-            (
-                Moments::Welford { mean, m2 },
-                Moments::Welford {
-                    mean: omean,
-                    m2: om2,
-                },
-            ) => {
-                if other.count == 0 {
-                    return;
-                }
-                if self.count == 0 {
-                    mean.copy_from_slice(omean);
-                    m2.copy_from_slice(om2);
-                } else {
-                    let na = self.count as f64;
-                    let nb = other.count as f64;
-                    let nt = n as f64;
-                    for i in 0..self.samples {
-                        let delta = omean[i] - mean[i];
-                        mean[i] += delta * (nb / nt);
-                        m2[i] += om2[i] + delta * delta * (na * nb / nt);
-                    }
-                }
-            }
-            (
-                Moments::Exact { sum, sumsq },
-                Moments::Exact {
-                    sum: osum,
-                    sumsq: osumsq,
-                },
-            ) => {
-                sum.absorb(osum);
-                sumsq.absorb(osumsq);
-            }
-            _ => panic!("cannot merge accumulators with different summation modes"),
-        }
-        self.count = n;
+        self.sum.absorb(&other.sum);
+        self.sumsq.absorb(&other.sumsq);
+        self.count += other.count;
     }
 
     /// Mean trace; all zeros when no traces were folded.
     pub fn mean(&self) -> Vec<f64> {
-        match &self.moments {
-            Moments::Welford { mean, .. } => {
-                if self.count == 0 {
-                    vec![0.0; self.samples]
-                } else {
-                    mean.clone()
-                }
-            }
-            Moments::Exact { sum, .. } => {
-                if self.count == 0 {
-                    vec![0.0; self.samples]
-                } else {
-                    let n = self.count as f64;
-                    (0..sum.len()).map(|i| sum.value(i) / n).collect()
-                }
-            }
+        if self.count == 0 {
+            return vec![0.0; self.samples];
         }
+        let n = self.count as f64;
+        (0..self.samples).map(|i| self.sum.value(i) / n).collect()
     }
 
     /// Population variance per sample; all zeros for fewer than two
@@ -270,25 +160,19 @@ impl ClassAccumulator {
             return vec![0.0; self.samples];
         }
         let n = self.count as f64;
-        match &self.moments {
-            Moments::Welford { m2, .. } => m2.iter().map(|s| s / n).collect(),
-            Moments::Exact { sum, sumsq } => (0..sum.len())
-                .map(|i| {
-                    let mean = sum.value(i) / n;
-                    (sumsq.value(i) / n - mean * mean).max(0.0)
-                })
-                .collect(),
-        }
+        (0..self.samples)
+            .map(|i| {
+                let mean = self.sum.value(i) / n;
+                (self.sumsq.value(i) / n - mean * mean).max(0.0)
+            })
+            .collect()
     }
 
-    /// Number of `f64`-sized words currently held (memory accounting);
-    /// in exact mode, two per fixed-point sum plus whatever the rows
-    /// keep on their cold sides.
+    /// Number of `f64`-sized words currently held (memory accounting):
+    /// two per fixed-point sum plus whatever the rows keep on their cold
+    /// sides.
     pub fn resident_floats(&self) -> usize {
-        match &self.moments {
-            Moments::Welford { mean, m2 } => mean.len() + m2.len(),
-            Moments::Exact { sum, sumsq } => sum.resident_words() + sumsq.resident_words(),
-        }
+        self.sum.resident_words() + self.sumsq.resident_words()
     }
 }
 
@@ -298,32 +182,25 @@ impl ClassAccumulator {
 pub struct SpectrumAccumulator {
     classes: Vec<ClassAccumulator>,
     samples: usize,
-    mode: SumMode,
     depth: usize,
 }
 
 impl SpectrumAccumulator {
     /// Empty accumulator for `num_classes` classes of `samples`-point
-    /// traces.
+    /// traces. `_mode` is always [`SumMode::Exact`].
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(num_classes: usize, samples: usize, mode: SumMode) -> Self {
+    pub fn new(num_classes: usize, samples: usize, _mode: SumMode) -> Self {
         assert!(num_classes > 0, "num_classes must be positive");
         Self {
             classes: (0..num_classes)
-                .map(|_| ClassAccumulator::new(samples, mode))
+                .map(|_| ClassAccumulator::new(samples))
                 .collect(),
             samples,
-            mode,
             depth: 0,
         }
-    }
-
-    /// Summation mode.
-    pub fn mode(&self) -> SumMode {
-        self.mode
     }
 
     /// Number of classes.
@@ -365,12 +242,11 @@ impl SpectrumAccumulator {
     }
 
     /// Merge another shard into this one in place; `self` is the
-    /// earlier shard (merge order matters for bit-identity in Welford
-    /// mode — see [`TreeReducer`]).
+    /// earlier shard.
     ///
     /// # Panics
     ///
-    /// Panics if shapes or modes differ.
+    /// Panics if the shapes differ.
     pub fn merge_from(&mut self, other: &SpectrumAccumulator) {
         assert_eq!(
             self.classes.len(),
@@ -389,7 +265,7 @@ impl SpectrumAccumulator {
     ///
     /// # Panics
     ///
-    /// Panics if shapes or modes differ.
+    /// Panics if the shapes differ.
     pub fn merge(mut self, other: SpectrumAccumulator) -> SpectrumAccumulator {
         self.merge_from(&other);
         self
@@ -430,10 +306,7 @@ impl SpectrumAccumulator {
     /// Whether no class's exact row of values ever used its cold side.
     #[cfg(test)]
     pub(crate) fn value_rows_stay_hot(&self) -> bool {
-        self.classes.iter().all(|c| match &c.moments {
-            Moments::Exact { sum, .. } => !sum.has_cold(),
-            Moments::Welford { .. } => true,
-        })
+        self.classes.iter().all(|c| !c.sum.has_cold())
     }
 }
 
@@ -441,10 +314,11 @@ impl SpectrumAccumulator {
 ///
 /// `merge` consumes `self` as the **earlier** operand (in schedule
 /// order) and `later` as the later one. Implementations must be
-/// associative up to their documented determinism contract: under
-/// [`SumMode::Exact`] state, any grouping yields identical bits; under
-/// [`SumMode::Welford`] state, bit-identity holds only for a fixed
-/// merge-tree shape (which [`TreeReducer`] provides).
+/// associative and commutative in their results: the exact-sum states
+/// of this crate yield identical bits under any grouping, which is what
+/// makes a fold worker-count invariant. [`TreeReducer`] fixes the
+/// grouping anyway, but only to order observer snapshots and bound
+/// buffered memory.
 pub trait Merge: Sized {
     /// Combine the earlier shard `self` with the `later` shard.
     fn merge(self, later: Self) -> Self;
@@ -469,10 +343,10 @@ impl Merge for ClassAccumulator {
 /// The spectral pipeline's [`SpectrumAccumulator`] is one
 /// implementation; the attack engine folds per-key-guess co-moment
 /// state through the same grid, and composite states fold both in a
-/// single pass over the traces. Every implementation inherits the
-/// grid's determinism contract: the same schedule folds to the same
-/// bits at any worker count (exactly, under an exact-summation state;
-/// via the fixed merge tree otherwise).
+/// single pass over the traces. Worker-count invariance comes from the
+/// state's exact sums (see [`Merge`]): the same schedule folds to the
+/// same bits however its chunks are grouped. The grid itself only
+/// orders what a [`ChunkObserver`] sees and bounds buffered memory.
 pub trait FoldState: Merge + Send {
     /// Fold one captured trace under its stimulus label.
     fn fold(&mut self, label: u16, trace: &[f64]);
@@ -507,15 +381,17 @@ pub type ChunkObserver<'o, T> = &'o mut dyn FnMut(u64, &T);
 /// finished first. Internally a binary counter of partial subtrees (the
 /// classic binomial-heap shape): leaf `2k` and `2k+1` merge into a
 /// 2-chunk node, two of those merge into a 4-chunk node, and so on.
-/// The tree shape — and therefore every intermediate rounding in
-/// Welford mode — depends only on how many leaves were pushed.
+/// The tree shape depends only on how many leaves were pushed.
 ///
-/// Generic over the shard state: the spectral pipeline reduces
-/// [`SpectrumAccumulator`]s, the attack engine reduces its co-moment
-/// state, and joint (spectral + attack) folds reduce a composite — all
-/// through the same tree, so every streamed consumer inherits the same
-/// worker-count invariance. An optional [`ChunkObserver`]
-/// ([`observed`](Self::observed)) sees each leaf as it is consumed.
+/// The folded result does not depend on that shape: the exact-sum
+/// states are worker-count invariant by themselves (see [`Merge`]).
+/// The tree exists to hand an optional [`ChunkObserver`]
+/// ([`observed`](Self::observed)) each leaf in sequence order — the
+/// attack engine's rank snapshots — and to keep buffered memory at
+/// `O(log n)` subtrees. It is generic over the shard state: the
+/// spectral pipeline reduces [`SpectrumAccumulator`]s, the attack
+/// engine its co-moment state, and joint (spectral + attack) folds a
+/// composite.
 ///
 /// Memory: `O(log n)` buffered subtrees plus at most
 /// (in-flight workers) buffered out-of-order leaves.
@@ -751,9 +627,8 @@ mod tests {
         traces: &[(usize, Vec<f64>)],
         classes: usize,
         samples: usize,
-        mode: SumMode,
     ) -> SpectrumAccumulator {
-        let mut fold = ChunkFold::new(SpectrumAccumulator::new(classes, samples, mode));
+        let mut fold = ChunkFold::new(SpectrumAccumulator::new(classes, samples, SumMode::Exact));
         for (c, t) in traces {
             fold.fold(*c as u16, t);
         }
@@ -776,35 +651,19 @@ mod tests {
     fn exact_stream_matches_batch_bitwise() {
         let traces = synth(0x5EED, 4, 6, 101);
         let batch = batch_spectrum(&traces, 4, 6);
-        let acc = chunk_fold(&traces, 4, 6, SumMode::Exact);
+        let acc = chunk_fold(&traces, 4, 6);
         assert_eq!(acc.len(), 101);
         assert_eq!(acc.spectrum(), batch);
     }
 
     #[test]
-    fn welford_stream_matches_batch_within_tolerance() {
-        let traces = synth(0xF00D, 4, 6, 101);
-        let batch = batch_spectrum(&traces, 4, 6);
-        let got = chunk_fold(&traces, 4, 6, SumMode::Welford).spectrum();
-        let scale = batch.total_leakage_power().abs().max(1.0);
-        assert!((got.total_leakage_power() - batch.total_leakage_power()).abs() < 1e-9 * scale);
-    }
-
-    #[test]
-    fn welford_variance_is_sane() {
-        let mut acc = ClassAccumulator::new(1, SumMode::Welford);
+    fn class_moments_are_exact() {
+        let mut acc = ClassAccumulator::new(1);
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             acc.fold(&[x]);
         }
-        assert!((acc.mean()[0] - 5.0).abs() < 1e-12);
-        assert!((acc.variance()[0] - 4.0).abs() < 1e-12);
-        // Exact mode computes the same moments.
-        let mut e = ClassAccumulator::new(1, SumMode::Exact);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            e.fold(&[x]);
-        }
-        assert_eq!(e.mean()[0], 5.0);
-        assert_eq!(e.variance()[0], 4.0);
+        assert_eq!(acc.mean()[0], 5.0);
+        assert_eq!(acc.variance()[0], 4.0);
     }
 
     #[test]
@@ -828,39 +687,31 @@ mod tests {
 
     #[test]
     fn reducer_is_arrival_order_invariant() {
-        for mode in [SumMode::Welford, SumMode::Exact] {
-            let traces = synth(0xCAFE, 4, 5, 7 * FOLD_CHUNK + 3);
-            let leaves: Vec<SpectrumAccumulator> = traces
-                .chunks(FOLD_CHUNK)
-                .map(|chunk| {
-                    let mut leaf = SpectrumAccumulator::new(4, 5, mode);
-                    for (c, t) in chunk {
-                        leaf.fold(*c, t);
-                    }
-                    leaf
-                })
-                .collect();
-            let mut in_order = TreeReducer::new();
-            for (i, leaf) in leaves.iter().enumerate() {
-                in_order.push(i as u64, leaf.clone());
-            }
-            let reference = in_order.finish().unwrap();
-            // Reversed arrival and an interleaved arrival must agree
-            // bitwise, even in Welford mode.
-            let mut reversed = TreeReducer::new();
-            for (i, leaf) in leaves.iter().enumerate().rev() {
-                reversed.push(i as u64, leaf.clone());
-            }
-            assert_eq!(reversed.finish().unwrap(), reference);
-            let mut odd_even = TreeReducer::new();
-            for (i, leaf) in leaves.iter().enumerate().filter(|(i, _)| i % 2 == 1) {
-                odd_even.push(i as u64, leaf.clone());
-            }
-            for (i, leaf) in leaves.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
-                odd_even.push(i as u64, leaf.clone());
-            }
-            assert_eq!(odd_even.finish().unwrap(), reference);
+        let traces = synth(0xCAFE, 4, 5, 7 * FOLD_CHUNK + 3);
+        let leaves: Vec<SpectrumAccumulator> = traces
+            .chunks(FOLD_CHUNK)
+            .map(|chunk| chunk_fold(chunk, 4, 5))
+            .collect();
+        let mut in_order = TreeReducer::new();
+        for (i, leaf) in leaves.iter().enumerate() {
+            in_order.push(i as u64, leaf.clone());
         }
+        let reference = in_order.finish().unwrap();
+        // Reversed arrival and an interleaved arrival build the same
+        // tree, merge depth included.
+        let mut reversed = TreeReducer::new();
+        for (i, leaf) in leaves.iter().enumerate().rev() {
+            reversed.push(i as u64, leaf.clone());
+        }
+        assert_eq!(reversed.finish().unwrap(), reference);
+        let mut odd_even = TreeReducer::new();
+        for (i, leaf) in leaves.iter().enumerate().filter(|(i, _)| i % 2 == 1) {
+            odd_even.push(i as u64, leaf.clone());
+        }
+        for (i, leaf) in leaves.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+            odd_even.push(i as u64, leaf.clone());
+        }
+        assert_eq!(odd_even.finish().unwrap(), reference);
     }
 
     #[test]
@@ -868,25 +719,25 @@ mod tests {
         // ChunkFold must build the same tree as hand-chunked leaves
         // pushed into a TreeReducer.
         let traces = synth(0xBEEF, 4, 4, 5 * FOLD_CHUNK + 9);
-        for mode in [SumMode::Welford, SumMode::Exact] {
-            let folded = chunk_fold(&traces, 4, 4, mode);
-            let mut reducer = TreeReducer::new();
-            for (i, chunk) in traces.chunks(FOLD_CHUNK).enumerate() {
-                let mut leaf = SpectrumAccumulator::new(4, 4, mode);
-                for (c, t) in chunk {
-                    leaf.fold(*c, t);
-                }
-                reducer.push(i as u64, leaf);
+        let folded = chunk_fold(&traces, 4, 4);
+        let mut reducer = TreeReducer::new();
+        for (i, chunk) in traces.chunks(FOLD_CHUNK).enumerate() {
+            let mut leaf = SpectrumAccumulator::new(4, 4, SumMode::Exact);
+            for (c, t) in chunk {
+                leaf.fold(*c, t);
             }
-            assert_eq!(folded, reducer.finish().unwrap());
+            reducer.push(i as u64, leaf);
         }
+        assert_eq!(folded, reducer.finish().unwrap());
     }
 
     #[test]
     fn resident_floats_grow_logarithmically() {
         let samples = 4;
         let classes = 4;
-        let mut fold = ChunkFold::new(SpectrumAccumulator::new(classes, samples, SumMode::Welford));
+        let empty = SpectrumAccumulator::new(classes, samples, SumMode::Exact);
+        let leaf = empty.resident_floats();
+        let mut fold = ChunkFold::new(empty);
         let resident = |fold: &ChunkFold<'_, SpectrumAccumulator>| {
             fold.resident_with(SpectrumAccumulator::resident_floats)
         };
@@ -903,7 +754,7 @@ mod tests {
         // set is O(classes × samples × log chunks), not O(traces).
         assert!(small > 0);
         assert!(
-            large <= small + 4 * classes * samples * 2,
+            large <= small + 4 * leaf,
             "resident floats grew from {small} to {large}"
         );
         assert!(large < 20_000, "resident floats scale with traces");
@@ -921,7 +772,7 @@ mod tests {
         let traces = synth(0x0B5E, 4, 3, 4 * FOLD_CHUNK + 5);
         let leaves: Vec<SpectrumAccumulator> = traces
             .chunks(FOLD_CHUNK)
-            .map(|chunk| chunk_fold(chunk, 4, 3, SumMode::Welford))
+            .map(|chunk| chunk_fold(chunk, 4, 3))
             .collect();
         // Out-of-order arrival still reaches the observer in order.
         let mut seen = Vec::new();
@@ -941,7 +792,7 @@ mod tests {
         // ChunkFold cuts the same leaves and shows them the same way.
         let mut seen = Vec::new();
         let mut observe = |seq: u64, leaf: &SpectrumAccumulator| seen.push((seq, leaf.len()));
-        let empty = SpectrumAccumulator::new(4, 3, SumMode::Welford);
+        let empty = SpectrumAccumulator::new(4, 3, SumMode::Exact);
         let mut fold = ChunkFold::observed(empty, Some(&mut observe));
         for (c, t) in &traces {
             fold.fold(*c as u16, t);
@@ -956,13 +807,5 @@ mod tests {
         let mut r = TreeReducer::new();
         r.push(1, SpectrumAccumulator::new(2, 1, SumMode::Exact));
         r.push(1, SpectrumAccumulator::new(2, 1, SumMode::Exact));
-    }
-
-    #[test]
-    #[should_panic(expected = "different summation modes")]
-    fn merge_rejects_mixed_modes() {
-        let a = SpectrumAccumulator::new(2, 1, SumMode::Exact);
-        let b = SpectrumAccumulator::new(2, 1, SumMode::Welford);
-        let _ = a.merge(b);
     }
 }

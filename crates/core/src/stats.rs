@@ -583,11 +583,6 @@ impl ExactRow {
         }
     }
 
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.fixed.len()
-    }
-
     /// Memory held, in `f64`-sized words: two per `i128`, plus the zero
     /// counts and the live cold partials where allocated.
     pub(crate) fn resident_words(&self) -> usize {
@@ -1138,7 +1133,7 @@ mod tests {
 
     impl RowOracle {
         fn new(row: ExactRow) -> Self {
-            let len = row.len();
+            let len = row.fixed.len();
             Self {
                 row,
                 sums: vec![ExactSum::new(); len],

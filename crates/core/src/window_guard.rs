@@ -28,7 +28,7 @@ fn default_protocol_folds_never_leave_the_fixed_window() {
             let traces = acquire_with_derating(&circuit, &config, &derating, Backend::Bitsliced)
                 .expect("scheme netlists are bitslice-supported");
             let mut spectrum = SpectrumAccumulator::new(NUM_CLASSES, samples, SumMode::Exact);
-            let mut attack = CoMomentAccumulator::new(cpa.channels(), samples, SumMode::Exact);
+            let mut attack = CoMomentAccumulator::new(cpa.channels(), samples);
             for (class, trace) in traces.iter() {
                 // The attack folds the label as its plaintext, as a
                 // joint spectral and attack fold does.

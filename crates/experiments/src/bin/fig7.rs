@@ -2,9 +2,10 @@
 //! aged devices, split into single-bit and multi-bit (glitch) components,
 //! with the single-bit/total ratios reported in §V-B.2.
 //!
-//! The sweep goes through `acquire_spectrum_aged`, so `SCA_STREAM=exact`
-//! reproduces the figure bit-for-bit in bounded memory (the 35-cell
-//! sweep never holds more than one in-flight trace per worker).
+//! The sweep goes through `acquire_spectrum_aged`, so `SCA_STREAM=on`
+//! reproduces the figure bit-for-bit in bounded memory: the streamed
+//! fold sums exactly, and the 35-cell sweep never holds more than one
+//! in-flight trace per worker.
 
 use experiments::{campaign_from_args, finish_campaign, sci, CsvSink};
 use sbox_circuits::Scheme;

@@ -16,9 +16,9 @@
 //! default 64, `0` disables resume), and `SCA_FAULTS` (the deterministic
 //! fault-injection harness; see the `campaign` crate docs for the
 //! grammar). `SCA_STREAM` switches spectral figures to the bounded-memory
-//! streaming fold (`on`/`exact` for the bit-identical exact mode,
-//! `welford` for the cheaper online mode, default `off`); streamed cells
-//! keep no raw traces, so they are not persisted to the trace store.
+//! streaming fold (`on`/`1`/`exact`, default `off`), whose exact sums
+//! give spectra bit-identical to the batch path; streamed cells keep no
+//! raw traces, so they are not persisted to the trace store.
 //! `SCA_BACKEND` selects the capture engine: `event` (default, the
 //! event-driven reference), `bitsliced` (the levelized 64-traces-per-word
 //! engine; bit-identical traces, degrades to event-driven with a recorded
@@ -48,9 +48,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use acquisition::ProtocolConfig;
-use campaign::{
-    Backend, CacheMode, Campaign, CampaignConfig, CampaignError, FaultPlan, RunBudget, SumMode,
-};
+use campaign::{Backend, CacheMode, Campaign, CampaignConfig, CampaignError, FaultPlan, RunBudget};
 
 /// Parse the common CLI: optional traces-per-class override.
 pub fn protocol_from_args() -> ProtocolConfig {
@@ -109,24 +107,19 @@ fn cache_mode_from_value(value: Option<String>, strict: bool) -> Result<CacheMod
     }
 }
 
-/// The streaming policy named by `SCA_STREAM`: `(streaming, mode)`.
-/// `off`/`0` (default) keeps the batch path; `on`/`1`/`exact` stream
-/// with the bit-identical exact fold; `welford` streams with the
-/// cheaper online fold.
-fn stream_from_value(
-    value: Option<String>,
-    strict: bool,
-) -> Result<(bool, SumMode), CampaignError> {
+/// Whether `SCA_STREAM` asks for the streaming fold: `off`/`0`
+/// (default) keeps the batch path; `on`/`1`/`exact` streams with the
+/// bit-identical exact fold.
+fn stream_from_value(value: Option<String>, strict: bool) -> Result<bool, CampaignError> {
     match value.as_deref().unwrap_or("") {
-        "" | "0" | "off" => Ok((false, SumMode::Exact)),
-        "1" | "on" | "exact" => Ok((true, SumMode::Exact)),
-        "welford" => Ok((true, SumMode::Welford)),
+        "" | "0" | "off" => Ok(false),
+        "1" | "on" | "exact" => Ok(true),
         _ => rejected(
             "SCA_STREAM",
             value.unwrap_or_default(),
             strict,
-            "one of off/on/exact/welford",
-            ((false, SumMode::Exact), "off"),
+            "one of off/on/exact",
+            (false, "off"),
         ),
     }
 }
@@ -176,7 +169,7 @@ pub fn try_campaign_config(
     protocol: ProtocolConfig,
     strict: bool,
 ) -> Result<CampaignConfig, CampaignError> {
-    let (streaming, stream_mode) = stream_from_value(env_value("SCA_STREAM"), strict)?;
+    let streaming = stream_from_value(env_value("SCA_STREAM"), strict)?;
     let faults = match FaultPlan::try_from_env() {
         Err((value, reason)) if strict => {
             eprintln!("error: SCA_FAULTS={value:?}: {reason}");
@@ -209,7 +202,6 @@ pub fn try_campaign_config(
         max_retries,
         checkpoint_every,
         streaming,
-        stream_mode,
         faults,
         budget,
         capture_timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
@@ -395,24 +387,31 @@ mod tests {
             assert_eq!(cache(Some("off")), CacheMode::Off);
             assert_eq!(cache(Some("refresh")), CacheMode::WriteOnly);
             let stream = |s| stream_from_value(v(s), strict).expect("valid");
-            assert_eq!(stream(None), (false, SumMode::Exact));
-            assert_eq!(stream(Some("")), (false, SumMode::Exact));
-            assert_eq!(stream(Some("off")), (false, SumMode::Exact));
-            assert_eq!(stream(Some("exact")), (true, SumMode::Exact));
-            assert_eq!(stream(Some("1")), (true, SumMode::Exact));
-            assert_eq!(stream(Some("welford")), (true, SumMode::Welford));
+            assert!(!stream(None));
+            assert!(!stream(Some("")));
+            assert!(!stream(Some("off")));
+            assert!(stream(Some("exact")));
+            assert!(stream(Some("1")));
         }
         // Lenient: warn and default; strict: typed error naming the knob.
         let bad_cache = cache_mode_from_value(v(Some("refrsh")), false);
         assert_eq!(bad_cache.expect("lenient"), CacheMode::ReadWrite);
         let bad_stream = stream_from_value(v(Some("banana")), false);
-        assert_eq!(bad_stream.expect("lenient"), (false, SumMode::Exact));
+        assert!(!bad_stream.expect("lenient"));
         let err = cache_mode_from_value(v(Some("refrsh")), true).expect_err("strict");
         assert!(matches!(err, CampaignError::Config { ref name, ref value }
             if name == "SCA_CACHE" && value == "refrsh"));
         let err = stream_from_value(v(Some("banana")), true).expect_err("strict");
         assert!(matches!(err, CampaignError::Config { ref name, ref value }
             if name == "SCA_STREAM" && value == "banana"));
+        // The value of the deleted approximate fold is rejected like any
+        // other typo: a config error when strict, the `off` default
+        // (after `rejected`'s stderr warning) when lenient.
+        let removed = "welford";
+        let err = stream_from_value(v(Some(removed)), true).expect_err("strict");
+        assert!(matches!(err, CampaignError::Config { ref name, ref value }
+            if name == "SCA_STREAM" && value == removed));
+        assert!(!stream_from_value(v(Some(removed)), false).expect("lenient"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use gatesim::{SamplingConfig, SimConfig, Simulator};
-use leakage_core::online::{ClassAccumulator, SumMode};
+use leakage_core::online::ClassAccumulator;
 use leakage_core::ttest::{max_abs_t, welch_t_from_moments, TVLA_THRESHOLD};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -31,8 +31,8 @@ fn main() {
         let mut session = sim.session();
         let mut trace = Vec::new();
         let fixed_class = 0x3u8;
-        let mut fixed = ClassAccumulator::new(sampling.samples, SumMode::Exact);
-        let mut random = ClassAccumulator::new(sampling.samples, SumMode::Exact);
+        let mut fixed = ClassAccumulator::new(sampling.samples);
+        let mut random = ClassAccumulator::new(sampling.samples);
         for i in 0..1024u32 {
             let initial = circuit.encoding().encode(0, &mut rng);
             let (class, group) = if i % 2 == 0 {

@@ -160,7 +160,7 @@ fn batch_attack_matches_golden_vectors() {
     }
 }
 
-/// The one-trace-at-a-time chunk-tree stream (exact mode) reproduces
+/// The one-trace-at-a-time chunk-tree stream reproduces
 /// every fixture bit-for-bit.
 #[test]
 fn attack_stream_matches_golden_vectors() {

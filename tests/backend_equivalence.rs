@@ -71,7 +71,7 @@ fn every_scheme_fresh_and_aged_is_bit_identical_across_backends() {
 }
 
 /// The bounded-memory streaming fold composes with the bit-sliced
-/// engine: exact-mode spectra are bitwise equal to the event-driven
+/// engine: streamed spectra are bitwise equal to the event-driven
 /// streamed run and to the batch path.
 #[test]
 fn streaming_spectra_are_backend_invariant() {

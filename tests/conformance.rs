@@ -12,7 +12,7 @@
 //! Three independent pipelines must reproduce every fixture exactly:
 //! the batch analysis (`acquire` + `from_class_means`), the streaming
 //! fold (`acquire`'s traces folded one at a time, in acquisition order,
-//! through the exact-mode chunk grid, `ChunkFold`), and the campaign's sharded
+//! through the chunk grid, `ChunkFold`), and the campaign's sharded
 //! executor fold at 1, 2, and 8 workers (whose shard accumulators merge
 //! in a deterministic tree).
 //!
@@ -165,7 +165,7 @@ fn batch_analysis_matches_golden_vectors() {
     }
 }
 
-/// The one-trace-at-a-time streaming fold (exact mode), fed `acquire`'s
+/// The one-trace-at-a-time streaming fold, fed `acquire`'s
 /// traces in acquisition order, reproduces every fixture bit-for-bit —
 /// no tolerance.
 #[test]

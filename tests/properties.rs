@@ -187,30 +187,16 @@ fn random_labelled_traces(
         .collect()
 }
 
-fn accumulate(
-    set: &[(usize, Vec<f64>)],
-    classes: usize,
-    samples: usize,
-    mode: SumMode,
-) -> SpectrumAccumulator {
-    let mut acc = SpectrumAccumulator::new(classes, samples, mode);
+fn accumulate(set: &[(usize, Vec<f64>)], classes: usize, samples: usize) -> SpectrumAccumulator {
+    let mut acc = SpectrumAccumulator::new(classes, samples, SumMode::Exact);
     for (class, t) in set {
         acc.fold(*class, t);
     }
     acc
 }
 
-fn max_rel_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
-    a.iter()
-        .flatten()
-        .zip(b.iter().flatten())
-        .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
-        .fold(0.0, f64::max)
-}
-
-/// Streaming accumulation equals the batch analysis on arbitrary random
-/// sets: bit-for-bit in exact mode, within documented tolerance for
-/// Welford.
+/// Streaming accumulation equals the batch analysis bit for bit on
+/// arbitrary random sets.
 #[test]
 fn streaming_equals_batch_on_random_sets() {
     let mut rng = SmallRng::seed_from_u64(0x57A7_0008);
@@ -231,17 +217,13 @@ fn streaming_equals_batch_on_random_sets() {
         let exact = fold.finish();
         assert_eq!(exact.class_means(), batch.class_means(), "case {case}");
         assert_eq!(exact.spectrum(), batch_spectrum, "case {case}");
-
-        let welford = accumulate(&set, 16, samples, SumMode::Welford);
-        let drift = max_rel_diff(&welford.class_means(), &batch.class_means());
-        assert!(drift <= 1e-9, "case {case}: welford drifted {drift:e}");
     }
 }
 
 /// Accumulator merging is associative and commutative: any shard
-/// grouping yields the same statistics — bitwise in exact mode, within
-/// tolerance in Welford mode. (This is the property that lets the
-/// executor merge worker-local shards in any tree it likes.)
+/// grouping yields the same statistics bit for bit. (This is the
+/// property that makes a fold worker-count invariant, whatever tree the
+/// shards merge in.)
 #[test]
 fn accumulator_merge_is_associative_and_commutative() {
     let mut rng = SmallRng::seed_from_u64(0x57A7_0009);
@@ -253,36 +235,24 @@ fn accumulator_merge_is_associative_and_commutative() {
                 random_labelled_traces(&mut rng, 16, samples, n)
             })
             .collect();
-        for mode in [SumMode::Exact, SumMode::Welford] {
-            let acc = |i: usize| accumulate(&parts[i], 16, samples, mode);
-            let left = acc(0).merge(acc(1)).merge(acc(2));
-            let right = acc(0).merge(acc(1).merge(acc(2)));
-            let swapped = acc(1).merge(acc(0)).merge(acc(2));
-            assert_eq!(left.class_counts(), right.class_counts(), "case {case}");
-            assert_eq!(left.class_counts(), swapped.class_counts(), "case {case}");
-            match mode {
-                SumMode::Exact => {
-                    assert_eq!(left.class_means(), right.class_means(), "case {case} assoc");
-                    assert_eq!(
-                        left.class_means(),
-                        swapped.class_means(),
-                        "case {case} comm"
-                    );
-                    assert_eq!(left.spectrum(), right.spectrum(), "case {case}");
-                    assert_eq!(left.spectrum(), swapped.spectrum(), "case {case}");
-                }
-                SumMode::Welford => {
-                    let a = max_rel_diff(&left.class_means(), &right.class_means());
-                    let c = max_rel_diff(&left.class_means(), &swapped.class_means());
-                    assert!(a <= 1e-9 && c <= 1e-9, "case {case}: {a:e} / {c:e}");
-                }
-            }
-        }
+        let acc = |i: usize| accumulate(&parts[i], 16, samples);
+        let left = acc(0).merge(acc(1)).merge(acc(2));
+        let right = acc(0).merge(acc(1).merge(acc(2)));
+        let swapped = acc(1).merge(acc(0)).merge(acc(2));
+        assert_eq!(left.class_counts(), right.class_counts(), "case {case}");
+        assert_eq!(left.class_counts(), swapped.class_counts(), "case {case}");
+        assert_eq!(left.class_means(), right.class_means(), "case {case} assoc");
+        assert_eq!(
+            left.class_means(),
+            swapped.class_means(),
+            "case {case} comm"
+        );
+        assert_eq!(left.spectrum(), right.spectrum(), "case {case}");
+        assert_eq!(left.spectrum(), swapped.spectrum(), "case {case}");
     }
 }
 
-/// In exact mode the fold is invariant under the tree-reduction
-/// schedule: every chunk size (hence every merge-tree shape) produces
+/// The fold is invariant under the tree-reduction schedule: every chunk size (hence every merge-tree shape) produces
 /// the identical accumulator statistics.
 #[test]
 fn exact_fold_is_invariant_under_tree_shape() {
@@ -291,12 +261,12 @@ fn exact_fold_is_invariant_under_tree_shape() {
         let samples = rng.gen_range(1usize..6);
         let n = rng.gen_range(32usize..150);
         let set = random_labelled_traces(&mut rng, 16, samples, n);
-        let reference = accumulate(&set, 16, samples, SumMode::Exact);
+        let reference = accumulate(&set, 16, samples);
         for chunk in [1usize, 3, 16, 64, 1024] {
             // Hand-cut leaves of `chunk` traces, reduced by the grid's tree.
             let mut reducer = TreeReducer::new();
             for (seq, leaf) in set.chunks(chunk).enumerate() {
-                reducer.push(seq as u64, accumulate(leaf, 16, samples, SumMode::Exact));
+                reducer.push(seq as u64, accumulate(leaf, 16, samples));
             }
             let acc = reducer.finish().expect("at least one leaf");
             assert_eq!(
@@ -313,8 +283,8 @@ fn exact_fold_is_invariant_under_tree_shape() {
     }
 }
 
-/// Welford's online variance agrees with the two-pass definition, and
-/// the exact-mode variance does too.
+/// The online variance from exact sums agrees with the two-pass
+/// definition.
 #[test]
 fn online_variance_matches_two_pass() {
     let mut rng = SmallRng::seed_from_u64(0x57A7_000B);
@@ -335,18 +305,13 @@ fn online_variance_matches_two_pass() {
                 traces.iter().map(|t| (t[s] - mean).powi(2)).sum::<f64>() / n as f64
             })
             .collect();
-        for mode in [SumMode::Welford, SumMode::Exact] {
-            let mut acc = ClassAccumulator::new(samples, mode);
-            for t in &traces {
-                acc.fold(t);
-            }
-            for (s, (got, want)) in acc.variance().iter().zip(&two_pass).enumerate() {
-                let rel = (got - want).abs() / want.abs().max(1.0);
-                assert!(
-                    rel <= 1e-9,
-                    "case {case} sample {s} ({mode:?}): {got} vs {want}"
-                );
-            }
+        let mut acc = ClassAccumulator::new(samples);
+        for t in &traces {
+            acc.fold(t);
+        }
+        for (s, (got, want)) in acc.variance().iter().zip(&two_pass).enumerate() {
+            let rel = (got - want).abs() / want.abs().max(1.0);
+            assert!(rel <= 1e-9, "case {case} sample {s}: {got} vs {want}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Streaming-fold leaf path: the work the campaign executor does for
 //! every chunk of a streamed spectral cell — fold [`FOLD_CHUNK`] traces
-//! into a fresh leaf accumulator, then push it into the merge tree.
+//! into a fresh leaf accumulator, then push it into the in-order fold
+//! chain, which merges it into the running state.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use leakage_core::online::{SpectrumAccumulator, SumMode, TreeReducer, FOLD_CHUNK};

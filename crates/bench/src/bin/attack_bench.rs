@@ -9,7 +9,7 @@
 //!   reference that holds the whole trace matrix;
 //! * `stream_<d>` — [`leakage_core::ChunkFold`] over an
 //!   [`sca_attacks::AttackAccumulator`], the campaign's bounded-memory
-//!   chunk-tree fold, one trace at a time.
+//!   chunk-grid fold, one trace at a time.
 //!
 //! The streamed scores are asserted bitwise-equal to the batch scores
 //! once per leg before timing, so the ratio is cost, not approximation.

@@ -6,7 +6,9 @@
 //! batch path (the fold's exact sums are order- and merge-invariant),
 //! but peak memory is O(classes × samples) instead of
 //! O(traces): the run report's `peak_resident` counts the traces that
-//! were ever simultaneously in flight — at most one per worker.
+//! were ever simultaneously in flight — at most one per worker — and
+//! `merge_depth` the merges of its fold chain, one per 16-trace leaf
+//! after the first.
 
 use campaign::{CacheMode, Campaign, CampaignConfig};
 use sbox_circuits::Scheme;

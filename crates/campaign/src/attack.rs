@@ -16,19 +16,20 @@
 //! materialized; peak memory is O(guesses × samples), independent of
 //! the trace budget.
 //!
-//! The executor's in-order chunk observer provides the evaluation
-//! curves for free: after each 16-trace chunk the running merged state
-//! is scored and the true key's rank recorded, so one streaming pass
-//! yields the whole rank trajectory. Across trials these aggregate
-//! into success-rate and guessing-entropy curves and the
+//! The executor's fold chain provides the evaluation curves for free:
+//! it merges each 16-trace chunk into one running state in schedule
+//! order and shows the observer that prefix, which is scored and the
+//! true key's rank recorded, so one streaming pass yields the whole
+//! rank trajectory and every chunk is merged once. Across trials these
+//! aggregate into success-rate and guessing-entropy curves and the
 //! measurements-to-disclosure figure — the metrics the paper's leakage
 //! rankings predict.
 //!
 //! Determinism carries through from the executor: trial schedules and
 //! per-trace seeds are derived (never sampled), and the folds' exact
 //! sums make the final scores bit-identical to the batch reference at
-//! any worker count; the schedule-shaped merge tree only orders the
-//! rank snapshots.
+//! any worker count; the in-order chain only orders the rank
+//! snapshots.
 //! Trials resume from their `SCKP` checkpoints (refold-on-resume) and
 //! serve from `SCTR` stores when a batch acquisition already captured
 //! the same cell.
@@ -92,14 +93,6 @@ impl FoldState for JointState {
         for a in &mut self.attacks {
             a.fold(label as u8, trace);
         }
-    }
-
-    fn merge_depth(&self) -> usize {
-        self.attacks
-            .iter()
-            .map(AttackAccumulator::merge_depth)
-            .max()
-            .unwrap_or_else(|| self.spectrum.merge_depth())
     }
 }
 
@@ -263,25 +256,20 @@ impl Campaign {
             let cell = self.key(&subject, months, seed, plan.traces, Some(plan.key));
             let make = || JointState::new(&plan.distinguishers, samples);
 
-            // The chunk grid's in-order observer keeps a running merge
-            // whose rank is snapshotted at every chunk boundary — the
-            // whole trajectory from the one streaming pass.
-            let mut running: Vec<AttackAccumulator> = Vec::new();
+            // The chunk grid shows its running prefix at every chunk
+            // boundary, whose rank is snapshotted — the whole trajectory
+            // from the one streaming pass.
             let mut trajectory: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            let mut observer = |seq: u64, chunk: &JointState| {
+            let mut observer = |seq: u64, prefix: &JointState| {
                 // Chunk 0 starts a pass (a store read that failed
-                // part-way may already have shown chunks of another).
+                // part-way may already have shown prefixes of another).
                 if seq == 0 {
-                    let new = |&d| AttackAccumulator::new(d, samples, SumMode::Exact);
-                    running = plan.distinguishers.iter().map(new).collect();
                     trajectory.clear();
                 }
-                for (run, part) in running.iter_mut().zip(chunk.attacks()) {
-                    run.merge_from(part);
-                }
-                let n = running[0].count() as usize;
+                let attacks = prefix.attacks();
+                let n = attacks[0].count() as usize;
                 if n > 0 {
-                    let ranks = running
+                    let ranks = attacks
                         .iter()
                         .map(|a| a.scores().key_rank(plan.key))
                         .collect();
@@ -369,7 +357,8 @@ fn majority_guess<I: Iterator<Item = u8>>(guesses: I) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheMode, CampaignConfig};
+    use crate::{Backend, CacheMode, CampaignConfig};
+    use leakage_core::online::FOLD_CHUNK;
     use std::path::{Path, PathBuf};
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -402,25 +391,33 @@ mod tests {
         }
     }
 
+    /// Every report field matches the 1-worker event run at any worker
+    /// count, and on the bit-sliced engine, whose claims of `LANES`
+    /// traces hand their leaves to the fold chain out of order.
     #[test]
     fn streamed_attack_is_bit_identical_at_any_worker_count() {
         let dir = tmp_dir("workers");
-        let plan = small_plan();
-        let reference = campaign(&dir, CacheMode::Off, 1).attack_aged(Scheme::Lut, 0.0, &plan);
-        for workers in [2, 8] {
-            let outcome =
-                campaign(&dir, CacheMode::Off, workers).attack_aged(Scheme::Lut, 0.0, &plan);
-            for (a, b) in reference.reports.iter().zip(&outcome.reports) {
-                assert_eq!(a.success_rate, b.success_rate, "workers = {workers}");
-                for (ra, rb) in a.final_scores.iter().zip(&b.final_scores) {
-                    for g in 0..16 {
-                        assert_eq!(
-                            ra.scores[g].to_bits(),
-                            rb.scores[g].to_bits(),
-                            "workers = {workers}, guess {g}"
-                        );
-                    }
-                }
+        let bitsliced = AttackPlan {
+            trials: 1,
+            traces: 3 * gatesim::LANES + 16,
+            ..small_plan()
+        };
+        let inputs = [
+            (small_plan(), Backend::Event),
+            (bitsliced, Backend::Bitsliced),
+        ];
+        for (plan, backend) in &inputs {
+            let reference = campaign(&dir, CacheMode::Off, 1).attack_aged(Scheme::Lut, 0.0, plan);
+            for workers in [2, 8] {
+                let mut c = campaign(&dir, CacheMode::Off, workers);
+                c.config.backend = *backend;
+                let outcome = c.attack_aged(Scheme::Lut, 0.0, plan);
+                let what = format!("{backend}, {workers} workers");
+                assert_same_reports(&reference, &outcome, &what);
+                let report = c.log().reports().last().unwrap();
+                assert_eq!(report.backend, Some(*backend), "{what}");
+                let leaves = plan.traces.div_ceil(FOLD_CHUNK);
+                assert_eq!(report.merge_depth, leaves - 1, "{what}");
             }
         }
     }
@@ -500,7 +497,7 @@ mod tests {
 
     /// A trial served from the store folds through the executor's chunk
     /// grid, so its report — curves, MTD, vote and final score bits — and
-    /// its merge depth equal the miss path's.
+    /// its chain length equal the miss path's.
     #[test]
     fn store_served_trial_reproduces_the_miss_exactly() {
         for workers in [1usize, 3] {
@@ -523,7 +520,7 @@ mod tests {
             let miss_report = miss.log().reports().last().unwrap();
             let hit_report = hit.log().reports().last().unwrap();
             assert!(hit_report.cache_hit, "{what}");
-            assert_eq!(miss_report.merge_depth, 3, "{what}");
+            assert_eq!(miss_report.merge_depth, 4, "{what}: five leaves");
             assert_eq!(hit_report.merge_depth, miss_report.merge_depth, "{what}");
             let _ = std::fs::remove_dir_all(&dir);
         }

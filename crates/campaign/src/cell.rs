@@ -33,6 +33,9 @@ use crate::{
 pub(crate) struct Capture<S> {
     /// Every surviving trace, folded on the executor's chunk grid.
     pub(crate) state: S,
+    /// Merges in the fold chain: leaves − 1 for a streamed cell, 0 for a
+    /// batch cell.
+    pub(crate) merge_depth: usize,
     /// `(label, samples)` of every surviving trace in schedule order;
     /// kept by batch cells only.
     pub(crate) records: Vec<(u16, Vec<f64>)>,
@@ -229,6 +232,7 @@ impl Campaign {
                 let partial = exec.interrupted;
                 let capture = Capture {
                     state,
+                    merge_depth: exec.merge_depth,
                     records,
                     cache_hit: false,
                     partial,
@@ -238,7 +242,7 @@ impl Campaign {
         };
 
         timer.stage("analyze");
-        let merge_depth = capture.state.merge_depth();
+        let merge_depth = capture.merge_depth;
         let result = analyze(capture);
         self.push_report(key, timer, !batch, merge_depth, exec, 0);
         result
@@ -408,9 +412,10 @@ impl Campaign {
 }
 
 /// Fold every record of a store hit on the executor's chunk grid, so a
-/// hit reproduces its miss's state and observed leaves bit for bit, and
-/// keep the records for a batch cell. A label outside the 16 classes
-/// (or plaintext nibbles) is damage, like a failed checksum.
+/// hit reproduces its miss's state, observed prefixes and chain length
+/// bit for bit, and keep the records for a batch cell. A label outside
+/// the 16 classes (or plaintext nibbles) is damage, like a failed
+/// checksum.
 fn read_hit<S: FoldState + Clone>(
     reader: StoreReader,
     empty: S,
@@ -435,8 +440,14 @@ fn read_hit<S: FoldState + Clone>(
             "record label {label} out of range (< {NUM_CLASSES})"
         )));
     }
+    let merge_depth = if batch {
+        0
+    } else {
+        fold.leaves().saturating_sub(1) as usize
+    };
     Ok(Capture {
         state: fold.finish(),
+        merge_depth,
         records,
         cache_hit: true,
         partial: None,

@@ -7,8 +7,9 @@
 //! [`FoldState`] leaf of the [`FOLD_CHUNK`] grid that
 //! `leakage_core::online` owns; the caller's thread checkpoints new
 //! traces and pushes each leaf into that grid's [`TreeReducer`], which
-//! hands leaves to an observer in schedule order. [`fold_schedule_into`]
-//! returns the merged state. [`capture_schedule_with`] is the same run
+//! parks early leaves, merges each into one running state in schedule
+//! order and hands every prefix to an observer. [`fold_schedule_into`]
+//! returns the running state. [`capture_schedule_with`] is the same run
 //! with an empty fold that keeps every trace in its schedule slot.
 //!
 //! Determinism: trace `i`'s value depends only on the (pre-computed)
@@ -340,8 +341,9 @@ pub struct ExecutorReport {
     /// `O(workers × FOLD_CHUNK)`, independent of schedule length. Always 0
     /// for [`capture_schedule_with`], which keeps every trace by design.
     pub peak_resident: usize,
-    /// Merge depth of the final fold state: 0 for single-chunk runs and
-    /// for [`capture_schedule_with`], whose fold is empty.
+    /// Length of the fold chain: one merge per leaf after the first, so
+    /// leaves − 1 (0 for single-chunk runs), and 0 for
+    /// [`capture_schedule_with`], whose fold is empty.
     pub merge_depth: usize,
     /// Set when a [`RunBudget`] limit stopped the run before the
     /// schedule completed; the results cover a prefix of the work and
@@ -459,7 +461,7 @@ impl<'s> WorkerEngine<'s> {
     }
 
     /// Indices claimed per cursor advance: a full lane batch on the
-    /// bit-sliced engine, one merge-tree leaf on the event engine (small
+    /// bit-sliced engine, one fold-chain leaf on the event engine (small
     /// enough to balance the ~10× per-scheme cost spread, large enough
     /// that the atomic cursor never contends).
     fn claim(&self) -> usize {
@@ -537,11 +539,11 @@ impl FoldState for NoFold {
     fn fold(&mut self, _label: u16, _trace: &[f64]) {}
 }
 
-/// One worker's progress on one merge-tree leaf of the schedule.
+/// One worker's progress on one fold-chain leaf of the schedule.
 struct Chunk<S> {
     worker: usize,
-    /// Position of this chunk in the schedule's chunk sequence — the
-    /// leaf index of the deterministic merge tree.
+    /// Position of this chunk in the schedule's chunk sequence — its
+    /// place in the fold chain.
     seq: u64,
     acc: S,
     /// Newly captured traces, retained only while a checkpoint sink or
@@ -597,21 +599,25 @@ impl<S> Ctx<'_, S> {
 /// folding several analyses in one pass over the traces.
 ///
 /// `make` constructs an empty chunk-local state; the caller's thread
-/// merges chunk states with a [`TreeReducer`] keyed by chunk position.
-/// The folded result never depends on the worker count or chunk
-/// completion order because the fold states sum exactly, so any
-/// grouping of chunks gives the same bits; the tree only orders what
-/// `observer` sees and bounds how many states stay buffered.
+/// merges chunk states, in chunk order, into the running state of a
+/// [`TreeReducer`]. The folded result never depends on the worker count
+/// or chunk completion order because the fold states sum exactly, so
+/// any grouping of chunks gives the same bits; the chain only orders
+/// the prefixes `observer` sees.
 /// Quarantined indices fold zero times, a retried index folds exactly
 /// once, and resumed traces fold at their schedule position without
 /// being re-simulated (checkpointed refold-on-resume); newly captured
 /// traces stream to the [`ResumeState`] checkpoint as they arrive.
 ///
-/// `observer` (if any) is the merge tree's ([`TreeReducer::observed`]):
-/// it sees every chunk-local state in ascending chunk order *before* it
-/// is merged, enabling single-pass prefix trajectories; buffering for
-/// in-order delivery is bounded by the number of in-flight chunks
-/// (≤ workers + channel capacity).
+/// `observer` (if any) is the chain's ([`TreeReducer::observed`]): after
+/// each chunk is merged in, in ascending chunk order, it sees the
+/// running prefix state, enabling single-pass prefix trajectories.
+/// Chunks that finish ahead of an earlier one wait in the reducer's
+/// reorder buffer, and nothing bounds it by the in-flight work: the
+/// collector drains the channel into it at once, and a bit-sliced claim
+/// emits `LANES / FOLD_CHUNK` chunks together, so every claim that
+/// finishes while an earlier claim is still capturing parks all of its
+/// chunk states there until the gap closes.
 ///
 /// The report's [`peak_resident`](ExecutorReport::peak_resident) and
 /// [`merge_depth`](ExecutorReport::merge_depth) are live in this mode.
@@ -711,7 +717,8 @@ pub(crate) fn run<S: FoldState>(
         // schedule length even if the collector falls behind. (On the
         // bit-sliced backend a worker additionally holds one lane batch
         // of raw traces while it slices the batch into chunks — see
-        // `fold_claim`.)
+        // `fold_claim`. Chunk *states* that arrive early still wait in
+        // the reducer's reorder buffer — see `fold_schedule_into`.)
         let (tx, rx) = mpsc::sync_channel::<Chunk<S>>(workers);
         std::thread::scope(|scope| {
             for worker in 0..workers {
@@ -755,6 +762,7 @@ pub(crate) fn run<S: FoldState>(
         cause,
         remaining: schedule.len() - resumed - captured - quarantined.len(),
     });
+    let batch = slots.is_some();
     let peak_resident = match slots {
         Some(slots) => {
             for (index, trace) in ctx.resumed {
@@ -765,6 +773,13 @@ pub(crate) fn run<S: FoldState>(
         None => ctx.peak.load(Ordering::Relaxed),
     };
 
+    // The chain merges every leaf after the first once; a batch run's
+    // empty fold reports none, as it reports no resident bound.
+    let merge_depth = if batch {
+        0
+    } else {
+        reducer.consumed().saturating_sub(1) as usize
+    };
     let acc = reducer.finish().unwrap_or_else(make);
     let report = ExecutorReport {
         workers,
@@ -775,7 +790,7 @@ pub(crate) fn run<S: FoldState>(
         quarantined,
         resumed,
         peak_resident,
-        merge_depth: acc.merge_depth(),
+        merge_depth,
         interrupted,
         backend,
         lane_utilization: lanes.utilization(),
@@ -785,7 +800,7 @@ pub(crate) fn run<S: FoldState>(
 }
 
 /// The caller's side of a run: totals merged from every chunk, the
-/// checkpoint, the merge tree, and (on the batch path) the trace slots.
+/// checkpoint, the fold chain, and (on the batch path) the trace slots.
 struct Collector<'a, 'o, S> {
     loads: Vec<WorkerLoad>,
     stats: CaptureStats,
@@ -793,14 +808,14 @@ struct Collector<'a, 'o, S> {
     quarantined: Vec<CaptureFailure>,
     lanes: LaneUse,
     sink: CheckpointSink<'a>,
-    /// The merge tree; its observer (if any) sees each chunk in order.
+    /// The fold chain; its observer (if any) sees each prefix in order.
     reducer: TreeReducer<'o, S>,
     slots: Option<&'a mut [Vec<f64>]>,
 }
 
 impl<S: FoldState> Collector<'_, '_, S> {
     /// Fold one chunk's outcome into the run totals, the checkpoint, the
-    /// trace slots, and the merge tree.
+    /// trace slots, and the fold chain.
     fn absorb(&mut self, chunk: Chunk<S>, ctx: &Ctx<'_, S>) {
         let load = &mut self.loads[chunk.worker];
         load.traces += chunk.captured;
@@ -849,9 +864,8 @@ fn work<S: FoldState>(
 }
 
 /// Capture and fold every index in `range` on the worker's engine,
-/// emitting one [`Chunk`] per merge-tree leaf the range covers, in
-/// ascending sequence, so the reduction tree is the same on either
-/// backend. Returns `false` if `emit` refused a chunk.
+/// emitting one [`Chunk`] per fold-chain leaf the range covers, in
+/// ascending sequence, so the chain is the same on either backend. Returns `false` if `emit` refused a chunk.
 ///
 /// On the event engine the range *is* one leaf and every index runs on
 /// the scalar session. On the bit-sliced engine one levelized sweep
@@ -1259,7 +1273,7 @@ mod tests {
             assert!(report.lane_utilization.is_some());
             assert_eq!(
                 report.merge_depth, ref_report.merge_depth,
-                "chunk sequence (and so the merge tree) must match the event path"
+                "chunk sequence (and so the fold chain) must match the event path"
             );
         }
     }
@@ -1522,8 +1536,78 @@ mod tests {
             if let Some(prev) = &previous {
                 assert_eq!(&acc, prev, "{workers} workers: accumulator drifted");
             }
-            assert!(report.merge_depth > 0, "64 traces span multiple chunks");
+            assert_eq!(report.merge_depth, 3, "64 traces chain four leaves");
             previous = Some(acc);
+        }
+    }
+
+    /// Counts traces and, in a counter every copy shares, merge calls.
+    #[derive(Clone)]
+    struct CountingFold {
+        traces: u64,
+        merges: Arc<AtomicUsize>,
+    }
+
+    impl Merge for CountingFold {
+        fn merge(mut self, later: Self) -> Self {
+            self.merges.fetch_add(1, Ordering::Relaxed);
+            self.traces += later.traces;
+            self
+        }
+    }
+
+    impl FoldState for CountingFold {
+        fn fold(&mut self, _label: u16, _trace: &[f64]) {
+            self.traces += 1;
+        }
+    }
+
+    /// The fold chain merges each leaf once, and its observer sees the
+    /// running prefix after every leaf, in schedule order, at any worker
+    /// count.
+    #[test]
+    fn fold_chain_merges_each_leaf_once_and_shows_every_prefix() {
+        let circuit = SboxCircuit::build(Scheme::Isw);
+        let config = ProtocolConfig {
+            traces_per_class: 6, // 96 traces: six leaves
+            ..ProtocolConfig::default()
+        };
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        let leaves = schedule.len().div_ceil(FOLD_CHUNK);
+        for workers in [1usize, 3] {
+            let merges = Arc::new(AtomicUsize::new(0));
+            let make = || CountingFold {
+                traces: 0,
+                merges: Arc::clone(&merges),
+            };
+            let mut seen = Vec::new();
+            let mut observe = |seq: u64, prefix: &CountingFold| seen.push((seq, prefix.traces));
+            let policy = ExecPolicy {
+                workers,
+                ..ExecPolicy::default()
+            };
+            let (state, report) = fold_schedule_into(
+                &sim,
+                &schedule,
+                &config.sampling,
+                config.seed,
+                &policy,
+                ResumeState::fresh(),
+                &make,
+                Some(&mut observe),
+            );
+            assert_eq!(state.traces, schedule.len() as u64, "{workers} workers");
+            assert_eq!(
+                merges.load(Ordering::Relaxed),
+                leaves - 1,
+                "{workers} workers"
+            );
+            assert_eq!(report.merge_depth, leaves - 1, "{workers} workers");
+            let want: Vec<(u64, u64)> = (0..leaves)
+                .map(|i| (i as u64, ((i + 1) * FOLD_CHUNK) as u64))
+                .collect();
+            assert_eq!(seen, want, "{workers} workers");
         }
     }
 

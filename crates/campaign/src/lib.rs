@@ -123,9 +123,8 @@ pub struct CampaignConfig {
     /// Run [`Campaign::acquire_spectrum_aged`] as a bounded-memory
     /// streaming fold (traces are folded into online accumulators
     /// instead of materialized). The fold sums exactly, so the streamed
-    /// spectrum is bit-identical to the batch one at any worker count;
-    /// the chunk tree only bounds buffered memory. The other verbs are
-    /// unaffected.
+    /// spectrum is bit-identical to the batch one at any worker count.
+    /// The other verbs are unaffected.
     pub streaming: bool,
     /// Summation mode of the streaming fold. [`SumMode::Exact`] is the
     /// only one: its exact sums make streamed spectra bit-identical to
@@ -337,9 +336,9 @@ impl Campaign {
     /// bounded memory when [`CampaignConfig::streaming`] is set.
     ///
     /// In streaming mode each worker folds its shard of the schedule
-    /// into a local [`SpectrumAccumulator`] and the shards merge in a
-    /// deterministic tree, so peak memory is O(classes × samples) — not
-    /// O(traces) — and the exact sums make the spectrum bit-identical to
+    /// into local [`SpectrumAccumulator`] leaves that merge, in schedule
+    /// order, into one running state, so no trace set is materialized,
+    /// and the exact sums make the spectrum bit-identical to
     /// the batch [`Campaign::acquire_aged`] path at any worker count.
     /// Cache hits fold the stored records one at a time instead of
     /// materializing the set; misses simulate but keep no raw traces, so
@@ -567,14 +566,14 @@ mod tests {
 
     /// A streamed hit folds the store through the same chunk grid as
     /// the miss, so both give the same spectrum bits, class counts and
-    /// merge depth at any worker count.
+    /// chain length at any worker count.
     #[test]
     fn streamed_hit_equals_its_miss_bitwise() {
         let dir = tmp_dir("stream-hit-miss");
         let _ = std::fs::remove_dir_all(&dir);
         let streamed = |cache, workers| {
             let mut campaign = small_campaign(&dir, cache);
-            // 80 traces: five leaves, a merge tree of depth 3.
+            // 80 traces: five leaves, a chain of four merges.
             campaign.config.protocol.traces_per_class = 5;
             campaign.config.streaming = true;
             campaign.config.workers = workers;
@@ -602,7 +601,7 @@ mod tests {
                 }
             }
             let depth = |c: &Campaign| c.log().reports().last().unwrap().merge_depth;
-            assert_eq!(depth(&miss), 3, "workers = {workers}");
+            assert_eq!(depth(&miss), 4, "workers = {workers}");
             assert_eq!(depth(&hit), depth(&miss), "workers = {workers}");
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -102,8 +102,8 @@ pub struct RunReport {
     /// Peak number of newly captured traces resident in memory at once
     /// (0 for batch runs, which retain everything by design).
     pub peak_resident: usize,
-    /// Merge depth of the final streaming accumulator (0 for batch
-    /// runs).
+    /// Merges in the streamed fold chain: leaves − 1, the same on a
+    /// cache hit and a miss (0 for batch runs).
     pub merge_depth: usize,
     /// Records this run healed (re-captured seed-stably by a scrub pass;
     /// 0 for ordinary acquisitions).

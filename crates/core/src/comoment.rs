@@ -52,7 +52,6 @@ pub struct CoMomentAccumulator {
     channels: usize,
     samples: usize,
     count: u64,
-    depth: usize,
     /// Exact `Σx` per sample.
     sum_x: ExactRow,
     /// Exact `Σx²` per sample.
@@ -79,7 +78,6 @@ impl CoMomentAccumulator {
             channels,
             samples,
             count: 0,
-            depth: 0,
             sum_x: ExactRow::values(samples),
             sumsq_x: ExactRow::squares(samples),
             sum_h: ExactRow::values(channels),
@@ -106,12 +104,6 @@ impl CoMomentAccumulator {
     /// Whether nothing has been folded yet.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Depth of the merge tree this accumulator roots: 0 for a leaf,
-    /// otherwise `1 + max(depth of operands)` per merge.
-    pub fn merge_depth(&self) -> usize {
-        self.depth
     }
 
     /// Fold one trace with its hypothesis vector (one value per
@@ -150,7 +142,6 @@ impl CoMomentAccumulator {
             row.absorb(other);
         }
         self.count += other.count;
-        self.depth = self.depth.max(other.depth) + 1;
     }
 
     /// Pearson correlation between channel `c` and sample `t`; 0.0 when
@@ -391,7 +382,6 @@ mod tests {
         }
         let merged = a.merge(b);
         assert_eq!(merged.count(), 50);
-        assert_eq!(merged.merge_depth(), 1);
         for c in 0..2 {
             for t in 0..3 {
                 assert_eq!(
@@ -455,11 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn merging_an_empty_shard_still_counts_toward_depth() {
+    fn merging_an_empty_shard_changes_nothing() {
         let mut a = CoMomentAccumulator::new(1, 2);
         a.fold(&[1.0], &[0.5, 2.0]);
         let merged = a.clone().merge(CoMomentAccumulator::new(1, 2));
-        assert_eq!(merged.merge_depth(), 1);
         assert_eq!(merged.count(), 1);
         assert_eq!(merged.channel_mean(0), a.channel_mean(0));
     }

@@ -15,11 +15,12 @@
 //! * [`SpectrumAccumulator`] — one accumulator per class plus
 //!   [`merge`](SpectrumAccumulator::merge), so shard-local accumulators
 //!   combine into the whole-campaign result;
-//! * the **chunk grid** — [`FOLD_CHUNK`]-trace leaves reduced by a
-//!   [`TreeReducer`], generic over any [`FoldState`]. This module is its
-//!   one owner: the campaign executor pushes its workers' leaves into a
-//!   (possibly observed) [`TreeReducer`], and [`ChunkFold`] walks the
-//!   same grid sequentially for cached stores, tests and benches.
+//! * the **chunk grid** — [`FOLD_CHUNK`]-trace leaves merged in
+//!   schedule order into one running state by a [`TreeReducer`],
+//!   generic over any [`FoldState`]. This module is its one owner: the
+//!   campaign executor pushes its workers' leaves into a (possibly
+//!   observed) [`TreeReducer`], and [`ChunkFold`] walks the same grid
+//!   sequentially for cached stores, tests and benches.
 //!
 //! # Determinism contract
 //!
@@ -34,10 +35,12 @@
 //! integer add per sample, a merge an integer add per sum.
 //!
 //! The chunk grid is therefore not what makes results reproducible. It
-//! orders what observers see — a [`TreeReducer`] hands its leaves to a
-//! [`ChunkObserver`] in schedule order, whichever worker finished first
-//! — and bounds buffered memory to `O(log chunks)` subtrees. See
-//! DESIGN.md §"Streaming spectral analysis".
+//! is one in-order chain: a [`TreeReducer`] parks leaves that arrive
+//! early, merges each leaf into its running state once its turn comes,
+//! and hands that *prefix* state to a [`ChunkObserver`] in schedule
+//! order, whichever worker finished first. Buffered state is the
+//! running state plus the parked leaves. See DESIGN.md §"Streaming
+//! spectral analysis".
 //!
 //! # Example
 //!
@@ -62,11 +65,11 @@ use std::fmt;
 use crate::stats::ExactRow;
 use crate::LeakageSpectrum;
 
-/// Chunk size (in schedule indices) of the merge tree.
+/// Chunk size (in schedule indices) of the fold chain.
 ///
 /// The campaign executor folds every run of this many consecutive
 /// schedule indices into one accumulator leaf, and [`ChunkFold`] cuts
-/// the same leaves, so an observer sees the same leaf sequence from
+/// the same leaves, so an observer sees the same prefix sequence from
 /// either.
 pub const FOLD_CHUNK: usize = 16;
 
@@ -182,7 +185,6 @@ impl ClassAccumulator {
 pub struct SpectrumAccumulator {
     classes: Vec<ClassAccumulator>,
     samples: usize,
-    depth: usize,
 }
 
 impl SpectrumAccumulator {
@@ -199,7 +201,6 @@ impl SpectrumAccumulator {
                 .map(|_| ClassAccumulator::new(samples))
                 .collect(),
             samples,
-            depth: 0,
         }
     }
 
@@ -221,13 +222,6 @@ impl SpectrumAccumulator {
     /// Whether nothing has been folded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Depth of the merge tree this accumulator is the root of: 0 for a
-    /// leaf that only ever folded traces directly, otherwise
-    /// `1 + max(depth of operands)` per merge.
-    pub fn merge_depth(&self) -> usize {
-        self.depth
     }
 
     /// Fold one trace under its class label.
@@ -257,7 +251,6 @@ impl SpectrumAccumulator {
         for (a, b) in self.classes.iter_mut().zip(&other.classes) {
             a.merge(b);
         }
-        self.depth = self.depth.max(other.depth) + 1;
     }
 
     /// Merge two shard accumulators by value; see
@@ -316,9 +309,8 @@ impl SpectrumAccumulator {
 /// order) and `later` as the later one. Implementations must be
 /// associative and commutative in their results: the exact-sum states
 /// of this crate yield identical bits under any grouping, which is what
-/// makes a fold worker-count invariant. [`TreeReducer`] fixes the
-/// grouping anyway, but only to order observer snapshots and bound
-/// buffered memory.
+/// makes a fold worker-count invariant. [`TreeReducer`] merges each
+/// leaf once, into the running prefix of everything before it.
 pub trait Merge: Sized {
     /// Combine the earlier shard `self` with the `later` shard.
     fn merge(self, later: Self) -> Self;
@@ -346,73 +338,66 @@ impl Merge for ClassAccumulator {
 /// single pass over the traces. Worker-count invariance comes from the
 /// state's exact sums (see [`Merge`]): the same schedule folds to the
 /// same bits however its chunks are grouped. The grid itself only
-/// orders what a [`ChunkObserver`] sees and bounds buffered memory.
+/// orders the prefix states a [`ChunkObserver`] sees.
 pub trait FoldState: Merge + Send {
     /// Fold one captured trace under its stimulus label.
     fn fold(&mut self, label: u16, trace: &[f64]);
-
-    /// Depth of the merge tree this state roots (for reporting).
-    fn merge_depth(&self) -> usize {
-        0
-    }
 }
 
 impl FoldState for SpectrumAccumulator {
     fn fold(&mut self, label: u16, trace: &[f64]) {
         SpectrumAccumulator::fold(self, usize::from(label), trace);
     }
-
-    fn merge_depth(&self) -> usize {
-        SpectrumAccumulator::merge_depth(self)
-    }
 }
 
-/// A callback that sees every leaf of a [`TreeReducer`] in sequence
-/// order, just before the leaf enters the tree. Used to track prefix
-/// trajectories — e.g. the attack engine's key rank as a function of
-/// traces seen — without a second pass.
+/// A callback that sees, after each leaf of a [`TreeReducer`] is merged
+/// in, the leaf's sequence number and the running *prefix* state: every
+/// leaf `0..=seq` merged. Used to track prefix trajectories — e.g. the
+/// attack engine's key rank as a function of traces seen — without a
+/// second pass or a second running state.
 pub type ChunkObserver<'o, T> = &'o mut dyn FnMut(u64, &T);
 
-/// Deterministic pairwise reduction of a sequence of shard accumulators.
+/// In-order reduction of a sequence of shard accumulators into one
+/// running state.
 ///
 /// Accumulators are pushed with their position in the chunk sequence
-/// (`seq`); out-of-order arrivals are buffered and applied in order, so
-/// the reduction consumes leaves `0, 1, 2, …` no matter which worker
-/// finished first. Internally a binary counter of partial subtrees (the
-/// classic binomial-heap shape): leaf `2k` and `2k+1` merge into a
-/// 2-chunk node, two of those merge into a 4-chunk node, and so on.
-/// The tree shape depends only on how many leaves were pushed.
-///
-/// The folded result does not depend on that shape: the exact-sum
-/// states are worker-count invariant by themselves (see [`Merge`]).
-/// The tree exists to hand an optional [`ChunkObserver`]
-/// ([`observed`](Self::observed)) each leaf in sequence order — the
-/// attack engine's rank snapshots — and to keep buffered memory at
-/// `O(log n)` subtrees. It is generic over the shard state: the
+/// (`seq`). Out-of-order arrivals wait in a reorder buffer; each leaf is
+/// merged into the running state once every earlier leaf has been, so
+/// the chain consumes leaves `0, 1, 2, …` no matter which worker
+/// finished first, and merges each leaf exactly once (`leaves − 1`
+/// merges in all). After each merge an optional [`ChunkObserver`]
+/// ([`observed`](Self::observed)) sees the prefix state — the attack
+/// engine's rank snapshots. The folded result does not depend on the
+/// arrival order: the exact-sum states are grouping invariant by
+/// themselves (see [`Merge`]). It is generic over the shard state: the
 /// spectral pipeline reduces [`SpectrumAccumulator`]s, the attack
 /// engine its co-moment state, and joint (spectral + attack) folds a
 /// composite.
 ///
-/// Memory: `O(log n)` buffered subtrees plus at most
-/// (in-flight workers) buffered out-of-order leaves.
+/// Memory: one running state plus every leaf that arrived ahead of a
+/// leaf still missing. Nothing bounds the latter by the number of
+/// in-flight workers: the campaign executor drains its channel into
+/// this buffer at once, and a bit-sliced claim delivers
+/// `LANES / FOLD_CHUNK` leaves together, so every claim that finishes
+/// while an earlier claim is still capturing parks all of its leaves
+/// here until the gap closes.
 pub struct TreeReducer<'o, T = SpectrumAccumulator> {
-    /// `levels[k]` holds a pending subtree of 2^k leaves, all earlier
-    /// in sequence order than anything at levels < k.
-    levels: Vec<Option<T>>,
-    /// Next sequence number the counter will accept.
+    /// Next sequence number the chain will accept.
     next: u64,
     /// Out-of-order leaves waiting for their turn.
     pending: BTreeMap<u64, T>,
-    /// Sees each leaf as the counter consumes it, in sequence order.
+    /// Every leaf before `next`, merged in order.
+    running: Option<T>,
+    /// Sees the running state after each leaf is merged in.
     observer: Option<ChunkObserver<'o, T>>,
 }
 
 impl<T> Default for TreeReducer<'_, T> {
     fn default() -> Self {
         Self {
-            levels: Vec::new(),
             next: 0,
             pending: BTreeMap::new(),
+            running: None,
             observer: None,
         }
     }
@@ -421,9 +406,9 @@ impl<T> Default for TreeReducer<'_, T> {
 impl<T: fmt::Debug> fmt::Debug for TreeReducer<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TreeReducer")
-            .field("levels", &self.levels)
             .field("next", &self.next)
             .field("pending", &self.pending)
+            .field("running", &self.running)
             .field("observed", &self.observer.is_some())
             .finish()
     }
@@ -435,8 +420,8 @@ impl<'o, T: Merge> TreeReducer<'o, T> {
         Self::default()
     }
 
-    /// Empty reducer whose `observer` (if any) sees every leaf in
-    /// sequence order, just before the leaf enters the tree.
+    /// Empty reducer whose `observer` (if any) sees the running prefix
+    /// state after each leaf is merged in, in sequence order.
     pub fn observed(observer: Option<ChunkObserver<'o, T>>) -> Self {
         Self {
             observer,
@@ -455,29 +440,19 @@ impl<'o, T: Merge> TreeReducer<'o, T> {
         assert!(seq >= self.next, "chunk {seq} already consumed");
         let prev = self.pending.insert(seq, acc);
         assert!(prev.is_none(), "chunk {seq} pushed twice");
-        while let Some(acc) = self.pending.remove(&self.next) {
+        while let Some(leaf) = self.pending.remove(&self.next) {
+            // The running state covers earlier chunks, so it is the left
+            // operand.
+            let running = match self.running.take() {
+                Some(prefix) => prefix.merge(leaf),
+                None => leaf,
+            };
             if let Some(observe) = self.observer.as_mut() {
-                observe(self.next, &acc);
+                observe(self.next, &running);
             }
+            self.running = Some(running);
             self.next += 1;
-            self.carry(acc);
         }
-    }
-
-    fn carry(&mut self, acc: T) {
-        let mut carry = acc;
-        for slot in self.levels.iter_mut() {
-            match slot.take() {
-                // The resident subtree covers earlier chunks, so it is
-                // the left operand.
-                Some(left) => carry = left.merge(carry),
-                None => {
-                    *slot = Some(carry);
-                    return;
-                }
-            }
-        }
-        self.levels.push(Some(carry));
     }
 
     /// Leaves consumed so far (buffered out-of-order leaves excluded).
@@ -485,22 +460,22 @@ impl<'o, T: Merge> TreeReducer<'o, T> {
         self.next
     }
 
-    /// Memory accounting over all buffered subtrees and out-of-order
-    /// leaves, with a caller-supplied per-state size function.
+    /// Memory accounting over the running state and the buffered
+    /// out-of-order leaves, with a caller-supplied per-state size
+    /// function.
     pub fn resident_with<F>(&self, size: F) -> usize
     where
         F: Fn(&T) -> usize,
     {
-        self.levels
+        self.running
             .iter()
-            .flatten()
             .chain(self.pending.values())
             .map(size)
             .sum()
     }
 
-    /// Merge the remaining partial subtrees (earliest first) into the
-    /// final accumulator; `None` if nothing was pushed.
+    /// The running state: every pushed leaf, merged in order; `None` if
+    /// nothing was pushed.
     ///
     /// # Panics
     ///
@@ -512,25 +487,19 @@ impl<'o, T: Merge> TreeReducer<'o, T> {
             "gap in chunk sequence: chunk {} never pushed",
             self.next
         );
-        // Higher levels hold earlier chunks; walk low→high keeping the
-        // running subtree as the *later* (right) operand.
-        let mut total: Option<T> = None;
-        for slot in self.levels.into_iter().flatten() {
-            total = Some(match total {
-                None => slot,
-                Some(later) => slot.merge(later),
-            });
-        }
-        total
+        self.running
     }
 }
 
 /// Sequential fold of a labelled trace stream through the chunk grid:
-/// every [`FOLD_CHUNK`] consecutive traces fold into one leaf, and the
-/// leaves reduce through a [`TreeReducer`] (optionally observed). A
-/// schedule folded in order through this type yields bit-for-bit the
+/// every [`FOLD_CHUNK`] consecutive traces fold into a fresh leaf, and
+/// each leaf merges into the running state of a [`TreeReducer`]
+/// (optionally observed, so the observer sees the same prefix states).
+/// A schedule folded in order through this type yields bit-for-bit the
 /// state the sharded campaign executor produces for it at any worker
 /// count — it is how cached stores, tests and benches walk the grid.
+/// Cutting leaves, rather than folding into the running state directly,
+/// keeps its per-leaf cost the executor's.
 #[derive(Debug)]
 pub struct ChunkFold<'o, S> {
     reducer: TreeReducer<'o, S>,
@@ -546,8 +515,8 @@ impl<'o, S: FoldState + Clone> ChunkFold<'o, S> {
         Self::observed(empty, None)
     }
 
-    /// A fold whose `observer` (if any) sees every leaf in order; see
-    /// [`TreeReducer::observed`].
+    /// A fold whose `observer` (if any) sees the prefix state after
+    /// every leaf, in order; see [`TreeReducer::observed`].
     pub fn observed(empty: S, observer: Option<ChunkObserver<'o, S>>) -> Self {
         Self {
             reducer: TreeReducer::observed(observer),
@@ -573,9 +542,15 @@ impl<'o, S: FoldState + Clone> ChunkFold<'o, S> {
     }
 
     /// Memory accounting over the partial leaf and the reducer's
-    /// buffered subtrees, with a caller-supplied per-state size.
+    /// running state, with a caller-supplied per-state size.
     pub fn resident_with<F: Fn(&S) -> usize>(&self, size: F) -> usize {
         size(&self.leaf) + self.reducer.resident_with(size)
+    }
+
+    /// Leaves cut so far, a partial trailing leaf included: the chain's
+    /// length once [`finish`](Self::finish) has run.
+    pub fn leaves(&self) -> u64 {
+        self.reducer.consumed() + u64::from(self.in_leaf > 0)
     }
 
     /// Close the fold: the trailing partial chunk (if any) becomes the
@@ -667,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_tracks_depth_and_counts() {
+    fn merge_tracks_counts() {
         let traces = synth(0xD00F, 4, 3, 40);
         let mut a = SpectrumAccumulator::new(4, 3, SumMode::Exact);
         let mut b = SpectrumAccumulator::new(4, 3, SumMode::Exact);
@@ -678,9 +653,7 @@ mod tests {
                 b.fold(*c, t);
             }
         }
-        assert_eq!(a.merge_depth(), 0);
         let m = a.merge(b);
-        assert_eq!(m.merge_depth(), 1);
         assert_eq!(m.len(), 40);
         assert_eq!(m.class_counts().iter().sum::<usize>(), 40);
     }
@@ -697,8 +670,8 @@ mod tests {
             in_order.push(i as u64, leaf.clone());
         }
         let reference = in_order.finish().unwrap();
-        // Reversed arrival and an interleaved arrival build the same
-        // tree, merge depth included.
+        // Reversed arrival and an interleaved arrival reduce to the same
+        // state.
         let mut reversed = TreeReducer::new();
         for (i, leaf) in leaves.iter().enumerate().rev() {
             reversed.push(i as u64, leaf.clone());
@@ -715,11 +688,16 @@ mod tests {
     }
 
     #[test]
-    fn chunk_fold_reproduces_reducer_tree() {
-        // ChunkFold must build the same tree as hand-chunked leaves
-        // pushed into a TreeReducer.
+    fn chunk_fold_reproduces_reducer_chain() {
+        // ChunkFold must reduce to the same state as hand-chunked leaves
+        // pushed into a TreeReducer, over the same number of leaves.
         let traces = synth(0xBEEF, 4, 4, 5 * FOLD_CHUNK + 9);
-        let folded = chunk_fold(&traces, 4, 4);
+        let mut fold = ChunkFold::new(SpectrumAccumulator::new(4, 4, SumMode::Exact));
+        for (c, t) in &traces {
+            fold.fold(*c as u16, t);
+        }
+        assert_eq!(fold.leaves(), 6);
+        let folded = fold.finish();
         let mut reducer = TreeReducer::new();
         for (i, chunk) in traces.chunks(FOLD_CHUNK).enumerate() {
             let mut leaf = SpectrumAccumulator::new(4, 4, SumMode::Exact);
@@ -732,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_floats_grow_logarithmically() {
+    fn resident_floats_are_one_leaf_plus_one_running_state() {
         let samples = 4;
         let classes = 4;
         let empty = SpectrumAccumulator::new(classes, samples, SumMode::Exact);
@@ -742,22 +720,37 @@ mod tests {
             fold.resident_with(SpectrumAccumulator::resident_floats)
         };
         let trace: Vec<f64> = (0..samples).map(|i| i as f64 * 0.25).collect();
-        let mut small = 0;
         for i in 0..20_000usize {
             fold.fold((i % classes) as u16, &trace);
-            if i + 1 == 1_250 {
-                small = resident(&fold);
+            if i + 1 == 1_250 || i + 1 == 20_000 {
+                // The partial leaf plus the running state, at any length.
+                assert_eq!(resident(&fold), 2 * leaf, "after {} traces", i + 1);
             }
         }
-        let large = resident(&fold);
-        // 16x the traces may add at most 4 counter levels: the resident
-        // set is O(classes × samples × log chunks), not O(traces).
-        assert!(small > 0);
-        assert!(
-            large <= small + 4 * leaf,
-            "resident floats grew from {small} to {large}"
-        );
-        assert!(large < 20_000, "resident floats scale with traces");
+    }
+
+    #[test]
+    fn reorder_buffer_holds_early_leaves_until_the_gap_closes() {
+        // A bit-sliced claim delivers 64 leaves at once; a later claim
+        // that finishes first parks all of them.
+        let leaf = || {
+            let mut acc = SpectrumAccumulator::new(4, 2, SumMode::Exact);
+            acc.fold(1, &[0.5, 0.25]);
+            acc
+        };
+        let size = leaf().resident_floats();
+        let mut reducer = TreeReducer::new();
+        for seq in 1..=64 {
+            reducer.push(seq, leaf());
+        }
+        assert_eq!(reducer.consumed(), 0);
+        let resident = reducer.resident_with(SpectrumAccumulator::resident_floats);
+        assert_eq!(resident, 64 * size, "64 pending leaves");
+        reducer.push(0, leaf());
+        assert_eq!(reducer.consumed(), 65);
+        let resident = reducer.resident_with(SpectrumAccumulator::resident_floats);
+        assert_eq!(resident, size, "one running state");
+        assert_eq!(reducer.finish().map(|acc| acc.len()), Some(65));
     }
 
     #[test]
@@ -768,30 +761,37 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_leaf_once_in_sequence_order() {
+    fn observer_sees_every_prefix_once_in_sequence_order() {
         let traces = synth(0x0B5E, 4, 3, 4 * FOLD_CHUNK + 5);
         let leaves: Vec<SpectrumAccumulator> = traces
             .chunks(FOLD_CHUNK)
             .map(|chunk| chunk_fold(chunk, 4, 3))
             .collect();
-        // Out-of-order arrival still reaches the observer in order.
+        // Out-of-order arrival still reaches the observer in order, each
+        // time as the merge of every leaf so far.
+        let prefixes: Vec<SpectrumAccumulator> = (1..=leaves.len())
+            .map(|n| chunk_fold(&traces[..(n * FOLD_CHUNK).min(traces.len())], 4, 3))
+            .collect();
         let mut seen = Vec::new();
-        let mut observe = |seq: u64, leaf: &SpectrumAccumulator| seen.push((seq, leaf.len()));
+        let mut observe = |seq: u64, prefix: &SpectrumAccumulator| {
+            assert_eq!(prefix, &prefixes[seq as usize], "prefix {seq}");
+            seen.push((seq, prefix.len()));
+        };
         let mut reducer = TreeReducer::observed(Some(&mut observe));
         for i in [2usize, 0, 4, 3, 1] {
             reducer.push(i as u64, leaves[i].clone());
         }
         assert!(format!("{reducer:?}").contains("observed: true"));
         let reduced = reducer.finish().unwrap();
-        let want: Vec<(u64, u64)> = leaves
-            .iter()
+        let want: Vec<(u64, u64)> = [16, 32, 48, 64, 69]
+            .into_iter()
             .enumerate()
-            .map(|(i, l)| (i as u64, l.len()))
+            .map(|(i, n)| (i as u64, n))
             .collect();
         assert_eq!(seen, want);
-        // ChunkFold cuts the same leaves and shows them the same way.
+        // ChunkFold cuts the same leaves and shows the same prefixes.
         let mut seen = Vec::new();
-        let mut observe = |seq: u64, leaf: &SpectrumAccumulator| seen.push((seq, leaf.len()));
+        let mut observe = |seq: u64, prefix: &SpectrumAccumulator| seen.push((seq, prefix.len()));
         let empty = SpectrumAccumulator::new(4, 3, SumMode::Exact);
         let mut fold = ChunkFold::observed(empty, Some(&mut observe));
         for (c, t) in &traces {

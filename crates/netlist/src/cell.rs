@@ -158,7 +158,7 @@ impl CellType {
         )
     }
 
-    /// Short mnemonic used in reports and Verilog export (e.g. `AND3`).
+    /// Short mnemonic used in reports and netlist exports (e.g. `AND3`).
     pub const fn mnemonic(self) -> &'static str {
         use CellType::*;
         match self {

@@ -477,12 +477,11 @@ impl NetlistBuilder {
                 };
                 let (chunk, tail) = rest.split_at(take);
                 rest = tail;
-                let out = match chunk.len() {
+                // `take` is 1..=4: a lone net passes through, 2–4 nets
+                // take the matching 2-, 3- or 4-input cell.
+                let out = match take {
                     1 => chunk[0],
-                    2 => self.gate(cells[0], chunk),
-                    3 => self.gate(cells[1], chunk),
-                    4 => self.gate(cells[2], chunk),
-                    _ => unreachable!(),
+                    n => self.gate(cells[n - 2], chunk),
                 };
                 next.push(out);
             }

@@ -18,8 +18,6 @@
 //! * [`cone`] — input-cone / cut utilities (per-net primary-input support
 //!   masks), the substrate of the `sca-verify` crate's glitch-extended
 //!   probing analysis.
-//! * [`verilog`] — structural Verilog export for inspection with external
-//!   tools.
 //!
 //! # Example
 //!
@@ -53,7 +51,6 @@ mod stats;
 pub mod synth;
 pub mod timing;
 pub mod transform;
-pub mod verilog;
 
 pub use cell::{CellType, ALL_CELL_TYPES};
 pub use error::NetlistError;

@@ -9,7 +9,7 @@
 //! comparison failure is a *bitwise* regression — no tolerance.
 //!
 //! Three independent pipelines must reproduce every fixture exactly:
-//! the batch fold ([`attack_batch`]), the sequential chunk-tree fold
+//! the batch fold ([`attack_batch`]), the sequential chunk-grid fold
 //! ([`ChunkFold`]), and the campaign's sharded streaming attack at
 //! 1, 2, and 8 workers (the acceptance bar for the attack engine's
 //! merge invariance).
@@ -160,7 +160,7 @@ fn batch_attack_matches_golden_vectors() {
     }
 }
 
-/// The one-trace-at-a-time chunk-tree stream reproduces
+/// The one-trace-at-a-time chunk-grid stream reproduces
 /// every fixture bit-for-bit.
 #[test]
 fn attack_stream_matches_golden_vectors() {
@@ -184,7 +184,7 @@ fn attack_stream_matches_golden_vectors() {
 }
 
 /// The campaign's sharded streaming attack — worker-local joint states
-/// merged in the deterministic tree — reproduces every fixture at 1, 2,
+/// merged in chunk order — reproduces every fixture at 1, 2,
 /// and 8 workers.
 #[test]
 fn campaign_streamed_attack_matches_golden_vectors() {

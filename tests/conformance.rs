@@ -14,7 +14,7 @@
 //! fold (`acquire`'s traces folded one at a time, in acquisition order,
 //! through the chunk grid, `ChunkFold`), and the campaign's sharded
 //! executor fold at 1, 2, and 8 workers (whose shard accumulators merge
-//! in a deterministic tree).
+//! in chunk order).
 //!
 //! Regenerate after an intentional analysis change with:
 //!
@@ -187,7 +187,7 @@ fn streaming_fold_matches_golden_vectors() {
 }
 
 /// The campaign executor's sharded fold — worker-local accumulators
-/// merged in the deterministic tree — reproduces every fixture at 1, 2,
+/// merged in chunk order — reproduces every fixture at 1, 2,
 /// and 8 workers.
 #[test]
 fn merged_shard_accumulators_match_golden_vectors() {

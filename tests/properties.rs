@@ -222,8 +222,8 @@ fn streaming_equals_batch_on_random_sets() {
 
 /// Accumulator merging is associative and commutative: any shard
 /// grouping yields the same statistics bit for bit. (This is the
-/// property that makes a fold worker-count invariant, whatever tree the
-/// shards merge in.)
+/// property that makes a fold worker-count invariant, however the
+/// shards are grouped.)
 #[test]
 fn accumulator_merge_is_associative_and_commutative() {
     let mut rng = SmallRng::seed_from_u64(0x57A7_0009);
@@ -252,8 +252,8 @@ fn accumulator_merge_is_associative_and_commutative() {
     }
 }
 
-/// The fold is invariant under the tree-reduction schedule: every chunk size (hence every merge-tree shape) produces
-/// the identical accumulator statistics.
+/// The fold is invariant under how it is cut into leaves: every chunk
+/// size produces the identical accumulator statistics.
 #[test]
 fn exact_fold_is_invariant_under_tree_shape() {
     let mut rng = SmallRng::seed_from_u64(0x57A7_000A);
@@ -263,7 +263,7 @@ fn exact_fold_is_invariant_under_tree_shape() {
         let set = random_labelled_traces(&mut rng, 16, samples, n);
         let reference = accumulate(&set, 16, samples);
         for chunk in [1usize, 3, 16, 64, 1024] {
-            // Hand-cut leaves of `chunk` traces, reduced by the grid's tree.
+            // Hand-cut leaves of `chunk` traces, reduced by the grid's chain.
             let mut reducer = TreeReducer::new();
             for (seq, leaf) in set.chunks(chunk).enumerate() {
                 reducer.push(seq as u64, accumulate(leaf, 16, samples));

@@ -60,11 +60,6 @@ impl StressSchedule {
     pub fn push(&mut self, phase: StressPhase) {
         self.phases.push(phase);
     }
-
-    /// Total scheduled duration in months.
-    pub fn total_months(&self) -> f64 {
-        self.phases.iter().map(|p| p.months).sum()
-    }
 }
 
 /// Compact reaction–diffusion-inspired BTI model.

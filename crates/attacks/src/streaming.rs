@@ -18,7 +18,7 @@
 use crate::distinguisher::{Distinguisher, NUM_GUESSES};
 use crate::CpaResult;
 use leakage_core::comoment::CoMomentAccumulator;
-use leakage_core::online::{FoldState, Merge, SumMode};
+use leakage_core::online::{FoldState, SumMode};
 
 /// Streaming per-guess attack state for one distinguisher.
 #[derive(Debug, Clone)]
@@ -117,11 +117,6 @@ impl AttackAccumulator {
         }
     }
 
-    /// Direct access to the underlying co-moment state.
-    pub fn comoments(&self) -> &CoMomentAccumulator {
-        &self.inner
-    }
-
     /// Number of `f64` values currently held (hypothesis table
     /// excluded — it is shape-constant).
     pub fn resident_floats(&self) -> usize {
@@ -129,16 +124,14 @@ impl AttackAccumulator {
     }
 }
 
-impl Merge for AttackAccumulator {
-    fn merge(mut self, later: Self) -> Self {
-        self.merge_from(&later);
-        self
-    }
-}
-
 impl FoldState for AttackAccumulator {
     fn fold(&mut self, label: u16, trace: &[f64]) {
         AttackAccumulator::fold(self, label as u8, trace);
+    }
+
+    fn merge(mut self, later: Self) -> Self {
+        self.merge_from(&later);
+        self
     }
 }
 

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use acquisition::{trace_seed, NUM_CLASSES};
-use leakage_core::online::{FoldState, Merge, SpectrumAccumulator, SumMode};
+use leakage_core::online::{FoldState, SpectrumAccumulator, SumMode};
 use sbox_circuits::Scheme;
 use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
@@ -76,7 +76,14 @@ impl JointState {
     }
 }
 
-impl Merge for JointState {
+impl FoldState for JointState {
+    fn fold(&mut self, label: u16, trace: &[f64]) {
+        self.spectrum.fold(usize::from(label & 0xF), trace);
+        for a in &mut self.attacks {
+            a.fold(label as u8, trace);
+        }
+    }
+
     fn merge(mut self, later: Self) -> Self {
         self.spectrum.merge_from(&later.spectrum);
         assert_eq!(self.attacks.len(), later.attacks.len(), "plan mismatch");
@@ -84,15 +91,6 @@ impl Merge for JointState {
             a.merge_from(b);
         }
         self
-    }
-}
-
-impl FoldState for JointState {
-    fn fold(&mut self, label: u16, trace: &[f64]) {
-        self.spectrum.fold(usize::from(label & 0xF), trace);
-        for a in &mut self.attacks {
-            a.fold(label as u8, trace);
-        }
     }
 }
 
@@ -281,7 +279,7 @@ impl Campaign {
                 &mut device,
                 &make,
                 Some(&mut observer),
-                false,
+                None,
                 |capture| (capture.state, capture.cache_hit),
             );
 

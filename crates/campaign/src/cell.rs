@@ -3,13 +3,14 @@
 //!
 //! A cell is one cacheable trace set: a classified `(subject, age)` set,
 //! a CPA set, or one trial of an attack. [`Campaign::cell`] looks its
-//! key up in the trace store. A hit folds (and, for batch cells, keeps)
-//! the stored records on the executor's chunk grid and builds nothing.
-//! A miss builds and derates the subject's circuit once per [`Device`],
-//! derives the schedule from the key ([`key_schedule`], which the
-//! scrub's heal shares), executes it with checkpointing, persists a
-//! complete batch set, and names any store degradation that caused it in
-//! its run report.
+//! key up in the trace store. A hit folds the stored records on the
+//! executor's chunk grid and builds nothing. A miss builds and derates
+//! the subject's circuit once per [`Device`], derives the schedule from
+//! the key ([`key_schedule`], which the scrub's heal shares), folds it
+//! through the executor with checkpointing, persists a complete batch
+//! set, and names any store degradation that caused it in its run
+//! report. Either way the cell hands on one fold state and its chain
+//! length; a batch cell's fold state is its `ClassifiedTraces` set.
 
 use std::borrow::Cow;
 
@@ -20,6 +21,7 @@ use acquisition::{
 use aging::AgingConditions;
 use gatesim::{Derating, Simulator};
 use leakage_core::online::{ChunkFold, ChunkObserver, FoldState};
+use leakage_core::ClassifiedTraces;
 use sbox_circuits::SboxCircuit;
 
 use crate::executor::{self, ExecPolicy, ExecutorReport, Interruption, ResumeState};
@@ -33,17 +35,18 @@ use crate::{
 pub(crate) struct Capture<S> {
     /// Every surviving trace, folded on the executor's chunk grid.
     pub(crate) state: S,
-    /// Merges in the fold chain: leaves − 1 for a streamed cell, 0 for a
-    /// batch cell.
+    /// Merges in the fold chain: leaves − 1.
     pub(crate) merge_depth: usize,
-    /// `(label, samples)` of every surviving trace in schedule order;
-    /// kept by batch cells only.
-    pub(crate) records: Vec<(u16, Vec<f64>)>,
     /// Whether the traces came from the store.
     pub(crate) cache_hit: bool,
     /// `Some` when the run budget expired before the schedule finished.
     pub(crate) partial: Option<Interruption>,
 }
+
+/// How a batch cell reads the trace set it persists out of its fold
+/// state: [`Campaign::cell`]'s `persist` argument for cells that fold
+/// into a [`ClassifiedTraces`] set.
+pub(crate) const PERSIST: Option<fn(&ClassifiedTraces) -> &ClassifiedTraces> = Some(|set| set);
 
 /// The simulated device behind a subject at one age. It is built and
 /// derated on the first cache miss only, then shared by every later
@@ -153,8 +156,10 @@ impl Campaign {
     /// `analyze` stage, before the cell's run report is logged.
     ///
     /// Every trace folds into `make`'s state on the executor's chunk grid
-    /// (`observer`, if any, sees each leaf in order); a `batch` cell also
-    /// keeps the raw records and persists a complete set to the store.
+    /// (`observer`, if any, sees each prefix in order). A batch cell
+    /// passes `persist` ([`PERSIST`]), which reads its trace set out of
+    /// the fold state: a complete miss writes that set to the store, and
+    /// the report marks the cell as not streamed.
     /// A miss resumes from, and streams progress to, the cell's `SCKP`
     /// checkpoint when checkpointing is enabled. Checkpoint and store
     /// problems never fail the acquisition — they degrade to warnings in
@@ -166,7 +171,7 @@ impl Campaign {
         device: &mut Device<'_>,
         make: &(dyn Fn() -> S + Sync),
         mut observer: Option<ChunkObserver<'_, S>>,
-        batch: bool,
+        persist: Option<fn(&S) -> &ClassifiedTraces>,
         analyze: impl FnOnce(Capture<S>) -> R,
     ) -> R {
         let mut timer = StageTimer::new();
@@ -174,7 +179,7 @@ impl Campaign {
         // A reborrow, so the observer can go on to watch a miss.
         let observe = observer.as_mut().map(|o| &mut **o as ChunkObserver<'_, S>);
         let hit = self.cache.lookup(key).and_then(|reader| {
-            read_hit(reader, make(), observe, batch).map_err(|e| {
+            read_hit(reader, make(), observe).map_err(|e| {
                 let path = self.cache.path_for(key);
                 Some(format!("{} failed mid-read ({e})", path.display()))
             })
@@ -199,8 +204,7 @@ impl Campaign {
                     checkpoint: writer.as_mut(),
                     sync_every: self.config.checkpoint_every,
                 };
-                let mut raw = vec![Vec::new(); if batch { schedule.len() } else { 0 }];
-                let (state, mut exec) = executor::run(
+                let (state, mut exec) = executor::fold_schedule_into(
                     &sim,
                     &schedule,
                     &protocol.sampling,
@@ -209,33 +213,24 @@ impl Campaign {
                     resume,
                     make,
                     observer,
-                    batch.then_some(raw.as_mut_slice()),
                 );
                 drop(writer);
                 self.maybe_tear_checkpoint(key);
                 warnings.append(&mut exec.warnings);
                 warnings.extend(shortfall_warning(&exec, schedule.len()));
-
-                // Quarantined and never-claimed slots stay empty; the
-                // survivors still form a usable (if incomplete) set.
-                let records: Vec<(u16, Vec<f64>)> = schedule
-                    .iter()
-                    .zip(raw)
-                    .filter(|(_, trace)| !trace.is_empty())
-                    .map(|(stimulus, trace)| (stimulus.label, trace))
-                    .collect();
-                // Only a complete set may be cached.
-                if batch && exec.interrupted.is_none() && exec.quarantined.is_empty() {
-                    warnings.extend(self.persist(key, &records, &mut timer));
+                // Only a complete set may be cached; the survivors of a
+                // short run still form a usable (if incomplete) set.
+                if let Some(set) = persist.map(|read| read(&state)) {
+                    if exec.interrupted.is_none() && exec.quarantined.is_empty() {
+                        warnings.extend(self.persist(key, set, &mut timer));
+                    }
                 }
                 exec.warnings = warnings;
-                let partial = exec.interrupted;
                 let capture = Capture {
                     state,
                     merge_depth: exec.merge_depth,
-                    records,
                     cache_hit: false,
-                    partial,
+                    partial: exec.interrupted,
                 };
                 (capture, Some(exec))
             }
@@ -244,7 +239,7 @@ impl Campaign {
         timer.stage("analyze");
         let merge_depth = capture.merge_depth;
         let result = analyze(capture);
-        self.push_report(key, timer, !batch, merge_depth, exec, 0);
+        self.push_report(key, timer, persist.is_none(), merge_depth, exec, 0);
         result
     }
 
@@ -319,14 +314,14 @@ impl Campaign {
     fn persist(
         &self,
         key: &CampaignKey,
-        records: &[(u16, Vec<f64>)],
+        set: &ClassifiedTraces,
         timer: &mut StageTimer,
     ) -> Option<String> {
         if !self.cache.writes_enabled() {
             return None;
         }
         timer.stage("store");
-        match self.write_store(key, records) {
+        match self.write_store(key, set) {
             Ok(()) => {
                 let _ = std::fs::remove_file(self.cache.checkpoint_path(key));
                 None
@@ -337,19 +332,15 @@ impl Campaign {
         }
     }
 
-    fn write_store(
-        &self,
-        key: &CampaignKey,
-        records: &[(u16, Vec<f64>)],
-    ) -> Result<(), StoreError> {
+    fn write_store(&self, key: &CampaignKey, set: &ClassifiedTraces) -> Result<(), StoreError> {
         if let Some(e) = self.config.faults.store_write_error() {
             return Err(e);
         }
         let path = self.cache.path_for(key);
         let faults = self.config.faults.write_faults();
         let mut writer = StoreWriter::create_with(&path, key.expected_meta(), faults)?;
-        for (label, samples) in records {
-            writer.record(*label, samples)?;
+        for (label, samples) in set.iter() {
+            writer.record(label as u16, samples)?;
         }
         writer.finish()?;
         if let Some(bytes) = self.config.faults.torn_store_bytes() {
@@ -365,8 +356,8 @@ impl Campaign {
     }
 
     /// Log one cell's run report. `exec` is `None` for a cache hit, which
-    /// simulated nothing: one worker, no capture engine, and (streamed)
-    /// one stored record resident at a time.
+    /// simulated nothing: one worker, no capture engine, and one stored
+    /// record outside the fold state at a time.
     pub(crate) fn push_report(
         &mut self,
         key: &CampaignKey,
@@ -385,7 +376,7 @@ impl Campaign {
             worker_utilization: 1.0,
             stages: timer.finish(),
             streamed,
-            peak_resident: usize::from(streamed),
+            peak_resident: 1,
             merge_depth,
             healed,
             ..RunReport::default()
@@ -413,17 +404,14 @@ impl Campaign {
 
 /// Fold every record of a store hit on the executor's chunk grid, so a
 /// hit reproduces its miss's state, observed prefixes and chain length
-/// bit for bit, and keep the records for a batch cell. A label outside
-/// the 16 classes (or plaintext nibbles) is damage, like a failed
-/// checksum.
+/// bit for bit. A label outside the 16 classes (or plaintext nibbles) is
+/// damage, like a failed checksum.
 fn read_hit<S: FoldState + Clone>(
     reader: StoreReader,
     empty: S,
     observer: Option<ChunkObserver<'_, S>>,
-    batch: bool,
 ) -> Result<Capture<S>, StoreError> {
     let mut fold = ChunkFold::observed(empty, observer);
-    let mut records = Vec::new();
     let mut bad_label = None;
     reader.for_each_record(|label, samples| {
         if usize::from(label) >= NUM_CLASSES {
@@ -431,24 +419,16 @@ fn read_hit<S: FoldState + Clone>(
             return;
         }
         fold.fold(label, samples);
-        if batch {
-            records.push((label, samples.to_vec()));
-        }
     })?;
     if let Some(label) = bad_label {
         return Err(StoreError::Format(format!(
             "record label {label} out of range (< {NUM_CLASSES})"
         )));
     }
-    let merge_depth = if batch {
-        0
-    } else {
-        fold.leaves().saturating_sub(1) as usize
-    };
+    let merge_depth = fold.leaves().saturating_sub(1) as usize;
     Ok(Capture {
         state: fold.finish(),
         merge_depth,
-        records,
         cache_hit: true,
         partial: None,
     })

@@ -9,16 +9,20 @@
 //! traces and pushes each leaf into that grid's [`TreeReducer`], which
 //! parks early leaves, merges each into one running state in schedule
 //! order and hands every prefix to an observer. [`fold_schedule_into`]
-//! returns the running state. [`capture_schedule_with`] is the same run
-//! with an empty fold that keeps every trace in its schedule slot.
+//! is the one entry point, and the running state is its one output:
+//! online accumulators for a streamed analysis, a `ClassifiedTraces`
+//! set for an acquisition that keeps its traces.
 //!
 //! Determinism: trace `i`'s value depends only on the (pre-computed)
 //! schedule entry `i` and its per-trace seed `trace_seed(base_seed, i)`
 //! — never on which worker captured it or when. Workers pull fixed-size
-//! index chunks from a shared atomic cursor (dynamic load balancing: the
-//! seven netlists differ ~10× in event count per trace) and results are
-//! written back by index, so the output is bit-identical for any worker
-//! count, including 1.
+//! index claims from a shared claim cursor (dynamic load balancing: the
+//! seven netlists differ ~10× in event count per trace) and the chain
+//! merges their leaves in schedule order, so the output is bit-identical
+//! for any worker count, including 1. No worker starts a claim more
+//! than `workers × LANES` indices past the claim holding the chain's
+//! next leaf, so fewer than `workers × LANES / FOLD_CHUNK` leaves wait
+//! in the reorder buffer.
 //!
 //! Fault tolerance: each capture runs inside `catch_unwind`, so one
 //! panicking trace cannot unwind the worker scope and lose everything
@@ -36,14 +40,14 @@ use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use acquisition::{trace_seed, Backend, Stimulus};
 use gatesim::{
     BitslicedSession, CaptureSession, CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES,
 };
-use leakage_core::online::{ChunkObserver, FoldState, Merge, TreeReducer, FOLD_CHUNK};
+use leakage_core::online::{ChunkObserver, FoldState, TreeReducer, FOLD_CHUNK};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -121,7 +125,9 @@ impl fmt::Display for StopCause {
 pub struct Interruption {
     /// What stopped the run.
     pub cause: StopCause,
-    /// Schedule indices not captured, resumed, or quarantined.
+    /// Schedule indices not captured, folded from the resume state, or
+    /// quarantined: the scheduled count minus the traces in the fold
+    /// state and the quarantined indices.
     pub remaining: usize,
 }
 
@@ -152,11 +158,6 @@ impl RunBudget {
         Self::default()
     }
 
-    /// Whether every limit is absent.
-    pub fn is_unlimited(&self) -> bool {
-        self.time_limit.is_none() && self.max_new_traces.is_none() && self.cancel.is_none()
-    }
-
     /// Set the wall-clock time limit.
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.time_limit = Some(limit);
@@ -184,8 +185,8 @@ struct BudgetGate {
     max_new: Option<usize>,
     cancel: Option<CancelToken>,
     captured: AtomicUsize,
-    /// 0 = running; otherwise the encoded [`StopCause`] + 1.
-    stop: AtomicUsize,
+    /// The first limit that tripped.
+    stop: OnceLock<StopCause>,
 }
 
 impl BudgetGate {
@@ -195,7 +196,7 @@ impl BudgetGate {
             max_new: budget.max_new_traces,
             cancel: budget.cancel.clone(),
             captured: AtomicUsize::new(0),
-            stop: AtomicUsize::new(0),
+            stop: OnceLock::new(),
         }
     }
 
@@ -206,7 +207,7 @@ impl BudgetGate {
     }
 
     fn should_stop(&self) -> bool {
-        if self.stop.load(Ordering::Relaxed) != 0 {
+        if self.stop.get().is_some() {
             return true;
         }
         let cause = if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
@@ -221,31 +222,13 @@ impl BudgetGate {
         } else {
             None
         };
-        match cause {
-            Some(c) => {
-                let code = match c {
-                    StopCause::Deadline => 1,
-                    StopCause::TraceBudget => 2,
-                    StopCause::Cancelled => 3,
-                };
-                // First cause wins; racing workers may observe different
-                // causes in the same instant, but only one is recorded.
-                let _ = self
-                    .stop
-                    .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+        // First cause wins; racing workers may observe different causes
+        // in the same instant, but only one is recorded.
+        cause.map(|c| self.stop.get_or_init(|| c)).is_some()
     }
 
     fn cause(&self) -> Option<StopCause> {
-        match self.stop.load(Ordering::Relaxed) {
-            0 => None,
-            1 => Some(StopCause::Deadline),
-            2 => Some(StopCause::TraceBudget),
-            _ => Some(StopCause::Cancelled),
-        }
+        self.stop.get().copied()
     }
 }
 
@@ -331,19 +314,23 @@ pub struct ExecutorReport {
     pub stats: CaptureStats,
     /// Indices that failed at least once but succeeded on a retry.
     pub retried: usize,
-    /// Indices that failed every allowed attempt. They fold zero times,
-    /// and their slots in [`capture_schedule_with`]'s traces are empty.
+    /// Indices that failed every allowed attempt. They fold zero times:
+    /// the fold state simply lacks them.
     pub quarantined: Vec<CaptureFailure>,
-    /// Traces served from the resume state instead of simulated.
+    /// Traces folded from the resume state instead of simulated. A
+    /// budget stop folds the claimed prefix only, so resumed traces past
+    /// it are not counted here; they count as
+    /// [`remaining`](Interruption::remaining).
     pub resumed: usize,
-    /// Largest number of newly captured traces resident in memory at
-    /// once. For [`fold_schedule_into`] it is bounded by
-    /// `O(workers × FOLD_CHUNK)`, independent of schedule length. Always 0
-    /// for [`capture_schedule_with`], which keeps every trace by design.
+    /// Largest number of newly captured traces in flight outside the
+    /// fold state at once, counted from each trace's fold until its
+    /// worker or the checkpoint sink drops it: at most one per worker
+    /// without a checkpoint, `O(workers × FOLD_CHUNK)` with one,
+    /// independent of schedule length. What the fold state itself keeps
+    /// (a `ClassifiedTraces` set keeps every trace) is not counted.
     pub peak_resident: usize,
     /// Length of the fold chain: one merge per leaf after the first, so
-    /// leaves − 1 (0 for single-chunk runs), and 0 for
-    /// [`capture_schedule_with`], whose fold is empty.
+    /// leaves − 1 (0 for single-chunk runs).
     pub merge_depth: usize,
     /// Set when a [`RunBudget`] limit stopped the run before the
     /// schedule completed; the results cover a prefix of the work and
@@ -490,55 +477,6 @@ fn needs_scalar_path(
         || policy.faults.capture_delay(index, 0).is_some()
 }
 
-/// Capture `schedule` under an explicit [`ExecPolicy`] and
-/// [`ResumeState`], keeping every trace.
-///
-/// Returns the traces in schedule order plus the run report. Quarantined
-/// indices (listed in [`ExecutorReport::quarantined`]) keep an empty
-/// `Vec` in their slot, as do indices a budget interruption never
-/// claimed. This is a [`fold_schedule_into`] run with an empty fold:
-/// every newly captured trace moves into its slot as its chunk arrives,
-/// and resumed traces move into theirs at the end. With one worker
-/// everything runs inline on the caller's thread (no pool overhead),
-/// which also serves as the reference for the determinism guarantee.
-pub fn capture_schedule_with(
-    sim: &Simulator<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    policy: &ExecPolicy,
-    resume: ResumeState<'_>,
-) -> (Vec<Vec<f64>>, ExecutorReport) {
-    let mut traces = vec![Vec::new(); schedule.len()];
-    let (NoFold, report) = run(
-        sim,
-        schedule,
-        sampling,
-        base_seed,
-        policy,
-        resume,
-        &|| NoFold,
-        None,
-        Some(traces.as_mut_slice()),
-    );
-    (traces, report)
-}
-
-/// The fold state of a run that keeps its raw traces instead: there is
-/// nothing to fold, the traces themselves are the result.
-#[derive(Clone)]
-pub(crate) struct NoFold;
-
-impl Merge for NoFold {
-    fn merge(self, _later: Self) -> Self {
-        self
-    }
-}
-
-impl FoldState for NoFold {
-    fn fold(&mut self, _label: u16, _trace: &[f64]) {}
-}
-
 /// One worker's progress on one fold-chain leaf of the schedule.
 struct Chunk<S> {
     worker: usize,
@@ -546,10 +484,12 @@ struct Chunk<S> {
     /// place in the fold chain.
     seq: u64,
     acc: S,
-    /// Newly captured traces, retained only while a checkpoint sink or
-    /// the caller's trace slots need them; empty otherwise.
+    /// Newly captured traces, retained only while a checkpoint sink
+    /// needs them; empty otherwise.
     raw: Vec<(usize, Vec<f64>)>,
     captured: usize,
+    /// Traces folded from the resume state.
+    resumed: usize,
     failures: Vec<CaptureFailure>,
     stats: CaptureStats,
     busy: Duration,
@@ -569,9 +509,18 @@ struct Ctx<'a, S> {
     /// Traces completed by a previous run, folded in place of
     /// re-simulation at their schedule position.
     resumed: HashMap<usize, Vec<f64>>,
-    /// Whether workers must retain raw traces for the collector.
+    /// Whether workers must retain raw traces for the checkpoint sink.
     keep_raw: bool,
     gate: BudgetGate,
+    /// Claims may start at most this many schedule indices past the
+    /// start of the claim holding the chain's next leaf: `workers` lane
+    /// batches, so `workers` claims on the bit-sliced engine and
+    /// `workers × LANES / FOLD_CHUNK` single-leaf claims on the event
+    /// engine.
+    window: usize,
+    claims: Mutex<Claims>,
+    /// Signalled whenever the collector advances `claims.next_leaf`.
+    advanced: Condvar,
     /// Newly captured traces currently resident (shared counter) and
     /// its high-water mark.
     resident: AtomicUsize,
@@ -589,67 +538,120 @@ impl<S> Ctx<'_, S> {
             self.resident.fetch_sub(n, Ordering::Relaxed);
         }
     }
+
+    /// Take the next claim of `size` indices, or `None` once the
+    /// schedule or the budget runs out or the claims are closed. A claim
+    /// is taken only while it starts within [`window`](Self::window)
+    /// indices of the claim holding the chain's next leaf; until then the
+    /// worker waits, polling the budget so a stop or cancel still ends
+    /// it. The oldest unfinished claim is always inside the window, so
+    /// some worker can always make progress while no thread has
+    /// panicked; a panicking thread closes the claims (see
+    /// [`CloseOnUnwind`]).
+    fn next_claim(&self, size: usize) -> Option<usize> {
+        const POLL: Duration = Duration::from_millis(10);
+        let mut claims = self.claims.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if claims.closed || self.gate.should_stop() || claims.cursor >= self.schedule.len() {
+                return None;
+            }
+            let oldest = claims.next_leaf as usize * FOLD_CHUNK / size * size;
+            if claims.cursor < oldest + self.window {
+                let start = claims.cursor;
+                claims.cursor += size;
+                return Some(start);
+            }
+            claims = self
+                .advanced
+                .wait_timeout(claims, POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Publish the chain's next leaf to waiting workers.
+    fn advance(&self, next_leaf: u64) {
+        self.claims
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next_leaf = next_leaf;
+        self.advanced.notify_all();
+    }
+}
+
+/// The claim cursor and the chain's next leaf, behind one lock so a
+/// claim is only taken against an up-to-date window. Every update is a
+/// single field store, so a poisoned lock still guards valid claims.
+struct Claims {
+    /// First schedule index not yet claimed.
+    cursor: usize,
+    /// Sequence number of the leaf the fold chain merges next.
+    next_leaf: u64,
+    /// Set once a worker or the collector panicked: the chain can no
+    /// longer advance, so a worker waiting on the window would wait
+    /// forever.
+    closed: bool,
+}
+
+/// Closes the run's claims if dropped while its thread unwinds, so a
+/// panic in the collector (an observer, a merge, the checkpoint sink)
+/// or in a worker (outside a capture's `catch_unwind`) ends the other
+/// workers' claim loops and propagates instead of leaving them waiting
+/// on a chain that no longer advances.
+struct CloseOnUnwind<'c, 'a, S>(&'c Ctx<'a, S>);
+
+impl<S> Drop for CloseOnUnwind<'_, '_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let ctx = self.0;
+            ctx.claims
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .closed = true;
+            ctx.advanced.notify_all();
+        }
+    }
 }
 
 /// Capture `schedule` and fold every trace into a caller-supplied
-/// [`FoldState`] instead of retaining it: memory is the fold state plus
-/// `O(workers × FOLD_CHUNK)` traces in flight, independent of schedule
-/// length. Any streaming consumer plugs in here — spectral
-/// accumulators, the attack engine's co-moment state, or composites
-/// folding several analyses in one pass over the traces.
+/// [`FoldState`], the run's one output. Memory is the fold state plus
+/// the traces in flight: `O(workers × FOLD_CHUNK)` of them, or one lane
+/// batch per worker on the bit-sliced engine, plus the parked leaves
+/// below, independent of schedule length. Any consumer plugs in here:
+/// spectral accumulators, the attack engine's co-moment state,
+/// composites folding several analyses in one pass over the traces, or
+/// a `ClassifiedTraces` set that keeps the traces themselves.
 ///
 /// `make` constructs an empty chunk-local state; the caller's thread
 /// merges chunk states, in chunk order, into the running state of a
-/// [`TreeReducer`]. The folded result never depends on the worker count
-/// or chunk completion order because the fold states sum exactly, so
-/// any grouping of chunks gives the same bits; the chain only orders
-/// the prefixes `observer` sees.
+/// [`TreeReducer`], so the result is the schedule-order fold at any
+/// worker count: a trace list comes out in schedule order, and the
+/// exact-sum accumulators would give the same bits under any grouping.
 /// Quarantined indices fold zero times, a retried index folds exactly
 /// once, and resumed traces fold at their schedule position without
 /// being re-simulated (checkpointed refold-on-resume); newly captured
-/// traces stream to the [`ResumeState`] checkpoint as they arrive.
+/// traces stream to the [`ResumeState`] checkpoint as they arrive. A
+/// budget stop folds the claimed prefix only: resumed traces past it
+/// stay in the checkpoint and count as remaining, not resumed.
 ///
 /// `observer` (if any) is the chain's ([`TreeReducer::observed`]): after
 /// each chunk is merged in, in ascending chunk order, it sees the
 /// running prefix state, enabling single-pass prefix trajectories.
 /// Chunks that finish ahead of an earlier one wait in the reducer's
-/// reorder buffer, and nothing bounds it by the in-flight work: the
-/// collector drains the channel into it at once, and a bit-sliced claim
-/// emits `LANES / FOLD_CHUNK` chunks together, so every claim that
-/// finishes while an earlier claim is still capturing parks all of its
-/// chunk states there until the gap closes.
+/// reorder buffer. No worker starts a claim more than `workers × LANES`
+/// indices past the claim holding the chain's next leaf, so fewer than
+/// `workers × LANES / FOLD_CHUNK` chunk states wait there: at most
+/// `(workers − 1) × LANES / FOLD_CHUNK` on the bit-sliced engine, whose
+/// claims emit `LANES / FOLD_CHUNK` chunks together.
 ///
-/// The report's [`peak_resident`](ExecutorReport::peak_resident) and
-/// [`merge_depth`](ExecutorReport::merge_depth) are live in this mode.
 /// Resumed traces are held in memory for the duration of the run (they
 /// arrive as a batch from the checkpoint reader) and are not counted by
-/// `peak_resident`, which tracks newly captured traces only.
+/// [`peak_resident`](ExecutorReport::peak_resident), which tracks newly
+/// captured traces only. With one worker everything runs inline on the
+/// caller's thread (no pool overhead), which also serves as the
+/// reference for the determinism guarantee.
 #[allow(clippy::too_many_arguments)]
-pub fn fold_schedule_into<S, F>(
-    sim: &Simulator<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    policy: &ExecPolicy,
-    resume: ResumeState<'_>,
-    make: &F,
-    observer: Option<ChunkObserver<'_, S>>,
-) -> (S, ExecutorReport)
-where
-    S: FoldState,
-    F: Fn() -> S + Sync,
-{
-    run(
-        sim, schedule, sampling, base_seed, policy, resume, make, observer, None,
-    )
-}
-
-/// The one claim → capture → fold pipeline behind both entry points.
-/// `slots`, when given, receives every trace — newly captured or
-/// resumed — at its schedule index, and the run reports no resident
-/// bound (it keeps everything by design).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run<S: FoldState>(
+pub fn fold_schedule_into<S: FoldState>(
     sim: &Simulator<'_>,
     schedule: &[Stimulus],
     sampling: &SamplingConfig,
@@ -658,7 +660,6 @@ pub(crate) fn run<S: FoldState>(
     resume: ResumeState<'_>,
     make: &(dyn Fn() -> S + Sync),
     observer: Option<ChunkObserver<'_, S>>,
-    slots: Option<&mut [Vec<f64>]>,
 ) -> (S, ExecutorReport) {
     let workers = resolve_workers(policy.workers).min(schedule.len()).max(1);
     let started = Instant::now();
@@ -678,8 +679,15 @@ pub(crate) fn run<S: FoldState>(
         policy,
         make,
         resumed,
-        keep_raw: resume.checkpoint.is_some() || slots.is_some(),
+        keep_raw: resume.checkpoint.is_some(),
         gate: BudgetGate::new(&policy.budget),
+        window: workers * LANES,
+        claims: Mutex::new(Claims {
+            cursor: 0,
+            next_leaf: 0,
+            closed: false,
+        }),
+        advanced: Condvar::new(),
         resident: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
     };
@@ -694,6 +702,7 @@ pub(crate) fn run<S: FoldState>(
         stats: CaptureStats::default(),
         retried: 0,
         quarantined: Vec::new(),
+        resumed: 0,
         lanes: LaneUse::default(),
         sink: CheckpointSink {
             writer: resume.checkpoint,
@@ -702,12 +711,10 @@ pub(crate) fn run<S: FoldState>(
             warning: None,
         },
         reducer: TreeReducer::observed(observer),
-        slots,
     };
 
-    let cursor = AtomicUsize::new(0);
     if workers == 1 {
-        work(sim, backend, &ctx, &cursor, 0, &mut |chunk| {
+        work(sim, backend, &ctx, 0, &mut |chunk| {
             collector.absorb(chunk, &ctx);
             true
         });
@@ -717,23 +724,26 @@ pub(crate) fn run<S: FoldState>(
         // schedule length even if the collector falls behind. (On the
         // bit-sliced backend a worker additionally holds one lane batch
         // of raw traces while it slices the batch into chunks — see
-        // `fold_claim`. Chunk *states* that arrive early still wait in
-        // the reducer's reorder buffer — see `fold_schedule_into`.)
+        // `fold_claim`. Chunk *states* that arrive early wait in the
+        // reducer's reorder buffer, which the claim window bounds — see
+        // `Ctx::next_claim`.)
         let (tx, rx) = mpsc::sync_channel::<Chunk<S>>(workers);
         std::thread::scope(|scope| {
             for worker in 0..workers {
                 let tx = tx.clone();
-                let (ctx, cursor) = (&ctx, &cursor);
+                let ctx = &ctx;
                 scope.spawn(move || {
+                    let _close = CloseOnUnwind(ctx);
                     // The receiver outlives the workers; a send can only
                     // fail if the parent panicked, in which case the
                     // scope unwinds anyway.
-                    work(sim, backend, ctx, cursor, worker, &mut |chunk| {
+                    work(sim, backend, ctx, worker, &mut |chunk| {
                         tx.send(chunk).is_ok()
                     });
                 });
             }
             drop(tx);
+            let _close = CloseOnUnwind(&ctx);
             // Collect on the caller's thread while workers run, so
             // checkpoint frames land on disk as progress is made, not
             // after the fact.
@@ -748,38 +758,21 @@ pub(crate) fn run<S: FoldState>(
         stats,
         retried,
         mut quarantined,
+        resumed,
         lanes,
         sink,
         reducer,
-        slots,
     } = collector;
     sink.finish(&mut warnings);
     quarantined.sort_by_key(|f| f.index);
 
-    let resumed = ctx.resumed.len();
     let captured: usize = loads.iter().map(|l| l.traces).sum();
     let interrupted = ctx.gate.cause().map(|cause| Interruption {
         cause,
         remaining: schedule.len() - resumed - captured - quarantined.len(),
     });
-    let batch = slots.is_some();
-    let peak_resident = match slots {
-        Some(slots) => {
-            for (index, trace) in ctx.resumed {
-                slots[index] = trace;
-            }
-            0
-        }
-        None => ctx.peak.load(Ordering::Relaxed),
-    };
-
-    // The chain merges every leaf after the first once; a batch run's
-    // empty fold reports none, as it reports no resident bound.
-    let merge_depth = if batch {
-        0
-    } else {
-        reducer.consumed().saturating_sub(1) as usize
-    };
+    // The chain merges every leaf after the first once.
+    let merge_depth = reducer.consumed().saturating_sub(1) as usize;
     let acc = reducer.finish().unwrap_or_else(make);
     let report = ExecutorReport {
         workers,
@@ -789,7 +782,7 @@ pub(crate) fn run<S: FoldState>(
         retried,
         quarantined,
         resumed,
-        peak_resident,
+        peak_resident: ctx.peak.load(Ordering::Relaxed),
         merge_depth,
         interrupted,
         backend,
@@ -800,22 +793,22 @@ pub(crate) fn run<S: FoldState>(
 }
 
 /// The caller's side of a run: totals merged from every chunk, the
-/// checkpoint, the fold chain, and (on the batch path) the trace slots.
+/// checkpoint, and the fold chain.
 struct Collector<'a, 'o, S> {
     loads: Vec<WorkerLoad>,
     stats: CaptureStats,
     retried: usize,
     quarantined: Vec<CaptureFailure>,
+    resumed: usize,
     lanes: LaneUse,
     sink: CheckpointSink<'a>,
     /// The fold chain; its observer (if any) sees each prefix in order.
     reducer: TreeReducer<'o, S>,
-    slots: Option<&'a mut [Vec<f64>]>,
 }
 
 impl<S: FoldState> Collector<'_, '_, S> {
-    /// Fold one chunk's outcome into the run totals, the checkpoint, the
-    /// trace slots, and the fold chain.
+    /// Fold one chunk's outcome into the run totals, the checkpoint and
+    /// the fold chain, and publish the chain's next leaf to the workers.
     fn absorb(&mut self, chunk: Chunk<S>, ctx: &Ctx<'_, S>) {
         let load = &mut self.loads[chunk.worker];
         load.traces += chunk.captured;
@@ -823,27 +816,25 @@ impl<S: FoldState> Collector<'_, '_, S> {
         self.stats.merge(&chunk.stats);
         self.retried += chunk.retried;
         self.quarantined.extend(chunk.failures);
+        self.resumed += chunk.resumed;
         self.lanes.merge(chunk.lanes);
         let raw_len = chunk.raw.len();
         for (index, trace) in chunk.raw {
             self.sink.push(index, ctx.schedule[index].label, &trace);
-            if let Some(slots) = self.slots.as_deref_mut() {
-                slots[index] = trace;
-            }
         }
         ctx.release_resident(raw_len);
         self.reducer.push(chunk.seq, chunk.acc);
+        ctx.advance(self.reducer.consumed());
     }
 }
 
-/// One worker's claim loop: take the next range from the shared cursor
+/// One worker's claim loop: take the next range off the claim cursor
 /// until the schedule or the budget runs out, handing every chunk to
 /// `emit` (which returns `false` once the collector is gone).
 fn work<S: FoldState>(
     sim: &Simulator<'_>,
     backend: Backend,
     ctx: &Ctx<'_, S>,
-    cursor: &AtomicUsize,
     worker: usize,
     emit: &mut dyn FnMut(Chunk<S>) -> bool,
 ) {
@@ -851,12 +842,9 @@ fn work<S: FoldState>(
     // (retries included). Sessions only borrow the simulator, so this is
     // free of synchronization.
     let mut engine = WorkerEngine::new(sim, backend);
-    while !ctx.gate.should_stop() {
-        let start = cursor.fetch_add(engine.claim(), Ordering::Relaxed);
-        if start >= ctx.schedule.len() {
-            break;
-        }
-        let end = (start + engine.claim()).min(ctx.schedule.len());
+    let size = engine.claim();
+    while let Some(start) = ctx.next_claim(size) {
+        let end = (start + size).min(ctx.schedule.len());
         if !fold_claim(&mut engine, ctx, worker, start..end, emit) {
             break;
         }
@@ -930,6 +918,7 @@ fn fold_claim<S: FoldState>(
             acc: (ctx.make)(),
             raw: Vec::new(),
             captured: 0,
+            resumed: 0,
             failures: Vec::new(),
             stats: CaptureStats::default(),
             busy: Duration::ZERO,
@@ -940,6 +929,7 @@ fn fold_claim<S: FoldState>(
             let stimulus = &ctx.schedule[index];
             if let Some(trace) = ctx.resumed.get(&index) {
                 chunk.acc.fold(stimulus.label, trace);
+                chunk.resumed += 1;
                 continue;
             }
             let outcome = match &mut swept {
@@ -1121,6 +1111,7 @@ mod tests {
     use crate::store::resume_checkpoint;
     use acquisition::{classified_schedule, ProtocolConfig};
     use leakage_core::online::{SpectrumAccumulator, SumMode};
+    use leakage_core::ClassifiedTraces;
     use sbox_circuits::{SboxCircuit, Scheme};
 
     fn small_config() -> ProtocolConfig {
@@ -1130,25 +1121,62 @@ mod tests {
         }
     }
 
+    /// A batch capture: `schedule` folded into a trace set under
+    /// `policy`.
+    fn capture_with(
+        sim: &Simulator<'_>,
+        schedule: &[Stimulus],
+        config: &ProtocolConfig,
+        policy: &ExecPolicy,
+        resume: ResumeState<'_>,
+    ) -> (ClassifiedTraces, ExecutorReport) {
+        let make = || ClassifiedTraces::new(16, config.sampling.samples);
+        fold_schedule_into(
+            sim,
+            schedule,
+            &config.sampling,
+            config.seed,
+            policy,
+            resume,
+            &make,
+            None,
+        )
+    }
+
     /// A clean batch capture of `schedule` on `workers` threads.
     fn capture(
         sim: &Simulator<'_>,
         schedule: &[Stimulus],
         config: &ProtocolConfig,
         workers: usize,
-    ) -> (Vec<Vec<f64>>, ExecutorReport) {
+    ) -> (ClassifiedTraces, ExecutorReport) {
         let policy = ExecPolicy {
             workers,
             ..ExecPolicy::default()
         };
-        capture_schedule_with(
-            sim,
-            schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        )
+        capture_with(sim, schedule, config, &policy, ResumeState::fresh())
+    }
+
+    /// `reference`, a complete capture, without the traces at the
+    /// schedule indices in `skipped`.
+    fn without(reference: &ClassifiedTraces, skipped: &[usize]) -> ClassifiedTraces {
+        let mut set = ClassifiedTraces::new(reference.num_classes(), reference.samples());
+        for (index, (class, trace)) in reference.iter().enumerate() {
+            if !skipped.contains(&index) {
+                set.push(class, trace.to_vec());
+            }
+        }
+        set
+    }
+
+    /// The first `n` traces of a complete capture as resume records.
+    fn completed(reference: &ClassifiedTraces, n: usize) -> Vec<(usize, Vec<f64>)> {
+        reference
+            .iter()
+            .take(n)
+            .map(|(_, trace)| trace.to_vec())
+            .enumerate()
+            .collect()
     }
 
     /// A 16-class spectral fold of `schedule` under `policy`.
@@ -1224,14 +1252,8 @@ mod tests {
                     backend,
                     ..ExecPolicy::default()
                 };
-                let (traces, report) = capture_schedule_with(
-                    &sim,
-                    &schedule,
-                    &config.sampling,
-                    config.seed,
-                    &policy,
-                    ResumeState::fresh(),
-                );
+                let (traces, report) =
+                    capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
                 assert_eq!(traces, reference, "{workers} workers / {backend}");
                 assert_eq!(report.stats, event.stats, "{workers} workers / {backend}");
                 assert_eq!(report.backend, Backend::Bitsliced);
@@ -1303,14 +1325,8 @@ mod tests {
             backend: Backend::Bitsliced,
             ..ExecPolicy::default()
         };
-        let (traces, report) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        );
+        let (traces, report) =
+            capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
         assert_eq!(traces, reference);
         assert_eq!(report.backend, Backend::Event);
         assert_eq!(report.lane_utilization, None);
@@ -1329,14 +1345,8 @@ mod tests {
             backend: Backend::Auto,
             ..ExecPolicy::default()
         };
-        let (traces, report) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        );
+        let (traces, report) =
+            capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
         assert_eq!(traces, reference);
         assert_eq!(report.backend, Backend::Event);
         assert!(report.warnings.is_empty());
@@ -1359,14 +1369,8 @@ mod tests {
                 backend: Backend::Bitsliced,
                 ..ExecPolicy::default()
             };
-            let (traces, report) = capture_schedule_with(
-                &sim,
-                &schedule,
-                &config.sampling,
-                config.seed,
-                &policy,
-                ResumeState::fresh(),
-            );
+            let (traces, report) =
+                capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
             assert_eq!(report.retried, 3, "{workers} workers");
             assert_eq!(
                 report
@@ -1376,13 +1380,7 @@ mod tests {
                     .collect::<Vec<_>>(),
                 vec![40]
             );
-            for (i, trace) in traces.iter().enumerate() {
-                if i == 40 {
-                    assert!(trace.is_empty());
-                } else {
-                    assert_eq!(*trace, reference[i], "trace {i} ({workers} workers)");
-                }
-            }
+            assert_eq!(traces, without(&reference, &[40]), "{workers} workers");
             // Faulted indices were carved out of the batch lanes.
             let util = report.lane_utilization.expect("batch ran");
             assert!((util - 60.0 / LANES as f64).abs() < 1e-12, "util {util}");
@@ -1403,14 +1401,8 @@ mod tests {
                 faults: FaultPlan::none().with_transient_panics([0, 9, 31, 63]),
                 ..ExecPolicy::default()
             };
-            let (traces, report) = capture_schedule_with(
-                &sim,
-                &schedule,
-                &config.sampling,
-                config.seed,
-                &policy,
-                ResumeState::fresh(),
-            );
+            let (traces, report) =
+                capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
             assert_eq!(traces, reference, "{workers} workers");
             assert_eq!(report.retried, 4, "{workers} workers");
             assert!(report.quarantined.is_empty());
@@ -1430,14 +1422,8 @@ mod tests {
             faults: FaultPlan::none().with_sticky_panics([5, 40]),
             ..ExecPolicy::default()
         };
-        let (traces, report) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        );
+        let (traces, report) =
+            capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
         assert_eq!(
             report
                 .quarantined
@@ -1448,13 +1434,11 @@ mod tests {
         );
         assert!(report.quarantined.iter().all(|f| f.attempts == 2));
         assert!(report.quarantined[0].message.contains("injected"));
-        for (i, trace) in traces.iter().enumerate() {
-            if i == 5 || i == 40 {
-                assert!(trace.is_empty(), "quarantined slot must stay empty");
-            } else {
-                assert_eq!(*trace, reference[i], "surviving trace {i}");
-            }
-        }
+        assert_eq!(
+            traces,
+            without(&reference, &[5, 40]),
+            "the survivors, in order, and no quarantined trace"
+        );
     }
 
     /// A malformed schedule entry fails typed validation and is
@@ -1476,14 +1460,8 @@ mod tests {
                     backend,
                     ..ExecPolicy::default()
                 };
-                let (traces, report) = capture_schedule_with(
-                    &sim,
-                    &schedule,
-                    &config.sampling,
-                    config.seed,
-                    &policy,
-                    ResumeState::fresh(),
-                );
+                let (traces, report) =
+                    capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
                 let context = format!("{backend}, {workers} workers");
                 assert_eq!(report.backend, backend, "{context}");
                 assert_eq!(report.retried, 0, "{context}");
@@ -1491,13 +1469,7 @@ mod tests {
                 let failure = &report.quarantined[0];
                 assert_eq!((failure.index, failure.attempts), (17, 1), "{context}");
                 assert!(failure.message.contains("final vector"), "{context}");
-                for (i, trace) in traces.iter().enumerate() {
-                    if i == 17 {
-                        assert!(trace.is_empty(), "{context}");
-                    } else {
-                        assert_eq!(*trace, reference[i], "trace {i} ({context})");
-                    }
-                }
+                assert_eq!(traces, without(&reference, &[17]), "{context}");
                 if backend == Backend::Bitsliced {
                     // The malformed index was carved out of the lanes.
                     let util = report.lane_utilization.expect("batch ran");
@@ -1513,11 +1485,7 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let (traces, _) = capture(&sim, &schedule, &config, 1);
-        let mut set = leakage_core::ClassifiedTraces::new(16, config.sampling.samples);
-        for (s, t) in schedule.iter().zip(traces) {
-            set.push(usize::from(s.label), t);
-        }
+        let (set, _) = capture(&sim, &schedule, &config, 1);
         let batch = leakage_core::LeakageSpectrum::from_class_means(&set.class_means());
 
         let mut previous: Option<SpectrumAccumulator> = None;
@@ -1548,17 +1516,15 @@ mod tests {
         merges: Arc<AtomicUsize>,
     }
 
-    impl Merge for CountingFold {
+    impl FoldState for CountingFold {
+        fn fold(&mut self, _label: u16, _trace: &[f64]) {
+            self.traces += 1;
+        }
+
         fn merge(mut self, later: Self) -> Self {
             self.merges.fetch_add(1, Ordering::Relaxed);
             self.traces += later.traces;
             self
-        }
-    }
-
-    impl FoldState for CountingFold {
-        fn fold(&mut self, _label: u16, _trace: &[f64]) {
-            self.traces += 1;
         }
     }
 
@@ -1608,6 +1574,173 @@ mod tests {
                 .map(|i| (i as u64, ((i + 1) * FOLD_CHUNK) as u64))
                 .collect();
             assert_eq!(seen, want, "{workers} workers");
+        }
+    }
+
+    /// A fold state that counts its live copies in a counter every copy
+    /// shares, and their high-water mark in another.
+    struct LiveFold {
+        live: Arc<AtomicUsize>,
+    }
+
+    impl LiveFold {
+        fn new(live: &Arc<AtomicUsize>, peak: &Arc<AtomicUsize>) -> Self {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            Self {
+                live: Arc::clone(live),
+            }
+        }
+    }
+
+    impl Drop for LiveFold {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl FoldState for LiveFold {
+        fn fold(&mut self, _label: u16, _trace: &[f64]) {}
+
+        fn merge(self, _later: Self) -> Self {
+            self
+        }
+    }
+
+    /// While claim 0 stalls, the other workers may run at most
+    /// `workers − 1` bit-sliced claims ahead of it, so the reorder buffer
+    /// parks at most `(workers − 1) × LANES / FOLD_CHUNK` leaves instead
+    /// of every later claim's.
+    #[test]
+    fn claim_window_bounds_the_parked_leaves() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = ProtocolConfig {
+            traces_per_class: 512, // 8,192 traces: 8 claims of 64 leaves
+            ..ProtocolConfig::default()
+        };
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        let workers = 4usize;
+        let per_claim = LANES / FOLD_CHUNK;
+        let policy = ExecPolicy {
+            workers,
+            faults: FaultPlan::none().with_slow_capture(0, 500),
+            backend: Backend::Bitsliced,
+            ..ExecPolicy::default()
+        };
+        let (live, peak) = (Arc::default(), Arc::default());
+        let make = || LiveFold::new(&live, &peak);
+        let (state, report) = fold_schedule_into(
+            &sim,
+            &schedule,
+            &config.sampling,
+            config.seed,
+            &policy,
+            ResumeState::fresh(),
+            &make,
+            None,
+        );
+        drop(state);
+        assert_eq!(report.backend, Backend::Bitsliced);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every leaf state dropped");
+        assert_eq!(report.merge_depth, 8 * per_claim - 1);
+        // Live leaves: the running state, at most `workers − 1` claims'
+        // parked ones, and per worker one leaf being filled plus one
+        // queued in the channel, plus the one the collector is absorbing.
+        let bound = 1 + (workers - 1) * per_claim + 2 * workers + 1;
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= bound, "{peak} live leaf states, bound {bound}");
+
+        // A deadline or a cancel that trips while workers wait on the
+        // window ends them: no claim past the window is started.
+        for cause in [StopCause::Deadline, StopCause::Cancelled] {
+            let token = CancelToken::new();
+            let budget = match cause {
+                StopCause::Cancelled => RunBudget::unlimited().with_cancel(token.clone()),
+                _ => RunBudget::unlimited().with_time_limit(Duration::from_millis(100)),
+            };
+            let policy = ExecPolicy {
+                budget,
+                ..policy.clone()
+            };
+            let (_, report) = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(100));
+                    token.cancel();
+                });
+                fold_schedule_into(
+                    &sim,
+                    &schedule,
+                    &config.sampling,
+                    config.seed,
+                    &policy,
+                    ResumeState::fresh(),
+                    &make,
+                    None,
+                )
+            });
+            assert_eq!(report.interrupted.map(|i| i.cause), Some(cause));
+            assert!(
+                report.merge_depth < workers * per_claim,
+                "{} leaves folded past a stalled claim 0",
+                report.merge_depth
+            );
+        }
+    }
+
+    /// A panic in the collector (here the observer) or in a worker
+    /// (here `make`) closes the claims, so workers waiting on the window
+    /// behind a stalled claim 0 exit and the panic propagates instead
+    /// of hanging the run.
+    #[test]
+    fn a_panic_ends_workers_waiting_on_the_window() {
+        for panic_in_make in [false, true] {
+            // A detached thread, so a hung run fails the test instead of
+            // hanging it.
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let circuit = SboxCircuit::build(Scheme::Opt);
+                let config = ProtocolConfig {
+                    traces_per_class: 16, // 256 traces: 16 single-leaf claims
+                    ..ProtocolConfig::default()
+                };
+                let sim = Simulator::new(circuit.netlist(), &config.sim);
+                let schedule = classified_schedule(&circuit, &config);
+                let policy = ExecPolicy {
+                    workers: 4,
+                    faults: FaultPlan::none().with_slow_capture(0, 300),
+                    ..ExecPolicy::default()
+                };
+                let made = AtomicUsize::new(0);
+                let make = || {
+                    let n = made.fetch_add(1, Ordering::SeqCst);
+                    assert!(!panic_in_make || n != 1, "make failed");
+                    SpectrumAccumulator::new(16, config.sampling.samples, SumMode::Exact)
+                };
+                let mut observe = |_: u64, _: &SpectrumAccumulator| panic!("observer failed");
+                let observer: Option<ChunkObserver<'_, SpectrumAccumulator>> =
+                    (!panic_in_make).then_some(&mut observe);
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    fold_schedule_into(
+                        &sim,
+                        &schedule,
+                        &config.sampling,
+                        config.seed,
+                        &policy,
+                        ResumeState::fresh(),
+                        &make,
+                        observer,
+                    )
+                }));
+                let _ = done_tx.send(outcome.is_err());
+            });
+            let propagated = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("the run hung after a panic");
+            assert!(
+                propagated,
+                "panic_in_make={panic_in_make}: the panic was lost"
+            );
         }
     }
 
@@ -1709,19 +1842,16 @@ mod tests {
         let (_, mut writer) = resume_checkpoint(&path, &meta).expect("ckpt");
 
         // First 40 indices "already done" by a previous run.
-        let completed: Vec<(usize, Vec<f64>)> =
-            reference.iter().take(40).cloned().enumerate().collect();
-        let (traces, report) = capture_schedule_with(
+        let (traces, report) = capture_with(
             &sim,
             &schedule,
-            &config.sampling,
-            config.seed,
+            &config,
             &ExecPolicy {
                 workers: 2,
                 ..ExecPolicy::default()
             },
             ResumeState {
-                completed,
+                completed: completed(&reference, 40),
                 checkpoint: Some(&mut writer),
                 sync_every: 8,
             },
@@ -1775,11 +1905,10 @@ mod tests {
             budget: RunBudget::unlimited().with_max_new_traces(20),
             ..ExecPolicy::default()
         };
-        let (_, report) = capture_schedule_with(
+        let (_, report) = capture_with(
             &sim,
             &schedule,
-            &config.sampling,
-            config.seed,
+            &config,
             &policy,
             ResumeState {
                 completed: Vec::new(),
@@ -1803,11 +1932,10 @@ mod tests {
             .into_iter()
             .map(|(i, _, t)| (i as usize, t))
             .collect();
-        let (traces, report) = capture_schedule_with(
+        let (traces, report) = capture_with(
             &sim,
             &schedule,
-            &config.sampling,
-            config.seed,
+            &config,
             &ExecPolicy::default(),
             ResumeState {
                 completed,
@@ -1820,6 +1948,51 @@ mod tests {
         assert_eq!(traces, reference, "resumed run must be bit-identical");
         drop(writer);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A budget stop on a resumed batch run folds the claimed prefix,
+    /// resumed traces included; resumed traces past it are neither in
+    /// the set nor counted as resumed, so the set, the remaining and the
+    /// quarantined indices add up to the schedule.
+    #[test]
+    fn interrupted_resume_accounts_for_every_index() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = small_config(); // 64 traces: four leaves
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
+        // Four resumed traces in leaf 0, sixteen (all of leaf 3) past the
+        // prefix the budget lets the run claim.
+        let resumed = completed(&reference, 64)
+            .into_iter()
+            .filter(|(i, _)| *i < 4 || *i >= 48)
+            .collect();
+        let policy = ExecPolicy {
+            workers: 1,
+            budget: RunBudget::unlimited().with_max_new_traces(20),
+            ..ExecPolicy::default()
+        };
+        let (traces, report) = capture_with(
+            &sim,
+            &schedule,
+            &config,
+            &policy,
+            ResumeState {
+                completed: resumed,
+                ..ResumeState::fresh()
+            },
+        );
+        // Leaf 0 captures 12 (12 < 20), leaf 1 captures 16: the budget
+        // trips after a 32-trace prefix holding 4 resumed traces.
+        let interruption = report.interrupted.expect("budget must interrupt");
+        assert_eq!(traces.len(), 32);
+        assert_eq!(traces, without(&reference, &(32..64).collect::<Vec<_>>()));
+        assert_eq!(report.resumed, 4);
+        assert_eq!(interruption.remaining, 32);
+        assert_eq!(
+            traces.len() + interruption.remaining + report.quarantined.len(),
+            schedule.len()
+        );
     }
 
     #[test]
@@ -1836,18 +2009,12 @@ mod tests {
                 budget: RunBudget::unlimited().with_cancel(token.clone()),
                 ..ExecPolicy::default()
             };
-            let (traces, report) = capture_schedule_with(
-                &sim,
-                &schedule,
-                &config.sampling,
-                config.seed,
-                &policy,
-                ResumeState::fresh(),
-            );
+            let (traces, report) =
+                capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
             let interruption = report.interrupted.expect("cancelled run must report it");
             assert_eq!(interruption.cause, StopCause::Cancelled);
             assert_eq!(interruption.remaining, schedule.len());
-            assert!(traces.iter().all(|t| t.is_empty()), "{workers} workers");
+            assert!(traces.is_empty(), "{workers} workers");
         }
     }
 
@@ -1862,14 +2029,7 @@ mod tests {
             budget: RunBudget::unlimited().with_time_limit(Duration::ZERO),
             ..ExecPolicy::default()
         };
-        let (_, report) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        );
+        let (_, report) = capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
         assert_eq!(
             report.interrupted.map(|i| i.cause),
             Some(StopCause::Deadline)
@@ -1900,14 +2060,8 @@ mod tests {
             capture_timeout: Some(Duration::from_millis(50)),
             ..ExecPolicy::default()
         };
-        let (traces, report) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        );
+        let (traces, report) =
+            capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
         assert_eq!(traces, reference, "watchdog retry must be bit-identical");
         assert_eq!(report.retried, 1);
         assert!(report.quarantined.is_empty());
@@ -1921,14 +2075,7 @@ mod tests {
             capture_timeout: Some(Duration::from_millis(50)),
             ..ExecPolicy::default()
         };
-        let (_, report) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &policy,
-            ResumeState::fresh(),
-        );
+        let (_, report) = capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].index, 3);
         assert!(
@@ -1958,19 +2105,13 @@ mod tests {
             workers: 1,
             ..ExecPolicy::default()
         };
-        let (reference, _) = capture_schedule_with(
-            &sim,
-            &schedule,
-            &config.sampling,
-            config.seed,
-            &clean,
-            ResumeState::fresh(),
-        );
+        let (reference, _) = capture_with(&sim, &schedule, &config, &clean, ResumeState::fresh());
         let make = || SpectrumAccumulator::new(16, config.sampling.samples, SumMode::Exact);
 
-        // One run on either entry point, checkpointing into a fresh file
-        // and resuming the first five indices: the checkpoint bytes plus
-        // the report's accounting.
+        // One run per fold state (the trace set or the spectral
+        // accumulators), checkpointing into a fresh file and resuming the
+        // first five indices: the checkpoint bytes plus the report's
+        // accounting.
         let run = |policy: &ExecPolicy, batch: bool| {
             let path = std::env::temp_dir().join(format!(
                 "executor-equiv-{}-{:?}-{batch}.sckp",
@@ -1980,19 +2121,12 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             let (_, mut writer) = resume_checkpoint(&path, &meta).expect("ckpt");
             let resume = ResumeState {
-                completed: reference.iter().take(5).cloned().enumerate().collect(),
+                completed: completed(&reference, 5),
                 checkpoint: Some(&mut writer),
                 sync_every: 8,
             };
             let report = if batch {
-                let (traces, report) = capture_schedule_with(
-                    &sim,
-                    &schedule,
-                    &config.sampling,
-                    config.seed,
-                    policy,
-                    resume,
-                );
+                let (traces, report) = capture_with(&sim, &schedule, &config, policy, resume);
                 assert_eq!(traces, reference);
                 report
             } else {

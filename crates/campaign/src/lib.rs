@@ -8,8 +8,8 @@
 //!   protocol split in `acquisition` (schedule first, capture per
 //!   trace), bit-identical for any worker count including 1. Streamed
 //!   spectra and attacks fold into online accumulators; batch
-//!   acquisitions run the same pipeline with an empty fold and keep the
-//!   raw traces ([`capture_schedule_with`]);
+//!   acquisitions fold into a [`ClassifiedTraces`] set, which keeps the
+//!   traces in schedule order;
 //! * the **trace store** ([`StoreWriter`]/[`StoreReader`]) — the
 //!   versioned, checksummed `SCTR` binary format under
 //!   `results/traces/`;
@@ -64,8 +64,8 @@ pub use cache::{config_digest, CacheMode, CampaignKey, TraceCache};
 pub use digest::{fnv1a, Digest};
 pub use error::CampaignError;
 pub use executor::{
-    capture_schedule_with, fold_schedule_into, resolve_workers, CancelToken, CaptureFailure,
-    ExecPolicy, ExecutorReport, Interruption, ResumeState, RunBudget, StopCause, WorkerLoad,
+    fold_schedule_into, resolve_workers, CancelToken, CaptureFailure, ExecPolicy, ExecutorReport,
+    Interruption, ResumeState, RunBudget, StopCause, WorkerLoad,
 };
 pub use fault::{FaultPlan, InjectedFault};
 pub use iofault::{FallibleWriter, WriteFaults};
@@ -86,8 +86,7 @@ pub use leakage_core::online::{ChunkFold, ChunkObserver, FoldState, SpectrumAccu
 pub use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
 use aging::AgingConditions;
-use cell::Device;
-use executor::NoFold;
+use cell::{Device, PERSIST};
 use leakage_core::{ClassifiedTraces, LeakageSpectrum};
 use sbox_circuits::{SboxCircuit, Scheme};
 
@@ -166,16 +165,6 @@ impl Default for CampaignConfig {
             budget: RunBudget::unlimited(),
             capture_timeout: None,
             backend: Backend::Event,
-        }
-    }
-}
-
-impl CampaignConfig {
-    /// A campaign with a specific protocol and the default policy.
-    pub fn with_protocol(protocol: ProtocolConfig) -> Self {
-        Self {
-            protocol,
-            ..Self::default()
         }
     }
 }
@@ -315,12 +304,10 @@ impl Campaign {
         let (seed, traces, samples) =
             (p.seed, p.traces_per_class * NUM_CLASSES, p.sampling.samples);
         let key = self.key(&subject, months, seed, traces, None);
+        let make = || ClassifiedTraces::new(NUM_CLASSES, samples);
         let mut device = Device::new(subject, months);
-        self.cell(&key, &mut device, &|| NoFold, None, true, |capture| {
-            let mut traces = ClassifiedTraces::new(NUM_CLASSES, samples);
-            for (label, trace) in capture.records {
-                traces.push(usize::from(label), trace);
-            }
+        self.cell(&key, &mut device, &make, None, PERSIST, |capture| {
+            let traces = capture.state;
             CampaignOutcome {
                 scheme: subject.scheme(),
                 age_months: months,
@@ -374,7 +361,7 @@ impl Campaign {
         let key = self.key(&subject, months, seed, traces, None);
         let make = || SpectrumAccumulator::new(NUM_CLASSES, samples, SumMode::Exact);
         let mut device = Device::new(subject, months);
-        self.cell(&key, &mut device, &make, None, false, |capture| {
+        self.cell(&key, &mut device, &make, None, None, |capture| {
             let acc = capture.state;
             SpectrumOutcome {
                 scheme: subject.scheme(),
@@ -405,12 +392,15 @@ impl Campaign {
         assert!(key < 16);
         assert!(traces > 0);
         let subject = subject.into();
-        let seed = self.config.protocol.seed;
+        let p = &self.config.protocol;
+        let (seed, samples) = (p.seed, p.sampling.samples);
         let cell = self.key(&subject, 0.0, seed, traces, Some(key));
+        let make = || ClassifiedTraces::new(NUM_CLASSES, samples);
         let mut device = Device::new(subject, 0.0);
-        self.cell(&cell, &mut device, &|| NoFold, None, true, |capture| {
+        self.cell(&cell, &mut device, &make, None, PERSIST, |capture| {
+            // The CPA set's labels are its plaintext nibbles.
             let (plaintexts, traces) = capture
-                .records
+                .state
                 .into_iter()
                 .map(|(plaintext, trace)| (plaintext as u8, trace))
                 .unzip();
@@ -456,15 +446,37 @@ mod tests {
         })
     }
 
+    /// Batch cells fold into their trace sets through the in-order
+    /// chain: each set equals the sequential acquisition's, in order, at
+    /// any worker count on either backend, and the report carries the
+    /// chain's length.
     #[test]
     fn matches_sequential_acquisition_exactly() {
         let dir = tmp_dir("seq");
-        let mut campaign = small_campaign(&dir, CacheMode::Off);
-        let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
         let circuit = SboxCircuit::build(Scheme::Opt);
-        let reference = acquisition::acquire(&circuit, &campaign.config().protocol);
-        assert_eq!(outcome.traces, reference);
-        assert!(!outcome.cache_hit);
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            for workers in [1, 3] {
+                let what = format!("{backend}, {workers} workers");
+                let mut campaign = small_campaign(&dir, CacheMode::Off);
+                campaign.config.protocol.traces_per_class = 5; // five leaves
+                campaign.config.workers = workers;
+                campaign.config.backend = backend;
+                let protocol = campaign.config().protocol.clone();
+                let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
+                let reference = acquisition::acquire(&circuit, &protocol);
+                assert_eq!(outcome.traces, reference, "{what}");
+                assert!(!outcome.cache_hit);
+                let report = campaign.log().reports().last().unwrap();
+                assert!(!report.streamed, "{what}");
+                assert_eq!(report.merge_depth, 4, "{what}");
+
+                let cpa = campaign.acquire_cpa(Scheme::Opt, 0xB, 40);
+                let reference = acquisition::acquire_cpa(&circuit, &protocol, 0xB, 40);
+                assert_eq!(cpa, reference, "{what}");
+                let report = campaign.log().reports().last().unwrap();
+                assert_eq!(report.merge_depth, 2, "{what}: 40 traces, three leaves");
+            }
+        }
     }
 
     #[test]
@@ -485,6 +497,10 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert!(reports[0].stats.events > 0);
         assert_eq!(reports[1].stats.events, 0, "hit must not simulate");
+        // 32 traces: two leaves, whether folded from capture or store.
+        assert_eq!(reports[0].merge_depth, 1);
+        assert_eq!(reports[1].merge_depth, 1);
+        assert_eq!(reports[1].peak_resident, 1, "one record read at a time");
         assert_eq!(campaign.log().cache_hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -90,20 +90,22 @@ pub struct RunReport {
     /// Trace indices that failed at least once but were recovered by a
     /// seed-stable retry.
     pub retried: usize,
-    /// Trace indices that failed every allowed attempt and were dropped
-    /// from the set.
+    /// Trace indices that failed every allowed attempt: they fold zero
+    /// times, so the fold state lacks them.
     pub quarantined: usize,
-    /// Traces served from a previous run's checkpoint instead of
-    /// simulated.
+    /// Traces folded from a previous run's checkpoint instead of
+    /// simulated. A budget stop folds the claimed prefix only, so
+    /// checkpointed traces past it are not counted.
     pub resumed: usize,
     /// Whether this run streamed traces through online accumulators
-    /// instead of materializing the set.
+    /// instead of folding them into a trace set.
     pub streamed: bool,
-    /// Peak number of newly captured traces resident in memory at once
-    /// (0 for batch runs, which retain everything by design).
+    /// Peak number of newly captured traces in flight outside the fold
+    /// state at once (1 on a cache hit, which reads one record at a
+    /// time). What the fold state keeps is not counted.
     pub peak_resident: usize,
-    /// Merges in the streamed fold chain: leaves − 1, the same on a
-    /// cache hit and a miss (0 for batch runs).
+    /// Merges in the fold chain: leaves − 1, the same on a cache hit and
+    /// a miss, batch and streamed cells alike.
     pub merge_depth: usize,
     /// Records this run healed (re-captured seed-stably by a scrub pass;
     /// 0 for ordinary acquisitions).

@@ -31,10 +31,11 @@ use std::path::{Path, PathBuf};
 
 use acquisition::{ProtocolConfig, NUM_CLASSES};
 use gatesim::Simulator;
+use leakage_core::ClassifiedTraces;
 use sbox_circuits::Scheme;
 
 use crate::cell::{key_schedule, Device};
-use crate::executor::{capture_schedule_with, ExecPolicy, ResumeState, RunBudget};
+use crate::executor::{fold_schedule_into, ExecPolicy, ResumeState, RunBudget};
 use crate::report::StageTimer;
 use crate::store::{salvage_store, StoreKind, StoreReader, StoreSalvage, StoreWriter};
 use crate::{Campaign, Subject};
@@ -259,7 +260,8 @@ impl Campaign {
             budget: RunBudget::unlimited(),
             ..self.exec_policy()
         };
-        let (raw, exec) = capture_schedule_with(
+        let make = || ClassifiedTraces::new(NUM_CLASSES, protocol.sampling.samples);
+        let (set, exec) = fold_schedule_into(
             &sim,
             &schedule,
             &protocol.sampling,
@@ -270,6 +272,8 @@ impl Campaign {
                 checkpoint: None,
                 sync_every: 0,
             },
+            &make,
+            None,
         );
         if !exec.quarantined.is_empty() {
             return Err(format!(
@@ -291,8 +295,8 @@ impl Campaign {
         let write = || -> Result<(), crate::store::StoreError> {
             let mut writer =
                 StoreWriter::create_with(path, meta.clone(), self.config.faults.write_faults())?;
-            for (stimulus, samples) in schedule.iter().zip(&raw) {
-                writer.record(stimulus.label, samples)?;
+            for (label, samples) in set.iter() {
+                writer.record(label as u16, samples)?;
             }
             writer.finish()
         };

@@ -1,9 +1,15 @@
 //! Class-labelled trace storage and mean estimation.
 
+use crate::online::FoldState;
 use crate::stats::ExactRow;
 
 /// Power traces grouped by the unmasked final value ("class") they were
 /// captured under, following the paper's protocol of 16 balanced classes.
+///
+/// It is also the [`FoldState`] of a batch acquisition: `fold` appends
+/// a copy of the trace, and `merge` appends the later set after the
+/// earlier one, so a fold chain that merges leaves in schedule order
+/// yields the traces in schedule order.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,6 +141,34 @@ impl ClassifiedTraces {
     }
 }
 
+impl IntoIterator for ClassifiedTraces {
+    type Item = (usize, Vec<f64>);
+    type IntoIter = std::vec::IntoIter<(usize, Vec<f64>)>;
+
+    /// The traces in acquisition order as owned `(class, trace)` pairs.
+    fn into_iter(self) -> Self::IntoIter {
+        self.traces.into_iter()
+    }
+}
+
+impl FoldState for ClassifiedTraces {
+    fn fold(&mut self, label: u16, trace: &[f64]) {
+        self.push(usize::from(label), trace.to_vec());
+    }
+
+    /// Append `later`'s traces after `self`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class or sample counts differ.
+    fn merge(mut self, later: Self) -> Self {
+        assert_eq!(self.num_classes, later.num_classes, "class count mismatch");
+        assert_eq!(self.samples, later.samples, "sample count mismatch");
+        self.traces.extend(later.traces);
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,5 +229,31 @@ mod tests {
         }
         assert_eq!(set.class_means()[0], vec![0.5]);
         assert_eq!(set.grand_mean(), vec![0.5]);
+    }
+
+    #[test]
+    fn fold_and_merge_keep_schedule_order() {
+        let mut early = ClassifiedTraces::new(4, 1);
+        early.fold(3, &[0.0]);
+        early.fold(1, &[1.0]);
+        let mut later = ClassifiedTraces::new(4, 1);
+        later.fold(0, &[2.0]);
+        later.fold(3, &[3.0]);
+        let order = |set: &ClassifiedTraces| -> Vec<(usize, f64)> {
+            set.iter().map(|(c, t)| (c, t[0])).collect()
+        };
+        let want = vec![(3, 0.0), (1, 1.0), (0, 2.0), (3, 3.0)];
+        assert_eq!(order(&early.clone().merge(later.clone())), want);
+        // The fold chain restores schedule order from any arrival order.
+        let mut chain = crate::online::TreeReducer::new();
+        chain.push(1, later);
+        chain.push(0, early);
+        assert_eq!(order(&chain.finish().expect("two leaves")), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample count mismatch")]
+    fn merge_rejects_a_shape_mismatch() {
+        let _ = ClassifiedTraces::new(4, 2).merge(ClassifiedTraces::new(4, 3));
     }
 }

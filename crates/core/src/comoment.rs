@@ -39,7 +39,6 @@
 //! assert_eq!(acc.pearson(0, 1), 0.0); // constant sample: undefined → 0
 //! ```
 
-use crate::online::Merge;
 use crate::stats::ExactRow;
 
 /// Count and exact co-moment sums between `channels` hypothesis streams
@@ -304,13 +303,6 @@ impl CellReader<'_> {
     }
 }
 
-impl Merge for CoMomentAccumulator {
-    fn merge(mut self, later: Self) -> Self {
-        self.merge_from(&later);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,7 +372,8 @@ mod tests {
                 b.fold(h, x);
             }
         }
-        let merged = a.merge(b);
+        let mut merged = a;
+        merged.merge_from(&b);
         assert_eq!(merged.count(), 50);
         for c in 0..2 {
             for t in 0..3 {
@@ -448,7 +441,8 @@ mod tests {
     fn merging_an_empty_shard_changes_nothing() {
         let mut a = CoMomentAccumulator::new(1, 2);
         a.fold(&[1.0], &[0.5, 2.0]);
-        let merged = a.clone().merge(CoMomentAccumulator::new(1, 2));
+        let mut merged = a.clone();
+        merged.merge_from(&CoMomentAccumulator::new(1, 2));
         assert_eq!(merged.count(), 1);
         assert_eq!(merged.channel_mean(0), a.channel_mean(0));
     }

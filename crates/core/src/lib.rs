@@ -57,6 +57,6 @@ mod window_guard;
 
 pub use classes::ClassifiedTraces;
 pub use comoment::CoMomentAccumulator;
-pub use online::{ChunkFold, ClassAccumulator, FoldState, Merge, SpectrumAccumulator, SumMode};
+pub use online::{ChunkFold, ClassAccumulator, FoldState, SpectrumAccumulator, SumMode};
 pub use spectrum::LeakageSpectrum;
 pub use wht::{psi, spectrum_of, walsh_hadamard};

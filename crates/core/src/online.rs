@@ -34,13 +34,15 @@
 //! way), whatever shape the merges take. A fold is a shift and an
 //! integer add per sample, a merge an integer add per sum.
 //!
-//! The chunk grid is therefore not what makes results reproducible. It
-//! is one in-order chain: a [`TreeReducer`] parks leaves that arrive
-//! early, merges each leaf into its running state once its turn comes,
-//! and hands that *prefix* state to a [`ChunkObserver`] in schedule
-//! order, whichever worker finished first. Buffered state is the
-//! running state plus the parked leaves. See DESIGN.md §"Streaming
-//! spectral analysis".
+//! The chunk grid is therefore not what makes accumulator results
+//! reproducible; it is what keeps a
+//! [`ClassifiedTraces`](crate::ClassifiedTraces) fold, a trace list
+//! whose merge appends, in schedule order. It is one in-order chain: a
+//! [`TreeReducer`] parks leaves that arrive early, merges each leaf into
+//! its running state once its turn comes, and hands that *prefix* state
+//! to a [`ChunkObserver`] in schedule order, whichever worker finished
+//! first. Buffered state is the running state plus the parked leaves.
+//! See DESIGN.md §"Streaming spectral analysis".
 //!
 //! # Example
 //!
@@ -275,11 +277,6 @@ impl SpectrumAccumulator {
         self.classes.iter().map(|c| c.mean()).collect()
     }
 
-    /// Per-class population variances per sample.
-    pub fn class_variances(&self) -> Vec<Vec<f64>> {
-        self.classes.iter().map(|c| c.variance()).collect()
-    }
-
     /// The leakage spectrum of the folded traces.
     ///
     /// # Panics
@@ -303,50 +300,38 @@ impl SpectrumAccumulator {
     }
 }
 
-/// A shard state that [`TreeReducer`] can pairwise-combine.
-///
-/// `merge` consumes `self` as the **earlier** operand (in schedule
-/// order) and `later` as the later one. Implementations must be
-/// associative and commutative in their results: the exact-sum states
-/// of this crate yield identical bits under any grouping, which is what
-/// makes a fold worker-count invariant. [`TreeReducer`] merges each
-/// leaf once, into the running prefix of everything before it.
-pub trait Merge: Sized {
-    /// Combine the earlier shard `self` with the `later` shard.
-    fn merge(self, later: Self) -> Self;
-}
-
-impl Merge for SpectrumAccumulator {
-    fn merge(self, later: Self) -> Self {
-        SpectrumAccumulator::merge(self, later)
-    }
-}
-
-impl Merge for ClassAccumulator {
-    fn merge(mut self, later: Self) -> Self {
-        ClassAccumulator::merge(&mut self, &later);
-        self
-    }
-}
-
 /// Any per-run analysis state the chunk grid can accumulate: fold one
-/// labelled trace at a time, merge leaf states pairwise.
+/// labelled trace at a time, merge leaf states in schedule order.
 ///
 /// The spectral pipeline's [`SpectrumAccumulator`] is one
 /// implementation; the attack engine folds per-key-guess co-moment
-/// state through the same grid, and composite states fold both in a
-/// single pass over the traces. Worker-count invariance comes from the
-/// state's exact sums (see [`Merge`]): the same schedule folds to the
-/// same bits however its chunks are grouped. The grid itself only
-/// orders the prefix states a [`ChunkObserver`] sees.
-pub trait FoldState: Merge + Send {
+/// state through the same grid, composite states fold both in a single
+/// pass over the traces, and a [`ClassifiedTraces`](crate::ClassifiedTraces)
+/// set keeps the traces themselves.
+///
+/// `merge` consumes `self` as the **earlier** operand (in schedule
+/// order) and `later` as the later one, and must be associative. That
+/// is all a [`TreeReducer`] needs: it merges each leaf once, into the
+/// running prefix of everything before it, so the result is the
+/// schedule-order fold whichever worker finished first. The exact-sum
+/// states of this crate are moreover grouping invariant (any order of
+/// merges gives the same bits); a trace list is not, and relies on the
+/// chain's order.
+pub trait FoldState: Sized + Send {
     /// Fold one captured trace under its stimulus label.
     fn fold(&mut self, label: u16, trace: &[f64]);
+
+    /// Combine the earlier shard `self` with the `later` shard.
+    fn merge(self, later: Self) -> Self;
 }
 
 impl FoldState for SpectrumAccumulator {
     fn fold(&mut self, label: u16, trace: &[f64]) {
         SpectrumAccumulator::fold(self, usize::from(label), trace);
+    }
+
+    fn merge(self, later: Self) -> Self {
+        SpectrumAccumulator::merge(self, later)
     }
 }
 
@@ -367,20 +352,20 @@ pub type ChunkObserver<'o, T> = &'o mut dyn FnMut(u64, &T);
 /// finished first, and merges each leaf exactly once (`leaves − 1`
 /// merges in all). After each merge an optional [`ChunkObserver`]
 /// ([`observed`](Self::observed)) sees the prefix state — the attack
-/// engine's rank snapshots. The folded result does not depend on the
-/// arrival order: the exact-sum states are grouping invariant by
-/// themselves (see [`Merge`]). It is generic over the shard state: the
-/// spectral pipeline reduces [`SpectrumAccumulator`]s, the attack
-/// engine its co-moment state, and joint (spectral + attack) folds a
-/// composite.
+/// engine's rank snapshots. Because every merge takes the prefix as its
+/// earlier operand, the result is the schedule-order fold whatever the
+/// arrival order (see [`FoldState`]). It is generic over the shard
+/// state: the spectral pipeline reduces [`SpectrumAccumulator`]s, the
+/// attack engine its co-moment state, joint (spectral + attack) folds a
+/// composite, and batch acquisitions a
+/// [`ClassifiedTraces`](crate::ClassifiedTraces) set.
 ///
 /// Memory: one running state plus every leaf that arrived ahead of a
-/// leaf still missing. Nothing bounds the latter by the number of
-/// in-flight workers: the campaign executor drains its channel into
-/// this buffer at once, and a bit-sliced claim delivers
-/// `LANES / FOLD_CHUNK` leaves together, so every claim that finishes
-/// while an earlier claim is still capturing parks all of its leaves
-/// here until the gap closes.
+/// leaf still missing. The buffer itself is unbounded; its producer
+/// bounds it. The campaign executor lets no worker start a claim more
+/// than `workers` lane batches (`workers × LANES` traces) past the
+/// claim holding the next leaf, so fewer than `workers × LANES /
+/// FOLD_CHUNK` leaves wait here.
 pub struct TreeReducer<'o, T = SpectrumAccumulator> {
     /// Next sequence number the chain will accept.
     next: u64,
@@ -414,7 +399,7 @@ impl<T: fmt::Debug> fmt::Debug for TreeReducer<'_, T> {
     }
 }
 
-impl<'o, T: Merge> TreeReducer<'o, T> {
+impl<'o, T: FoldState> TreeReducer<'o, T> {
     /// Empty reducer.
     pub fn new() -> Self {
         Self::default()

@@ -4,8 +4,10 @@
 //!
 //! The sweep goes through `acquire_spectrum_aged`, so `SCA_STREAM=on`
 //! reproduces the figure bit-for-bit in bounded memory: the streamed
-//! fold sums exactly, and the 35-cell sweep never holds more than one
-//! in-flight trace per worker.
+//! fold sums exactly, and no cell's trace set is materialized. What a
+//! cell holds is bounded by the worker count, not the trace budget:
+//! each worker's claim in flight (up to 1,024 lanes on the bit-sliced
+//! backend) and the fold chain's parked leaves.
 
 use experiments::{campaign_from_args, finish_campaign, sci, CsvSink};
 use sbox_circuits::Scheme;

@@ -67,11 +67,6 @@ impl Bdd {
         }
     }
 
-    /// Number of live nodes (including the two terminals).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn mk(&mut self, var: u32, low: NodeId, high: NodeId) -> NodeId {
         if low == high {
             return low;

@@ -40,19 +40,6 @@ impl ProbingProfile {
             .map(|(_, &b)| b)
             .fold(0.0, f64::max)
     }
-
-    /// Nets whose bias exceeds `threshold`, most biased first.
-    pub fn biased_nets(&self, threshold: f64) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self
-            .value_bias
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, b)| b > threshold)
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v
-    }
 }
 
 /// Exhaustively evaluate the circuit over its whole (class × mask) space

@@ -1,14 +1,13 @@
 //! Event-driven simulation throughput per scheme, a one-shot ISW
 //! capture, the process-variation σ sweep of simulator construction,
-//! and the capture-path shootout: frozen pre-rework engine vs. a fresh
-//! `CaptureSession` per capture vs. a reused one.
+//! and the capture-path shootout: a fresh `CaptureSession` per capture
+//! vs. a reused one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gatesim::{SamplingConfig, SimConfig, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
-use sca_bench::legacy::legacy_capture_with_rng_stats;
 
 fn bench_transitions(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/transition");
@@ -60,13 +59,12 @@ fn bench_capture_and_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The capture-path comparison on the ISW netlist: the frozen
-/// pre-rework path (`legacy`, heap queue + per-call allocation), a
-/// fresh session and trace `Vec` per capture (`alloc_per_capture`), a
-/// session reused across iterations with a fresh trace `Vec` each
-/// (`session_reuse`), and the fully allocation-free leg reusing both
-/// (`session_capture_into`). All four produce bit-identical traces —
-/// see `sca_bench::legacy::tests`.
+/// The capture-path comparison on the ISW netlist: a fresh session and
+/// trace `Vec` per capture (`alloc_per_capture`), a session reused
+/// across iterations with a fresh trace `Vec` each (`session_reuse`),
+/// and the fully allocation-free leg reusing both
+/// (`session_capture_into`). All three run the same session code and
+/// produce bit-identical traces.
 fn bench_capture_paths(c: &mut Criterion) {
     let circuit = SboxCircuit::build(Scheme::Isw);
     let sim = Simulator::new(circuit.netlist(), &SimConfig::default());
@@ -76,12 +74,6 @@ fn bench_capture_paths(c: &mut Criterion) {
     let sampling = SamplingConfig::default();
 
     let mut group = c.benchmark_group("simulator/capture_path_isw");
-    group.bench_function("legacy", |b| {
-        b.iter(|| {
-            let mut noise = SmallRng::seed_from_u64(11);
-            legacy_capture_with_rng_stats(&sim, &initial, &final_inputs, &sampling, &mut noise)
-        })
-    });
     group.bench_function("alloc_per_capture", |b| {
         b.iter(|| {
             let mut noise = SmallRng::seed_from_u64(11);

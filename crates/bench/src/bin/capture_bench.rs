@@ -1,11 +1,9 @@
 //! Measured capture-throughput comparison → `BENCH_capture.json`.
 //!
 //! Runs the same single-threaded trace schedule (the acquisition
-//! protocol's classified schedule on the ISW netlist) through four
+//! protocol's classified schedule on the ISW netlist) through six
 //! capture paths and reports traces/sec and events/sec for each:
 //!
-//! * `legacy` — the frozen pre-rework engine (`BinaryHeap` queue,
-//!   per-call scratch allocation, full-buffer waveform indexing);
 //! * `alloc_per_capture` — a fresh [`gatesim::CaptureSession`] and a
 //!   fresh trace `Vec` per capture (`sim.session()` + `capture_into`).
 //!   Sessions borrow the netlist the `Simulator` compiled once, so
@@ -34,11 +32,13 @@
 //!   its folded state is checked bit-equal to the event engine's exact
 //!   fold of the same schedule.
 //!
-//! All capture paths produce bit-identical traces (asserted here on the
-//! first pass and in `sca_bench::legacy`'s tests), so the ratios are
-//! pure engine cost; the streaming leg additionally asserts, once per
-//! pass, that the folded spectrum matches the batch analysis bit for
-//! bit. Every ratio looks its legs up by name. Usage:
+//! All capture paths produce bit-identical traces: the event legs run
+//! the same session code (whose raw captures `tests/conformance.rs`
+//! pins), and the bit-sliced batch is checked against the session on
+//! the first stimulus before timing, so the ratios are pure engine
+//! cost; the streaming leg additionally asserts, once per pass, that
+//! the folded spectrum matches the batch analysis bit for bit. Every
+//! ratio looks its legs up by name. Usage:
 //!
 //! ```text
 //! cargo run --release -p sca-bench --bin capture_bench [--quick] [--out PATH]
@@ -53,7 +53,6 @@ use leakage_core::{ChunkFold, ClassifiedTraces, LeakageSpectrum, SpectrumAccumul
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
-use sca_bench::legacy::legacy_capture_with_rng_stats;
 
 struct Leg {
     name: &'static str,
@@ -167,24 +166,6 @@ fn main() {
         schedule.len(),
         if quick { " (quick)" } else { "" },
     );
-
-    // Sanity: all four paths agree on the first stimulus before timing.
-    {
-        let (s, seed) = &schedule[0];
-        let mut r = SmallRng::seed_from_u64(*seed);
-        let reference =
-            legacy_capture_with_rng_stats(&sim, &s.initial, &s.final_inputs, &sampling, &mut r).0;
-        let mut r = SmallRng::seed_from_u64(*seed);
-        let mut via_session = Vec::new();
-        sim.session().capture_into(
-            &s.initial,
-            &s.final_inputs,
-            &sampling,
-            &mut r,
-            &mut via_session,
-        );
-        assert_eq!(reference, via_session, "legacy and session paths diverge");
-    }
 
     // References captured once on the event engine: the batch analysis,
     // which the streaming leg's folded spectrum must reproduce bitwise
@@ -336,20 +317,6 @@ fn main() {
         passes,
         vec![
             Runner {
-                name: "legacy",
-                capture: Box::new(|s, seed| {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    legacy_capture_with_rng_stats(
-                        &sim,
-                        &s.initial,
-                        &s.final_inputs,
-                        &sampling,
-                        &mut rng,
-                    )
-                    .1
-                }),
-            },
-            Runner {
                 name: "alloc_per_capture",
                 capture: Box::new(|s, seed| {
                     let mut rng = SmallRng::seed_from_u64(seed);
@@ -414,9 +381,8 @@ fn main() {
         };
         rate(a) / rate(b)
     };
-    let vs_legacy = ratio("session_reuse", "legacy");
     let vs_alloc = ratio("session_reuse", "alloc_per_capture");
-    eprintln!("  session_reuse speedup: {vs_legacy:.2}x vs legacy, {vs_alloc:.2}x vs alloc");
+    eprintln!("  session_reuse speedup: {vs_alloc:.2}x vs alloc");
     let stream_exact_vs_batch = ratio("streaming_fold_exact", "session_capture_into");
     eprintln!("  streaming fold throughput: {stream_exact_vs_batch:.3}x session_capture_into");
     let bitsliced_vs_session_into = ratio("bitsliced_batch", "session_capture_into");
@@ -449,11 +415,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"speedup_session_vs_legacy\": {},",
-        json_f64(vs_legacy)
-    );
     let _ = writeln!(
         json,
         "  \"speedup_session_vs_alloc\": {},",

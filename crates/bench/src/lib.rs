@@ -9,10 +9,9 @@
 //! Three binaries each time one comparison, assert that both sides
 //! agree bit for bit before timing, and write a `BENCH_*.json` ledger:
 //!
-//! * `capture_bench` → `BENCH_capture.json`: capture throughput of the
-//!   frozen [`legacy`] engine (heap queue, per-call allocation,
-//!   full-buffer waveform indexing) against the reused
-//!   `CaptureSession` and the bit-sliced batch backend;
+//! * `capture_bench` → `BENCH_capture.json`: capture throughput of a
+//!   fresh against a reused `CaptureSession` and the bit-sliced batch
+//!   backend, each streaming-fold leg against its raw capture;
 //! * `attack_bench` → `BENCH_attack.json`: batch against streamed
 //!   distinguisher scoring over the same in-memory traces;
 //! * `repair_bench` → `BENCH_repair.json`: from-scratch against
@@ -21,5 +20,3 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod legacy;

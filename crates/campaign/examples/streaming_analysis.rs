@@ -4,9 +4,10 @@
 //! Run with `cargo run --release -p sca-campaign --example
 //! streaming_analysis`. The streamed spectrum is bit-identical to the
 //! batch path (the fold's exact sums are order- and merge-invariant),
-//! but peak memory is O(classes × samples) instead of
-//! O(traces): the run report's `peak_resident` counts the traces that
-//! were ever simultaneously in flight — at most one per worker — and
+//! but peak memory is O(classes × samples) instead of O(traces): the
+//! run report's `peak_resident` counts the traces that were ever
+//! simultaneously in flight — at most one per worker on the default
+//! event engine, one lane batch per worker on the bit-sliced one — and
 //! `merge_depth` the merges of its fold chain, one per 16-trace leaf
 //! after the first.
 

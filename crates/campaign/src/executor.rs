@@ -323,11 +323,14 @@ pub struct ExecutorReport {
     /// [`remaining`](Interruption::remaining).
     pub resumed: usize,
     /// Largest number of newly captured traces in flight outside the
-    /// fold state at once, counted from each trace's fold until its
-    /// worker or the checkpoint sink drops it: at most one per worker
-    /// without a checkpoint, `O(workers × FOLD_CHUNK)` with one,
-    /// independent of schedule length. What the fold state itself keeps
-    /// (a `ClassifiedTraces` set keeps every trace) is not counted.
+    /// fold state at once, counted from each trace's capture until its
+    /// worker or the checkpoint sink drops it. Without a checkpoint that
+    /// is at most one per worker on the event engine, and up to one lane
+    /// batch ([`LANES`] traces) per worker on the bit-sliced engine,
+    /// whose sweep captures a whole claim before the first trace folds;
+    /// a checkpoint adds `O(workers × FOLD_CHUNK)`. It is independent of
+    /// schedule length. What the fold state itself keeps (a
+    /// `ClassifiedTraces` set keeps every trace) is not counted.
     pub peak_resident: usize,
     /// Length of the fold chain: one merge per leaf after the first, so
     /// leaves − 1 (0 for single-chunk runs).
@@ -528,8 +531,8 @@ struct Ctx<'a, S> {
 }
 
 impl<S> Ctx<'_, S> {
-    fn note_resident(&self) {
-        let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
+    fn note_resident(&self, n: usize) {
+        let now = self.resident.fetch_add(n, Ordering::Relaxed) + n;
         self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
@@ -647,7 +650,9 @@ impl<S> Drop for CloseOnUnwind<'_, '_, S> {
 /// Resumed traces are held in memory for the duration of the run (they
 /// arrive as a batch from the checkpoint reader) and are not counted by
 /// [`peak_resident`](ExecutorReport::peak_resident), which tracks newly
-/// captured traces only. With one worker everything runs inline on the
+/// captured traces only: without a checkpoint, one per worker on the
+/// event engine and up to one swept lane batch per worker on the
+/// bit-sliced engine. With one worker everything runs inline on the
 /// caller's thread (no pool overhead), which also serves as the
 /// reference for the determinism guarantee.
 #[allow(clippy::too_many_arguments)]
@@ -902,6 +907,9 @@ fn fold_claim<S: FoldState>(
         }))
         .ok();
         if swept.is_some() {
+            // The whole swept batch is resident from here until each
+            // trace is folded (or the checkpoint sink drops it).
+            ctx.note_resident(batchable.len());
             lanes = LaneUse {
                 batches: 1,
                 lanes: batchable.len(),
@@ -945,14 +953,14 @@ fn fold_claim<S: FoldState>(
                     ctx.base_seed,
                     index,
                     ctx.policy,
-                ),
+                )
+                .inspect(|_| ctx.note_resident(1)),
             };
             match outcome {
                 Ok((trace, stats, attempts)) => {
                     chunk.stats.merge(&stats);
                     chunk.retried += usize::from(attempts > 1);
                     chunk.captured += 1;
-                    ctx.note_resident();
                     chunk.acc.fold(stimulus.label, &trace);
                     if ctx.keep_raw {
                         chunk.raw.push((index, trace));
@@ -1779,6 +1787,29 @@ mod tests {
             acc.resident_floats(),
             schedule.len()
         );
+    }
+
+    /// The bit-sliced sweep captures a whole lane batch before its first
+    /// trace folds, so one uncheckpointed worker holds `LANES` traces at
+    /// its peak, not one.
+    #[test]
+    fn bitsliced_fold_counts_its_swept_batch_as_resident() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = ProtocolConfig {
+            traces_per_class: LANES / 16,
+            ..ProtocolConfig::default()
+        };
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        let policy = ExecPolicy {
+            workers: 1,
+            backend: Backend::Bitsliced,
+            ..ExecPolicy::default()
+        };
+        let (acc, report) = fold(&sim, &schedule, &config, &policy);
+        assert_eq!(acc.len(), LANES as u64);
+        assert_eq!(report.backend, Backend::Bitsliced);
+        assert_eq!(report.peak_resident, LANES);
     }
 
     #[test]

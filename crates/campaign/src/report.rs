@@ -102,7 +102,8 @@ pub struct RunReport {
     pub streamed: bool,
     /// Peak number of newly captured traces in flight outside the fold
     /// state at once (1 on a cache hit, which reads one record at a
-    /// time). What the fold state keeps is not counted.
+    /// time; up to a lane batch per worker on the bit-sliced engine).
+    /// What the fold state keeps is not counted.
     pub peak_resident: usize,
     /// Merges in the fold chain: leaves − 1, the same on a cache hit and
     /// a miss, batch and streamed cells alike.

@@ -189,16 +189,6 @@ impl CoMomentAccumulator {
         }
     }
 
-    /// Mean hypothesis value of channel `c` (0.0 when empty) — for
-    /// binary channels this is the fraction of traces selecting 1.
-    pub fn channel_mean(&self, c: usize) -> f64 {
-        assert!(c < self.channels, "channel {c} out of range");
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum_h.value(c) / self.count as f64
-    }
-
     /// Number of `f64`-sized words currently held (memory accounting):
     /// two per fixed-point sum plus whatever the rows keep on their cold
     /// sides.
@@ -441,9 +431,17 @@ mod tests {
     fn merging_an_empty_shard_changes_nothing() {
         let mut a = CoMomentAccumulator::new(1, 2);
         a.fold(&[1.0], &[0.5, 2.0]);
+        a.fold(&[0.0], &[1.5, 1.0]);
         let mut merged = a.clone();
         merged.merge_from(&CoMomentAccumulator::new(1, 2));
-        assert_eq!(merged.count(), 1);
-        assert_eq!(merged.channel_mean(0), a.channel_mean(0));
+        assert_eq!(merged.count(), 2);
+        let (merged, a) = (merged.cells(), a.cells());
+        for t in 0..2 {
+            assert_eq!(merged.pearson(0, t).to_bits(), a.pearson(0, t).to_bits());
+            assert_eq!(
+                merged.difference_of_means(0, t).to_bits(),
+                a.difference_of_means(0, t).to_bits()
+            );
+        }
     }
 }

@@ -64,14 +64,6 @@ pub fn mutual_information(set: &ClassifiedTraces, bins: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The maximum per-sample MI over the window — a scalar "extractable
-/// information" figure for a trace set.
-pub fn peak_mutual_information(set: &ClassifiedTraces, bins: usize) -> f64 {
-    mutual_information(set, bins)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +101,6 @@ mod tests {
         let mi = mutual_information(&set, 4);
         assert_eq!(mi[0], 0.0);
         assert!(mi[1] > 0.9);
-        assert!((peak_mutual_information(&set, 4) - mi[1]).abs() < 1e-12);
     }
 
     #[test]

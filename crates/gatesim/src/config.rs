@@ -72,12 +72,6 @@ impl SamplingConfig {
     pub fn period_ps(&self) -> f64 {
         self.window_ps / self.samples as f64
     }
-
-    /// The sample instants in picoseconds.
-    pub fn instants(&self) -> impl Iterator<Item = f64> + '_ {
-        let dt = self.period_ps();
-        (0..self.samples).map(move |k| k as f64 * dt)
-    }
 }
 
 impl Default for SamplingConfig {
@@ -97,8 +91,7 @@ mod tests {
     fn default_sampling_is_fifty_gigasamples() {
         let s = SamplingConfig::default();
         assert_eq!(s.period_ps(), 20.0);
-        assert_eq!(s.instants().count(), 100);
-        assert_eq!(s.instants().next(), Some(0.0));
+        assert_eq!(s.samples, 100);
     }
 
     #[test]

@@ -37,12 +37,10 @@
 
 pub mod anf;
 mod encoding;
-pub mod exhaustive;
 mod glut;
 mod isw;
 mod lut;
 mod opt;
-pub mod probing;
 pub mod program;
 pub mod round1;
 mod rsm;

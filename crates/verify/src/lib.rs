@@ -12,9 +12,9 @@
 //!    [`sbox_circuits::InputEncoding::input_roles`]) and propagate the
 //!    labels through each gate's glitch-extended input cone.
 //! 2. **Glitch-extended probing** ([`analyze`](mod@analyze), on top of
-//!    [`sbox_circuits::exhaustive`]): exhaustively enumerate the mask
-//!    space and test, per gate, whether the *joint* distribution of its
-//!    fan-in values depends on the unmasked class — the leakage a probe
+//!    the [`packed`] sweep): exhaustively enumerate the mask space and
+//!    test, per gate, whether the *joint* distribution of its fan-in
+//!    values depends on the unmasked class — the leakage a probe
 //!    sees during the race window, which plain value probing provably
 //!    misses. A boundary rule ([`rules::RuleId::GxBoundary`]) covers the
 //!    composition defect of register-free TI.

@@ -9,7 +9,7 @@
 //!
 //! * **local mass** — Σ over gates of `w_g · V_g`, where `V_g` is the
 //!   class-variance mass of the gate's fan-in joint distribution
-//!   ([`sbox_circuits::exhaustive::SweepCounts::gate_class_variance`]);
+//!   ([`crate::PackedSweep::gate_class_variance_one`]);
 //!   the pointwise race-window leakage.
 //! * **exposure mass** — Σ over boundary-exposed gates of
 //!   `w_g · coverage_g · (s − 1)`: the composition risk of gates inside

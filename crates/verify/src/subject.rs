@@ -25,8 +25,8 @@ use sbox_netlist::Netlist;
 /// (`2^8 = 256` classes).
 pub const MAX_SECRET_BITS_EXHAUSTIVE: usize = 8;
 
-/// Largest mask-space width the exhaustive sweep enumerates (matching
-/// the historical `sbox_circuits::exhaustive::sweep` bound).
+/// Largest mask-space width the exhaustive sweep enumerates (`2^16`
+/// mask words per class).
 pub const MAX_MASK_BITS: usize = 16;
 
 /// How deep the analyzer can afford to look at a subject.

@@ -50,7 +50,7 @@ fn headline_contrasts_hold() {
     assert!(!get(Scheme::Lut).verdicts.value_first_order);
     assert!(!get(Scheme::Opt).verdicts.value_first_order);
     // TI: clean under value probes, flagged under glitch-extended ones —
-    // the distinction plain `sboxes::probing` cannot draw.
+    // the distinction plain value probing cannot draw.
     assert!(get(Scheme::Ti).verdicts.value_first_order);
     assert!(!get(Scheme::Ti).verdicts.glitch_first_order());
     // ISW: clean under first-order glitch-extended probing.

@@ -129,8 +129,7 @@ fn attack_engine_reproduces_the_paper_protection_ordering() {
 fn static_probing_and_dynamic_leakage_are_complementary() {
     use acquisition::LeakageStudy;
     let circuit = SboxCircuit::build(Scheme::Isw);
-    let profile = sbox_circuits::probing::analyze(&circuit);
-    assert!(profile.max_bias(circuit.netlist()) < 1e-9);
+    assert!(sca_verify::analyze(&circuit).verdicts.value_first_order);
     let study = LeakageStudy::new(config(7));
     let leak = study.run(Scheme::Isw).spectrum.total_leakage_power();
     assert!(leak > 0.0, "dynamic (glitch) leakage must still exist");

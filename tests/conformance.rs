@@ -1,22 +1,31 @@
 //! Golden-vector conformance suite: the spectral analysis of every
 //! scheme, pinned bit-for-bit.
 //!
-//! Each fixture under `tests/golden/` holds the per-class mean traces,
-//! the Walsh–Hadamard coefficients `a_u(T)`, the per-sample
-//! `LeakagePower(T)` series, and the total / single-bit / multi-bit
-//! leakage sums for one scheme under a small fixed protocol (2 traces
-//! per class, 10 samples, the default seed). Values are stored as the
-//! hex of `f64::to_bits`, so a comparison failure is a *bitwise*
-//! regression — there is no tolerance to hide behind.
+//! Each scheme fixture, `tests/golden/<scheme>.golden`, holds the
+//! per-class mean traces, the Walsh–Hadamard coefficients `a_u(T)`, the
+//! per-sample `LeakagePower(T)` series, and the total / single-bit /
+//! multi-bit leakage sums for one scheme under a small fixed protocol
+//! (2 traces per class, 10 samples, the default seed). Values are
+//! stored as the hex of `f64::to_bits`, so a comparison failure is a
+//! *bitwise* regression — there is no tolerance to hide behind.
 //!
-//! Three independent pipelines must reproduce every fixture exactly:
-//! the batch analysis (`acquire` + `from_class_means`), the streaming
-//! fold (`acquire`'s traces folded one at a time, in acquisition order,
-//! through the chunk grid, `ChunkFold`), and the campaign's sharded
-//! executor fold at 1, 2, and 8 workers (whose shard accumulators merge
-//! in chunk order).
+//! Three independent pipelines must reproduce every scheme fixture
+//! exactly: the batch analysis (`acquire` + `from_class_means`), the
+//! streaming fold (`acquire`'s traces folded one at a time, in
+//! acquisition order, through the chunk grid, `ChunkFold`), and the
+//! campaign's sharded executor fold at 1, 2, and 8 workers (whose shard
+//! accumulators merge in chunk order).
 //!
-//! Regenerate after an intentional analysis change with:
+//! One more fixture, `tests/golden/raw_capture.golden`, pins the capture
+//! engine itself below the analysis: sixteen noisy ISW captures (every
+//! sample's bits and every `CaptureStats` field) and, for each scheme,
+//! the class 0 → 9 transition's event count and a digest of every
+//! switch event and settled net. It was blessed while a frozen copy of
+//! the pre-rework heap-queue engine still shipped and matched the
+//! production engine bit for bit on exactly these inputs, so it keeps
+//! the bits both engines agreed on.
+//!
+//! Regenerate after an intentional analysis or engine change with:
 //!
 //! ```text
 //! SCA_BLESS=1 cargo test --test conformance
@@ -28,13 +37,16 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use sbox_leakage::acquisition::{self, classified_schedule, ProtocolConfig, NUM_CLASSES};
+use sbox_leakage::analysis::checksum::Digest;
 use sbox_leakage::analysis::{ChunkFold, LeakageSpectrum, SumMode};
 use sbox_leakage::campaign::{
     fold_schedule_into, ExecPolicy, FaultPlan, ResumeState, SpectrumAccumulator,
 };
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
-use sbox_leakage::gatesim::Simulator;
+use sbox_leakage::gatesim::{SamplingConfig, SimConfig, Simulator};
 
 /// The fixed fixture protocol: 32 traces of 10 samples, default seed.
 fn protocol() -> ProtocolConfig {
@@ -46,11 +58,14 @@ fn protocol() -> ProtocolConfig {
     p
 }
 
-fn golden_path(scheme: Scheme) -> PathBuf {
-    let name = scheme.label().to_lowercase().replace('-', "_");
+fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{name}.golden"))
+}
+
+fn scheme_fixture(scheme: Scheme) -> String {
+    scheme.label().to_lowercase().replace('-', "_")
 }
 
 fn hex(v: f64) -> String {
@@ -117,7 +132,11 @@ fn expected_text(scheme: Scheme) -> String {
     if blessing() {
         return batch_text(scheme);
     }
-    let path = golden_path(scheme);
+    read_fixture(&scheme_fixture(scheme))
+}
+
+fn read_fixture(name: &str) -> String {
+    let path = golden_path(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "cannot read golden fixture {} ({e}); bless it with \
@@ -128,7 +147,7 @@ fn expected_text(scheme: Scheme) -> String {
 }
 
 /// Report the first differing line, not a 5 kB string dump.
-fn assert_same(actual: &str, expected: &str, what: &str, scheme: Scheme) {
+fn assert_same(actual: &str, expected: &str, what: &str, fixture: &str) {
     if actual == expected {
         return;
     }
@@ -136,32 +155,39 @@ fn assert_same(actual: &str, expected: &str, what: &str, scheme: Scheme) {
         assert_eq!(
             a,
             e,
-            "{what} diverges from the golden vector for {} at line {}",
-            scheme.label(),
+            "{what} diverges from the golden vector for {fixture} at line {}",
             i + 1
         );
     }
     panic!(
-        "{what} output for {} has {} lines, golden has {}",
-        scheme.label(),
+        "{what} output for {fixture} has {} lines, golden has {}",
         actual.lines().count(),
         expected.lines().count()
     );
+}
+
+/// Write `text` as fixture `name` (under `SCA_BLESS=1`) or check it
+/// against the committed one.
+fn bless_or_check(name: &str, text: &str, what: &str) {
+    if blessing() {
+        let path = golden_path(name);
+        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
+        std::fs::write(&path, text).expect("write golden");
+        eprintln!("blessed {}", path.display());
+    } else {
+        assert_same(text, &read_fixture(name), what, name);
+    }
 }
 
 /// The batch analysis reproduces (or blesses) every fixture.
 #[test]
 fn batch_analysis_matches_golden_vectors() {
     for scheme in Scheme::ALL {
-        let text = batch_text(scheme);
-        if blessing() {
-            let path = golden_path(scheme);
-            std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
-            std::fs::write(&path, &text).expect("write golden");
-            eprintln!("blessed {}", path.display());
-        } else {
-            assert_same(&text, &expected_text(scheme), "batch analysis", scheme);
-        }
+        bless_or_check(
+            &scheme_fixture(scheme),
+            &batch_text(scheme),
+            "batch analysis",
+        );
     }
 }
 
@@ -182,7 +208,12 @@ fn streaming_fold_matches_golden_vectors() {
         }
         let acc = fold.finish();
         let text = render(scheme, &protocol, &acc.class_means());
-        assert_same(&text, &expected_text(scheme), "streaming fold", scheme);
+        assert_same(
+            &text,
+            &expected_text(scheme),
+            "streaming fold",
+            &scheme_fixture(scheme),
+        );
     }
 }
 
@@ -222,8 +253,94 @@ fn merged_shard_accumulators_match_golden_vectors() {
                 &text,
                 &expected,
                 &format!("{workers}-worker merged fold"),
-                scheme,
+                &scheme_fixture(scheme),
             );
         }
     }
+}
+
+/// Render the raw-capture fixture: sixteen noisy ISW captures (one
+/// stimulus RNG across all steps, noise seeded by the step, the class
+/// `step → 5·step + 3 mod 16`), then every scheme's class 0 → 9
+/// transition.
+fn raw_capture_text() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# golden raw captures: ISW process_sigma=0.08 noise_mw=0.02, \
+         stimuli seed 0xb00, noise seed = step; transitions 0 -> 9 at seed 42"
+    );
+    let _ = writeln!(
+        out,
+        "# values are f64 bit patterns (hex); regenerate with SCA_BLESS=1"
+    );
+    let circuit = SboxCircuit::build(Scheme::Isw);
+    let cfg = SimConfig {
+        process_sigma: 0.08,
+        noise_mw: 0.02,
+        ..SimConfig::default()
+    };
+    let sim = Simulator::new(circuit.netlist(), &cfg);
+    let sampling = SamplingConfig::default();
+    let mut session = sim.session();
+    let mut rng = SmallRng::seed_from_u64(0xB00);
+    let mut trace = Vec::new();
+    for step in 0u64..16 {
+        let initial = circuit.encoding().encode((step % 16) as u8, &mut rng);
+        let final_inputs = circuit
+            .encoding()
+            .encode(((step * 5 + 3) % 16) as u8, &mut rng);
+        let mut noise = SmallRng::seed_from_u64(step);
+        let stats =
+            session.capture_into(&initial, &final_inputs, &sampling, &mut noise, &mut trace);
+        let _ = writeln!(
+            out,
+            "capture {step} events {} full {} absorbed {} settle {}",
+            stats.events,
+            stats.full_transitions,
+            stats.absorbed_glitches,
+            hex(stats.settle_time_ps)
+        );
+        let _ = write!(out, "samples {step}");
+        for &v in &trace {
+            let _ = write!(out, " {}", hex(v));
+        }
+        out.push('\n');
+    }
+    for scheme in Scheme::ALL {
+        let circuit = SboxCircuit::build(scheme);
+        let sim = Simulator::new(circuit.netlist(), &SimConfig::default());
+        let mut rng = SmallRng::seed_from_u64(42);
+        let initial = circuit.encoding().encode(0, &mut rng);
+        let final_inputs = circuit.encoding().encode(9, &mut rng);
+        let record = sim.session().transition(&initial, &final_inputs);
+        let mut digest = Digest::new();
+        for e in &record.events {
+            digest
+                .u64(e.gate.index() as u64)
+                .f64(e.time_ps)
+                .u64(u64::from(e.rising))
+                .f64(e.energy_fj)
+                .u64(u64::from(e.absorbed));
+        }
+        digest.u64(record.settled.len() as u64);
+        for &bit in &record.settled {
+            digest.u64(u64::from(bit));
+        }
+        let _ = writeln!(
+            out,
+            "transition {} events {} digest {:016x}",
+            scheme.label(),
+            record.events.len(),
+            digest.finish()
+        );
+    }
+    out
+}
+
+/// The event engine reproduces the committed raw captures and
+/// transitions bit for bit.
+#[test]
+fn raw_captures_match_golden_vectors() {
+    bless_or_check("raw_capture", &raw_capture_text(), "raw capture");
 }

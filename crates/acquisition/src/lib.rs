@@ -1,5 +1,5 @@
-//! The paper's trace-acquisition protocol (Fig. 5) and the end-to-end
-//! leakage study pipeline.
+//! The paper's trace-acquisition protocol (Fig. 5) and the aging model
+//! it stresses the device with.
 //!
 //! Protocol, per trace:
 //!
@@ -14,15 +14,22 @@
 //! the per-class mean traces feed the Walsh–Hadamard analysis of
 //! [`leakage_core`].
 //!
+//! Experiments acquire through the `sca-campaign` crate, which shards
+//! the schedule over workers and picks the capture engine per netlist;
+//! [`acquire`], [`acquire_with_derating`] and [`acquire_cpa`] are the
+//! sequential event-engine reference it is tested against.
+//!
 //! # Example
 //!
-//! ```no_run
-//! use acquisition::{LeakageStudy, ProtocolConfig};
-//! use sbox_circuits::Scheme;
+//! ```
+//! use acquisition::{acquire, ProtocolConfig};
+//! use leakage_core::LeakageSpectrum;
+//! use sbox_circuits::{SboxCircuit, Scheme};
 //!
-//! let study = LeakageStudy::new(ProtocolConfig::default());
-//! let outcome = study.run(Scheme::Isw);
-//! println!("total leakage: {}", outcome.spectrum.total_leakage_power());
+//! let config = ProtocolConfig { traces_per_class: 2, ..ProtocolConfig::default() };
+//! let traces = acquire(&SboxCircuit::build(Scheme::Isw), &config);
+//! let spectrum = LeakageSpectrum::from_class_means(&traces.class_means());
+//! assert!(spectrum.total_leakage_power() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,4 +44,4 @@ pub use protocol::{
     acquire, acquire_cpa, acquire_with_derating, classified_schedule, cpa_schedule, cpa_seed,
     trace_seed, CaptureError, CpaAcquisition, ProtocolConfig, Stimulus, NUM_CLASSES,
 };
-pub use study::{AgedOutcome, LeakageStudy, StudyOutcome};
+pub use study::LeakageStudy;

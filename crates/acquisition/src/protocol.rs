@@ -11,19 +11,17 @@
 //!    which order.
 //!
 //! The sequential [`acquire_with_derating`] / [`acquire`] /
-//! [`acquire_cpa`] entry points share one capture loop over these
-//! stages, and the parallel executor in the `sca-campaign` crate
-//! composes the same stages, which is what makes their outputs
-//! bit-identical.
+//! [`acquire_cpa`] entry points share one event-engine capture loop over
+//! these stages: the reference that tests compare the `sca-campaign`
+//! executor against. The executor composes the same stages on either
+//! engine, which is what makes their outputs bit-identical.
 
-use gatesim::{BitsliceUnsupported, Derating, LaneStimulus, SamplingConfig, SimConfig, Simulator};
+use gatesim::{Derating, SamplingConfig, SimConfig, Simulator};
 use leakage_core::ClassifiedTraces;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sbox_circuits::SboxCircuit;
-
-use crate::Backend;
 
 /// Acquisition parameters. The default reproduces the paper: 64 traces per
 /// class (1024 total), 100 samples over 2 ns, Vdd 1.2 V / 85 °C.
@@ -153,70 +151,45 @@ pub fn classified_schedule(circuit: &SboxCircuit, config: &ProtocolConfig) -> Ve
 }
 
 /// The one sequential capture loop: capture `schedule` in order on the
-/// engine `backend` resolves to for `sim`, seeding trace `i`'s noise
-/// with `trace_seed(base_seed, i)` — the executor's per-index seed, so
-/// both engines and the sharded campaign agree bit for bit — and hand
-/// each trace to `sink`.
+/// event engine, seeding trace `i`'s noise with `trace_seed(base_seed,
+/// i)` — the executor's per-index seed, so the sharded campaign agrees
+/// bit for bit on either engine — and hand each trace to `sink`.
 fn capture_schedule(
     sim: &Simulator<'_>,
     schedule: &[Stimulus],
     sampling: &SamplingConfig,
     base_seed: u64,
-    backend: Backend,
     mut sink: impl FnMut(&Stimulus, &[f64]),
-) -> Result<(), BitsliceUnsupported> {
-    if let Some(mut batch) = backend.resolve(sim)? {
-        for (n, chunk) in schedule.chunks(gatesim::LANES).enumerate() {
-            let first = n * gatesim::LANES;
-            let lanes: Vec<LaneStimulus<'_>> = (first..)
-                .zip(chunk)
-                .map(|(i, s)| LaneStimulus {
-                    initial: &s.initial,
-                    final_inputs: &s.final_inputs,
-                    noise_seed: trace_seed(base_seed, i as u64),
-                })
-                .collect();
-            let (traces, _) = batch.capture_batch(&lanes, sampling);
-            for (s, trace) in chunk.iter().zip(traces) {
-                sink(s, trace);
-            }
-        }
-    } else {
-        let mut session = sim.session();
-        let mut trace = Vec::new();
-        for (i, s) in schedule.iter().enumerate() {
-            let mut noise = SmallRng::seed_from_u64(trace_seed(base_seed, i as u64));
-            session.capture_into(
-                &s.initial,
-                &s.final_inputs,
-                sampling,
-                &mut noise,
-                &mut trace,
-            );
-            sink(s, &trace);
-        }
+) {
+    let mut session = sim.session();
+    let mut trace = Vec::new();
+    for (i, s) in schedule.iter().enumerate() {
+        let mut noise = SmallRng::seed_from_u64(trace_seed(base_seed, i as u64));
+        session.capture_into(
+            &s.initial,
+            &s.final_inputs,
+            sampling,
+            &mut noise,
+            &mut trace,
+        );
+        sink(s, &trace);
     }
-    Ok(())
 }
 
 /// Acquire a class-balanced trace set from a fresh (unaged) device on
 /// the event engine — the reference the campaign tests compare against.
 pub fn acquire(circuit: &SboxCircuit, config: &ProtocolConfig) -> ClassifiedTraces {
     let derating = Derating::fresh(circuit.netlist());
-    acquire_with_derating(circuit, config, &derating, Backend::Event)
-        .expect("the event engine runs every netlist")
+    acquire_with_derating(circuit, config, &derating)
 }
 
 /// Acquire a class-balanced trace set from a device with per-gate aging
-/// derating applied, on the engine `backend` resolves to (see
-/// [`Backend::resolve`]; only an explicit [`Backend::Bitsliced`] request
-/// on an unsupported netlist fails). Every engine returns the same bits.
+/// derating applied, on the event engine.
 pub fn acquire_with_derating(
     circuit: &SboxCircuit,
     config: &ProtocolConfig,
     derating: &Derating,
-    backend: Backend,
-) -> Result<ClassifiedTraces, BitsliceUnsupported> {
+) -> ClassifiedTraces {
     let sim = Simulator::with_derating(circuit.netlist(), &config.sim, derating);
     let schedule = classified_schedule(circuit, config);
     let mut set = ClassifiedTraces::new(NUM_CLASSES, config.sampling.samples);
@@ -225,10 +198,9 @@ pub fn acquire_with_derating(
         &schedule,
         &config.sampling,
         config.seed,
-        backend,
         |s, trace| set.push(usize::from(s.label), trace.to_vec()),
-    )?;
-    Ok(set)
+    );
+    set
 }
 
 /// The balanced, shuffled stimulus schedule: `(class, initial, final)`
@@ -355,13 +327,11 @@ pub fn acquire_cpa(
         &schedule,
         &config.sampling,
         cpa_seed(config),
-        Backend::Event,
         |s, trace| {
             plaintexts.push(s.label as u8);
             out.push(trace.to_vec());
         },
-    )
-    .expect("the event engine runs every netlist");
+    );
     CpaAcquisition {
         key,
         plaintexts,

@@ -26,6 +26,7 @@ use acquisition::{acquire_cpa, ProtocolConfig};
 use leakage_core::{ChunkFold, SumMode};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_attacks::{attack_batch, AttackAccumulator, Distinguisher, LeakageModel};
+use sca_bench::json_f64;
 
 struct Leg {
     name: String,
@@ -36,14 +37,6 @@ struct Leg {
 impl Leg {
     fn traces_per_sec(&self) -> f64 {
         self.traces as f64 / self.seconds
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
     }
 }
 

@@ -38,7 +38,10 @@
 //! the first stimulus before timing, so the ratios are pure engine
 //! cost; the streaming leg additionally asserts, once per pass, that
 //! the folded spectrum matches the batch analysis bit for bit. Every
-//! ratio looks its legs up by name. Usage:
+//! ratio looks its legs up by name and is the median of its per-pass
+//! ratios (the passes run round-robin, so pass `i` of each leg pairs
+//! up), written with their min–max range next to it; each leg keeps its
+//! per-pass seconds. Usage:
 //!
 //! ```text
 //! cargo run --release -p sca-bench --bin capture_bench [--quick] [--out PATH]
@@ -53,21 +56,62 @@ use leakage_core::{ChunkFold, ClassifiedTraces, LeakageSpectrum, SpectrumAccumul
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
+use sca_bench::json_f64;
 
 struct Leg {
     name: &'static str,
-    seconds: f64,
+    /// Wall-clock seconds of each timed pass, in pass order.
+    pass_seconds: Vec<f64>,
     traces: usize,
     events: usize,
 }
 
 impl Leg {
+    fn seconds(&self) -> f64 {
+        self.pass_seconds.iter().sum()
+    }
+
     fn traces_per_sec(&self) -> f64 {
-        self.traces as f64 / self.seconds
+        self.traces as f64 / self.seconds()
     }
 
     fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.seconds
+        self.events as f64 / self.seconds()
+    }
+}
+
+/// The throughput of one leg over another: the median of the per-pass
+/// ratios, and their minimum and maximum. Passes run round-robin, so
+/// pass `i` of both legs saw the same machine state; a median over the
+/// pairs shrugs off the odd pass a scheduler hiccup stretched.
+struct Ratio {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Ratio {
+    /// Leg `a`'s throughput over leg `b`'s. Every pass captures the
+    /// same schedule, so a pass's ratio is `b`'s seconds over `a`'s.
+    fn of(a: &Leg, b: &Leg) -> Self {
+        let mut ratios: Vec<f64> = a
+            .pass_seconds
+            .iter()
+            .zip(&b.pass_seconds)
+            .map(|(sa, sb)| sb / sa)
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let mid = ratios.len() / 2;
+        let median = if ratios.len().is_multiple_of(2) {
+            (ratios[mid - 1] + ratios[mid]) / 2.0
+        } else {
+            ratios[mid]
+        };
+        Ratio {
+            median,
+            min: ratios[0],
+            max: ratios[ratios.len() - 1],
+        }
     }
 }
 
@@ -94,27 +138,25 @@ fn measure(schedule: &[(Stimulus, u64)], passes: usize, mut runners: Vec<Runner<
         let _ = events;
     }
 
-    let mut seconds = vec![0.0f64; runners.len()];
-    let mut events = vec![0usize; runners.len()];
+    let mut legs: Vec<Leg> = runners
+        .iter()
+        .map(|r| Leg {
+            name: r.name,
+            pass_seconds: Vec::with_capacity(passes),
+            traces: passes * schedule.len(),
+            events: 0,
+        })
+        .collect();
     for _ in 0..passes {
-        for (i, r) in runners.iter_mut().enumerate() {
+        for (leg, r) in legs.iter_mut().zip(&mut runners) {
             let start = Instant::now();
             for (s, seed) in schedule {
-                events[i] += (r.capture)(s, *seed).events;
+                leg.events += (r.capture)(s, *seed).events;
             }
-            seconds[i] += start.elapsed().as_secs_f64();
+            leg.pass_seconds.push(start.elapsed().as_secs_f64());
         }
     }
-    runners
-        .iter()
-        .enumerate()
-        .map(|(i, r)| Leg {
-            name: r.name,
-            seconds: seconds[i],
-            traces: passes * schedule.len(),
-            events: events[i],
-        })
-        .collect()
+    legs
 }
 
 /// One bit-sliced batch's lane stimuli for a chunk of the schedule.
@@ -127,14 +169,6 @@ fn lanes(chunk: &[(Stimulus, u64)]) -> Vec<LaneStimulus<'_>> {
             noise_seed: *seed,
         })
         .collect()
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
 }
 
 fn main() {
@@ -368,27 +402,46 @@ fn main() {
             leg.name,
             leg.traces_per_sec(),
             leg.events_per_sec(),
-            leg.seconds,
+            leg.seconds(),
         );
     }
-    // Throughput of leg `a` over leg `b`.
-    let ratio = |a: &str, b: &str| {
-        let rate = |name: &str| {
-            legs.iter()
-                .find(|leg| leg.name == name)
-                .unwrap_or_else(|| panic!("no leg named {name}"))
-                .traces_per_sec()
-        };
-        rate(a) / rate(b)
+    let leg = |name: &str| {
+        legs.iter()
+            .find(|leg| leg.name == name)
+            .unwrap_or_else(|| panic!("no leg named {name}"))
     };
-    let vs_alloc = ratio("session_reuse", "alloc_per_capture");
-    eprintln!("  session_reuse speedup: {vs_alloc:.2}x vs alloc");
-    let stream_exact_vs_batch = ratio("streaming_fold_exact", "session_capture_into");
-    eprintln!("  streaming fold throughput: {stream_exact_vs_batch:.3}x session_capture_into");
-    let bitsliced_vs_session_into = ratio("bitsliced_batch", "session_capture_into");
-    eprintln!("  bitsliced_batch speedup: {bitsliced_vs_session_into:.2}x vs session_capture_into");
-    let bitsliced_fold_vs_batch = ratio("bitsliced_fold_exact", "bitsliced_batch");
-    eprintln!("  bitsliced_fold_exact throughput: {bitsliced_fold_vs_batch:.3}x bitsliced_batch");
+    // Each ledger ratio: its key, and the legs whose throughputs it divides.
+    let ratios: Vec<(&str, Ratio)> = [
+        (
+            "speedup_session_vs_alloc",
+            "session_reuse",
+            "alloc_per_capture",
+        ),
+        (
+            "throughput_streaming_exact_vs_batch",
+            "streaming_fold_exact",
+            "session_capture_into",
+        ),
+        (
+            "speedup_bitsliced_vs_session_into",
+            "bitsliced_batch",
+            "session_capture_into",
+        ),
+        (
+            "throughput_bitsliced_fold_exact_vs_batch",
+            "bitsliced_fold_exact",
+            "bitsliced_batch",
+        ),
+    ]
+    .into_iter()
+    .map(|(key, a, b)| (key, Ratio::of(leg(a), leg(b))))
+    .collect();
+    for (key, r) in &ratios {
+        eprintln!(
+            "  {key}: {:.3}x (passes {:.3}-{:.3})",
+            r.median, r.min, r.max
+        );
+    }
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -402,11 +455,17 @@ fn main() {
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str("  \"legs\": [\n");
     for (i, leg) in legs.iter().enumerate() {
+        let passes: Vec<String> = leg
+            .pass_seconds
+            .iter()
+            .map(|&t| format!("{t:.5}"))
+            .collect();
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"seconds\": {}, \"traces\": {}, \"events\": {}, \"traces_per_sec\": {}, \"events_per_sec\": {}}}{}",
+            "    {{\"name\": \"{}\", \"seconds\": {}, \"pass_seconds\": [{}], \"traces\": {}, \"events\": {}, \"traces_per_sec\": {}, \"events_per_sec\": {}}}{}",
             leg.name,
-            json_f64(leg.seconds),
+            json_f64(leg.seconds()),
+            passes.join(", "),
             leg.traces,
             leg.events,
             json_f64(leg.traces_per_sec()),
@@ -415,26 +474,16 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"speedup_session_vs_alloc\": {},",
-        json_f64(vs_alloc)
-    );
-    let _ = writeln!(
-        json,
-        "  \"throughput_streaming_exact_vs_batch\": {},",
-        json_f64(stream_exact_vs_batch)
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_bitsliced_vs_session_into\": {},",
-        json_f64(bitsliced_vs_session_into)
-    );
-    let _ = writeln!(
-        json,
-        "  \"throughput_bitsliced_fold_exact_vs_batch\": {}",
-        json_f64(bitsliced_fold_vs_batch)
-    );
+    for (i, (key, r)) in ratios.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "  \"{key}\": {}, \"{key}_range\": [{}, {}]{}",
+            json_f64(r.median),
+            json_f64(r.min),
+            json_f64(r.max),
+            if i + 1 < ratios.len() { "," } else { "" },
+        );
+    }
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_capture.json");
     eprintln!("wrote {out_path}");

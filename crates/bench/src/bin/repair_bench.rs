@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use sbox_circuits::{SboxCircuit, Scheme};
+use sca_bench::json_f64;
 use sca_repair::patch::generate;
 use sca_verify::{analyze_subject, report, Baseline, Subject};
 
@@ -43,14 +44,6 @@ struct Leg {
 impl Leg {
     fn per_sec(&self) -> f64 {
         self.reanalyses as f64 / self.seconds
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
     }
 }
 

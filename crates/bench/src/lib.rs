@@ -20,3 +20,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// A ledger number as JSON: three decimals, or `null` when it is not
+/// finite (a leg too fast to time, a ratio over zero).
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.3}")
+    } else {
+        "null".into()
+    }
+}

@@ -68,7 +68,7 @@ impl<'a> Device<'a> {
 
     /// The circuit and its derating, built on first use under the
     /// `build` and `age` stages. Aging profiles the device by its own
-    /// `protocol` workload, as `LeakageStudy::run_aged` does.
+    /// `protocol` workload ([`LeakageStudy::aged_device`]).
     pub(crate) fn built(
         &mut self,
         timer: &mut StageTimer,

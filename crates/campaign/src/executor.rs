@@ -15,14 +15,15 @@
 //!
 //! Determinism: trace `i`'s value depends only on the (pre-computed)
 //! schedule entry `i` and its per-trace seed `trace_seed(base_seed, i)`
-//! — never on which worker captured it or when. Workers pull fixed-size
-//! index claims from a shared claim cursor (dynamic load balancing: the
+//! — never on which worker captured it or when. Workers pull index
+//! claims from a shared claim cursor (dynamic load balancing: the
 //! seven netlists differ ~10× in event count per trace) and the chain
 //! merges their leaves in schedule order, so the output is bit-identical
 //! for any worker count, including 1. No worker starts a claim more
-//! than `workers × LANES` indices past the claim holding the chain's
-//! next leaf, so fewer than `workers × LANES / FOLD_CHUNK` leaves wait
-//! in the reorder buffer.
+//! than `workers × LANES` indices past the claim block (one chunk, or
+//! one lane batch on the bit-sliced engine) holding the chain's next
+//! leaf, so fewer than `workers × LANES / FOLD_CHUNK` leaves wait in the
+//! reorder buffer.
 //!
 //! Fault tolerance: each capture runs inside `catch_unwind`, so one
 //! panicking trace cannot unwind the worker scope and lose everything
@@ -135,20 +136,29 @@ pub struct Interruption {
 /// captured traces, and a cooperative [`CancelToken`]. All unlimited by
 /// default.
 ///
-/// Budgets are enforced at **chunk boundaries**: workers stop claiming
-/// chunks once any limit trips, in-flight chunks complete normally, the
-/// checkpoint gets a final sync, and the report carries a typed
-/// [`Interruption`]. Because a chunk either completes or was never
-/// claimed, an interrupted run's checkpoint holds only whole, verified
-/// frames — resuming it reproduces the uninterrupted run bit for bit.
+/// Budgets are enforced at **claim boundaries** (a claim is one chunk
+/// on the event engine, one sweep of up to [`LANES`] indices on the
+/// bit-sliced engine, cut to what a deadline or a trace cap leaves
+/// room for): workers stop claiming once any limit trips, claims in
+/// flight complete normally, the checkpoint gets a final sync, and the
+/// report carries a typed [`Interruption`]. Because a claim either
+/// completes or was never taken, an interrupted run's checkpoint holds
+/// only whole, verified frames — resuming it reproduces the
+/// uninterrupted run bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
-    /// Stop claiming work this long after the run starts.
+    /// Stop claiming work this long after the run starts. Claims are cut
+    /// to what a worker is expected to capture in the time left, at the
+    /// pool's rate so far, so either engine runs about one chunk per
+    /// worker past the limit.
     pub time_limit: Option<Duration>,
     /// Stop after at least this many *new* captures (resumed traces are
-    /// free). The overshoot is at most one chunk per worker.
+    /// free). Claims are cut to what is left of the cap, rounded up to
+    /// whole chunks, and none is taken while the claims in flight cover
+    /// it, so on either engine the run captures fewer than `max +`
+    /// [`FOLD_CHUNK`] new traces at any worker count.
     pub max_new_traces: Option<usize>,
-    /// Cooperative cancellation flag, polled at chunk boundaries.
+    /// Cooperative cancellation flag, polled before each claim.
     pub cancel: Option<CancelToken>,
 }
 
@@ -178,9 +188,13 @@ impl RunBudget {
 }
 
 /// Shared budget enforcement: workers ask [`BudgetGate::should_stop`]
-/// before claiming each chunk; the first tripped limit is recorded and
-/// every later check short-circuits to "stop".
+/// before each claim and size it with [`BudgetGate::claim_len`]; the
+/// first tripped limit is recorded and every later check
+/// short-circuits to "stop".
 struct BudgetGate {
+    started: Instant,
+    /// Workers in the pool, which share its capture rate.
+    workers: usize,
     deadline: Option<Instant>,
     max_new: Option<usize>,
     cancel: Option<CancelToken>,
@@ -190,9 +204,12 @@ struct BudgetGate {
 }
 
 impl BudgetGate {
-    fn new(budget: &RunBudget) -> Self {
+    fn new(budget: &RunBudget, workers: usize) -> Self {
+        let started = Instant::now();
         Self {
-            deadline: budget.time_limit.map(|limit| Instant::now() + limit),
+            started,
+            workers,
+            deadline: budget.time_limit.map(|limit| started + limit),
             max_new: budget.max_new_traces,
             cancel: budget.cancel.clone(),
             captured: AtomicUsize::new(0),
@@ -204,6 +221,36 @@ impl BudgetGate {
         if n > 0 {
             self.captured.fetch_add(n, Ordering::Relaxed);
         }
+    }
+
+    /// Length of the next claim, at most `max` indices (a multiple of
+    /// [`FOLD_CHUNK`]), given the `settled` and `in_flight` claimed
+    /// indices. Under a deadline it is what one worker can expect to
+    /// capture in the time left, at the pool's rate so far (one chunk
+    /// until a chunk has settled); under a trace cap, what is left of the
+    /// cap once the claims in flight are counted, or `None` while they
+    /// already cover it. Both round up to whole chunks.
+    fn claim_len(&self, settled: usize, in_flight: usize, max: usize) -> Option<usize> {
+        let mut len = max;
+        if let Some(deadline) = self.deadline {
+            let fit = if settled == 0 {
+                0.0
+            } else {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let pool_secs = self.started.elapsed().as_secs_f64() * self.workers as f64;
+                left.as_secs_f64() * settled as f64 / pool_secs
+            };
+            let fit = fit.min(max as f64) as usize;
+            len = len.min(fit.next_multiple_of(FOLD_CHUNK).max(FOLD_CHUNK));
+        }
+        if let Some(cap) = self.max_new {
+            let left = cap.saturating_sub(self.captured.load(Ordering::Relaxed) + in_flight);
+            if left == 0 {
+                return None;
+            }
+            len = len.min(left.next_multiple_of(FOLD_CHUNK));
+        }
+        Some(len)
     }
 
     fn should_stop(&self) -> bool {
@@ -256,11 +303,13 @@ pub struct ExecPolicy {
     /// the scalar-routed indices only (a batch pass is one uniform
     /// levelized sweep, not a per-trace event loop).
     pub capture_timeout: Option<Duration>,
-    /// Capture engine. [`Backend::Bitsliced`] and [`Backend::Auto`]
-    /// claim work in [`LANES`]-sized batches, so a [`RunBudget`]'s
-    /// overshoot bound grows from one chunk to one batch per
-    /// worker; everything else — trace values, retry/quarantine
-    /// behaviour, fold results — is bit-identical to the event engine.
+    /// Capture engine, [`Backend::Auto`] by default: bit-sliced
+    /// wherever the netlist passes the static support check. The
+    /// bit-sliced engine claims work in sweeps of up to [`LANES`]
+    /// indices, so a cancel, seen between claims, lets each worker
+    /// finish one sweep instead of one chunk; trace values, trace-cap
+    /// stops, retry/quarantine behaviour and fold results are
+    /// bit-identical to the event engine.
     pub backend: Backend,
 }
 
@@ -272,7 +321,7 @@ impl Default for ExecPolicy {
             faults: FaultPlan::none(),
             budget: RunBudget::unlimited(),
             capture_timeout: None,
-            backend: Backend::Event,
+            backend: Backend::default(),
         }
     }
 }
@@ -516,8 +565,8 @@ struct Ctx<'a, S> {
     keep_raw: bool,
     gate: BudgetGate,
     /// Claims may start at most this many schedule indices past the
-    /// start of the claim holding the chain's next leaf: `workers` lane
-    /// batches, so `workers` claims on the bit-sliced engine and
+    /// start of the claim block holding the chain's next leaf: `workers`
+    /// lane batches, so `workers` whole claims on the bit-sliced engine and
     /// `workers × LANES / FOLD_CHUNK` single-leaf claims on the event
     /// engine.
     window: usize,
@@ -542,27 +591,38 @@ impl<S> Ctx<'_, S> {
         }
     }
 
-    /// Take the next claim of `size` indices, or `None` once the
+    /// Take the next claim of up to `size` indices, or `None` once the
     /// schedule or the budget runs out or the claims are closed. A claim
-    /// is taken only while it starts within [`window`](Self::window)
-    /// indices of the claim holding the chain's next leaf; until then the
-    /// worker waits, polling the budget so a stop or cancel still ends
-    /// it. The oldest unfinished claim is always inside the window, so
-    /// some worker can always make progress while no thread has
-    /// panicked; a panicking thread closes the claims (see
-    /// [`CloseOnUnwind`]).
-    fn next_claim(&self, size: usize) -> Option<usize> {
+    /// never crosses a multiple of `size`, and a trace cap cuts it to
+    /// what is left of the cap ([`BudgetGate::claim_len`]). It is taken
+    /// only while it starts within [`window`](Self::window) indices of
+    /// the `size` block holding the chain's next leaf, and while the
+    /// claims in flight leave room under the cap; until then the worker
+    /// waits, polling the budget so a stop or cancel still ends it. The
+    /// oldest unfinished claim is always inside the window and, under a
+    /// cap, a claim in flight always settles, so some worker can always
+    /// make progress while no thread has panicked; a panicking thread
+    /// closes the claims (see [`CloseOnUnwind`]).
+    fn next_claim(&self, size: usize) -> Option<Range<usize>> {
         const POLL: Duration = Duration::from_millis(10);
         let mut claims = self.claims.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if claims.closed || self.gate.should_stop() || claims.cursor >= self.schedule.len() {
                 return None;
             }
+            let start = claims.cursor;
             let oldest = claims.next_leaf as usize * FOLD_CHUNK / size * size;
-            if claims.cursor < oldest + self.window {
-                let start = claims.cursor;
-                claims.cursor += size;
-                return Some(start);
+            let block_end = (start / size + 1) * size;
+            let in_window = start < oldest + self.window;
+            let settled = start - claims.in_flight;
+            let len = self
+                .gate
+                .claim_len(settled, claims.in_flight, block_end - start);
+            if let Some(len) = len.filter(|_| in_window) {
+                let end = (start + len).min(self.schedule.len());
+                claims.cursor = end;
+                claims.in_flight += end - start;
+                return Some(start..end);
             }
             claims = self
                 .advanced
@@ -570,6 +630,15 @@ impl<S> Ctx<'_, S> {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
+    }
+
+    /// Settle a finished chunk of `len` claimed indices, `captured` of
+    /// them newly captured: they leave the claims in flight and count
+    /// against the trace cap in one step.
+    fn settle(&self, len: usize, captured: usize) {
+        let mut claims = self.claims.lock().unwrap_or_else(PoisonError::into_inner);
+        claims.in_flight -= len;
+        self.gate.note_captured(captured);
     }
 
     /// Publish the chain's next leaf to waiting workers.
@@ -583,13 +652,15 @@ impl<S> Ctx<'_, S> {
 }
 
 /// The claim cursor and the chain's next leaf, behind one lock so a
-/// claim is only taken against an up-to-date window. Every update is a
-/// single field store, so a poisoned lock still guards valid claims.
+/// claim is only taken against an up-to-date window. No update can
+/// panic halfway, so a poisoned lock still guards valid claims.
 struct Claims {
     /// First schedule index not yet claimed.
     cursor: usize,
     /// Sequence number of the leaf the fold chain merges next.
     next_leaf: u64,
+    /// Claimed indices whose chunks have not settled yet.
+    in_flight: usize,
     /// Set once a worker or the collector panicked: the chain can no
     /// longer advance, so a worker waiting on the window would wait
     /// forever.
@@ -642,10 +713,12 @@ impl<S> Drop for CloseOnUnwind<'_, '_, S> {
 /// running prefix state, enabling single-pass prefix trajectories.
 /// Chunks that finish ahead of an earlier one wait in the reducer's
 /// reorder buffer. No worker starts a claim more than `workers × LANES`
-/// indices past the claim holding the chain's next leaf, so fewer than
+/// indices past the claim block (one chunk, or one lane batch on the
+/// bit-sliced engine) holding the chain's next leaf, so fewer than
 /// `workers × LANES / FOLD_CHUNK` chunk states wait there: at most
-/// `(workers − 1) × LANES / FOLD_CHUNK` on the bit-sliced engine, whose
-/// claims emit `LANES / FOLD_CHUNK` chunks together.
+/// `(workers − 1) × LANES / FOLD_CHUNK` on the bit-sliced engine while
+/// its claims are whole batches, which emit `LANES / FOLD_CHUNK` chunks
+/// together.
 ///
 /// Resumed traces are held in memory for the duration of the run (they
 /// arrive as a batch from the checkpoint reader) and are not counted by
@@ -685,11 +758,12 @@ pub fn fold_schedule_into<S: FoldState>(
         make,
         resumed,
         keep_raw: resume.checkpoint.is_some(),
-        gate: BudgetGate::new(&policy.budget),
+        gate: BudgetGate::new(&policy.budget, workers),
         window: workers * LANES,
         claims: Mutex::new(Claims {
             cursor: 0,
             next_leaf: 0,
+            in_flight: 0,
             closed: false,
         }),
         advanced: Condvar::new(),
@@ -848,9 +922,8 @@ fn work<S: FoldState>(
     // free of synchronization.
     let mut engine = WorkerEngine::new(sim, backend);
     let size = engine.claim();
-    while let Some(start) = ctx.next_claim(size) {
-        let end = (start + size).min(ctx.schedule.len());
-        if !fold_claim(&mut engine, ctx, worker, start..end, emit) {
+    while let Some(range) = ctx.next_claim(size) {
+        if !fold_claim(&mut engine, ctx, worker, range, emit) {
             break;
         }
     }
@@ -974,7 +1047,7 @@ fn fold_claim<S: FoldState>(
         }
         chunk.busy = t_mark.elapsed();
         t_mark = Instant::now();
-        ctx.gate.note_captured(chunk.captured);
+        ctx.settle(chunk_end - chunk_start, chunk.captured);
         if !emit(chunk) {
             return false;
         }
@@ -1151,7 +1224,8 @@ mod tests {
         )
     }
 
-    /// A clean batch capture of `schedule` on `workers` threads.
+    /// A clean batch capture of `schedule` on `workers` threads of the
+    /// event engine, the reference the bit-sliced runs are held to.
     fn capture(
         sim: &Simulator<'_>,
         schedule: &[Stimulus],
@@ -1160,6 +1234,7 @@ mod tests {
     ) -> (ClassifiedTraces, ExecutorReport) {
         let policy = ExecPolicy {
             workers,
+            backend: Backend::Event,
             ..ExecPolicy::default()
         };
         capture_with(sim, schedule, config, &policy, ResumeState::fresh())
@@ -1768,12 +1843,14 @@ mod tests {
             &config,
             &ExecPolicy {
                 workers,
+                backend: Backend::Event,
                 ..ExecPolicy::default()
             },
         );
         assert_eq!(acc.len(), 256);
         // Without a checkpoint sink no raw trace outlives its fold: at
-        // most one capture per worker is resident at any instant.
+        // most one capture per worker is resident at any instant on the
+        // event engine.
         assert!(
             report.peak_resident <= workers,
             "peak resident {} with {workers} workers",
@@ -1913,13 +1990,6 @@ mod tests {
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
         let (reference, _) = capture(&sim, &schedule, &config, 1);
-
-        let path = std::env::temp_dir().join(format!(
-            "executor-budget-{}-{:?}.sckp",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
         let meta = crate::store::StoreMeta {
             kind: crate::store::StoreKind::Classified,
             name: "OPT".into(),
@@ -1930,55 +2000,98 @@ mod tests {
             traces: schedule.len() as u32,
             samples: config.sampling.samples as u32,
         };
-        let (_, mut writer) = resume_checkpoint(&path, &meta).expect("ckpt");
-        let policy = ExecPolicy {
-            workers: 1,
-            budget: RunBudget::unlimited().with_max_new_traces(20),
-            ..ExecPolicy::default()
-        };
-        let (_, report) = capture_with(
-            &sim,
-            &schedule,
-            &config,
-            &policy,
-            ResumeState {
-                completed: Vec::new(),
-                checkpoint: Some(&mut writer),
-                sync_every: 0,
-            },
-        );
-        // One worker claims whole chunks of 16: 16 < 20 keeps going, so
-        // the budget trips after the second chunk with 32 captured.
-        let interruption = report.interrupted.expect("budget must interrupt");
-        assert_eq!(interruption.cause, StopCause::TraceBudget);
-        assert_eq!(interruption.remaining, schedule.len() - 32);
-        assert_eq!(report.loads.iter().map(|l| l.traces).sum::<usize>(), 32);
-        drop(writer);
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            let path = std::env::temp_dir().join(format!(
+                "executor-budget-{}-{:?}-{backend}.sckp",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let (_, mut writer) = resume_checkpoint(&path, &meta).expect("ckpt");
+            let policy = ExecPolicy {
+                workers: 1,
+                budget: RunBudget::unlimited().with_max_new_traces(20),
+                backend,
+                ..ExecPolicy::default()
+            };
+            let (_, report) = capture_with(
+                &sim,
+                &schedule,
+                &config,
+                &policy,
+                ResumeState {
+                    completed: Vec::new(),
+                    checkpoint: Some(&mut writer),
+                    sync_every: 0,
+                },
+            );
+            // Claims are cut to the cap in whole chunks: 20 rounds up to
+            // 32, one sweep on the bit-sliced engine and two chunks on
+            // the event engine, and the budget trips with 32 captured.
+            assert_eq!(report.backend, backend);
+            let interruption = report.interrupted.expect("budget must interrupt");
+            assert_eq!(interruption.cause, StopCause::TraceBudget);
+            assert_eq!(interruption.remaining, schedule.len() - 32, "{backend}");
+            assert_eq!(report.loads.iter().map(|l| l.traces).sum::<usize>(), 32);
+            drop(writer);
 
-        // Resume from the interrupted run's checkpoint: the final traces
-        // must be bit-identical to an uninterrupted run.
-        let (records, mut writer) = resume_checkpoint(&path, &meta).expect("reopen");
-        assert_eq!(records.len(), 32);
-        let completed = records
-            .into_iter()
-            .map(|(i, _, t)| (i as usize, t))
-            .collect();
-        let (traces, report) = capture_with(
-            &sim,
-            &schedule,
-            &config,
-            &ExecPolicy::default(),
-            ResumeState {
-                completed,
-                checkpoint: Some(&mut writer),
-                sync_every: 0,
-            },
-        );
-        assert!(report.interrupted.is_none());
-        assert_eq!(report.resumed, 32);
-        assert_eq!(traces, reference, "resumed run must be bit-identical");
-        drop(writer);
-        let _ = std::fs::remove_file(&path);
+            // Resume from the interrupted run's checkpoint: the final
+            // traces must be bit-identical to an uninterrupted run.
+            let (records, mut writer) = resume_checkpoint(&path, &meta).expect("reopen");
+            assert_eq!(records.len(), 32);
+            let completed = records
+                .into_iter()
+                .map(|(i, _, t)| (i as usize, t))
+                .collect();
+            let (traces, report) = capture_with(
+                &sim,
+                &schedule,
+                &config,
+                &ExecPolicy::default(),
+                ResumeState {
+                    completed,
+                    checkpoint: Some(&mut writer),
+                    sync_every: 0,
+                },
+            );
+            assert!(report.interrupted.is_none());
+            assert_eq!(report.resumed, 32);
+            assert_eq!(traces, reference, "resumed run must be bit-identical");
+            drop(writer);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A trace cap stops both engines at the same whole-chunk prefix at
+    /// any worker count: no claim is taken while the claims in flight
+    /// cover the cap, so the overshoot stays under one chunk.
+    #[test]
+    fn trace_cap_overshoots_less_than_one_chunk_at_any_worker_count() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = ProtocolConfig {
+            traces_per_class: 16, // 256 traces
+            ..ProtocolConfig::default()
+        };
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        let (reference, _) = capture(&sim, &schedule, &config, 1);
+        let prefix = without(&reference, &(112..256).collect::<Vec<_>>());
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            for workers in [1usize, 4] {
+                let policy = ExecPolicy {
+                    workers,
+                    budget: RunBudget::unlimited().with_max_new_traces(100),
+                    backend,
+                    ..ExecPolicy::default()
+                };
+                let (traces, report) =
+                    capture_with(&sim, &schedule, &config, &policy, ResumeState::fresh());
+                let interruption = report.interrupted.expect("budget must interrupt");
+                assert_eq!(interruption.cause, StopCause::TraceBudget);
+                assert_eq!(interruption.remaining, 256 - 112, "{backend} / {workers}");
+                assert_eq!(traces, prefix, "{backend} / {workers} workers");
+            }
+        }
     }
 
     /// A budget stop on a resumed batch run folds the claimed prefix,
@@ -1994,36 +2107,42 @@ mod tests {
         let (reference, _) = capture(&sim, &schedule, &config, 1);
         // Four resumed traces in leaf 0, sixteen (all of leaf 3) past the
         // prefix the budget lets the run claim.
-        let resumed = completed(&reference, 64)
+        let resumed: Vec<_> = completed(&reference, 64)
             .into_iter()
             .filter(|(i, _)| *i < 4 || *i >= 48)
             .collect();
-        let policy = ExecPolicy {
-            workers: 1,
-            budget: RunBudget::unlimited().with_max_new_traces(20),
-            ..ExecPolicy::default()
-        };
-        let (traces, report) = capture_with(
-            &sim,
-            &schedule,
-            &config,
-            &policy,
-            ResumeState {
-                completed: resumed,
-                ..ResumeState::fresh()
-            },
-        );
-        // Leaf 0 captures 12 (12 < 20), leaf 1 captures 16: the budget
-        // trips after a 32-trace prefix holding 4 resumed traces.
-        let interruption = report.interrupted.expect("budget must interrupt");
-        assert_eq!(traces.len(), 32);
-        assert_eq!(traces, without(&reference, &(32..64).collect::<Vec<_>>()));
-        assert_eq!(report.resumed, 4);
-        assert_eq!(interruption.remaining, 32);
-        assert_eq!(
-            traces.len() + interruption.remaining + report.quarantined.len(),
-            schedule.len()
-        );
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            let policy = ExecPolicy {
+                workers: 1,
+                budget: RunBudget::unlimited().with_max_new_traces(20),
+                backend,
+                ..ExecPolicy::default()
+            };
+            let (traces, report) = capture_with(
+                &sim,
+                &schedule,
+                &config,
+                &policy,
+                ResumeState {
+                    completed: resumed.clone(),
+                    ..ResumeState::fresh()
+                },
+            );
+            // The first claim covers leaves 0 and 1 (20 rounds up to 32
+            // claimed indices) on the bit-sliced engine; on the event
+            // engine leaf 0 captures 12 (12 < 20) and leaf 1 follows.
+            // Either way the budget trips after a 32-trace prefix holding
+            // 4 resumed and 28 new traces.
+            let interruption = report.interrupted.expect("budget must interrupt");
+            assert_eq!(traces.len(), 32, "{backend}");
+            assert_eq!(traces, without(&reference, &(32..64).collect::<Vec<_>>()));
+            assert_eq!(report.resumed, 4);
+            assert_eq!(interruption.remaining, 32);
+            assert_eq!(
+                traces.len() + interruption.remaining + report.quarantined.len(),
+                schedule.len()
+            );
+        }
     }
 
     #[test]
@@ -2046,6 +2165,34 @@ mod tests {
             assert_eq!(interruption.cause, StopCause::Cancelled);
             assert_eq!(interruption.remaining, schedule.len());
             assert!(traces.is_empty(), "{workers} workers");
+        }
+    }
+
+    /// A deadline cuts the first claim to one chunk, so a deadline that
+    /// expires while that chunk captures stops a one-batch schedule
+    /// after it, on either engine.
+    #[test]
+    fn deadline_stops_a_single_batch_schedule_after_one_chunk() {
+        let circuit = SboxCircuit::build(Scheme::Opt);
+        let config = ProtocolConfig {
+            traces_per_class: LANES / 16, // one lane batch
+            ..ProtocolConfig::default()
+        };
+        let sim = Simulator::new(circuit.netlist(), &config.sim);
+        let schedule = classified_schedule(&circuit, &config);
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            let policy = ExecPolicy {
+                workers: 1,
+                faults: FaultPlan::none().with_slow_capture(0, 300),
+                budget: RunBudget::unlimited().with_time_limit(Duration::from_millis(100)),
+                backend,
+                ..ExecPolicy::default()
+            };
+            let (acc, report) = fold(&sim, &schedule, &config, &policy);
+            let interruption = report.interrupted.expect("deadline must interrupt");
+            assert_eq!(interruption.cause, StopCause::Deadline);
+            assert_eq!(acc.len(), FOLD_CHUNK as u64, "{backend}");
+            assert_eq!(interruption.remaining, LANES - FOLD_CHUNK);
         }
     }
 

@@ -139,12 +139,12 @@ pub struct CampaignConfig {
     /// it is discarded and retried (then quarantined), instead of
     /// silently stretching the run. `None` disables the watchdog.
     pub capture_timeout: Option<Duration>,
-    /// Capture engine ([`Backend::Event`] by default; the experiment
-    /// binaries arm it from `SCA_BACKEND`). The bit-sliced backend
-    /// produces bit-identical traces on every netlist it supports and
-    /// degrades to the event engine — with a recorded warning under
-    /// [`Backend::Bitsliced`], silently under [`Backend::Auto`] — on
-    /// netlists its static support check rejects.
+    /// Capture engine. The default, [`Backend::Auto`], captures on the
+    /// bit-sliced engine wherever its static support check accepts the
+    /// netlist and on the event engine elsewhere; both give the same
+    /// bits. [`Backend::Event`] pins the event engine, and
+    /// [`Backend::Bitsliced`] degrades to it with a recorded warning on
+    /// a netlist the check rejects.
     pub backend: Backend,
 }
 
@@ -164,7 +164,7 @@ impl Default for CampaignConfig {
             stream_mode: SumMode::Exact,
             budget: RunBudget::unlimited(),
             capture_timeout: None,
-            backend: Backend::Event,
+            backend: Backend::default(),
         }
     }
 }
@@ -291,9 +291,10 @@ impl Campaign {
     /// (0.0 = fresh).
     ///
     /// Age 0 uses identity derating and is bit-identical to the
-    /// sequential `acquisition::acquire` path; ages > 0 match
-    /// `LeakageStudy::run_aged` (the device is aged by its own protocol
-    /// workload).
+    /// sequential `acquisition::acquire` path; ages > 0 derate the
+    /// circuit with `LeakageStudy::aged_device` (the device is aged by
+    /// its own protocol workload) and are bit-identical to
+    /// `acquisition::acquire_with_derating` under that derating.
     pub fn acquire_aged<'a>(
         &mut self,
         subject: impl Into<Subject<'a>>,
@@ -448,8 +449,8 @@ mod tests {
 
     /// Batch cells fold into their trace sets through the in-order
     /// chain: each set equals the sequential acquisition's, in order, at
-    /// any worker count on either backend, and the report carries the
-    /// chain's length.
+    /// any worker count on either backend, fresh and aged, and the
+    /// report carries the chain's length.
     #[test]
     fn matches_sequential_acquisition_exactly() {
         let dir = tmp_dir("seq");
@@ -469,6 +470,13 @@ mod tests {
                 let report = campaign.log().reports().last().unwrap();
                 assert!(!report.streamed, "{what}");
                 assert_eq!(report.merge_depth, 4, "{what}");
+
+                let aged = campaign.acquire_aged(Scheme::Opt, 24.0);
+                let derating = acquisition::LeakageStudy::new(protocol.clone())
+                    .aged_device(&circuit)
+                    .derating_at_months(24.0);
+                let reference = acquisition::acquire_with_derating(&circuit, &protocol, &derating);
+                assert_eq!(aged.traces, reference, "{what}, 24 months");
 
                 let cpa = campaign.acquire_cpa(Scheme::Opt, 0xB, 40);
                 let reference = acquisition::acquire_cpa(&circuit, &protocol, 0xB, 40);
@@ -546,6 +554,9 @@ mod tests {
             let mut campaign = small_campaign(&dir, CacheMode::Off);
             campaign.config.streaming = true;
             campaign.config.workers = workers;
+            // The residency bound below is the event engine's; a
+            // bit-sliced worker holds its whole swept lane batch.
+            campaign.config.backend = Backend::Event;
             let streamed = campaign.acquire_spectrum_aged(Scheme::Glut, 0.0);
             assert!(streamed.streamed);
             assert!(!streamed.cache_hit);
@@ -635,6 +646,44 @@ mod tests {
             outcome.traces_analyzed,
             outcome.class_counts.iter().sum::<usize>()
         );
+    }
+
+    /// An uncached, fault-free campaign at `traces_per_class`.
+    fn clean_campaign(traces_per_class: usize) -> Campaign {
+        let dir = tmp_dir("clean");
+        let mut campaign = small_campaign(&dir, CacheMode::Off);
+        campaign.config.protocol.traces_per_class = traces_per_class;
+        campaign.config.faults = FaultPlan::none();
+        campaign
+    }
+
+    #[test]
+    fn fresh_spectra_leak_and_aging_lowers_leakage_gently() {
+        let mut campaign = clean_campaign(4);
+        let [fresh, aged] = [0.0, 48.0].map(|months| campaign.acquire_aged(Scheme::Opt, months));
+        assert_eq!(fresh.spectrum.samples(), 100);
+        let (fresh, aged) = (
+            fresh.spectrum.total_leakage_power(),
+            aged.spectrum.total_leakage_power(),
+        );
+        assert!(fresh > 0.0);
+        assert!(aged < fresh, "aged {aged} !< fresh {fresh}");
+        assert!(aged > 0.5 * fresh, "degradation should be gentle");
+    }
+
+    #[test]
+    fn masked_schemes_leak_less_than_unprotected() {
+        // At the paper's trace budget (64/class) the masked estimate of a
+        // small-variance scheme sits well below the unprotected circuits.
+        let mut campaign = clean_campaign(64);
+        let [unprot, isw, rom] = [Scheme::Opt, Scheme::Isw, Scheme::RsmRom].map(|scheme| {
+            campaign
+                .acquire_aged(scheme, 0.0)
+                .spectrum
+                .total_leakage_power()
+        });
+        assert!(isw < unprot, "ISW {isw} !< OPT {unprot}");
+        assert!(rom < unprot, "RSM-ROM {rom} !< OPT {unprot}");
     }
 
     #[test]

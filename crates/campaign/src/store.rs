@@ -372,28 +372,10 @@ impl StoreReader {
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         let mut input = BufReader::new(File::open(path)?);
         let mut digest = Digest::new();
-
-        let magic = read_array::<4>(&mut input, &mut digest)?;
-        if magic != MAGIC {
-            return Err(StoreError::Format(format!(
-                "bad magic {magic:02x?} (not an SCTR trace store)"
-            )));
-        }
-        let version = u16::from_le_bytes(read_array(&mut input, &mut digest)?);
-        if version != VERSION {
-            return Err(StoreError::Format(format!(
-                "unsupported store version {version} (this reader understands {VERSION})"
-            )));
-        }
-        let meta = parse_meta(&mut input, &mut digest)?;
-
-        // The running digest has absorbed exactly the header bytes, so
-        // its state *is* the expected header checksum. Verifying it here
-        // proves the metadata before any buffer is sized from it: a
-        // corrupted trace or sample count must produce a format error,
-        // not a multi-gigabyte allocation.
-        let expect_header = digest.finish();
-        let stored_header = u64::from_le_bytes(read_array(&mut input, &mut digest)?);
+        // Verifying the header checksum here proves the metadata before
+        // any buffer is sized from it: a corrupted trace or sample count
+        // must produce a format error, not a multi-gigabyte allocation.
+        let (meta, stored_header, expect_header) = read_header(&mut input, &mut digest)?;
         if stored_header != expect_header {
             return Err(StoreError::Format(format!(
                 "header checksum mismatch: stored {stored_header:#018x}, \
@@ -434,22 +416,14 @@ impl StoreReader {
         let mut samples = vec![0.0f64; self.meta.samples as usize];
         let mut tail = [0u8; 8];
         for index in 0..self.meta.traces {
-            self.input.read_exact(&mut self.record_buf).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    StoreError::Format("store truncated mid-record".into())
-                } else {
-                    StoreError::Io(e)
-                }
-            })?;
+            read_exact_or(
+                &mut self.input,
+                &mut self.record_buf,
+                "store truncated mid-record",
+            )?;
             self.digest.bytes(&self.record_buf);
             let expect = crate::digest::fnv1a(&self.record_buf);
-            self.input.read_exact(&mut tail).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    StoreError::Format("store truncated mid-record".into())
-                } else {
-                    StoreError::Io(e)
-                }
-            })?;
+            read_exact_or(&mut self.input, &mut tail, "store truncated mid-record")?;
             self.digest.bytes(&tail);
             let stored = u64::from_le_bytes(tail);
             if stored != expect {
@@ -465,13 +439,11 @@ impl StoreReader {
             f(label, &samples);
         }
         let expect = self.digest.finish();
-        self.input.read_exact(&mut tail).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                StoreError::Format("store truncated before checksum".into())
-            } else {
-                StoreError::Io(e)
-            }
-        })?;
+        read_exact_or(
+            &mut self.input,
+            &mut tail,
+            "store truncated before checksum",
+        )?;
         let stored = u64::from_le_bytes(tail);
         if stored != expect {
             return Err(StoreError::Format(format!(
@@ -521,20 +493,54 @@ fn expected_len(meta: &StoreMeta) -> u128 {
         + 8
 }
 
+/// `read_exact`, reporting a short read as a [`StoreError::Format`]
+/// carrying `truncated`.
+fn read_exact_or(input: &mut impl Read, buf: &mut [u8], truncated: &str) -> Result<(), StoreError> {
+    input.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            StoreError::Format(truncated.into())
+        } else {
+            StoreError::Io(e)
+        }
+    })
+}
+
 fn read_array<const N: usize>(
     input: &mut impl Read,
     digest: &mut Digest,
 ) -> Result<[u8; N], StoreError> {
     let mut buf = [0u8; N];
-    input.read_exact(&mut buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Format("store truncated mid-header".into())
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
+    read_exact_or(input, &mut buf, "store truncated mid-header")?;
     digest.bytes(&buf);
     Ok(buf)
+}
+
+/// Read a store's magic, version, header fields and header checksum,
+/// absorbing every byte into `digest`. Returns the parsed header, the
+/// stored header checksum and the checksum computed over the header
+/// bytes; the caller decides what a mismatch means.
+fn read_header(
+    input: &mut impl Read,
+    digest: &mut Digest,
+) -> Result<(StoreMeta, u64, u64), StoreError> {
+    let magic = read_array::<4>(input, digest)?;
+    if magic != MAGIC {
+        return Err(StoreError::Format(format!(
+            "bad magic {magic:02x?} (not an SCTR trace store)"
+        )));
+    }
+    let version = u16::from_le_bytes(read_array(input, digest)?);
+    if version != VERSION {
+        return Err(StoreError::Format(format!(
+            "unsupported store version {version} (this reader understands {VERSION})"
+        )));
+    }
+    let meta = parse_meta(input, digest)?;
+    // The running digest has absorbed exactly the header bytes, so its
+    // state *is* the expected header checksum.
+    let computed = digest.finish();
+    let stored = u64::from_le_bytes(read_array(input, digest)?);
+    Ok((meta, stored, computed))
 }
 
 /// The header fields after magic+version, in wire order.
@@ -563,13 +569,7 @@ fn parse_meta(input: &mut impl Read, digest: &mut Digest) -> Result<StoreMeta, S
     let class_or_key = u16::from_le_bytes(read_array(input, digest)?);
     let name_len = u16::from_le_bytes(read_array(input, digest)?);
     let mut name_bytes = vec![0u8; usize::from(name_len)];
-    input.read_exact(&mut name_bytes).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Format("store truncated mid-header".into())
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
+    read_exact_or(input, &mut name_bytes, "store truncated mid-header")?;
     digest.bytes(&name_bytes);
     let name = String::from_utf8(name_bytes)
         .map_err(|_| StoreError::Format("implementation name is not UTF-8".into()))?;
@@ -623,31 +623,8 @@ impl StoreSalvage {
 /// trusted header there is no record geometry to scan).
 pub fn salvage_store(path: &Path) -> Result<StoreSalvage, StoreError> {
     let mut input = BufReader::new(File::open(path)?);
-    let mut digest = Digest::new();
-
-    let magic = read_array::<4>(&mut input, &mut digest)?;
-    if magic != MAGIC {
-        return Err(StoreError::Format(format!(
-            "bad magic {magic:02x?} (not an SCTR trace store)"
-        )));
-    }
-    let version = u16::from_le_bytes(read_array(&mut input, &mut digest)?);
-    if version != VERSION {
-        return Err(StoreError::Format(format!(
-            "unsupported store version {version} (this reader understands {VERSION})"
-        )));
-    }
-    let meta = parse_meta(&mut input, &mut digest)?;
-    let expect_header = digest.finish();
-    let mut tail = [0u8; 8];
-    input.read_exact(&mut tail).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Format("store truncated mid-header".into())
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
-    if u64::from_le_bytes(tail) != expect_header {
+    let (meta, stored_header, expect_header) = read_header(&mut input, &mut Digest::new())?;
+    if stored_header != expect_header {
         return Err(StoreError::Format(
             "header checksum mismatch: nothing to trust, store is unsalvageable".into(),
         ));
@@ -655,6 +632,7 @@ pub fn salvage_store(path: &Path) -> Result<StoreSalvage, StoreError> {
 
     let record_bytes = 2 + 8 * meta.samples as usize;
     let mut buf = vec![0u8; record_bytes];
+    let mut tail = [0u8; 8];
     let mut clean = Vec::new();
     let mut corrupt = Vec::new();
     let mut torn = 0u32;

@@ -7,8 +7,7 @@
 
 use crate::comoment::CoMomentAccumulator;
 use crate::online::{SpectrumAccumulator, SumMode};
-use acquisition::{acquire_with_derating, Backend, LeakageStudy, ProtocolConfig, NUM_CLASSES};
-use gatesim::Simulator;
+use acquisition::{acquire_with_derating, LeakageStudy, ProtocolConfig, NUM_CLASSES};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_attacks::{Distinguisher, LeakageModel};
 
@@ -23,10 +22,7 @@ fn default_protocol_folds_never_leave_the_fixed_window() {
         let device = study.aged_device(&circuit);
         for months in [0.0, 24.0] {
             let derating = device.derating_at_months(months);
-            let sim = Simulator::with_derating(circuit.netlist(), &config.sim, &derating);
-            assert!(sim.bitsliced_session().is_ok(), "{scheme} at {months}");
-            let traces = acquire_with_derating(&circuit, &config, &derating, Backend::Bitsliced)
-                .expect("scheme netlists are bitslice-supported");
+            let traces = acquire_with_derating(&circuit, &config, &derating);
             let mut spectrum = SpectrumAccumulator::new(NUM_CLASSES, samples, SumMode::Exact);
             let mut attack = CoMomentAccumulator::new(cpa.channels(), samples);
             for (class, trace) in traces.iter() {

@@ -3,19 +3,33 @@
 //! noise, and trace budget — each swept against the LUT (unprotected) and
 //! ISW (masked) leakage estimates.
 
-use acquisition::{LeakageStudy, ProtocolConfig};
-use experiments::{sci, CsvSink};
+use acquisition::ProtocolConfig;
+use campaign::{CacheMode, Campaign, CampaignConfig};
+use experiments::{campaign_config, finish_campaign, sci, CsvSink};
 use gatesim::SimConfig;
 use sbox_circuits::Scheme;
 
-fn leak(config: ProtocolConfig, scheme: Scheme) -> f64 {
-    LeakageStudy::new(config)
-        .run(scheme)
-        .spectrum
-        .total_leakage_power()
+/// Total leakage of LUT and ISW under one swept protocol, acquired by an
+/// uncached campaign of its own, which joins `campaigns`. Most settings
+/// are cells no other experiment reads, so storing them would only
+/// cost disk and time.
+fn leak(config: ProtocolConfig, campaigns: &mut Vec<Campaign>) -> (f64, f64) {
+    let mut campaign = Campaign::new(CampaignConfig {
+        cache: CacheMode::Off,
+        ..campaign_config(config)
+    });
+    let [lut, isw] = [Scheme::Lut, Scheme::Isw].map(|scheme| {
+        campaign
+            .acquire_aged(scheme, 0.0)
+            .spectrum
+            .total_leakage_power()
+    });
+    campaigns.push(campaign);
+    (lut, isw)
 }
 
 fn main() {
+    let mut campaigns = Vec::new();
     let mut csv = CsvSink::new("ablations", ["knob", "value", "lut", "isw"]);
     println!("Power-model ablations (total leakage, LUT vs ISW)\n");
 
@@ -28,7 +42,7 @@ fn main() {
             },
             ..ProtocolConfig::default()
         };
-        let (l, i) = (leak(cfg.clone(), Scheme::Lut), leak(cfg, Scheme::Isw));
+        let (l, i) = leak(cfg, &mut campaigns);
         println!("  {absorbed:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));
         csv.fields([
             "absorbed".into(),
@@ -47,7 +61,7 @@ fn main() {
             },
             ..ProtocolConfig::default()
         };
-        let (l, i) = (leak(cfg.clone(), Scheme::Lut), leak(cfg, Scheme::Isw));
+        let (l, i) = leak(cfg, &mut campaigns);
         println!("  {sigma:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));
         csv.fields([
             "sigma".into(),
@@ -66,7 +80,7 @@ fn main() {
             },
             ..ProtocolConfig::default()
         };
-        let (l, i) = (leak(cfg.clone(), Scheme::Lut), leak(cfg, Scheme::Isw));
+        let (l, i) = leak(cfg, &mut campaigns);
         println!("  {noise:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));
         csv.fields([
             "noise".into(),
@@ -82,7 +96,7 @@ fn main() {
             traces_per_class: tpc,
             ..ProtocolConfig::default()
         };
-        let (l, i) = (leak(cfg.clone(), Scheme::Lut), leak(cfg, Scheme::Isw));
+        let (l, i) = leak(cfg, &mut campaigns);
         println!("  {tpc:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));
         csv.fields([
             "traces_per_class".into(),
@@ -92,4 +106,7 @@ fn main() {
         ]);
     }
     csv.finish();
+    for campaign in &campaigns {
+        finish_campaign(campaign);
+    }
 }

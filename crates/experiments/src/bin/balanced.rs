@@ -7,15 +7,15 @@
 //! delay balancing is value/amplitude leakage; the remainder was
 //! glitch-borne.
 
-use acquisition::LeakageStudy;
-use experiments::{protocol_from_args, sci, CsvSink};
+use campaign::Subject;
+use experiments::{campaign_from_args, finish_campaign, sci, CsvSink};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sbox_netlist::timing;
 use sbox_netlist::transform::balance_delays;
+use sca_frontend::netlist_digest;
 
 fn main() {
-    let config = protocol_from_args();
-    let study = LeakageStudy::new(config.clone());
+    let mut campaign = campaign_from_args();
     let mut csv = CsvSink::new(
         "balanced",
         [
@@ -30,7 +30,7 @@ fn main() {
     );
     println!(
         "Delay-balancing ablation ({} traces/class)",
-        config.traces_per_class
+        campaign.config().protocol.traces_per_class
     );
     println!(
         "{:9} {:>12} {:>12} {:>9} {:>10} {:>8} {:>9}",
@@ -48,9 +48,24 @@ fn main() {
         let gates_bal = balanced_nl.gates().len();
         let balanced = SboxCircuit::from_parts(scheme, balanced_nl);
 
-        let leak_plain = study.run(scheme).spectrum.total_leakage_power();
-        let traces = acquisition::acquire(&balanced, &config);
-        let leak_balanced = leakage_core::LeakageSpectrum::from_class_means(&traces.class_means())
+        let leak_plain = campaign
+            .acquire_aged(scheme, 0.0)
+            .spectrum
+            .total_leakage_power();
+        // Cached under the buffered netlist's content hash, as imported
+        // designs are: a change to the balancing pass misses the store.
+        let label = format!(
+            "balanced-{}-{:016x}",
+            scheme.label().to_lowercase(),
+            netlist_digest(balanced.netlist())
+        );
+        let subject = Subject::Imported {
+            circuit: &balanced,
+            label: &label,
+        };
+        let leak_balanced = campaign
+            .acquire_aged(subject, 0.0)
+            .spectrum
             .total_leakage_power();
         println!(
             "{:9} {:>12} {:>12} {:>9.0} {:>10.0} {:>8} {:>9}",
@@ -77,4 +92,5 @@ fn main() {
         "\nleakage removed by balancing is glitch-borne; the remainder is value/amplitude leakage."
     );
     csv.finish();
+    finish_campaign(&campaign);
 }

@@ -1,8 +1,8 @@
 //! Fig. 3: convergence of the ISW leakage coefficients with the number of
 //! traces — the estimate stabilizes by 1024 traces.
 
-use acquisition::LeakageStudy;
-use experiments::{protocol_from_args, CsvSink};
+use campaign::Campaign;
+use experiments::{campaign_config, finish_campaign, protocol_from_args, CsvSink};
 use leakage_core::convergence::{coefficient_convergence, doubling_counts};
 use sbox_circuits::Scheme;
 
@@ -11,8 +11,8 @@ fn main() {
     // slices prefixes of it.
     let mut config = protocol_from_args();
     config.traces_per_class = config.traces_per_class.max(64);
-    let study = LeakageStudy::new(config);
-    let outcome = study.run(Scheme::Isw);
+    let mut campaign = Campaign::new(campaign_config(config));
+    let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
 
     // Reference sample: the most leaking instant.
     let series = outcome.spectrum.leakage_power_series();
@@ -52,4 +52,5 @@ fn main() {
         sweep[sweep.len() / 2].traces
     );
     csv.finish();
+    finish_campaign(&campaign);
 }

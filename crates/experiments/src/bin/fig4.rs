@@ -1,13 +1,12 @@
 //! Fig. 4: ISW leakage coefficients per sample — the multi-bit
 //! (bit-1·bit-2 conjunction, `u = 0110`) component dominates.
 
-use acquisition::LeakageStudy;
-use experiments::{protocol_from_args, CsvSink};
+use experiments::{campaign_from_args, finish_campaign, CsvSink};
 use sbox_circuits::Scheme;
 
 fn main() {
-    let study = LeakageStudy::new(protocol_from_args());
-    let outcome = study.run(Scheme::Isw);
+    let mut campaign = campaign_from_args();
+    let outcome = campaign.acquire_aged(Scheme::Isw, 0.0);
     let spectrum = &outcome.spectrum;
 
     let mut header = vec!["sample".to_string()];
@@ -47,4 +46,5 @@ fn main() {
         println!("→ the dominant source is a bit interaction, as in the paper's Fig. 4");
     }
     csv.finish();
+    finish_campaign(&campaign);
 }

@@ -24,10 +24,9 @@
 //! Any typed import failure exits 2; any conformance mismatch exits 1;
 //! panics are a bug.
 
-use acquisition::{acquire, acquire_with_derating, Backend};
-use campaign::{Campaign, Subject};
+use acquisition::acquire;
+use campaign::{Backend, CacheMode, Campaign, CampaignConfig, Subject};
 use experiments::{campaign_config, finish_campaign};
-use gatesim::Derating;
 use leakage_core::ClassifiedTraces;
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_frontend::{
@@ -310,27 +309,33 @@ fn selftest(tpc: usize) -> i32 {
             failures += 1;
         }
 
-        // Bit-sliced captures must agree with the event backend too.
-        let bitsliced = |c: &SboxCircuit| {
-            let fresh = Derating::fresh(c.netlist());
-            acquire_with_derating(c, &config, &fresh, Backend::Bitsliced)
+        // Bit-sliced captures must agree too, and the support check must
+        // treat both netlists alike: on a netlist it rejects, a
+        // `Bitsliced` campaign degrades to the event engine.
+        let cache_label = import_label(&circuit);
+        let subject = Subject::Imported {
+            circuit: &circuit,
+            label: &cache_label,
         };
-        match (bitsliced(&native), bitsliced(&circuit)) {
-            (Ok(n), Ok(i)) => {
-                if let Some(diff) = trace_diff(&n, &i) {
-                    eprintln!("selftest: {label}: bitsliced capture drift: {diff}");
-                    failures += 1;
-                }
-            }
-            (Err(n), Err(i)) => {
-                // Both backends must reject for the same reason.
-                if n.to_string() != i.to_string() {
-                    eprintln!("selftest: {label}: bitsliced rejection drift: `{n}` vs `{i}`");
-                    failures += 1;
-                }
-            }
-            (Ok(_), Err(e)) | (Err(e), Ok(_)) => {
-                eprintln!("selftest: {label}: bitsliced support drift: {e}");
+        let mut bitsliced = Campaign::new(CampaignConfig {
+            backend: Backend::Bitsliced,
+            cache: CacheMode::Off,
+            ..campaign.config().clone()
+        });
+        let engine = |c: &Campaign| c.log().reports().last().and_then(|r| r.backend);
+        let native_bits = bitsliced.acquire_aged(scheme, 0.0);
+        let native_engine = engine(&bitsliced);
+        let import_bits = bitsliced.acquire_aged(subject, 0.0);
+        if native_engine != engine(&bitsliced) {
+            eprintln!(
+                "selftest: {label}: bitsliced support drift: native ran {native_engine:?}, \
+                 the import {:?}",
+                engine(&bitsliced)
+            );
+            failures += 1;
+        } else if native_bits.partial.is_none() && import_bits.partial.is_none() {
+            if let Some(diff) = trace_diff(&native_bits.traces, &import_bits.traces) {
+                eprintln!("selftest: {label}: bitsliced capture drift: {diff}");
                 failures += 1;
             }
         }
@@ -346,11 +351,6 @@ fn selftest(tpc: usize) -> i32 {
         // Campaign capture under the content-hash label: the second
         // acquisition of the same imported netlist must hit the cache
         // (when caching is enabled) and agree trace-for-trace.
-        let cache_label = import_label(&circuit);
-        let subject = Subject::Imported {
-            circuit: &circuit,
-            label: &cache_label,
-        };
         let first = campaign.acquire_aged(subject, 0.0);
         let second = campaign.acquire_aged(subject, 0.0);
         if first.partial.is_none() && second.partial.is_none() {

@@ -19,26 +19,26 @@
 //! streaming fold (`on`/`1`/`exact`, default `off`), whose exact sums
 //! give spectra bit-identical to the batch path; streamed cells keep no
 //! raw traces, so they are not persisted to the trace store.
-//! `SCA_BACKEND` selects the capture engine: `event` (default, the
-//! event-driven reference), `bitsliced` (the levelized 64-traces-per-word
-//! engine; bit-identical traces, degrades to event-driven with a recorded
-//! warning when a netlist is unsupported), or `auto` (bit-sliced when
-//! supported, silently event-driven otherwise). The engine and lane
+//! No knob selects the capture engine: each netlist is captured on the
+//! bit-sliced levelized engine (64 traces per machine word) when its
+//! static support check passes, and on the event-driven reference
+//! engine otherwise. Both give bit-identical traces. The engine and lane
 //! utilization of every run land in the summary table and
 //! `results/campaign_runs.jsonl`.
 //!
 //! Run budgets: `SCA_DEADLINE_MS` (wall-clock limit per acquisition),
-//! `SCA_MAX_TRACES` (cap on newly captured traces per acquisition), and
-//! `SCA_CAPTURE_TIMEOUT_MS` (per-capture watchdog) — all `0`/unset =
-//! unlimited. A budget-stopped run flushes its checkpoint and resumes
-//! bit-identically on the next invocation.
+//! `SCA_MAX_TRACES` (cap on newly captured traces per acquisition, met
+//! within one 16-trace chunk on either engine), and
+//! `SCA_CAPTURE_TIMEOUT_MS` (per-capture watchdog, which watches
+//! event-engine captures only) — all `0`/unset = unlimited. A
+//! budget-stopped run flushes its checkpoint and resumes bit-identically
+//! on the next invocation.
 //!
 //! A malformed value never fails silently: by default it warns on
 //! stderr, naming the bad value and the default used instead; with
 //! `SCA_STRICT=1` (used in CI) a malformed `SCA_WORKERS`, `SCA_RETRIES`,
-//! `SCA_CHECKPOINT`, `SCA_FAULTS`, `SCA_CACHE`, `SCA_STREAM`,
-//! `SCA_BACKEND`, or budget knob is a hard configuration error and the
-//! binary exits with status 2.
+//! `SCA_CHECKPOINT`, `SCA_FAULTS`, `SCA_CACHE`, `SCA_STREAM`, or budget
+//! knob is a hard configuration error and the binary exits with status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +48,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use acquisition::ProtocolConfig;
-use campaign::{Backend, CacheMode, Campaign, CampaignConfig, CampaignError, FaultPlan, RunBudget};
+use campaign::{CacheMode, Campaign, CampaignConfig, CampaignError, FaultPlan, RunBudget};
 
 /// Parse the common CLI: optional traces-per-class override.
 pub fn protocol_from_args() -> ProtocolConfig {
@@ -124,27 +124,6 @@ fn stream_from_value(value: Option<String>, strict: bool) -> Result<bool, Campai
     }
 }
 
-/// The capture engine named by `SCA_BACKEND`: `event` (default) is the
-/// event-driven reference engine, `bitsliced` the levelized batch
-/// engine (bit-identical traces; unsupported netlists degrade to
-/// event-driven with a recorded warning), `auto` picks bit-sliced when
-/// supported and falls back silently. Empty/unset is the default.
-fn backend_from_value(value: Option<String>, strict: bool) -> Result<Backend, CampaignError> {
-    let Some(v) = value.filter(|v| !v.is_empty()) else {
-        return Ok(Backend::Event);
-    };
-    v.parse().or_else(|()| {
-        let default = (Backend::Event, "event");
-        rejected(
-            "SCA_BACKEND",
-            v,
-            strict,
-            "one of event/bitsliced/auto",
-            default,
-        )
-    })
-}
-
 /// Knob `name` parsed as a `T`: `default` when unset, [`rejected`] when
 /// set but unparsable.
 fn knob<T>(name: &str, default: T, strict: bool) -> Result<T, CampaignError>
@@ -205,7 +184,6 @@ pub fn try_campaign_config(
         faults,
         budget,
         capture_timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-        backend: backend_from_value(env_value("SCA_BACKEND"), strict)?,
         ..CampaignConfig::default()
     })
 }
@@ -436,25 +414,6 @@ mod tests {
         std::env::remove_var("SCA_DEADLINE_MS");
         std::env::remove_var("SCA_MAX_TRACES");
         std::env::remove_var("SCA_CAPTURE_TIMEOUT_MS");
-    }
-
-    #[test]
-    fn backend_env_selects_engine_and_defaults_to_event() {
-        // Values go through backend_from_value directly: setting a
-        // garbage SCA_BACKEND in the shared process environment would
-        // race the strict try_campaign_config calls of other tests.
-        let get = |v: Option<&str>, strict| backend_from_value(v.map(String::from), strict);
-        assert_eq!(get(None, false).unwrap(), Backend::Event);
-        assert_eq!(get(None, true).unwrap(), Backend::Event);
-        assert_eq!(get(Some(""), true).unwrap(), Backend::Event);
-        assert_eq!(get(Some("event"), false).unwrap(), Backend::Event);
-        assert_eq!(get(Some("bitsliced"), true).unwrap(), Backend::Bitsliced);
-        assert_eq!(get(Some("AUTO"), false).unwrap(), Backend::Auto);
-        // Lenient: warn and default; strict: typed error naming the knob.
-        assert_eq!(get(Some("banana"), false).unwrap(), Backend::Event);
-        let err = get(Some("banana"), true).expect_err("strict garbage is fatal");
-        assert!(matches!(err, CampaignError::Config { ref name, ref value }
-            if name == "SCA_BACKEND" && value == "banana"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Static soundness arguments have models; models have edges. After the
 //! searcher accepts a patch sequence, this module replays base and
-//! repaired subjects through the bit-sliced gate-level power simulator
+//! repaired subjects through the gate-level power simulator, via the
+//! campaign executor (bit-sliced wherever the netlist supports it),
 //! under identical stimulus recipes and compares their class-conditional
 //! NICV (the paper's dynamic leakage metric). A real repair shows a
 //! non-increasing NICV peak; a model-gaming "repair" shows up here as a
@@ -11,7 +12,9 @@
 //! Everything is seeded and noise-free, so the resulting floats are
 //! byte-stable and safe to pin in golden reports.
 
-use gatesim::{SamplingConfig, SimConfig, Simulator, LANES};
+use acquisition::Stimulus;
+use campaign::{fold_schedule_into, ExecPolicy, ResumeState};
+use gatesim::{SamplingConfig, SimConfig, Simulator};
 use leakage_core::{metrics, ClassifiedTraces};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -39,27 +42,22 @@ pub struct Confirmation {
 
 /// Capture `traces_per_class` transition traces per class for both
 /// subjects and compare peak NICV.
-///
-/// # Errors
-///
-/// Returns a description when either netlist is outside the bit-sliced
-/// backend's support window.
 pub fn confirm(
     base: &Subject,
     repaired: &Subject,
     traces_per_class: usize,
     seed: u64,
-) -> Result<Confirmation, String> {
+) -> Confirmation {
     let sampling = SamplingConfig::default();
-    let (base_max, traces) = peak_nicv(base, traces_per_class, seed, &sampling)?;
-    let (repaired_max, _) = peak_nicv(repaired, traces_per_class, seed, &sampling)?;
-    Ok(Confirmation {
+    let (base_max, traces) = peak_nicv(base, traces_per_class, seed, &sampling);
+    let (repaired_max, _) = peak_nicv(repaired, traces_per_class, seed, &sampling);
+    Confirmation {
         traces,
         samples: sampling.samples,
         base_nicv_max: base_max,
         repaired_nicv_max: repaired_max,
         delta: base_max - repaired_max,
-    })
+    }
 }
 
 fn peak_nicv(
@@ -67,7 +65,7 @@ fn peak_nicv(
     traces_per_class: usize,
     seed: u64,
     sampling: &SamplingConfig,
-) -> Result<(f64, usize), String> {
+) -> (f64, usize) {
     let classes = subject.num_classes().min(MAX_CLASSES);
     let mask_bits = subject.mask_bits();
     let mask_mask = if mask_bits == 0 {
@@ -83,42 +81,40 @@ fn peak_nicv(
     // class-conditional variance NICV measures is exactly the distance
     // leakage the masking should have randomized away.
     let all_classes = subject.num_classes() as u64;
-    let mut stimuli: Vec<(usize, Vec<bool>, Vec<bool>)> = Vec::new();
-    for i in 0..classes * traces_per_class {
-        let class = i % classes;
-        let prev_class: u64 = rng.gen::<u64>() % all_classes;
-        let before: u64 = rng.gen::<u64>() & mask_mask;
-        let after: u64 = rng.gen::<u64>() & mask_mask;
-        stimuli.push((
-            class,
-            subject.encode(prev_class, before),
-            subject.encode(class as u64, after),
-        ));
-    }
+    let schedule: Vec<Stimulus> = (0..classes * traces_per_class)
+        .map(|i| {
+            let class = i % classes;
+            let prev_class: u64 = rng.gen::<u64>() % all_classes;
+            let before: u64 = rng.gen::<u64>() & mask_mask;
+            let after: u64 = rng.gen::<u64>() & mask_mask;
+            Stimulus {
+                // `classes` is at most MAX_CLASSES.
+                label: class as u16,
+                initial: subject.encode(prev_class, before),
+                final_inputs: subject.encode(class as u64, after),
+            }
+        })
+        .collect();
 
-    let config = SimConfig::default();
-    let sim = Simulator::new(subject.netlist(), &config);
-    let mut session = sim
-        .bitsliced_session()
-        .map_err(|_| "netlist outside the bit-sliced backend's support window".to_string())?;
-    let mut set = ClassifiedTraces::new(classes, sampling.samples);
-    for (chunk_idx, chunk) in stimuli.chunks(LANES).enumerate() {
-        let lanes: Vec<gatesim::LaneStimulus<'_>> = chunk
-            .iter()
-            .enumerate()
-            .map(|(j, (_, before, after))| gatesim::LaneStimulus {
-                initial: before,
-                final_inputs: after,
-                noise_seed: seed ^ ((chunk_idx * LANES + j) as u64),
-            })
-            .collect();
-        let (traces, _) = session.capture_batch(&lanes, sampling);
-        for ((class, _, _), trace) in chunk.iter().zip(traces) {
-            set.push(*class, trace.clone());
-        }
-    }
+    // Noise-free, so the per-trace noise seeds never enter a trace.
+    let sim = Simulator::new(subject.netlist(), &SimConfig::default());
+    let policy = ExecPolicy {
+        workers: 1,
+        ..ExecPolicy::default()
+    };
+    let make = || ClassifiedTraces::new(classes, sampling.samples);
+    let (set, _) = fold_schedule_into(
+        &sim,
+        &schedule,
+        sampling,
+        seed,
+        &policy,
+        ResumeState::fresh(),
+        &make,
+        None,
+    );
     let peak = metrics::nicv(&set).into_iter().fold(0.0f64, f64::max);
-    Ok((peak, set.len()))
+    (peak, set.len())
 }
 
 #[cfg(test)]
@@ -130,8 +126,8 @@ mod tests {
     fn confirmation_is_deterministic_and_orders_lut_above_isw() {
         let lut = Subject::of_circuit(&SboxCircuit::build(Scheme::Lut));
         let isw = Subject::of_circuit(&SboxCircuit::build(Scheme::Isw));
-        let a = confirm(&lut, &isw, 8, 7).expect("both capture");
-        let b = confirm(&lut, &isw, 8, 7).expect("both capture");
+        let a = confirm(&lut, &isw, 8, 7);
+        let b = confirm(&lut, &isw, 8, 7);
         assert_eq!(a.base_nicv_max.to_bits(), b.base_nicv_max.to_bits());
         assert_eq!(a.delta.to_bits(), b.delta.to_bits());
         // Unprotected LUT leaks its class hard; masked ISW does not.

@@ -26,7 +26,8 @@
 //!    engine, so a search over dozens of candidates costs a fraction of as
 //!    many from-scratch analyses.
 //! 3. **Dynamic confirmation** ([`confirm`](mod@confirm)): the accepted repair is
-//!    replayed through the bit-sliced gate-level power simulator and the
+//!    replayed through the campaign executor's gate-level power simulator
+//!    (bit-sliced wherever the netlist supports it) and the
 //!    class-conditional NICV of base and repaired netlists are compared —
 //!    the static verdict is cross-checked against the paper's own dynamic
 //!    leakage metric.

@@ -2,7 +2,7 @@
 //! against real simulated circuits.
 
 use acquisition::{acquire, acquire_cpa, ProtocolConfig};
-use campaign::{AttackPlan, CacheMode, Campaign, CampaignConfig, SumMode};
+use campaign::{AttackPlan, CacheMode, Campaign, CampaignConfig, FaultPlan, SumMode};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_attacks::template::{template_attack, TemplateSet};
 use sca_attacks::{cpa_attack, Distinguisher, LeakageModel};
@@ -127,10 +127,16 @@ fn attack_engine_reproduces_the_paper_protection_ordering() {
 /// schemes with zero static bias still show dynamic leakage.
 #[test]
 fn static_probing_and_dynamic_leakage_are_complementary() {
-    use acquisition::LeakageStudy;
     let circuit = SboxCircuit::build(Scheme::Isw);
     assert!(sca_verify::analyze(&circuit).verdicts.value_first_order);
-    let study = LeakageStudy::new(config(7));
-    let leak = study.run(Scheme::Isw).spectrum.total_leakage_power();
+    let leak = Campaign::new(CampaignConfig {
+        protocol: config(7),
+        cache: CacheMode::Off,
+        faults: FaultPlan::none(),
+        ..CampaignConfig::default()
+    })
+    .acquire_aged(Scheme::Isw, 0.0)
+    .spectrum
+    .total_leakage_power();
     assert!(leak > 0.0, "dynamic (glitch) leakage must still exist");
 }

@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use sbox_leakage::acquisition::{self, ProtocolConfig};
+use sbox_leakage::acquisition::ProtocolConfig;
 use sbox_leakage::campaign::{
     Backend, CacheMode, Campaign, CampaignConfig, FaultPlan, RunBudget, SumMode,
 };
@@ -219,31 +219,55 @@ fn budget_interrupted_bitsliced_runs_resume_bit_identically() {
 
 /// Sub-resolution gate delays make commit order unreproducible from
 /// levelized evaluation: the support check must reject such a netlist,
-/// an explicit bit-sliced acquisition must fail, and `Auto` must fall
-/// back to the event engine's exact bits (the campaign-level fallback
-/// is covered in the executor's unit tests).
+/// so an explicit bit-sliced request fails to resolve and `Auto` resolves
+/// to the event engine (the campaign-level fallback is covered in the
+/// executor's unit tests).
 #[test]
 fn sub_resolution_netlists_are_rejected_by_the_bitsliced_engine() {
     let circuit = SboxCircuit::build(Scheme::Opt);
     let config = small_protocol();
     let gates = circuit.netlist().gates().len();
-    let acquire = |derating: &Derating, backend| {
-        acquisition::acquire_with_derating(&circuit, &config, derating, backend)
-    };
-    let derating = Derating::from_factors(vec![1e-12; gates], vec![1.0; gates]);
+    let sim =
+        |derating: &Derating| Simulator::with_derating(circuit.netlist(), &config.sim, derating);
+    let tiny = sim(&Derating::from_factors(
+        vec![1e-12; gates],
+        vec![1.0; gates],
+    ));
     assert!(
-        acquire(&derating, Backend::Bitsliced).is_err(),
+        Backend::Bitsliced.resolve(&tiny).is_err(),
         "sub-resolution delays must fail the static support check"
     );
-    let event = acquire(&derating, Backend::Event).expect("the event engine runs everything");
-    assert_eq!(acquire(&derating, Backend::Auto), Ok(event));
-    // A sane derating on the same netlist is supported and agrees with
-    // the event-driven acquisition bit for bit.
-    let fresh = Derating::fresh(circuit.netlist());
-    let sim = Simulator::with_derating(circuit.netlist(), &config.sim, &fresh);
-    assert!(sim.bitsliced_session().is_ok(), "the batch engine must run");
-    let batch = acquire(&fresh, Backend::Bitsliced).expect("fresh derating is supported");
-    assert_eq!(Ok(batch), acquire(&fresh, Backend::Event));
+    assert!(matches!(Backend::Auto.resolve(&tiny), Ok(None)));
+    // A sane derating on the same netlist is supported.
+    let fresh = sim(&Derating::fresh(circuit.netlist()));
+    assert!(matches!(Backend::Bitsliced.resolve(&fresh), Ok(Some(_))));
+    assert!(matches!(Backend::Auto.resolve(&fresh), Ok(Some(_))));
+}
+
+/// The default configuration captures ISW on the bit-sliced engine, with
+/// the same bits as a campaign pinned to the event engine.
+#[test]
+fn the_default_campaign_captures_bitsliced_with_event_bits() {
+    let dir = scratch("default");
+    let campaign = |backend| {
+        Campaign::new(CampaignConfig {
+            protocol: small_protocol(),
+            cache: CacheMode::Off,
+            store_dir: dir.join("traces"),
+            log_path: dir.join("runs.jsonl"),
+            faults: FaultPlan::none(),
+            backend,
+            ..CampaignConfig::default()
+        })
+    };
+    let mut default = campaign(CampaignConfig::default().backend);
+    let got = default.acquire_aged(Scheme::Isw, 0.0);
+    let report = default.log().reports().last().expect("one run logged");
+    assert_eq!(report.backend, Some(Backend::Bitsliced));
+    let want = campaign(Backend::Event).acquire_aged(Scheme::Isw, 0.0);
+    assert_eq!(got.traces, want.traces);
+    assert_eq!(got.spectrum, want.spectrum);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The single `.sctr` store file a campaign wrote under `dir`.

@@ -4,14 +4,15 @@
 //! watchdog, expiring budgets, and cancellation — each run end to end
 //! through the public campaign API on each of its three capture entry
 //! points: the batch `acquire`, the streamed `acquire_spectrum`, and the
-//! `attack` fold.
+//! `attack` fold, on both capture engines.
 //!
 //! The invariant under every schedule is the same: the run must end in
 //! one of three states — a bit-identical result, a cleanly reported
 //! typed degradation (quarantine/warnings), or a resumable interruption
 //! — and a follow-up run with the faults lifted must always converge to
-//! the bit-identical reference. A panic that escapes the campaign, or a
-//! silently wrong trace set, fails the soak.
+//! the bit-identical reference. Every budget schedule must actually
+//! interrupt, so the resume path is soaked too. A panic that escapes
+//! the campaign, or a silently wrong trace set, fails the soak.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -19,7 +20,8 @@ use std::time::Duration;
 
 use sbox_leakage::acquisition::ProtocolConfig;
 use sbox_leakage::campaign::{
-    AttackPlan, CacheMode, Campaign, CampaignConfig, CancelToken, FaultPlan, RunBudget, RunReport,
+    AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, CancelToken, FaultPlan, RunBudget,
+    RunReport,
 };
 use sbox_leakage::circuits::Scheme;
 
@@ -29,6 +31,9 @@ struct ChaosSchedule {
     faults: FaultPlan,
     budget: RunBudget,
     capture_timeout: Option<Duration>,
+    /// Whether the run must end interrupted with traces left: set by
+    /// every budget, all of which trip before the schedule is done.
+    interrupts: bool,
 }
 
 impl ChaosSchedule {
@@ -38,11 +43,13 @@ impl ChaosSchedule {
             faults,
             budget: RunBudget::unlimited(),
             capture_timeout: None,
+            interrupts: false,
         }
     }
 
     fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
+        self.interrupts = true;
         self
     }
 
@@ -93,20 +100,22 @@ fn schedules() -> Vec<ChaosSchedule> {
     ]
 }
 
-/// A small, fast protocol: 32 traces of 10 samples.
+/// A small, fast protocol: 64 traces of 10 samples, four chunks, so
+/// the trace caps (10 and 24) stop it partway.
 fn small_protocol() -> ProtocolConfig {
     let mut p = ProtocolConfig {
-        traces_per_class: 2,
+        traces_per_class: 4,
         ..ProtocolConfig::default()
     };
     p.sampling.samples = 10;
     p
 }
 
-fn config_in(dir: &Path, faults: FaultPlan) -> CampaignConfig {
+fn config_in(dir: &Path, backend: Backend, faults: FaultPlan) -> CampaignConfig {
     CampaignConfig {
         protocol: small_protocol(),
         workers: 2,
+        backend,
         cache: CacheMode::ReadWrite,
         store_dir: dir.join("traces"),
         log_path: dir.join("runs.jsonl"),
@@ -141,7 +150,7 @@ struct Ran {
     report: RunReport,
 }
 
-const ATTACK_TRACES: usize = 32;
+const ATTACK_TRACES: usize = 64;
 
 impl Leg {
     fn run(self, config: CampaignConfig) -> Ran {
@@ -209,33 +218,37 @@ impl Leg {
 
 #[test]
 fn every_fault_schedule_ends_clean_typed_or_resumable() {
-    for leg in [Leg::Batch, Leg::Streamed, Leg::Attack] {
-        // The clean reference every schedule must converge to.
-        let ref_dir = std::env::temp_dir().join(format!(
-            "sbox-leakage-chaos-ref-{leg:?}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&ref_dir);
-        let reference = leg.run(CampaignConfig {
-            cache: CacheMode::Off,
-            ..config_in(&ref_dir, FaultPlan::none())
-        });
-        let _ = std::fs::remove_dir_all(&ref_dir);
-        assert_eq!(reference.analyzed, leg.scheduled(), "{leg:?}: clean run");
+    for backend in [Backend::Event, Backend::Bitsliced] {
+        for leg in [Leg::Batch, Leg::Streamed, Leg::Attack] {
+            // The clean reference every schedule must converge to.
+            let ref_dir = std::env::temp_dir().join(format!(
+                "sbox-leakage-chaos-ref-{backend}-{leg:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&ref_dir);
+            let reference = leg.run(CampaignConfig {
+                cache: CacheMode::Off,
+                ..config_in(&ref_dir, backend, FaultPlan::none())
+            });
+            let _ = std::fs::remove_dir_all(&ref_dir);
+            assert_eq!(reference.analyzed, leg.scheduled(), "{leg:?}: clean run");
+            assert_eq!(reference.report.backend, Some(backend));
 
-        for schedule in schedules() {
-            soak(leg, &schedule, &reference);
+            for schedule in schedules() {
+                soak(leg, backend, &schedule, &reference);
+            }
         }
     }
 }
 
-fn soak(leg: Leg, schedule: &ChaosSchedule, reference: &Ran) {
+fn soak(leg: Leg, backend: Backend, schedule: &ChaosSchedule, reference: &Ran) {
     let name = schedule.name;
     let dir: PathBuf = std::env::temp_dir().join(format!(
-        "sbox-leakage-chaos-{leg:?}-{name}-{}",
+        "sbox-leakage-chaos-{backend}-{leg:?}-{name}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    let what = format!("{backend} {leg:?}");
 
     // The faulted run. Nothing in the campaign may panic, no matter what
     // the schedule throws at it.
@@ -243,50 +256,58 @@ fn soak(leg: Leg, schedule: &ChaosSchedule, reference: &Ran) {
         leg.run(CampaignConfig {
             budget: schedule.budget.clone(),
             capture_timeout: schedule.capture_timeout,
-            ..config_in(&dir, schedule.faults.clone())
+            ..config_in(&dir, backend, schedule.faults.clone())
         })
     }))
-    .unwrap_or_else(|_| panic!("{leg:?} under {name:?}: campaign panicked"));
+    .unwrap_or_else(|_| panic!("{what} under {name:?}: campaign panicked"));
     let (report, warnings) = (&ran.report, &ran.report.warnings);
+    if schedule.interrupts {
+        assert!(
+            report.partial.is_some() && ran.analyzed < reference.analyzed,
+            "{what} under {name:?}: the budget must stop the run partway ({} of {} analyzed)",
+            ran.analyzed,
+            reference.analyzed
+        );
+    }
 
     // Terminal-state invariant: bit-identical, typed degradation, or a
     // resumable interruption — never a silently wrong result.
     if report.partial.is_some() {
         assert!(
             warnings.iter().any(|w| w.contains("interrupted")),
-            "{leg:?} under {name:?}: interruption must be reported: {warnings:?}"
+            "{what} under {name:?}: interruption must be reported: {warnings:?}"
         );
         assert!(
             ran.analyzed + ran.remaining + report.quarantined <= reference.analyzed,
-            "{leg:?} under {name:?}: partial accounting out of range"
+            "{what} under {name:?}: partial accounting out of range"
         );
     } else if report.quarantined > 0 {
         assert!(
             warnings.iter().any(|w| w.contains("quarantined")),
-            "{leg:?} under {name:?}: degradation must be reported: {warnings:?}"
+            "{what} under {name:?}: degradation must be reported: {warnings:?}"
         );
         assert!(
             ran.analyzed < reference.analyzed,
-            "{leg:?} under {name:?}: quarantine must shrink the set, not corrupt it"
+            "{what} under {name:?}: quarantine must shrink the set, not corrupt it"
         );
     } else {
         assert!(
             ran.bits == reference.bits,
-            "{leg:?} under {name:?}: an uninterrupted run must be bit-identical"
+            "{what} under {name:?}: an uninterrupted run must be bit-identical"
         );
     }
 
     // Convergence invariant: lift the faults and the same directory —
     // whatever stores, checkpoints, or torn prefixes the chaos left
     // behind — must finish to the bit-identical reference.
-    let recovered = leg.run(config_in(&dir, FaultPlan::none()));
+    let recovered = leg.run(config_in(&dir, backend, FaultPlan::none()));
     assert!(
         recovered.bits == reference.bits,
-        "{leg:?} under {name:?}: recovery run must converge bit-identically"
+        "{what} under {name:?}: recovery run must converge bit-identically"
     );
     assert!(
         recovered.report.partial.is_none(),
-        "{leg:?} under {name:?}: recovery run must complete"
+        "{what} under {name:?}: recovery run must complete"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

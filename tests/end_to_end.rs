@@ -2,6 +2,7 @@
 //! spectral analysis, exercised together.
 
 use acquisition::{acquire, LeakageStudy, ProtocolConfig};
+use campaign::{CacheMode, Campaign, CampaignConfig, FaultPlan};
 use gatesim::{SimConfig, Simulator};
 use leakage_core::LeakageSpectrum;
 use rand::rngs::SmallRng;
@@ -79,8 +80,13 @@ fn study_pipeline_is_consistent_with_parseval() {
 /// Leakage splits exactly into single-bit + multi-bit parts.
 #[test]
 fn leakage_split_is_exhaustive() {
-    let study = LeakageStudy::new(small_protocol());
-    let outcome = study.run(Scheme::Lut);
+    let outcome = Campaign::new(CampaignConfig {
+        protocol: small_protocol(),
+        cache: CacheMode::Off,
+        faults: FaultPlan::none(),
+        ..CampaignConfig::default()
+    })
+    .acquire_aged(Scheme::Lut, 0.0);
     let sp = &outcome.spectrum;
     let total = sp.total_leakage_power();
     let parts = sp.total_single_bit() + sp.total_multi_bit();

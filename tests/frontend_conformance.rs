@@ -33,18 +33,17 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use sbox_leakage::acquisition::{self, Backend, ProtocolConfig};
+use sbox_leakage::acquisition::{self, ProtocolConfig};
 use sbox_leakage::analysis::LeakageSpectrum;
 use sbox_leakage::campaign::{
-    AttackPlan, CacheMode, Campaign, CampaignConfig, Distinguisher, DistinguisherReport,
-    LeakageModel, Subject,
+    AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, Distinguisher, DistinguisherReport,
+    FaultPlan, LeakageModel, Subject,
 };
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 use sbox_leakage::frontend::{
     self, import_auto, import_str, netlist_digest, sidecar_json, sidecar_toml, structural_diff,
     to_edif, to_yosys_json, EncodingSidecar, FrontendError, SourceFormat,
 };
-use sbox_leakage::gatesim::Derating;
 use sbox_leakage::verify;
 
 /// The fixed fixture protocol: 2 traces per class, 10 samples, the
@@ -176,34 +175,47 @@ fn reimported_captures_are_bit_identical_event_backend() {
 
 /// Captures of a re-imported design are bit-identical to native on the
 /// bit-sliced levelized backend — and a scheme the bit-sliced backend
-/// rejects natively is rejected identically after import.
+/// rejects natively is rejected after import too, so a `Bitsliced`
+/// campaign degrades both to the event engine alike.
 #[test]
 fn reimported_captures_are_bit_identical_bitsliced_backend() {
-    let protocol = protocol();
+    let dir = std::env::temp_dir().join(format!("sbox-leakage-fc-{}-bits", std::process::id()));
+    let mut campaign = Campaign::new(CampaignConfig {
+        protocol: protocol(),
+        cache: CacheMode::Off,
+        store_dir: dir.join("traces"),
+        log_path: dir.join("runs.jsonl"),
+        faults: FaultPlan::none(),
+        backend: Backend::Bitsliced,
+        ..CampaignConfig::default()
+    });
     for scheme in Scheme::ALL {
         let native = SboxCircuit::build(scheme);
         let imported = reimport(scheme, SourceFormat::YosysJson);
-        let bitsliced = |circuit: &SboxCircuit| {
-            let fresh = Derating::fresh(circuit.netlist());
-            acquisition::acquire_with_derating(circuit, &protocol, &fresh, Backend::Bitsliced)
+        let mut capture = |circuit: &SboxCircuit| {
+            let subject = Subject::Imported {
+                circuit,
+                label: scheme.label(),
+            };
+            let traces = campaign.acquire_aged(subject, 0.0).traces;
+            let report = campaign.log().reports().last().expect("one run logged");
+            (traces, report.backend)
         };
-        match (bitsliced(&native), bitsliced(&imported)) {
-            (Ok(a), Ok(b)) => assert_traces_bit_identical(&a, &b, scheme, "bitsliced"),
-            (Err(a), Err(b)) => assert_eq!(
-                a.to_string(),
-                b.to_string(),
-                "bitsliced rejection differs for {}",
-                scheme.label()
-            ),
-            (Ok(_), Err(e)) => panic!(
-                "bitsliced backend accepts native {} but rejects the import: {e}",
-                scheme.label()
-            ),
-            (Err(e), Ok(_)) => panic!(
-                "bitsliced backend rejects native {} ({e}) but accepts the import",
-                scheme.label()
-            ),
-        }
+        let (a, native_engine) = capture(&native);
+        let (b, import_engine) = capture(&imported);
+        assert_eq!(
+            native_engine,
+            import_engine,
+            "the bit-sliced support check must treat native and imported {} alike",
+            scheme.label()
+        );
+        assert_eq!(
+            import_engine,
+            Some(Backend::Bitsliced),
+            "{}",
+            scheme.label()
+        );
+        assert_traces_bit_identical(&a, &b, scheme, "bitsliced");
     }
 }
 

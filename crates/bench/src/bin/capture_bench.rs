@@ -32,16 +32,22 @@
 //!   its folded state is checked bit-equal to the event engine's exact
 //!   fold of the same schedule.
 //!
-//! All capture paths produce bit-identical traces: the event legs run
-//! the same session code (whose raw captures `tests/conformance.rs`
-//! pins), and the bit-sliced batch is checked against the session on
-//! the first stimulus before timing, so the ratios are pure engine
-//! cost; the streaming leg additionally asserts, once per pass, that
-//! the folded spectrum matches the batch analysis bit for bit. Every
-//! ratio looks its legs up by name and is the median of its per-pass
-//! ratios (the passes run round-robin, so pass `i` of each leg pairs
-//! up), written with their min–max range next to it; each leg keeps its
-//! per-pass seconds. Usage:
+//! The `netlists` section then times `session_capture_into` against
+//! `bitsliced_batch` alone on two larger netlists, each with its own
+//! `speedup_bitsliced_vs_session_into`: TI (the paper's largest
+//! scheme) on its classified schedule, and the 64-bit PRESENT
+//! substitution layer ([`sca_frontend::fixtures::present_layer`]) on
+//! seeded random input pairs with the protocol's noise seeds.
+//!
+//! All capture paths produce bit-identical traces: before any netlist
+//! is timed, every lane of its bit-sliced schedule is checked against
+//! the event session's capture of the same stimulus, so the ratios are
+//! pure engine cost; the streaming leg additionally asserts, once per
+//! pass, that the folded spectrum matches the batch analysis bit for
+//! bit. Every ratio is the median of its per-pass ratios (the passes
+//! run round-robin, so pass `i` of each leg pairs up), written with
+//! their min–max range next to it; each leg keeps its per-pass
+//! seconds. Usage:
 //!
 //! ```text
 //! cargo run --release -p sca-bench --bin capture_bench [--quick] [--out PATH]
@@ -54,9 +60,10 @@ use acquisition::{classified_schedule, trace_seed, ProtocolConfig, Stimulus, NUM
 use gatesim::{CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES};
 use leakage_core::{ChunkFold, ClassifiedTraces, LeakageSpectrum, SpectrumAccumulator, SumMode};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_bench::json_f64;
+use sca_frontend::fixtures::present_layer;
 
 struct Leg {
     name: &'static str,
@@ -171,6 +178,173 @@ fn lanes(chunk: &[(Stimulus, u64)]) -> Vec<LaneStimulus<'_>> {
         .collect()
 }
 
+/// Pair each stimulus with the protocol's noise seed for its index.
+fn seeded(stimuli: Vec<Stimulus>, seed: u64) -> Vec<(Stimulus, u64)> {
+    stimuli
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| (s, trace_seed(seed, i as u64)))
+        .collect()
+}
+
+/// Assert that every lane of the bit-sliced schedule equals the event
+/// session's capture of the same stimulus and noise seed.
+fn check_lanes(sim: &Simulator<'_>, schedule: &[(Stimulus, u64)], sampling: &SamplingConfig) {
+    let name = sim.netlist().name();
+    let mut batch = sim
+        .bitsliced_session()
+        .unwrap_or_else(|e| panic!("{name}: not bitslice-supported: {e}"));
+    let mut session = sim.session();
+    let mut buf = Vec::new();
+    for chunk in schedule.chunks(LANES) {
+        let (traces, _) = batch.capture_batch(&lanes(chunk), sampling);
+        for ((s, seed), trace) in chunk.iter().zip(traces) {
+            let mut rng = SmallRng::seed_from_u64(*seed);
+            session.capture_into(&s.initial, &s.final_inputs, sampling, &mut rng, &mut buf);
+            assert_eq!(*trace, buf, "{name}: bitsliced and scalar paths diverge");
+        }
+    }
+}
+
+/// The `session_capture_into` leg: one event session rendering into
+/// one reused sample buffer.
+fn session_into_runner<'s>(sim: &'s Simulator<'_>, sampling: SamplingConfig) -> Runner<'s> {
+    let mut session = sim.session();
+    let mut buf = Vec::new();
+    Runner {
+        name: "session_capture_into",
+        capture: Box::new(move |s, seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            session.capture_into(&s.initial, &s.final_inputs, &sampling, &mut rng, &mut buf)
+        }),
+    }
+}
+
+/// The `bitsliced_batch` leg. It batches [`LANES`] stimuli per engine
+/// pass; the per-trace [`Runner`] contract is kept by simulating the
+/// whole schedule on the first call of a pass and serving each trace's
+/// stats from the batch.
+fn bitsliced_runner<'s>(
+    sim: &'s Simulator<'_>,
+    schedule: &'s [(Stimulus, u64)],
+    sampling: SamplingConfig,
+) -> Runner<'s> {
+    let mut session = sim.bitsliced_session().expect("checked by check_lanes");
+    let mut stats: Vec<CaptureStats> = Vec::new();
+    let mut at = 0usize;
+    Runner {
+        name: "bitsliced_batch",
+        capture: Box::new(move |_s, _seed| {
+            if at == 0 {
+                stats.clear();
+                for chunk in schedule.chunks(LANES) {
+                    let (_, batch_stats) = session.capture_batch(&lanes(chunk), &sampling);
+                    stats.extend_from_slice(batch_stats);
+                }
+            }
+            let out = stats[at];
+            at = (at + 1) % schedule.len();
+            out
+        }),
+    }
+}
+
+fn print_legs(legs: &[Leg]) {
+    for leg in legs {
+        eprintln!(
+            "  {:<22} {:>9.0} traces/s  {:>11.0} events/s  ({:.3}s)",
+            leg.name,
+            leg.traces_per_sec(),
+            leg.events_per_sec(),
+            leg.seconds(),
+        );
+    }
+}
+
+fn print_ratio(key: &str, r: &Ratio) {
+    eprintln!(
+        "  {key}: {:.3}x (passes {:.3}-{:.3})",
+        r.median, r.min, r.max
+    );
+}
+
+/// A netlist timed on the two capture engines alone.
+struct Section {
+    netlist: &'static str,
+    gates: usize,
+    traces_per_pass: usize,
+    legs: Vec<Leg>,
+    speedup: Ratio,
+}
+
+/// Check, then time, `session_capture_into` against `bitsliced_batch`
+/// on `sim`'s netlist over `schedule`.
+fn engine_section(
+    netlist: &'static str,
+    sim: &Simulator<'_>,
+    schedule: &[(Stimulus, u64)],
+    sampling: SamplingConfig,
+    passes: usize,
+) -> Section {
+    let gates = sim.netlist().gates().len();
+    eprintln!("capture_bench: {netlist}, {gates} gates");
+    check_lanes(sim, schedule, &sampling);
+    let legs = measure(
+        schedule,
+        passes,
+        vec![
+            session_into_runner(sim, sampling),
+            bitsliced_runner(sim, schedule, sampling),
+        ],
+    );
+    print_legs(&legs);
+    let speedup = Ratio::of(&legs[1], &legs[0]);
+    print_ratio("speedup_bitsliced_vs_session_into", &speedup);
+    Section {
+        netlist,
+        gates,
+        traces_per_pass: schedule.len(),
+        legs,
+        speedup,
+    }
+}
+
+/// The ledger's `legs` array, each line prefixed by `indent`.
+fn write_legs(json: &mut String, indent: &str, legs: &[Leg]) {
+    let _ = writeln!(json, "{indent}\"legs\": [");
+    for (i, leg) in legs.iter().enumerate() {
+        let passes: Vec<String> = leg
+            .pass_seconds
+            .iter()
+            .map(|&t| format!("{t:.5}"))
+            .collect();
+        let _ = writeln!(
+            json,
+            "{indent}  {{\"name\": \"{}\", \"seconds\": {}, \"pass_seconds\": [{}], \"traces\": {}, \"events\": {}, \"traces_per_sec\": {}, \"events_per_sec\": {}}}{}",
+            leg.name,
+            json_f64(leg.seconds()),
+            passes.join(", "),
+            leg.traces,
+            leg.events,
+            json_f64(leg.traces_per_sec()),
+            json_f64(leg.events_per_sec()),
+            if i + 1 < legs.len() { "," } else { "" },
+        );
+    }
+    let _ = writeln!(json, "{indent}],");
+}
+
+/// One ratio and its per-pass range, as a ledger line ending in `end`.
+fn write_ratio(json: &mut String, indent: &str, key: &str, r: &Ratio, end: &str) {
+    let _ = writeln!(
+        json,
+        "{indent}\"{key}\": {}, \"{key}_range\": [{}, {}]{end}",
+        json_f64(r.median),
+        json_f64(r.min),
+        json_f64(r.max),
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -189,17 +363,14 @@ fn main() {
     let circuit = SboxCircuit::build(Scheme::Isw);
     let sim = Simulator::new(circuit.netlist(), &protocol.sim);
     let sampling: SamplingConfig = protocol.sampling;
-    let schedule: Vec<(Stimulus, u64)> = classified_schedule(&circuit, &protocol)
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (s, trace_seed(protocol.seed, i as u64)))
-        .collect();
+    let schedule = seeded(classified_schedule(&circuit, &protocol), protocol.seed);
     eprintln!(
         "capture_bench: {} gates, {} traces/pass x {passes} passes{}",
         circuit.netlist().gates().len(),
         schedule.len(),
         if quick { " (quick)" } else { "" },
     );
+    check_lanes(&sim, &schedule, &sampling);
 
     // References captured once on the event engine: the batch analysis,
     // which the streaming leg's folded spectrum must reproduce bitwise
@@ -226,9 +397,6 @@ fn main() {
 
     let schedule_len = schedule.len() as u64;
     let mut session_a = sim.session();
-    let mut session_b = sim.session();
-    let mut buf = Vec::new();
-
     // Capture into a reused buffer, fold into the online accumulator,
     // and check the finished spectrum against the batch analysis each
     // time a full pass has been folded.
@@ -261,50 +429,6 @@ fn main() {
                     );
                 }
                 stats
-            }),
-        }
-    };
-    // The bit-sliced leg batches LANES stimuli per engine pass; the
-    // per-trace Runner contract is kept by simulating the whole
-    // schedule on the first call of a pass and serving each trace's
-    // stats from the batch. Sanity: the batch traces are bit-identical
-    // to the scalar session path (the full equivalence matrix lives in
-    // the gatesim/campaign test suites).
-    let bitsliced_runner = {
-        let mut session = sim
-            .bitsliced_session()
-            .expect("ISW netlist is bitslice-supported");
-        {
-            let mut scalar = sim.session();
-            let mut buf = Vec::new();
-            let (s, seed) = &schedule[0];
-            let lane = LaneStimulus {
-                initial: &s.initial,
-                final_inputs: &s.final_inputs,
-                noise_seed: *seed,
-            };
-            let (traces, _) = session.capture_batch(std::slice::from_ref(&lane), &sampling);
-            let batch_trace = traces[0].clone();
-            let mut rng = SmallRng::seed_from_u64(*seed);
-            scalar.capture_into(&s.initial, &s.final_inputs, &sampling, &mut rng, &mut buf);
-            assert_eq!(batch_trace, buf, "bitsliced and scalar paths diverge");
-        }
-        let schedule_ref: &[(Stimulus, u64)] = &schedule;
-        let mut stats: Vec<CaptureStats> = Vec::new();
-        let mut at = 0usize;
-        Runner {
-            name: "bitsliced_batch",
-            capture: Box::new(move |_s, _seed| {
-                if at == 0 {
-                    stats.clear();
-                    for chunk in schedule_ref.chunks(LANES) {
-                        let (_, batch_stats) = session.capture_batch(&lanes(chunk), &sampling);
-                        stats.extend_from_slice(batch_stats);
-                    }
-                }
-                let out = stats[at];
-                at = (at + 1) % schedule_ref.len();
-                out
             }),
         }
     };
@@ -378,33 +502,13 @@ fn main() {
                     )
                 }),
             },
-            Runner {
-                name: "session_capture_into",
-                capture: Box::new(move |s, seed| {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    session_b.capture_into(
-                        &s.initial,
-                        &s.final_inputs,
-                        &sampling,
-                        &mut rng,
-                        &mut buf,
-                    )
-                }),
-            },
+            session_into_runner(&sim, sampling),
             streaming_runner,
-            bitsliced_runner,
+            bitsliced_runner(&sim, &schedule, sampling),
             bitsliced_fold_runner,
         ],
     );
-    for leg in &legs {
-        eprintln!(
-            "  {:<22} {:>9.0} traces/s  {:>11.0} events/s  ({:.3}s)",
-            leg.name,
-            leg.traces_per_sec(),
-            leg.events_per_sec(),
-            leg.seconds(),
-        );
-    }
+    print_legs(&legs);
     let leg = |name: &str| {
         legs.iter()
             .find(|leg| leg.name == name)
@@ -437,11 +541,39 @@ fn main() {
     .map(|(key, a, b)| (key, Ratio::of(leg(a), leg(b))))
     .collect();
     for (key, r) in &ratios {
-        eprintln!(
-            "  {key}: {:.3}x (passes {:.3}-{:.3})",
-            r.median, r.min, r.max
-        );
+        print_ratio(key, r);
     }
+
+    let ti = SboxCircuit::build(Scheme::Ti);
+    let ti_sim = Simulator::new(ti.netlist(), &protocol.sim);
+    let ti_schedule = seeded(classified_schedule(&ti, &protocol), protocol.seed);
+    let layer = present_layer();
+    let layer_sim = Simulator::new(&layer, &protocol.sim);
+    // The layer has no classified protocol: each trace switches it
+    // between two seeded random 64-bit words (input `xi` is bit `i`).
+    let mut rng = SmallRng::seed_from_u64(protocol.seed);
+    let bits = |w: u64| (0..64).map(|i| w >> i & 1 == 1).collect();
+    let layer_pairs = (0..schedule.len())
+        .map(|_| {
+            let (initial, last) = (rng.gen::<u64>(), rng.gen::<u64>());
+            Stimulus {
+                label: (last & 0xF) as u16,
+                initial: bits(initial),
+                final_inputs: bits(last),
+            }
+        })
+        .collect();
+    let layer_schedule = seeded(layer_pairs, protocol.seed);
+    let sections = [
+        engine_section("ti", &ti_sim, &ti_schedule, sampling, passes),
+        engine_section(
+            "present_layer",
+            &layer_sim,
+            &layer_schedule,
+            sampling,
+            passes,
+        ),
+    ];
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -453,37 +585,27 @@ fn main() {
     let _ = writeln!(json, "  \"passes\": {passes},");
     let _ = writeln!(json, "  \"threads\": 1,");
     let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"legs\": [\n");
-    for (i, leg) in legs.iter().enumerate() {
-        let passes: Vec<String> = leg
-            .pass_seconds
-            .iter()
-            .map(|&t| format!("{t:.5}"))
-            .collect();
+    write_legs(&mut json, "  ", &legs);
+    for (key, r) in &ratios {
+        write_ratio(&mut json, "  ", key, r, ",");
+    }
+    json.push_str("  \"netlists\": [\n");
+    for (i, section) in sections.iter().enumerate() {
+        json.push_str("    {\n");
+        let _ = writeln!(json, "      \"netlist\": \"{}\",", section.netlist);
+        let _ = writeln!(json, "      \"gates\": {},", section.gates);
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"seconds\": {}, \"pass_seconds\": [{}], \"traces\": {}, \"events\": {}, \"traces_per_sec\": {}, \"events_per_sec\": {}}}{}",
-            leg.name,
-            json_f64(leg.seconds()),
-            passes.join(", "),
-            leg.traces,
-            leg.events,
-            json_f64(leg.traces_per_sec()),
-            json_f64(leg.events_per_sec()),
-            if i + 1 < legs.len() { "," } else { "" },
+            "      \"traces_per_pass\": {},",
+            section.traces_per_pass
         );
+        write_legs(&mut json, "      ", &section.legs);
+        let key = "speedup_bitsliced_vs_session_into";
+        write_ratio(&mut json, "      ", key, &section.speedup, "");
+        let end = if i + 1 < sections.len() { "," } else { "" };
+        let _ = writeln!(json, "    }}{end}");
     }
-    json.push_str("  ],\n");
-    for (i, (key, r)) in ratios.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "  \"{key}\": {}, \"{key}_range\": [{}, {}]{}",
-            json_f64(r.median),
-            json_f64(r.min),
-            json_f64(r.max),
-            if i + 1 < ratios.len() { "," } else { "" },
-        );
-    }
+    json.push_str("  ]\n");
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_capture.json");
     eprintln!("wrote {out_path}");

@@ -1,22 +1,23 @@
-//! Benchmark harness for the sbox-leakage workspace (package
+//! Throughput ledgers for the sbox-leakage workspace (package
 //! `sca-bench`).
-//!
-//! The Criterion benches measure the cost of every pipeline stage: the
-//! Walsh–Hadamard transform, netlist generation/synthesis, event-driven
-//! simulation per scheme, trace acquisition, aging evaluation, CPA, and
-//! campaign worker scaling. Run with `cargo bench -p sca-bench`.
 //!
 //! Three binaries each time one comparison, assert that both sides
 //! agree bit for bit before timing, and write a `BENCH_*.json` ledger:
 //!
 //! * `capture_bench` → `BENCH_capture.json`: capture throughput of a
 //!   fresh against a reused `CaptureSession` and the bit-sliced batch
-//!   backend, each streaming-fold leg against its raw capture;
+//!   backend, each streaming-fold leg against its raw capture, on ISW;
+//!   then the session against the bit-sliced batch on TI and the
+//!   64-bit PRESENT substitution layer;
 //! * `attack_bench` → `BENCH_attack.json`: batch against streamed
 //!   distinguisher scoring over the same in-memory traces;
 //! * `repair_bench` → `BENCH_repair.json`: from-scratch against
 //!   cone-scoped incremental re-analysis of the repair loop's
 //!   candidates, with a pinned speedup floor.
+//!
+//! The per-layer costs of the whole pipeline (circuit builds, aging,
+//! folds, merges, class means, the transform, store I/O) are timed by
+//! the separate `pipeline_bench` package at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

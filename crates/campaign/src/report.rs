@@ -299,12 +299,18 @@ impl RunLog {
         Ok(self.reports.len())
     }
 
-    /// The human summary: one row per run plus the cache totals.
+    /// The human summary: one row per run plus the cache totals. The
+    /// `impl` column is as wide as the longest label, and at least 9.
     pub fn summary_table(&self) -> String {
+        let w = self
+            .reports
+            .iter()
+            .map(|r| r.implementation.chars().count())
+            .fold(9, usize::max);
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "{:<9} {:>4} {:>7} {:>4} {:>6} {:>9} {:>5} {:>10} {:>6} {:>5} {:>5} {:>5} {:>5} {:>9} {:>9} {:>8} {:>10} partial",
+            "{:<w$} {:>4} {:>7} {:>4} {:>6} {:>9} {:>5} {:>10} {:>6} {:>5} {:>5} {:>5} {:>5} {:>9} {:>9} {:>8} {:>10} partial",
             "impl",
             "age",
             "traces",
@@ -326,7 +332,7 @@ impl RunLog {
         for r in &self.reports {
             let _ = writeln!(
                 s,
-                "{:<9} {:>4.0} {:>7} {:>4} {:>6} {:>9} {:>5} {:>10} {:>6.2} {:>5} {:>5} {:>5} {:>5} {:>9.3} {:>9.3} {:>8} {:>10} {}",
+                "{:<w$} {:>4.0} {:>7} {:>4} {:>6} {:>9} {:>5} {:>10} {:>6.2} {:>5} {:>5} {:>5} {:>5} {:>9.3} {:>9.3} {:>8} {:>10} {}",
                 r.implementation,
                 r.age_months,
                 r.traces,
@@ -504,6 +510,25 @@ mod tests {
         assert_eq!(stages.len(), 2);
         assert_eq!(stages[0].name, "a");
         assert_eq!(stages[1].name, "b");
+    }
+
+    #[test]
+    fn long_labels_widen_the_impl_column() {
+        let mut log = RunLog::new();
+        for label in ["ISW", "balanced-lut-opt-1bd10ac90c828a47", "TI"] {
+            log.push(RunReport {
+                implementation: label.into(),
+                ..report(false)
+            });
+        }
+        let table = log.summary_table();
+        let mut lines = table.lines();
+        let header = lines.next().unwrap();
+        let age_at = header.find(" age").unwrap();
+        assert_eq!(age_at, 34, "a 33-character column and a space");
+        for row in lines.take(3) {
+            assert_eq!(&row[age_at - 1..age_at + 5], "   12 ", "{row}");
+        }
     }
 
     #[test]

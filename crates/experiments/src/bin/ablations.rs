@@ -1,11 +1,13 @@
 //! Ablations of the power-model design choices called out in DESIGN.md:
 //! absorbed-glitch energy fraction, process-variation σ, measurement
 //! noise, and trace budget — each swept against the LUT (unprotected) and
-//! ISW (masked) leakage estimates.
+//! ISW (masked) leakage estimates. The first three sweeps run at the
+//! traces-per-class argument (default 64); the trace-budget sweep runs
+//! its own 16, 64 and 256.
 
 use acquisition::ProtocolConfig;
 use campaign::{CacheMode, Campaign, CampaignConfig};
-use experiments::{campaign_config, finish_campaign, sci, CsvSink};
+use experiments::{campaign_config, finish_campaign, protocol_from_args, sci, CsvSink};
 use gatesim::SimConfig;
 use sbox_circuits::Scheme;
 
@@ -40,7 +42,7 @@ fn main() {
                 absorbed_energy_fraction: absorbed,
                 ..SimConfig::default()
             },
-            ..ProtocolConfig::default()
+            ..protocol_from_args()
         };
         let (l, i) = leak(cfg, &mut campaigns);
         println!("  {absorbed:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));
@@ -59,7 +61,7 @@ fn main() {
                 process_sigma: sigma,
                 ..SimConfig::default()
             },
-            ..ProtocolConfig::default()
+            ..protocol_from_args()
         };
         let (l, i) = leak(cfg, &mut campaigns);
         println!("  {sigma:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));
@@ -78,7 +80,7 @@ fn main() {
                 noise_mw: noise,
                 ..SimConfig::default()
             },
-            ..ProtocolConfig::default()
+            ..protocol_from_args()
         };
         let (l, i) = leak(cfg, &mut campaigns);
         println!("  {noise:>4}: LUT {:>10}  ISW {:>10}", sci(l), sci(i));

@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 
+use sca_verify::report::json_escape;
 use sca_verify::{Analysis, RuleId, Severity};
 
 use crate::confirm::Confirmation;
@@ -16,22 +17,6 @@ use crate::search::RepairOutcome;
 /// Version tag of the JSON schema, bumped on layout changes so stale
 /// pinned expectations fail loudly rather than diffing confusingly.
 pub const SCHEMA: &str = "sca-repair/1";
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn severity_counts(a: &Analysis) -> (usize, usize, usize) {
     let of = |s: Severity| a.diagnostics.iter().filter(|d| d.severity == s).count();
@@ -74,11 +59,11 @@ pub fn json(outcome: &RepairOutcome, confirmation: Option<&Confirmation>) -> Str
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"subject\": \"{}\",", esc(&outcome.label));
+    let _ = writeln!(out, "  \"subject\": \"{}\",", json_escape(&outcome.label));
     let _ = writeln!(
         out,
         "  \"netlist\": \"{}\",",
-        esc(&outcome.initial.netlist_name)
+        json_escape(&outcome.initial.netlist_name)
     );
     let _ = writeln!(out, "  \"repaired\": {},", outcome.repaired);
     json_analysis_summary(&mut out, "initial", &outcome.initial, "  ");
@@ -87,11 +72,11 @@ pub fn json(outcome: &RepairOutcome, confirmation: Option<&Confirmation>) -> Str
         let comma = if i + 1 < outcome.steps.len() { "," } else { "" };
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"step\": {},", i + 1);
-        let _ = writeln!(out, "      \"patch\": \"{}\",", esc(&step.patch));
+        let _ = writeln!(out, "      \"patch\": \"{}\",", json_escape(&step.patch));
         let _ = writeln!(
             out,
             "      \"description\": \"{}\",",
-            esc(&step.description)
+            json_escape(&step.description)
         );
         let _ = writeln!(out, "      \"cost_fj\": {},", step.cost_fj);
         let _ = writeln!(out, "      \"added_gates\": {},", step.added_gates);
@@ -111,7 +96,7 @@ pub fn json(outcome: &RepairOutcome, confirmation: Option<&Confirmation>) -> Str
         } else {
             ""
         };
-        let _ = writeln!(out, "    \"{}\"{comma}", esc(s));
+        let _ = writeln!(out, "    \"{}\"{comma}", json_escape(s));
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"effort\": {{");

@@ -24,7 +24,10 @@ pub const MAX_WITNESSES: usize = 16;
 /// rule entries.
 pub const SCHEMA: &str = "sca-verify/2";
 
-fn esc(s: &str) -> String {
+/// `s` escaped for a JSON string body (without the quotes): `"`, `\`,
+/// newline and every other control character. Shared by the verify and
+/// repair reports, whose bytes the golden suites pin.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -54,21 +57,21 @@ fn json_diag(d: &Diagnostic) -> String {
         None => "null".to_string(),
     };
     let cell = match d.location.cell {
-        Some(c) => format!("\"{}\"", esc(c)),
+        Some(c) => format!("\"{}\"", json_escape(c)),
         None => "null".to_string(),
     };
     let witness: Vec<String> = d
         .witness
         .iter()
-        .map(|w| format!("\"{}\"", esc(w)))
+        .map(|w| format!("\"{}\"", json_escape(w)))
         .collect();
     format!(
         "{{\"gate\": {gate}, \"cell\": {cell}, \"net\": {net}, \"net_name\": \"{name}\", \"measure\": {measure}, \"witness\": [{wit}], \"message\": \"{msg}\"}}",
         net = d.location.net,
-        name = esc(&d.location.net_name),
+        name = json_escape(&d.location.net_name),
         measure = d.measure,
         wit = witness.join(", "),
-        msg = esc(&d.message),
+        msg = json_escape(&d.message),
     )
 }
 
@@ -77,8 +80,8 @@ pub fn json(a: &Analysis) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"scheme\": \"{}\",", esc(&a.label));
-    let _ = writeln!(out, "  \"netlist\": \"{}\",", esc(&a.netlist_name));
+    let _ = writeln!(out, "  \"scheme\": \"{}\",", json_escape(&a.label));
+    let _ = writeln!(out, "  \"netlist\": \"{}\",", json_escape(&a.netlist_name));
     let _ = writeln!(out, "  \"gates\": {},", a.gates);
     let _ = writeln!(out, "  \"nets\": {},", a.nets);
     let _ = writeln!(out, "  \"mask_bits\": {},", a.mask_bits);
@@ -249,7 +252,7 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -35,3 +35,10 @@ pub use sca_attacks as attacks;
 pub use sca_frontend as frontend;
 pub use sca_repair as repair;
 pub use sca_verify as verify;
+
+/// The workspace `README.md`, compiled as doctests so its Rust snippets
+/// cannot drift from the API; the ones that run a campaign are
+/// `no_run`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

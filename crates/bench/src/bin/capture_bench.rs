@@ -33,11 +33,13 @@
 //!   fold of the same schedule.
 //!
 //! The `netlists` section then times `session_capture_into` against
-//! `bitsliced_batch` alone on two larger netlists, each with its own
+//! `bitsliced_batch` alone on four more netlists, each with its own
 //! `speedup_bitsliced_vs_session_into`: TI (the paper's largest
-//! scheme) on its classified schedule, and the 64-bit PRESENT
-//! substitution layer ([`sca_frontend::fixtures::present_layer`]) on
-//! seeded random input pairs with the protocol's noise seeds.
+//! scheme), GLUT and RSM-ROM (the glitch-heavy ROM-style schemes, where
+//! gates re-switch most inside their swing windows) on their classified
+//! schedules, and the 64-bit PRESENT substitution layer
+//! ([`sca_frontend::fixtures::present_layer`]) on seeded random input
+//! pairs with the protocol's noise seeds.
 //!
 //! All capture paths produce bit-identical traces: before any netlist
 //! is timed, every lane of its bit-sliced schedule is checked against
@@ -544,9 +546,20 @@ fn main() {
         print_ratio(key, r);
     }
 
-    let ti = SboxCircuit::build(Scheme::Ti);
-    let ti_sim = Simulator::new(ti.netlist(), &protocol.sim);
-    let ti_schedule = seeded(classified_schedule(&ti, &protocol), protocol.seed);
+    let schemes = [
+        ("ti", Scheme::Ti),
+        ("glut", Scheme::Glut),
+        ("rsm_rom", Scheme::RsmRom),
+    ];
+    let mut sections: Vec<Section> = schemes
+        .into_iter()
+        .map(|(name, scheme)| {
+            let circuit = SboxCircuit::build(scheme);
+            let sim = Simulator::new(circuit.netlist(), &protocol.sim);
+            let schedule = seeded(classified_schedule(&circuit, &protocol), protocol.seed);
+            engine_section(name, &sim, &schedule, sampling, passes)
+        })
+        .collect();
     let layer = present_layer();
     let layer_sim = Simulator::new(&layer, &protocol.sim);
     // The layer has no classified protocol: each trace switches it
@@ -564,16 +577,13 @@ fn main() {
         })
         .collect();
     let layer_schedule = seeded(layer_pairs, protocol.seed);
-    let sections = [
-        engine_section("ti", &ti_sim, &ti_schedule, sampling, passes),
-        engine_section(
-            "present_layer",
-            &layer_sim,
-            &layer_schedule,
-            sampling,
-            passes,
-        ),
-    ];
+    sections.push(engine_section(
+        "present_layer",
+        &layer_sim,
+        &layer_schedule,
+        sampling,
+        passes,
+    ));
 
     let mut json = String::new();
     json.push_str("{\n");

@@ -7,8 +7,8 @@
 //! * `capture_bench` → `BENCH_capture.json`: capture throughput of a
 //!   fresh against a reused `CaptureSession` and the bit-sliced batch
 //!   backend, each streaming-fold leg against its raw capture, on ISW;
-//!   then the session against the bit-sliced batch on TI and the
-//!   64-bit PRESENT substitution layer;
+//!   then the session against the bit-sliced batch on TI, GLUT,
+//!   RSM-ROM and the 64-bit PRESENT substitution layer;
 //! * `attack_bench` → `BENCH_attack.json`: batch against streamed
 //!   distinguisher scoring over the same in-memory traces;
 //! * `repair_bench` → `BENCH_repair.json`: from-scratch against

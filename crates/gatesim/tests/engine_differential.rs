@@ -6,25 +6,40 @@
 //! pins of one gate) run under random derating, process variation,
 //! measurement noise, absorbed-glitch energy and sampling. Every lane of
 //! one `capture_batch` must equal `capture_into` with the lane's noise
-//! seed, in both trace and `CaptureStats`. The generator is seeded, so a
+//! seed, in both trace and `CaptureStats`. Most cases fill 1–`LANES/8`
+//! lanes; every tenth fills all `LANES`, so every mask word is
+//! exercised. Every fourth case draws half its cells from the 3- and
+//! 4-input cells, whose several input paths make a gate re-switch more
+//! often, so more pops mix lanes that switch the gate for the first
+//! time with lanes that switch it again. The generator is seeded, so a
 //! failure reproduces exactly.
 
 use gatesim::{Derating, LaneStimulus, SamplingConfig, SimConfig, Simulator, LANES};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sbox_netlist::{Netlist, NetlistBuilder, ALL_CELL_TYPES};
+use sbox_netlist::{CellType, Netlist, NetlistBuilder, ALL_CELL_TYPES};
 
 const CASES: u64 = 300;
 
-/// Grow a random netlist: 1–8 inputs, 1–60 gates over all 16 cells,
-/// each pin wired to any earlier net (repeats allowed), 1–4 outputs.
-fn random_netlist(rng: &mut SmallRng, case: u64) -> Netlist {
+/// Grow a random netlist: 1–8 inputs, 1–60 gates over all 16 cells
+/// (half of them 3- and 4-input cells when `wide`), each pin wired to
+/// any earlier net (repeats allowed), 1–4 outputs.
+fn random_netlist(rng: &mut SmallRng, case: u64, wide: bool) -> Netlist {
     let mut b = NetlistBuilder::new(format!("diff_{case}"));
     let num_inputs = rng.gen_range(1usize..=8);
     let mut nets: Vec<_> = (0..num_inputs).map(|i| b.input(format!("in{i}"))).collect();
+    let wide_cells: Vec<CellType> = ALL_CELL_TYPES
+        .into_iter()
+        .filter(|cell| cell.arity() >= 3)
+        .collect();
     for _ in 0..rng.gen_range(1usize..=60) {
-        let cell = *ALL_CELL_TYPES.choose(rng).expect("non-empty");
+        let pool: &[CellType] = if wide && rng.gen_bool(0.5) {
+            &wide_cells
+        } else {
+            &ALL_CELL_TYPES
+        };
+        let cell = *pool.choose(rng).expect("non-empty");
         let inputs: Vec<_> = (0..cell.arity())
             .map(|_| *nets.choose(rng).expect("non-empty"))
             .collect();
@@ -44,7 +59,7 @@ fn random_bits(rng: &mut SmallRng, n: usize) -> Vec<bool> {
 fn every_batch_lane_matches_the_event_engine_bit_for_bit() {
     let mut rng = SmallRng::seed_from_u64(0xD1FF_E4E7);
     for case in 0..CASES {
-        let netlist = random_netlist(&mut rng, case);
+        let netlist = random_netlist(&mut rng, case, case % 4 == 3);
         let n_gates = netlist.gates().len();
         let mut factors = |lo: f64, hi: f64| -> Vec<f64> {
             (0..n_gates).map(|_| rng.gen_range(lo..hi)).collect()
@@ -67,7 +82,12 @@ fn every_batch_lane_matches_the_event_engine_bit_for_bit() {
         };
         let sim = Simulator::with_derating(&netlist, &config, &derating);
         let width = netlist.num_inputs();
-        let stimuli: Vec<(Vec<bool>, Vec<bool>, u64)> = (0..rng.gen_range(1usize..=LANES / 8))
+        let n_lanes = if case % 10 == 0 {
+            LANES
+        } else {
+            rng.gen_range(1usize..=LANES / 8)
+        };
+        let stimuli: Vec<(Vec<bool>, Vec<bool>, u64)> = (0..n_lanes)
             .map(|_| {
                 let initial = random_bits(&mut rng, width);
                 let final_inputs = random_bits(&mut rng, width);

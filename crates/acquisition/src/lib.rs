@@ -11,37 +11,42 @@
 //!
 //! Final values are drawn such that every one of the 16 classes receives
 //! exactly the same number of traces (the paper uses 64 × 16 = 1024), and
-//! the per-class mean traces feed the Walsh–Hadamard analysis of
-//! [`leakage_core`].
+//! the per-class mean traces feed the Walsh–Hadamard analysis of the
+//! `leakage-core` crate.
 //!
-//! Experiments acquire through the `sca-campaign` crate, which shards
-//! the schedule over workers and picks the capture engine per netlist;
-//! [`acquire`], [`acquire_with_derating`] and [`acquire_cpa`] are the
-//! sequential event-engine reference it is tested against.
+//! This crate holds the protocol only: its parameters
+//! ([`ProtocolConfig`]), the two stimulus schedules
+//! ([`classified_schedule`], [`cpa_schedule`]) that draw all mask and
+//! plaintext randomness up front, the per-trace noise seeds
+//! ([`trace_seed`], [`cpa_seed`]), and the aging workload
+//! ([`LeakageStudy`]). Traces are captured by the `sca-campaign` crate,
+//! which shards a schedule over workers and picks the capture engine per
+//! netlist.
 //!
 //! # Example
 //!
 //! ```
-//! use acquisition::{acquire, ProtocolConfig};
-//! use leakage_core::LeakageSpectrum;
+//! use acquisition::{classified_schedule, ProtocolConfig, NUM_CLASSES};
 //! use sbox_circuits::{SboxCircuit, Scheme};
 //!
 //! let config = ProtocolConfig { traces_per_class: 2, ..ProtocolConfig::default() };
-//! let traces = acquire(&SboxCircuit::build(Scheme::Isw), &config);
-//! let spectrum = LeakageSpectrum::from_class_means(&traces.class_means());
-//! assert!(spectrum.total_leakage_power() > 0.0);
+//! let circuit = SboxCircuit::build(Scheme::Isw);
+//! let schedule = classified_schedule(&circuit, &config);
+//! assert_eq!(schedule.len(), 2 * NUM_CLASSES);
+//! // All randomness is drawn: each stimulus is a pair of input vectors
+//! // sized for the circuit, ready for either capture engine.
+//! let inputs = circuit.netlist().num_inputs();
+//! assert!(schedule.iter().all(|s| s.validate(inputs).is_ok()));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod protocol;
 mod study;
 
-pub use backend::Backend;
 pub use protocol::{
-    acquire, acquire_cpa, acquire_with_derating, classified_schedule, cpa_schedule, cpa_seed,
-    trace_seed, CaptureError, CpaAcquisition, ProtocolConfig, Stimulus, NUM_CLASSES,
+    classified_schedule, cpa_schedule, cpa_seed, trace_seed, CaptureError, ProtocolConfig,
+    Stimulus, NUM_CLASSES,
 };
 pub use study::LeakageStudy;

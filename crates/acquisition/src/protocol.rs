@@ -1,4 +1,4 @@
-//! Class-balanced two-phase trace capture.
+//! The class-balanced acquisition protocol, split for sharding.
 //!
 //! Acquisition is split into two pure stages so it can be sharded:
 //!
@@ -10,14 +10,11 @@
 //!    is the same no matter which engine or worker captures it, or in
 //!    which order.
 //!
-//! The sequential [`acquire_with_derating`] / [`acquire`] /
-//! [`acquire_cpa`] entry points share one event-engine capture loop over
-//! these stages: the reference that tests compare the `sca-campaign`
-//! executor against. The executor composes the same stages on either
-//! engine, which is what makes their outputs bit-identical.
+//! The `sca-campaign` executor composes the two stages on either
+//! capture engine, which is what makes its outputs bit-identical for
+//! any engine, worker count or capture order.
 
-use gatesim::{Derating, SamplingConfig, SimConfig, Simulator};
-use leakage_core::ClassifiedTraces;
+use gatesim::{SamplingConfig, SimConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -127,8 +124,7 @@ impl std::error::Error for CaptureError {}
 ///
 /// Seeding per trace — rather than threading one generator through the
 /// capture loop — is what lets a sharded executor produce bit-identical
-/// traces for any worker count, including the sequential paths in this
-/// crate.
+/// traces for any worker count, whatever order it captures in.
 pub fn trace_seed(campaign_seed: u64, index: u64) -> u64 {
     let mut z = campaign_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -148,59 +144,6 @@ pub fn classified_schedule(circuit: &SboxCircuit, config: &ProtocolConfig) -> Ve
             final_inputs,
         })
         .collect()
-}
-
-/// The one sequential capture loop: capture `schedule` in order on the
-/// event engine, seeding trace `i`'s noise with `trace_seed(base_seed,
-/// i)` — the executor's per-index seed, so the sharded campaign agrees
-/// bit for bit on either engine — and hand each trace to `sink`.
-fn capture_schedule(
-    sim: &Simulator<'_>,
-    schedule: &[Stimulus],
-    sampling: &SamplingConfig,
-    base_seed: u64,
-    mut sink: impl FnMut(&Stimulus, &[f64]),
-) {
-    let mut session = sim.session();
-    let mut trace = Vec::new();
-    for (i, s) in schedule.iter().enumerate() {
-        let mut noise = SmallRng::seed_from_u64(trace_seed(base_seed, i as u64));
-        session.capture_into(
-            &s.initial,
-            &s.final_inputs,
-            sampling,
-            &mut noise,
-            &mut trace,
-        );
-        sink(s, &trace);
-    }
-}
-
-/// Acquire a class-balanced trace set from a fresh (unaged) device on
-/// the event engine — the reference the campaign tests compare against.
-pub fn acquire(circuit: &SboxCircuit, config: &ProtocolConfig) -> ClassifiedTraces {
-    let derating = Derating::fresh(circuit.netlist());
-    acquire_with_derating(circuit, config, &derating)
-}
-
-/// Acquire a class-balanced trace set from a device with per-gate aging
-/// derating applied, on the event engine.
-pub fn acquire_with_derating(
-    circuit: &SboxCircuit,
-    config: &ProtocolConfig,
-    derating: &Derating,
-) -> ClassifiedTraces {
-    let sim = Simulator::with_derating(circuit.netlist(), &config.sim, derating);
-    let schedule = classified_schedule(circuit, config);
-    let mut set = ClassifiedTraces::new(NUM_CLASSES, config.sampling.samples);
-    capture_schedule(
-        &sim,
-        &schedule,
-        &config.sampling,
-        config.seed,
-        |s, trace| set.push(usize::from(s.label), trace.to_vec()),
-    );
-    set
 }
 
 /// The balanced, shuffled stimulus schedule: `(class, initial, final)`
@@ -260,17 +203,6 @@ fn balanced_mask_words(
     words
 }
 
-/// Traces labelled with known plaintexts for a CPA experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpaAcquisition {
-    /// The secret key nibble the traces were captured under.
-    pub key: u8,
-    /// Plaintext nibble of each trace.
-    pub plaintexts: Vec<u8>,
-    /// Power trace of each acquisition.
-    pub traces: Vec<Vec<f64>>,
-}
-
 /// The CPA stimulus schedule: uniformly random plaintext nibbles (stored
 /// as each stimulus' label), the round-key addition `t = p ⊕ k` applied
 /// in the (unmasked) stimulus domain, masks fresh per trace. All
@@ -307,38 +239,6 @@ pub fn cpa_seed(config: &ProtocolConfig) -> u64 {
     config.seed ^ 0xC0FF_EE00
 }
 
-/// Acquire an attack dataset (see [`cpa_schedule`] for the protocol).
-///
-/// # Panics
-///
-/// Panics if `key >= 16` or `traces == 0`.
-pub fn acquire_cpa(
-    circuit: &SboxCircuit,
-    config: &ProtocolConfig,
-    key: u8,
-    traces: usize,
-) -> CpaAcquisition {
-    let sim = Simulator::new(circuit.netlist(), &config.sim);
-    let schedule = cpa_schedule(circuit, config, key, traces);
-    let mut plaintexts = Vec::with_capacity(traces);
-    let mut out = Vec::with_capacity(traces);
-    capture_schedule(
-        &sim,
-        &schedule,
-        &config.sampling,
-        cpa_seed(config),
-        |s, trace| {
-            plaintexts.push(s.label as u8);
-            out.push(trace.to_vec());
-        },
-    );
-    CpaAcquisition {
-        key,
-        plaintexts,
-        traces: out,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,22 +251,32 @@ mod tests {
         }
     }
 
+    /// Traces per label of a schedule.
+    fn label_counts(schedule: &[Stimulus]) -> Vec<usize> {
+        let mut counts = vec![0; NUM_CLASSES];
+        for s in schedule {
+            counts[usize::from(s.label)] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn classes_are_balanced_and_complete() {
         let circuit = SboxCircuit::build(Scheme::Opt);
-        let set = acquire(&circuit, &small_config());
-        assert_eq!(set.len(), 64);
-        assert_eq!(set.class_counts(), vec![4; 16]);
-        assert_eq!(set.samples(), 100);
+        let schedule = classified_schedule(&circuit, &small_config());
+        assert_eq!(schedule.len(), 64);
+        assert_eq!(label_counts(&schedule), vec![4; 16]);
+        let inputs = circuit.netlist().num_inputs();
+        assert!(schedule.iter().all(|s| s.validate(inputs).is_ok()));
     }
 
     #[test]
     fn acquisition_is_deterministic_in_the_seed() {
         let circuit = SboxCircuit::build(Scheme::Rsm);
-        let a = acquire(&circuit, &small_config());
-        let b = acquire(&circuit, &small_config());
+        let a = classified_schedule(&circuit, &small_config());
+        let b = classified_schedule(&circuit, &small_config());
         assert_eq!(a, b);
-        let other = acquire(
+        let other = classified_schedule(
             &circuit,
             &ProtocolConfig {
                 seed: 1,
@@ -374,29 +284,6 @@ mod tests {
             },
         );
         assert_ne!(a, other);
-    }
-
-    #[test]
-    fn unprotected_traces_differ_by_class() {
-        let circuit = SboxCircuit::build(Scheme::Lut);
-        let set = acquire(&circuit, &small_config());
-        let means = set.class_means();
-        let m0: f64 = means[0].iter().sum();
-        assert!(
-            (1..16).any(|c| (means[c].iter().sum::<f64>() - m0).abs() > 1e-9),
-            "all class means identical — no signal at all?"
-        );
-    }
-
-    #[test]
-    fn class_zero_final_values_cause_least_activity() {
-        // Initial and final both encode class 0 for unprotected circuits:
-        // identical inputs → zero events → an all-zero class-0 mean.
-        let circuit = SboxCircuit::build(Scheme::Opt);
-        let set = acquire(&circuit, &small_config());
-        let means = set.class_means();
-        assert!(means[0].iter().all(|&p| p == 0.0));
-        assert!(means[5].iter().any(|&p| p > 0.0));
     }
 
     #[test]
@@ -436,50 +323,16 @@ mod tests {
         // Acquisition order must interleave classes (no block structure
         // that would alias drift into class means).
         let circuit = SboxCircuit::build(Scheme::Opt);
-        let set = acquire(&circuit, &small_config());
-        let labels: Vec<usize> = set.iter().map(|(c, _)| c).collect();
+        let labels: Vec<u16> = classified_schedule(&circuit, &small_config())
+            .iter()
+            .map(|s| s.label)
+            .collect();
         let sorted = {
             let mut l = labels.clone();
             l.sort_unstable();
             l
         };
         assert_ne!(labels, sorted, "stimulus order should be shuffled");
-    }
-
-    #[test]
-    fn schedule_and_per_trace_seeds_reproduce_acquire() {
-        // Capturing the schedule out of order with per-trace seeds must
-        // agree with the sequential path — the invariant the parallel
-        // campaign executor stands on.
-        let circuit = SboxCircuit::build(Scheme::Isw);
-        let config = small_config();
-        let sequential = acquire(&circuit, &config);
-        let sim = Simulator::new(circuit.netlist(), &config.sim);
-        let mut session = sim.session();
-        let schedule = classified_schedule(&circuit, &config);
-        let mut traces: Vec<(usize, Vec<f64>)> = schedule
-            .iter()
-            .enumerate()
-            .rev() // deliberately reversed capture order
-            .map(|(i, s)| {
-                let mut noise = SmallRng::seed_from_u64(trace_seed(config.seed, i as u64));
-                let mut t = Vec::new();
-                session.capture_into(
-                    &s.initial,
-                    &s.final_inputs,
-                    &config.sampling,
-                    &mut noise,
-                    &mut t,
-                );
-                (i, t)
-            })
-            .collect();
-        traces.sort_by_key(|(i, _)| *i);
-        let mut set = ClassifiedTraces::new(NUM_CLASSES, config.sampling.samples);
-        for ((_, trace), s) in traces.into_iter().zip(&schedule) {
-            set.push(usize::from(s.label), trace);
-        }
-        assert_eq!(set, sequential);
     }
 
     #[test]
@@ -514,12 +367,8 @@ mod tests {
     #[test]
     fn cpa_dataset_has_uniformish_plaintexts() {
         let circuit = SboxCircuit::build(Scheme::Opt);
-        let data = acquire_cpa(&circuit, &small_config(), 0xB, 256);
-        assert_eq!(data.traces.len(), 256);
-        let mut counts = [0usize; 16];
-        for &p in &data.plaintexts {
-            counts[usize::from(p)] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 0));
+        let schedule = cpa_schedule(&circuit, &small_config(), 0xB, 256);
+        assert_eq!(schedule.len(), 256);
+        assert!(label_counts(&schedule).iter().all(|&c| c > 0));
     }
 }

@@ -22,9 +22,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use acquisition::{acquire_cpa, ProtocolConfig};
+use campaign::{CacheMode, Campaign, CampaignConfig, FaultPlan};
 use leakage_core::{ChunkFold, SumMode};
-use sbox_circuits::{SboxCircuit, Scheme};
+use sbox_circuits::Scheme;
 use sca_attacks::{attack_batch, AttackAccumulator, Distinguisher, LeakageModel};
 use sca_bench::json_f64;
 
@@ -52,10 +52,13 @@ fn main() {
 
     let traces = if quick { 128 } else { 1024 };
     let passes = if quick { 2 } else { 16 };
-    let protocol = ProtocolConfig::default();
-    let circuit = SboxCircuit::build(Scheme::Lut);
-    let data = acquire_cpa(&circuit, &protocol, 0xB, traces);
-    let samples = protocol.sampling.samples;
+    let mut campaign = Campaign::new(CampaignConfig {
+        cache: CacheMode::Off,
+        faults: FaultPlan::none(),
+        ..CampaignConfig::default()
+    });
+    let data = campaign.acquire_cpa(Scheme::Lut, 0xB, traces);
+    let samples = campaign.config().protocol.sampling.samples;
     eprintln!(
         "attack_bench: {traces} traces x {samples} samples, {passes} passes/leg{}",
         if quick { " (quick)" } else { "" },

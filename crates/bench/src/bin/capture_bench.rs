@@ -49,7 +49,10 @@
 //! bit. Every ratio is the median of its per-pass ratios (the passes
 //! run round-robin, so pass `i` of each leg pairs up), written with
 //! their min–max range next to it; each leg keeps its per-pass
-//! seconds. Usage:
+//! seconds. A timed ISW pass captures its schedule [`ISW_REPEATS`]
+//! times over: one 1,024-trace schedule takes only about 3 ms on the
+//! bit-sliced engine (2-vCPU host), short enough for one scheduler
+//! hiccup to move a pass ratio severalfold. Usage:
 //!
 //! ```text
 //! cargo run --release -p sca-bench --bin capture_bench [--quick] [--out PATH]
@@ -124,6 +127,10 @@ impl Ratio {
     }
 }
 
+/// Schedule repeats per timed ISW pass, so a bit-sliced pass lasts tens
+/// of milliseconds (the other netlists' passes already do).
+const ISW_REPEATS: usize = 16;
+
 /// A capture path under measurement: (stimulus, noise seed) → stats.
 type CaptureFn<'s> = Box<dyn FnMut(&Stimulus, u64) -> CaptureStats + 's>;
 
@@ -136,8 +143,14 @@ struct Runner<'s> {
 /// Time every runner over the schedule, `passes` times each,
 /// round-robin (leg A pass 1, leg B pass 1, …, leg A pass 2, …) so CPU
 /// warm-up and frequency drift hit all legs equally instead of biasing
-/// whichever leg runs first.
-fn measure(schedule: &[(Stimulus, u64)], passes: usize, mut runners: Vec<Runner<'_>>) -> Vec<Leg> {
+/// whichever leg runs first. Each pass captures the schedule `repeats`
+/// times in a row.
+fn measure(
+    schedule: &[(Stimulus, u64)],
+    passes: usize,
+    repeats: usize,
+    mut runners: Vec<Runner<'_>>,
+) -> Vec<Leg> {
     // Warmup pass per leg: fault in allocations and caches.
     for r in &mut runners {
         let mut events = 0usize;
@@ -152,14 +165,14 @@ fn measure(schedule: &[(Stimulus, u64)], passes: usize, mut runners: Vec<Runner<
         .map(|r| Leg {
             name: r.name,
             pass_seconds: Vec::with_capacity(passes),
-            traces: passes * schedule.len(),
+            traces: passes * repeats * schedule.len(),
             events: 0,
         })
         .collect();
     for _ in 0..passes {
         for (leg, r) in legs.iter_mut().zip(&mut runners) {
             let start = Instant::now();
-            for (s, seed) in schedule {
+            for (s, seed) in schedule.iter().cycle().take(repeats * schedule.len()) {
                 leg.events += (r.capture)(s, *seed).events;
             }
             leg.pass_seconds.push(start.elapsed().as_secs_f64());
@@ -294,6 +307,7 @@ fn engine_section(
     let legs = measure(
         schedule,
         passes,
+        1,
         vec![
             session_into_runner(sim, sampling),
             bitsliced_runner(sim, schedule, sampling),
@@ -367,7 +381,7 @@ fn main() {
     let sampling: SamplingConfig = protocol.sampling;
     let schedule = seeded(classified_schedule(&circuit, &protocol), protocol.seed);
     eprintln!(
-        "capture_bench: {} gates, {} traces/pass x {passes} passes{}",
+        "capture_bench: {} gates, {} traces x {ISW_REPEATS} repeats/pass x {passes} passes{}",
         circuit.netlist().gates().len(),
         schedule.len(),
         if quick { " (quick)" } else { "" },
@@ -475,6 +489,7 @@ fn main() {
     let legs = measure(
         &schedule,
         passes,
+        ISW_REPEATS,
         vec![
             Runner {
                 name: "alloc_per_capture",
@@ -591,7 +606,12 @@ fn main() {
     let _ = writeln!(json, "  \"netlist\": \"isw\",");
     let _ = writeln!(json, "  \"gates\": {},", circuit.netlist().gates().len());
     let _ = writeln!(json, "  \"samples_per_trace\": {},", sampling.samples);
-    let _ = writeln!(json, "  \"traces_per_pass\": {},", schedule.len());
+    let _ = writeln!(json, "  \"schedule_repeats\": {ISW_REPEATS},");
+    let _ = writeln!(
+        json,
+        "  \"traces_per_pass\": {},",
+        ISW_REPEATS * schedule.len()
+    );
     let _ = writeln!(json, "  \"passes\": {passes},");
     let _ = writeln!(json, "  \"threads\": 1,");
     let _ = writeln!(json, "  \"quick\": {quick},");

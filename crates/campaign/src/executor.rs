@@ -44,9 +44,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use acquisition::{trace_seed, Backend, Stimulus};
+use acquisition::{trace_seed, Stimulus};
 use gatesim::{
-    BitslicedSession, CaptureSession, CaptureStats, LaneStimulus, SamplingConfig, Simulator, LANES,
+    Backend, BitslicedSession, CaptureSession, CaptureStats, LaneStimulus, SamplingConfig,
+    Simulator, LANES,
 };
 use leakage_core::online::{ChunkObserver, FoldState, TreeReducer, FOLD_CHUNK};
 use rand::rngs::SmallRng;

@@ -80,8 +80,8 @@ pub use store::{
 use std::path::PathBuf;
 use std::time::Duration;
 
-pub use acquisition::Backend;
-use acquisition::{CpaAcquisition, ProtocolConfig, NUM_CLASSES};
+use acquisition::{ProtocolConfig, NUM_CLASSES};
+pub use gatesim::Backend;
 pub use leakage_core::online::{ChunkFold, ChunkObserver, FoldState, SpectrumAccumulator, SumMode};
 pub use sca_attacks::{AttackAccumulator, CpaResult, Distinguisher, LeakageModel};
 
@@ -216,6 +216,18 @@ pub struct SpectrumOutcome {
     pub partial: Option<Interruption>,
 }
 
+/// Traces labelled with known plaintexts for a CPA experiment, as
+/// [`Campaign::acquire_cpa`] returns them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CpaAcquisition {
+    /// The secret key nibble the traces were captured under.
+    pub key: u8,
+    /// Plaintext nibble of each trace.
+    pub plaintexts: Vec<u8>,
+    /// Power trace of each acquisition.
+    pub traces: Vec<Vec<f64>>,
+}
+
 /// What a campaign verb measures.
 #[derive(Debug, Clone, Copy)]
 pub enum Subject<'a> {
@@ -290,11 +302,13 @@ impl Campaign {
     /// Acquire the classified set of `subject` at a device age in months
     /// (0.0 = fresh).
     ///
-    /// Age 0 uses identity derating and is bit-identical to the
-    /// sequential `acquisition::acquire` path; ages > 0 derate the
-    /// circuit with `LeakageStudy::aged_device` (the device is aged by
-    /// its own protocol workload) and are bit-identical to
-    /// `acquisition::acquire_with_derating` under that derating.
+    /// Age 0 uses identity derating; ages > 0 derate the circuit with
+    /// `LeakageStudy::aged_device` (the device is aged by its own
+    /// protocol workload). Either way the set is bit-identical, on
+    /// either engine and at any worker count, to capturing
+    /// `acquisition::classified_schedule` in order on the event engine
+    /// with per-trace seeds: the sequential test oracle in the root
+    /// package's `tests/support/mod.rs`.
     pub fn acquire_aged<'a>(
         &mut self,
         subject: impl Into<Subject<'a>>,
@@ -447,46 +461,6 @@ mod tests {
         })
     }
 
-    /// Batch cells fold into their trace sets through the in-order
-    /// chain: each set equals the sequential acquisition's, in order, at
-    /// any worker count on either backend, fresh and aged, and the
-    /// report carries the chain's length.
-    #[test]
-    fn matches_sequential_acquisition_exactly() {
-        let dir = tmp_dir("seq");
-        let circuit = SboxCircuit::build(Scheme::Opt);
-        for backend in [Backend::Event, Backend::Bitsliced] {
-            for workers in [1, 3] {
-                let what = format!("{backend}, {workers} workers");
-                let mut campaign = small_campaign(&dir, CacheMode::Off);
-                campaign.config.protocol.traces_per_class = 5; // five leaves
-                campaign.config.workers = workers;
-                campaign.config.backend = backend;
-                let protocol = campaign.config().protocol.clone();
-                let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
-                let reference = acquisition::acquire(&circuit, &protocol);
-                assert_eq!(outcome.traces, reference, "{what}");
-                assert!(!outcome.cache_hit);
-                let report = campaign.log().reports().last().unwrap();
-                assert!(!report.streamed, "{what}");
-                assert_eq!(report.merge_depth, 4, "{what}");
-
-                let aged = campaign.acquire_aged(Scheme::Opt, 24.0);
-                let derating = acquisition::LeakageStudy::new(protocol.clone())
-                    .aged_device(&circuit)
-                    .derating_at_months(24.0);
-                let reference = acquisition::acquire_with_derating(&circuit, &protocol, &derating);
-                assert_eq!(aged.traces, reference, "{what}, 24 months");
-
-                let cpa = campaign.acquire_cpa(Scheme::Opt, 0xB, 40);
-                let reference = acquisition::acquire_cpa(&circuit, &protocol, 0xB, 40);
-                assert_eq!(cpa, reference, "{what}");
-                let report = campaign.log().reports().last().unwrap();
-                assert_eq!(report.merge_depth, 2, "{what}: 40 traces, three leaves");
-            }
-        }
-    }
-
     #[test]
     fn second_acquisition_hits_the_cache_with_zero_sim_events() {
         let dir = tmp_dir("hit");
@@ -539,9 +513,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(first.key, 0xB);
         assert_eq!(first.traces.len(), 24);
-        let circuit = SboxCircuit::build(Scheme::Opt);
-        let reference = acquisition::acquire_cpa(&circuit, &campaign.config().protocol, 0xB, 24);
-        assert_eq!(first, reference);
+        assert_eq!(first.plaintexts.len(), 24);
         assert_eq!(campaign.log().cache_hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,8 +8,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use acquisition::Backend;
-use gatesim::CaptureStats;
+use gatesim::{Backend, CaptureStats};
 
 use crate::iofault::WriteFaults;
 use crate::store::write_atomic_with;

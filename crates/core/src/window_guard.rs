@@ -4,25 +4,32 @@
 //! folds never fall back to Shewchuk expansions. A power-model change
 //! that moved samples off the grid would fail here instead of quietly
 //! slowing every exact fold down.
+//!
+//! The traces come from the campaign's own acquisition verb, so the
+//! guard checks exactly the values a campaign folds.
 
 use crate::comoment::CoMomentAccumulator;
 use crate::online::{SpectrumAccumulator, SumMode};
-use acquisition::{acquire_with_derating, LeakageStudy, ProtocolConfig, NUM_CLASSES};
-use sbox_circuits::{SboxCircuit, Scheme};
+use campaign::{CacheMode, Campaign, CampaignConfig, FaultPlan};
+use sbox_circuits::Scheme;
 use sca_attacks::{Distinguisher, LeakageModel};
+
+/// The 16 classes of the PRESENT S-box input.
+const NUM_CLASSES: usize = 16;
 
 #[test]
 fn default_protocol_folds_never_leave_the_fixed_window() {
-    let config = ProtocolConfig::default();
-    let study = LeakageStudy::new(config.clone());
+    let mut campaign = Campaign::new(CampaignConfig {
+        cache: CacheMode::Off,
+        faults: FaultPlan::none(),
+        ..CampaignConfig::default()
+    });
+    let config = campaign.config().protocol.clone();
     let cpa = Distinguisher::Cpa(LeakageModel::OutputTransition);
     let samples = config.sampling.samples;
     for scheme in Scheme::ALL {
-        let circuit = SboxCircuit::build(scheme);
-        let device = study.aged_device(&circuit);
         for months in [0.0, 24.0] {
-            let derating = device.derating_at_months(months);
-            let traces = acquire_with_derating(&circuit, &config, &derating);
+            let traces = campaign.acquire_aged(scheme, months).traces;
             let mut spectrum = SpectrumAccumulator::new(NUM_CLASSES, samples, SumMode::Exact);
             let mut attack = CoMomentAccumulator::new(cpa.channels(), samples);
             for (class, trace) in traces.iter() {

@@ -13,15 +13,12 @@
 
 use acquisition::ProtocolConfig;
 use campaign::{AttackPlan, Campaign, SumMode};
-use experiments::{campaign_config, finish_campaign, CsvSink};
+use experiments::{campaign_config, count_from_args, finish_campaign, CsvSink};
 use sbox_circuits::Scheme;
 use sca_attacks::{Distinguisher, LeakageModel};
 
 fn main() {
-    let traces: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(256);
+    let traces = count_from_args(256);
     let key = 0x5;
     let ages_months = [0.0f64, 24.0, 60.0];
     let plan = AttackPlan {

@@ -1,18 +1,16 @@
 //! CPA baseline: first-order key recovery against every implementation —
 //! the attack the paper's leakage metrics predict.
 
-use acquisition::{acquire_cpa, ProtocolConfig};
-use experiments::CsvSink;
-use sbox_circuits::{SboxCircuit, Scheme};
+use acquisition::ProtocolConfig;
+use campaign::Campaign;
+use experiments::{campaign_config, count_from_args, finish_campaign, CsvSink};
+use sbox_circuits::Scheme;
 use sca_attacks::{cpa_attack, guessing_entropy, success_rate_curve, LeakageModel};
 
 fn main() {
-    let traces: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024);
+    let traces = count_from_args(1024);
     let key = 0xB;
-    let config = ProtocolConfig::default();
+    let mut campaign = Campaign::new(campaign_config(ProtocolConfig::default()));
 
     let mut csv = CsvSink::new(
         "cpa",
@@ -34,8 +32,7 @@ fn main() {
         "scheme", "guess", "rank", "peak-ρ", "GE@256", "SR@256", "SR@all"
     );
     for scheme in Scheme::ALL {
-        let circuit = SboxCircuit::build(scheme);
-        let data = acquire_cpa(&circuit, &config, key, traces);
+        let data = campaign.acquire_cpa(scheme, key, traces);
         // The attacker tries both standard models and keeps the stronger
         // (lower rank of the true key, then higher peak correlation).
         let (model, result) = [LeakageModel::OutputTransition, LeakageModel::HammingWeight]
@@ -91,4 +88,5 @@ fn main() {
     println!("\nunprotected implementations should fall to first-order CPA;");
     println!("masked ones should hold at this trace budget.");
     csv.finish();
+    finish_campaign(&campaign);
 }

@@ -24,7 +24,6 @@
 //! Any typed import failure exits 2; any conformance mismatch exits 1;
 //! panics are a bug.
 
-use acquisition::acquire;
 use campaign::{Backend, CacheMode, Campaign, CampaignConfig, Subject};
 use experiments::{campaign_config, finish_campaign};
 use leakage_core::ClassifiedTraces;
@@ -301,42 +300,37 @@ fn selftest(tpc: usize) -> i32 {
             }
         };
 
-        // Event-driven captures must be bit-identical.
-        let native_traces = acquire(&native, &config);
-        let import_traces = acquire(&circuit, &config);
-        if let Some(diff) = trace_diff(&native_traces, &import_traces) {
-            eprintln!("selftest: {label}: event capture drift: {diff}");
-            failures += 1;
-        }
-
-        // Bit-sliced captures must agree too, and the support check must
-        // treat both netlists alike: on a netlist it rejects, a
-        // `Bitsliced` campaign degrades to the event engine.
+        // Captures must be bit-identical on both engines, and the
+        // bit-sliced support check must treat both netlists alike: on a
+        // netlist it rejects, a `Bitsliced` campaign degrades to the
+        // event engine.
         let cache_label = import_label(&circuit);
         let subject = Subject::Imported {
             circuit: &circuit,
             label: &cache_label,
         };
-        let mut bitsliced = Campaign::new(CampaignConfig {
-            backend: Backend::Bitsliced,
-            cache: CacheMode::Off,
-            ..campaign.config().clone()
-        });
-        let engine = |c: &Campaign| c.log().reports().last().and_then(|r| r.backend);
-        let native_bits = bitsliced.acquire_aged(scheme, 0.0);
-        let native_engine = engine(&bitsliced);
-        let import_bits = bitsliced.acquire_aged(subject, 0.0);
-        if native_engine != engine(&bitsliced) {
-            eprintln!(
-                "selftest: {label}: bitsliced support drift: native ran {native_engine:?}, \
-                 the import {:?}",
-                engine(&bitsliced)
-            );
-            failures += 1;
-        } else if native_bits.partial.is_none() && import_bits.partial.is_none() {
-            if let Some(diff) = trace_diff(&native_bits.traces, &import_bits.traces) {
-                eprintln!("selftest: {label}: bitsliced capture drift: {diff}");
+        for backend in [Backend::Event, Backend::Bitsliced] {
+            let mut uncached = Campaign::new(CampaignConfig {
+                backend,
+                cache: CacheMode::Off,
+                ..campaign.config().clone()
+            });
+            let engine = |c: &Campaign| c.log().reports().last().and_then(|r| r.backend);
+            let native_traces = uncached.acquire_aged(scheme, 0.0);
+            let native_engine = engine(&uncached);
+            let import_traces = uncached.acquire_aged(subject, 0.0);
+            if native_engine != engine(&uncached) {
+                eprintln!(
+                    "selftest: {label}: {backend} support drift: native ran {native_engine:?}, \
+                     the import {:?}",
+                    engine(&uncached)
+                );
                 failures += 1;
+            } else if native_traces.partial.is_none() && import_traces.partial.is_none() {
+                if let Some(diff) = trace_diff(&native_traces.traces, &import_traces.traces) {
+                    eprintln!("selftest: {label}: {backend} capture drift: {diff}");
+                    failures += 1;
+                }
             }
         }
 

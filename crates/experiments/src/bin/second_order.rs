@@ -2,21 +2,18 @@
 //! are protected against dth-order attacks can be still vulnerable to
 //! higher-order attacks"): first- vs second-order CPA against ISW.
 
-use acquisition::{acquire_cpa, ProtocolConfig};
-use experiments::CsvSink;
-use sbox_circuits::{SboxCircuit, Scheme};
+use acquisition::ProtocolConfig;
+use campaign::Campaign;
+use experiments::{campaign_config, count_from_args, finish_campaign, CsvSink};
+use sbox_circuits::Scheme;
 use sca_attacks::second_order::{second_order_cpa, window_pairs};
 use sca_attacks::{cpa_attack, LeakageModel};
 
 fn main() {
-    let traces: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2048);
+    let traces = count_from_args(2048);
     let key = 0x6;
-    let config = ProtocolConfig::default();
-    let circuit = SboxCircuit::build(Scheme::Isw);
-    let data = acquire_cpa(&circuit, &config, key, traces);
+    let mut campaign = Campaign::new(campaign_config(ProtocolConfig::default()));
+    let data = campaign.acquire_cpa(Scheme::Isw, key, traces);
 
     println!("ISW, true key {key:X}, {traces} traces");
     let mut csv = CsvSink::new("second_order", ["order", "best_guess", "rank", "peak_corr"]);
@@ -66,4 +63,5 @@ fn main() {
         first.key_rank(key)
     );
     csv.finish();
+    finish_campaign(&campaign);
 }

@@ -5,16 +5,12 @@
 
 use acquisition::ProtocolConfig;
 use campaign::Campaign;
-use experiments::{campaign_config, finish_campaign, CsvSink};
+use experiments::{campaign_config, count_from_args, finish_campaign, CsvSink};
 use sbox_circuits::Scheme;
 use sca_attacks::{success_rate_curve, LeakageModel};
 
 fn main() {
-    let max_traces: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024)
-        .max(1);
+    let max_traces = count_from_args(1024);
     let key = 0x5;
     let mut campaign = Campaign::new(campaign_config(ProtocolConfig::default()));
     let mut counts: Vec<usize> = [16usize, 32, 64, 128, 256, 512, 1024]

@@ -5,17 +5,22 @@
 //! from the target. Unprotected circuits must fall with a handful of
 //! traces; masked ones force the adversary to higher orders.
 
-use acquisition::{acquire, acquire_cpa, ProtocolConfig};
-use experiments::CsvSink;
-use sbox_circuits::{SboxCircuit, Scheme};
+use acquisition::ProtocolConfig;
+use campaign::Campaign;
+use experiments::{campaign_config, count_from_args, finish_campaign, CsvSink};
+use sbox_circuits::Scheme;
 use sca_attacks::template::{template_attack, TemplateSet};
 
 fn main() {
-    let attack_traces: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(256);
+    let attack_traces = count_from_args(256);
     let key = 0xA;
+    // Profiling set on the clone (same die model, different mask seed);
+    // the attack set, with the secret key folded in, from the target.
+    let mut clone = Campaign::new(campaign_config(ProtocolConfig {
+        seed: 0xFACE,
+        ..ProtocolConfig::default()
+    }));
+    let mut target = Campaign::new(campaign_config(ProtocolConfig::default()));
     let mut csv = CsvSink::new(
         "template",
         ["scheme", "attack_traces", "best_guess", "rank"],
@@ -26,18 +31,8 @@ fn main() {
         "scheme", "traces", "guess", "rank"
     );
     for scheme in Scheme::ALL {
-        let circuit = SboxCircuit::build(scheme);
-        // Profiling set on the clone (same die model, different mask seed).
-        let profiling = acquire(
-            &circuit,
-            &ProtocolConfig {
-                seed: 0xFACE,
-                ..ProtocolConfig::default()
-            },
-        );
-        let templates = TemplateSet::profile(&profiling);
-        // Attack set with the secret key folded in.
-        let data = acquire_cpa(&circuit, &ProtocolConfig::default(), key, attack_traces);
+        let templates = TemplateSet::profile(&clone.acquire_aged(scheme, 0.0).traces);
+        let data = target.acquire_cpa(scheme, key, attack_traces);
         let result = template_attack(&templates, &data.plaintexts, &data.traces);
         println!(
             "{:9} {:>7} {:>6X} {:>5}",
@@ -57,4 +52,6 @@ fn main() {
     println!("\nprofiled attacks need no leakage model: every unprotected circuit");
     println!("must fall; the masked ones survive first-order template matching.");
     csv.finish();
+    finish_campaign(&clone);
+    finish_campaign(&target);
 }

@@ -17,7 +17,7 @@
 //! the way the simulator actually leaks.
 
 use acquisition::{classified_schedule, ProtocolConfig, NUM_CLASSES};
-use experiments::{sci, CsvSink};
+use experiments::{protocol_from_args, sci, CsvSink};
 use gatesim::Simulator;
 use leakage_core::{spectrum_of, stats::spearman};
 use sbox_circuits::{SboxCircuit, Scheme};
@@ -58,14 +58,7 @@ fn dynamic_multibit(circuit: &SboxCircuit, config: &ProtocolConfig) -> Vec<f64> 
 }
 
 fn main() {
-    let tpc = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(64);
-    let config = ProtocolConfig {
-        traces_per_class: tpc,
-        ..ProtocolConfig::default()
-    };
+    let config = protocol_from_args();
 
     let mut csv = CsvSink::new(
         "verify/correlation",

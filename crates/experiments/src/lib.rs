@@ -4,7 +4,9 @@
 //! the same rows/series the paper reports and mirrors them into
 //! `results/<name>.csv` for plotting. Run them with `--release`; pass a
 //! number as the first argument to override the traces-per-class budget
-//! (default 64, the paper's 1024-trace protocol).
+//! (default 64, the paper's 1024-trace protocol), or the trace budget of
+//! the attack binaries. A zero or malformed count is a usage error
+//! (exit status 2).
 //!
 //! Trace acquisition goes through the [`campaign`] engine: acquisitions
 //! are sharded across worker threads (`SCA_WORKERS`, default all cores),
@@ -50,14 +52,33 @@ use std::time::Duration;
 use acquisition::ProtocolConfig;
 use campaign::{CacheMode, Campaign, CampaignConfig, CampaignError, FaultPlan, RunBudget};
 
+/// The optional positive count in the first argument (a
+/// traces-per-class override or a trace budget), `default` when it is
+/// absent. A malformed or zero count is a usage error: it is named on
+/// stderr and the process exits with status 2, as a strict `SCA_*`
+/// knob does.
+pub fn count_from_args(default: usize) -> usize {
+    count_from_value(std::env::args().nth(1), default).unwrap_or_else(|value| {
+        eprintln!("error: cannot interpret the count {value:?}: expected a positive integer");
+        std::process::exit(2);
+    })
+}
+
+/// [`count_from_args`]'s parser: `Err` carries the rejected value.
+fn count_from_value(value: Option<String>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(value) => match value.parse() {
+            Ok(count) if count > 0 => Ok(count),
+            _ => Err(value),
+        },
+    }
+}
+
 /// Parse the common CLI: optional traces-per-class override.
 pub fn protocol_from_args() -> ProtocolConfig {
-    let tpc = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(64);
     ProtocolConfig {
-        traces_per_class: tpc,
+        traces_per_class: count_from_args(64),
         ..ProtocolConfig::default()
     }
 }
@@ -313,6 +334,21 @@ mod tests {
     #[test]
     fn sci_formats_scientific() {
         assert_eq!(sci(0.000123), "1.2300e-4");
+    }
+
+    #[test]
+    fn counts_parse_and_reject_zero_and_garbage() {
+        let v = |s: &str| Some(s.to_string());
+        assert_eq!(count_from_value(None, 64), Ok(64));
+        assert_eq!(count_from_value(v("2"), 64), Ok(2));
+        assert_eq!(count_from_value(v("1024"), 1), Ok(1024));
+        for bad in ["0", "x16", "", "-1", "1.5", " 4"] {
+            assert_eq!(
+                count_from_value(v(bad), 64),
+                Err(bad.to_string()),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -51,12 +51,20 @@ fn survives_tiny_budget_under_injected_panics() {
 }
 
 #[test]
-fn zero_budget_clamps_to_one_trace() {
+fn zero_budget_is_a_usage_error() {
+    // A zero budget is rejected before any capture, like a malformed
+    // strict knob.
     let out = run_sr_curves("0");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "sr_curves 0 failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "sr_curves 0 must exit 2\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
+    assert!(
+        stderr.contains("\"0\""),
+        "the error names the value:\n{stderr}"
+    );
+    assert!(!stdout.contains("miss"), "no capture may run:\n{stdout}");
 }

@@ -10,10 +10,8 @@
 //! evaluation) are rejected statically by
 //! [`Simulator::bitsliced_session`]; [`Backend::resolve`] turns that
 //! check into the campaign executor's engine choice.
-//!
-//! [`Simulator::bitsliced_session`]: gatesim::Simulator::bitsliced_session
 
-use gatesim::{BitsliceUnsupported, BitslicedSession, Simulator};
+use crate::{BitsliceUnsupported, BitslicedSession, Simulator};
 
 /// Which gate-level capture engine executes scheduled stimuli.
 ///
@@ -26,7 +24,7 @@ pub enum Backend {
     /// The event-driven engine: one trace per pass, full glitch-order
     /// fidelity on every netlist. The reference semantics.
     Event,
-    /// The bit-sliced levelized engine: up to [`gatesim::LANES`] traces
+    /// The bit-sliced levelized engine: up to [`LANES`](crate::LANES) traces
     /// per pass. Requests the fast path; [`Backend::resolve`] rejects
     /// netlists the static support check fails (the campaign executor
     /// then falls back to `Event` with a recorded warning).

@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backend;
 mod bitsliced;
 mod config;
 mod derating;
@@ -64,6 +65,7 @@ mod program;
 mod session;
 pub mod vcd;
 
+pub use backend::Backend;
 pub use bitsliced::{BitsliceUnsupported, BitslicedSession, LaneStimulus, LANES};
 pub use config::{SamplingConfig, SimConfig};
 pub use derating::Derating;

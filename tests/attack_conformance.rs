@@ -23,16 +23,19 @@
 //! and review the fixture diff like any other code change (see
 //! `DESIGN.md`, "Streaming attack engine").
 
+mod support;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use sbox_leakage::acquisition::{acquire_cpa, ProtocolConfig};
+use sbox_leakage::acquisition::ProtocolConfig;
 use sbox_leakage::analysis::{ChunkFold, SumMode};
 use sbox_leakage::attacks::{
     attack_batch, AttackAccumulator, CpaResult, Distinguisher, LeakageModel,
 };
 use sbox_leakage::campaign::{AttackPlan, CacheMode, Campaign, CampaignConfig};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
+use support::acquire_cpa;
 
 const KEY: u8 = 0x9;
 const TRACES: usize = 48;

@@ -1,11 +1,14 @@
 //! Attack-stack integration: acquisition → CPA / templates / second order
 //! against real simulated circuits.
 
-use acquisition::{acquire, acquire_cpa, ProtocolConfig};
+mod support;
+
+use acquisition::ProtocolConfig;
 use campaign::{AttackPlan, CacheMode, Campaign, CampaignConfig, FaultPlan, SumMode};
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_attacks::template::{template_attack, TemplateSet};
 use sca_attacks::{cpa_attack, Distinguisher, LeakageModel};
+use support::{acquire, acquire_cpa};
 
 fn config(seed: u64) -> ProtocolConfig {
     ProtocolConfig {

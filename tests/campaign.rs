@@ -3,15 +3,17 @@
 //!
 //! The headline assertion here is the paper-budget determinism check:
 //! the full 1024-trace ISW acquisition through the sharded executor is
-//! bit-identical to the sequential `acquisition::acquire` path for any
+//! bit-identical to the sequential `support::acquire` oracle for any
 //! worker count.
+
+mod support;
 
 use std::path::{Path, PathBuf};
 
-use sbox_leakage::acquisition;
+use sbox_leakage::acquisition::{LeakageStudy, ProtocolConfig};
 use sbox_leakage::analysis::LeakageSpectrum;
 use sbox_leakage::campaign::{
-    AttackPlan, CacheMode, Campaign, CampaignConfig, RunReport, StoreWriter,
+    AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, RunReport, StoreWriter,
 };
 use sbox_leakage::campaign::{StoreKind, StoreMeta, StoreReader};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
@@ -48,7 +50,7 @@ fn isw_campaign_is_bit_identical_to_sequential_acquisition_for_any_worker_count(
     );
 
     let circuit = SboxCircuit::build(Scheme::Isw);
-    let reference = acquisition::acquire(&circuit, &config);
+    let reference = support::acquire(&circuit, &config);
     let reference_means = reference.class_means();
     let reference_tlp = LeakageSpectrum::from_class_means(&reference_means).total_leakage_power();
 
@@ -70,6 +72,70 @@ fn isw_campaign_is_bit_identical_to_sequential_acquisition_for_any_worker_count(
         assert_eq!(outcome.traces, reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Batch cells fold into their trace sets through the in-order chain:
+/// each set equals the sequential oracle's, in order, at any worker
+/// count on either backend, fresh and aged, and the report carries the
+/// chain's length.
+#[test]
+fn matches_sequential_acquisition_exactly() {
+    let dir = scratch("seq");
+    let circuit = SboxCircuit::build(Scheme::Opt);
+    for backend in [Backend::Event, Backend::Bitsliced] {
+        for workers in [1, 3] {
+            let what = format!("{backend}, {workers} workers");
+            let mut campaign = Campaign::new(CampaignConfig {
+                protocol: ProtocolConfig {
+                    traces_per_class: 5, // five leaves
+                    ..ProtocolConfig::default()
+                },
+                workers,
+                backend,
+                cache: CacheMode::Off,
+                store_dir: dir.join("traces"),
+                log_path: dir.join("runs.jsonl"),
+                ..CampaignConfig::default()
+            });
+            let protocol = campaign.config().protocol.clone();
+            let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
+            let reference = support::acquire(&circuit, &protocol);
+            assert_eq!(outcome.traces, reference, "{what}");
+            assert!(!outcome.cache_hit);
+            let report = campaign.log().reports().last().unwrap();
+            assert!(!report.streamed, "{what}");
+            assert_eq!(report.merge_depth, 4, "{what}");
+
+            let aged = campaign.acquire_aged(Scheme::Opt, 24.0);
+            let derating = LeakageStudy::new(protocol.clone())
+                .aged_device(&circuit)
+                .derating_at_months(24.0);
+            let reference = support::acquire_with_derating(&circuit, &protocol, &derating);
+            assert_eq!(aged.traces, reference, "{what}, 24 months");
+
+            let cpa = campaign.acquire_cpa(Scheme::Opt, 0xB, 40);
+            let reference = support::acquire_cpa(&circuit, &protocol, 0xB, 40);
+            assert_eq!(cpa, reference, "{what}");
+            let report = campaign.log().reports().last().unwrap();
+            assert_eq!(report.merge_depth, 2, "{what}: 40 traces, three leaves");
+        }
+    }
+}
+
+/// A CPA set captured into the store and served back from it equals the
+/// sequential oracle's.
+#[test]
+fn cpa_round_trips_through_the_cache_to_the_sequential_reference() {
+    let dir = scratch("cpa");
+    let mut campaign = small_campaign_in(&dir);
+    let first = campaign.acquire_cpa(Scheme::Opt, 0xB, 24);
+    let second = campaign.acquire_cpa(Scheme::Opt, 0xB, 24);
+    assert_eq!(campaign.log().cache_hits(), 1);
+    let circuit = SboxCircuit::build(Scheme::Opt);
+    let reference = support::acquire_cpa(&circuit, &campaign.config().protocol, 0xB, 24);
+    assert_eq!(first, reference);
+    assert_eq!(second, reference);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The store round-trips classified records exactly: metadata, labels,

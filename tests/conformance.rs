@@ -10,8 +10,9 @@
 //! *bitwise* regression — there is no tolerance to hide behind.
 //!
 //! Three independent pipelines must reproduce every scheme fixture
-//! exactly: the batch analysis (`acquire` + `from_class_means`), the
-//! streaming fold (`acquire`'s traces folded one at a time, in
+//! exactly: the batch analysis (the sequential oracle's
+//! `support::acquire` + `from_class_means`), the streaming fold
+//! (`acquire`'s traces folded one at a time, in
 //! acquisition order, through the chunk grid, `ChunkFold`), and the
 //! campaign's sharded executor fold at 1, 2, and 8 workers (whose shard
 //! accumulators merge in chunk order).
@@ -34,12 +35,14 @@
 //! and review the fixture diff like any other code change (see
 //! `DESIGN.md`, "Streaming spectral analysis").
 
+mod support;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sbox_leakage::acquisition::{self, classified_schedule, ProtocolConfig, NUM_CLASSES};
+use sbox_leakage::acquisition::{classified_schedule, ProtocolConfig, NUM_CLASSES};
 use sbox_leakage::analysis::checksum::Digest;
 use sbox_leakage::analysis::{ChunkFold, LeakageSpectrum, SumMode};
 use sbox_leakage::campaign::{
@@ -121,7 +124,7 @@ fn blessing() -> bool {
 fn batch_text(scheme: Scheme) -> String {
     let protocol = protocol();
     let circuit = SboxCircuit::build(scheme);
-    let traces = acquisition::acquire(&circuit, &protocol);
+    let traces = support::acquire(&circuit, &protocol);
     render(scheme, &protocol, &traces.class_means())
 }
 
@@ -199,7 +202,7 @@ fn streaming_fold_matches_golden_vectors() {
     let protocol = protocol();
     for scheme in Scheme::ALL {
         let circuit = SboxCircuit::build(scheme);
-        let traces = acquisition::acquire(&circuit, &protocol);
+        let traces = support::acquire(&circuit, &protocol);
         let empty =
             SpectrumAccumulator::new(NUM_CLASSES, protocol.sampling.samples, SumMode::Exact);
         let mut fold = ChunkFold::new(empty);

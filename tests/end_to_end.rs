@@ -1,13 +1,16 @@
 //! Cross-crate integration: netlist generators → simulator → acquisition →
 //! spectral analysis, exercised together.
 
-use acquisition::{acquire, LeakageStudy, ProtocolConfig};
+mod support;
+
+use acquisition::{classified_schedule, trace_seed, LeakageStudy, ProtocolConfig, NUM_CLASSES};
 use campaign::{CacheMode, Campaign, CampaignConfig, FaultPlan};
 use gatesim::{SimConfig, Simulator};
-use leakage_core::LeakageSpectrum;
+use leakage_core::{ClassifiedTraces, LeakageSpectrum};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbox_circuits::{SboxCircuit, Scheme};
+use support::acquire;
 
 fn small_protocol() -> ProtocolConfig {
     ProtocolConfig {
@@ -125,4 +128,62 @@ fn protocol_labels_match_encodings() {
     let circuit = SboxCircuit::build(Scheme::Glut);
     let set = acquire(&circuit, &small_protocol());
     assert_eq!(set.class_counts(), vec![8; 16]);
+}
+
+/// The unprotected LUT's class means differ: the oracle captures signal.
+#[test]
+fn unprotected_traces_differ_by_class() {
+    let circuit = SboxCircuit::build(Scheme::Lut);
+    let means = acquire(&circuit, &small_protocol()).class_means();
+    let m0: f64 = means[0].iter().sum();
+    assert!(
+        (1..16).any(|c| (means[c].iter().sum::<f64>() - m0).abs() > 1e-9),
+        "all class means identical — no signal at all?"
+    );
+}
+
+/// Initial and final both encode class 0 for unprotected circuits:
+/// identical inputs → zero events → an all-zero class-0 mean.
+#[test]
+fn class_zero_final_values_cause_least_activity() {
+    let circuit = SboxCircuit::build(Scheme::Opt);
+    let means = acquire(&circuit, &small_protocol()).class_means();
+    assert!(means[0].iter().all(|&p| p == 0.0));
+    assert!(means[5].iter().any(|&p| p > 0.0));
+}
+
+/// Capturing the schedule out of order with per-trace seeds agrees with
+/// the sequential oracle — the invariant the parallel campaign executor
+/// stands on.
+#[test]
+fn schedule_and_per_trace_seeds_reproduce_acquire() {
+    let circuit = SboxCircuit::build(Scheme::Isw);
+    let config = small_protocol();
+    let sequential = acquire(&circuit, &config);
+    let sim = Simulator::new(circuit.netlist(), &config.sim);
+    let mut session = sim.session();
+    let schedule = classified_schedule(&circuit, &config);
+    let mut traces: Vec<(usize, Vec<f64>)> = schedule
+        .iter()
+        .enumerate()
+        .rev() // deliberately reversed capture order
+        .map(|(i, s)| {
+            let mut noise = SmallRng::seed_from_u64(trace_seed(config.seed, i as u64));
+            let mut t = Vec::new();
+            session.capture_into(
+                &s.initial,
+                &s.final_inputs,
+                &config.sampling,
+                &mut noise,
+                &mut t,
+            );
+            (i, t)
+        })
+        .collect();
+    traces.sort_by_key(|(i, _)| *i);
+    let mut set = ClassifiedTraces::new(NUM_CLASSES, config.sampling.samples);
+    for ((_, trace), s) in traces.into_iter().zip(&schedule) {
+        set.push(usize::from(s.label), trace);
+    }
+    assert_eq!(set, sequential);
 }

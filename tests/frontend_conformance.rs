@@ -30,10 +30,12 @@
 //!
 //! and review the diff like any other code change.
 
+mod support;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use sbox_leakage::acquisition::{self, ProtocolConfig};
+use sbox_leakage::acquisition::ProtocolConfig;
 use sbox_leakage::analysis::LeakageSpectrum;
 use sbox_leakage::campaign::{
     AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, Distinguisher, DistinguisherReport,
@@ -167,8 +169,8 @@ fn reimported_captures_are_bit_identical_event_backend() {
     for scheme in Scheme::ALL {
         let native = SboxCircuit::build(scheme);
         let imported = reimport(scheme, SourceFormat::YosysJson);
-        let a = acquisition::acquire(&native, &protocol);
-        let b = acquisition::acquire(&imported, &protocol);
+        let a = support::acquire(&native, &protocol);
+        let b = support::acquire(&imported, &protocol);
         assert_traces_bit_identical(&a, &b, scheme, "event");
     }
 }
@@ -275,7 +277,7 @@ fn campaign_keys_imported_designs_by_content_hash() {
     assert_eq!(first.traces, second.traces);
     // The cached traces are the native captures: content addressing
     // keys the *circuit*, not where it came from.
-    let native = acquisition::acquire(
+    let native = support::acquire(
         &SboxCircuit::build(Scheme::Opt),
         &campaign.config().protocol,
     );

@@ -258,8 +258,8 @@ impl FaultPlan {
     }
 
     /// Like [`FaultPlan::from_env`], but a malformed spec is returned as
-    /// `Err((spec, message))` instead of degrading to no injection —
-    /// strict mode (`SCA_STRICT=1`) turns this into a hard config error.
+    /// `Err((spec, message))` instead of degrading to no injection — the
+    /// experiment binaries turn this into a hard config error (exit 2).
     pub fn try_from_env() -> Result<FaultPlan, (String, String)> {
         match std::env::var("SCA_FAULTS") {
             Ok(spec) => Self::parse(&spec).map_err(|e| (spec, e)),

@@ -45,7 +45,6 @@ mod classes;
 pub mod comoment;
 pub mod convergence;
 pub mod metrics;
-pub mod mi;
 pub mod online;
 mod spectrum;
 pub mod stats;

@@ -25,7 +25,7 @@
 //! panics are a bug.
 
 use campaign::{Backend, CacheMode, Campaign, CampaignConfig, Subject};
-use experiments::{campaign_config, finish_campaign};
+use experiments::{campaign_config, count_from_value, finish_campaign};
 use leakage_core::ClassifiedTraces;
 use sbox_circuits::{SboxCircuit, Scheme};
 use sca_frontend::{
@@ -56,7 +56,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+/// Parse the command line after the program name; `None` is a usage
+/// error. Trace counts go through the shared positive-count parser, so
+/// a zero or malformed `--selftest N` or `--tpc N` is rejected.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Option<Args> {
     let mut args = Args {
         file: None,
         scheme: None,
@@ -66,39 +69,32 @@ fn parse_args() -> Args {
         capture: true,
         selftest: false,
     };
-    let mut it = std::env::args().skip(1);
+    let count = |value: String| count_from_value(Some(value), 0).ok();
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--selftest" => {
                 args.selftest = true;
                 if let Some(tpc) = it.next() {
-                    match tpc.parse() {
-                        Ok(n) => args.tpc = n,
-                        Err(_) => usage(),
-                    }
+                    args.tpc = count(tpc)?;
                 }
             }
-            "--scheme" => args.scheme = it.next().or_else(|| usage()),
-            "--sidecar" => args.sidecar = it.next().or_else(|| usage()),
-            "--format" => match it.next().as_deref() {
-                Some("yosys") | Some("yosys-json") | Some("json") => {
-                    args.format = Some(SourceFormat::YosysJson)
-                }
-                Some("edif") => args.format = Some(SourceFormat::Edif),
-                _ => usage(),
+            "--scheme" => args.scheme = Some(it.next()?),
+            "--sidecar" => args.sidecar = Some(it.next()?),
+            "--format" => match it.next()?.as_str() {
+                "yosys" | "yosys-json" | "json" => args.format = Some(SourceFormat::YosysJson),
+                "edif" => args.format = Some(SourceFormat::Edif),
+                _ => return None,
             },
-            "--tpc" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => args.tpc = n,
-                None => usage(),
-            },
+            "--tpc" => args.tpc = count(it.next()?)?,
             "--no-capture" => args.capture = false,
-            "--help" | "-h" => usage(),
-            other if other.starts_with("--") => usage(),
+            "--help" | "-h" => return None,
+            other if other.starts_with("--") => return None,
             other if args.file.is_none() => args.file = Some(other.to_string()),
-            _ => usage(),
+            _ => return None,
         }
     }
-    args
+    Some(args)
 }
 
 fn protocol(tpc: usize) -> ProtocolConfig {
@@ -118,7 +114,7 @@ fn import_label(circuit: &SboxCircuit) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|| usage());
     let code = if args.selftest {
         selftest(args.tpc)
     } else {
@@ -389,4 +385,52 @@ fn trace_diff(a: &ClassifiedTraces, b: &ClassifiedTraces) -> Option<String> {
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Option<Args> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn trace_counts_must_be_positive() {
+        let selftest = parse(&["--selftest"]).expect("default budget");
+        assert!(selftest.selftest);
+        assert_eq!(selftest.tpc, 16);
+        assert_eq!(parse(&["--selftest", "2"]).expect("valid").tpc, 2);
+        assert_eq!(parse(&["f.json", "--tpc", "8"]).expect("valid").tpc, 8);
+        for bad in ["0", "x2", "-1", ""] {
+            assert!(parse(&["--selftest", bad]).is_none(), "--selftest {bad:?}");
+            assert!(parse(&["f.json", "--tpc", bad]).is_none(), "--tpc {bad:?}");
+        }
+        assert!(parse(&["f.json", "--tpc"]).is_none(), "missing count");
+    }
+
+    #[test]
+    fn options_and_the_file_parse() {
+        let args = parse(&[
+            "isw.edif",
+            "--scheme",
+            "ISW",
+            "--format",
+            "edif",
+            "--no-capture",
+        ])
+        .expect("valid");
+        assert_eq!(args.file.as_deref(), Some("isw.edif"));
+        assert_eq!(args.scheme.as_deref(), Some("ISW"));
+        assert!(matches!(args.format, Some(SourceFormat::Edif)));
+        assert!(!args.capture);
+        for bad in [
+            &["a", "b"][..],
+            &["--format", "vhdl"],
+            &["--bogus"],
+            &["-h"],
+        ] {
+            assert!(parse(bad).is_none(), "{bad:?}");
+        }
+    }
 }

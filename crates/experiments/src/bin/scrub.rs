@@ -9,8 +9,8 @@
 //! aside with a `.quarantined` suffix.
 //!
 //! Exit status: `0` when every store verified (clean or healed), `1`
-//! when anything had to be quarantined, `2` on a strict configuration
-//! error (`SCA_STRICT=1`).
+//! when anything had to be quarantined, `2` on a malformed `SCA_*`
+//! knob.
 //!
 //! `scrub --selftest` runs the heal path end to end against a throwaway
 //! store in a temp directory — capture, corrupt one byte, scrub, and

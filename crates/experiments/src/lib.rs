@@ -36,11 +36,10 @@
 //! budget-stopped run flushes its checkpoint and resumes bit-identically
 //! on the next invocation.
 //!
-//! A malformed value never fails silently: by default it warns on
-//! stderr, naming the bad value and the default used instead; with
-//! `SCA_STRICT=1` (used in CI) a malformed `SCA_WORKERS`, `SCA_RETRIES`,
-//! `SCA_CHECKPOINT`, `SCA_FAULTS`, `SCA_CACHE`, `SCA_STREAM`, or budget
-//! knob is a hard configuration error and the binary exits with status 2.
+//! A malformed value never fails silently: a malformed `SCA_WORKERS`,
+//! `SCA_RETRIES`, `SCA_CHECKPOINT`, `SCA_FAULTS`, `SCA_CACHE`,
+//! `SCA_STREAM`, or budget knob is named on stderr and the binary exits
+//! with status 2 before any capture, as a malformed count argument does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +54,7 @@ use campaign::{CacheMode, Campaign, CampaignConfig, CampaignError, FaultPlan, Ru
 /// The optional positive count in the first argument (a
 /// traces-per-class override or a trace budget), `default` when it is
 /// absent. A malformed or zero count is a usage error: it is named on
-/// stderr and the process exits with status 2, as a strict `SCA_*`
+/// stderr and the process exits with status 2, as a malformed `SCA_*`
 /// knob does.
 pub fn count_from_args(default: usize) -> usize {
     count_from_value(std::env::args().nth(1), default).unwrap_or_else(|value| {
@@ -64,8 +63,10 @@ pub fn count_from_args(default: usize) -> usize {
     })
 }
 
-/// [`count_from_args`]'s parser: `Err` carries the rejected value.
-fn count_from_value(value: Option<String>, default: usize) -> Result<usize, String> {
+/// The positive-count parser of [`count_from_args`] and the `import`
+/// CLI: `default` when `value` is absent, `Err` carrying a zero or
+/// malformed value.
+pub fn count_from_value(value: Option<String>, default: usize) -> Result<usize, String> {
     match value {
         None => Ok(default),
         Some(value) => match value.parse() {
@@ -83,118 +84,81 @@ pub fn protocol_from_args() -> ProtocolConfig {
     }
 }
 
-/// The value of knob `name`, `None` when unset. The `*_from_value`
-/// parsers take it as an argument so their garbage paths are testable
-/// without mutating the (thread-shared) process environment.
-fn env_value(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
-
-/// A set knob whose value is not `expected`: a typed
-/// [`CampaignError::Config`] when strict, otherwise a stderr warning
-/// naming the value and `default`, which is used instead. A typo must
-/// never silently fall back.
-fn rejected<T>(
-    name: &str,
-    value: String,
-    strict: bool,
-    expected: &str,
-    (default, label): (T, &str),
-) -> Result<T, CampaignError> {
-    if strict {
-        return Err(CampaignError::Config {
+/// Knob `name`: `default` when unset, else its value read by `parse`. A
+/// value `parse` rejects is a [`CampaignError::Config`] naming the knob
+/// and the value; a typo must never silently fall back.
+fn knob<T>(name: &str, default: T, parse: fn(&str) -> Option<T>) -> Result<T, CampaignError> {
+    match std::env::var(name).ok() {
+        None => Ok(default),
+        Some(value) => parse(&value).ok_or_else(|| CampaignError::Config {
             name: name.to_string(),
             value,
-        });
-    }
-    eprintln!("warning: {name}={value:?} is not {expected}; using default {label}");
-    Ok(default)
-}
-
-/// The cache mode named by `SCA_CACHE`: `off`, `refresh` (re-simulate
-/// but still persist), or `on` / empty / unset for read-write.
-fn cache_mode_from_value(value: Option<String>, strict: bool) -> Result<CacheMode, CampaignError> {
-    match value.as_deref().unwrap_or("") {
-        "off" => Ok(CacheMode::Off),
-        "refresh" => Ok(CacheMode::WriteOnly),
-        "" | "on" => Ok(CacheMode::ReadWrite),
-        _ => rejected(
-            "SCA_CACHE",
-            value.unwrap_or_default(),
-            strict,
-            "one of off/refresh/on",
-            (CacheMode::ReadWrite, "read-write"),
-        ),
-    }
-}
-
-/// Whether `SCA_STREAM` asks for the streaming fold: `off`/`0`
-/// (default) keeps the batch path; `on`/`1`/`exact` streams with the
-/// bit-identical exact fold.
-fn stream_from_value(value: Option<String>, strict: bool) -> Result<bool, CampaignError> {
-    match value.as_deref().unwrap_or("") {
-        "" | "0" | "off" => Ok(false),
-        "1" | "on" | "exact" => Ok(true),
-        _ => rejected(
-            "SCA_STREAM",
-            value.unwrap_or_default(),
-            strict,
-            "one of off/on/exact",
-            (false, "off"),
-        ),
-    }
-}
-
-/// Knob `name` parsed as a `T`: `default` when unset, [`rejected`] when
-/// set but unparsable.
-fn knob<T>(name: &str, default: T, strict: bool) -> Result<T, CampaignError>
-where
-    T: std::str::FromStr + std::fmt::Display,
-{
-    match env_value(name) {
-        None => Ok(default),
-        Some(value) => value.parse().or_else(|_| {
-            let label = default.to_string();
-            rejected(name, value, strict, "a valid value", (default, &label))
         }),
+    }
+}
+
+/// A numeric knob's value.
+fn parsed<T: std::str::FromStr>(value: &str) -> Option<T> {
+    value.parse().ok()
+}
+
+/// `SCA_CACHE`: `off`, `refresh` (re-simulate but still persist), or
+/// `on` / empty for read-write.
+fn cache_mode(value: &str) -> Option<CacheMode> {
+    match value {
+        "off" => Some(CacheMode::Off),
+        "refresh" => Some(CacheMode::WriteOnly),
+        "" | "on" => Some(CacheMode::ReadWrite),
+        _ => None,
+    }
+}
+
+/// `SCA_STREAM`: `off`/`0`/empty keeps the batch path; `on`/`1`/`exact`
+/// streams with the bit-identical exact fold.
+fn streaming(value: &str) -> Option<bool> {
+    match value {
+        "" | "0" | "off" => Some(false),
+        "1" | "on" | "exact" => Some(true),
+        _ => None,
     }
 }
 
 /// The campaign policy shared by every binary, parsing each `SCA_*`
 /// knob of the crate docs once; stores and the run log live under
-/// `results/`. A malformed knob is a [`CampaignError::Config`] when
-/// `strict`, and otherwise a stderr warning plus its default (so only
-/// strict parsing can fail).
-pub fn try_campaign_config(
-    protocol: ProtocolConfig,
-    strict: bool,
-) -> Result<CampaignConfig, CampaignError> {
-    let streaming = stream_from_value(env_value("SCA_STREAM"), strict)?;
-    let faults = match FaultPlan::try_from_env() {
-        Err((value, reason)) if strict => {
-            eprintln!("error: SCA_FAULTS={value:?}: {reason}");
-            return Err(CampaignError::Config {
-                name: "SCA_FAULTS".to_string(),
-                value,
-            });
+/// `results/`. A malformed knob is named on stderr and the process exits
+/// with status 2.
+pub fn campaign_config(protocol: ProtocolConfig) -> CampaignConfig {
+    config_from_env(protocol).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`campaign_config`]'s parser: the first malformed knob is a
+/// [`CampaignError::Config`].
+fn config_from_env(protocol: ProtocolConfig) -> Result<CampaignConfig, CampaignError> {
+    let streaming = knob("SCA_STREAM", false, streaming)?;
+    let faults = FaultPlan::try_from_env().map_err(|(value, reason)| {
+        eprintln!("error: SCA_FAULTS={value:?}: {reason}");
+        CampaignError::Config {
+            name: "SCA_FAULTS".to_string(),
+            value,
         }
-        // A malformed spec warns (once) and injects nothing.
-        parsed => parsed.unwrap_or_else(|_| FaultPlan::from_env().clone()),
-    };
-    let workers = knob("SCA_WORKERS", 0usize, strict)?;
-    let cache = cache_mode_from_value(env_value("SCA_CACHE"), strict)?;
-    let max_retries = knob("SCA_RETRIES", 2u32, strict)?;
-    let checkpoint_every = knob("SCA_CHECKPOINT", 64usize, strict)?;
+    })?;
+    let workers = knob("SCA_WORKERS", 0, parsed)?;
+    let cache = knob("SCA_CACHE", CacheMode::ReadWrite, cache_mode)?;
+    let max_retries = knob("SCA_RETRIES", 2, parsed)?;
+    let checkpoint_every = knob("SCA_CHECKPOINT", 64, parsed)?;
     let mut budget = RunBudget::unlimited();
-    let deadline_ms = knob("SCA_DEADLINE_MS", 0u64, strict)?;
+    let deadline_ms = knob("SCA_DEADLINE_MS", 0, parsed)?;
     if deadline_ms > 0 {
         budget = budget.with_time_limit(Duration::from_millis(deadline_ms));
     }
-    let max_traces = knob("SCA_MAX_TRACES", 0usize, strict)?;
+    let max_traces = knob("SCA_MAX_TRACES", 0, parsed)?;
     if max_traces > 0 {
         budget = budget.with_max_new_traces(max_traces);
     }
-    let timeout_ms = knob("SCA_CAPTURE_TIMEOUT_MS", 0u64, strict)?;
+    let timeout_ms = knob("SCA_CAPTURE_TIMEOUT_MS", 0, parsed)?;
     Ok(CampaignConfig {
         protocol,
         workers,
@@ -206,21 +170,6 @@ pub fn try_campaign_config(
         budget,
         capture_timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
         ..CampaignConfig::default()
-    })
-}
-
-/// [`try_campaign_config`], strict when `SCA_STRICT` is `1`, `on` or
-/// `true` (CI runs strict so a typo'd knob fails the job): a malformed
-/// knob then exits the process with status 2; otherwise it warns and
-/// defaults.
-pub fn campaign_config(protocol: ProtocolConfig) -> CampaignConfig {
-    let strict = matches!(
-        std::env::var("SCA_STRICT").as_deref(),
-        Ok("1" | "on" | "true")
-    );
-    try_campaign_config(protocol, strict).unwrap_or_else(|e| {
-        eprintln!("error: {e} (SCA_STRICT=1 makes this fatal)");
-        std::process::exit(2);
     })
 }
 
@@ -388,44 +337,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_and_stream_knobs_parse_and_reject_garbage_when_strict() {
+    fn cache_and_stream_knobs_parse_and_reject_garbage() {
         // Values go in directly: a garbage SCA_CACHE or SCA_STREAM in the
-        // shared process environment would race the strict
-        // try_campaign_config calls of other tests.
-        let v = |s: Option<&str>| s.map(String::from);
-        for strict in [false, true] {
-            let cache = |s| cache_mode_from_value(v(s), strict).expect("valid");
-            assert_eq!(cache(None), CacheMode::ReadWrite);
-            assert_eq!(cache(Some("")), CacheMode::ReadWrite);
-            assert_eq!(cache(Some("on")), CacheMode::ReadWrite);
-            assert_eq!(cache(Some("off")), CacheMode::Off);
-            assert_eq!(cache(Some("refresh")), CacheMode::WriteOnly);
-            let stream = |s| stream_from_value(v(s), strict).expect("valid");
-            assert!(!stream(None));
-            assert!(!stream(Some("")));
-            assert!(!stream(Some("off")));
-            assert!(stream(Some("exact")));
-            assert!(stream(Some("1")));
-        }
-        // Lenient: warn and default; strict: typed error naming the knob.
-        let bad_cache = cache_mode_from_value(v(Some("refrsh")), false);
-        assert_eq!(bad_cache.expect("lenient"), CacheMode::ReadWrite);
-        let bad_stream = stream_from_value(v(Some("banana")), false);
-        assert!(!bad_stream.expect("lenient"));
-        let err = cache_mode_from_value(v(Some("refrsh")), true).expect_err("strict");
-        assert!(matches!(err, CampaignError::Config { ref name, ref value }
-            if name == "SCA_CACHE" && value == "refrsh"));
-        let err = stream_from_value(v(Some("banana")), true).expect_err("strict");
-        assert!(matches!(err, CampaignError::Config { ref name, ref value }
-            if name == "SCA_STREAM" && value == "banana"));
+        // shared process environment would make the campaign_config
+        // calls of other tests exit the test process.
+        assert_eq!(cache_mode(""), Some(CacheMode::ReadWrite));
+        assert_eq!(cache_mode("on"), Some(CacheMode::ReadWrite));
+        assert_eq!(cache_mode("off"), Some(CacheMode::Off));
+        assert_eq!(cache_mode("refresh"), Some(CacheMode::WriteOnly));
+        assert_eq!(cache_mode("refrsh"), None);
+        assert_eq!(streaming(""), Some(false));
+        assert_eq!(streaming("off"), Some(false));
+        assert_eq!(streaming("exact"), Some(true));
+        assert_eq!(streaming("1"), Some(true));
+        assert_eq!(streaming("banana"), None);
         // The value of the deleted approximate fold is rejected like any
-        // other typo: a config error when strict, the `off` default
-        // (after `rejected`'s stderr warning) when lenient.
-        let removed = "welford";
-        let err = stream_from_value(v(Some(removed)), true).expect_err("strict");
-        assert!(matches!(err, CampaignError::Config { ref name, ref value }
-            if name == "SCA_STREAM" && value == removed));
-        assert!(!stream_from_value(v(Some(removed)), false).expect("lenient"));
+        // other typo.
+        assert_eq!(streaming("welford"), None);
     }
 
     #[test]
@@ -436,16 +364,15 @@ mod tests {
         std::env::set_var("SCA_DEADLINE_MS", "1500");
         std::env::set_var("SCA_MAX_TRACES", "32");
         std::env::set_var("SCA_CAPTURE_TIMEOUT_MS", "250");
-        let c = try_campaign_config(ProtocolConfig::default(), true).expect("valid knobs");
+        let c = config_from_env(ProtocolConfig::default()).expect("valid knobs");
         assert_eq!(c.budget.time_limit, Some(Duration::from_millis(1500)));
         assert_eq!(c.budget.max_new_traces, Some(32));
         assert_eq!(c.capture_timeout, Some(Duration::from_millis(250)));
 
         // Garbage values for these fixed knobs are deliberately NOT set
-        // here: other tests call campaign_config concurrently, and under
-        // SCA_STRICT=1 (the CI fault matrix) a racing garbage value
-        // would exit the whole test process. The typed-error path is
-        // covered with a private variable name below.
+        // here: other tests call campaign_config concurrently, and a
+        // racing garbage value would exit the whole test process. The
+        // typed-error path is covered with a private variable name below.
 
         std::env::remove_var("SCA_DEADLINE_MS");
         std::env::remove_var("SCA_MAX_TRACES");
@@ -453,32 +380,26 @@ mod tests {
     }
 
     #[test]
-    fn strict_parsing_returns_typed_config_errors() {
+    fn malformed_knobs_are_typed_config_errors() {
         // A set-but-garbage value is a CampaignError::Config naming the
         // knob; unset falls back to the given default. Unique variable
         // names: the test process' environment is shared across threads.
-        std::env::set_var("SCA_TEST_STRICT_BAD", "banana");
-        let err = knob::<usize>("SCA_TEST_STRICT_BAD", 0, true).expect_err("typed error");
+        std::env::set_var("SCA_TEST_KNOB_BAD", "banana");
+        let err = knob::<usize>("SCA_TEST_KNOB_BAD", 0, parsed).expect_err("typed error");
         assert!(matches!(err, CampaignError::Config { ref name, ref value }
-            if name == "SCA_TEST_STRICT_BAD" && value == "banana"));
-        std::env::remove_var("SCA_TEST_STRICT_BAD");
+            if name == "SCA_TEST_KNOB_BAD" && value == "banana"));
+        std::env::remove_var("SCA_TEST_KNOB_BAD");
+        std::env::set_var("SCA_TEST_KNOB_GOOD", "7");
         assert_eq!(
-            knob::<usize>("SCA_TEST_STRICT_UNSET", 4, true).expect("unset is default"),
+            knob::<u32>("SCA_TEST_KNOB_GOOD", 0, parsed).expect("valid"),
+            7
+        );
+        std::env::remove_var("SCA_TEST_KNOB_GOOD");
+        assert_eq!(
+            knob::<usize>("SCA_TEST_KNOB_UNSET", 4, parsed).expect("unset is default"),
             4
         );
-    }
-
-    #[test]
-    fn env_parsing_warns_and_defaults_on_garbage() {
-        // Unique variable names: the test process' environment is shared
-        // across threads.
-        std::env::set_var("SCA_TEST_ENV_GOOD", "7");
-        let lenient = |name, default| knob::<u32>(name, default, false).expect("lenient");
-        assert_eq!(lenient("SCA_TEST_ENV_GOOD", 0), 7);
-        std::env::set_var("SCA_TEST_ENV_BAD", "banana");
-        assert_eq!(lenient("SCA_TEST_ENV_BAD", 3), 3);
-        assert_eq!(lenient("SCA_TEST_ENV_UNSET", 5), 5);
-        std::env::remove_var("SCA_TEST_ENV_GOOD");
-        std::env::remove_var("SCA_TEST_ENV_BAD");
+        let unset = knob("SCA_TEST_KNOB_UNSET", CacheMode::Off, cache_mode);
+        assert_eq!(unset.expect("unset is default"), CacheMode::Off);
     }
 }

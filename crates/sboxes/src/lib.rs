@@ -15,7 +15,9 @@
 //!
 //! Every implementation comes with its [`InputEncoding`], which maps an
 //! unmasked class value `t ∈ F₂⁴` and fresh mask randomness onto the
-//! netlist's primary inputs, following the paper's trace protocol.
+//! netlist's primary inputs, following the paper's trace protocol. The
+//! mapping derives from the scheme's [`InputRole`] table through a
+//! [`RoleCodec`], the one statement of the masking contract.
 //!
 //! # Example
 //!
@@ -49,7 +51,7 @@ mod ti;
 
 use sbox_netlist::Netlist;
 
-pub use encoding::{InputEncoding, InputRole};
+pub use encoding::{InputEncoding, InputRole, RoleCodec};
 
 /// The seven implementation styles of the paper's Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use crate::analyze::{analyze_subject, finish_analysis, Analysis, SubjectStats};
-use crate::packed::{eval_cell_words, lane_geometry, InputPatterns, PackedSweep};
+use crate::packed::{eval_cell_words, input_row, lane_geometry, PackedSweep};
 use crate::subject::{Depth, Subject};
 
 /// A base subject's full analysis state, reusable across many candidate
@@ -161,19 +161,10 @@ impl Baseline {
         let total = classes * wpc;
         let growth = cand_mask_bits - base_mask_bits;
         let mut rows: HashMap<usize, Vec<u64>> = HashMap::new();
-        let patterns = InputPatterns::of(candidate);
         for (i, &net) in cand.inputs().iter().enumerate() {
-            let n = net.index();
-            if !net_dirty[n] {
-                continue;
+            if net_dirty[net.index()] {
+                rows.insert(net.index(), input_row(candidate, i, wpc));
             }
-            let mut row = vec![0u64; total];
-            for t in 0..classes {
-                for w in 0..wpc {
-                    row[t * wpc + w] = patterns.word(i, t as u64, w);
-                }
-            }
-            rows.insert(n, row);
         }
         // Clean-net rows materialize lazily through this closure-free
         // two-phase walk: dirty gates may read clean pins, so tile those

@@ -20,7 +20,6 @@
 //! ascending order is the identity), and maxima fold with `f64::max`
 //! from `0.0`.
 
-use sbox_circuits::InputRole;
 use sbox_netlist::CellType;
 
 use crate::subject::{Subject, MAX_MASK_BITS};
@@ -67,64 +66,25 @@ pub fn lane_geometry(mask_bits: usize) -> (usize, u64) {
     }
 }
 
-/// How each primary input derives its lane row.
-#[derive(Debug, Clone)]
-enum PortSpec {
-    /// A mask-consuming port (`Fresh` or `Share{share ≥ 1}`): the lane
-    /// row of one mask bit.
-    Mask(usize),
-    /// A closing share 0: the secret bit XOR the mask bits of the bit's
-    /// other shares.
-    Closing { bit: usize, masks: Vec<usize> },
-}
-
-/// Per-port lane-row generators for one subject's input contract.
-#[derive(Debug, Clone)]
-pub struct InputPatterns {
-    specs: Vec<PortSpec>,
-}
-
-impl InputPatterns {
-    /// Build the port specs from the subject's roles (mask bits in port
-    /// order, exactly as [`Subject::mask_bit_of_input`] assigns them).
-    pub fn of(subject: &Subject) -> Self {
-        let mask_of = subject.mask_bit_of_input();
-        let mut bit_masks: Vec<Vec<usize>> = vec![Vec::new(); subject.secret_bits()];
-        for (i, role) in subject.roles().iter().enumerate() {
-            if let InputRole::Share { bit, share } = role {
-                if *share >= 1 {
-                    if let Some(j) = mask_of[i] {
-                        bit_masks[usize::from(*bit)].push(j);
-                    }
-                }
-            }
-        }
-        let specs = subject
-            .roles()
-            .iter()
-            .enumerate()
-            .map(|(i, role)| match role {
-                InputRole::Share { bit, share: 0 } => PortSpec::Closing {
-                    bit: usize::from(*bit),
-                    masks: bit_masks[usize::from(*bit)].clone(),
-                },
-                _ => PortSpec::Mask(mask_of[i].unwrap_or(0)),
-            })
-            .collect();
-        Self { specs }
-    }
-
-    /// Word `w` of primary input `port`'s row under class `t`.
-    #[must_use]
-    pub fn word(&self, port: usize, t: u64, w: usize) -> u64 {
-        match &self.specs[port] {
-            PortSpec::Mask(j) => mask_bit_word(*j, w),
-            PortSpec::Closing { bit, masks } => {
-                let base = if t >> bit & 1 == 1 { !0u64 } else { 0 };
-                masks.iter().fold(base, |acc, &j| acc ^ mask_bit_word(j, w))
-            }
+/// The lane row of primary input `port`, `words_per_class` words per
+/// class: in each class, the parity of the input's class bits, XOR the
+/// lane patterns of its mask bits
+/// ([`sbox_circuits::RoleCodec::input_form`]).
+#[must_use]
+pub fn input_row(subject: &Subject, port: usize, words_per_class: usize) -> Vec<u64> {
+    let (class_bits, mask_bits) = subject.codec().input_form(port);
+    let masks: Vec<usize> = (0..64).filter(|j| mask_bits >> j & 1 == 1).collect();
+    let mut row = vec![0u64; subject.num_classes() * words_per_class];
+    for (t, words) in (0u64..).zip(row.chunks_mut(words_per_class)) {
+        // All ones in the classes whose selected bits have odd parity.
+        let class = u64::from((t & class_bits).count_ones() & 1).wrapping_neg();
+        for (w, word) in words.iter_mut().enumerate() {
+            *word = masks
+                .iter()
+                .fold(class, |acc, &j| acc ^ mask_bit_word(j, w));
         }
     }
+    row
 }
 
 /// Evaluate one cell word-wise over up to four pin words.
@@ -178,16 +138,9 @@ impl PackedSweep {
         let mask_count = 1u32 << mask_bits;
         let (words_per_class, valid) = lane_geometry(mask_bits);
         let total = classes * words_per_class;
-        let patterns = InputPatterns::of(subject);
         let mut rows: Vec<Vec<u64>> = vec![Vec::new(); netlist.nets().len()];
         for (i, &net) in netlist.inputs().iter().enumerate() {
-            let mut row = vec![0u64; total];
-            for t in 0..classes {
-                for w in 0..words_per_class {
-                    row[t * words_per_class + w] = patterns.word(i, t as u64, w);
-                }
-            }
-            rows[net.index()] = row;
+            rows[net.index()] = input_row(subject, i, words_per_class);
         }
         for &gid in netlist.topo_order() {
             let gate = netlist.gate(gid);

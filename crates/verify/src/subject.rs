@@ -10,15 +10,12 @@
 //! foreign netlists, and the patched candidates the `sca-repair` searcher
 //! produces.
 //!
-//! The subject also owns the *generic masked encoder*: share 0 of each
-//! secret bit closes the XOR of the remaining shares, and mask bits are
-//! allocated to `Share{share ≥ 1}` and `Fresh` ports in input-port order.
-//! For every native scheme this reproduces
-//! [`sbox_circuits::InputEncoding::encode_masked`] bit for bit (pinned by
-//! this module's tests), so the packed sweep engine needs exactly one
-//! stimulus model.
+//! The roles go through [`RoleCodec`], the same codec behind every
+//! native [`sbox_circuits::InputEncoding`]: it validates their shape and
+//! owns the mask-bit layout and the masked encoder, so the packed sweep,
+//! the repair search and the trace protocol share one stimulus model.
 
-use sbox_circuits::{InputRole, SboxCircuit};
+use sbox_circuits::{InputRole, RoleCodec, SboxCircuit};
 use sbox_netlist::Netlist;
 
 /// Largest secret-bit count the exhaustive class enumeration accepts
@@ -54,9 +51,7 @@ impl Depth {
 pub struct Subject {
     label: String,
     netlist: Netlist,
-    roles: Vec<InputRole>,
-    secret_bits: usize,
-    shares_per_bit: u8,
+    codec: RoleCodec,
     output_groups: Vec<Vec<usize>>,
     barriers: Vec<bool>,
 }
@@ -69,9 +64,7 @@ impl Subject {
         Self {
             label: circuit.scheme().label().to_string(),
             netlist: circuit.netlist().clone(),
-            roles: encoding.input_roles(),
-            secret_bits: 4,
-            shares_per_bit: encoding.shares_per_bit(),
+            codec: encoding.codec().clone(),
             output_groups: encoding.output_share_groups(),
             barriers: vec![false; circuit.netlist().gates().len()],
         }
@@ -104,9 +97,9 @@ impl Subject {
     /// # Errors
     ///
     /// Returns a description when the contract is malformed: role count
-    /// mismatch, a secret bit without a closing share 0, uneven share
-    /// counts across bits, more than 64 secret bits, or an output group
-    /// referencing a missing port.
+    /// mismatch, roles [`RoleCodec::new`] rejects, more shares per bit
+    /// than the taint sets track, or an output group referencing a
+    /// missing port.
     pub fn with_roles(
         label: impl Into<String>,
         netlist: Netlist,
@@ -120,50 +113,11 @@ impl Subject {
                 netlist.num_inputs()
             ));
         }
-        let secret_bits = roles
-            .iter()
-            .filter_map(|r| match r {
-                InputRole::Share { bit, .. } => Some(usize::from(*bit) + 1),
-                InputRole::Fresh => None,
-            })
-            .max()
-            .unwrap_or(0);
-        if secret_bits > 64 {
+        let codec = RoleCodec::new(roles)?;
+        if usize::from(codec.shares_per_bit()) > crate::taint::MAX_SHARES {
             return Err(format!(
-                "{secret_bits} secret bits exceed the 64-bit taint budget"
-            ));
-        }
-        let mut shares_per_bit = 0u8;
-        for bit in 0..secret_bits {
-            let mut shares: Vec<u8> = roles
-                .iter()
-                .filter_map(|r| match r {
-                    InputRole::Share { bit: b, share } if usize::from(*b) == bit => Some(*share),
-                    _ => None,
-                })
-                .collect();
-            shares.sort_unstable();
-            let want: Vec<u8> = (0..shares.len() as u8).collect();
-            if shares != want {
-                return Err(format!(
-                    "secret bit {bit}: shares must be 0..n once each, got {shares:?}"
-                ));
-            }
-            let k = shares.len() as u8;
-            if shares_per_bit == 0 {
-                shares_per_bit = k;
-            } else if shares_per_bit != k {
-                return Err(format!(
-                    "secret bit {bit} has {k} shares, earlier bits have {shares_per_bit}"
-                ));
-            }
-        }
-        if shares_per_bit == 0 {
-            return Err("subject carries no secret bits".to_string());
-        }
-        if usize::from(shares_per_bit) > crate::taint::MAX_SHARES {
-            return Err(format!(
-                "{shares_per_bit} shares per bit exceed the taint limit of {}",
+                "{} shares per bit exceed the taint limit of {}",
+                codec.shares_per_bit(),
                 crate::taint::MAX_SHARES
             ));
         }
@@ -180,9 +134,7 @@ impl Subject {
         Ok(Self {
             label: label.into(),
             netlist,
-            roles,
-            secret_bits,
-            shares_per_bit,
+            codec,
             output_groups,
             barriers,
         })
@@ -212,17 +164,22 @@ impl Subject {
 
     /// Per-input masking roles, in port order.
     pub fn roles(&self) -> &[InputRole] {
-        &self.roles
+        self.codec.roles()
+    }
+
+    /// The stimulus codec of the roles (mask layout, encoder, unmasker).
+    pub fn codec(&self) -> &RoleCodec {
+        &self.codec
     }
 
     /// Number of secret bits the inputs jointly encode.
     pub fn secret_bits(&self) -> usize {
-        self.secret_bits
+        self.codec.secret_bits()
     }
 
     /// Shares per secret bit (1 for unprotected subjects).
     pub fn shares_per_bit(&self) -> u8 {
-        self.shares_per_bit
+        self.codec.shares_per_bit()
     }
 
     /// Output-port groups that jointly encode one secret output bit.
@@ -247,41 +204,20 @@ impl Subject {
             .is_some_and(|g| self.is_barrier(g.index()))
     }
 
-    /// Mask-bit index of each input port: `Share{share ≥ 1}` and `Fresh`
-    /// ports take consecutive bits in port order; share-0 ports have
-    /// none (they close the XOR).
-    pub fn mask_bit_of_input(&self) -> Vec<Option<usize>> {
-        let mut next = 0usize;
-        self.roles
-            .iter()
-            .map(|r| match r {
-                InputRole::Share { share: 0, .. } => None,
-                _ => {
-                    let j = next;
-                    next += 1;
-                    Some(j)
-                }
-            })
-            .collect()
-    }
-
     /// Total mask-space width in bits.
     pub fn mask_bits(&self) -> usize {
-        self.roles
-            .iter()
-            .filter(|r| !matches!(r, InputRole::Share { share: 0, .. }))
-            .count()
+        self.codec.mask_bits()
     }
 
     /// Number of unmasked input classes (`2^secret_bits`); only
     /// meaningful at [`Depth::Exhaustive`].
     pub fn num_classes(&self) -> usize {
-        1usize << self.secret_bits
+        1usize << self.secret_bits()
     }
 
     /// How deep the analyzer can enumerate this subject.
     pub fn depth(&self) -> Depth {
-        if self.secret_bits <= MAX_SECRET_BITS_EXHAUSTIVE
+        if self.secret_bits() <= MAX_SECRET_BITS_EXHAUSTIVE
             && self.mask_bits() <= MAX_MASK_BITS
             && self.netlist.num_inputs() <= 64
         {
@@ -292,37 +228,9 @@ impl Subject {
     }
 
     /// Encode class `t` under an explicit mask word onto the primary
-    /// inputs: mask bits feed `Share{share ≥ 1}` / `Fresh` ports in port
-    /// order, and each bit's share 0 closes the XOR to `t`'s bit.
-    ///
-    /// For the seven native schemes this reproduces
-    /// [`sbox_circuits::InputEncoding::encode_masked`] exactly.
+    /// inputs ([`RoleCodec::encode`]).
     pub fn encode(&self, t: u64, mask: u64) -> Vec<bool> {
-        let mask_of = self.mask_bit_of_input();
-        // XOR of the non-closing shares of each bit, accumulated first so
-        // share 0 can be emitted in port order regardless of position.
-        let mut partial = vec![false; self.secret_bits];
-        for (i, role) in self.roles.iter().enumerate() {
-            if let InputRole::Share { bit, share } = role {
-                if *share >= 1 {
-                    let j = mask_of[i].expect("non-closing share has a mask bit");
-                    partial[usize::from(*bit)] ^= mask >> j & 1 == 1;
-                }
-            }
-        }
-        self.roles
-            .iter()
-            .enumerate()
-            .map(|(i, role)| match role {
-                InputRole::Share { bit, share: 0 } => {
-                    (t >> *bit & 1 == 1) ^ partial[usize::from(*bit)]
-                }
-                _ => {
-                    let j = mask_of[i].expect("mask-consuming port has a mask bit");
-                    mask >> j & 1 == 1
-                }
-            })
-            .collect()
+        self.codec.encode(t, mask)
     }
 }
 
@@ -330,30 +238,6 @@ impl Subject {
 mod tests {
     use super::*;
     use sbox_circuits::Scheme;
-
-    #[test]
-    fn generic_encoder_matches_every_native_encoding() {
-        for scheme in Scheme::ALL {
-            let circuit = SboxCircuit::build(scheme);
-            let subject = Subject::of_circuit(&circuit);
-            let encoding = circuit.encoding();
-            assert_eq!(subject.mask_bits(), encoding.mask_bits(), "{scheme}");
-            let mask_words: Vec<u32> = if encoding.mask_bits() == 0 {
-                vec![0]
-            } else {
-                (0..1u32 << encoding.mask_bits()).step_by(5).collect()
-            };
-            for t in 0..16u8 {
-                for &mask in &mask_words {
-                    assert_eq!(
-                        subject.encode(u64::from(t), u64::from(mask)),
-                        encoding.encode_masked(t, mask),
-                        "{scheme} t={t} mask={mask}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn depth_gates_on_enumeration_budgets() {

@@ -9,8 +9,8 @@
 //! fig6 → fig7 → fig8 → metrics pipeline from O(runs × acquisitions) to
 //! O(distinct acquisitions).
 //!
-//! Hits are verified, not trusted: the store header's seed, name, age,
-//! and config digest must all match the key (a digest collision or a
+//! Hits are verified, not trusted: a store's header *is* a key, and it
+//! must equal the key it is filed under (a digest collision or a
 //! hand-edited file therefore falls back to a miss), and the checksummed
 //! read catches truncation and corruption, also degrading to a miss.
 
@@ -20,7 +20,7 @@ use acquisition::ProtocolConfig;
 use aging::AgingConditions;
 
 use crate::digest::Digest;
-use crate::store::{StoreKind, StoreMeta, StoreReader};
+use crate::store::{StoreKind, StoreReader};
 
 /// Whether a campaign consults and/or populates the on-disk store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,7 +36,8 @@ pub enum CacheMode {
 }
 
 /// The identity of one acquisition, sufficient to reproduce it bit for
-/// bit.
+/// bit. It is also the header of the acquisition's `SCTR` store and
+/// `SCKP` checkpoint, which record exactly these fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignKey {
     /// Protocol kind (leakage classes vs CPA).
@@ -61,17 +62,14 @@ impl CampaignKey {
     /// Collapse the key into one address (the store file's identity).
     pub fn digest(&self) -> u64 {
         let mut d = Digest::new();
-        d.u64(match self.kind {
-            StoreKind::Classified => 0,
-            StoreKind::Cpa => 1,
-        })
-        .str(&self.implementation)
-        .u64(self.seed)
-        .u64(u64::from(self.traces))
-        .u64(u64::from(self.samples))
-        .f64(self.age_months)
-        .u64(u64::from(self.class_or_key))
-        .u64(self.config_digest);
+        d.u64(u64::from(self.kind.to_u16()))
+            .str(&self.implementation)
+            .u64(self.seed)
+            .u64(u64::from(self.traces))
+            .u64(u64::from(self.samples))
+            .f64(self.age_months)
+            .u64(u64::from(self.class_or_key))
+            .u64(self.config_digest);
         d.finish()
     }
 
@@ -91,18 +89,10 @@ impl CampaignKey {
         )
     }
 
-    /// The header this key expects to find in a matching store.
-    pub fn expected_meta(&self) -> StoreMeta {
-        StoreMeta {
-            kind: self.kind,
-            name: self.implementation.clone(),
-            seed: self.seed,
-            age_months: self.age_months,
-            config_digest: self.config_digest,
-            class_or_key: self.class_or_key,
-            traces: self.traces,
-            samples: self.samples,
-        }
+    /// The header this key expects to find in a matching store: the key
+    /// itself.
+    pub fn expected_meta(&self) -> CampaignKey {
+        self.clone()
     }
 }
 
@@ -193,7 +183,7 @@ impl TraceCache {
             return Err(None);
         }
         match StoreReader::open(&path) {
-            Ok(reader) if *reader.meta() == key.expected_meta() => Ok(reader),
+            Ok(reader) if reader.meta() == key => Ok(reader),
             Ok(reader) => Err(Some(format!(
                 "{} exists but its header does not match the key (stored {:?})",
                 path.display(),
@@ -288,7 +278,7 @@ mod tests {
         let k = key();
         assert_eq!(cache.lookup(&k).err(), Some(None), "empty cache must miss");
 
-        let mut w = StoreWriter::create(&cache.path_for(&k), k.expected_meta()).expect("create");
+        let mut w = StoreWriter::create(&cache.path_for(&k), k.clone()).expect("create");
         w.record(0, &[1.0, 2.0, 3.0]).expect("r");
         w.record(1, &[4.0, 5.0, 6.0]).expect("r");
         w.finish().expect("finish");

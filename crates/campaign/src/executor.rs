@@ -1938,9 +1938,9 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_file(&path);
-        let meta = crate::store::StoreMeta {
+        let meta = crate::CampaignKey {
             kind: crate::store::StoreKind::Classified,
-            name: "OPT".into(),
+            implementation: "OPT".into(),
             seed: config.seed,
             age_months: 0.0,
             config_digest: 1,
@@ -1991,9 +1991,9 @@ mod tests {
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
         let (reference, _) = capture(&sim, &schedule, &config, 1);
-        let meta = crate::store::StoreMeta {
+        let meta = crate::CampaignKey {
             kind: crate::store::StoreKind::Classified,
-            name: "OPT".into(),
+            implementation: "OPT".into(),
             seed: config.seed,
             age_months: 0.0,
             config_digest: 1,
@@ -2270,9 +2270,9 @@ mod tests {
         let config = small_config();
         let sim = Simulator::new(circuit.netlist(), &config.sim);
         let schedule = classified_schedule(&circuit, &config);
-        let meta = crate::store::StoreMeta {
+        let meta = crate::CampaignKey {
             kind: crate::store::StoreKind::Classified,
-            name: "OPT".into(),
+            implementation: "OPT".into(),
             seed: config.seed,
             age_months: 0.0,
             config_digest: 1,

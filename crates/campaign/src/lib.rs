@@ -73,8 +73,8 @@ pub use report::{RunLog, RunReport, Stage, StageTimer};
 pub use scrub::{RecordFate, ScrubOutcome, ScrubReport};
 pub use store::{
     resume_checkpoint, resume_checkpoint_with, salvage_store, write_atomic, write_atomic_with,
-    CheckpointRecords, CheckpointWriter, StoreError, StoreKind, StoreMeta, StoreReader,
-    StoreSalvage, StoreWriter, CHECKPOINT_MAGIC, MAGIC, VERSION,
+    CheckpointRecords, CheckpointWriter, StoreError, StoreKind, StoreReader, StoreSalvage,
+    StoreWriter, CHECKPOINT_MAGIC, MAGIC, VERSION,
 };
 
 use std::path::PathBuf;

@@ -92,9 +92,10 @@ pub struct RunReport {
     /// Trace indices that failed every allowed attempt: they fold zero
     /// times, so the fold state lacks them.
     pub quarantined: usize,
-    /// Traces folded from a previous run's checkpoint instead of
-    /// simulated. A budget stop folds the claimed prefix only, so
-    /// checkpointed traces past it are not counted.
+    /// Traces folded from a previous run's checkpoint, or from the
+    /// verified records of a damaged store, instead of simulated. A
+    /// budget stop folds the claimed prefix only, so such traces past it
+    /// are not counted.
     pub resumed: usize,
     /// Whether this run streamed traces through online accumulators
     /// instead of folding them into a trace set.
@@ -107,8 +108,10 @@ pub struct RunReport {
     /// Merges in the fold chain: leaves − 1, the same on a cache hit and
     /// a miss, batch and streamed cells alike.
     pub merge_depth: usize,
-    /// Records this run healed (re-captured seed-stably by a scrub pass;
-    /// 0 for ordinary acquisitions).
+    /// Damaged records of this cell's store that this run re-captured
+    /// seed-stably into a rewritten store, on a cache miss or a scrub
+    /// pass. 0 when the store was undamaged, or no store was rewritten
+    /// (a streamed cell writes none).
     pub healed: usize,
     /// The capture engine that ran (`None` on a cache hit, where no
     /// engine ran at all). [`Backend::Auto`] never appears: the request

@@ -148,16 +148,6 @@ impl CellType {
         }
     }
 
-    /// `true` for cells whose output is a non-linear (AND/OR-like) function
-    /// of the inputs — the gates masking schemes must gadget-protect.
-    pub const fn is_nonlinear(self) -> bool {
-        use CellType::*;
-        matches!(
-            self,
-            And2 | And3 | And4 | Or2 | Or3 | Or4 | Nand2 | Nand3 | Nand4 | Nor2 | Nor3 | Nor4
-        )
-    }
-
     /// Short mnemonic used in reports and netlist exports (e.g. `AND3`).
     pub const fn mnemonic(self) -> &'static str {
         use CellType::*;

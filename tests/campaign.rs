@@ -10,13 +10,17 @@ mod support;
 
 use std::path::{Path, PathBuf};
 
-use sbox_leakage::acquisition::{LeakageStudy, ProtocolConfig};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use sbox_leakage::acquisition::{classified_schedule, trace_seed, LeakageStudy, ProtocolConfig};
 use sbox_leakage::analysis::LeakageSpectrum;
 use sbox_leakage::campaign::{
-    AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, RunReport, StoreWriter,
+    resume_checkpoint, AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, CampaignKey,
+    RunReport, StoreWriter,
 };
-use sbox_leakage::campaign::{StoreKind, StoreMeta, StoreReader};
+use sbox_leakage::campaign::{StoreKind, StoreReader};
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
+use sbox_leakage::gatesim::Simulator;
 
 /// A unique scratch directory per test, cleaned up at entry so stale
 /// state from an interrupted run cannot leak into assertions.
@@ -163,9 +167,9 @@ fn store_round_trips_records_bit_exactly() {
         })
         .collect();
 
-    let meta = StoreMeta {
+    let meta = CampaignKey {
         kind: StoreKind::Classified,
-        name: "ISW".to_string(),
+        implementation: "ISW".to_string(),
         seed: 0xD47E_2022,
         age_months: 12.5,
         config_digest: 0xDEAD_BEEF_0BAD_F00D,
@@ -186,6 +190,105 @@ fn store_round_trips_records_bit_exactly() {
         .for_each_record(|label, samples| read_back.push((label, samples.to_vec())))
         .unwrap();
     assert_eq!(read_back, records);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both on-disk formats, pinned byte for byte: a 3-record `SCTR` store
+/// and a 3-frame `SCKP` checkpoint (frames written out of index order)
+/// equal buffers built by hand from the layout in `store.rs`'s module
+/// doc, with FNV-1a/64 computed here from its definition.
+#[test]
+fn store_and_checkpoint_bytes_match_the_documented_layout() {
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let dir = scratch("layout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = CampaignKey {
+        kind: StoreKind::Classified,
+        implementation: "RSM-ROM".to_string(),
+        seed: 0x0123_4567_89AB_CDEF,
+        traces: 3,
+        samples: 2,
+        age_months: 36.5,
+        class_or_key: 16,
+        config_digest: 0xFEDC_BA98_7654_3210,
+    };
+    let records: [(u32, u16, [f64; 2]); 3] = [
+        (0, 5, [1.5, -0.25]),
+        (1, 15, [f64::MIN_POSITIVE, 1e300]),
+        (2, 0, [-0.0, 42.0]),
+    ];
+
+    // Offsets 4.. of the header: version, kind, classes, name length,
+    // name, seed, age, config digest, trace count, samples per trace.
+    let mut fields = Vec::new();
+    fields.extend_from_slice(&2u16.to_le_bytes());
+    fields.extend_from_slice(&0u16.to_le_bytes());
+    fields.extend_from_slice(&16u16.to_le_bytes());
+    fields.extend_from_slice(&7u16.to_le_bytes());
+    fields.extend_from_slice(b"RSM-ROM");
+    fields.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+    fields.extend_from_slice(&36.5f64.to_le_bytes());
+    fields.extend_from_slice(&0xFEDC_BA98_7654_3210u64.to_le_bytes());
+    fields.extend_from_slice(&3u32.to_le_bytes());
+    fields.extend_from_slice(&2u32.to_le_bytes());
+    let header = |magic: &[u8; 4]| {
+        let mut h = magic.to_vec();
+        h.extend_from_slice(&fields);
+        let checksum = fnv(&h);
+        h.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(h.len(), 44 + 7 + 8, "header ends at 52 + n");
+        h
+    };
+    let slot = |index: Option<u32>, label: u16, samples: &[f64; 2]| {
+        let mut s = Vec::new();
+        if let Some(index) = index {
+            s.extend_from_slice(&index.to_le_bytes());
+        }
+        s.extend_from_slice(&label.to_le_bytes());
+        for x in samples {
+            s.extend_from_slice(&x.to_le_bytes());
+        }
+        let checksum = fnv(&s);
+        s.extend_from_slice(&checksum.to_le_bytes());
+        s
+    };
+
+    let mut sctr = header(b"SCTR");
+    for (_, label, samples) in &records {
+        sctr.extend_from_slice(&slot(None, *label, samples));
+    }
+    let whole = fnv(&sctr);
+    sctr.extend_from_slice(&whole.to_le_bytes());
+    assert_eq!(sctr.len(), 59 + 3 * (2 + 16 + 8) + 8);
+    let store = dir.join("layout.sctr");
+    let mut writer = StoreWriter::create(&store, key.expected_meta()).unwrap();
+    for (_, label, samples) in &records {
+        writer.record(*label, samples).unwrap();
+    }
+    writer.finish().unwrap();
+    assert_eq!(std::fs::read(&store).unwrap(), sctr, "SCTR bytes");
+
+    let order = [2, 0, 1];
+    let mut sckp = header(b"SCKP");
+    for &i in &order {
+        let (index, label, samples) = &records[i];
+        sckp.extend_from_slice(&slot(Some(*index), *label, samples));
+    }
+    assert_eq!(sckp.len(), 59 + 3 * (4 + 2 + 16 + 8));
+    let checkpoint = dir.join("layout.sctr.ckpt");
+    let (resumed, mut writer) = resume_checkpoint(&checkpoint, &key.expected_meta()).unwrap();
+    assert!(resumed.is_empty());
+    for &i in &order {
+        let (index, label, samples) = &records[i];
+        writer.record(*index, *label, samples).unwrap();
+    }
+    writer.sync().unwrap();
+    drop(writer);
+    assert_eq!(std::fs::read(&checkpoint).unwrap(), sckp, "SCKP bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -269,6 +372,84 @@ fn a_damaged_store_is_named_in_the_miss_report() {
         );
         assert_eq!(std::fs::read(&store).expect("rewritten"), pristine);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Heal on read: a miss on a store with one corrupt record resumes from
+/// the store's verified records, simulates only the damaged trace and
+/// rewrites the store byte for byte; a torn store resumes from its
+/// intact prefix; and a verified store of another key, filed under this
+/// key's name, is never resumed from.
+#[test]
+fn a_damaged_store_heals_on_read_from_its_verified_records() {
+    let dir = scratch("heal-on-read");
+    let mut campaign = small_campaign_in(&dir);
+    let reference = campaign.acquire_aged(Scheme::Opt, 0.0).traces;
+    let store = std::fs::read_dir(dir.join("traces"))
+        .expect("store dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "sctr"))
+        .expect("the classified store");
+    let pristine = std::fs::read(&store).expect("store bytes");
+    let mut other = campaign.config().clone();
+    let protocol = other.protocol.clone();
+    let n = reference.len();
+    let (header, record) = (52 + "OPT".len(), 2 + 8 * protocol.sampling.samples + 8);
+    let mut heal = |bytes: &[u8]| {
+        std::fs::write(&store, bytes).expect("damage");
+        let outcome = campaign.acquire_aged(Scheme::Opt, 0.0);
+        assert!(!outcome.cache_hit, "a damaged store cannot serve");
+        assert_eq!(outcome.traces, reference);
+        let report = campaign
+            .log()
+            .reports()
+            .last()
+            .expect("miss logged")
+            .clone();
+        assert_eq!(std::fs::read(&store).expect("rewritten"), pristine);
+        assert!(campaign.acquire_aged(Scheme::Opt, 0.0).cache_hit);
+        report
+    };
+
+    // One corrupt record: the miss simulates that trace alone.
+    let damaged = 11;
+    let mut bytes = pristine.clone();
+    bytes[header + damaged * record + 7] ^= 0x20;
+    let report = heal(&bytes);
+    assert_eq!((report.resumed, report.healed), (n - 1, 1));
+    let circuit = SboxCircuit::build(Scheme::Opt);
+    let stimulus = &classified_schedule(&circuit, &protocol)[damaged];
+    let mut noise = SmallRng::seed_from_u64(trace_seed(protocol.seed, damaged as u64));
+    let one = Simulator::new(circuit.netlist(), &protocol.sim)
+        .session()
+        .capture_into(
+            &stimulus.initial,
+            &stimulus.final_inputs,
+            &protocol.sampling,
+            &mut noise,
+            &mut Vec::new(),
+        );
+    assert!(one.events > 0);
+    assert_eq!(report.stats.events, one.events, "one trace simulated");
+
+    // A torn store: the intact prefix resumes, the tail is re-captured.
+    let kept = 20;
+    let report = heal(&pristine[..header + kept * record + record / 2]);
+    assert_eq!((report.resumed, report.healed), (kept, n - kept));
+
+    // Another seed's verified store under this key's file name.
+    other.protocol.seed ^= 1;
+    other.store_dir = dir.join("other");
+    Campaign::new(other).acquire_aged(Scheme::Opt, 0.0);
+    let foreign = std::fs::read_dir(dir.join("other"))
+        .expect("other store dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "sctr"))
+        .expect("the other key's store");
+    let report = heal(&std::fs::read(foreign).expect("other store bytes"));
+    assert_eq!((report.resumed, report.healed), (0, 0));
+    let name = store.display().to_string();
+    assert!(report.warnings.iter().any(|w| w.contains(&name)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

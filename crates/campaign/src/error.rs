@@ -4,31 +4,15 @@
 //! sweep on a persistence problem: capture failures are retried, then
 //! quarantined into the run report; store, cache, and report-log
 //! failures degrade to a warning plus re-acquisition (the figures are
-//! the primary artifact). `CampaignError` is the typed currency those
-//! paths use internally and that fallible public APIs expose.
+//! the primary artifact), and their own errors (`StoreError`,
+//! `io::Error`) reach callers unwrapped. `CampaignError` names what is
+//! left: a short run's warning and a bad configuration value.
 
 use std::fmt;
-use std::io;
 
-use crate::store::StoreError;
-
-/// Anything that can go wrong inside a campaign.
+/// A campaign run that fell short, or a configuration it cannot use.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// Reading or writing an `SCTR` store or `SCKP` checkpoint failed.
-    Store(StoreError),
-    /// Appending to the run log (`campaign_runs.jsonl`) failed.
-    Report(io::Error),
-    /// A trace's capture kept failing after every allowed retry and was
-    /// quarantined.
-    Capture {
-        /// The schedule index that could not be captured.
-        index: usize,
-        /// Capture attempts made (1 + retries).
-        attempts: u32,
-        /// The final failure's panic/ error message.
-        message: String,
-    },
     /// A run completed but had to quarantine trace indices, so the
     /// resulting set is incomplete.
     Incomplete {
@@ -61,16 +45,6 @@ pub enum CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CampaignError::Store(e) => write!(f, "{e}"),
-            CampaignError::Report(e) => write!(f, "campaign run-log error: {e}"),
-            CampaignError::Capture {
-                index,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "capture of trace {index} failed {attempts} time(s): {message}"
-            ),
             CampaignError::Incomplete {
                 quarantined,
                 scheduled,
@@ -95,27 +69,7 @@ impl fmt::Display for CampaignError {
     }
 }
 
-impl std::error::Error for CampaignError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CampaignError::Store(e) => Some(e),
-            CampaignError::Report(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<StoreError> for CampaignError {
-    fn from(e: StoreError) -> Self {
-        CampaignError::Store(e)
-    }
-}
-
-impl From<io::Error> for CampaignError {
-    fn from(e: io::Error) -> Self {
-        CampaignError::Report(e)
-    }
-}
+impl std::error::Error for CampaignError {}
 
 #[cfg(test)]
 mod tests {
@@ -123,14 +77,6 @@ mod tests {
 
     #[test]
     fn displays_are_self_describing() {
-        let e = CampaignError::Capture {
-            index: 17,
-            attempts: 3,
-            message: "injected".into(),
-        };
-        assert!(e.to_string().contains("trace 17"));
-        assert!(e.to_string().contains("3 time(s)"));
-
         let e = CampaignError::Incomplete {
             quarantined: vec![4, 9],
             scheduled: 32,
@@ -151,14 +97,5 @@ mod tests {
         };
         assert!(e.to_string().contains("deadline expired"));
         assert!(e.to_string().contains("12 of 64"));
-    }
-
-    #[test]
-    fn sources_chain_through_store_and_io() {
-        use std::error::Error as _;
-        let e: CampaignError = StoreError::Format("bad magic".into()).into();
-        assert!(e.source().expect("source").to_string().contains("magic"));
-        let e: CampaignError = io::Error::other("disk full").into();
-        assert!(e.source().is_some());
     }
 }

@@ -568,6 +568,38 @@ fn scrub_heals_an_aged_classified_store_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An aged store's device was aged under the seed in its header, so a
+/// scrub run by a campaign with another seed must re-derate under the
+/// header's seed: the healed file is byte-identical to the pristine one.
+#[test]
+fn scrub_heals_an_aged_store_under_its_header_seed() {
+    let dir = scratch("scrub-aged-seed");
+    let mut captured = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
+    captured.acquire_aged(Scheme::Isw, 24.0);
+    let path = store_file(&dir);
+    let pristine = std::fs::read(&path).expect("store bytes");
+
+    let mut damaged = pristine.clone();
+    let at = damaged.len() / 2;
+    damaged[at] ^= 0x10;
+    std::fs::write(&path, &damaged).expect("corrupt");
+
+    let mut other = small_protocol();
+    other.seed ^= 0x5EED;
+    let mut scrubber = Campaign::new(CampaignConfig {
+        protocol: other,
+        workers: 2,
+        store_dir: dir.join("traces"),
+        log_path: dir.join("runs.jsonl"),
+        ..CampaignConfig::default()
+    });
+    let report = scrubber.scrub();
+    assert_eq!(report.healed(), 1, "{report}");
+    let healed = std::fs::read(&path).expect("healed bytes");
+    assert!(healed == pristine, "healed store must be byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A CPA acquisition with a quarantined index returns only the
 /// surviving traces, each paired with its own plaintext — no empty slot
 /// that would make the attack evaluation panic on ragged traces.

@@ -5,7 +5,6 @@
 //! ```text
 //! import <file> [--scheme NAME | --sidecar PATH] [--format yosys|edif]
 //!        [--tpc N] [--no-capture]
-//! import --selftest [TPC]
 //! ```
 //!
 //! With `--scheme` (or a `--sidecar` declaring one), the imported
@@ -14,24 +13,17 @@
 //! *netlist content hash* (`import-<scheme>-<digest>`): re-importing the
 //! same file hits the trace store, importing a modified file misses it.
 //! Without a scheme the tool stops after structural import and reports
-//! the netlist's statistics.
+//! the netlist's statistics. A typed import failure, and a zero or
+//! malformed `--tpc`, exit 2; panics are a bug.
 //!
-//! `--selftest` is the conformance mode CI runs (including under the
-//! `SCA_FAULTS` injection matrix): every hand-built scheme is exported
-//! through both writers, re-imported, and checked for structural
-//! identity, bit-identical captures on both simulation backends,
-//! byte-identical `sca-verify` reports, and content-hash cache keying.
-//! Any typed import failure exits 2; any conformance mismatch exits 1;
-//! panics are a bug.
+//! The round trip of every scheme through both writers — structure,
+//! captures on both engines, `sca-verify` reports and content-hash
+//! keying — is pinned by `cargo test --test frontend_conformance`.
 
-use campaign::{Backend, CacheMode, Campaign, CampaignConfig, Subject};
+use campaign::{Campaign, Subject};
 use experiments::{campaign_config, count_from_value, finish_campaign};
-use leakage_core::ClassifiedTraces;
-use sbox_circuits::{SboxCircuit, Scheme};
-use sca_frontend::{
-    import_str, netlist_digest, sidecar_toml, structural_diff, to_edif, to_yosys_json,
-    EncodingSidecar, FrontendError, SourceFormat,
-};
+use sbox_circuits::SboxCircuit;
+use sca_frontend::{import_str, netlist_digest, EncodingSidecar, FrontendError, SourceFormat};
 
 use acquisition::ProtocolConfig;
 
@@ -45,20 +37,19 @@ struct Args {
     format: Option<SourceFormat>,
     tpc: usize,
     capture: bool,
-    selftest: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: import <file> [--scheme NAME | --sidecar PATH] \
-         [--format yosys|edif] [--tpc N] [--no-capture]\n       import --selftest [TPC]"
+         [--format yosys|edif] [--tpc N] [--no-capture]"
     );
     std::process::exit(2);
 }
 
 /// Parse the command line after the program name; `None` is a usage
-/// error. Trace counts go through the shared positive-count parser, so
-/// a zero or malformed `--selftest N` or `--tpc N` is rejected.
+/// error. The trace count goes through the shared positive-count
+/// parser, so a zero or malformed `--tpc N` is rejected.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Option<Args> {
     let mut args = Args {
         file: None,
@@ -67,18 +58,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Option<Args> {
         format: None,
         tpc: 16,
         capture: true,
-        selftest: false,
     };
     let count = |value: String| count_from_value(Some(value), 0).ok();
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--selftest" => {
-                args.selftest = true;
-                if let Some(tpc) = it.next() {
-                    args.tpc = count(tpc)?;
-                }
-            }
             "--scheme" => args.scheme = Some(it.next()?),
             "--sidecar" => args.sidecar = Some(it.next()?),
             "--format" => match it.next()?.as_str() {
@@ -97,13 +81,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Option<Args> {
     Some(args)
 }
 
-fn protocol(tpc: usize) -> ProtocolConfig {
-    ProtocolConfig {
-        traces_per_class: tpc,
-        ..ProtocolConfig::default()
-    }
-}
-
 /// The content-hash campaign label for an imported circuit.
 fn import_label(circuit: &SboxCircuit) -> String {
     format!(
@@ -115,12 +92,7 @@ fn import_label(circuit: &SboxCircuit) -> String {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|| usage());
-    let code = if args.selftest {
-        selftest(args.tpc)
-    } else {
-        run_import(&args)
-    };
-    std::process::exit(code);
+    std::process::exit(run_import(&args));
 }
 
 /// Import one file, report its structure, and (when a scheme is known)
@@ -223,7 +195,10 @@ fn run_import(args: &Args) -> i32 {
     }
     let label = import_label(&circuit);
     println!("campaign label: {label}");
-    let mut campaign = Campaign::new(campaign_config(protocol(args.tpc)));
+    let mut campaign = Campaign::new(campaign_config(ProtocolConfig {
+        traces_per_class: args.tpc,
+        ..ProtocolConfig::default()
+    }));
     let subject = Subject::Imported {
         circuit: &circuit,
         label: &label,
@@ -239,154 +214,6 @@ fn run_import(args: &Args) -> i32 {
     0
 }
 
-/// The conformance selftest: export → re-import → compare, for every
-/// scheme, both formats, both backends, plus content-hash cache keying.
-fn selftest(tpc: usize) -> i32 {
-    let config = protocol(tpc);
-    let mut failures = 0usize;
-    let mut campaign = Campaign::new(campaign_config(config.clone()));
-
-    for scheme in Scheme::ALL {
-        let label = scheme.label();
-        let native = SboxCircuit::build(scheme);
-
-        // Yosys JSON round trip.
-        let json = to_yosys_json(native.netlist());
-        let imported = match import_str(&json, SourceFormat::YosysJson) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("selftest: {label}: yosys-json import failed: {e}");
-                return 2;
-            }
-        };
-        if let Some(diff) = structural_diff(native.netlist(), &imported.netlist) {
-            eprintln!("selftest: {label}: yosys-json structural drift: {diff}");
-            failures += 1;
-            continue;
-        }
-
-        // EDIF round trip.
-        let edif = to_edif(native.netlist());
-        match import_str(&edif, SourceFormat::Edif) {
-            Ok(d) => {
-                if let Some(diff) = structural_diff(native.netlist(), &d.netlist) {
-                    eprintln!("selftest: {label}: edif structural drift: {diff}");
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                eprintln!("selftest: {label}: edif import failed: {e}");
-                return 2;
-            }
-        }
-
-        // Sidecar bind (ground-truth roles included).
-        let sidecar = match EncodingSidecar::parse(&sidecar_toml(&native)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("selftest: {label}: sidecar failed: {e}");
-                return 2;
-            }
-        };
-        let circuit = match sidecar.bind(imported.netlist) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("selftest: {label}: sidecar bind failed: {e}");
-                return 2;
-            }
-        };
-
-        // Captures must be bit-identical on both engines, and the
-        // bit-sliced support check must treat both netlists alike: on a
-        // netlist it rejects, a `Bitsliced` campaign degrades to the
-        // event engine.
-        let cache_label = import_label(&circuit);
-        let subject = Subject::Imported {
-            circuit: &circuit,
-            label: &cache_label,
-        };
-        for backend in [Backend::Event, Backend::Bitsliced] {
-            let mut uncached = Campaign::new(CampaignConfig {
-                backend,
-                cache: CacheMode::Off,
-                ..campaign.config().clone()
-            });
-            let engine = |c: &Campaign| c.log().reports().last().and_then(|r| r.backend);
-            let native_traces = uncached.acquire_aged(scheme, 0.0);
-            let native_engine = engine(&uncached);
-            let import_traces = uncached.acquire_aged(subject, 0.0);
-            if native_engine != engine(&uncached) {
-                eprintln!(
-                    "selftest: {label}: {backend} support drift: native ran {native_engine:?}, \
-                     the import {:?}",
-                    engine(&uncached)
-                );
-                failures += 1;
-            } else if native_traces.partial.is_none() && import_traces.partial.is_none() {
-                if let Some(diff) = trace_diff(&native_traces.traces, &import_traces.traces) {
-                    eprintln!("selftest: {label}: {backend} capture drift: {diff}");
-                    failures += 1;
-                }
-            }
-        }
-
-        // The verifier must issue byte-identical diagnostics.
-        let native_report = sca_verify::report::json(&sca_verify::analyze(&native));
-        let import_report = sca_verify::report::json(&sca_verify::analyze(&circuit));
-        if native_report != import_report {
-            eprintln!("selftest: {label}: sca-verify report drift");
-            failures += 1;
-        }
-
-        // Campaign capture under the content-hash label: the second
-        // acquisition of the same imported netlist must hit the cache
-        // (when caching is enabled) and agree trace-for-trace.
-        let first = campaign.acquire_aged(subject, 0.0);
-        let second = campaign.acquire_aged(subject, 0.0);
-        if first.partial.is_none() && second.partial.is_none() {
-            if let Some(diff) = trace_diff(&first.traces, &second.traces) {
-                eprintln!("selftest: {label}: campaign re-acquisition drift: {diff}");
-                failures += 1;
-            }
-        }
-        println!(
-            "selftest: {label}: ok (campaign label {cache_label}, cache hit on re-acquire: {})",
-            second.cache_hit
-        );
-    }
-
-    finish_campaign(&campaign);
-    if failures > 0 {
-        eprintln!("selftest: {failures} conformance failure(s)");
-        1
-    } else {
-        println!("selftest: all schemes conform");
-        0
-    }
-}
-
-/// First difference between two classified sets, comparing f64s bit for
-/// bit.
-fn trace_diff(a: &ClassifiedTraces, b: &ClassifiedTraces) -> Option<String> {
-    if a.len() != b.len() {
-        return Some(format!("trace count {} vs {}", a.len(), b.len()));
-    }
-    for (i, ((ca, ta), (cb, tb))) in a.iter().zip(b.iter()).enumerate() {
-        if ca != cb {
-            return Some(format!("trace {i} class {ca} vs {cb}"));
-        }
-        if ta.len() != tb.len() {
-            return Some(format!("trace {i} samples {} vs {}", ta.len(), tb.len()));
-        }
-        for (s, (x, y)) in ta.iter().zip(tb).enumerate() {
-            if x.to_bits() != y.to_bits() {
-                return Some(format!("trace {i} sample {s}: {x:e} vs {y:e}"));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,13 +224,9 @@ mod tests {
 
     #[test]
     fn trace_counts_must_be_positive() {
-        let selftest = parse(&["--selftest"]).expect("default budget");
-        assert!(selftest.selftest);
-        assert_eq!(selftest.tpc, 16);
-        assert_eq!(parse(&["--selftest", "2"]).expect("valid").tpc, 2);
+        assert_eq!(parse(&["f.json"]).expect("default budget").tpc, 16);
         assert_eq!(parse(&["f.json", "--tpc", "8"]).expect("valid").tpc, 8);
         for bad in ["0", "x2", "-1", ""] {
-            assert!(parse(&["--selftest", bad]).is_none(), "--selftest {bad:?}");
             assert!(parse(&["f.json", "--tpc", bad]).is_none(), "--tpc {bad:?}");
         }
         assert!(parse(&["f.json", "--tpc"]).is_none(), "missing count");

@@ -276,6 +276,75 @@ pub fn sci(x: f64) -> String {
     format!("{x:.4e}")
 }
 
+/// The repair suite: the subjects the `repair` binary runs and
+/// `tests/golden/repair/` pins, and the episode both of them render.
+pub mod repair_suite {
+    use std::path::PathBuf;
+
+    use sbox_circuits::{InputRole, SboxCircuit, Scheme};
+    use sca_repair::{confirm, repair, Confirmation, RepairOutcome, SearchConfig};
+    use sca_verify::Subject;
+
+    /// Subjects the suite knows how to build, in report order.
+    pub const SUBJECTS: [&str; 3] = ["ti", "isw", "foreign-masked"];
+
+    /// Seed for the NICV confirmation captures (arbitrary, pinned).
+    pub const CONFIRM_SEED: u64 = 0xD0E5_11F7;
+
+    /// Confirmation traces per class of the pinned episodes: 32 keeps
+    /// the NICV estimates out of the small-sample noise floor where a
+    /// genuine repair can show a spuriously negative delta.
+    pub const CONFIRM_TPC: usize = 32;
+
+    /// Path of the bundled foreign-netlist fixture, resolved relative to
+    /// this crate so the suite works from any working directory.
+    pub fn foreign_fixture_path() -> PathBuf {
+        PathBuf::from(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/frontend/foreign_masked.yosys.json"
+        ))
+    }
+
+    /// Build a named subject, or explain why it cannot be built.
+    pub fn build_subject(name: &str) -> Result<Subject, String> {
+        match name {
+            "ti" => Ok(Subject::of_circuit(&SboxCircuit::build(Scheme::Ti))),
+            "isw" => Ok(Subject::of_circuit(&SboxCircuit::build(Scheme::Isw))),
+            "foreign-masked" => {
+                let path = foreign_fixture_path();
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("fixture {}: {e}", path.display()))?;
+                let design =
+                    sca_frontend::import_auto(&text).map_err(|e| format!("import: {e:?}"))?;
+                Subject::with_roles(
+                    "foreign-masked",
+                    design.netlist,
+                    vec![
+                        InputRole::Share { bit: 0, share: 0 },
+                        InputRole::Share { bit: 0, share: 1 },
+                        InputRole::Share { bit: 1, share: 0 },
+                        InputRole::Share { bit: 1, share: 1 },
+                    ],
+                    vec![vec![0, 1]],
+                )
+            }
+            other => Err(format!(
+                "unknown subject '{other}' (expected {})",
+                SUBJECTS.join(" | ")
+            )),
+        }
+    }
+
+    /// Run one repair episode, confirmed with `tpc` traces per class
+    /// under [`CONFIRM_SEED`] when the netlist actually changed.
+    pub fn episode(subject: &Subject, tpc: usize) -> (RepairOutcome, Option<Confirmation>) {
+        let outcome = repair(subject, &SearchConfig::default());
+        let confirmation = (outcome.repaired && !outcome.steps.is_empty())
+            .then(|| confirm(subject, &outcome.subject, tpc, CONFIRM_SEED));
+        (outcome, confirmation)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

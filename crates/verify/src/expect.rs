@@ -1,12 +1,14 @@
 //! Pinned per-scheme expectation files and the bless/check flow.
 //!
-//! CI runs `sca-verify all --check`, which regenerates every scheme's
-//! JSON report and byte-compares it against the pinned copy under
-//! `tests/golden/verify/`. Any drift in the static security profile —
-//! a new finding, a changed verdict, a moved score — fails the build.
-//! After an *intentional* change, refresh the pins with
-//! `SCA_BLESS=1 cargo run --release -p sca-verify -- all --check`
-//! (matching the golden-vector suite's bless convention).
+//! The test suite is the only place the pins are checked: `cargo test
+//! --test verify_expectations` regenerates every scheme's JSON report
+//! and byte-compares it against the pinned copy under
+//! `tests/golden/verify/`, and `cargo test -p experiments --test
+//! repair_expectations` does the same for `tests/golden/repair/`. Any
+//! drift in the static security profile — a new finding, a changed
+//! verdict, a moved score — fails the build. After an *intentional*
+//! change, re-run the test with `SCA_BLESS=1` to refresh the pins and
+//! review the diff.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -502,6 +502,32 @@ fn scrub_restores_randomly_corrupted_stores_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store whose header is wrecked cannot be trusted to name its own
+/// cell: scrub must quarantine it (moved aside, never served) and report
+/// the store as unverified. The random sweep above may never hit the
+/// header, so byte 0 is flipped here on purpose.
+#[test]
+fn scrub_quarantines_a_store_with_a_wrecked_header() {
+    let dir = scratch("scrub-header");
+    let mut campaign = campaign_in(&dir, CacheMode::ReadWrite, FaultPlan::none());
+    campaign.acquire_aged(Scheme::Lut, 0.0);
+    let path = store_file(&dir);
+    let mut wrecked = std::fs::read(&path).expect("store bytes");
+    wrecked[0] ^= 0xFF;
+    std::fs::write(&path, &wrecked).expect("wreck header");
+
+    let report = campaign.scrub();
+    assert_eq!(report.scanned(), 1, "{report}");
+    assert!(
+        matches!(report.outcomes[0].fate, RecordFate::Quarantined { .. }),
+        "{report}"
+    );
+    assert!(!report.all_verified(), "{report}");
+    assert!(!path.exists(), "a quarantined store must be moved aside");
+    assert!(path.with_extension("sctr.quarantined").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The same healing property for CPA attack stores: record-region
 /// corruption is healed bit-identically, so the attack scores computed
 /// from the store equal the uncorrupted run's.
@@ -636,4 +662,22 @@ fn quarantined_cpa_traces_are_dropped_with_their_plaintexts() {
     );
     assert_eq!(curve.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `CampaignConfig::default()` turns a malformed `SCA_FAULTS` into no
+/// injection, so a typo in the CI fault matrix would silently run this
+/// suite fault-free. When the variable is set it must parse and arm the
+/// harness (`""` and `off` are the documented ways to disarm it).
+#[test]
+fn a_set_fault_matrix_is_armed() {
+    let Ok(spec) = std::env::var("SCA_FAULTS") else {
+        return;
+    };
+    let plan = FaultPlan::try_from_env()
+        .unwrap_or_else(|(value, reason)| panic!("SCA_FAULTS={value:?} does not parse: {reason}"));
+    let disarmed = matches!(spec.trim(), "" | "off");
+    assert!(
+        plan.is_active() || disarmed,
+        "SCA_FAULTS={spec:?} parses but injects nothing"
+    );
 }

@@ -39,7 +39,7 @@ use sbox_leakage::acquisition::ProtocolConfig;
 use sbox_leakage::analysis::LeakageSpectrum;
 use sbox_leakage::campaign::{
     AttackPlan, Backend, CacheMode, Campaign, CampaignConfig, Distinguisher, DistinguisherReport,
-    FaultPlan, LeakageModel, Subject,
+    LeakageModel, Subject,
 };
 use sbox_leakage::circuits::{SboxCircuit, Scheme};
 use sbox_leakage::frontend::{
@@ -187,7 +187,6 @@ fn reimported_captures_are_bit_identical_bitsliced_backend() {
         cache: CacheMode::Off,
         store_dir: dir.join("traces"),
         log_path: dir.join("runs.jsonl"),
-        faults: FaultPlan::none(),
         backend: Backend::Bitsliced,
         ..CampaignConfig::default()
     });

@@ -2,9 +2,9 @@
 //! every scheme, byte-for-byte.
 //!
 //! The fixtures under `tests/golden/verify/` are the same documents the
-//! `sca-verify` CLI writes to `results/verify/`; CI re-runs the analyzer
-//! and diffs against them, so any drift in a verdict, rule count, or
-//! score is a reviewed change, never an accident.
+//! `sca-verify` CLI writes to `results/verify/`; this test re-runs the
+//! analyzer and diffs against them, so any drift in a verdict, rule
+//! count, or score is a reviewed change, never an accident.
 //!
 //! Regenerate after an intentional analyzer change with:
 //!
@@ -12,8 +12,8 @@
 //! SCA_BLESS=1 cargo test --test verify_expectations
 //! ```
 //!
-//! (or `sca-verify all --bless`) and review the fixture diff like any
-//! other code change (see `DESIGN.md`, "Static leakage model").
+//! and review the fixture diff like any other code change (see
+//! `DESIGN.md`, "Static leakage model").
 
 use std::path::PathBuf;
 

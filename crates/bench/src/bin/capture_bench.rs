@@ -41,6 +41,11 @@
 //! ([`sca_frontend::fixtures::present_layer`]) on seeded random input
 //! pairs with the protocol's noise seeds.
 //!
+//! The `builds` section times [`SboxCircuit::build`] for every scheme:
+//! the median, minimum and maximum milliseconds over [`BUILD_REPEATS`]
+//! builds each. A campaign cache miss pays one build per cell, and
+//! GLUT's (two-level synthesis of a 12-input table) is the costliest.
+//!
 //! All capture paths produce bit-identical traces: before any netlist
 //! is timed, every lane of its bit-sliced schedule is checked against
 //! the event session's capture of the same stimulus, so the ratios are
@@ -92,44 +97,75 @@ impl Leg {
     }
 }
 
-/// The throughput of one leg over another: the median of the per-pass
-/// ratios, and their minimum and maximum. Passes run round-robin, so
-/// pass `i` of both legs saw the same machine state; a median over the
-/// pairs shrugs off the odd pass a scheduler hiccup stretched.
-struct Ratio {
+/// The median of a sample, with its minimum and maximum.
+struct Spread {
     median: f64,
     min: f64,
     max: f64,
 }
 
-impl Ratio {
-    /// Leg `a`'s throughput over leg `b`'s. Every pass captures the
-    /// same schedule, so a pass's ratio is `b`'s seconds over `a`'s.
-    fn of(a: &Leg, b: &Leg) -> Self {
-        let mut ratios: Vec<f64> = a
-            .pass_seconds
-            .iter()
-            .zip(&b.pass_seconds)
-            .map(|(sa, sb)| sb / sa)
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let mid = ratios.len() / 2;
-        let median = if ratios.len().is_multiple_of(2) {
-            (ratios[mid - 1] + ratios[mid]) / 2.0
+impl Spread {
+    fn of(mut values: Vec<f64>) -> Self {
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        let median = if values.len().is_multiple_of(2) {
+            (values[mid - 1] + values[mid]) / 2.0
         } else {
-            ratios[mid]
+            values[mid]
         };
-        Ratio {
+        Spread {
             median,
-            min: ratios[0],
-            max: ratios[ratios.len() - 1],
+            min: values[0],
+            max: values[values.len() - 1],
         }
     }
+
+    /// Leg `a`'s throughput over leg `b`'s: the spread of the per-pass
+    /// ratios. Every pass captures the same schedule, so a pass's ratio
+    /// is `b`'s seconds over `a`'s. Passes run round-robin, so pass `i`
+    /// of both legs saw the same machine state; a median over the pairs
+    /// shrugs off the odd pass a scheduler hiccup stretched.
+    fn ratio(a: &Leg, b: &Leg) -> Self {
+        Self::of(
+            a.pass_seconds
+                .iter()
+                .zip(&b.pass_seconds)
+                .map(|(sa, sb)| sb / sa)
+                .collect(),
+        )
+    }
+}
+
+/// Milliseconds of `SboxCircuit::build` for every scheme, `repeats`
+/// times each after one warm-up build, round-robin over the schemes so
+/// drift hits them alike.
+fn time_builds(repeats: usize) -> Vec<(Scheme, usize, Spread)> {
+    let gates: Vec<usize> = Scheme::ALL
+        .iter()
+        .map(|&s| SboxCircuit::build(s).netlist().gates().len())
+        .collect();
+    let mut ms = vec![Vec::with_capacity(repeats); Scheme::ALL.len()];
+    for _ in 0..repeats {
+        for (&scheme, times) in Scheme::ALL.iter().zip(&mut ms) {
+            let start = Instant::now();
+            std::hint::black_box(SboxCircuit::build(scheme));
+            times.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Scheme::ALL
+        .into_iter()
+        .zip(gates)
+        .zip(ms)
+        .map(|((scheme, gates), times)| (scheme, gates, Spread::of(times)))
+        .collect()
 }
 
 /// Schedule repeats per timed ISW pass, so a bit-sliced pass lasts tens
 /// of milliseconds (the other netlists' passes already do).
 const ISW_REPEATS: usize = 16;
+
+/// Timed builds per scheme in the `builds` section (3 under `--quick`).
+const BUILD_REPEATS: usize = 31;
 
 /// A capture path under measurement: (stimulus, noise seed) → stats.
 type CaptureFn<'s> = Box<dyn FnMut(&Stimulus, u64) -> CaptureStats + 's>;
@@ -276,7 +312,7 @@ fn print_legs(legs: &[Leg]) {
     }
 }
 
-fn print_ratio(key: &str, r: &Ratio) {
+fn print_ratio(key: &str, r: &Spread) {
     eprintln!(
         "  {key}: {:.3}x (passes {:.3}-{:.3})",
         r.median, r.min, r.max
@@ -289,7 +325,7 @@ struct Section {
     gates: usize,
     traces_per_pass: usize,
     legs: Vec<Leg>,
-    speedup: Ratio,
+    speedup: Spread,
 }
 
 /// Check, then time, `session_capture_into` against `bitsliced_batch`
@@ -314,7 +350,7 @@ fn engine_section(
         ],
     );
     print_legs(&legs);
-    let speedup = Ratio::of(&legs[1], &legs[0]);
+    let speedup = Spread::ratio(&legs[1], &legs[0]);
     print_ratio("speedup_bitsliced_vs_session_into", &speedup);
     Section {
         netlist,
@@ -351,7 +387,7 @@ fn write_legs(json: &mut String, indent: &str, legs: &[Leg]) {
 }
 
 /// One ratio and its per-pass range, as a ledger line ending in `end`.
-fn write_ratio(json: &mut String, indent: &str, key: &str, r: &Ratio, end: &str) {
+fn write_ratio(json: &mut String, indent: &str, key: &str, r: &Spread, end: &str) {
     let _ = writeln!(
         json,
         "{indent}\"{key}\": {}, \"{key}_range\": [{}, {}]{end}",
@@ -532,7 +568,7 @@ fn main() {
             .unwrap_or_else(|| panic!("no leg named {name}"))
     };
     // Each ledger ratio: its key, and the legs whose throughputs it divides.
-    let ratios: Vec<(&str, Ratio)> = [
+    let ratios: Vec<(&str, Spread)> = [
         (
             "speedup_session_vs_alloc",
             "session_reuse",
@@ -555,10 +591,21 @@ fn main() {
         ),
     ]
     .into_iter()
-    .map(|(key, a, b)| (key, Ratio::of(leg(a), leg(b))))
+    .map(|(key, a, b)| (key, Spread::ratio(leg(a), leg(b))))
     .collect();
     for (key, r) in &ratios {
         print_ratio(key, r);
+    }
+    let build_repeats = if quick { 3 } else { BUILD_REPEATS };
+    let builds = time_builds(build_repeats);
+    for (scheme, _, ms) in &builds {
+        eprintln!(
+            "  build {:<8} {:.3} ms (min {:.3}, max {:.3})",
+            scheme.label(),
+            ms.median,
+            ms.min,
+            ms.max
+        );
     }
 
     let schemes = [
@@ -619,6 +666,22 @@ fn main() {
     for (key, r) in &ratios {
         write_ratio(&mut json, "  ", key, r, ",");
     }
+    let _ = writeln!(
+        json,
+        "  \"builds\": {{\"repeats\": {build_repeats}, \"schemes\": ["
+    );
+    for (i, (scheme, gates, ms)) in builds.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"scheme\": \"{}\", \"gates\": {gates}, \"median_ms\": {}, \"min_ms\": {}, \"max_ms\": {}}}{}",
+            scheme.label(),
+            json_f64(ms.median),
+            json_f64(ms.min),
+            json_f64(ms.max),
+            if i + 1 < builds.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ]},\n");
     json.push_str("  \"netlists\": [\n");
     for (i, section) in sections.iter().enumerate() {
         json.push_str("    {\n");

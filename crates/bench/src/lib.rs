@@ -8,7 +8,8 @@
 //!   fresh against a reused `CaptureSession` and the bit-sliced batch
 //!   backend, each streaming-fold leg against its raw capture, on ISW;
 //!   then the session against the bit-sliced batch on TI, GLUT,
-//!   RSM-ROM and the 64-bit PRESENT substitution layer;
+//!   RSM-ROM and the 64-bit PRESENT substitution layer; and the
+//!   build time of every scheme's circuit;
 //! * `attack_bench` → `BENCH_attack.json`: batch against streamed
 //!   distinguisher scoring over the same in-memory traces;
 //! * `repair_bench` → `BENCH_repair.json`: from-scratch against

@@ -93,9 +93,15 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether this plan can inject anything at all.
+    /// Whether this plan can inject anything at all. The seed only
+    /// decides which indices a rate fault hits, so a plan that sets
+    /// nothing but a seed is inert.
     pub fn is_active(&self) -> bool {
-        *self != Self::default()
+        *self
+            != Self {
+                seed: self.seed,
+                ..Self::default()
+            }
     }
 
     /// Add trace indices whose first capture attempt panics (a retry
@@ -430,6 +436,15 @@ mod tests {
         }
         assert_eq!(FaultPlan::parse("").expect("empty"), FaultPlan::default());
         assert_eq!(FaultPlan::parse("off").expect("off"), FaultPlan::default());
+    }
+
+    #[test]
+    fn a_seed_alone_arms_nothing() {
+        let plan = FaultPlan::parse("seed=7").expect("parse");
+        assert!(!plan.is_active(), "a seed-only spec injects nothing");
+        assert!(FaultPlan::parse("seed=7,panic%0.1")
+            .expect("parse")
+            .is_active());
     }
 
     #[test]

@@ -77,7 +77,10 @@ fn main() {
             eprintln!("repair: {e}");
             std::process::exit(2);
         });
-        let (outcome, confirmation) = episode(&subject, args.tpc);
+        let (outcome, confirmation) = episode(&subject, args.tpc).unwrap_or_else(|e| {
+            eprintln!("repair: {e}");
+            std::process::exit(2);
+        });
         if !args.quiet {
             print!("{}", report::human(&outcome, confirmation.as_ref()));
         }

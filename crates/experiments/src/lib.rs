@@ -282,7 +282,7 @@ pub mod repair_suite {
     use std::path::PathBuf;
 
     use sbox_circuits::{InputRole, SboxCircuit, Scheme};
-    use sca_repair::{confirm, repair, Confirmation, RepairOutcome, SearchConfig};
+    use sca_repair::{confirm, repair, ConfirmError, Confirmation, RepairOutcome, SearchConfig};
     use sca_verify::Subject;
 
     /// Subjects the suite knows how to build, in report order.
@@ -337,11 +337,20 @@ pub mod repair_suite {
 
     /// Run one repair episode, confirmed with `tpc` traces per class
     /// under [`CONFIRM_SEED`] when the netlist actually changed.
-    pub fn episode(subject: &Subject, tpc: usize) -> (RepairOutcome, Option<Confirmation>) {
+    ///
+    /// # Errors
+    ///
+    /// [`ConfirmError`] if the confirmation has no traces to capture
+    /// (`tpc` is zero).
+    pub fn episode(
+        subject: &Subject,
+        tpc: usize,
+    ) -> Result<(RepairOutcome, Option<Confirmation>), ConfirmError> {
         let outcome = repair(subject, &SearchConfig::default());
         let confirmation = (outcome.repaired && !outcome.steps.is_empty())
-            .then(|| confirm(subject, &outcome.subject, tpc, CONFIRM_SEED));
-        (outcome, confirmation)
+            .then(|| confirm(subject, &outcome.subject, tpc, CONFIRM_SEED))
+            .transpose()?;
+        Ok((outcome, confirmation))
     }
 }
 

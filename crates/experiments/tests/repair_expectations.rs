@@ -32,11 +32,13 @@ fn repair_episodes_match_the_pinned_reports_and_keep_their_invariants() {
     let mut failures = Vec::new();
     for name in SUBJECTS {
         let subject = build_subject(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let (outcome, confirmation) = episode(&subject, CONFIRM_TPC);
+        let (outcome, confirmation) =
+            episode(&subject, CONFIRM_TPC).unwrap_or_else(|e| panic!("{name}: {e}"));
         let actual = report::json(&outcome, confirmation.as_ref());
 
         // Determinism: a second full episode renders identical bytes.
-        let (again, again_confirmation) = episode(&subject, CONFIRM_TPC);
+        let (again, again_confirmation) =
+            episode(&subject, CONFIRM_TPC).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             actual,
             report::json(&again, again_confirmation.as_ref()),

@@ -40,24 +40,52 @@ pub struct Confirmation {
     pub delta: f64,
 }
 
+/// Why a confirmation could not run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfirmError {
+    /// The named subject would get no traces: `traces_per_class` is zero
+    /// or the subject has no classes, and NICV of nothing is undefined.
+    NoTraces {
+        /// The subject's name.
+        subject: String,
+    },
+}
+
+impl std::fmt::Display for ConfirmError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoTraces { subject } => write!(
+                f,
+                "cannot confirm `{subject}`: no traces to capture (zero traces per class or no classes)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfirmError {}
+
 /// Capture `traces_per_class` transition traces per class for both
 /// subjects and compare peak NICV.
+///
+/// # Errors
+///
+/// [`ConfirmError::NoTraces`] if either subject would get no traces.
 pub fn confirm(
     base: &Subject,
     repaired: &Subject,
     traces_per_class: usize,
     seed: u64,
-) -> Confirmation {
+) -> Result<Confirmation, ConfirmError> {
     let sampling = SamplingConfig::default();
-    let (base_max, traces) = peak_nicv(base, traces_per_class, seed, &sampling);
-    let (repaired_max, _) = peak_nicv(repaired, traces_per_class, seed, &sampling);
-    Confirmation {
+    let (base_max, traces) = peak_nicv(base, traces_per_class, seed, &sampling)?;
+    let (repaired_max, _) = peak_nicv(repaired, traces_per_class, seed, &sampling)?;
+    Ok(Confirmation {
         traces,
         samples: sampling.samples,
         base_nicv_max: base_max,
         repaired_nicv_max: repaired_max,
         delta: base_max - repaired_max,
-    }
+    })
 }
 
 fn peak_nicv(
@@ -65,8 +93,13 @@ fn peak_nicv(
     traces_per_class: usize,
     seed: u64,
     sampling: &SamplingConfig,
-) -> (f64, usize) {
+) -> Result<(f64, usize), ConfirmError> {
     let classes = subject.num_classes().min(MAX_CLASSES);
+    if classes == 0 || traces_per_class == 0 {
+        return Err(ConfirmError::NoTraces {
+            subject: subject.label().to_string(),
+        });
+    }
     let mask_bits = subject.mask_bits();
     let mask_mask = if mask_bits == 0 {
         0
@@ -114,7 +147,7 @@ fn peak_nicv(
         None,
     );
     let peak = metrics::nicv(&set).into_iter().fold(0.0f64, f64::max);
-    (peak, set.len())
+    Ok((peak, set.len()))
 }
 
 #[cfg(test)]
@@ -126,8 +159,8 @@ mod tests {
     fn confirmation_is_deterministic_and_orders_lut_above_isw() {
         let lut = Subject::of_circuit(&SboxCircuit::build(Scheme::Lut));
         let isw = Subject::of_circuit(&SboxCircuit::build(Scheme::Isw));
-        let a = confirm(&lut, &isw, 8, 7);
-        let b = confirm(&lut, &isw, 8, 7);
+        let a = confirm(&lut, &isw, 8, 7).expect("confirm");
+        let b = confirm(&lut, &isw, 8, 7).expect("confirm");
         assert_eq!(a.base_nicv_max.to_bits(), b.base_nicv_max.to_bits());
         assert_eq!(a.delta.to_bits(), b.delta.to_bits());
         // Unprotected LUT leaks its class hard; masked ISW does not.
@@ -137,5 +170,14 @@ mod tests {
             a.base_nicv_max,
             a.repaired_nicv_max
         );
+    }
+
+    #[test]
+    fn zero_traces_per_class_is_an_error_not_a_panic() {
+        let lut = Subject::of_circuit(&SboxCircuit::build(Scheme::Lut));
+        let isw = Subject::of_circuit(&SboxCircuit::build(Scheme::Isw));
+        let err = confirm(&lut, &isw, 0, 7).expect_err("zero traces per class");
+        assert!(matches!(err, ConfirmError::NoTraces { .. }), "{err:?}");
+        assert!(err.to_string().contains("no traces"), "{err}");
     }
 }

@@ -44,6 +44,6 @@ pub mod patch;
 pub mod report;
 pub mod search;
 
-pub use confirm::{confirm, Confirmation};
+pub use confirm::{confirm, ConfirmError, Confirmation};
 pub use patch::{generate, GeneratedPatches, Patch, BARRIER_COST_FJ, FRESH_COST_FJ};
 pub use search::{repair, RepairOutcome, SearchConfig, SearchEffort, StepRecord};

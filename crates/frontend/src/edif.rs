@@ -498,7 +498,8 @@ pub fn to_edif(netlist: &Netlist) -> String {
             "          (instance g{i} (viewRef netlist (cellRef {ty} (libraryRef NANGATE))))"
         );
     }
-    for (idx, net) in netlist.nets().iter().enumerate() {
+    for (id, net) in netlist.net_ids().zip(netlist.nets()) {
+        let idx = id.index();
         let mut refs: Vec<String> = Vec::new();
         // Driver first: a top-level input port or a gate output pin.
         if net.is_input() {
@@ -521,7 +522,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
         // Loads: every reading pin, then every top-level output port.
         // `loads()` lists a gate once per reading pin, but the pin loop
         // below already emits every matching pin — dedupe the gates.
-        let mut loads: Vec<_> = net.loads().to_vec();
+        let mut loads: Vec<_> = netlist.loads(id).to_vec();
         loads.dedup();
         loads.sort_unstable_by_key(|g| g.index());
         loads.dedup();

@@ -66,7 +66,7 @@ fn mutate(rng: &mut SmallRng, netlist: Netlist) -> Netlist {
                 let candidates: Vec<GateId> = current
                     .inputs()
                     .iter()
-                    .flat_map(|&n| current.nets()[n.index()].loads().iter().copied())
+                    .flat_map(|&n| current.loads(n).iter().copied())
                     .collect();
                 match candidates.choose(rng) {
                     Some(&gate) => {

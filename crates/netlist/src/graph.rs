@@ -24,12 +24,11 @@ impl GateId {
     }
 }
 
-/// A wire in the netlist.
+/// A wire in the netlist. Its loads are listed by [`Netlist::loads`].
 #[derive(Debug, Clone)]
 pub struct Net {
     pub(crate) name: Option<String>,
     pub(crate) driver: Option<GateId>,
-    pub(crate) loads: Vec<GateId>,
     pub(crate) is_input: bool,
 }
 
@@ -37,11 +36,6 @@ impl Net {
     /// The gate driving this net, or `None` for a primary input.
     pub fn driver(&self) -> Option<GateId> {
         self.driver
-    }
-
-    /// Gates reading this net.
-    pub fn loads(&self) -> &[GateId] {
-        &self.loads
     }
 
     /// Whether this net is a primary input.
@@ -56,11 +50,26 @@ impl Net {
 }
 
 /// A gate instance.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Gate {
     pub(crate) cell: CellType,
-    pub(crate) inputs: Vec<NetId>,
+    /// Input nets in pin order, the first `cell.arity()` of them; held
+    /// inline so a netlist does not allocate (or free) per gate.
+    pub(crate) pins: [NetId; MAX_PINS],
     pub(crate) output: NetId,
+}
+
+/// The most inputs any cell has.
+const MAX_PINS: usize = 4;
+
+impl std::fmt::Debug for Gate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gate")
+            .field("cell", &self.cell)
+            .field("inputs", &self.inputs())
+            .field("output", &self.output)
+            .finish()
+    }
 }
 
 impl Gate {
@@ -71,7 +80,7 @@ impl Gate {
 
     /// Input nets, in pin order.
     pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+        &self.pins[..self.cell.arity()]
     }
 
     /// The output net.
@@ -95,6 +104,10 @@ pub struct Netlist {
     topo: Vec<GateId>,
     /// Logic level of each gate (1 + max level of its driving gates).
     levels: Vec<u32>,
+    /// The loads of net `i` are `load_gates[load_start[i]..load_start[i + 1]]`:
+    /// one list for the whole netlist, so it allocates (and frees) once.
+    load_start: Vec<u32>,
+    load_gates: Vec<GateId>,
 }
 
 impl Netlist {
@@ -113,6 +126,11 @@ impl Netlist {
         &self.gates
     }
 
+    /// Every net's id, in index order (parallel to [`Netlist::nets`]).
+    pub fn net_ids(&self) -> impl Iterator<Item = NetId> {
+        (0..self.nets.len() as u32).map(NetId)
+    }
+
     /// A gate by id.
     pub fn gate(&self, id: GateId) -> &Gate {
         &self.gates[id.index()]
@@ -121,6 +139,12 @@ impl Netlist {
     /// A net by id.
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.index()]
+    }
+
+    /// Gates reading a net, in gate order, once per reading pin.
+    pub fn loads(&self, net: NetId) -> &[GateId] {
+        let i = net.index();
+        &self.load_gates[self.load_start[i] as usize..self.load_start[i + 1] as usize]
     }
 
     /// Primary inputs, in declaration order.
@@ -172,7 +196,7 @@ impl Netlist {
         for &gid in &self.topo {
             let g = &self.gates[gid.index()];
             let t: f64 = g
-                .inputs
+                .inputs()
                 .iter()
                 .map(|n| arrival[n.index()])
                 .fold(0.0, f64::max)
@@ -188,8 +212,7 @@ impl Netlist {
     /// Capacitive load on a net in femtofarads: the sum of the input-pin
     /// capacitances of all gates reading it.
     pub fn fanout_cap_ff(&self, net: NetId) -> f64 {
-        self.nets[net.index()]
-            .loads
+        self.loads(net)
             .iter()
             .map(|g| self.gates[g.index()].cell.input_cap_ff())
             .sum()
@@ -228,13 +251,13 @@ impl Netlist {
         for (net, &v) in self.inputs.iter().zip(inputs) {
             values[net.index()] = v;
         }
-        let mut pins = [false; 4];
+        let mut pins = [false; MAX_PINS];
         for &gid in &self.topo {
             let g = &self.gates[gid.index()];
-            for (slot, n) in pins.iter_mut().zip(&g.inputs) {
+            for (slot, n) in pins.iter_mut().zip(g.inputs()) {
                 *slot = values[n.index()];
             }
-            values[g.output.index()] = g.cell.evaluate(&pins[..g.inputs.len()]);
+            values[g.output.index()] = g.cell.evaluate(&pins[..g.cell.arity()]);
         }
     }
 
@@ -341,7 +364,6 @@ impl NetlistBuilder {
         self.nets.push(Net {
             name,
             driver: None,
-            loads: Vec::new(),
             is_input,
         });
         id
@@ -388,15 +410,14 @@ impl NetlistBuilder {
         );
         let out = self.fresh_net(None, false);
         let gid = GateId(self.gates.len() as u32);
+        let mut pins = [NetId(0); MAX_PINS];
+        pins[..inputs.len()].copy_from_slice(inputs);
         self.gates.push(Gate {
             cell,
-            inputs: inputs.to_vec(),
+            pins,
             output: out,
         });
         self.nets[out.index()].driver = Some(gid);
-        for n in inputs {
-            self.nets[n.index()].loads.push(gid);
-        }
         out
     }
 
@@ -516,9 +537,32 @@ impl NetlistBuilder {
                 return Err(NetlistError::DuplicateName { name });
             }
         }
+        // Each net's loads, in gate order, once per reading pin.
+        let mut load_start = vec![0u32; self.nets.len() + 1];
+        for g in &self.gates {
+            for n in g.inputs() {
+                load_start[n.index() + 1] += 1;
+            }
+        }
+        for i in 0..self.nets.len() {
+            load_start[i + 1] += load_start[i];
+        }
+        let mut fill = load_start.clone();
+        let mut load_gates = vec![GateId(0); load_start[self.nets.len()] as usize];
+        for (i, g) in self.gates.iter().enumerate() {
+            for n in g.inputs() {
+                load_gates[fill[n.index()] as usize] = GateId(i as u32);
+                fill[n.index()] += 1;
+            }
+        }
+        drop(fill);
+        let loads = |n: NetId| {
+            &load_gates[load_start[n.index()] as usize..load_start[n.index() + 1] as usize]
+        };
         // Every used net must be driven or a primary input.
         for (i, net) in self.nets.iter().enumerate() {
-            let used = !net.loads.is_empty() || self.outputs.iter().any(|(_, n)| n.index() == i);
+            let used = !loads(NetId(i as u32)).is_empty()
+                || self.outputs.iter().any(|(_, n)| n.index() == i);
             if used && net.driver.is_none() && !net.is_input {
                 return Err(NetlistError::Undriven { net: i });
             }
@@ -531,7 +575,7 @@ impl NetlistBuilder {
             .gates
             .iter()
             .map(|g| {
-                g.inputs
+                g.inputs()
                     .iter()
                     .filter(|n| self.nets[n.index()].driver.is_some())
                     .count() as u32
@@ -549,13 +593,13 @@ impl NetlistBuilder {
             topo.push(gid);
             let g = &self.gates[gid.index()];
             levels[gid.index()] = 1 + g
-                .inputs
+                .inputs()
                 .iter()
                 .filter_map(|n| self.nets[n.index()].driver)
                 .map(|d| levels[d.index()])
                 .max()
                 .unwrap_or(0);
-            for &load in &self.nets[g.output.index()].loads {
+            for &load in loads(g.output) {
                 indegree[load.index()] -= 1;
                 if indegree[load.index()] == 0 {
                     queue.push_back(load);
@@ -573,6 +617,8 @@ impl NetlistBuilder {
             outputs: self.outputs,
             topo,
             levels,
+            load_start,
+            load_gates,
         })
     }
 }

@@ -403,7 +403,7 @@ fn xor_rotate_variants(subject: &Subject, g: usize) -> Result<Vec<Patch>, String
     if netlist.outputs().iter().any(|(_, n)| *n == out_net) {
         return Err("anchor drives a primary output".to_string());
     }
-    let loads = netlist.net(out_net).loads();
+    let loads = netlist.loads(out_net);
     if loads.len() != 1 {
         return Err(format!("anchor output has {} loads, need 1", loads.len()));
     }

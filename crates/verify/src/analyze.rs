@@ -362,8 +362,8 @@ pub fn finish_analysis(subject: &Subject, depth: Depth, stats: &SubjectStats) ->
             continue;
         }
         let net = netlist.inputs()[pos];
-        let xor_loads: Vec<usize> = netlist.nets()[net.index()]
-            .loads()
+        let xor_loads: Vec<usize> = netlist
+            .loads(net)
             .iter()
             .map(|&g| g.index())
             .filter(|&g| matches!(netlist.gates()[g].cell().family(), "XOR" | "XNOR"))

@@ -351,7 +351,7 @@ mod tests {
         let netlist = circuit.netlist();
         let r0 = netlist.inputs()[8];
         let r2 = netlist.inputs()[10];
-        let victim = netlist.nets()[r2.index()].loads()[0];
+        let victim = netlist.loads(r2)[0];
         let pin = netlist
             .gate(victim)
             .inputs()

@@ -42,8 +42,8 @@ fn reused_refresh_mask_is_reported_at_the_rewired_gate() {
     let r0 = netlist.inputs()[8];
     let r2 = netlist.inputs()[10];
     // Take an XOR gate consuming r2 and redirect its refresh pin to r0.
-    let (victim, pin) = netlist.nets()[r2.index()]
-        .loads()
+    let (victim, pin) = netlist
+        .loads(r2)
         .iter()
         .find_map(|&g| {
             let gate = netlist.gate(g);

@@ -113,15 +113,6 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     pearson(&midranks(xs), &midranks(ys))
 }
 
-/// Partials an [`ExactSum`] keeps inline before it spills to the heap.
-///
-/// Chosen on the pipeline benchmark when every power-trace sum was an
-/// `ExactSum`: with three, thousands of sums per run spilled; with four,
-/// a few hundred per spectral run. The accumulators now sum in
-/// fixed-point rows and reach `ExactSum` only as their cold side, a
-/// handful of times per run. See DESIGN.md §"Accumulator math".
-const INLINE_PARTIALS: usize = 4;
-
 /// Exact floating-point summation (Shewchuk expansion, fsum-style
 /// rounding).
 ///
@@ -142,14 +133,10 @@ const INLINE_PARTIALS: usize = 4;
 /// fixed-point sums. `ExactSum` is also the oracle those rows are tested
 /// against.
 ///
-/// The partials live in a small inline array; a sum spills them to a
-/// heap `Vec` only when it needs more (inputs spread over hundreds of
-/// binary orders of magnitude, up to ~40 partials for finite `f64`).
-/// Creating, cloning and folding a typical sum therefore never
-/// allocates. Both representations run the same algorithm on the same
-/// partial sequence, so which one a sum uses never changes a bit of its
-/// [`value`](ExactSum::value), and equality compares the live partials
-/// only.
+/// The partials live in a plain `Vec` (a handful for typical inputs, up
+/// to ~40 for finite `f64`s spread over hundreds of binary orders of
+/// magnitude); the rows reach a sum only on their cold side, a handful
+/// of times per run, so its allocation is off the hot path.
 ///
 /// Inputs must be finite; NaN or infinite inputs poison the sum (the
 /// partials stop being an expansion) and intermediate overflow is not
@@ -172,70 +159,10 @@ const INLINE_PARTIALS: usize = 4;
 /// assert_eq!(forward.value(), 2.0); // naive summation yields 1.0
 /// assert_eq!(forward.value().to_bits(), backward.value().to_bits());
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExactSum {
     /// Non-overlapping partials in increasing magnitude order.
-    store: Partials,
-}
-
-/// Storage of an [`ExactSum`]'s partials.
-#[derive(Clone)]
-enum Partials {
-    /// The first `len` entries of `buf` are live.
-    Inline {
-        len: u8,
-        buf: [f64; INLINE_PARTIALS],
-    },
-    /// Outgrew the inline array; never moves back.
-    Spilled(Vec<f64>),
-}
-
-impl Default for ExactSum {
-    fn default() -> Self {
-        Self {
-            store: Partials::Inline {
-                len: 0,
-                buf: [0.0; INLINE_PARTIALS],
-            },
-        }
-    }
-}
-
-impl PartialEq for ExactSum {
-    fn eq(&self, other: &Self) -> bool {
-        self.partials() == other.partials()
-    }
-}
-
-impl std::fmt::Debug for ExactSum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExactSum")
-            .field("partials", &self.partials())
-            .finish()
-    }
-}
-
-/// One Shewchuk step: adds `x` into the expansion `partials`, compacting
-/// the non-zero round-off terms to the front. Returns how many were kept
-/// and the new top partial, which belongs right after them.
-#[inline]
-fn grow_expansion(partials: &mut [f64], mut x: f64) -> (usize, f64) {
-    let mut kept = 0;
-    for j in 0..partials.len() {
-        let mut y = partials[j];
-        if x.abs() < y.abs() {
-            std::mem::swap(&mut x, &mut y);
-        }
-        // Two-sum: hi + lo == x + y exactly, |lo| <= ulp(hi)/2.
-        let hi = x + y;
-        let lo = y - (hi - x);
-        if lo != 0.0 {
-            partials[kept] = lo;
-            kept += 1;
-        }
-        x = hi;
-    }
-    (kept, x)
+    partials: Vec<f64>,
 }
 
 impl ExactSum {
@@ -244,42 +171,34 @@ impl ExactSum {
         Self::default()
     }
 
-    /// The live partials, in increasing magnitude order.
-    fn partials(&self) -> &[f64] {
-        match &self.store {
-            Partials::Inline { len, buf } => &buf[..usize::from(*len)],
-            Partials::Spilled(v) => v,
-        }
-    }
-
-    /// Add one value to the sum, exactly.
-    pub fn add(&mut self, x: f64) {
-        match &mut self.store {
-            Partials::Inline { len, buf } => {
-                let (kept, top) = grow_expansion(&mut buf[..usize::from(*len)], x);
-                if kept < INLINE_PARTIALS {
-                    buf[kept] = top;
-                    *len = kept as u8 + 1;
-                } else {
-                    let mut spilled = Vec::with_capacity(2 * INLINE_PARTIALS);
-                    spilled.extend_from_slice(&buf[..kept]);
-                    spilled.push(top);
-                    self.store = Partials::Spilled(spilled);
-                }
+    /// Add one value to the sum, exactly (one Shewchuk step: the
+    /// non-zero round-off terms compact to the front, the new top
+    /// partial goes after them).
+    pub fn add(&mut self, mut x: f64) {
+        let mut kept = 0;
+        for j in 0..self.partials.len() {
+            let mut y = self.partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
             }
-            Partials::Spilled(v) => {
-                let (kept, top) = grow_expansion(v, x);
-                v.truncate(kept);
-                v.push(top);
+            // Two-sum: hi + lo == x + y exactly, |lo| <= ulp(hi)/2.
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                self.partials[kept] = lo;
+                kept += 1;
             }
+            x = hi;
         }
+        self.partials.truncate(kept);
+        self.partials.push(x);
     }
 
     /// Fold another exact sum into this one; the combined sum is still
     /// exact, so `a.absorb(&b)` equals adding every input of `b` to `a`
     /// in any order.
     pub fn absorb(&mut self, other: &ExactSum) {
-        for &p in other.partials() {
+        for &p in &other.partials {
             self.add(p);
         }
     }
@@ -287,7 +206,7 @@ impl ExactSum {
     /// The exact sum, correctly rounded to the nearest `f64` (ties to
     /// even).
     pub fn value(&self) -> f64 {
-        let partials = self.partials();
+        let partials = &self.partials;
         // Round the expansion high-to-low, tracking the first non-zero
         // remainder so half-ulp ties break to even on the *exact* value
         // rather than on the top partial alone (CPython's fsum rounding).
@@ -319,11 +238,10 @@ impl ExactSum {
         hi
     }
 
-    /// Number of live partials (memory accounting; at most ~40 for
-    /// finite `f64` inputs, typically a handful). Counts the partials
-    /// the sum holds, not the inline capacity reserved for them.
+    /// Number of partials (memory accounting; at most ~40 for finite
+    /// `f64` inputs, typically a handful).
     pub fn partials_len(&self) -> usize {
-        self.partials().len()
+        self.partials.len()
     }
 }
 
@@ -802,10 +720,9 @@ mod tests {
         assert!(s.partials_len() <= 4);
     }
 
-    /// The heap-backed `ExactSum` the inline representation replaced,
-    /// kept verbatim as the differential oracle: the two must hold the
-    /// same partial sequence after every operation and round it to the
-    /// same bits.
+    /// An independent copy of the Shewchuk expansion, kept as the
+    /// differential oracle: `ExactSum` must hold the same partial
+    /// sequence after every operation and round it to the same bits.
     #[derive(Debug, Clone, Default)]
     struct OracleSum {
         partials: Vec<f64>,
@@ -871,23 +788,19 @@ mod tests {
         }
     }
 
-    fn is_spilled(s: &ExactSum) -> bool {
-        matches!(s.store, Partials::Spilled(_))
-    }
-
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
     fn assert_matches_oracle(s: &ExactSum, o: &OracleSum, what: &dyn std::fmt::Display) {
-        assert_eq!(bits(s.partials()), bits(&o.partials), "{what}: partials");
+        assert_eq!(bits(&s.partials), bits(&o.partials), "{what}: partials");
         assert_eq!(s.value().to_bits(), o.value().to_bits(), "{what}: value");
         assert_eq!(s.partials_len(), o.partials.len(), "{what}: length");
     }
 
-    /// One adversarial input: wide exponent spreads that force spills,
-    /// exact negations of earlier inputs (catastrophic cancellation),
-    /// signed zeros, and ordinary trace-sized values.
+    /// One adversarial input: wide exponent spreads that force long
+    /// expansions, exact negations of earlier inputs (catastrophic
+    /// cancellation), signed zeros, and ordinary trace-sized values.
     fn adversarial(r: &mut u64, history: &[f64]) -> f64 {
         let pick = xorshift(r);
         let frac = 1.0 + (xorshift(r) >> 11) as f64 / (1u64 << 53) as f64;
@@ -906,8 +819,6 @@ mod tests {
     #[test]
     fn exact_sum_matches_vec_oracle_on_adversarial_sequences() {
         const POOL: usize = 4;
-        let mut spilled_into_inline = 0;
-        let mut inline_into_spilled = 0;
         let mut max_partials = 0;
         for seed in 1..=64u64 {
             let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -932,18 +843,7 @@ mod tests {
                         frag.add(y);
                         frag_oracle.add(y);
                     }
-                    let into_pool = xorshift(&mut r) & 1 == 0;
-                    let (dst, src) = if into_pool {
-                        (&sums[i], &frag)
-                    } else {
-                        (&frag, &sums[i])
-                    };
-                    match (is_spilled(dst), is_spilled(src)) {
-                        (false, true) => spilled_into_inline += 1,
-                        (true, false) => inline_into_spilled += 1,
-                        _ => {}
-                    }
-                    if into_pool {
+                    if xorshift(&mut r) & 1 == 0 {
                         sums[i].absorb(&frag);
                         oracles[i].absorb(&frag_oracle);
                     } else {
@@ -964,19 +864,11 @@ mod tests {
                 );
             }
         }
-        assert!(max_partials > INLINE_PARTIALS, "spill path never taken");
-        assert!(
-            spilled_into_inline > 0,
-            "no spilled sum absorbed into an inline one"
-        );
-        assert!(
-            inline_into_spilled > 0,
-            "no inline sum absorbed into a spilled one"
-        );
+        assert!(max_partials > 4, "no wide expansion exercised");
     }
 
     #[test]
-    fn exact_sum_cancels_back_through_a_spill() {
+    fn exact_sum_cancels_back_through_a_wide_expansion() {
         let wide = [1e300, 1e150, 1.0, 1e-150, 1e-300];
         let mut s = ExactSum::new();
         let mut o = OracleSum::default();
@@ -984,10 +876,6 @@ mod tests {
             s.add(x);
             o.add(x);
         }
-        assert!(
-            is_spilled(&s),
-            "five disjoint magnitudes exceed the inline array"
-        );
         assert_eq!(s.partials_len(), wide.len());
         for &x in wide.iter().rev() {
             s.add(-x);
@@ -995,7 +883,6 @@ mod tests {
             assert_matches_oracle(&s, &o, &"cancellation");
         }
         assert_eq!(s.value(), 0.0);
-        assert!(is_spilled(&s), "a spilled sum never moves back inline");
     }
 
     #[test]
@@ -1020,38 +907,6 @@ mod tests {
         let mut neg = ExactSum::new();
         neg.add(-0.0);
         assert_eq!(neg.value().to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn exact_sum_clone_and_eq_ignore_the_representation() {
-        let mut spilled = ExactSum::new();
-        for &x in &[1e300, 1e150, 1.0, 1e-150, 1e-300] {
-            spilled.add(x);
-        }
-        let copy = spilled.clone();
-        assert!(is_spilled(&copy));
-        assert_eq!(copy, spilled);
-        assert_eq!(format!("{copy:?}"), format!("{spilled:?}"));
-
-        // The same live partials compare equal whichever array holds
-        // them; stale slots past the inline length do not count.
-        let mut small = ExactSum::new();
-        small.add(3.0);
-        small.add(1e-20);
-        let as_spilled = ExactSum {
-            store: Partials::Spilled(small.partials().to_vec()),
-        };
-        assert_eq!(small, as_spilled);
-        assert_eq!(as_spilled, small);
-        let mut buf = [7.0; INLINE_PARTIALS];
-        buf[..2].copy_from_slice(small.partials());
-        let stale = ExactSum {
-            store: Partials::Inline { len: 2, buf },
-        };
-        assert_eq!(stale, small);
-        assert_ne!(small, spilled);
-        assert_ne!(ExactSum::new(), small);
-        assert_eq!(ExactSum::new(), ExactSum::default());
     }
 
     #[test]

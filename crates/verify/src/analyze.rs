@@ -4,15 +4,15 @@
 //! (native scheme, frontend import, repair candidate) runs through the
 //! same catalogue. [`analyze`] is the historical wrapper for the seven
 //! hand-built schemes. The pipeline is factored into *statistics*
-//! ([`SubjectStats`], computed by the packed engine or copied forward by
-//! [`crate::incremental`]) and *diagnosis* ([`finish_analysis`], pure in
-//! the statistics) so the incremental re-analyzer provably produces the
-//! same reports as a from-scratch run.
+//! (computed by the crate's one evaluator in [`crate::incremental`],
+//! which copies forward what a baseline proves unchanged and recomputes
+//! the rest) and *diagnosis* (pure in the statistics), so the
+//! incremental re-analyzer provably produces the same reports as a
+//! from-scratch run.
 
 use sbox_circuits::{InputRole, SboxCircuit};
 use sbox_netlist::{cone, NetId, Netlist};
 
-use crate::packed::PackedSweep;
 use crate::rules::{Diagnostic, Location, RuleId};
 use crate::score::{self, Scores};
 use crate::subject::{Depth, Subject};
@@ -51,23 +51,24 @@ impl Verdicts {
 /// consume. One slot per net / gate / output group; all zeros at
 /// [`Depth::Structural`], where those rules stay silent.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SubjectStats {
-    /// Per-net settled-value bias ([`PackedSweep::net_value_bias_one`]).
-    pub net_value_bias: Vec<f64>,
+pub(crate) struct SubjectStats {
+    /// Per-net settled-value bias ([`crate::PackedSweep::net_value_bias_one`]).
+    pub(crate) net_value_bias: Vec<f64>,
     /// Per-net held-mask transition bias
-    /// ([`PackedSweep::net_transition_bias_one`]).
-    pub net_transition_bias: Vec<f64>,
-    /// Per-gate fan-in joint (transient) bias.
-    pub gate_joint_bias: Vec<f64>,
+    /// ([`crate::PackedSweep::net_transition_bias_one`]).
+    pub(crate) net_transition_bias: Vec<f64>,
+    /// Per-gate fan-in joint (transient) bias
+    /// ([`crate::PackedSweep::gate_joint_stats`]).
+    pub(crate) gate_joint_bias: Vec<f64>,
     /// Per-gate fan-in class-variance mass (the score input).
-    pub gate_class_variance: Vec<f64>,
+    pub(crate) gate_class_variance: Vec<f64>,
     /// Per-output-group conditional non-uniformity.
-    pub group_uniformity: Vec<f64>,
+    pub(crate) group_uniformity: Vec<f64>,
 }
 
 impl SubjectStats {
-    /// All-zero statistics for a structural-depth subject.
-    pub fn zeros(subject: &Subject) -> Self {
+    /// All-zero statistics, the starting point of every evaluation.
+    pub(crate) fn zeros(subject: &Subject) -> Self {
         let netlist = subject.netlist();
         Self {
             net_value_bias: vec![0.0; netlist.nets().len()],
@@ -77,55 +78,6 @@ impl SubjectStats {
             group_uniformity: vec![0.0; subject.output_groups().len()],
         }
     }
-
-    /// Compute every statistic from a finished packed sweep.
-    pub fn compute(subject: &Subject, sweep: &PackedSweep) -> Self {
-        let netlist = subject.netlist();
-        let net_value_bias: Vec<f64> = (0..netlist.nets().len())
-            .map(|n| sweep.net_value_bias_one(n))
-            .collect();
-        let net_transition_bias: Vec<f64> = (0..netlist.nets().len())
-            .map(|n| sweep.net_transition_bias_one(n, subject.net_is_barriered(n)))
-            .collect();
-        let mut gate_joint_bias = vec![0.0; netlist.gates().len()];
-        let mut gate_class_variance = vec![0.0; netlist.gates().len()];
-        for (g, gate) in netlist.gates().iter().enumerate() {
-            if subject.is_barrier(g) {
-                // Barriers do not glitch: their output follows a
-                // registered/precharged update, not a race window.
-                continue;
-            }
-            let pins: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
-            let stale: Vec<bool> = pins.iter().map(|&n| subject.net_is_barriered(n)).collect();
-            gate_joint_bias[g] = sweep.gate_joint_bias_one(&pins, &stale);
-            gate_class_variance[g] = sweep.gate_class_variance_one(&pins, &stale);
-        }
-        let group_uniformity = (0..subject.output_groups().len())
-            .map(|g| group_uniformity_stat(subject, sweep, g))
-            .collect();
-        Self {
-            net_value_bias,
-            net_transition_bias,
-            gate_joint_bias,
-            gate_class_variance,
-            group_uniformity,
-        }
-    }
-}
-
-/// The SHARE-UNIFORM statistic of one output group (0 when the group is
-/// out of the rule's scope: fewer than two shares, no mask space, or
-/// more than four ports).
-pub fn group_uniformity_stat(subject: &Subject, sweep: &PackedSweep, group: usize) -> f64 {
-    let ports = &subject.output_groups()[group];
-    if subject.shares_per_bit() < 2 || sweep.mask_count() == 1 {
-        return 0.0;
-    }
-    let nets: Vec<usize> = ports
-        .iter()
-        .map(|&p| subject.netlist().outputs()[p].1.index())
-        .collect();
-    sweep.group_uniformity_one(&nets)
 }
 
 /// Full analysis result for one subject.
@@ -226,23 +178,15 @@ pub fn analyze(circuit: &SboxCircuit) -> Analysis {
 }
 
 /// Run the full static analysis on any subject, at the depth its size
-/// affords.
+/// affords: a re-analysis that reuses nothing.
 pub fn analyze_subject(subject: &Subject) -> Analysis {
-    let depth = subject.depth();
-    let stats = match depth {
-        Depth::Exhaustive => {
-            let sweep = PackedSweep::run(subject);
-            SubjectStats::compute(subject, &sweep)
-        }
-        Depth::Structural => SubjectStats::zeros(subject),
-    };
-    finish_analysis(subject, depth, &stats)
+    finish_analysis(subject, &crate::incremental::evaluate(subject, None).stats)
 }
 
-/// Turn precomputed statistics into the final diagnosed [`Analysis`].
-/// Pure in its inputs: the incremental re-analyzer reuses it so an
-/// incremental run and a from-scratch run go through one code path.
-pub fn finish_analysis(subject: &Subject, depth: Depth, stats: &SubjectStats) -> Analysis {
+/// Turn computed statistics into the final diagnosed [`Analysis`].
+/// Pure in its inputs, so an incremental run and a from-scratch run end
+/// in one code path.
+pub(crate) fn finish_analysis(subject: &Subject, stats: &SubjectStats) -> Analysis {
     let netlist = subject.netlist();
     let taint = TaintMap::build(subject);
     let secret_bits = subject.secret_bits();
@@ -528,7 +472,7 @@ pub fn finish_analysis(subject: &Subject, depth: Depth, stats: &SubjectStats) ->
         gates: netlist.gates().len(),
         nets: netlist.nets().len(),
         mask_bits: subject.mask_bits(),
-        depth,
+        depth: subject.depth(),
         diagnostics,
         net_value_bias: stats.net_value_bias.clone(),
         gate_joint_bias: stats.gate_joint_bias.clone(),

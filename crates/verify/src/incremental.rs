@@ -1,35 +1,32 @@
-//! Incremental cone-scoped re-analysis.
+//! The crate's one evaluator, and incremental cone-scoped re-analysis.
 //!
 //! The repair searcher verifies hundreds of patched netlists that differ
-//! from a common base by a handful of gates. A [`Baseline`] captures the
-//! base subject's packed rows and per-entity statistics once; each
-//! [`Baseline::reanalyze`] call then:
+//! from a common base by a handful of gates. A [`Baseline`] keeps the
+//! base subject's lane matrix and statistics; [`Baseline::reanalyze`]
+//! passes it to the private routine that [`crate::analyze_subject`] and
+//! [`Baseline::new`] call with no baseline — a from-scratch analysis is
+//! a re-analysis that reuses nothing. The routine:
 //!
-//! 1. **aligns** the candidate against the base — gates match while cell
-//!    type, input net ids, and barrier flag are identical (patches append
-//!    inputs/gates or rewire pins in place, so ids are stable up to the
-//!    first edit);
-//! 2. **dirties** the fan-out cones: an edited/new gate dirties its
-//!    output net, and dirt propagates along the topological order
-//!    (`NetId`-keyed dirty set);
-//! 3. **re-evaluates** only dirty nets; clean nets *tile* their baseline
-//!    row into the candidate's lane space (a patch may add mask bits —
-//!    appended inputs take the high mask bits, so the old space embeds as
-//!    the low lanes of each new block and the row replicates exactly);
-//! 4. **recomputes** statistics only for entities touching dirt, copying
-//!    the baseline `f64` for the rest. Copying is *exact*, not
-//!    approximate: counts and denominators both scale by the same power
-//!    of two under lane growth, so the quotients round identically.
+//! 1. **aligns** the candidate against the base: a gate matches while its
+//!    cell, pin and output net ids and barrier flag do, an input while
+//!    its net id and linear form do (patches append inputs and gates or
+//!    edit in place, so ids are stable); with no base, nothing matches;
+//! 2. **dirties** the fan-out cones along the topological order;
+//! 3. **fills** one flat lane matrix: the clean rows that dirty gates or
+//!    recomputed statistics read are *tiled* from the base in one pass
+//!    (appended inputs take the high mask bits, so the old lane space
+//!    embeds as the low lanes of each new block), then dirty inputs and
+//!    gates evaluate in place in topological order;
+//! 4. **recomputes** the statistics of dirty entities and copies the
+//!    rest. Copying is *exact*: counts and denominators scale by the same
+//!    power of two under lane growth, so the quotients round identically.
 //!
-//! The result goes through the same [`finish_analysis`] as a from-scratch
-//! run, so an incremental report is byte-identical to a full one — the
-//! property test at `tests/incremental_property.rs` and the bench oracle
-//! in `BENCH_repair.json` pin it.
+//! Both runs end in the same diagnosis, so an incremental report is
+//! byte-identical to a full one; `tests/incremental_property.rs` and the
+//! oracle of `BENCH_repair.json` pin it.
 
-use std::collections::HashMap;
-
-use crate::analyze::{analyze_subject, finish_analysis, Analysis, SubjectStats};
-use crate::packed::{eval_cell_words, input_row, lane_geometry, PackedSweep};
+use crate::analyze::{finish_analysis, Analysis, SubjectStats};
+use crate::packed::PackedSweep;
 use crate::subject::{Depth, Subject};
 
 /// A base subject's full analysis state, reusable across many candidate
@@ -37,7 +34,6 @@ use crate::subject::{Depth, Subject};
 #[derive(Debug, Clone)]
 pub struct Baseline {
     subject: Subject,
-    depth: Depth,
     sweep: Option<PackedSweep>,
     stats: SubjectStats,
 }
@@ -56,21 +52,21 @@ pub struct ReanalyzeEffort {
     pub total_gates: usize,
 }
 
+/// What [`evaluate`] computed for one subject.
+pub(crate) struct Evaluation {
+    /// The lane matrix; `None` at [`Depth::Structural`]. Complete with
+    /// no prior; with one, clean rows no statistic read stay zero.
+    pub(crate) sweep: Option<PackedSweep>,
+    pub(crate) stats: SubjectStats,
+    effort: ReanalyzeEffort,
+}
+
 impl Baseline {
     /// Analyze the base subject once and capture rows + statistics.
     pub fn new(subject: Subject) -> Self {
-        let depth = subject.depth();
-        let (sweep, stats) = match depth {
-            Depth::Exhaustive => {
-                let sweep = PackedSweep::run(&subject);
-                let stats = SubjectStats::compute(&subject, &sweep);
-                (Some(sweep), stats)
-            }
-            Depth::Structural => (None, SubjectStats::zeros(&subject)),
-        };
+        let Evaluation { sweep, stats, .. } = evaluate(&subject, None);
         Self {
             subject,
-            depth,
             sweep,
             stats,
         }
@@ -82,249 +78,201 @@ impl Baseline {
     }
 
     /// The base subject's own analysis (identical to
-    /// [`analyze_subject`] on it).
+    /// [`crate::analyze_subject`] on it).
     pub fn base_analysis(&self) -> Analysis {
-        finish_analysis(&self.subject, self.depth, &self.stats)
+        finish_analysis(&self.subject, &self.stats)
     }
 
     /// Re-analyze a candidate subject derived from the base by a
-    /// localized edit. Falls back to a full run when the candidate is
+    /// localized edit. Nothing is reused when the candidate is
     /// structural-depth (the enumeration work the cache saves does not
-    /// exist there) or its lane space shrank/reordered.
+    /// exist there) or its lane space shrank or changed its classes.
     pub fn reanalyze(&self, candidate: &Subject) -> (Analysis, ReanalyzeEffort) {
-        let depth = candidate.depth();
-        let full = |a: Analysis| {
-            let effort = ReanalyzeEffort {
-                dirty_nets: a.nets,
-                total_nets: a.nets,
-                dirty_gates: a.gates,
-                total_gates: a.gates,
-            };
-            (a, effort)
-        };
-        let (Depth::Exhaustive, Some(base_sweep)) = (depth, self.sweep.as_ref()) else {
-            return full(analyze_subject(candidate));
-        };
-        let base = self.subject.netlist();
-        let cand = candidate.netlist();
-        let base_mask_bits = self.subject.mask_bits();
-        let cand_mask_bits = candidate.mask_bits();
-        if cand_mask_bits < base_mask_bits
-            || candidate.num_classes() != self.subject.num_classes()
-            || prefix_roles_differ(&self.subject, candidate)
-        {
-            return full(analyze_subject(candidate));
-        }
-
-        // 1. Alignment: which gates are unchanged (same id, cell, pins,
-        // output net, barrier flag)? The output-net check matters when a
-        // candidate was rebuilt with shifted net ids (e.g. a rewire after
-        // an input-appending patch): a gate whose pins happen to match by
-        // id but whose output moved must not tile the base row at the
-        // old position.
-        let mut gate_clean = vec![false; cand.gates().len()];
-        for (g, cg) in cand.gates().iter().enumerate() {
-            if let Some(bg) = base.gates().get(g) {
-                gate_clean[g] = cg.cell() == bg.cell()
-                    && cg.output().index() == bg.output().index()
-                    && cg.inputs().iter().map(|n| n.index()).collect::<Vec<_>>()
-                        == bg.inputs().iter().map(|n| n.index()).collect::<Vec<_>>()
-                    && candidate.is_barrier(g) == self.subject.is_barrier(g);
-            }
-        }
-
-        // 2. Dirty propagation over the topological order. New inputs and
-        // nets beyond the base net count are always dirty; an unchanged
-        // gate becomes dirty if any of its pins is.
-        let mut net_dirty = vec![false; cand.nets().len()];
-        for &net in &cand.inputs()[base.num_inputs()..] {
-            net_dirty[net.index()] = true;
-        }
-        for d in net_dirty.iter_mut().skip(base.nets().len()) {
-            *d = true;
-        }
-        let mut gate_dirty = vec![false; cand.gates().len()];
-        for &gid in cand.topo_order() {
-            let g = gid.index();
-            let gate = cand.gate(gid);
-            let dirty = !gate_clean[g] || gate.inputs().iter().any(|n| net_dirty[n.index()]);
-            if dirty {
-                gate_dirty[g] = true;
-                net_dirty[gate.output().index()] = true;
-            }
-        }
-
-        // 3. Rows: tile clean nets into the (possibly grown) lane space,
-        // re-evaluate dirty ones in topological order.
-        let classes = candidate.num_classes();
-        let (wpc, _valid) = lane_geometry(cand_mask_bits);
-        let total = classes * wpc;
-        let growth = cand_mask_bits - base_mask_bits;
-        let mut rows: HashMap<usize, Vec<u64>> = HashMap::new();
-        for (i, &net) in cand.inputs().iter().enumerate() {
-            if net_dirty[net.index()] {
-                rows.insert(net.index(), input_row(candidate, i, wpc));
-            }
-        }
-        // Clean-net rows materialize lazily through this closure-free
-        // two-phase walk: dirty gates may read clean pins, so tile those
-        // on demand.
-        let tile = |base_row: &[u64]| tile_row(base_row, self.subject.mask_bits(), growth, classes);
-        let ensure_row = |rows: &mut HashMap<usize, Vec<u64>>, n: usize| {
-            rows.entry(n).or_insert_with(|| tile(base_sweep.net_row(n)));
-        };
-        let mut dirty_net_count = cand
-            .inputs()
-            .iter()
-            .filter(|n| net_dirty[n.index()])
-            .count();
-        for &gid in cand.topo_order() {
-            let g = gid.index();
-            if !gate_dirty[g] {
-                continue;
-            }
-            let gate = cand.gate(gid);
-            for &pin in gate.inputs() {
-                ensure_row(&mut rows, pin.index());
-            }
-            let mut out = vec![0u64; total];
-            let mut pins = [0u64; 4];
-            for (k, slot) in out.iter_mut().enumerate() {
-                for (p, &n) in gate.inputs().iter().enumerate() {
-                    pins[p] = rows[&n.index()][k];
-                }
-                *slot = eval_cell_words(gate.cell(), &pins[..gate.inputs().len()]);
-            }
-            rows.insert(gate.output().index(), out);
-            dirty_net_count += 1;
-        }
-
-        // Assemble a full sweep for the statistics pass: clean nets tile
-        // their baseline rows (cheap replication), dirty nets take the
-        // freshly evaluated ones.
-        let all_rows: Vec<Vec<u64>> = (0..cand.nets().len())
-            .map(|n| match rows.remove(&n) {
-                Some(r) => r,
-                None => tile(base_sweep.net_row(n)),
-            })
-            .collect();
-        let sweep = PackedSweep::from_rows(classes, cand_mask_bits, all_rows);
-
-        // 4. Statistics: recompute dirty entities, copy the rest. The
-        // copies are exact under lane growth (counts and denominators
-        // scale by the same 2^growth).
-        let mut stats = SubjectStats::zeros(candidate);
-        let barrier_unchanged = |n: usize| {
-            n < base.nets().len()
-                && self.subject.net_is_barriered(n) == candidate.net_is_barriered(n)
-        };
-        for (n, &n_dirty) in net_dirty.iter().enumerate() {
-            if !n_dirty && barrier_unchanged(n) {
-                stats.net_value_bias[n] = self.stats.net_value_bias[n];
-                stats.net_transition_bias[n] = self.stats.net_transition_bias[n];
-            } else {
-                stats.net_value_bias[n] = sweep.net_value_bias_one(n);
-                stats.net_transition_bias[n] =
-                    sweep.net_transition_bias_one(n, candidate.net_is_barriered(n));
-            }
-        }
-        let mut dirty_gate_count = 0usize;
-        for (g, gate) in cand.gates().iter().enumerate() {
-            let pins_dirty = gate.inputs().iter().any(|n| net_dirty[n.index()]);
-            let stale_changed = !gate.inputs().iter().all(|n| barrier_unchanged(n.index()));
-            if gate_clean[g] && !pins_dirty && !stale_changed {
-                stats.gate_joint_bias[g] = self.stats.gate_joint_bias[g];
-                stats.gate_class_variance[g] = self.stats.gate_class_variance[g];
-                continue;
-            }
-            dirty_gate_count += 1;
-            if candidate.is_barrier(g) {
-                continue;
-            }
-            let pins: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
-            let stale: Vec<bool> = pins
-                .iter()
-                .map(|&n| candidate.net_is_barriered(n))
-                .collect();
-            stats.gate_joint_bias[g] = sweep.gate_joint_bias_one(&pins, &stale);
-            stats.gate_class_variance[g] = sweep.gate_class_variance_one(&pins, &stale);
-        }
-        for (gi, ports) in candidate.output_groups().iter().enumerate() {
-            let same_group = self
-                .subject
-                .output_groups()
-                .get(gi)
-                .is_some_and(|b| b == ports);
-            let any_dirty = ports
-                .iter()
-                .any(|&p| net_dirty[cand.outputs()[p].1.index()]);
-            if same_group && !any_dirty && gi < self.stats.group_uniformity.len() {
-                stats.group_uniformity[gi] = self.stats.group_uniformity[gi];
-            } else {
-                stats.group_uniformity[gi] =
-                    crate::analyze::group_uniformity_stat(candidate, &sweep, gi);
-            }
-        }
-
-        let analysis = finish_analysis(candidate, depth, &stats);
-        let effort = ReanalyzeEffort {
-            dirty_nets: dirty_net_count,
-            total_nets: cand.nets().len(),
-            dirty_gates: dirty_gate_count,
-            total_gates: cand.gates().len(),
-        };
-        (analysis, effort)
+        let Evaluation { stats, effort, .. } = evaluate(candidate, Some(self));
+        (finish_analysis(candidate, &stats), effort)
     }
 }
 
-/// Do the candidate's roles disagree with the base on the shared port
-/// prefix (which would reorder mask bits and invalidate row tiling)?
-fn prefix_roles_differ(base: &Subject, cand: &Subject) -> bool {
-    let n = base.roles().len();
-    cand.roles().len() < n || cand.roles()[..n] != base.roles()[..n]
-}
-
-/// Replicate a base row into a lane space grown by `growth` mask bits:
-/// the new bits are the high bits, so each class block of the new row is
-/// `2^growth` copies of the old block. Handles sub-word replication when
-/// the old block is narrower than a word.
-fn tile_row(base_row: &[u64], base_mask_bits: usize, growth: usize, classes: usize) -> Vec<u64> {
-    if growth == 0 {
-        return base_row.to_vec();
+/// Compute a subject's lane matrix and statistics, reusing whatever the
+/// alignment against `prior` proves unchanged (see the module docs).
+/// With no prior every input, gate, net and output group is dirty.
+pub(crate) fn evaluate(subject: &Subject, prior: Option<&Baseline>) -> Evaluation {
+    let netlist = subject.netlist();
+    let (nets, gates) = (netlist.nets().len(), netlist.gates().len());
+    let mut stats = SubjectStats::zeros(subject);
+    let mut effort = ReanalyzeEffort {
+        dirty_nets: nets,
+        total_nets: nets,
+        dirty_gates: gates,
+        total_gates: gates,
+    };
+    if subject.depth() == Depth::Structural {
+        return Evaluation {
+            sweep: None,
+            stats,
+            effort,
+        };
     }
-    let (base_wpc, base_valid) = lane_geometry(base_mask_bits);
-    let (new_wpc, _) = lane_geometry(base_mask_bits + growth);
-    let mut out = vec![0u64; classes * new_wpc];
-    for t in 0..classes {
-        let src = &base_row[t * base_wpc..(t + 1) * base_wpc];
-        let dst = &mut out[t * new_wpc..(t + 1) * new_wpc];
-        if base_mask_bits >= 6 {
-            // Whole-word replication.
-            for (i, slot) in dst.iter_mut().enumerate() {
-                *slot = src[i % base_wpc];
-            }
-        } else {
-            // Sub-word replication: widen the M-lane pattern to 64 bits,
-            // then copy across words.
-            let m = 1usize << base_mask_bits;
-            let mut word = src[0] & base_valid;
-            let mut width = m;
-            while width < 64 {
-                word |= word << width;
-                width *= 2;
-            }
-            for slot in dst.iter_mut() {
-                *slot = word;
-            }
+    // The base lane space must embed as the low lanes of the subject's.
+    let prior = prior
+        .and_then(|b| Some((b, b.sweep.as_ref()?)))
+        .filter(|(b, _)| {
+            b.subject.mask_bits() <= subject.mask_bits()
+                && b.subject.num_classes() == subject.num_classes()
+        });
+
+    // 1. Alignment: which inputs and gates are unchanged? The output-net
+    // check matters when a candidate was rebuilt with shifted net ids
+    // (e.g. a rewire after an input-appending patch): a gate whose pins
+    // happen to match by id but whose output moved must not tile the
+    // base row at the old position. Nets beyond the base are new.
+    let mut gate_clean = vec![false; gates];
+    let mut net_dirty = vec![true; nets];
+    if let Some((b, _)) = prior {
+        let base = b.subject.netlist();
+        for d in net_dirty.iter_mut().take(base.nets().len()) {
+            *d = false;
+        }
+        for (port, &net) in netlist.inputs().iter().enumerate() {
+            net_dirty[net.index()] = base.inputs().get(port) != Some(&net)
+                || b.subject.codec().input_form(port) != subject.codec().input_form(port);
+        }
+        for (g, (cg, bg)) in netlist.gates().iter().zip(base.gates()).enumerate() {
+            gate_clean[g] = cg.cell() == bg.cell()
+                && cg.output() == bg.output()
+                && cg.inputs() == bg.inputs()
+                && subject.is_barrier(g) == b.subject.is_barrier(g);
         }
     }
-    out
+
+    // 2. Dirty propagation over the topological order: an unchanged gate
+    // becomes dirty if any of its pins is. A gate is dirty exactly when
+    // its output net is (a clean gate's output is a base net).
+    for &gid in netlist.topo_order() {
+        let gate = netlist.gate(gid);
+        if !gate_clean[gid.index()] || gate.inputs().iter().any(|n| net_dirty[n.index()]) {
+            net_dirty[gate.output().index()] = true;
+        }
+    }
+
+    // 3. What carries over: a clean net whose barrier flag is unchanged
+    // (it picks the transition model, and whether loads read the net
+    // stale), a clean gate whose pins all carry over, and an unchanged
+    // output group of clean nets.
+    let base = prior.map(|(b, _)| b);
+    let net_kept: Vec<bool> = (0..nets)
+        .map(|n| {
+            !net_dirty[n]
+                && base
+                    .is_some_and(|b| b.subject.net_is_barriered(n) == subject.net_is_barriered(n))
+        })
+        .collect();
+    let gate_kept: Vec<bool> = netlist
+        .gates()
+        .iter()
+        .zip(&gate_clean)
+        .map(|(gate, &clean)| clean && gate.inputs().iter().all(|n| net_kept[n.index()]))
+        .collect();
+    let group_kept: Vec<bool> = subject
+        .output_groups()
+        .iter()
+        .enumerate()
+        .map(|(gi, ports)| {
+            base.is_some_and(|b| b.subject.output_groups().get(gi) == Some(ports))
+                && ports
+                    .iter()
+                    .all(|&p| !net_dirty[netlist.outputs()[p].1.index()])
+        })
+        .collect();
+
+    // 4. Rows, in one flat matrix: tile the clean rows that a dirty gate
+    // or a recomputed statistic reads (the rest stay untouched, so a
+    // re-analysis costs its cone, not its lane space), then evaluate
+    // dirty inputs and gates in place.
+    let mut read: Vec<bool> = net_kept.iter().map(|&k| !k).collect();
+    for (gate, _) in netlist.gates().iter().zip(&gate_kept).filter(|(_, &k)| !k) {
+        for pin in gate.inputs() {
+            read[pin.index()] = true;
+        }
+    }
+    for (ports, _) in subject
+        .output_groups()
+        .iter()
+        .zip(&group_kept)
+        .filter(|(_, &k)| !k)
+    {
+        for &p in ports {
+            read[netlist.outputs()[p].1.index()] = true;
+        }
+    }
+    let mut sweep = PackedSweep::zeroed(subject);
+    if let Some((_, base_sweep)) = prior {
+        for n in (0..nets).filter(|&n| read[n] && !net_dirty[n]) {
+            sweep.tile_row(n, base_sweep);
+        }
+    }
+    for (port, net) in netlist.inputs().iter().enumerate() {
+        if net_dirty[net.index()] {
+            sweep.fill_input(subject, port);
+        }
+    }
+    for gate in netlist.topo_order().iter().map(|&gid| netlist.gate(gid)) {
+        if net_dirty[gate.output().index()] {
+            sweep.eval_gate(gate);
+        }
+    }
+
+    // 5. Statistics: copy what carries over, recompute the rest.
+    for (n, &kept) in net_kept.iter().enumerate() {
+        (stats.net_value_bias[n], stats.net_transition_bias[n]) = match base {
+            Some(b) if kept => (b.stats.net_value_bias[n], b.stats.net_transition_bias[n]),
+            _ => (
+                sweep.net_value_bias_one(n),
+                sweep.net_transition_bias_one(n, subject.net_is_barriered(n)),
+            ),
+        };
+    }
+    for (g, (gate, &kept)) in netlist.gates().iter().zip(&gate_kept).enumerate() {
+        (stats.gate_joint_bias[g], stats.gate_class_variance[g]) = match base {
+            Some(b) if kept => (b.stats.gate_joint_bias[g], b.stats.gate_class_variance[g]),
+            // Barriers do not glitch: their output follows a
+            // registered/precharged update, not a race window.
+            _ if subject.is_barrier(g) => (0.0, 0.0),
+            _ => {
+                let pins: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
+                let stale: Vec<bool> = pins.iter().map(|&n| subject.net_is_barriered(n)).collect();
+                sweep.gate_joint_stats(&pins, &stale)
+            }
+        };
+    }
+    for (gi, (ports, &kept)) in subject.output_groups().iter().zip(&group_kept).enumerate() {
+        stats.group_uniformity[gi] = match base {
+            Some(b) if kept => b.stats.group_uniformity[gi],
+            // SHARE-UNIFORM needs at least two shares and a mask space.
+            _ if subject.shares_per_bit() < 2 || sweep.mask_count() == 1 => 0.0,
+            _ => {
+                let nets: Vec<usize> = ports
+                    .iter()
+                    .map(|&p| netlist.outputs()[p].1.index())
+                    .collect();
+                sweep.group_uniformity_one(&nets)
+            }
+        };
+    }
+    let count = |flags: &[bool], value| flags.iter().filter(|&&f| f == value).count();
+    effort.dirty_nets = count(&net_dirty, true);
+    effort.dirty_gates = count(&gate_kept, false);
+    Evaluation {
+        sweep: Some(sweep),
+        stats,
+        effort,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report;
+    use crate::{analyze_subject, report};
     use sbox_circuits::{SboxCircuit, Scheme};
     use sbox_netlist::transform;
 

@@ -17,7 +17,11 @@
 //!    values depends on the unmasked class — the leakage a probe
 //!    sees during the race window, which plain value probing provably
 //!    misses. A boundary rule ([`rules::RuleId::GxBoundary`]) covers the
-//!    composition defect of register-free TI.
+//!    composition defect of register-free TI. One evaluator
+//!    ([`incremental`]) fills the sweep's flat lane matrix and computes
+//!    every statistic: [`analyze_subject`] runs it from scratch, and
+//!    [`Baseline::reanalyze`] runs it against a base subject, re-evaluating
+//!    only the edited cones.
 //! 3. **Typed diagnostics** ([`rules`], [`report`]): rule ID, severity,
 //!    gate/net with names, witness probe set — as a human table and a
 //!    byte-stable JSON document pinned in CI ([`expect`]).
@@ -49,10 +53,7 @@ pub mod score;
 pub mod subject;
 pub mod taint;
 
-pub use analyze::{
-    analyze, analyze_subject, finish_analysis, Analysis, SubjectStats, Verdicts, BIAS_EPS,
-    FRESH_FANOUT_LIMIT,
-};
+pub use analyze::{analyze, analyze_subject, Analysis, Verdicts, BIAS_EPS, FRESH_FANOUT_LIMIT};
 pub use incremental::{Baseline, ReanalyzeEffort};
 pub use packed::PackedSweep;
 pub use rules::{Diagnostic, Location, RuleId, Severity};

@@ -10,6 +10,7 @@
 //! `tests/golden/verify/`; `cargo test --test verify_expectations`
 //! byte-checks them.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -66,7 +67,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.schemes.is_empty() {
         opts.schemes.extend(Scheme::ALL);
     }
-    opts.schemes.dedup();
+    // Each scheme once, at its first mention.
+    let mut seen = HashSet::new();
+    opts.schemes.retain(|&s| seen.insert(s));
     Ok(opts)
 }
 
@@ -91,4 +94,38 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn schemes(args: &[&str]) -> Vec<Scheme> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).expect("valid arguments").schemes
+    }
+
+    #[test]
+    fn each_scheme_is_analyzed_once_in_first_mention_order() {
+        assert_eq!(schemes(&[]), Scheme::ALL);
+        assert_eq!(schemes(&["all", "isw"]), Scheme::ALL);
+        assert_eq!(schemes(&["isw", "ti", "isw"]), [Scheme::Isw, Scheme::Ti]);
+        assert_eq!(
+            schemes(&["ti", "TI", "rsm-rom", "rsmrom"]),
+            [Scheme::Ti, Scheme::RsmRom]
+        );
+        let mut isw_first = vec![Scheme::Isw];
+        isw_first.extend(Scheme::ALL.into_iter().filter(|&s| s != Scheme::Isw));
+        assert_eq!(schemes(&["isw", "all"]), isw_first);
+    }
+
+    #[test]
+    fn unknown_schemes_and_missing_values_are_errors() {
+        let parse = |args: &[&str]| {
+            parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).is_err()
+        };
+        assert!(parse(&["nope"]));
+        assert!(parse(&["--json-dir"]));
+        assert!(!parse(&["--json-dir", "out", "-q", "lut"]));
+    }
 }

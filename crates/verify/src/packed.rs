@@ -6,12 +6,14 @@
 //! through `Netlist::evaluate_nets`. This engine computes the same
 //! statistics bit-for-bit from a *packed* representation: per
 //! (net, class) a row of `⌈M/64⌉` u64 words where lane `ℓ` is the net's
-//! value under mask word `ℓ` — gates evaluate word-wise in topological
-//! order, and histograms are transient popcount folds over the rows.
-//! Keeping the rows around (instead of the counts) is what makes the
-//! incremental re-analysis in [`crate::incremental`] possible: after a
-//! localized edit, clean nets keep their rows (tiled into the grown lane
-//! space) and only dirty cones re-evaluate.
+//! value under mask word `ℓ`. All rows live in one flat, net-major lane
+//! matrix (a `Vec<u64>`, each net's row class-major within it); gates
+//! evaluate word-wise in topological order, in place, and histograms are
+//! transient popcount folds over the rows. The matrix is filled by the
+//! crate's one evaluator ([`crate::incremental`]): a from-scratch run
+//! evaluates every row, a re-analysis first *tiles* the clean rows of a
+//! base sweep into the candidate's (possibly grown) lane space and
+//! evaluates only the dirty ones.
 //!
 //! Every derived `f64` statistic replicates the scalar oracle's fold
 //! order term for term, so the packed engine reproduces the seven native
@@ -20,13 +22,17 @@
 //! ascending order is the identity), and maxima fold with `f64::max`
 //! from `0.0`.
 
-use sbox_netlist::CellType;
+use sbox_netlist::{CellType, Gate};
 
 use crate::subject::{Subject, MAX_MASK_BITS};
 
 /// Maximum cell fan-in, hence `2^4` joint fan-in patterns per gate
 /// (the scalar oracle pads its histograms to the same width).
 pub const MAX_FANIN_PATTERNS: usize = 16;
+
+/// Joint fan-in histogram of one class, padded to
+/// [`MAX_FANIN_PATTERNS`] entries (pin 0 = pattern LSB).
+type Histogram = [u32; MAX_FANIN_PATTERNS];
 
 /// Lane patterns of the six in-word mask bits: bit `b` of pattern `j` is
 /// `(b >> j) & 1`.
@@ -42,8 +48,7 @@ const IN_WORD: [u64; 6] = [
 /// The 64 lane values of mask bit `j` within word `w` of a class row:
 /// lane `ℓ = 64w + b` carries mask word `ℓ`, whose bit `j` is
 /// `(ℓ >> j) & 1`.
-#[must_use]
-pub fn mask_bit_word(j: usize, w: usize) -> u64 {
+fn mask_bit_word(j: usize, w: usize) -> u64 {
     if j < 6 {
         IN_WORD[j]
     } else if w >> (j - 6) & 1 == 1 {
@@ -56,8 +61,7 @@ pub fn mask_bit_word(j: usize, w: usize) -> u64 {
 /// Lane geometry of a mask space: words per class row and the validity
 /// mask applied to every word (partial when `M < 64`, else all-ones —
 /// `M` is a power of two, so larger spaces fill whole words).
-#[must_use]
-pub fn lane_geometry(mask_bits: usize) -> (usize, u64) {
+fn lane_geometry(mask_bits: usize) -> (usize, u64) {
     let m = 1usize << mask_bits;
     if m >= 64 {
         (m / 64, !0)
@@ -66,30 +70,8 @@ pub fn lane_geometry(mask_bits: usize) -> (usize, u64) {
     }
 }
 
-/// The lane row of primary input `port`, `words_per_class` words per
-/// class: in each class, the parity of the input's class bits, XOR the
-/// lane patterns of its mask bits
-/// ([`sbox_circuits::RoleCodec::input_form`]).
-#[must_use]
-pub fn input_row(subject: &Subject, port: usize, words_per_class: usize) -> Vec<u64> {
-    let (class_bits, mask_bits) = subject.codec().input_form(port);
-    let masks: Vec<usize> = (0..64).filter(|j| mask_bits >> j & 1 == 1).collect();
-    let mut row = vec![0u64; subject.num_classes() * words_per_class];
-    for (t, words) in (0u64..).zip(row.chunks_mut(words_per_class)) {
-        // All ones in the classes whose selected bits have odd parity.
-        let class = u64::from((t & class_bits).count_ones() & 1).wrapping_neg();
-        for (w, word) in words.iter_mut().enumerate() {
-            *word = masks
-                .iter()
-                .fold(class, |acc, &j| acc ^ mask_bit_word(j, w));
-        }
-    }
-    row
-}
-
 /// Evaluate one cell word-wise over up to four pin words.
-#[must_use]
-pub fn eval_cell_words(cell: CellType, pins: &[u64]) -> u64 {
+fn eval_cell_words(cell: CellType, pins: &[u64]) -> u64 {
     use CellType::*;
     match cell {
         Inv => !pins[0],
@@ -111,76 +93,46 @@ pub fn eval_cell_words(cell: CellType, pins: &[u64]) -> u64 {
     }
 }
 
-/// The packed rows of one full sweep, plus the popcount statistics the
-/// rules consume.
+/// The lane matrix of one subject's (class × mask) space, plus the
+/// popcount statistics the rules consume.
 #[derive(Debug, Clone)]
 pub struct PackedSweep {
     classes: usize,
     mask_count: u32,
     words_per_class: usize,
     valid: u64,
-    rows: Vec<Vec<u64>>,
+    /// Net-major lane matrix: net `n`'s row is the `row_len()` words
+    /// from `n * row_len()`, class-major within.
+    rows: Vec<u64>,
 }
 
 impl PackedSweep {
     /// Evaluate the whole (class × mask) space of an exhaustive-depth
-    /// subject.
+    /// subject (a from-scratch run of the crate's one evaluator).
     ///
     /// # Panics
     ///
     /// Panics if the subject exceeds the enumeration budgets
     /// ([`Subject::depth`] must be `Exhaustive` — callers gate on it).
     pub fn run(subject: &Subject) -> Self {
-        let netlist = subject.netlist();
+        crate::incremental::evaluate(subject, None)
+            .sweep
+            .expect("mask space too large to pack")
+    }
+
+    /// An all-zero lane matrix over the subject's nets and lane space.
+    pub(crate) fn zeroed(subject: &Subject) -> Self {
         let mask_bits = subject.mask_bits();
         assert!(mask_bits <= MAX_MASK_BITS, "mask space too large to pack");
         let classes = subject.num_classes();
-        let mask_count = 1u32 << mask_bits;
-        let (words_per_class, valid) = lane_geometry(mask_bits);
-        let total = classes * words_per_class;
-        let mut rows: Vec<Vec<u64>> = vec![Vec::new(); netlist.nets().len()];
-        for (i, &net) in netlist.inputs().iter().enumerate() {
-            rows[net.index()] = input_row(subject, i, words_per_class);
-        }
-        for &gid in netlist.topo_order() {
-            let gate = netlist.gate(gid);
-            let cell = gate.cell();
-            let mut out = vec![0u64; total];
-            let mut pins = [0u64; 4];
-            for (k, slot) in out.iter_mut().enumerate() {
-                for (p, &n) in gate.inputs().iter().enumerate() {
-                    pins[p] = rows[n.index()][k];
-                }
-                *slot = eval_cell_words(cell, &pins[..gate.inputs().len()]);
-            }
-            rows[gate.output().index()] = out;
-        }
-        Self {
-            classes,
-            mask_count,
-            words_per_class,
-            valid,
-            rows,
-        }
-    }
-
-    /// Assemble a sweep from externally produced rows (the incremental
-    /// engine's tiled + re-evaluated rows). Rows must be class-major with
-    /// `classes × ⌈2^mask_bits / 64⌉` words per net.
-    pub fn from_rows(classes: usize, mask_bits: usize, rows: Vec<Vec<u64>>) -> Self {
         let (words_per_class, valid) = lane_geometry(mask_bits);
         Self {
             classes,
             mask_count: 1u32 << mask_bits,
             words_per_class,
             valid,
-            rows,
+            rows: vec![0; subject.netlist().nets().len() * classes * words_per_class],
         }
-    }
-
-    /// Number of unmasked classes enumerated.
-    pub fn classes(&self) -> usize {
-        self.classes
     }
 
     /// Number of mask words enumerated per class.
@@ -188,36 +140,129 @@ impl PackedSweep {
         self.mask_count
     }
 
-    /// Words per (net, class) row.
-    pub fn words_per_class(&self) -> usize {
-        self.words_per_class
+    fn row_len(&self) -> usize {
+        self.classes * self.words_per_class
     }
 
-    /// Validity mask applied to every row word.
-    pub fn valid(&self) -> u64 {
-        self.valid
-    }
-
-    /// The full packed row of a net (class-major, `classes ×
-    /// words_per_class` words).
-    pub fn net_row(&self, net: usize) -> &[u64] {
-        &self.rows[net]
+    fn net_row_mut(&mut self, net: usize) -> &mut [u64] {
+        let len = self.row_len();
+        &mut self.rows[net * len..(net + 1) * len]
     }
 
     /// One class's row slice of a net.
-    pub fn class_row(&self, net: usize, t: usize) -> &[u64] {
-        let w = self.words_per_class;
-        &self.rows[net][t * w..(t + 1) * w]
+    fn class_row(&self, net: usize, t: usize) -> &[u64] {
+        let start = net * self.row_len() + t * self.words_per_class;
+        &self.rows[start..start + self.words_per_class]
     }
 
-    /// Per-class ones count of a net (lane popcount).
-    pub fn net_ones(&self, net: usize) -> Vec<u32> {
+    /// Fill the row of primary input `port`: in each class, the parity
+    /// of the input's class bits, XOR the lane patterns of its mask bits
+    /// ([`sbox_circuits::RoleCodec::input_form`]).
+    pub(crate) fn fill_input(&mut self, subject: &Subject, port: usize) {
+        let (class_bits, mask_bits) = subject.codec().input_form(port);
+        let wpc = self.words_per_class;
+        let row = self.net_row_mut(subject.netlist().inputs()[port].index());
+        for (t, words) in (0u64..).zip(row.chunks_mut(wpc)) {
+            // All ones in the classes whose selected bits have odd parity.
+            let class = u64::from((t & class_bits).count_ones() & 1).wrapping_neg();
+            for (w, word) in words.iter_mut().enumerate() {
+                *word = (0..64)
+                    .filter(|j| mask_bits >> j & 1 == 1)
+                    .fold(class, |acc, j| acc ^ mask_bit_word(j, w));
+            }
+        }
+    }
+
+    /// Evaluate one gate word-wise into its output row from its pin
+    /// rows.
+    pub(crate) fn eval_gate(&mut self, gate: &Gate) {
+        let len = self.row_len();
+        let pins = gate.inputs();
+        let out = gate.output().index() * len;
+        let mut words = [0u64; 4];
+        for k in 0..len {
+            for (word, pin) in words.iter_mut().zip(pins) {
+                *word = self.rows[pin.index() * len + k];
+            }
+            self.rows[out + k] = eval_cell_words(gate.cell(), &words[..pins.len()]);
+        }
+    }
+
+    /// Copy net `net`'s row from `base`, a sweep over a lane space this
+    /// one extends by appended (high) mask bits: each class block of the
+    /// new row is `2^growth` copies of the base block, so the base space
+    /// embeds as the low lanes of every new block. A block narrower than
+    /// a word is first widened to 64 lanes.
+    pub(crate) fn tile_row(&mut self, net: usize, base: &PackedSweep) {
+        let (wpc, same) = (self.words_per_class, base.mask_count == self.mask_count);
+        let len = base.row_len();
+        let src = &base.rows[net * len..(net + 1) * len];
+        let dst = self.net_row_mut(net);
+        if same {
+            dst.copy_from_slice(src);
+        } else if base.mask_count >= 64 {
+            for (block, from) in dst.chunks_mut(wpc).zip(src.chunks(base.words_per_class)) {
+                for (slot, &word) in block.iter_mut().zip(from.iter().cycle()) {
+                    *slot = word;
+                }
+            }
+        } else {
+            for (block, &from) in dst.chunks_mut(wpc).zip(src) {
+                let mut word = from & base.valid;
+                let mut width = base.mask_count;
+                while width < 64 {
+                    word |= word << width;
+                    width *= 2;
+                }
+                block.fill(word);
+            }
+        }
+    }
+
+    /// Lanes under which a net is 1 given class `t`.
+    fn ones(&self, net: usize, t: usize) -> u32 {
+        self.class_row(net, t)
+            .iter()
+            .map(|&w| (w & self.valid).count_ones())
+            .sum()
+    }
+
+    /// Joint histogram of up to four class rows, row `i` giving pattern
+    /// bit `i`: per word, each row splits every pattern's lane mask in
+    /// two, then the masks are counted.
+    fn joint_counts(&self, rows: &[&[u64]]) -> Histogram {
+        let mut counts = [0u32; MAX_FANIN_PATTERNS];
+        for w in 0..self.words_per_class {
+            let mut lanes = [0u64; MAX_FANIN_PATTERNS];
+            lanes[0] = self.valid;
+            let mut patterns = 1;
+            for row in rows {
+                for p in 0..patterns {
+                    lanes[p + patterns] = lanes[p] & row[w];
+                    lanes[p] &= !row[w];
+                }
+                patterns *= 2;
+            }
+            for (count, lane) in counts.iter_mut().zip(&lanes[..patterns]) {
+                *count += lane.count_ones();
+            }
+        }
+        counts
+    }
+
+    /// Per-class joint histograms of the given nets. Nets flagged in
+    /// `stale` read their class-0 row in every class — the barrier
+    /// model: a barriered pin still holds the previous evaluation's
+    /// value during the consuming gate's race window.
+    fn histograms(&self, nets: &[usize], stale: &[bool]) -> Vec<Histogram> {
+        let mut rows: [&[u64]; 4] = [&[]; 4];
         (0..self.classes)
             .map(|t| {
-                self.class_row(net, t)
-                    .iter()
-                    .map(|&w| (w & self.valid).count_ones())
-                    .sum()
+                for (i, (slot, &net)) in rows.iter_mut().zip(nets).enumerate() {
+                    let held = stale.get(i).copied().unwrap_or(false);
+                    *slot = self.class_row(net, if held { 0 } else { t });
+                }
+                self.joint_counts(&rows[..nets.len()])
             })
             .collect()
     }
@@ -227,10 +272,9 @@ impl PackedSweep {
     /// oracle's `net_value_bias` term for term.
     pub fn net_value_bias_one(&self, net: usize) -> f64 {
         let denom = f64::from(self.mask_count);
-        let ones = self.net_ones(net);
-        let p0 = f64::from(ones[0]) / denom;
-        ones.iter()
-            .map(|&c| (f64::from(c) / denom - p0).abs())
+        let p0 = f64::from(self.ones(net, 0)) / denom;
+        (0..self.classes)
+            .map(|t| (f64::from(self.ones(net, t)) / denom - p0).abs())
             .fold(0.0, f64::max)
     }
 
@@ -250,10 +294,7 @@ impl PackedSweep {
         let mut min = f64::INFINITY;
         for t in 1..self.classes {
             let flips: u32 = if barriered {
-                self.class_row(net, t)
-                    .iter()
-                    .map(|&w| (w & self.valid).count_ones())
-                    .sum()
+                self.ones(net, t)
             } else {
                 self.class_row(net, t)
                     .iter()
@@ -268,70 +309,37 @@ impl PackedSweep {
         max - min
     }
 
-    /// Fan-in joint histogram over the given pin nets under class `t`,
-    /// padded to [`MAX_FANIN_PATTERNS`] entries (pin 0 = LSB). Pins
-    /// listed in `stale` substitute their class-0 row — the barrier
-    /// model: a barriered pin still holds the previous evaluation's
-    /// value during the consuming gate's race window.
-    pub fn pattern_row(
-        &self,
-        pins: &[usize],
-        t: usize,
-        stale: &[bool],
-    ) -> [u32; MAX_FANIN_PATTERNS] {
-        let k = pins.len();
-        let mut counts = [0u32; MAX_FANIN_PATTERNS];
-        for (p, slot) in counts.iter_mut().enumerate().take(1 << k) {
-            let mut acc = vec![self.valid; self.words_per_class];
-            for (pin, &net) in pins.iter().enumerate() {
-                let cls = if stale.get(pin).copied().unwrap_or(false) {
-                    0
-                } else {
-                    t
-                };
-                let row = self.class_row(net, cls);
-                for (a, &w) in acc.iter_mut().zip(row) {
-                    *a &= if p >> pin & 1 == 1 { w } else { !w };
-                }
-            }
-            *slot = acc.iter().map(|&w| w.count_ones()).sum();
-        }
-        counts
-    }
-
-    /// Worst-case transient bias of a fan-in joint distribution (largest
-    /// total-variation distance of any class against class 0),
-    /// replicating the scalar oracle's `gate_joint_bias` term for term.
-    pub fn gate_joint_bias_one(&self, pins: &[usize], stale: &[bool]) -> f64 {
+    /// The two statistics of a gate's fan-in joint distribution, from one
+    /// count of its per-class histograms: the worst-case transient bias
+    /// (largest total-variation distance of any class against class 0)
+    /// and the class-variance mass `Σ_p Var_t(P(pattern = p | t))`,
+    /// replicating the scalar oracle's `gate_joint_bias` and
+    /// `gate_class_variance` term for term. Pins listed in `stale` read
+    /// their class-0 row (the barrier model).
+    pub fn gate_joint_stats(&self, pins: &[usize], stale: &[bool]) -> (f64, f64) {
+        let hist = self.histograms(pins, stale);
         let denom = f64::from(self.mask_count);
-        let row0 = self.pattern_row(pins, 0, stale);
-        (1..self.classes)
-            .map(|t| {
-                let row = self.pattern_row(pins, t, stale);
+        let bias = hist[1..]
+            .iter()
+            .map(|row| {
                 (0..MAX_FANIN_PATTERNS)
-                    .map(|p| (f64::from(row[p]) - f64::from(row0[p])).abs() / denom)
+                    .map(|p| (f64::from(row[p]) - f64::from(hist[0][p])).abs() / denom)
                     .sum::<f64>()
                     / 2.0
             })
-            .fold(0.0, f64::max)
-    }
-
-    /// Class-variance mass of a fan-in joint distribution, replicating
-    /// the scalar oracle's `gate_class_variance` term for term.
-    pub fn gate_class_variance_one(&self, pins: &[usize], stale: &[bool]) -> f64 {
-        let denom = f64::from(self.mask_count);
-        let per_class: Vec<[u32; MAX_FANIN_PATTERNS]> = (0..self.classes)
-            .map(|t| self.pattern_row(pins, t, stale))
-            .collect();
-        (0..MAX_FANIN_PATTERNS)
+            .fold(0.0, f64::max);
+        let classes = self.classes as f64;
+        let variance = (0..MAX_FANIN_PATTERNS)
             .map(|p| {
-                let probs: Vec<f64> = (0..self.classes)
-                    .map(|t| f64::from(per_class[t][p]) / denom)
-                    .collect();
-                let mean = probs.iter().sum::<f64>() / self.classes as f64;
-                probs.iter().map(|q| (q - mean) * (q - mean)).sum::<f64>() / self.classes as f64
+                let prob = |row: &Histogram| f64::from(row[p]) / denom;
+                let mean = hist.iter().map(prob).sum::<f64>() / classes;
+                hist.iter()
+                    .map(|row| (prob(row) - mean) * (prob(row) - mean))
+                    .sum::<f64>()
+                    / classes
             })
-            .sum()
+            .sum();
+        (bias, variance)
     }
 
     /// Worst-case share-group non-uniformity: for each class, the
@@ -348,18 +356,7 @@ impl PackedSweep {
         let denom = f64::from(self.mask_count);
         let half = f64::from(1u32 << (k - 1));
         let mut worst = 0.0f64;
-        for t in 0..self.classes {
-            let mut counts = [0u32; MAX_FANIN_PATTERNS];
-            for (p, slot) in counts.iter_mut().enumerate().take(1 << k) {
-                let mut acc = vec![self.valid; self.words_per_class];
-                for (pin, &net) in nets.iter().enumerate() {
-                    let row = self.class_row(net, t);
-                    for (a, &w) in acc.iter_mut().zip(row) {
-                        *a &= if p >> pin & 1 == 1 { w } else { !w };
-                    }
-                }
-                *slot = acc.iter().map(|&w| w.count_ones()).sum();
-            }
+        for counts in self.histograms(nets, &[]) {
             let parity_mass: [u32; 2] = (0..1usize << k).fold([0u32; 2], |mut acc, p| {
                 acc[(p.count_ones() & 1) as usize] += counts[p];
                 acc
@@ -400,8 +397,7 @@ mod tests {
             let mut joint = Vec::new();
             for (g, gate) in netlist.gates().iter().enumerate() {
                 let pins: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
-                for t in 0..packed.classes() {
-                    let row = packed.pattern_row(&pins, t, &no_stale);
+                for row in packed.histograms(&pins, &no_stale) {
                     // Complete counts: every (gate, class) row sums to
                     // the mask count.
                     assert_eq!(row.iter().sum::<u32>(), packed.mask_count(), "{scheme}");
@@ -411,8 +407,7 @@ mod tests {
                         assert_eq!(row.iter().filter(|&&c| c > 0).count(), 1);
                     }
                 }
-                let bias = packed.gate_joint_bias_one(&pins, &no_stale);
-                let var = packed.gate_class_variance_one(&pins, &no_stale);
+                let (bias, var) = packed.gate_joint_stats(&pins, &no_stale);
                 assert_eq!(
                     bias == 0.0,
                     var == 0.0,

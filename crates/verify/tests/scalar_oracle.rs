@@ -146,13 +146,14 @@ fn packed_statistics_are_bit_identical_to_the_scalar_sweep() {
         let no_stale = [false; 4];
         for (g, gate) in netlist.gates().iter().enumerate() {
             let pins: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
+            let (joint, var) = packed.gate_joint_stats(&pins, &no_stale);
             assert_eq!(
-                packed.gate_joint_bias_one(&pins, &no_stale).to_bits(),
+                joint.to_bits(),
                 scalar_joint[g].to_bits(),
                 "{scheme} gate {g} joint"
             );
             assert_eq!(
-                packed.gate_class_variance_one(&pins, &no_stale).to_bits(),
+                var.to_bits(),
                 scalar_var[g].to_bits(),
                 "{scheme} gate {g} variance"
             );
